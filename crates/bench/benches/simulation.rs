@@ -10,6 +10,9 @@ use rubick_trace::{generate_base, TraceConfig};
 use std::hint::black_box;
 use std::sync::Arc;
 
+/// Builds a fresh scheduler for one benchmark iteration.
+type SchedulerFactory = Box<dyn Fn() -> Box<dyn Scheduler>>;
+
 fn bench_trace_generation(c: &mut Criterion) {
     let oracle = TestbedOracle::new(0);
     let config = TraceConfig::default(); // 406 jobs
@@ -33,7 +36,7 @@ fn bench_full_simulation(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("sim/60_job_trace");
     group.sample_size(10);
-    let cases: Vec<(&str, Box<dyn Fn() -> Box<dyn Scheduler>>)> = vec![
+    let cases: Vec<(&str, SchedulerFactory)> = vec![
         (
             "rubick",
             Box::new({

@@ -20,6 +20,9 @@ use rubick_sim::{JobClass, Scheduler, SimReport};
 use rubick_trace::{best_plan_trace, generate_base, multi_tenant_trace, TraceConfig};
 use std::sync::Arc;
 
+/// A labelled job filter selecting one row class of the printed table.
+type ClassFilter = (&'static str, Box<dyn Fn(&rubick_sim::JobRecord) -> bool>);
+
 fn main() {
     let oracle = std_oracle();
     eprintln!("[table4] profiling the 7-model zoo...");
@@ -97,7 +100,7 @@ fn main() {
             .map(|(_, _, r)| (r.avg_jct(), r.p99_jct()))
             .unwrap_or((0.0, 0.0));
         for (t, name, report) in summaries.iter().filter(|(t, _, _)| t == trace_name) {
-            let rows: Vec<(&str, Box<dyn Fn(&rubick_sim::JobRecord) -> bool>)> = if t == "MT" {
+            let rows: Vec<ClassFilter> = if t == "MT" {
                 vec![
                     ("all", Box::new(|_: &rubick_sim::JobRecord| true)),
                     (
@@ -157,9 +160,5 @@ fn main() {
         "  profiling: {:.0} s total across 7 model types ({:.0} s/model; paper: 210 s/model)",
         registry.profiling_seconds,
         registry.profiling_seconds / 7.0
-    );
-    println!(
-        "  online model refits across all runs: {} (continuous fitting, paper section 4.3)",
-        registry.refit_count()
     );
 }

@@ -5,8 +5,7 @@
 //! the policy-side store of those models, together with the sensitivity
 //! curve cache of §5.2.
 
-use parking_lot::{Mutex, RwLock};
-use rubick_model::fit::{DataPoint, FitOptions, OnlineFitter};
+use parking_lot::RwLock;
 use rubick_model::prelude::*;
 use rubick_testbed::{profile_and_fit, TestbedOracle};
 use std::collections::HashMap;
@@ -31,9 +30,7 @@ use std::sync::Arc;
 pub struct ModelRegistry {
     models: RwLock<HashMap<String, Arc<ThroughputModel>>>,
     curves: CurveCache,
-    /// Continuous model fitting (§4.3): one online fitter per model type,
-    /// fed with observations from live training runs.
-    fitters: Mutex<HashMap<String, OnlineFitter>>,
+    /// Models [`ModelRegistry::insert`] replaced (refits from any path).
     refits: AtomicUsize,
     /// Monotone counter bumped on every model insert/replace; incremental
     /// schedulers fingerprint it to detect that *any* fitted model (and
@@ -52,7 +49,6 @@ impl ModelRegistry {
         ModelRegistry {
             models: RwLock::new(HashMap::new()),
             curves: CurveCache::new(),
-            fitters: Mutex::new(HashMap::new()),
             refits: AtomicUsize::new(0),
             version: AtomicU64::new(0),
             env,
@@ -73,21 +69,6 @@ impl ModelRegistry {
         for spec in specs {
             let (model, report) = profile_and_fit(oracle, spec, spec.default_batch)?;
             registry.profiling_seconds += report.wall_seconds;
-            // Seed the online fitter with the profiled samples so later
-            // observations extend (rather than replace) them.
-            let opts = FitOptions {
-                gpu_flops: report.gpu_flops,
-                min_points: report.points.len().min(7),
-                // Online refits run inside scheduling rounds: fewer
-                // restarts keep them cheap (the initial profile-time fit
-                // already found the right basin).
-                restarts: 4,
-                ..FitOptions::default()
-            };
-            if let Ok(fitter) = OnlineFitter::new(spec.clone(), *oracle.env(), report.points, opts)
-            {
-                registry.fitters.lock().insert(spec.name.clone(), fitter);
-            }
             registry
                 .models
                 .write()
@@ -96,52 +77,8 @@ impl ModelRegistry {
         Ok(registry)
     }
 
-    /// Feeds a live throughput observation into the model type's online
-    /// fitter (§4.3 "continuous model fitting"). If the current model's
-    /// prediction error exceeds the refit threshold, the model is refit,
-    /// swapped in, and its cached sensitivity curves invalidated. Returns
-    /// `true` when a refit happened.
-    ///
-    /// Accurate observations are skipped cheaply (no point is recorded), so
-    /// calling this every scheduling round for every running job is fine.
-    pub fn observe(
-        &self,
-        model_name: &str,
-        plan: &rubick_model::ExecutionPlan,
-        placement: &Placement,
-        global_batch: u32,
-        observed_iter_time: f64,
-    ) -> bool {
-        if !(observed_iter_time.is_finite() && observed_iter_time > 0.0) {
-            return false;
-        }
-        let mut fitters = self.fitters.lock();
-        let Some(fitter) = fitters.get_mut(model_name) else {
-            return false;
-        };
-        let point = DataPoint::new(*plan, placement.clone(), global_batch, observed_iter_time);
-        if fitter.prediction_error(&point) <= fitter.refit_threshold {
-            return false;
-        }
-        if fitter.observe(point) {
-            let params = *fitter.params();
-            drop(fitters);
-            let Some(old) = self.model(model_name) else {
-                return false;
-            };
-            self.insert(ThroughputModel::new(
-                old.spec.clone(),
-                params,
-                self.env,
-                self.shape,
-            ));
-            self.refits.fetch_add(1, Ordering::Relaxed);
-            return true;
-        }
-        false
-    }
-
-    /// Number of online refits performed so far.
+    /// Number of models [`ModelRegistry::insert`] has replaced so far —
+    /// online refits published by any caller, e.g. the engine's refit hook.
     pub fn refit_count(&self) -> usize {
         self.refits.load(Ordering::Relaxed)
     }
@@ -156,15 +93,6 @@ impl ModelRegistry {
             return None;
         }
         let (model, report) = profile_and_fit(oracle, spec, spec.default_batch).ok()?;
-        let opts = FitOptions {
-            gpu_flops: report.gpu_flops,
-            min_points: report.points.len().min(7),
-            restarts: 4,
-            ..FitOptions::default()
-        };
-        if let Ok(fitter) = OnlineFitter::new(spec.clone(), self.env, report.points, opts) {
-            self.fitters.lock().insert(spec.name.clone(), fitter);
-        }
         self.insert(model);
         Some(report.wall_seconds)
     }
@@ -173,7 +101,9 @@ impl ModelRegistry {
     pub fn insert(&self, model: ThroughputModel) {
         let name = model.spec.name.clone();
         self.curves.invalidate_model(&name);
-        self.models.write().insert(name, Arc::new(model));
+        if self.models.write().insert(name, Arc::new(model)).is_some() {
+            self.refits.fetch_add(1, Ordering::Relaxed);
+        }
         self.version.fetch_add(1, Ordering::Release);
     }
 
@@ -186,9 +116,9 @@ impl ModelRegistry {
         self.version.load(Ordering::Acquire)
     }
 
-    /// A deep, independent copy of the fitted state: models and online
-    /// fitters are cloned, the curve cache starts empty (it refills
-    /// deterministically on demand) and the refit counter resets.
+    /// A deep, independent copy of the fitted state: models are cloned,
+    /// the curve cache starts empty (it refills deterministically on
+    /// demand) and the refit counter resets.
     ///
     /// This is how `compare` shares one profiling pass across scheduler
     /// threads: profile the zoo once, then hand each thread its own
@@ -197,7 +127,6 @@ impl ModelRegistry {
         ModelRegistry {
             models: RwLock::new(self.models.read().clone()),
             curves: CurveCache::new(),
-            fitters: Mutex::new(self.fitters.lock().clone()),
             refits: AtomicUsize::new(0),
             version: AtomicU64::new(self.version.load(Ordering::Acquire)),
             env: self.env,
@@ -313,46 +242,11 @@ mod tests {
             *oracle.shape(),
         ));
         assert_eq!(registry.version(), v0 + 1);
+        assert_eq!(registry.refit_count(), 1);
         // The clone is unaffected by the original's mutation, and serves
         // curves from its own (empty, refilled-on-demand) cache.
         assert_eq!(snapshot.version(), v0);
         assert!(snapshot.gpu_curve("vit-86m", 128, 8).unwrap().value(8) > 0.0);
         assert_eq!(snapshot.refit_count(), 0);
-    }
-}
-
-#[cfg(test)]
-mod online_tests {
-    use super::*;
-
-    #[test]
-    fn observe_refits_on_drifted_measurements() {
-        let oracle = TestbedOracle::new(17);
-        let registry = ModelRegistry::from_oracle(&oracle, &[ModelSpec::roberta_large()]).unwrap();
-        let model = registry.model("roberta-355m").unwrap();
-        let plan = rubick_model::ExecutionPlan::dp(2);
-        let placement = Placement::packed(2, registry.shape());
-        let predicted = model.throughput(&plan, 64, &placement).unwrap();
-        // Feed an observation 2x slower than predicted: must refit.
-        let slow_iter = 2.0 * 64.0 / predicted;
-        assert!(registry.observe("roberta-355m", &plan, &placement, 64, slow_iter));
-        assert_eq!(registry.refit_count(), 1);
-        // The same configuration observed again carries no new information.
-        assert!(!registry.observe("roberta-355m", &plan, &placement, 64, slow_iter));
-        assert_eq!(registry.refit_count(), 1);
-    }
-
-    #[test]
-    fn observe_skips_accurate_measurements_and_unknown_models() {
-        let oracle = TestbedOracle::new(17);
-        let registry = ModelRegistry::from_oracle(&oracle, &[ModelSpec::roberta_large()]).unwrap();
-        let model = registry.model("roberta-355m").unwrap();
-        let plan = rubick_model::ExecutionPlan::dp(4);
-        let placement = Placement::packed(4, registry.shape());
-        let predicted = model.throughput(&plan, 64, &placement).unwrap();
-        assert!(!registry.observe("roberta-355m", &plan, &placement, 64, 64.0 / predicted));
-        assert!(!registry.observe("unknown-model", &plan, &placement, 64, 1.0));
-        assert!(!registry.observe("roberta-355m", &plan, &placement, 64, f64::NAN));
-        assert_eq!(registry.refit_count(), 0);
     }
 }

@@ -81,8 +81,9 @@ const MIN_SHARD_JOBS: usize = 256;
 /// [`Epoch::parts_compatible`].
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct Epoch {
-    /// [`ModelRegistry::version`](crate::ModelRegistry::version) after the
-    /// observe loop — any refit or model insertion bumps it.
+    /// [`ModelRegistry::version`](crate::ModelRegistry::version) at the
+    /// start of the round, after lazy profiling — any refit or model
+    /// insertion bumps it.
     pub(crate) registry_version: u64,
     /// Total schedulable GPUs (norms, `g_star` and curves depend on it).
     pub(crate) total_gpus: u32,

@@ -305,36 +305,12 @@ pub(super) fn run_round(
     });
     let jobs: &[JobSnapshot] = filtered.as_deref().unwrap_or(jobs);
 
-    // ---- continuous model fitting (§4.3) --------------------------------
-    // Feed live throughput observations into the per-model online fitters;
-    // mispredicted models are refit and their cached curves invalidated
-    // before this round's decisions are made.
-    for snap in jobs {
-        if let JobStatus::Running {
-            allocation,
-            plan,
-            throughput,
-            ..
-        } = &snap.status
-        {
-            if *throughput > 0.0 {
-                let iter_time = snap.spec.global_batch as f64 / throughput;
-                sched.registry.observe(
-                    &snap.spec.model.name,
-                    plan,
-                    &allocation.to_placement(),
-                    snap.spec.global_batch,
-                    iter_time,
-                );
-            }
-        }
-    }
-
     // ---- incremental classification (dirty-set planning, §see DESIGN 11)
     // Fingerprint every job's planning inputs and compare against the end
-    // of the previous round. The epoch is read *after* the observe loop,
-    // so a refit this round bumps the registry version and invalidates
-    // every certificate at once.
+    // of the previous round. The epoch embeds the registry version, so a
+    // refit published since the last round (by the engine's refit hook)
+    // or a model profiled on demand above invalidates every certificate
+    // at once.
     let epoch_now = cfg.incremental.then(|| Epoch {
         registry_version: sched.registry.version(),
         total_gpus,

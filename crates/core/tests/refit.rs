@@ -14,7 +14,9 @@
 //!    than the stale ones did.
 //! 4. **Straggler hygiene** — chaos-capped observations never enter the
 //!    fit: an accurate model stays untouched no matter how hard the
-//!    cluster straggles, and the run is byte-identical to refit-off.
+//!    cluster straggles, and the run is byte-identical to refit-off —
+//!    whose registry version never moves, because the hook is the only
+//!    refit path.
 
 use proptest::prelude::*;
 use rubick_chaos::{ChaosConfig, FaultPlan};
@@ -101,25 +103,32 @@ fn stale_registry(oracle: &TestbedOracle) -> Arc<ModelRegistry> {
     Arc::new(registry)
 }
 
-/// Runs the workload with a refit hook attached (when `threshold` is
-/// `Some`) over a fresh oracle + registry, returning the report, the full
-/// event stream, and the shared registry for post-run inspection.
+/// A freshly profiled registry over the zoo — stale (see
+/// [`stale_registry`]) or accurate.
+fn fresh_registry(stale: bool) -> Arc<ModelRegistry> {
+    let oracle = TestbedOracle::new(ORACLE_SEED);
+    if stale {
+        stale_registry(&oracle)
+    } else {
+        Arc::new(ModelRegistry::from_oracle(&oracle, &ModelSpec::zoo()).unwrap())
+    }
+}
+
+/// Runs the workload over `registry`, with a refit hook attached when
+/// `threshold` is `Some`, returning the report and the full event stream.
+/// The registry is shared with the scheduler (and hook), so callers can
+/// inspect it after the run.
 fn run_refit(
-    stale: bool,
+    registry: &Arc<ModelRegistry>,
     threshold: Option<f64>,
     parallelism: Option<usize>,
     chaos: Option<FaultPlan>,
     specs: &[JobSpec],
-) -> (SimReport, Vec<SimEvent>, Arc<ModelRegistry>) {
+) -> (SimReport, Vec<SimEvent>) {
     let oracle = TestbedOracle::new(ORACLE_SEED);
-    let registry = if stale {
-        stale_registry(&oracle)
-    } else {
-        Arc::new(ModelRegistry::from_oracle(&oracle, &ModelSpec::zoo()).unwrap())
-    };
     let mut engine = Engine::new(
         &oracle,
-        Box::new(RubickScheduler::new(Arc::clone(&registry))),
+        Box::new(RubickScheduler::new(Arc::clone(registry))),
         Cluster::a800_testbed(),
         vec![],
         EngineConfig {
@@ -130,7 +139,7 @@ fn run_refit(
     );
     if let Some(t) = threshold {
         engine.set_refit_hook(Box::new(RegistryRefitter::new(
-            Arc::clone(&registry),
+            Arc::clone(registry),
             RefitConfig::with_threshold(t),
         )));
     }
@@ -139,7 +148,7 @@ fn run_refit(
     }
     let mut sink = VecSink::default();
     let report = engine.run_with_sink(specs.to_vec(), &mut sink);
-    (report, sink.events, registry)
+    (report, sink.events)
 }
 
 fn jsonl(events: &[SimEvent]) -> String {
@@ -157,7 +166,7 @@ fn jsonl(events: &[SimEvent]) -> String {
 #[test]
 fn material_refit_replans_every_job_next_round() {
     let specs = workload(24, 400);
-    let (report, events, _) = run_refit(true, Some(0.15), None, None, &specs);
+    let (report, events) = run_refit(&fresh_registry(true), Some(0.15), None, None, &specs);
 
     assert!(
         report.model_refits > 0,
@@ -212,7 +221,7 @@ fn sequential_baseline() -> &'static (String, String) {
     static BASELINE: OnceLock<(String, String)> = OnceLock::new();
     BASELINE.get_or_init(|| {
         let specs = workload(24, 400);
-        let (report, events, _) = run_refit(true, Some(0.15), None, None, &specs);
+        let (report, events) = run_refit(&fresh_registry(true), Some(0.15), None, None, &specs);
         assert!(report.model_refits > 0, "baseline must actually refit");
         (format!("{report:?}"), jsonl(&events))
     })
@@ -227,7 +236,7 @@ proptest! {
     #[test]
     fn refit_runs_are_parallelism_invariant(threads in 2usize..6) {
         let specs = workload(24, 400);
-        let (report, events, _) = run_refit(true, Some(0.15), Some(threads), None, &specs);
+        let (report, events) = run_refit(&fresh_registry(true), Some(0.15), Some(threads), None, &specs);
         let (base_report, base_events) = sequential_baseline();
         prop_assert_eq!(
             &format!("{report:?}"), base_report,
@@ -246,7 +255,8 @@ proptest! {
 #[test]
 fn refit_converges_toward_observed_truth() {
     let specs = workload(24, 400);
-    let (report, events, registry) = run_refit(true, Some(0.15), None, None, &specs);
+    let registry = fresh_registry(true);
+    let (report, events) = run_refit(&registry, Some(0.15), None, None, &specs);
     assert!(report.model_refits > 0);
 
     let truth =
@@ -328,19 +338,28 @@ proptest! {
     /// the hook would refit on the very first full window. With it, the
     /// model is never touched and the refit-enabled run stays
     /// byte-identical to the refit-off run under the same fault plan.
+    /// The refit-off run is frozen outright: nothing inside the policy
+    /// refits behind the hook's back, so its registry version never moves.
     #[test]
     fn stragglers_never_corrupt_the_model(factor in 0.3f64..0.7) {
         let specs = workload(12, 200);
         // All 8 testbed nodes straggle: every observation carries a cap.
         let plan = straggler_plan(8, factor);
-        let (on, on_events, _) =
-            run_refit(false, Some(0.15), None, Some(plan.clone()), &specs);
+        let (on, on_events) =
+            run_refit(&fresh_registry(false), Some(0.15), None, Some(plan.clone()), &specs);
         prop_assert_eq!(
             on.model_refits, 0,
             "straggler-capped observations must not refit the model \
              (all nodes at {:.2})", factor
         );
-        let (off, off_events, _) = run_refit(false, None, None, Some(plan), &specs);
+        let frozen = fresh_registry(false);
+        let version_before = frozen.version();
+        let (off, off_events) = run_refit(&frozen, None, None, Some(plan), &specs);
+        prop_assert_eq!(
+            frozen.version(), version_before,
+            "a run without a refit hook must keep its model frozen \
+             (all nodes at {:.2})", factor
+        );
         prop_assert_eq!(&format!("{on:?}"), &format!("{off:?}"));
         prop_assert_eq!(&jsonl(&on_events), &jsonl(&off_events));
     }

@@ -8,10 +8,9 @@
 //! and `k_swap` are identifiable).
 //!
 //! Optimization is a from-scratch bounded [Nelder–Mead] simplex search with
-//! seeded random restarts — no external optimizer crates. [`OnlineFitter`]
-//! implements the online-update loop: observations from real training runs
-//! are accumulated, and the model is refit whenever prediction error
-//! exceeds a threshold.
+//! seeded random restarts — no external optimizer crates. Online updates
+//! from live training runs use the cheaper warm-started [`refit_params`]
+//! (damped Gauss–Newton), driven by the `rubick-refit` crate.
 //!
 //! [Nelder–Mead]: https://en.wikipedia.org/wiki/Nelder%E2%80%93Mead_method
 
@@ -479,112 +478,6 @@ pub fn refit_params(
     (current, best)
 }
 
-/// Continuous online fitting: accumulates observations from live training
-/// and refits when the current model's prediction error drifts.
-///
-/// The paper: "the model can also be updated online using metrics collected
-/// in real training runs when the prediction error exceeds a threshold."
-#[derive(Debug, Clone)]
-pub struct OnlineFitter {
-    spec: ModelSpec,
-    env: ClusterEnv,
-    points: Vec<DataPoint>,
-    params: PerfParams,
-    opts: FitOptions,
-    /// Relative prediction-error threshold that triggers a refit.
-    pub refit_threshold: f64,
-    refits: usize,
-}
-
-impl OnlineFitter {
-    /// Starts from an initial fit over the profiled points.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`ModelError::FitFailed`] from the initial fit.
-    pub fn new(
-        spec: ModelSpec,
-        env: ClusterEnv,
-        initial_points: Vec<DataPoint>,
-        opts: FitOptions,
-    ) -> Result<Self, ModelError> {
-        let fit = fit_perf_params(&spec, &env, &initial_points, &opts)?;
-        Ok(OnlineFitter {
-            spec,
-            env,
-            points: initial_points,
-            params: fit.params,
-            opts,
-            refit_threshold: 0.15,
-            refits: 0,
-        })
-    }
-
-    /// The current best parameters.
-    pub fn params(&self) -> &PerfParams {
-        &self.params
-    }
-
-    /// Number of refits triggered so far.
-    pub fn refits(&self) -> usize {
-        self.refits
-    }
-
-    /// Number of accumulated observations.
-    pub fn observations(&self) -> usize {
-        self.points.len()
-    }
-
-    /// Relative prediction error of the current model on a would-be
-    /// observation (used to decide whether feeding it is worthwhile).
-    pub fn prediction_error(&self, point: &DataPoint) -> f64 {
-        let pred = self.params.iter_time(
-            &self.spec,
-            &point.plan,
-            point.global_batch,
-            &point.placement,
-            &self.env,
-        );
-        (pred - point.iter_time).abs() / point.iter_time.max(1e-9)
-    }
-
-    /// Records a live observation; refits if the relative prediction error
-    /// exceeds [`OnlineFitter::refit_threshold`]. Returns `true` when a
-    /// refit happened.
-    ///
-    /// The point set is bounded: the original profiled samples are always
-    /// kept (they anchor the offload parameters), and only the most recent
-    /// online observations beyond that are retained.
-    pub fn observe(&mut self, point: DataPoint) -> bool {
-        const MAX_POINTS: usize = 28;
-        // A configuration we already learned from carries no new
-        // information — refitting on it again would just thrash on
-        // whatever residual error the model family cannot express.
-        if self
-            .points
-            .iter()
-            .any(|p| p.plan == point.plan && p.placement == point.placement)
-        {
-            return false;
-        }
-        let rel_err = self.prediction_error(&point);
-        self.points.push(point);
-        if self.points.len() > MAX_POINTS {
-            // Drop the oldest *online* point (keep the profiled prefix).
-            let keep_prefix = self.opts.min_points.min(self.points.len());
-            self.points.remove(keep_prefix);
-        }
-        if rel_err > self.refit_threshold {
-            if let Ok(fit) = fit_perf_params(&self.spec, &self.env, &self.points, &self.opts) {
-                self.params = fit.params;
-                self.refits += 1;
-                return true;
-            }
-        }
-        false
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -661,23 +554,6 @@ mod tests {
     }
 
     #[test]
-    fn online_fitter_refits_on_drift() {
-        let spec = ModelSpec::roberta_large();
-        let env = ClusterEnv::a800();
-        let truth = PerfParams::default();
-        let points = synthetic_points(&spec, &truth, &env);
-        let mut fitter =
-            OnlineFitter::new(spec.clone(), env, points, FitOptions::default()).unwrap();
-        // Feed an observation that is 2x slower than the model expects.
-        let plan = ExecutionPlan::dp(2);
-        let placement = Placement::packed(2, &NodeShape::a800());
-        let t = truth.iter_time(&spec, &plan, 64, &placement, &env) * 2.0;
-        let refit = fitter.observe(DataPoint::new(plan, placement, 64, t));
-        assert!(refit);
-        assert_eq!(fitter.refits(), 1);
-    }
-
-    #[test]
     fn refit_step_improves_perturbed_params() {
         let spec = ModelSpec::roberta_large();
         let env = ClusterEnv::a800();
@@ -714,11 +590,10 @@ mod tests {
         assert_eq!(a, b, "identical inputs must produce identical params");
         assert_eq!(fa.to_bits(), fb.to_bits());
         let v = a.to_vec();
-        for i in 0..7 {
+        for (i, x) in v.iter().enumerate() {
             assert!(
-                (super::LO[i]..=super::HI[i]).contains(&v[i]),
-                "param {i} escaped the box: {}",
-                v[i]
+                (super::LO[i]..=super::HI[i]).contains(x),
+                "param {i} escaped the box: {x}"
             );
         }
     }

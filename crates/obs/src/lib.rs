@@ -2051,39 +2051,9 @@ impl<W: Write> EventSink for ProgressSink<W> {
     }
 }
 
-/// Fans one event stream out to two sinks (e.g. counters + JSONL file).
-pub struct TeeSink<'a> {
-    first: &'a mut dyn EventSink,
-    second: &'a mut dyn EventSink,
-}
-
-impl<'a> TeeSink<'a> {
-    /// Wraps two sinks; both observe every event in order.
-    pub fn new(first: &'a mut dyn EventSink, second: &'a mut dyn EventSink) -> TeeSink<'a> {
-        TeeSink { first, second }
-    }
-}
-
-impl EventSink for TeeSink<'_> {
-    fn on_event(&mut self, event: &SimEvent) {
-        self.first.on_event(event);
-        self.second.on_event(event);
-    }
-
-    fn on_round_latency(&mut self, nanos: u64) {
-        self.first.on_round_latency(nanos);
-        self.second.on_round_latency(nanos);
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        self.first.flush()?;
-        self.second.flush()
-    }
-}
-
-/// Fans one event stream out to any number of sinks, in order — the n-ary
-/// generalization of [`TeeSink`] for runs that combine, say, a JSONL log,
-/// a progress line, and a utilization timeline.
+/// Fans one event stream out to any number of sinks, in order — for runs
+/// that combine, say, a JSONL log, a progress line, and a utilization
+/// timeline, or a caller's sink with the harness's fault metrics.
 #[derive(Default)]
 pub struct FanoutSink<'a> {
     sinks: Vec<&'a mut dyn EventSink>,
@@ -2859,16 +2829,18 @@ mod tests {
     }
 
     #[test]
-    fn tee_sink_feeds_both() {
+    fn fanout_sink_of_two_feeds_both() {
         let mut a = CountersSink::default();
         let mut b = VecSink::default();
         {
-            let mut tee = TeeSink::new(&mut a, &mut b);
+            let mut fan = FanoutSink::new();
+            fan.push(&mut a);
+            fan.push(&mut b);
             for ev in sample_events() {
-                tee.on_event(&ev);
+                fan.on_event(&ev);
             }
-            tee.on_round_latency(10);
-            tee.flush().unwrap();
+            fan.on_round_latency(10);
+            fan.flush().unwrap();
         }
         assert_eq!(a.total_events(), sample_events().len() as u64);
         assert_eq!(a.round_latency.count(), 1);

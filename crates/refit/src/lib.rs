@@ -60,15 +60,14 @@ pub struct RefitConfig {
     /// Material-change threshold: a refit is attempted when the worst
     /// relative prediction error over the window exceeds this, and the
     /// new parameters are swapped in only when they shift the predicted
-    /// envelope by more than this (relative). Matches the online fitter's
-    /// default of 0.15.
+    /// envelope by more than this (relative). Default 0.15.
     pub threshold: f64,
     /// Minimum window size before a refit is attempted — one point can
     /// always be fit perfectly, so demanding a few guards against chasing
     /// noise.
     pub min_points: usize,
     /// Window cap per model type; the oldest observation is evicted
-    /// first. 28 matches `OnlineFitter::MAX_POINTS`.
+    /// first. Default 28.
     pub max_window: usize,
     /// Damped Gauss–Newton steps per refit attempt.
     pub max_steps: usize,

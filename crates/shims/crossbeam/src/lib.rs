@@ -27,7 +27,7 @@ pub mod thread {
 mod tests {
     #[test]
     fn scoped_threads_borrow_and_join() {
-        let data = vec![1u64, 2, 3, 4];
+        let data = [1u64, 2, 3, 4];
         let mut sums = vec![0u64; 2];
         let (a, b) = sums.split_at_mut(1);
         super::scope(|s| {

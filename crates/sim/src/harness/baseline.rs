@@ -474,7 +474,7 @@ mod tests {
             failure_rate_per_hour: 0.25,
             seed: 9,
         });
-        let baseline = parse_baseline(&render_csv(&[quiet.clone()])).unwrap();
+        let baseline = parse_baseline(&render_csv(std::slice::from_ref(&quiet))).unwrap();
         let diff = diff_outcomes(&baseline, &[chaotic]);
         assert_eq!(diff.added.len(), 1);
         assert_eq!(diff.missing.len(), 1);

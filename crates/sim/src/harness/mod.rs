@@ -34,7 +34,7 @@ use crate::scheduler::Scheduler;
 use crate::tenant::Tenant;
 use rubick_chaos::{ChaosConfig, FaultPlan};
 use rubick_model::NodeShape;
-use rubick_obs::{EventSink, FaultMetricsSink, TeeSink};
+use rubick_obs::{EventSink, FanoutSink, FaultMetricsSink};
 use rubick_testbed::TestbedOracle;
 
 /// Which of the paper's scenario traces a cell runs.
@@ -396,8 +396,10 @@ pub fn run_scenario_with(
     }
     let report = match (faults.as_mut(), extra_sink) {
         (Some(metrics), Some(sink)) => {
-            let mut tee = TeeSink::new(sink, metrics);
-            engine.run_with_sink(jobs, &mut tee)
+            let mut fan = FanoutSink::new();
+            fan.push(sink);
+            fan.push(metrics);
+            engine.run_with_sink(jobs, &mut fan)
         }
         (Some(metrics), None) => engine.run_with_sink(jobs, metrics),
         (None, Some(sink)) => engine.run_with_sink(jobs, sink),
