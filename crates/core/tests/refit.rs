@@ -17,6 +17,15 @@
 //!    cluster straggles, and the run is byte-identical to refit-off —
 //!    whose registry version never moves, because the hook is the only
 //!    refit path.
+//!
+//! Contract 2's sequential baseline (report `Debug` line plus event JSONL)
+//! is also pinned as a golden snapshot, so any change to the refitter or
+//! the fit objectives that moves a single bit of a refit shows up here.
+//! Regenerate it after an intentional change with:
+//!
+//! ```text
+//! UPDATE_GOLDEN=1 cargo test -p rubick-core --test refit
+//! ```
 
 use proptest::prelude::*;
 use rubick_chaos::{ChaosConfig, FaultPlan};
@@ -30,6 +39,7 @@ use rubick_sim::job::{JobClass, JobSpec};
 use rubick_sim::metrics::SimReport;
 use rubick_sim::tenant::TenantId;
 use rubick_testbed::TestbedOracle;
+use std::path::PathBuf;
 use std::sync::{Arc, OnceLock};
 
 const ORACLE_SEED: u64 = 77;
@@ -225,6 +235,33 @@ fn sequential_baseline() -> &'static (String, String) {
         assert!(report.model_refits > 0, "baseline must actually refit");
         (format!("{report:?}"), jsonl(&events))
     })
+}
+
+/// The sequential baseline is pinned byte for byte: the report's `Debug`
+/// line, then one JSONL line per event, `model_refit` events included.
+#[test]
+fn sequential_baseline_matches_golden() {
+    let (report, events) = sequential_baseline();
+    let actual = format!("{report}\n{events}");
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/refit_events.jsonl");
+    if std::env::var_os("UPDATE_GOLDEN").is_some() {
+        std::fs::write(&path, &actual).unwrap();
+        eprintln!("updated golden file {}", path.display());
+        return;
+    }
+    let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+        panic!(
+            "cannot read golden file {} ({e}); run with UPDATE_GOLDEN=1 to create it",
+            path.display()
+        )
+    });
+    assert_eq!(
+        actual,
+        expected,
+        "refit run drifted from {} — if the refit or fit change is \
+         intentional, regenerate with UPDATE_GOLDEN=1",
+        path.display()
+    );
 }
 
 proptest! {
