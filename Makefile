@@ -12,6 +12,9 @@
 #                      workers and fail unless the CSVs are byte-identical,
 #                      then check that dropping --refit changes nothing
 #                      about a frozen-model run
+#   make benchmark-test  unit tests of the repo benchmark package
+#                      (benchmark/), which builds against the workspace
+#                      crates through path dependencies
 #   make bench         scheduling-round latency benchmarks (BENCH_*.json)
 #   make bench-check   replay policy/incremental_round and model/refit_update
 #                      and fail on a >20% regression of the fastest sample
@@ -22,9 +25,9 @@
 # (opt-in: bench timings are machine-dependent, so the default CI gate
 # stays deterministic).
 
-.PHONY: verify fmt lint test build bench bench-check bench-smoke sweep-smoke serve-smoke refit-smoke
+.PHONY: verify fmt lint test build bench bench-check bench-smoke sweep-smoke serve-smoke refit-smoke benchmark-test
 
-verify: fmt lint test sweep-smoke serve-smoke refit-smoke bench-smoke
+verify: fmt lint test sweep-smoke serve-smoke refit-smoke bench-smoke benchmark-test
 
 ifeq ($(BENCH),1)
 verify: bench-check
@@ -47,6 +50,12 @@ test:
 
 build:
 	cargo build --release
+
+# The benchmark package has its own [workspace] and is not a member of the
+# root one, so neither `test` nor `lint` compiles it. This keeps the API it
+# uses (RegistryRefitter, RefitConfig, the harness) from drifting under it.
+benchmark-test:
+	cargo test --offline --manifest-path benchmark/Cargo.toml
 
 # End-to-end sweep gate: the smoke spec runs sequentially and with 4
 # workers; any byte difference between the two CSVs (or a nonzero exit)

@@ -16,7 +16,7 @@
 
 use crate::env::ClusterEnv;
 use crate::error::ModelError;
-use crate::perf::PerfParams;
+use crate::perf::{IterTerms, PerfParams};
 use crate::placement::Placement;
 use crate::plan::ExecutionPlan;
 use crate::spec::ModelSpec;
@@ -107,15 +107,47 @@ pub struct FitResult {
     pub evaluations: usize,
 }
 
+/// A data point in the form every fit objective evaluates: the
+/// parameter-independent terms of Eq. 1 and `ln(1 + observed)`, both
+/// computed once per fit rather than once per candidate.
+struct Sample {
+    terms: IterTerms,
+    log_observed: f64,
+}
+
+/// Precomputes the [`Sample`]s of `points` under a fixed `gpu_flops`.
+fn samples(
+    spec: &ModelSpec,
+    env: &ClusterEnv,
+    gpu_flops: f64,
+    points: &[DataPoint],
+) -> Vec<Sample> {
+    let anchor = PerfParams {
+        gpu_flops,
+        ..PerfParams::default()
+    };
+    points
+        .iter()
+        .map(|p| Sample {
+            terms: anchor.iter_terms(spec, &p.plan, p.global_batch, &p.placement, env),
+            log_observed: (1.0 + p.iter_time).ln(),
+        })
+        .collect()
+}
+
+/// Log-error of `params` on one sample: `ln(1 + predicted) − ln(1 + observed)`.
+fn log_error(params: &PerfParams, s: &Sample) -> f64 {
+    (1.0 + params.iter_time_from(&s.terms)).ln() - s.log_observed
+}
+
 /// RMSLE between predicted and observed iteration times.
-fn rmsle(params: &PerfParams, spec: &ModelSpec, env: &ClusterEnv, points: &[DataPoint]) -> f64 {
+fn rmsle(params: &PerfParams, samples: &[Sample]) -> f64 {
     let mut acc = 0.0;
-    for p in points {
-        let pred = params.iter_time(spec, &p.plan, p.global_batch, &p.placement, env);
-        let d = (1.0 + pred).ln() - (1.0 + p.iter_time).ln();
+    for s in samples {
+        let d = log_error(params, s);
         acc += d * d;
     }
-    (acc / points.len() as f64).sqrt()
+    (acc / samples.len() as f64).sqrt()
 }
 
 /// Projects a candidate vector into the parameter box.
@@ -265,9 +297,10 @@ pub fn fit_perf_params(
         });
     }
     let mut rng = SmallRng::seed_from_u64(opts.seed);
+    let samples = samples(spec, env, opts.gpu_flops, points);
     let objective = |v: &[f64; 7]| {
         let params = PerfParams::from_vec(v, opts.gpu_flops);
-        rmsle(&params, spec, env, points)
+        rmsle(&params, &samples)
     };
 
     let mut best: Option<([f64; 7], f64)> = None;
@@ -373,21 +406,23 @@ pub fn refit_step(
     points: &[DataPoint],
 ) -> (PerfParams, f64) {
     assert!(!points.is_empty(), "refit_step needs at least one point");
+    step(params, &samples(spec, env, params.gpu_flops, points))
+}
+
+/// [`refit_step`] over precomputed samples (taken under
+/// `params.gpu_flops`).
+fn step(params: &PerfParams, samples: &[Sample]) -> (PerfParams, f64) {
     let gpu_flops = params.gpu_flops;
     let mut x = params.to_vec();
     project(&mut x);
-    let residuals = |v: &[f64; 7]| -> Vec<f64> {
+    let residuals = |v: &[f64; 7], out: &mut Vec<f64>| {
         let p = PerfParams::from_vec(v, gpu_flops);
-        points
-            .iter()
-            .map(|pt| {
-                let pred = p.iter_time(spec, &pt.plan, pt.global_batch, &pt.placement, env);
-                (1.0 + pred).ln() - (1.0 + pt.iter_time).ln()
-            })
-            .collect()
+        out.clear();
+        out.extend(samples.iter().map(|s| log_error(&p, s)));
     };
     let cost = |r: &[f64]| (r.iter().map(|d| d * d).sum::<f64>() / r.len() as f64).sqrt();
-    let r0 = residuals(&x);
+    let mut r0 = Vec::with_capacity(samples.len());
+    residuals(&x, &mut r0);
     let f0 = cost(&r0);
     if !f0.is_finite() {
         return (PerfParams::from_vec(&x, gpu_flops), f0);
@@ -397,8 +432,9 @@ pub fn refit_step(
     // fraction of the box so conditioning does not depend on the current
     // value; a backward difference is used at the upper bound so clamping
     // never zeroes a column.
-    let m = points.len();
+    let m = samples.len();
     let mut jac: Vec<[f64; 7]> = vec![[0.0; 7]; m];
+    let mut rp = Vec::with_capacity(m);
     for j in 0..7 {
         let h = 1e-5 * (HI[j] - LO[j]);
         let (mut xp, sign) = if x[j] + h <= HI[j] {
@@ -411,7 +447,7 @@ pub fn refit_step(
             (xp, -1.0)
         };
         project(&mut xp);
-        let rp = residuals(&xp);
+        residuals(&xp, &mut rp);
         for (row, jr) in jac.iter_mut().enumerate() {
             jr[j] = sign * (rp[row] - r0[row]) / h;
         }
@@ -444,8 +480,8 @@ pub fn refit_step(
             cand[i] -= delta[i];
         }
         project(&mut cand);
-        let rc = residuals(&cand);
-        let fc = cost(&rc);
+        residuals(&cand, &mut rp);
+        let fc = cost(&rp);
         if fc.is_finite() && fc < f0 {
             return (PerfParams::from_vec(&cand, gpu_flops), fc);
         }
@@ -463,10 +499,12 @@ pub fn refit_params(
     points: &[DataPoint],
     max_steps: usize,
 ) -> (PerfParams, f64) {
+    assert!(!points.is_empty(), "refit_params needs at least one point");
+    let samples = samples(spec, env, params.gpu_flops, points);
     let mut current = *params;
     let mut best = f64::INFINITY;
     for _ in 0..max_steps.max(1) {
-        let (next, err) = refit_step(spec, env, &current, points);
+        let (next, err) = step(&current, &samples);
         // `improved` is false for NaN too, ending the loop.
         let improved = err + 1e-9 < best;
         if !improved {
@@ -565,7 +603,7 @@ mod tests {
             k_sync: truth.k_sync * 0.6,
             ..truth
         };
-        let before = rmsle(&start, &spec, &env, &points);
+        let before = rmsle(&start, &samples(&spec, &env, start.gpu_flops, &points));
         let (stepped, after) = refit_step(&spec, &env, &start, &points);
         assert!(after < before, "one step must improve: {after} vs {before}");
         let (_, converged) = refit_params(&spec, &env, &stepped, &points, 16);

@@ -40,6 +40,37 @@ impl CommVolumes {
     }
 }
 
+/// The parts of Eq. 1 fixed by the job, placement and environment — every
+/// term that does not depend on the seven fitted parameters.
+///
+/// Built by [`PerfParams::iter_terms`] and consumed by
+/// [`PerfParams::iter_time_from`]; [`PerfParams::iter_time`] is the
+/// composition of the two, so there is one formula.
+#[derive(Debug, Clone, Copy)]
+pub struct IterTerms {
+    /// Forward time of one pass (one GA step, or the pipeline schedule).
+    t_fwd: f64,
+    /// DP gradient-synchronization time.
+    t_comm_dp: f64,
+    /// TP activation-exchange time.
+    t_comm_tp: f64,
+    /// PP stage-transfer time.
+    t_comm_pp: f64,
+    /// GPU ↔ host offload time (ZeRO-Offload only, else 0).
+    t_off: f64,
+    /// Parameter count in billions.
+    params_b: f64,
+    /// Optimizer partition divisor: `d·c` under ZeRO-Offload, `d` for
+    /// ZeRO-2/3, `t·p` otherwise.
+    opt_div: f64,
+    /// Gradient-accumulation steps.
+    ga_steps: u32,
+    /// Gradient checkpointing enabled.
+    gc: bool,
+    /// The plan runs ZeRO-Offload.
+    offload: bool,
+}
+
 /// Computes the per-iteration communication volumes of a plan (paper §4.1).
 ///
 /// * DP (ring all-reduce): `V_dp = P · 2(d−1) / (d·t·p)` — the rule also
@@ -226,7 +257,9 @@ impl PerfParams {
     ///
     /// This is the *structural* prediction only; it does not check memory
     /// feasibility (see [`ThroughputModel::iter_time`] for the checked
-    /// variant).
+    /// variant). It is exactly
+    /// [`iter_time_from`](PerfParams::iter_time_from) applied to
+    /// [`iter_terms`](PerfParams::iter_terms).
     pub fn iter_time(
         &self,
         spec: &ModelSpec,
@@ -235,26 +268,85 @@ impl PerfParams {
         placement: &Placement,
         env: &ClusterEnv,
     ) -> f64 {
+        self.iter_time_from(&self.iter_terms(spec, plan, global_batch, placement, env))
+    }
+
+    /// The terms of Eq. 1 that do not depend on the seven fitted
+    /// parameters: `T_fwd` (anchored by this set's `gpu_flops`), the
+    /// communication and offload times, and the optimizer divisors.
+    ///
+    /// A fit holds `gpu_flops` fixed, so it computes these once per data
+    /// point and evaluates each candidate with
+    /// [`iter_time_from`](PerfParams::iter_time_from).
+    ///
+    /// Both halves are forced inline so [`iter_time`](PerfParams::iter_time)
+    /// — the plan search's hot call — stays one straight-line function
+    /// instead of two calls passing the terms through memory.
+    #[inline(always)]
+    pub fn iter_terms(
+        &self,
+        spec: &ModelSpec,
+        plan: &ExecutionPlan,
+        global_batch: u32,
+        placement: &Placement,
+        env: &ClusterEnv,
+    ) -> IterTerms {
         let topo = CommTopology::derive(&plan.parallel, placement, env);
         let vol = volumes(spec, plan, global_batch);
         let gb = 1.0e9;
-        let t_comm_dp = vol.dp_bytes / (topo.b_dp * gb);
-        let t_comm_tp = vol.tp_bytes / (topo.b_tp * gb);
-        let t_comm_pp = vol.pp_bytes / (topo.b_pp * gb);
-
-        let t_fwd = self.t_fwd(spec, plan, global_batch);
-        // GC adds one forward-pass worth of recomputation to the backward pass.
-        let t_bwd = self.k_bwd * t_fwd + if plan.gc { t_fwd } else { 0.0 };
-
         let d = plan.parallel.dp as f64;
         let offload = plan.memory == MemoryMode::ZeroOffload;
+        let (opt_div, t_off) = if offload {
+            let c = placement.cpus.max(1) as f64;
+            (d * c, vol.pcie_bytes / (env.b_pcie * gb))
+        } else {
+            // 3D parallelism partitions parameters by t·p; the ZeRO
+            // variants by d.
+            let x = match plan.memory {
+                MemoryMode::Zero2 | MemoryMode::Zero3 => d,
+                _ => (plan.parallel.tp * plan.parallel.pp) as f64,
+            };
+            (x, 0.0)
+        };
+        IterTerms {
+            t_fwd: self.t_fwd(spec, plan, global_batch),
+            t_comm_dp: vol.dp_bytes / (topo.b_dp * gb),
+            t_comm_tp: vol.tp_bytes / (topo.b_tp * gb),
+            t_comm_pp: vol.pp_bytes / (topo.b_pp * gb),
+            t_off,
+            params_b: spec.params_b(),
+            opt_div,
+            ga_steps: plan.ga_steps,
+            gc: plan.gc,
+            offload,
+        }
+    }
+
+    /// Eq. 1 over precomputed [`IterTerms`]: combines them with this
+    /// set's seven fitted parameters.
+    #[inline(always)]
+    pub fn iter_time_from(&self, terms: &IterTerms) -> f64 {
+        let IterTerms {
+            t_fwd,
+            t_comm_dp,
+            t_comm_tp,
+            t_comm_pp,
+            t_off,
+            params_b,
+            opt_div,
+            ga_steps,
+            gc,
+            offload,
+        } = *terms;
+        // GC adds one forward-pass worth of recomputation to the backward pass.
+        let t_bwd = self.k_bwd * t_fwd + if gc { t_fwd } else { 0.0 };
 
         let t_cc = if offload {
             // DP sync is overlapped with offloading inside T_oo instead.
-            let a = plan.ga_steps as f64;
+            let a = ga_steps as f64;
             a * t_fwd + a * t_bwd + t_comm_tp + t_comm_pp
-        } else if plan.ga_steps > 1 {
-            let a = plan.ga_steps as f64;
+        } else if ga_steps > 1 {
+            let a = ga_steps as f64;
             a * t_fwd
                 + (a - 1.0) * t_bwd
                 + f_overlap(self.k_sync, t_bwd, t_comm_dp)
@@ -265,18 +357,10 @@ impl PerfParams {
         };
 
         let t_oo = if offload {
-            let c = placement.cpus.max(1) as f64;
-            let t_opt = self.k_opt_off * spec.params_b() / (d * c);
-            let t_off = vol.pcie_bytes / (env.b_pcie * gb);
+            let t_opt = self.k_opt_off * params_b / opt_div;
             f_overlap(self.k_off, t_comm_dp, t_off) + f_overlap(self.k_swap, t_opt, t_off)
         } else {
-            // 3D parallelism partitions parameters by t·p; the ZeRO
-            // variants by d.
-            let x = match plan.memory {
-                MemoryMode::Zero2 | MemoryMode::Zero3 => d,
-                _ => (plan.parallel.tp * plan.parallel.pp) as f64,
-            };
-            self.k_opt * spec.params_b() / x
+            self.k_opt * params_b / opt_div
         };
 
         t_cc + t_oo + self.k_const
