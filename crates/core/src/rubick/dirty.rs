@@ -60,7 +60,7 @@
 //! cheapest victim, leaving strictly costlier ones).
 
 use crate::common::PlanSearch;
-use rubick_model::{ExecutionPlan, Resources, SensitivityCurve};
+use rubick_model::{ExecutionPlan, Resources, SensitivityCurve, ThroughputModel};
 use rubick_sim::cluster::Allocation;
 use rubick_sim::job::{JobId, JobStatus};
 use rubick_sim::scheduler::{Assignment, JobDelta, JobSnapshot, RoundStats};
@@ -142,12 +142,15 @@ impl Fingerprint {
     }
 }
 
-/// The cached, epoch-stable slice of a job's round context: plan-search
-/// mode, sensitivity curve, SLA baseline and minimum demand. The penalty
-/// gate (`frozen`) is *not* cached — it depends on the job's runtime and
-/// is recomputed every round.
+/// The cached, epoch-stable slice of a job's round context: fitted model,
+/// plan-search mode, sensitivity curve, SLA baseline and minimum demand.
+/// The penalty gate (`frozen`) is *not* cached — it depends on the job's
+/// runtime and is recomputed every round.
 #[derive(Clone)]
 pub(crate) struct CachedParts {
+    /// The job's fitted model, resolved from the registry once; valid for
+    /// as long as the registry version is (see [`Epoch::parts_compatible`]).
+    pub(crate) model: Option<Arc<ThroughputModel>>,
     /// Plan-reconfiguration freedom (a function of the policy config and
     /// the job's immutable initial plan).
     pub(crate) search: PlanSearch,
@@ -1024,6 +1027,7 @@ mod tests {
         t.parts.insert(
             1,
             CachedParts {
+                model: None,
                 search: PlanSearch::Fixed(ExecutionPlan::dp(1)),
                 curve: None,
                 baseline: Some(1.0),

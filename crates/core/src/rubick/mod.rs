@@ -29,6 +29,7 @@ pub use minres::min_res;
 
 use crate::registry::ModelRegistry;
 use parking_lot::Mutex;
+use rubick_model::BestPlanMemo;
 use rubick_sim::cluster::Cluster;
 use rubick_sim::scheduler::{
     Assignment, ClusterDelta, JobDelta, JobSnapshot, RoundStats, Scheduler,
@@ -121,6 +122,28 @@ pub struct RubickScheduler {
     /// through `&self` plumbing; uncontended in practice — locked once
     /// per round.
     pub(crate) tracker: Mutex<dirty::DirtyTracker>,
+    /// `GetBestPlan` answers by placement class, kept across rounds and
+    /// locked once per round like `tracker`.
+    pub(crate) plan_memo: Mutex<PlanMemo>,
+}
+
+/// The scheduler's [`BestPlanMemo`] and the registry version its entries
+/// were computed under: a refit or a newly profiled model clears it.
+#[derive(Debug, Default)]
+pub(crate) struct PlanMemo {
+    version: u64,
+    memo: BestPlanMemo,
+}
+
+impl PlanMemo {
+    /// The memo, emptied first if the registry moved past `version`.
+    pub(crate) fn at_version(&mut self, version: u64) -> &mut BestPlanMemo {
+        if self.version != version {
+            self.memo.clear();
+            self.version = version;
+        }
+        &mut self.memo
+    }
 }
 
 impl RubickScheduler {
@@ -131,6 +154,7 @@ impl RubickScheduler {
             config: RubickConfig::default(),
             lazy: None,
             tracker: Mutex::new(dirty::DirtyTracker::new()),
+            plan_memo: Mutex::new(PlanMemo::default()),
         }
     }
 
@@ -141,6 +165,7 @@ impl RubickScheduler {
             config,
             lazy: None,
             tracker: Mutex::new(dirty::DirtyTracker::new()),
+            plan_memo: Mutex::new(PlanMemo::default()),
         }
     }
 

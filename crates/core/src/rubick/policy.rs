@@ -4,11 +4,15 @@ use super::dirty::{CachedParts, Classification, Epoch, JobIndex, Verdict};
 use super::RubickScheduler;
 use crate::common::{job_baseline, job_gpu_curve, PlanSearch};
 use crate::round::{LedgerDelta, RoundContext};
-use rubick_model::{ExecutionPlan, MemoryEstimator, Placement, Resources, SensitivityCurve};
+use rubick_model::{
+    BestPlanMemo, ExecutionPlan, MemoryEstimator, Placement, PlanSetCache, Resources,
+    SensitivityCurve, ThroughputModel,
+};
 use rubick_sim::cluster::{Allocation, Cluster};
 use rubick_sim::job::{JobClass, JobId, JobStatus};
 use rubick_sim::scheduler::{Assignment, JobSnapshot, RoundStats};
 use rubick_sim::tenant::Tenant;
+use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
@@ -22,14 +26,18 @@ const EPS_SLOPE: f64 = 1e-9;
 /// checkpoint-resume penalty on every swing.
 const SHRINK_HYSTERESIS: f64 = 0.45;
 
-/// Per-round immutable context: snapshots, curves, baselines, minima.
-/// Stored as dense vectors parallel to the jobs slice, addressed through
-/// the round's [`JobIndex`] — per-job probes are array reads instead of
-/// tree walks, which is what keeps 100k-job rounds cache-friendly.
+/// Per-round immutable context: snapshots, models, curves, baselines,
+/// minima. Stored as dense vectors parallel to the jobs slice, addressed
+/// through the round's [`JobIndex`] — per-job probes are array reads
+/// instead of tree walks, which is what keeps 100k-job rounds
+/// cache-friendly. The one mutable part is the scheduler's best-plan memo,
+/// borrowed for the round.
 struct Ctx<'a> {
     sched: &'a RubickScheduler,
     index: JobIndex,
     snaps: Vec<&'a JobSnapshot>,
+    models: Vec<Option<Arc<ThroughputModel>>>,
+    memo: RefCell<&'a mut BestPlanMemo>,
     searches: Vec<PlanSearch>,
     minima: Vec<Resources>,
     baselines: Vec<Option<f64>>,
@@ -69,8 +77,25 @@ impl<'a> Ctx<'a> {
         self.minima[self.idx(id)]
     }
 
-    fn search(&self, id: JobId) -> &PlanSearch {
-        &self.searches[self.idx(id)]
+    fn model(&self, id: JobId) -> Option<&ThroughputModel> {
+        self.models[self.idx(id)].as_deref()
+    }
+
+    /// `GetBestPlan` for job `id` on `placement` under its search mode.
+    /// Full search goes through the round's memo; the restricted modes
+    /// score at most one candidate and keep the checked path.
+    fn best_plan(&self, id: JobId, placement: &Placement) -> Option<(ExecutionPlan, f64)> {
+        let pos = self.idx(id);
+        let model = self.models[pos].as_deref()?;
+        let batch = self.snaps[pos].spec.global_batch;
+        match &self.searches[pos] {
+            PlanSearch::Full => {
+                self.memo
+                    .borrow_mut()
+                    .best_plan(model, PlanSetCache::global(), batch, placement)
+            }
+            search => search.best_plan(model, batch, placement),
+        }
     }
 
     fn is_frozen(&self, id: JobId) -> bool {
@@ -157,7 +182,7 @@ impl<'a> Ctx<'a> {
     /// evaluation; CPUs only matter for offloaded optimizers).
     fn cpu_gain(&self, id: JobId, plan: &ExecutionPlan, placement: &Placement) -> f64 {
         let snap = self.snap(id);
-        let Some(model) = self.sched.registry.model(&snap.spec.model.name) else {
+        let Some(model) = self.model(id) else {
             return 0.0;
         };
         let mut more = placement.clone();
@@ -181,7 +206,7 @@ impl<'a> Ctx<'a> {
             return f64::INFINITY;
         }
         let snap = self.snap(id);
-        let Some(model) = self.sched.registry.model(&snap.spec.model.name) else {
+        let Some(model) = self.model(id) else {
             return f64::INFINITY;
         };
         let mut fewer = placement.clone();
@@ -225,14 +250,14 @@ fn effective_threads(parallelism: Option<usize>, items: usize) -> usize {
     }
 }
 
-/// Computes one job's context entries: plan-search mode, GPU sensitivity
-/// curve, SLA baseline and minimum demand. Pure in (snapshot spec,
-/// registry, cluster geometry) — full-search curves go through the shared
-/// keyed cache, whose hit/miss pattern cannot change the values. Because
-/// every input is epoch-stable, the result is cacheable across rounds by
-/// the [`DirtyTracker`](super::dirty::DirtyTracker); the penalty-gate
-/// state (`frozen`) depends on the job's runtime and is computed per
-/// round at merge time instead.
+/// Computes one job's context entries: fitted model, plan-search mode, GPU
+/// sensitivity curve, SLA baseline and minimum demand. Pure in (snapshot
+/// spec, registry, cluster geometry) — full-search curves go through the
+/// shared keyed cache, whose hit/miss pattern cannot change the values.
+/// Because every input is epoch-stable, the result is cacheable across
+/// rounds by the [`DirtyTracker`](super::dirty::DirtyTracker); the
+/// penalty-gate state (`frozen`) depends on the job's runtime and is
+/// computed per round at merge time instead.
 fn build_job_parts(
     sched: &RubickScheduler,
     snap: &JobSnapshot,
@@ -248,6 +273,7 @@ fn build_job_parts(
         PlanSearch::Fixed(snap.spec.initial_plan)
     };
     CachedParts {
+        model: sched.registry.model(&snap.spec.model.name),
         curve: job_gpu_curve(
             &sched.registry,
             &search,
@@ -310,9 +336,10 @@ pub(super) fn run_round(
     // of the previous round. The epoch embeds the registry version, so a
     // refit published since the last round (by the engine's refit hook)
     // or a model profiled on demand above invalidates every certificate
-    // at once.
+    // at once. The same version read keys the best-plan memo below.
+    let registry_version = sched.registry.version();
     let epoch_now = cfg.incremental.then(|| Epoch {
-        registry_version: sched.registry.version(),
+        registry_version,
         total_gpus,
         node_caps: cluster
             .nodes()
@@ -390,10 +417,13 @@ pub(super) fn run_round(
         index.rebuild(jobs);
     }
     let n = jobs.len();
+    let mut plan_memo = sched.plan_memo.lock();
     let mut ctx = Ctx {
         sched,
         index,
         snaps: Vec::with_capacity(n),
+        models: Vec::with_capacity(n),
+        memo: RefCell::new(plan_memo.at_version(registry_version)),
         searches: Vec::with_capacity(n),
         minima: Vec::with_capacity(n),
         baselines: Vec::with_capacity(n),
@@ -454,6 +484,7 @@ pub(super) fn run_round(
                 parts
             }
         };
+        ctx.models.push(parts.model);
         ctx.curves.push(parts.curve);
         ctx.baselines.push(parts.baseline);
         ctx.minima.push(parts.minimum);
@@ -651,10 +682,9 @@ fn schedule_job(ctx: &Ctx<'_>, state: &mut State<'_>, id: JobId) -> bool {
     // amortization bar — see the commit guard below.
     let frozen = ctx.is_frozen(id);
     let snap = ctx.snap(id);
-    let Some(model) = ctx.sched.registry.model(&snap.spec.model.name) else {
+    let Some(model) = ctx.model(id) else {
         return false;
     };
-    let search = ctx.search(id);
     let backup = state.clone();
 
     let cur_alloc = state
@@ -757,7 +787,7 @@ fn schedule_job(ctx: &Ctx<'_>, state: &mut State<'_>, id: JobId) -> bool {
         }
         // Reclaim CPUs similarly (relevant for offload-bound jobs).
         if ctx.sched.config.resource_realloc {
-            reclaim_cpus(ctx, state, n, id, &mut tentative, cap_cpus, &model);
+            reclaim_cpus(ctx, state, n, id, &mut tentative, cap_cpus);
         }
     }
 
@@ -768,8 +798,7 @@ fn schedule_job(ctx: &Ctx<'_>, state: &mut State<'_>, id: JobId) -> bool {
         return false;
     }
     let placement = tentative.to_placement();
-    let Some((plan, mut tput)) = search.best_plan(&model, snap.spec.global_batch, &placement)
-    else {
+    let Some((plan, mut tput)) = ctx.best_plan(id, &placement) else {
         *state = backup;
         return false;
     };
@@ -782,8 +811,7 @@ fn schedule_job(ctx: &Ctx<'_>, state: &mut State<'_>, id: JobId) -> bool {
             if let Some(target) = curve.min_amount_reaching(envelope) {
                 shrink_alloc_to(state.round.free_mut(), &mut tentative, target);
                 let placement = tentative.to_placement();
-                if let Some((p2, t2)) = search.best_plan(&model, snap.spec.global_batch, &placement)
-                {
+                if let Some((p2, t2)) = ctx.best_plan(id, &placement) {
                     plan = p2;
                     tput = t2;
                 }
@@ -913,9 +941,7 @@ fn reclaim_cpus(
     id: JobId,
     tentative: &mut Allocation,
     cap_cpus: u32,
-    model: &rubick_model::ThroughputModel,
 ) {
-    let snap = ctx.snap(id);
     // Only bother when the job has GPUs on this node already.
     if !tentative
         .per_node
@@ -930,10 +956,7 @@ fn reclaim_cpus(
             break;
         }
         let placement = tentative.to_placement();
-        let Some((plan, _)) = ctx
-            .search(id)
-            .best_plan(model, snap.spec.global_batch, &placement)
-        else {
+        let Some((plan, _)) = ctx.best_plan(id, &placement) else {
             break;
         };
         let my_gain = ctx.cpu_gain(id, &plan, &placement);
@@ -1054,25 +1077,21 @@ fn emit(ctx: &Ctx<'_>, mut state: State<'_>) -> Vec<Assignment> {
                 continue;
             }
         }
-        let Some(model) = ctx.sched.registry.model(&snap.spec.model.name) else {
+        let Some(model) = ctx.model(id) else {
             continue;
         };
         let mut alloc = alloc;
         let placement = alloc.to_placement();
-        let best = ctx
-            .search(id)
-            .best_plan(&model, snap.spec.global_batch, &placement)
-            .or_else(|| {
-                // The exact GPU count has no valid plan (common under
-                // DP-rescaling, whose valid counts are sparse): trim the
-                // allocation down to the largest runnable amount instead of
-                // preempting the job outright.
-                let curve = ctx.curve(id)?;
-                let (plan, _) = curve.best_plan_at(alloc.gpus())?;
-                shrink_alloc_to(state.round.free_mut(), &mut alloc, plan.gpus());
-                ctx.search(id)
-                    .best_plan(&model, snap.spec.global_batch, &alloc.to_placement())
-            });
+        let best = ctx.best_plan(id, &placement).or_else(|| {
+            // The exact GPU count has no valid plan (common under
+            // DP-rescaling, whose valid counts are sparse): trim the
+            // allocation down to the largest runnable amount instead of
+            // preempting the job outright.
+            let curve = ctx.curve(id)?;
+            let (plan, _) = curve.best_plan_at(alloc.gpus())?;
+            shrink_alloc_to(state.round.free_mut(), &mut alloc, plan.gpus());
+            ctx.best_plan(id, &alloc.to_placement())
+        });
         let Some((plan, _)) = best else {
             // Genuinely no feasible plan: preempt to queue.
             continue;

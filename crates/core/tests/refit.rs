@@ -35,8 +35,9 @@ use rubick_obs::{SimEvent, VecSink};
 use rubick_refit::{RefitConfig, RegistryRefitter};
 use rubick_sim::cluster::Cluster;
 use rubick_sim::engine::{Engine, EngineConfig};
-use rubick_sim::job::{JobClass, JobSpec};
+use rubick_sim::job::{JobClass, JobSpec, JobStatus};
 use rubick_sim::metrics::SimReport;
+use rubick_sim::scheduler::{Assignment, JobSnapshot, Scheduler};
 use rubick_sim::tenant::TenantId;
 use rubick_testbed::TestbedOracle;
 use std::path::PathBuf;
@@ -223,6 +224,87 @@ fn material_refit_replans_every_job_next_round() {
         }
         other => panic!("expected model_refit, got {other:?}"),
     }
+}
+
+/// A scheduler-level snapshot of `spec`: queued since submission, or
+/// running `assigned` with a long runtime (so its penalty gate is open).
+fn snapshot(
+    spec: &JobSpec,
+    assigned: Option<&Assignment>,
+    registry: &ModelRegistry,
+) -> JobSnapshot {
+    let status = match assigned {
+        None => JobStatus::Queued,
+        Some(a) => {
+            let model = registry.model(&spec.model.name).unwrap();
+            JobStatus::Running {
+                throughput: model
+                    .throughput(&a.plan, spec.global_batch, &a.allocation.to_placement())
+                    .unwrap(),
+                allocation: a.allocation.clone(),
+                plan: a.plan,
+                resume_at: 0.0,
+            }
+        }
+    };
+    JobSnapshot {
+        spec: Arc::new(spec.clone()),
+        runtime: if assigned.is_some() { 5_000.0 } else { 0.0 },
+        status,
+        remaining_batches: spec.target_batches as f64,
+        queued_since: spec.submit_time,
+        reconfig_count: 0,
+        baseline_throughput: None,
+    }
+}
+
+/// Contract 1 at the plan-search layer: the scheduler's best-plan memo
+/// outlives rounds, so a refit must void it. A scheduler plans a few
+/// rounds, a refit lands in its registry, and its next round must equal
+/// a fresh scheduler's round on the same snapshot. The refit changes which
+/// plan is best on some placements, so a memo that kept its entries would
+/// answer with stale plans (with them, this round diverges).
+#[test]
+fn round_after_refit_matches_a_fresh_scheduler() {
+    let registry = fresh_registry(false);
+    let cluster = Cluster::a800_testbed();
+    let specs = workload(24, 4000);
+    let now = specs.last().unwrap().submit_time;
+    let queued: Vec<JobSnapshot> = specs.iter().map(|s| snapshot(s, None, &registry)).collect();
+    let mut sched = RubickScheduler::new(Arc::clone(&registry));
+    let admitted = sched.schedule(now, &queued, &cluster, &[]);
+    let jobs: Vec<JobSnapshot> = specs
+        .iter()
+        .map(|s| snapshot(s, admitted.iter().find(|a| a.job == s.id), &registry))
+        .collect();
+    let before = sched.schedule(now, &jobs, &cluster, &[]);
+    assert_eq!(sched.schedule(now, &jobs, &cluster, &[]), before);
+
+    // The refit: backward passes 3x dearer and no overlap with DP sync.
+    let stale = registry.clone_fitted();
+    for name in registry.names() {
+        let mut refitted = (*registry.model(&name).unwrap()).clone();
+        refitted.params.k_bwd *= 3.0;
+        refitted.params.k_sync = 1.0;
+        registry.insert(refitted);
+    }
+    let flipped = specs.iter().any(|spec| {
+        (1..=16).any(|gpus| {
+            let placement = Placement::packed(gpus, registry.shape());
+            let best = |r: &ModelRegistry| {
+                r.model(&spec.model.name)
+                    .unwrap()
+                    .best_plan(spec.global_batch, &placement)
+                    .map(|(plan, _)| plan)
+            };
+            best(&stale) != best(&registry)
+        })
+    });
+    assert!(flipped, "the refit must change some best plan");
+
+    let after = sched.schedule(now, &jobs, &cluster, &[]);
+    let fresh = RubickScheduler::new(Arc::clone(&registry)).schedule(now, &jobs, &cluster, &[]);
+    assert_eq!(after, fresh, "a refit must void every memoized plan");
 }
 
 /// Contract 2: the sequential refit-enabled run, computed once and

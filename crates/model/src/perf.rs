@@ -19,6 +19,8 @@ use crate::planset::PlanSetCache;
 use crate::resources::NodeShape;
 use crate::spec::ModelSpec;
 use serde::{Deserialize, Serialize};
+use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Communication volumes of one training iteration, in bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
@@ -279,6 +281,10 @@ impl PerfParams {
     /// point and evaluates each candidate with
     /// [`iter_time_from`](PerfParams::iter_time_from).
     ///
+    /// Of `placement` this reads only what [`CommTopology::derive`] reads
+    /// and, for ZeRO-Offload plans, `cpus` (the `d·c` divisor); never
+    /// `host_mem_gb`. The best-plan memo ([`BestPlanMemo`]) relies on this.
+    ///
     /// Both halves are forced inline so [`iter_time`](PerfParams::iter_time)
     /// — the plan search's hot call — stays one straight-line function
     /// instead of two calls passing the terms through memory.
@@ -501,6 +507,11 @@ impl ThroughputModel {
     /// than the packed share the enumeration assumed. This reproduces the
     /// checked filtering of `throughput` exactly, without re-running it per
     /// plan.
+    ///
+    /// Of the `Placement` this reads only `total_gpus()` (the plan set),
+    /// `host_mem_gb` (only below the packed share) and what scoring reads
+    /// through [`PerfParams::iter_terms`]. [`BestPlanMemo`] keys on exactly
+    /// these fields.
     pub fn best_plan_in(
         &self,
         cache: &PlanSetCache,
@@ -512,19 +523,218 @@ impl ThroughputModel {
             return None;
         }
         let plans = cache.plans(&self.spec, gpus, global_batch, &self.shape, &self.env);
-        let recheck_host = placement.host_mem_gb < self.shape.packed_host_mem_gb(gpus);
+        self.scan_plans(&plans, global_batch, placement)
+            .map(|(i, tput)| (plans[i], tput))
+    }
+
+    /// The strict-max scan behind [`best_plan_in`](ThroughputModel::best_plan_in)
+    /// and the [`BestPlanMemo`] miss path: the index of the best plan in
+    /// `plans` (the cached set for `placement.total_gpus()`) and its
+    /// throughput.
+    fn scan_plans(
+        &self,
+        plans: &[ExecutionPlan],
+        global_batch: u32,
+        placement: &Placement,
+    ) -> Option<(usize, f64)> {
+        let packed_host = self.shape.packed_host_mem_gb(placement.total_gpus());
+        let recheck_host = placement.host_mem_gb < packed_host;
         let estimator = MemoryEstimator::new(self.shape.gpu_mem_gb);
-        let mut best: Option<(ExecutionPlan, f64)> = None;
-        for plan in plans.iter() {
+        let mut best: Option<(usize, f64)> = None;
+        for (i, plan) in plans.iter().enumerate() {
             if recheck_host && estimator.host_mem_gb(&self.spec, plan) > placement.host_mem_gb {
                 continue;
             }
             let tput = self.throughput_unchecked(plan, global_batch, placement);
             if best.as_ref().map(|(_, b)| tput > *b).unwrap_or(true) {
-                best = Some((*plan, tput));
+                best = Some((i, tput));
             }
         }
         best
+    }
+}
+
+/// Entry cap of a [`BestPlanMemo`]: reaching it clears the memo. A
+/// paper-scale Rubick run (406 jobs, 64 GPUs) stays well below it.
+const MEMO_MAX_ENTRIES: usize = 1 << 16;
+
+/// `host_mem_bits` of a [`PlacementClass`] whose host memory is at or
+/// above the packed share, where the host-memory recheck never fires.
+/// All-ones is a NaN pattern, and a NaN never compares below the share.
+const HOST_MEM_ROOMY: u64 = u64::MAX;
+
+/// The part of a placement that [`ThroughputModel::best_plan_in`] can
+/// see, given the plan set it scores. Two placements of one class get the
+/// same best plan with the same throughput bits.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+struct PlacementClass {
+    /// `min_gpus_on_node().max(1)` when the placement spans nodes, else 0:
+    /// [`CommTopology::derive`] reads nothing else of the GPU layout.
+    min_per_node: u32,
+    /// `cpus` when the plan set holds a ZeRO-Offload plan (the only
+    /// optimizer term that reads it), else 0.
+    cpus: u32,
+    /// The bits of `host_mem_gb` when it is below the packed share (the
+    /// host-memory recheck compares against it), else [`HOST_MEM_ROOMY`].
+    host_mem_bits: u64,
+}
+
+/// The plan index a [`ClassTable`] stores when no plan fits.
+const NO_PLAN: u32 = u32::MAX;
+
+/// One `(model, batch, gpus)` point of a [`BestPlanMemo`]: the cached plan
+/// set and the best plan per placement class, as an index into it (or
+/// [`NO_PLAN`]) with its throughput.
+#[derive(Debug)]
+struct ClassTable {
+    plans: Arc<[ExecutionPlan]>,
+    reads_cpus: bool,
+    packed_host_mem_gb: f64,
+    best: HashMap<PlacementClass, (u32, f64)>,
+}
+
+impl ClassTable {
+    fn plan_at(&self, (index, tput): (u32, f64)) -> Option<(ExecutionPlan, f64)> {
+        (index != NO_PLAN).then(|| (self.plans[index as usize], tput))
+    }
+
+    fn class_of(&self, placement: &Placement) -> PlacementClass {
+        PlacementClass {
+            min_per_node: if placement.spans_nodes() {
+                placement.min_gpus_on_node().max(1)
+            } else {
+                0
+            },
+            cpus: if self.reads_cpus { placement.cpus } else { 0 },
+            host_mem_bits: if placement.host_mem_gb < self.packed_host_mem_gb {
+                placement.host_mem_gb.to_bits()
+            } else {
+                HOST_MEM_ROOMY
+            },
+        }
+    }
+}
+
+/// A memo of [`ThroughputModel::best_plan_in`] keyed by placement class.
+///
+/// The best plan on a placement is a pure function of `(model, batch,
+/// gpus)` plus a [`PlacementClass`]: whether and how thinly the GPUs span
+/// nodes, the CPU count when an offload plan is in the set, and the host
+/// memory when it is below the packed share. A scheduler asks for the same
+/// few classes over and over, so the memo answers repeats with one lookup
+/// instead of re-scoring the plan set.
+///
+/// Entries are keyed by model *name*: the caller must [`clear`](BestPlanMemo::clear)
+/// the memo whenever a name's fitted model may have changed (a registry
+/// refit). In debug builds every hit is recomputed and compared bit for
+/// bit.
+///
+/// ```
+/// use rubick_model::prelude::*;
+/// let model = ThroughputModel::new(
+///     ModelSpec::gpt2_xl(),
+///     PerfParams::default(),
+///     ClusterEnv::a800(),
+///     NodeShape::a800(),
+/// );
+/// let cache = PlanSetCache::new();
+/// let mut memo = BestPlanMemo::new();
+/// let placement = Placement::spread(16, 8, 192, 3200.0);
+/// let miss = memo.best_plan(&model, &cache, 16, &placement);
+/// // Another layout of the same class is a hit.
+/// let hit = memo.best_plan(&model, &cache, 16, &Placement::spread(16, 8, 192, 3300.0));
+/// assert_eq!(miss, hit);
+/// assert_eq!(miss, model.best_plan_in(&cache, 16, &placement));
+/// assert_eq!(memo.len(), 1);
+/// ```
+#[must_use = "a memo that is never queried does nothing"]
+#[derive(Debug, Default)]
+pub struct BestPlanMemo {
+    /// `model name → (batch, gpus) → table`.
+    sets: HashMap<String, HashMap<(u32, u32), ClassTable>>,
+    /// Placement classes stored across all tables.
+    entries: usize,
+}
+
+impl BestPlanMemo {
+    /// An empty memo.
+    pub fn new() -> Self {
+        BestPlanMemo::default()
+    }
+
+    /// Number of memoized placement classes.
+    pub fn len(&self) -> usize {
+        self.entries
+    }
+
+    /// Whether the memo holds no entries.
+    pub fn is_empty(&self) -> bool {
+        self.entries == 0
+    }
+
+    /// Drops every entry.
+    pub fn clear(&mut self) {
+        self.sets.clear();
+        self.entries = 0;
+    }
+
+    /// [`model.best_plan_in(cache, global_batch, placement)`](ThroughputModel::best_plan_in),
+    /// answered from the memo when this placement's class was seen before.
+    pub fn best_plan(
+        &mut self,
+        model: &ThroughputModel,
+        cache: &PlanSetCache,
+        global_batch: u32,
+        placement: &Placement,
+    ) -> Option<(ExecutionPlan, f64)> {
+        let gpus = placement.total_gpus();
+        if gpus == 0 {
+            return None;
+        }
+        let point = (global_batch, gpus);
+        if let Some(table) = self
+            .sets
+            .get(&model.spec.name)
+            .and_then(|tables| tables.get(&point))
+        {
+            if let Some(&entry) = table.best.get(&table.class_of(placement)) {
+                let hit = table.plan_at(entry);
+                #[cfg(debug_assertions)]
+                {
+                    let fresh = model.best_plan_in(cache, global_batch, placement);
+                    assert_eq!(
+                        hit.map(|(p, t)| (p, t.to_bits())),
+                        fresh.map(|(p, t)| (p, t.to_bits())),
+                        "best-plan memo hit diverges for {} at {placement}",
+                        model.spec.name
+                    );
+                }
+                return hit;
+            }
+        }
+        if self.entries >= MEMO_MAX_ENTRIES {
+            self.clear();
+        }
+        let table = self
+            .sets
+            .entry(model.spec.name.clone())
+            .or_default()
+            .entry(point)
+            .or_insert_with(|| {
+                let plans = cache.plans(&model.spec, gpus, global_batch, &model.shape, &model.env);
+                ClassTable {
+                    reads_cpus: plans.iter().any(|p| p.memory == MemoryMode::ZeroOffload),
+                    packed_host_mem_gb: model.shape.packed_host_mem_gb(gpus),
+                    best: HashMap::new(),
+                    plans,
+                }
+            });
+        let entry = model
+            .scan_plans(&table.plans, global_batch, placement)
+            .map_or((NO_PLAN, 0.0), |(i, tput)| (i as u32, tput));
+        table.best.insert(table.class_of(placement), entry);
+        self.entries += 1;
+        table.plan_at(entry)
     }
 }
 

@@ -134,6 +134,11 @@ impl CommTopology {
     /// * TP is placed within nodes whenever `t` fits on the smallest used
     ///   node, so it keeps `B_intra`; otherwise it degrades to `B_inter`;
     /// * DP and PP cross nodes as soon as the job spans nodes.
+    ///
+    /// Of the placement this reads only `spans_nodes()` and, when it
+    /// spans, `min_gpus_on_node().max(1)` — never which nodes, nor the
+    /// other per-node counts. The best-plan memo
+    /// ([`BestPlanMemo`](crate::perf::BestPlanMemo)) relies on this.
     pub fn derive(parallel: &Parallelism, placement: &Placement, env: &ClusterEnv) -> Self {
         if !placement.spans_nodes() {
             return CommTopology {

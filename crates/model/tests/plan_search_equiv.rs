@@ -1,8 +1,9 @@
 //! Equivalence proofs for the allocation-free plan-search rewrite.
 //!
 //! Every optimized path — the lazy [`PlanEnumerator`], the
-//! [`PlanSetCache`]-backed unchecked `best_plan`, and the O(1)
-//! `envelope_idx` curve lookups — must produce output *bit-identical* to
+//! [`PlanSetCache`]-backed unchecked `best_plan`, the placement-class
+//! [`BestPlanMemo`], and the O(1) `envelope_idx` curve lookups — must
+//! produce output *bit-identical* to
 //! the retained naive reference in [`rubick_model::reference`]. These
 //! property tests sweep the full seven-model zoo and 1..=16 GPUs so any
 //! divergence in plan ordering, feasibility filtering, float scoring or
@@ -123,5 +124,67 @@ proptest! {
         let fast = SensitivityCurve::for_cpus(&model, 16, gpus, max_cpus);
         let naive = reference::for_cpus_naive(&model, 16, gpus, max_cpus);
         prop_assert_eq!(fast, naive);
+    }
+
+    /// The placement-class memo answers exactly like the uncached scan and
+    /// the naive checked loop, on its misses and its hits. One memo sees,
+    /// in order: a drawn layout, another layout of the same class (a hit),
+    /// the first layout with other CPUs, then with other host memory (each
+    /// on either side of the packed share), one node of the same total,
+    /// two unequal nodes of it, and the first layout again (a hit). A key
+    /// that drops a field the scan reads returns a stale answer at one of
+    /// these steps. The optimizer parameters are drawn too, so that
+    /// ZeRO-Offload — the only plan kind that reads `cpus` — often wins.
+    #[test]
+    fn memo_matches_scan_and_naive(
+        spec in any_model(),
+        k_opt in (0.01f64..1.0, 0.1f64..2.0),
+        min_node in 1u32..5,
+        extra in prop::collection::vec(0u32..5, 0..3),
+        cpus in (0u32..160, 0u32..160),
+        host_frac in (
+            prop::sample::select(vec![0.0f64, 0.1, 0.5, 0.99, 1.0, 1.5]),
+            prop::sample::select(vec![0.0f64, 0.1, 0.5, 0.99, 1.0, 1.5]),
+        ),
+        batch in prop::sample::select(vec![8u32, 16, 64]),
+    ) {
+        let mut model = model_for(spec);
+        (model.params.k_opt, model.params.k_opt_off) = k_opt;
+        // `[m, m+e1, …]` and `[m+Σe, m, …]`: same total, same spanning,
+        // same smallest node — one class, two layouts.
+        let mut layout = vec![min_node];
+        layout.extend(extra.iter().map(|e| min_node + e));
+        let mut relaid = vec![min_node + extra.iter().sum::<u32>()];
+        relaid.extend(extra.iter().map(|_| min_node));
+        if extra.is_empty() {
+            relaid = layout.clone();
+        }
+        let gpus: u32 = layout.iter().sum();
+        let lopsided = if gpus > 1 { vec![gpus - 1, 1] } else { vec![1] };
+        let at = |gpus_per_node: &[u32], cpus: u32, frac: f64| Placement {
+            gpus_per_node: gpus_per_node.to_vec(),
+            cpus,
+            host_mem_gb: model.shape.packed_host_mem_gb(gpus) * frac,
+        };
+        let steps = [
+            at(&layout, cpus.0, host_frac.0),
+            at(&relaid, cpus.0, host_frac.0),
+            at(&layout, cpus.1, host_frac.0),
+            at(&layout, cpus.0, host_frac.1),
+            at(&[gpus], cpus.0, host_frac.0),
+            at(&lopsided, cpus.0, host_frac.0),
+            at(&layout, cpus.0, host_frac.0),
+        ];
+        let cache = PlanSetCache::new();
+        let mut memo = BestPlanMemo::new();
+        let bits = |r: Option<(ExecutionPlan, f64)>| r.map(|(p, t)| (p, t.to_bits()));
+        for (step, p) in steps.iter().enumerate() {
+            let memoized = bits(memo.best_plan(&model, &cache, batch, p));
+            let scanned = bits(model.best_plan_in(&cache, batch, p));
+            let naive = bits(reference::best_plan_naive(&model, batch, p));
+            prop_assert_eq!(memoized, scanned, "memo vs scan at step {} on {}", step, p);
+            prop_assert_eq!(memoized, naive, "memo vs naive at step {} on {}", step, p);
+        }
+        prop_assert!(memo.len() <= 5, "the re-layout and the repeat must hit");
     }
 }
