@@ -558,11 +558,6 @@ impl ThroughputModel {
 /// paper-scale Rubick run (406 jobs, 64 GPUs) stays well below it.
 const MEMO_MAX_ENTRIES: usize = 1 << 16;
 
-/// `host_mem_bits` of a [`PlacementClass`] whose host memory is at or
-/// above the packed share, where the host-memory recheck never fires.
-/// All-ones is a NaN pattern, and a NaN never compares below the share.
-const HOST_MEM_ROOMY: u64 = u64::MAX;
-
 /// The part of a placement that [`ThroughputModel::best_plan_in`] can
 /// see, given the plan set it scores. Two placements of one class get the
 /// same best plan with the same throughput bits.
@@ -574,9 +569,12 @@ struct PlacementClass {
     /// `cpus` when the plan set holds a ZeRO-Offload plan (the only
     /// optimizer term that reads it), else 0.
     cpus: u32,
-    /// The bits of `host_mem_gb` when it is below the packed share (the
-    /// host-memory recheck compares against it), else [`HOST_MEM_ROOMY`].
-    host_mem_bits: u64,
+    /// When `host_mem_gb` is below the packed share, how many of the
+    /// set's distinct host-memory demands exceed it, else 0. The recheck
+    /// drops exactly the plans whose demand exceeds `host_mem_gb`; those
+    /// demands are a suffix of the sorted distinct ones, so the count
+    /// names the dropped plans.
+    host_short: u32,
 }
 
 /// The plan index a [`ClassTable`] stores when no plan fits.
@@ -590,10 +588,29 @@ struct ClassTable {
     plans: Arc<[ExecutionPlan]>,
     reads_cpus: bool,
     packed_host_mem_gb: f64,
+    /// The distinct host-memory demands of `plans`, ascending.
+    host_demands: Box<[f64]>,
     best: HashMap<PlacementClass, (u32, f64)>,
 }
 
 impl ClassTable {
+    fn new(model: &ThroughputModel, gpus: u32, plans: Arc<[ExecutionPlan]>) -> Self {
+        let estimator = MemoryEstimator::new(model.shape.gpu_mem_gb);
+        let mut host_demands: Vec<f64> = plans
+            .iter()
+            .map(|p| estimator.host_mem_gb(&model.spec, p))
+            .collect();
+        host_demands.sort_by(f64::total_cmp);
+        host_demands.dedup();
+        ClassTable {
+            reads_cpus: plans.iter().any(|p| p.memory == MemoryMode::ZeroOffload),
+            packed_host_mem_gb: model.shape.packed_host_mem_gb(gpus),
+            host_demands: host_demands.into(),
+            best: HashMap::new(),
+            plans,
+        }
+    }
+
     fn plan_at(&self, (index, tput): (u32, f64)) -> Option<(ExecutionPlan, f64)> {
         (index != NO_PLAN).then(|| (self.plans[index as usize], tput))
     }
@@ -606,10 +623,11 @@ impl ClassTable {
                 0
             },
             cpus: if self.reads_cpus { placement.cpus } else { 0 },
-            host_mem_bits: if placement.host_mem_gb < self.packed_host_mem_gb {
-                placement.host_mem_gb.to_bits()
+            host_short: if placement.host_mem_gb < self.packed_host_mem_gb {
+                let host = placement.host_mem_gb;
+                self.host_demands.iter().filter(|&&d| d > host).count() as u32
             } else {
-                HOST_MEM_ROOMY
+                0
             },
         }
     }
@@ -619,10 +637,11 @@ impl ClassTable {
 ///
 /// The best plan on a placement is a pure function of `(model, batch,
 /// gpus)` plus a [`PlacementClass`]: whether and how thinly the GPUs span
-/// nodes, the CPU count when an offload plan is in the set, and the host
-/// memory when it is below the packed share. A scheduler asks for the same
-/// few classes over and over, so the memo answers repeats with one lookup
-/// instead of re-scoring the plan set.
+/// nodes, the CPU count when an offload plan is in the set, and, below the
+/// packed host-memory share, which plans' host demands the placement
+/// cannot meet. A scheduler asks for the same few classes over and over,
+/// so the memo answers repeats with one lookup instead of re-scoring the
+/// plan set.
 ///
 /// Entries are keyed by model *name*: the caller must [`clear`](BestPlanMemo::clear)
 /// the memo whenever a name's fitted model may have changed (a registry
@@ -722,12 +741,7 @@ impl BestPlanMemo {
             .entry(point)
             .or_insert_with(|| {
                 let plans = cache.plans(&model.spec, gpus, global_batch, &model.shape, &model.env);
-                ClassTable {
-                    reads_cpus: plans.iter().any(|p| p.memory == MemoryMode::ZeroOffload),
-                    packed_host_mem_gb: model.shape.packed_host_mem_gb(gpus),
-                    best: HashMap::new(),
-                    plans,
-                }
+                ClassTable::new(model, gpus, plans)
             });
         let entry = model
             .scan_plans(&table.plans, global_batch, placement)

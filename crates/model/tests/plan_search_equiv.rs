@@ -130,8 +130,9 @@ proptest! {
     /// the naive checked loop, on its misses and its hits. One memo sees,
     /// in order: a drawn layout, another layout of the same class (a hit),
     /// the first layout with other CPUs, then with other host memory (each
-    /// on either side of the packed share), one node of the same total,
-    /// two unequal nodes of it, and the first layout again (a hit). A key
+    /// on either side of the packed share), then with exactly the largest
+    /// host demand in the plan set, one node of the same total, two unequal
+    /// nodes of it, and the first layout again (a hit). A key
     /// that drops a field the scan reads returns a stale answer at one of
     /// these steps. The optimizer parameters are drawn too, so that
     /// ZeRO-Offload — the only plan kind that reads `cpus` — often wins.
@@ -161,16 +162,25 @@ proptest! {
         }
         let gpus: u32 = layout.iter().sum();
         let lopsided = if gpus > 1 { vec![gpus - 1, 1] } else { vec![1] };
-        let at = |gpus_per_node: &[u32], cpus: u32, frac: f64| Placement {
+        let at_host = |gpus_per_node: &[u32], cpus: u32, host_mem_gb: f64| Placement {
             gpus_per_node: gpus_per_node.to_vec(),
             cpus,
-            host_mem_gb: model.shape.packed_host_mem_gb(gpus) * frac,
+            host_mem_gb,
         };
+        let at = |gpus_per_node: &[u32], cpus: u32, frac: f64| {
+            at_host(gpus_per_node, cpus, model.shape.packed_host_mem_gb(gpus) * frac)
+        };
+        let estimator = MemoryEstimator::new(model.shape.gpu_mem_gb);
+        let top_demand = enumerate_plans(&model.spec, gpus, batch, &model.shape, &model.env)
+            .iter()
+            .map(|p| estimator.host_mem_gb(&model.spec, p))
+            .fold(0.0, f64::max);
         let steps = [
             at(&layout, cpus.0, host_frac.0),
             at(&relaid, cpus.0, host_frac.0),
             at(&layout, cpus.1, host_frac.0),
             at(&layout, cpus.0, host_frac.1),
+            at_host(&layout, cpus.0, top_demand),
             at(&[gpus], cpus.0, host_frac.0),
             at(&lopsided, cpus.0, host_frac.0),
             at(&layout, cpus.0, host_frac.0),
@@ -185,6 +195,6 @@ proptest! {
             prop_assert_eq!(memoized, scanned, "memo vs scan at step {} on {}", step, p);
             prop_assert_eq!(memoized, naive, "memo vs naive at step {} on {}", step, p);
         }
-        prop_assert!(memo.len() <= 5, "the re-layout and the repeat must hit");
+        prop_assert!(memo.len() <= 6, "the re-layout and the repeat must hit");
     }
 }
