@@ -554,8 +554,8 @@ impl ThroughputModel {
     }
 }
 
-/// Entry cap of a [`BestPlanMemo`]: reaching it clears the memo. A
-/// paper-scale Rubick run (406 jobs, 64 GPUs) stays well below it.
+/// Entry cap of a [`BestPlanMemo`]: reaching it clears the memo. One
+/// paper-scale Rubick simulation (406 jobs, 64 GPUs) stores about 4k.
 const MEMO_MAX_ENTRIES: usize = 1 << 16;
 
 /// The part of a placement that [`ThroughputModel::best_plan_in`] can
