@@ -13,7 +13,7 @@
 
 use proptest::prelude::*;
 use rubick_chaos::{ChaosConfig, FaultPlan};
-use rubick_core::{AntManScheduler, ModelRegistry, RubickScheduler};
+use rubick_core::{AntManScheduler, ModelRegistry, RubickScheduler, SiaScheduler};
 use rubick_model::prelude::ModelSpec;
 use rubick_obs::{EventSink, FaultMetricsSink, SimEvent, VecSink};
 use rubick_sim::cluster::Cluster;
@@ -151,6 +151,41 @@ fn chaos_event_jsonl_golden_is_stable() {
         lines.push('\n');
     }
     check_golden("chaos_events.jsonl", &lines);
+}
+
+/// Sia under the scripted scenario, byte-for-byte. The node failure
+/// shrinks the schedulable capacity Sia water-fills against — and with it
+/// the GPU range of every curve it asks for — and the recovery grows it
+/// back, so this pins Sia's curves and allocations across both changes.
+#[test]
+fn sia_chaos_event_jsonl_golden_is_stable() {
+    let oracle = TestbedOracle::new(ORACLE_SEED);
+    let registry = Arc::new(ModelRegistry::from_oracle(&oracle, &ModelSpec::zoo()).unwrap());
+    let events = run_chaos(
+        Box::new(SiaScheduler::new(registry)),
+        scripted_plan(),
+        Some(2),
+    );
+    let failed_at = events
+        .iter()
+        .find_map(|e| match e {
+            SimEvent::NodeFailed { at, .. } => Some(*at),
+            _ => None,
+        })
+        .expect("scenario produced no node failure");
+    assert!(
+        events.iter().any(
+            |e| matches!(e, SimEvent::RoundStarted { at, active_jobs, .. }
+                if *at > failed_at && *active_jobs > 0)
+        ),
+        "no Sia round ran after the node failure"
+    );
+    let mut lines = String::new();
+    for event in &events {
+        lines.push_str(&event.to_jsonl());
+        lines.push('\n');
+    }
+    check_golden("sia_chaos_events.jsonl", &lines);
 }
 
 /// The acceptance criterion of the fault subsystem: after a node failure,

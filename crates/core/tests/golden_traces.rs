@@ -10,8 +10,9 @@
 //! Both runs use `parallelism: Some(2)` so the golden numbers also pin the
 //! parallel round path to the sequential baseline they were recorded from.
 
-use rubick_core::{ModelRegistry, RubickScheduler};
+use rubick_core::{ModelRegistry, RubickScheduler, SiaScheduler};
 use rubick_model::prelude::ModelSpec;
+use rubick_obs::VecSink;
 use rubick_sim::cluster::Cluster;
 use rubick_sim::engine::{Engine, EngineConfig};
 use rubick_sim::metrics::SimReport;
@@ -162,4 +163,34 @@ fn multi_tenant_trace_summary_is_stable() {
     assert!(!tenants.is_empty());
     let report = run_rubick(jobs, tenants, Some(2));
     check_golden("multi_tenant.txt", &summarize(&report));
+}
+
+/// Sia over the base trace: the report summary plus the full JSONL event
+/// stream. Sia's water-filling decides every job's GPU count from the
+/// fitted curves alone, so the stream pins each round's allocation, not
+/// just the end-of-run averages.
+#[test]
+fn sia_trace_golden_is_stable() {
+    let oracle = TestbedOracle::new(ORACLE_SEED);
+    let jobs = generate_base(&trace_config(), &oracle);
+    let registry = Arc::new(ModelRegistry::from_oracle(&oracle, &ModelSpec::zoo()).unwrap());
+    let mut engine = Engine::new(
+        &oracle,
+        Box::new(SiaScheduler::new(registry)),
+        Cluster::a800_testbed(),
+        vec![],
+        EngineConfig {
+            parallelism: Some(2),
+            ..EngineConfig::default()
+        },
+    );
+    let mut sink = VecSink::default();
+    let report = engine.run_with_sink(jobs, &mut sink);
+    check_golden("sia_trace.txt", &summarize(&report));
+    let mut lines = String::new();
+    for event in &sink.events {
+        lines.push_str(&event.to_jsonl());
+        lines.push('\n');
+    }
+    check_golden("sia_events.jsonl", &lines);
 }
