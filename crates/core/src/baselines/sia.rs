@@ -13,15 +13,16 @@
 //! * ZeRO/GA/GC behaviors are whatever the initial plan already had; Sia
 //!   never switches strategies.
 
-use crate::common::{job_baseline, job_gpu_curve, PlanSearch};
+use crate::common::{job_baseline, PlanSearch};
 use crate::registry::ModelRegistry;
 use crate::round::RoundContext;
-use rubick_model::Resources;
+use rubick_model::{Resources, SensitivityCurve};
 use rubick_sim::cluster::Cluster;
 use rubick_sim::job::JobStatus;
 use rubick_sim::scheduler::{Assignment, JobSnapshot, Scheduler};
 use rubick_sim::tenant::Tenant;
-use std::collections::BTreeMap;
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 /// The Sia baseline scheduler.
@@ -66,72 +67,37 @@ impl Scheduler for SiaScheduler {
         let shape = cluster.shape();
         let total_gpus = cluster.schedulable_capacity().gpus;
 
-        // Per-job curves under Sia's restricted plan search.
-        let mut curves = BTreeMap::new();
-        let mut norms = BTreeMap::new();
-        for job in jobs {
-            let search = self.search_for(job);
-            if let Some(curve) = job_gpu_curve(
-                &self.registry,
-                &search,
-                &job.spec.model.name,
-                job.spec.global_batch,
-                total_gpus,
-            ) {
-                curves.insert(job.id(), curve);
-            }
-            norms.insert(
-                job.id(),
-                job_baseline(&self.registry, job).unwrap_or(1.0).max(1e-9),
-            );
-        }
-
-        // Greedy water-filling on marginal normalized goodput. Curves can
-        // be lumpy (a fixed TP8 plan only runs at exactly 8 GPUs), so each
-        // step considers the next *useful jump*, not just +1 GPU.
-        let mut target: BTreeMap<u64, u32> = jobs.iter().map(|j| (j.id(), 0u32)).collect();
-        let mut left = total_gpus;
-        loop {
-            if left == 0 {
-                break;
-            }
-            // (job, jump size, per-GPU gain)
-            let mut best: Option<(u64, u32, f64)> = None;
-            for job in jobs {
-                let id = job.id();
-                let cur = target[&id];
-                let Some(curve) = curves.get(&id) else {
-                    continue;
-                };
-                let here = curve.value(cur);
-                // Smallest amount beyond `cur` that improves throughput.
-                let Some(next) = (cur + 1..=cur + left).find(|&g| curve.value(g) > here + 1e-12)
-                else {
-                    continue;
-                };
-                let jump = next - cur;
-                let gain = (curve.value(next) - here) / jump as f64 / norms[&id];
-                if best.as_ref().map(|(_, _, b)| gain > *b).unwrap_or(true) {
-                    best = Some((id, jump, gain));
-                }
-            }
-            let Some((winner, jump, _)) = best else { break };
-            *target.get_mut(&winner).unwrap() += jump;
-            left -= jump;
-        }
+        // Per-job curves under Sia's restricted plan search, indexed by job
+        // position like every per-job vector below.
+        let curves: Vec<Option<Arc<SensitivityCurve>>> = jobs
+            .iter()
+            .map(|job| {
+                self.registry.gpu_curve(
+                    &job.spec.model.name,
+                    &self.search_for(job),
+                    job.spec.global_batch,
+                    total_gpus,
+                )
+            })
+            .collect();
+        let norms: Vec<f64> = jobs
+            .iter()
+            .map(|job| job_baseline(&self.registry, job).unwrap_or(1.0).max(1e-9))
+            .collect();
+        let target = water_fill(&curves, &norms, total_gpus);
 
         // Keep running jobs whose target matches their current GPU count
         // (or whose change is not worth a restart).
         let mut ctx = RoundContext::new(cluster, jobs);
-        let mut to_place: Vec<&JobSnapshot> = Vec::new();
-        for job in ctx.jobs() {
-            let tgt = target[&job.id()];
+        let mut to_place: Vec<usize> = Vec::new();
+        for (pos, job) in jobs.iter().enumerate() {
+            let tgt = target[pos];
             match &job.status {
                 JobStatus::Running { allocation, .. } => {
                     let cur = allocation.gpus();
                     let keep = if tgt == cur || tgt == 0 {
                         true
-                    } else if let Some(curve) = curves.get(&job.id()) {
+                    } else if let Some(curve) = &curves[pos] {
                         let gain = curve.value(tgt) / curve.value(cur).max(1e-12) - 1.0;
                         gain < self.min_gain
                     } else {
@@ -140,28 +106,28 @@ impl Scheduler for SiaScheduler {
                     if keep {
                         ctx.keep(job);
                     } else {
-                        to_place.push(job);
+                        to_place.push(pos);
                     }
                 }
-                JobStatus::Queued if tgt > 0 => to_place.push(job),
+                JobStatus::Queued if tgt > 0 => to_place.push(pos),
                 _ => {}
             }
         }
 
         // Place rescaled/new jobs with GPU-proportional CPU/memory.
         // Larger targets first (gang placement is harder for them).
-        to_place.sort_by_key(|j| std::cmp::Reverse(target[&j.id()]));
-        for job in to_place {
-            let id = job.id();
+        to_place.sort_by_key(|&pos| std::cmp::Reverse(target[pos]));
+        for pos in to_place {
+            let job = &jobs[pos];
             let Some(model) = self.registry.model(&job.spec.model.name) else {
                 continue;
             };
             let search = self.search_for(job);
-            let Some(curve) = curves.get(&id) else {
+            let Some(curve) = &curves[pos] else {
                 continue;
             };
             // Round the target down to the nearest valid GPU count.
-            let mut g = target[&id];
+            let mut g = target[pos];
             let mut placed = false;
             while g >= 1 {
                 if curve.points[g as usize].raw_throughput <= 0.0 {
@@ -179,7 +145,7 @@ impl Scheduler for SiaScheduler {
                         search.best_plan(&model, job.spec.global_batch, &alloc.to_placement())
                     {
                         ctx.commit(Assignment {
-                            job: id,
+                            job: job.id(),
                             allocation: alloc,
                             plan,
                         });
@@ -201,9 +167,107 @@ impl Scheduler for SiaScheduler {
     }
 }
 
+/// One job's next useful jump in the water-fill: the fewest extra GPUs
+/// that raise its curve, and the normalized goodput gained per GPU.
+///
+/// Ordered for a max-heap by gain, then by *lower* job position, so the
+/// heap pops exactly the job a first-wins `gain > best` scan over the jobs
+/// in order would pick. Gains are positive and finite (curve values are
+/// finite, norms are floored at `1e-9`), so `total_cmp` is the numeric
+/// order.
+#[derive(Debug, Clone, Copy)]
+struct Jump {
+    gain: f64,
+    pos: usize,
+    gpus: u32,
+}
+
+impl Jump {
+    /// The next jump of job `pos` from `cur` GPUs: the smallest amount
+    /// beyond `cur` whose curve value improves, or `None` when the curve
+    /// is flat from `cur` on. Curves can be lumpy (a fixed TP8 plan only
+    /// runs at exactly 8 GPUs), so this is the next *useful* jump, not
+    /// just +1 GPU.
+    fn next(curve: &SensitivityCurve, cur: u32, norm: f64, pos: usize) -> Option<Jump> {
+        let here = curve.value(cur);
+        let next = (cur + 1..=curve.max_amount()).find(|&g| curve.value(g) > here + 1e-12)?;
+        let gpus = next - cur;
+        Some(Jump {
+            gain: (curve.value(next) - here) / gpus as f64 / norm,
+            pos,
+            gpus,
+        })
+    }
+}
+
+impl PartialEq for Jump {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for Jump {}
+
+impl PartialOrd for Jump {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Jump {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.gain
+            .total_cmp(&other.gain)
+            .then_with(|| other.pos.cmp(&self.pos))
+    }
+}
+
+/// Greedy water-filling on marginal normalized goodput: repeatedly grant
+/// the job with the best per-GPU gain its next useful jump, until the
+/// `total_gpus` run out or no jump fits. Returns each job's GPU target by
+/// position (0 for a job without a curve).
+///
+/// A lazy max-heap holds one pending [`Jump`] per job. A job's jump only
+/// changes when that job is granted, so each grant pops one entry and
+/// pushes at most one; a popped jump larger than the GPUs left is dropped
+/// for good, because the GPUs left only shrink and that job's target is
+/// frozen. Cost: O((jobs + grants) · log jobs) heap work plus one forward
+/// walk over each curve.
+fn water_fill(
+    curves: &[Option<Arc<SensitivityCurve>>],
+    norms: &[f64],
+    total_gpus: u32,
+) -> Vec<u32> {
+    let mut target = vec![0u32; curves.len()];
+    let mut heap: BinaryHeap<Jump> = curves
+        .iter()
+        .zip(norms)
+        .enumerate()
+        .filter_map(|(pos, (curve, &norm))| Jump::next(curve.as_deref()?, 0, norm, pos))
+        .collect();
+    let mut left = total_gpus;
+    while left > 0 {
+        let Some(jump) = heap.pop() else { break };
+        if jump.gpus > left {
+            continue;
+        }
+        target[jump.pos] += jump.gpus;
+        left -= jump.gpus;
+        let curve = curves[jump.pos]
+            .as_deref()
+            .expect("only jobs with a curve get a jump");
+        if let Some(next) = Jump::next(curve, target[jump.pos], norms[jump.pos], jump.pos) {
+            heap.push(next);
+        }
+    }
+    target
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rubick_model::resources::ResourceKind;
     use rubick_model::{ExecutionPlan, ModelSpec, NodeShape};
     use rubick_sim::engine::{Engine, EngineConfig};
     use rubick_sim::job::{JobClass, JobSpec};
@@ -273,5 +337,107 @@ mod tests {
         assert_eq!(report.jobs.len(), 1);
         // Fixed plan: never reconfigured, exactly the initial 8 GPUs used.
         assert_eq!(report.jobs[0].reconfig_count, 0);
+    }
+
+    /// The water-fill as a full rescan of every job per grant, kept as the
+    /// reference [`water_fill`] must match: each step takes the first job
+    /// in position order with the strictly best per-GPU gain over its next
+    /// useful jump within the GPUs left.
+    fn water_fill_reference(
+        curves: &[Option<Arc<SensitivityCurve>>],
+        norms: &[f64],
+        total_gpus: u32,
+    ) -> Vec<u32> {
+        let mut target = vec![0u32; curves.len()];
+        let mut left = total_gpus;
+        while left > 0 {
+            // (job position, jump size, per-GPU gain)
+            let mut best: Option<(usize, u32, f64)> = None;
+            for (pos, curve) in curves.iter().enumerate() {
+                let Some(curve) = curve else { continue };
+                let cur = target[pos];
+                let here = curve.value(cur);
+                let Some(next) = (cur + 1..=cur + left).find(|&g| curve.value(g) > here + 1e-12)
+                else {
+                    continue;
+                };
+                let jump = next - cur;
+                let gain = (curve.value(next) - here) / jump as f64 / norms[pos];
+                if best.as_ref().map(|(_, _, b)| gain > *b).unwrap_or(true) {
+                    best = Some((pos, jump, gain));
+                }
+            }
+            let Some((winner, jump, _)) = best else { break };
+            target[winner] += jump;
+            left -= jump;
+        }
+        target
+    }
+
+    /// A curve over `0..=raw.len()` GPUs from raw per-amount throughputs,
+    /// 0 meaning no feasible plan at that amount (a flat stretch of the
+    /// envelope).
+    fn curve_from(raw: &[u32]) -> SensitivityCurve {
+        SensitivityCurve::from_fn(ResourceKind::Gpu, raw.len() as u32, |g| {
+            let t = raw[g as usize - 1];
+            (t > 0).then(|| (ExecutionPlan::dp(g), t as f64))
+        })
+    }
+
+    /// One job's curve and norm for a round of `total` GPUs. Each draw
+    /// below 6 (6 of 14) makes its amount infeasible, so the envelope has
+    /// plateaus and multi-GPU jumps. The shapes are: rising (raw `g` plus
+    /// a small offset, so gains stay near 1 and tie often across jobs),
+    /// saturating (raw 1–8, flat after an early peak), fixed-8 (throughput
+    /// only at exactly 8 GPUs), all-flat, or no curve at all. Norms
+    /// include the `1e-9` floor of a zero baseline.
+    fn job_from(
+        total: u32,
+        (shape, draws, norm): (u32, Vec<u32>, f64),
+    ) -> (Option<Arc<SensitivityCurve>>, f64) {
+        let draw = |g: u32| draws[g as usize - 1];
+        let rising = |g: u32| if draw(g) < 6 { 0 } else { g + draw(g) - 6 };
+        let raw: Vec<u32> = match shape {
+            0 => (1..=total).map(rising).collect(),
+            1 => (1..=total).map(|g| draw(g).saturating_sub(5)).collect(),
+            2 => (1..=total)
+                .map(|g| if g == 8 { 8 + draw(1) } else { 0 })
+                .collect(),
+            3 => vec![0; total as usize],
+            _ => return (None, norm),
+        };
+        (Some(Arc::new(curve_from(&raw))), norm)
+    }
+
+    type Round = (u32, Vec<(Option<Arc<SensitivityCurve>>, f64)>);
+
+    /// Rounds of 1 to 64 GPUs and up to 11 jobs.
+    fn any_round() -> impl Strategy<Value = Round> {
+        let job = (
+            0u32..5,
+            prop::collection::vec(0u32..14, 64..65),
+            prop::sample::select(vec![1.0, 2.0, 0.5, 1e-9]),
+        );
+        (1u32..65, prop::collection::vec(job, 0..12)).prop_map(|(total, jobs)| {
+            let jobs = jobs.into_iter().map(|j| job_from(total, j)).collect();
+            (total, jobs)
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The lazy-heap water-fill grants exactly the per-job targets of
+        /// the full rescan, including its first-wins tie order and its
+        /// skipping of jumps larger than the GPUs left.
+        #[test]
+        fn heap_water_fill_matches_full_scan(round in any_round()) {
+            let (total, jobs) = round;
+            let (curves, norms): (Vec<_>, Vec<_>) = jobs.into_iter().unzip();
+            prop_assert_eq!(
+                water_fill(&curves, &norms, total),
+                water_fill_reference(&curves, &norms, total)
+            );
+        }
     }
 }

@@ -157,17 +157,23 @@ impl ModelRegistry {
         &self.shape
     }
 
-    /// Cached GPU sensitivity curve for a model type (full plan search).
+    /// Cached GPU sensitivity curve for a model type under a plan-search
+    /// mode. Full-search and restricted (DP-rescale, fixed-plan) curves
+    /// share the one cache, so [`ModelRegistry::insert`] evicts both.
     ///
     /// Returns `None` when the model type was never registered.
     pub fn gpu_curve(
         &self,
         name: &str,
+        search: &PlanSearch,
         global_batch: u32,
         max_gpus: u32,
     ) -> Option<Arc<SensitivityCurve>> {
         let model = self.model(name)?;
-        Some(self.curves.gpu_curve(&model, global_batch, max_gpus))
+        Some(
+            self.curves
+                .gpu_curve(&model, search, global_batch, max_gpus),
+        )
     }
 
     /// Cached CPU sensitivity curve for a model type at a fixed GPU count.
@@ -204,16 +210,22 @@ mod tests {
                 .unwrap();
         assert_eq!(registry.names(), vec!["bert-336m", "vit-86m"]);
         assert!(registry.profiling_seconds >= 2.0 * 210.0);
-        let curve = registry.gpu_curve("vit-86m", 128, 8).unwrap();
+        let curve = registry
+            .gpu_curve("vit-86m", &PlanSearch::Full, 128, 8)
+            .unwrap();
         assert!(curve.value(8) > curve.value(1));
-        assert!(registry.gpu_curve("unknown", 16, 8).is_none());
+        assert!(registry
+            .gpu_curve("unknown", &PlanSearch::Full, 16, 8)
+            .is_none());
     }
 
     #[test]
     fn insert_replaces_and_invalidates() {
         let oracle = TestbedOracle::new(5);
         let registry = ModelRegistry::from_oracle(&oracle, &[ModelSpec::vit_base()]).unwrap();
-        let _ = registry.gpu_curve("vit-86m", 128, 8).unwrap();
+        let _ = registry
+            .gpu_curve("vit-86m", &PlanSearch::Full, 128, 8)
+            .unwrap();
         let replacement = ThroughputModel::new(
             ModelSpec::vit_base(),
             PerfParams::default(),
@@ -222,8 +234,50 @@ mod tests {
         );
         registry.insert(replacement);
         // Fresh curve is served from the new model (no stale cache entry).
-        let again = registry.gpu_curve("vit-86m", 128, 8).unwrap();
+        let again = registry
+            .gpu_curve("vit-86m", &PlanSearch::Full, 128, 8)
+            .unwrap();
         assert!(again.value(8) > 0.0);
+    }
+
+    #[test]
+    fn insert_evicts_restricted_curves() {
+        let oracle = TestbedOracle::new(5);
+        let registry = ModelRegistry::from_oracle(&oracle, &[ModelSpec::vit_base()]).unwrap();
+        let search = PlanSearch::DpScale(ExecutionPlan::dp(1));
+        let before = registry.gpu_curve("vit-86m", &search, 128, 8).unwrap();
+        let refit = ThroughputModel::new(
+            ModelSpec::vit_base(),
+            PerfParams::default(),
+            *oracle.env(),
+            *oracle.shape(),
+        );
+        let expected = search.gpu_curve(&refit, 128, 8);
+        registry.insert(refit);
+        let after = registry.gpu_curve("vit-86m", &search, 128, 8).unwrap();
+        assert_ne!(
+            after.value(8),
+            before.value(8),
+            "refit must change the curve"
+        );
+        assert_eq!(*after, expected);
+    }
+
+    #[test]
+    fn clone_fitted_serves_from_an_empty_cache() {
+        let oracle = TestbedOracle::new(5);
+        let registry = ModelRegistry::from_oracle(&oracle, &[ModelSpec::vit_base()]).unwrap();
+        let search = PlanSearch::Fixed(ExecutionPlan::dp(4));
+        let original = registry.gpu_curve("vit-86m", &search, 128, 8).unwrap();
+        registry
+            .gpu_curve("vit-86m", &PlanSearch::Full, 128, 8)
+            .unwrap();
+        let snapshot = registry.clone_fitted();
+        assert!(snapshot.curves.is_empty());
+        let served = snapshot.gpu_curve("vit-86m", &search, 128, 8).unwrap();
+        assert!(!Arc::ptr_eq(&served, &original));
+        assert_eq!(served, original);
+        assert_eq!(snapshot.curves.len(), 1);
     }
 
     #[test]
@@ -246,7 +300,13 @@ mod tests {
         // The clone is unaffected by the original's mutation, and serves
         // curves from its own (empty, refilled-on-demand) cache.
         assert_eq!(snapshot.version(), v0);
-        assert!(snapshot.gpu_curve("vit-86m", 128, 8).unwrap().value(8) > 0.0);
+        assert!(
+            snapshot
+                .gpu_curve("vit-86m", &PlanSearch::Full, 128, 8)
+                .unwrap()
+                .value(8)
+                > 0.0
+        );
         assert_eq!(snapshot.refit_count(), 0);
     }
 }

@@ -7,7 +7,7 @@
 //! pass must satisfy: Rubick can "deliver the same or better performance
 //! with even fewer resources" (§5.1).
 
-use crate::common::{job_baseline, job_gpu_curve, PlanSearch};
+use crate::common::{job_baseline, PlanSearch};
 use crate::registry::ModelRegistry;
 use rubick_model::{MemoryEstimator, Resources};
 use rubick_sim::job::JobClass;
@@ -49,10 +49,9 @@ pub fn min_res(
     let Some(baseline) = job_baseline(registry, snap) else {
         return requested;
     };
-    let Some(curve) = job_gpu_curve(
-        registry,
-        search,
+    let Some(curve) = registry.gpu_curve(
         &snap.spec.model.name,
+        search,
         snap.spec.global_batch,
         requested.gpus.max(1),
     ) else {

@@ -2,7 +2,7 @@
 
 use super::dirty::{CachedParts, Classification, Epoch, JobIndex, Verdict};
 use super::RubickScheduler;
-use crate::common::{job_baseline, job_gpu_curve, PlanSearch};
+use crate::common::{job_baseline, PlanSearch};
 use crate::round::{LedgerDelta, RoundContext};
 use rubick_model::{
     BestPlanMemo, ExecutionPlan, MemoryEstimator, Placement, PlanSetCache, Resources,
@@ -274,10 +274,9 @@ fn build_job_parts(
     };
     CachedParts {
         model: sched.registry.model(&snap.spec.model.name),
-        curve: job_gpu_curve(
-            &sched.registry,
-            &search,
+        curve: sched.registry.gpu_curve(
             &snap.spec.model.name,
+            &search,
             snap.spec.global_batch,
             total_gpus,
         ),

@@ -11,8 +11,9 @@
 //!   allocation order (`SortBySlope`) and the shrink decision
 //!   (`GetLowestSlopeOverMinJob`) of Algorithm 1.
 //!
-//! Curves are pure functions of `(model type, batch, context)`, so
-//! [`CurveCache`] memoizes them behind an `RwLock` and can pre-compute them
+//! Curves are pure functions of `(model type, batch, plan-search mode,
+//! context)`, so [`CurveCache`] memoizes them behind an `RwLock` — one
+//! cache for every policy's search mode — and can pre-compute them
 //! in parallel with crossbeam scoped threads ("the curves can be computed
 //! in parallel or even prior to the scheduling, and then cached for
 //! reuse").
@@ -21,6 +22,7 @@ use crate::perf::ThroughputModel;
 use crate::placement::Placement;
 use crate::plan::ExecutionPlan;
 use crate::resources::ResourceKind;
+use crate::search::PlanSearch;
 use parking_lot::RwLock;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -179,12 +181,16 @@ impl SensitivityCurve {
     }
 }
 
-/// Cache key: model type + batch + curve context.
+/// Cache key: model type + batch + search mode + curve context.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct CurveKey {
     model: String,
     batch: u32,
     kind: ResourceKind,
+    /// The plan-search mode the curve was built under: full search, or a
+    /// DP-rescale / fixed variant carrying its plan. CPU curves are always
+    /// full search.
+    search: PlanSearch,
     /// Curve context: `(fixed GPU count, max amount)` for CPU curves,
     /// `(0, max amount)` for GPU curves — a tuple, so the components can
     /// never collide.
@@ -193,8 +199,10 @@ struct CurveKey {
 
 /// A concurrent cache of sensitivity curves, keyed by model type.
 ///
-/// Curves only depend on the model type (not the individual job), so all
-/// jobs of one type share cached curves across scheduling rounds.
+/// Curves only depend on the model type and search mode (not the
+/// individual job), so all jobs of one type — and, under a restricted
+/// search, the same initial plan — share cached curves across scheduling
+/// rounds.
 ///
 /// Each entry is a per-key [`OnceLock`] cell: on a miss the cell is inserted
 /// under the write lock (double-checked by `entry().or_insert_with`) and the
@@ -225,17 +233,18 @@ impl CurveCache {
         self.curves.read().is_empty()
     }
 
-    /// Drops all cached curves (e.g. after an online refit changed the
-    /// model parameters).
+    /// Drops all cached curves of one model type, under every search mode
+    /// (e.g. after an online refit changed the model parameters).
     pub fn invalidate_model(&self, model_name: &str) {
         self.curves.write().retain(|k, _| k.model != model_name);
     }
 
-    /// Returns the GPU curve for `model`, computing and caching it on first
-    /// use.
+    /// Returns the GPU curve for `model` under `search`, computing and
+    /// caching it on first use.
     pub fn gpu_curve(
         &self,
         model: &ThroughputModel,
+        search: &PlanSearch,
         global_batch: u32,
         max_gpus: u32,
     ) -> Arc<SensitivityCurve> {
@@ -243,10 +252,11 @@ impl CurveCache {
             model: model.spec.name.clone(),
             batch: global_batch,
             kind: ResourceKind::Gpu,
+            search: *search,
             context: (0, max_gpus),
         };
         self.get_or_compute(key, || {
-            Arc::new(SensitivityCurve::for_gpus(model, global_batch, max_gpus))
+            Arc::new(search.gpu_curve(model, global_batch, max_gpus))
         })
     }
 
@@ -263,6 +273,7 @@ impl CurveCache {
             model: model.spec.name.clone(),
             batch: global_batch,
             kind: ResourceKind::Cpu,
+            search: PlanSearch::Full,
             context: (gpus, max_cpus),
         };
         self.get_or_compute(key, || {
@@ -324,7 +335,7 @@ impl CurveCache {
         let threads = threads.clamp(1, models.len().max(1));
         if threads <= 1 || models.len() <= 1 {
             for model in models {
-                self.gpu_curve(model, global_batch(model), max_gpus);
+                self.gpu_curve(model, &PlanSearch::Full, global_batch(model), max_gpus);
             }
             return;
         }
@@ -334,7 +345,7 @@ impl CurveCache {
             for part in models.chunks(chunk) {
                 scope.spawn(move || {
                     for model in part {
-                        self.gpu_curve(model, global_batch(model), max_gpus);
+                        self.gpu_curve(model, &PlanSearch::Full, global_batch(model), max_gpus);
                     }
                 });
             }
@@ -415,10 +426,62 @@ mod tests {
     fn cache_hits_return_same_arc() {
         let cache = CurveCache::new();
         let m = model(ModelSpec::vit_base());
-        let a = cache.gpu_curve(&m, 128, 8);
-        let b = cache.gpu_curve(&m, 128, 8);
+        let a = cache.gpu_curve(&m, &PlanSearch::Full, 128, 8);
+        let b = cache.gpu_curve(&m, &PlanSearch::Full, 128, 8);
         assert!(Arc::ptr_eq(&a, &b));
         assert_eq!(cache.len(), 1);
+    }
+
+    /// Bitwise equality of two curves over every point: floats by bit
+    /// pattern, plans and envelope indices exactly.
+    fn assert_bitwise_eq(a: &SensitivityCurve, b: &SensitivityCurve) {
+        assert_eq!(a.kind, b.kind);
+        assert_eq!(a.points.len(), b.points.len());
+        for (p, q) in a.points.iter().zip(&b.points) {
+            assert_eq!(p.amount, q.amount);
+            assert_eq!(p.raw_throughput.to_bits(), q.raw_throughput.to_bits());
+            assert_eq!(p.envelope.to_bits(), q.envelope.to_bits());
+            assert_eq!(p.plan, q.plan);
+            assert_eq!(p.envelope_idx, q.envelope_idx);
+        }
+    }
+
+    #[test]
+    fn cached_restricted_curves_match_fresh_ones() {
+        let cache = CurveCache::new();
+        let m = model(ModelSpec::gpt2_xl());
+        for search in [
+            PlanSearch::DpScale(ExecutionPlan::dp(2)),
+            PlanSearch::Fixed(ExecutionPlan::dp(4)),
+            PlanSearch::Fixed(ExecutionPlan::three_d(1, 8, 1, 1)),
+        ] {
+            let fresh = search.gpu_curve(&m, 16, 16);
+            assert!(fresh.value(16) > 0.0, "{search:?} never runs");
+            let cached = cache.gpu_curve(&m, &search, 16, 16);
+            assert_bitwise_eq(&cached, &fresh);
+            // The second lookup is a hit on the same entry.
+            assert!(Arc::ptr_eq(&cached, &cache.gpu_curve(&m, &search, 16, 16)));
+        }
+        assert_eq!(cache.len(), 3);
+    }
+
+    #[test]
+    fn dp_scale_and_fixed_curves_of_one_plan_never_alias() {
+        let cache = CurveCache::new();
+        let m = model(ModelSpec::roberta_large());
+        let plan = ExecutionPlan::dp(2);
+        let scaled = cache.gpu_curve(&m, &PlanSearch::DpScale(plan), 64, 8);
+        let fixed = cache.gpu_curve(&m, &PlanSearch::Fixed(plan), 64, 8);
+        let full = cache.gpu_curve(&m, &PlanSearch::Full, 64, 8);
+        assert_eq!(cache.len(), 3);
+        assert!(!Arc::ptr_eq(&scaled, &fixed));
+        // The fixed plan only runs at exactly its 2 GPUs; rescaling runs on
+        // more.
+        assert_eq!(fixed.points[4].raw_throughput, 0.0);
+        assert!(scaled.points[4].raw_throughput > 0.0);
+        assert_bitwise_eq(&fixed, &PlanSearch::Fixed(plan).gpu_curve(&m, 64, 8));
+        assert_bitwise_eq(&scaled, &PlanSearch::DpScale(plan).gpu_curve(&m, 64, 8));
+        assert_bitwise_eq(&full, &SensitivityCurve::for_gpus(&m, 64, 8));
     }
 
     #[test]
@@ -426,8 +489,9 @@ mod tests {
         let cache = CurveCache::new();
         let a = model(ModelSpec::vit_base());
         let b = model(ModelSpec::bert_large());
-        cache.gpu_curve(&a, 128, 8);
-        cache.gpu_curve(&b, 64, 8);
+        cache.gpu_curve(&a, &PlanSearch::Full, 128, 8);
+        cache.gpu_curve(&a, &PlanSearch::DpScale(ExecutionPlan::dp(1)), 128, 8);
+        cache.gpu_curve(&b, &PlanSearch::Full, 64, 8);
         cache.invalidate_model("vit-86m");
         assert_eq!(cache.len(), 1);
     }

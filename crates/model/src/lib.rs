@@ -59,6 +59,7 @@ pub mod plan;
 pub mod planset;
 pub mod reference;
 pub mod resources;
+pub mod search;
 pub mod spec;
 
 pub use curve::{CurveCache, CurvePoint, SensitivityCurve};
@@ -71,6 +72,7 @@ pub use placement::{CommTopology, Placement};
 pub use plan::{enumerate_plans, ExecutionPlan, MemoryMode, Parallelism, PlanEnumerator, PlanKind};
 pub use planset::PlanSetCache;
 pub use resources::{NodeShape, Resources};
+pub use search::PlanSearch;
 pub use spec::{ModelFamily, ModelSpec};
 
 /// Convenient glob import for downstream crates and examples.
@@ -89,5 +91,6 @@ pub mod prelude {
     };
     pub use crate::planset::PlanSetCache;
     pub use crate::resources::{NodeShape, Resources};
+    pub use crate::search::PlanSearch;
     pub use crate::spec::{ModelFamily, ModelSpec};
 }
