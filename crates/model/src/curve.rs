@@ -181,10 +181,9 @@ impl SensitivityCurve {
     }
 }
 
-/// Cache key: model type + batch + search mode + curve context.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+/// Cache key under one model type: batch + search mode + curve context.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct CurveKey {
-    model: String,
     batch: u32,
     kind: ResourceKind,
     /// The plan-search mode the curve was built under: full search, or a
@@ -204,6 +203,11 @@ struct CurveKey {
 /// search, the same initial plan — share cached curves across scheduling
 /// rounds.
 ///
+/// Entries are grouped by model type: a lookup hashes the borrowed model
+/// name instead of cloning it into a key, and
+/// [`invalidate_model`](CurveCache::invalidate_model) drops the model's
+/// whole group, every search mode at once.
+///
 /// Each entry is a per-key [`OnceLock`] cell: on a miss the cell is inserted
 /// under the write lock (double-checked by `entry().or_insert_with`) and the
 /// curve is computed *outside* the map lock inside the cell. Two threads
@@ -214,8 +218,11 @@ struct CurveKey {
 #[must_use = "a cache that is never queried does nothing"]
 #[derive(Debug, Default)]
 pub struct CurveCache {
-    curves: RwLock<HashMap<CurveKey, Arc<OnceLock<Arc<SensitivityCurve>>>>>,
+    curves: RwLock<HashMap<String, HashMap<CurveKey, CurveCell>>>,
 }
+
+/// One cached curve, filled at most once.
+type CurveCell = Arc<OnceLock<Arc<SensitivityCurve>>>;
 
 impl CurveCache {
     /// Creates an empty cache.
@@ -225,7 +232,7 @@ impl CurveCache {
 
     /// Number of cached curves.
     pub fn len(&self) -> usize {
-        self.curves.read().len()
+        self.curves.read().values().map(HashMap::len).sum()
     }
 
     /// Whether the cache is empty.
@@ -236,7 +243,7 @@ impl CurveCache {
     /// Drops all cached curves of one model type, under every search mode
     /// (e.g. after an online refit changed the model parameters).
     pub fn invalidate_model(&self, model_name: &str) {
-        self.curves.write().retain(|k, _| k.model != model_name);
+        self.curves.write().remove(model_name);
     }
 
     /// Returns the GPU curve for `model` under `search`, computing and
@@ -249,13 +256,12 @@ impl CurveCache {
         max_gpus: u32,
     ) -> Arc<SensitivityCurve> {
         let key = CurveKey {
-            model: model.spec.name.clone(),
             batch: global_batch,
             kind: ResourceKind::Gpu,
             search: *search,
             context: (0, max_gpus),
         };
-        self.get_or_compute(key, || {
+        self.get_or_compute(&model.spec.name, key, || {
             Arc::new(search.gpu_curve(model, global_batch, max_gpus))
         })
     }
@@ -270,13 +276,12 @@ impl CurveCache {
         max_cpus: u32,
     ) -> Arc<SensitivityCurve> {
         let key = CurveKey {
-            model: model.spec.name.clone(),
             batch: global_batch,
             kind: ResourceKind::Cpu,
             search: PlanSearch::Full,
             context: (gpus, max_cpus),
         };
-        self.get_or_compute(key, || {
+        self.get_or_compute(&model.spec.name, key, || {
             Arc::new(SensitivityCurve::for_cpus(
                 model,
                 global_batch,
@@ -291,6 +296,7 @@ impl CurveCache {
     /// the map lock).
     fn get_or_compute(
         &self,
+        model: &str,
         key: CurveKey,
         compute: impl FnOnce() -> Arc<SensitivityCurve>,
     ) -> Arc<SensitivityCurve> {
@@ -298,11 +304,17 @@ impl CurveCache {
         // lookup result first ends the guard temporary's lifetime (in an
         // `if let`/`else` the scrutinee temporary would live through the
         // `else` block and deadlock on the write lock).
-        let existing = self.curves.read().get(&key).map(Arc::clone);
+        let existing = self
+            .curves
+            .read()
+            .get(model)
+            .and_then(|curves| curves.get(&key))
+            .map(Arc::clone);
         let cell = if let Some(cell) = existing {
             cell
         } else {
             let mut curves = self.curves.write();
+            let curves = curves.entry(model.to_string()).or_default();
             Arc::clone(curves.entry(key).or_default())
         };
         Arc::clone(cell.get_or_init(compute))
