@@ -38,14 +38,15 @@ impl<'a> Profiler<'a> {
         Profiler { oracle }
     }
 
-    /// GPU counts to probe, scaled to where the model is feasible at all.
-    fn probe_counts(&self, spec: &ModelSpec, global_batch: u32) -> Vec<u32> {
+    /// GPU counts to probe, scaled to where the model is feasible at all,
+    /// each with its feasible plans (enumerated once per count).
+    fn probes(&self, spec: &ModelSpec, global_batch: u32) -> Vec<(u32, Vec<ExecutionPlan>)> {
         let shape = self.oracle.shape();
         let env = self.oracle.env();
-        let candidates = [1u32, 2, 4, 8, 12, 16, 24, 32];
-        candidates
+        [1u32, 2, 4, 8, 12, 16, 24, 32]
             .into_iter()
-            .filter(|&g| !enumerate_plans(spec, g, global_batch, shape, env).is_empty())
+            .map(|g| (g, enumerate_plans(spec, g, global_batch, shape, env)))
+            .filter(|(_, plans)| !plans.is_empty())
             .collect()
     }
 
@@ -58,8 +59,7 @@ impl<'a> Profiler<'a> {
         global_batch: u32,
     ) -> Vec<(ExecutionPlan, Placement)> {
         let shape = self.oracle.shape();
-        let env = self.oracle.env();
-        let counts = self.probe_counts(spec, global_batch);
+        let probes = self.probes(spec, global_batch);
         let mut selected: Vec<(ExecutionPlan, Placement)> = Vec::new();
         let push_unique =
             |sel: &mut Vec<(ExecutionPlan, Placement)>, plan: ExecutionPlan, g: u32| {
@@ -68,27 +68,28 @@ impl<'a> Profiler<'a> {
                     sel.push((plan, placement));
                 }
             };
+        // The first plan matching `pred`, probing the largest GPU count
+        // first (where parallel effects show).
+        let largest_first = |pred: &dyn Fn(&ExecutionPlan) -> bool| {
+            probes
+                .iter()
+                .rev()
+                .find_map(|(g, plans)| plans.iter().find(|p| pred(p)).map(|p| (*p, *g)))
+        };
 
         // Pass 1: three ZeRO-Offload samples at different scales (when the
-        // model can offload at all).
-        let mut offload_taken = 0;
-        for &g in &counts {
-            if offload_taken >= 3 {
+        // model can offload at all). Only offload samples are selected so
+        // far, so `selected.len()` counts them.
+        for (g, plans) in &probes {
+            if selected.len() >= 3 {
                 break;
             }
-            let plans = enumerate_plans(spec, g, global_batch, shape, env);
-            if let Some(p) = plans
-                .iter()
-                .find(|p| p.kind() == PlanKind::ZeroOffload)
-                .copied()
-            {
-                push_unique(&mut selected, p, g);
-                offload_taken += 1;
+            if let Some(p) = plans.iter().find(|p| p.kind() == PlanKind::ZeroOffload) {
+                push_unique(&mut selected, *p, *g);
             }
         }
 
-        // Pass 2: one representative of each other kind, preferring larger
-        // GPU counts where parallel effects show.
+        // Pass 2: one representative of each other kind.
         let kind_order = [
             PlanKind::DataParallel,
             PlanKind::ZeroDp,
@@ -97,46 +98,27 @@ impl<'a> Profiler<'a> {
             PlanKind::Pipeline,
         ];
         for kind in kind_order {
-            for &g in counts.iter().rev() {
-                let plans = enumerate_plans(spec, g, global_batch, shape, env);
-                if let Some(p) = plans.iter().find(|p| p.kind() == kind).copied() {
-                    push_unique(&mut selected, p, g);
-                    break;
-                }
+            if let Some((p, g)) = largest_first(&|p| p.kind() == kind) {
+                push_unique(&mut selected, p, g);
             }
         }
 
         // Pass 3: GA and GC variants expose k_bwd and accumulation behavior.
-        'outer: for &g in counts.iter().rev() {
-            let plans = enumerate_plans(spec, g, global_batch, shape, env);
-            for p in &plans {
-                if p.ga_steps > 1 && !p.gc {
-                    push_unique(&mut selected, *p, g);
-                    break 'outer;
-                }
-            }
+        if let Some((p, g)) = largest_first(&|p| p.ga_steps > 1 && !p.gc) {
+            push_unique(&mut selected, p, g);
         }
-        'outer2: for &g in counts.iter().rev() {
-            let plans = enumerate_plans(spec, g, global_batch, shape, env);
-            for p in &plans {
-                if p.gc && p.ga_steps == 1 {
-                    push_unique(&mut selected, *p, g);
-                    break 'outer2;
-                }
-            }
+        if let Some((p, g)) = largest_first(&|p| p.gc && p.ga_steps == 1) {
+            push_unique(&mut selected, p, g);
         }
 
         // Pass 4: top up with varied configurations until ≥ 7.
         if selected.len() < 7 {
-            for &g in &counts {
-                for p in enumerate_plans(spec, g, global_batch, shape, env) {
-                    push_unique(&mut selected, p, g);
+            'top_up: for (g, plans) in &probes {
+                for p in plans {
+                    push_unique(&mut selected, *p, *g);
                     if selected.len() >= 9 {
-                        break;
+                        break 'top_up;
                     }
-                }
-                if selected.len() >= 9 {
-                    break;
                 }
             }
         }
