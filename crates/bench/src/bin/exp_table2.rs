@@ -5,185 +5,44 @@
 //! (4 plan families × up to 5 resource allocations/placements) and report
 //! the average and maximum relative error against the testbed's measured
 //! throughput. "/" marks plan families that are OOM-infeasible for that
-//! model (as in the paper's table).
+//! model (as in the paper's table). The computation lives in
+//! `rubick_bench::table2`.
 //!
 //! ```sh
 //! cargo run --release -p rubick-bench --bin exp_table2
 //! ```
 
 use rubick_bench::std_oracle;
-use rubick_model::{enumerate_plans, ExecutionPlan, ModelSpec, Placement, PlanKind};
-use rubick_testbed::{profile_and_fit, TestbedOracle};
-
-/// A named plan family (a column pair of Table 2).
-struct Family {
-    name: &'static str,
-    matches: fn(&ExecutionPlan) -> bool,
-}
-
-fn small_model_families() -> Vec<Family> {
-    vec![
-        Family {
-            name: "DP",
-            matches: |p| p.kind() == PlanKind::DataParallel && !p.gc && p.ga_steps == 1,
-        },
-        Family {
-            name: "GC",
-            matches: |p| p.kind() == PlanKind::DataParallel && p.gc,
-        },
-        Family {
-            name: "ZeRO-DP+GA",
-            matches: |p| p.kind() == PlanKind::ZeroDp && p.ga_steps > 1,
-        },
-        Family {
-            name: "ZeRO-Offload",
-            matches: |p| p.kind() == PlanKind::ZeroOffload && !p.gc,
-        },
-    ]
-}
-
-fn large_model_families() -> Vec<Family> {
-    vec![
-        Family {
-            name: "TP+PP",
-            matches: |p| p.parallel.dp == 1 && (p.parallel.tp > 1 || p.parallel.pp > 1) && !p.gc,
-        },
-        Family {
-            name: "DP+TP+PP",
-            matches: |p| p.parallel.dp > 1 && p.parallel.is_model_parallel(),
-        },
-        Family {
-            name: "ZeRO-DP+GA",
-            matches: |p| p.kind() == PlanKind::ZeroDp && p.ga_steps > 1,
-        },
-        Family {
-            name: "ZeRO-Offload+GC",
-            matches: |p| p.kind() == PlanKind::ZeroOffload && p.gc,
-        },
-    ]
-}
-
-/// Evaluates one family: returns `(avg, max, n)` relative errors over up
-/// to 5 unseen configurations, or `None` when the family is infeasible.
-fn eval_family(
-    oracle: &TestbedOracle,
-    model: &rubick_model::ThroughputModel,
-    spec: &ModelSpec,
-    batch: u32,
-    gpu_range: &[u32],
-    family: &Family,
-    training: &[(ExecutionPlan, Placement)],
-) -> Option<(f64, f64, usize)> {
-    let mut errors = Vec::new();
-    for &g in gpu_range {
-        if errors.len() >= 5 {
-            break;
-        }
-        let placement = Placement::packed(g, oracle.shape());
-        let plan = enumerate_plans(spec, g, batch, oracle.shape(), oracle.env())
-            .into_iter()
-            .find(|p| (family.matches)(p));
-        let Some(plan) = plan else { continue };
-        if training
-            .iter()
-            .any(|(tp, tpl)| *tp == plan && *tpl == placement)
-        {
-            continue; // unseen configurations only
-        }
-        let Some(actual) = oracle.throughput(spec, &plan, batch, &placement) else {
-            continue;
-        };
-        let Ok(pred) = model.throughput(&plan, batch, &placement) else {
-            continue;
-        };
-        errors.push((pred - actual).abs() / actual);
-    }
-    if errors.is_empty() {
-        return None;
-    }
-    let avg = errors.iter().sum::<f64>() / errors.len() as f64;
-    let max = errors.iter().fold(0.0f64, |a, &b| a.max(b));
-    Some((avg, max, errors.len()))
-}
+use rubick_bench::table2::{overall_mean, table2};
 
 fn main() {
-    let oracle = std_oracle();
     println!("Table 2: performance prediction errors (fit on profiled samples, predict unseen configs)\n");
-
-    let rows: Vec<(ModelSpec, Vec<u32>, Vec<Family>)> = vec![
-        (
-            ModelSpec::vit_base(),
-            vec![1, 2, 3, 4, 6, 8],
-            small_model_families(),
-        ),
-        (
-            ModelSpec::roberta_large(),
-            vec![1, 2, 3, 4, 6, 8],
-            small_model_families(),
-        ),
-        (
-            ModelSpec::bert_large(),
-            vec![1, 2, 3, 4, 6, 8],
-            small_model_families(),
-        ),
-        (
-            ModelSpec::t5_1b(),
-            vec![2, 4, 8, 12, 16, 24, 32],
-            large_model_families(),
-        ),
-        (
-            ModelSpec::gpt2_xl(),
-            vec![2, 4, 8, 12, 16, 24, 30],
-            large_model_families(),
-        ),
-        (
-            ModelSpec::llama2_7b(),
-            vec![1, 4, 8, 16, 32, 64],
-            large_model_families(),
-        ),
-        (
-            ModelSpec::llama_30b(),
-            vec![12, 16, 24, 32, 48, 64],
-            large_model_families(),
-        ),
-    ];
-
-    let mut grand: Vec<f64> = Vec::new();
-    for (spec, gpu_range, families) in rows {
-        let batch = spec.default_batch;
-        let (model, report) = match profile_and_fit(&oracle, &spec, batch) {
-            Ok(x) => x,
+    let rows = table2(&std_oracle());
+    for row in &rows {
+        let cells = match &row.cells {
+            Ok(cells) => cells,
             Err(e) => {
-                println!("{:<14} profiling failed: {e}", spec.name);
+                println!("{:<14} profiling failed: {e}", row.model);
                 continue;
             }
         };
-        let training: Vec<(ExecutionPlan, Placement)> = report
-            .points
-            .iter()
-            .map(|p| (p.plan, p.placement.clone()))
-            .collect();
-        print!("{:<14} |", spec.name);
-        for family in &families {
-            match eval_family(&oracle, &model, &spec, batch, &gpu_range, family, &training) {
-                Some((avg, max, _n)) => {
-                    grand.push(avg);
-                    print!(
-                        " {:<16} avg {:>5.2}% max {:>5.2}% |",
-                        family.name,
-                        avg * 100.0,
-                        max * 100.0
-                    );
-                }
-                None => print!(" {:<16} {:>23} |", family.name, "/"),
+        print!("{:<14} |", row.model);
+        for cell in cells {
+            match cell.errors {
+                Some((avg, max)) => print!(
+                    " {:<16} avg {:>5.2}% max {:>5.2}% |",
+                    cell.family,
+                    avg * 100.0,
+                    max * 100.0
+                ),
+                None => print!(" {:<16} {:>23} |", cell.family, "/"),
             }
         }
         println!();
     }
-    let overall = grand.iter().sum::<f64>() / grand.len().max(1) as f64;
     println!(
         "\noverall mean of family-average errors: {:.2}% \
          (paper: averages up to 7.4%, maxima up to 10.4%)",
-        overall * 100.0
+        overall_mean(&rows) * 100.0
     );
 }

@@ -4,6 +4,8 @@
 //! One binary per paper table/figure; see `DESIGN.md` for the experiment
 //! index and `EXPERIMENTS.md` for paper-vs-measured results.
 
+pub mod table2;
+
 use rubick_core::ModelRegistry;
 use rubick_model::ModelSpec;
 use rubick_sim::{Cluster, Engine, EngineConfig, JobSpec, Scheduler, SimReport, Tenant};
