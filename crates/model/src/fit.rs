@@ -7,12 +7,12 @@
 //! points, three of which exercise ZeRO-Offload (so `k_opt_off`, `k_off`
 //! and `k_swap` are identifiable).
 //!
-//! Optimization is a from-scratch bounded [Nelder–Mead] simplex search with
-//! seeded random restarts — no external optimizer crates. Online updates
-//! from live training runs use the cheaper warm-started [`refit_params`]
-//! (damped Gauss–Newton), driven by the `rubick-refit` crate.
-//!
-//! [Nelder–Mead]: https://en.wikipedia.org/wiki/Nelder%E2%80%93Mead_method
+//! Optimization is one from-scratch bounded damped Gauss–Newton
+//! (Levenberg–Marquardt) descent over a finite-difference Jacobian — no
+//! external optimizer crates. The profile fit [`fit_perf_params`] runs it
+//! from 12 seeded starts and keeps the best; online updates from live
+//! training runs ([`refit_params`], driven by the `rubick-refit` crate) run
+//! it once, warm-started from the current parameters.
 
 use crate::env::ClusterEnv;
 use crate::error::ModelError;
@@ -71,11 +71,13 @@ const HI: [f64; 7] = [5.0, 32.0, 1.0, 100.0, 32.0, 32.0, 1.0];
 /// Options controlling the fit.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct FitOptions {
-    /// Number of random restarts of the simplex search.
+    /// Number of descent starts: the first at [`PerfParams::default`], the
+    /// rest drawn at random inside the parameter box.
     pub restarts: usize,
-    /// Maximum Nelder–Mead iterations per restart.
-    pub max_iters: usize,
-    /// RNG seed for restart initialization (fits are deterministic).
+    /// Maximum accepted damped Gauss–Newton steps per start (the same
+    /// budget an online refit takes).
+    pub max_steps: usize,
+    /// RNG seed for the random starts (fits are deterministic).
     pub seed: u64,
     /// Minimum number of data points required (paper: 7).
     pub min_points: usize,
@@ -88,7 +90,7 @@ impl Default for FitOptions {
     fn default() -> Self {
         FitOptions {
             restarts: 12,
-            max_iters: 600,
+            max_steps: 12,
             seed: 0x5EED_CAFE,
             min_points: 7,
             gpu_flops: 1.2e14,
@@ -103,8 +105,6 @@ pub struct FitResult {
     pub params: PerfParams,
     /// Final RMSLE on the training points.
     pub rmsle: f64,
-    /// Total objective evaluations performed.
-    pub evaluations: usize,
 }
 
 /// A data point in the form every fit objective evaluates: the
@@ -135,19 +135,21 @@ fn samples(
         .collect()
 }
 
-/// Log-error of `params` on one sample: `ln(1 + predicted) − ln(1 + observed)`.
-fn log_error(params: &PerfParams, s: &Sample) -> f64 {
-    (1.0 + params.iter_time_from(&s.terms)).ln() - s.log_observed
+/// Log-errors `ln(1 + predicted) − ln(1 + observed)` of the parameter
+/// vector `x` on every sample, written into `out`.
+fn residuals(samples: &[Sample], x: &[f64; 7], gpu_flops: f64, out: &mut Vec<f64>) {
+    let p = PerfParams::from_vec(x, gpu_flops);
+    out.clear();
+    out.extend(
+        samples
+            .iter()
+            .map(|s| (1.0 + p.iter_time_from(&s.terms)).ln() - s.log_observed),
+    );
 }
 
-/// RMSLE between predicted and observed iteration times.
-fn rmsle(params: &PerfParams, samples: &[Sample]) -> f64 {
-    let mut acc = 0.0;
-    for s in samples {
-        let d = log_error(params, s);
-        acc += d * d;
-    }
-    (acc / samples.len() as f64).sqrt()
+/// RMSLE of a residual vector.
+fn cost(r: &[f64]) -> f64 {
+    (r.iter().map(|d| d * d).sum::<f64>() / r.len() as f64).sqrt()
 }
 
 /// Projects a candidate vector into the parameter box.
@@ -157,101 +159,19 @@ fn project(x: &mut [f64; 7]) {
     }
 }
 
-/// Bounded Nelder–Mead simplex minimization of `f` starting from `x0`.
-///
-/// Returns `(best_x, best_f, evaluations)`. Standard coefficients
-/// (reflection 1, expansion 2, contraction ½, shrink ½) with box projection
-/// applied to every trial point.
-fn nelder_mead<F: FnMut(&[f64; 7]) -> f64>(
-    mut f: F,
-    x0: [f64; 7],
-    max_iters: usize,
-) -> ([f64; 7], f64, usize) {
-    const N: usize = 7;
-    let mut evals = 0usize;
-    let mut eval = |x: &[f64; 7], evals: &mut usize| {
-        *evals += 1;
-        f(x)
-    };
-
-    // Initial simplex: x0 plus per-coordinate steps of 10% of the box.
-    let mut simplex: Vec<([f64; 7], f64)> = Vec::with_capacity(N + 1);
-    let mut first = x0;
-    project(&mut first);
-    let fv = eval(&first, &mut evals);
-    simplex.push((first, fv));
-    for i in 0..N {
-        let mut xi = first;
-        let step = 0.1 * (HI[i] - LO[i]);
-        xi[i] = if xi[i] + step <= HI[i] {
-            xi[i] + step
-        } else {
-            xi[i] - step
-        };
-        project(&mut xi);
-        let fv = eval(&xi, &mut evals);
-        simplex.push((xi, fv));
-    }
-
-    for _ in 0..max_iters {
-        simplex.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal));
-        let best = simplex[0].1;
-        let worst = simplex[N].1;
-        if (worst - best).abs() < 1e-12 {
-            break;
-        }
-        // Centroid of all but the worst.
-        let mut centroid = [0.0f64; 7];
-        for (x, _) in simplex.iter().take(N) {
-            for i in 0..N {
-                centroid[i] += x[i] / N as f64;
-            }
-        }
-        let worst_x = simplex[N].0;
-        let make = |coef: f64| {
-            let mut x = [0.0f64; 7];
-            for i in 0..N {
-                x[i] = centroid[i] + coef * (centroid[i] - worst_x[i]);
-            }
-            project(&mut x);
-            x
-        };
-        let xr = make(1.0);
-        let fr = eval(&xr, &mut evals);
-        if fr < simplex[0].1 {
-            let xe = make(2.0);
-            let fe = eval(&xe, &mut evals);
-            simplex[N] = if fe < fr { (xe, fe) } else { (xr, fr) };
-        } else if fr < simplex[N - 1].1 {
-            simplex[N] = (xr, fr);
-        } else {
-            let xc = make(-0.5);
-            let fc = eval(&xc, &mut evals);
-            if fc < simplex[N].1 {
-                simplex[N] = (xc, fc);
-            } else {
-                // Shrink towards the best vertex.
-                let x_best = simplex[0].0;
-                for v in simplex.iter_mut().skip(1) {
-                    for (vi, &xb) in v.0.iter_mut().zip(x_best.iter()) {
-                        *vi = xb + 0.5 * (*vi - xb);
-                    }
-                    project(&mut v.0);
-                    v.1 = eval(&v.0, &mut evals);
-                }
-            }
-        }
-    }
-    simplex.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal));
-    (simplex[0].0, simplex[0].1, evals)
-}
-
 /// Fits the seven performance-model parameters to profiled data points.
+///
+/// A multi-start damped Gauss–Newton descent: each of `opts.restarts`
+/// starts — [`PerfParams::default`] first, then seeded log-uniform draws
+/// for the scale parameters `k_opt`/`k_opt_off` and uniform draws for the
+/// rest — descends for up to `opts.max_steps` accepted steps under the
+/// same stop rule as [`refit_params`], and the start reaching the lowest
+/// finite RMSLE wins (the earliest on a tie).
 ///
 /// # Errors
 ///
 /// Returns [`ModelError::FitFailed`] if fewer than `opts.min_points` points
-/// are supplied or every restart diverged.
+/// are supplied or every start diverged.
 ///
 /// ```
 /// use rubick_model::prelude::*;
@@ -298,20 +218,10 @@ pub fn fit_perf_params(
     }
     let mut rng = SmallRng::seed_from_u64(opts.seed);
     let samples = samples(spec, env, opts.gpu_flops, points);
-    let objective = |v: &[f64; 7]| {
-        let params = PerfParams::from_vec(v, opts.gpu_flops);
-        rmsle(&params, &samples)
-    };
-
     let mut best: Option<([f64; 7], f64)> = None;
-    let mut total_evals = 0usize;
     for restart in 0..opts.restarts.max(1) {
         let x0 = if restart == 0 {
-            PerfParams {
-                gpu_flops: opts.gpu_flops,
-                ..PerfParams::default()
-            }
-            .to_vec()
+            PerfParams::default().to_vec()
         } else {
             let mut x = [0.0f64; 7];
             for i in 0..7 {
@@ -324,19 +234,17 @@ pub fn fit_perf_params(
             }
             x
         };
-        let (x, fv, evals) = nelder_mead(objective, x0, opts.max_iters);
-        total_evals += evals;
+        let (x, fv) = descend(x0, opts.gpu_flops, &samples, opts.max_steps);
         if fv.is_finite() && best.as_ref().map(|(_, b)| fv < *b).unwrap_or(true) {
             best = Some((x, fv));
         }
     }
     let (x, fv) = best.ok_or_else(|| ModelError::FitFailed {
-        reason: "all restarts diverged".into(),
+        reason: "all starts diverged".into(),
     })?;
     Ok(FitResult {
         params: PerfParams::from_vec(&x, opts.gpu_flops),
         rmsle: fv,
-        evaluations: total_evals,
     })
 }
 
@@ -379,23 +287,125 @@ fn solve7(mut a: [[f64; 7]; 7], mut b: [f64; 7]) -> Option<[f64; 7]> {
     Some(x)
 }
 
+/// One damped Gauss–Newton (Levenberg–Marquardt) step from `x`, whose
+/// residuals `r` and RMSLE `f` are passed in rather than recomputed.
+///
+/// The damping ladder is walked from near-Gauss-Newton towards steepest
+/// descent and the first candidate (projected into the box) that lowers
+/// the RMSLE replaces `(x, r, f)`; returns whether one did. `rp` is
+/// scratch space.
+fn step(
+    samples: &[Sample],
+    gpu_flops: f64,
+    x: &mut [f64; 7],
+    r: &mut Vec<f64>,
+    f: &mut f64,
+    rp: &mut Vec<f64>,
+) -> bool {
+    if !f.is_finite() {
+        return false;
+    }
+    // Finite-difference Jacobian, column per parameter. Steps are a fixed
+    // fraction of the box so conditioning does not depend on the current
+    // value; a backward difference is used at the upper bound so clamping
+    // never zeroes a column.
+    let m = samples.len();
+    let mut jac: Vec<[f64; 7]> = vec![[0.0; 7]; m];
+    for j in 0..7 {
+        let h = 1e-5 * (HI[j] - LO[j]);
+        let mut xp = *x;
+        let sign = if x[j] + h <= HI[j] {
+            xp[j] += h;
+            1.0
+        } else {
+            xp[j] -= h;
+            -1.0
+        };
+        project(&mut xp);
+        residuals(samples, &xp, gpu_flops, rp);
+        for (row, jr) in jac.iter_mut().enumerate() {
+            jr[j] = sign * (rp[row] - r[row]) / h;
+        }
+    }
+
+    // Normal equations: a = JᵀJ, g = Jᵀr.
+    let mut a = [[0.0f64; 7]; 7];
+    let mut g = [0.0f64; 7];
+    for row in 0..m {
+        for i in 0..7 {
+            g[i] += jac[row][i] * r[row];
+            for k in 0..7 {
+                a[i][k] += jac[row][i] * jac[row][k];
+            }
+        }
+    }
+
+    for lambda in [1e-4, 1e-3, 1e-2, 1e-1, 1.0, 10.0, 100.0] {
+        let mut damped = a;
+        for i in 0..7 {
+            damped[i][i] += lambda * a[i][i].max(1e-12);
+        }
+        let Some(delta) = solve7(damped, g) else {
+            continue;
+        };
+        let mut cand = *x;
+        for i in 0..7 {
+            cand[i] -= delta[i];
+        }
+        project(&mut cand);
+        residuals(samples, &cand, gpu_flops, rp);
+        let fc = cost(rp);
+        if fc.is_finite() && fc < *f {
+            *x = cand;
+            *f = fc;
+            std::mem::swap(r, rp);
+            return true;
+        }
+    }
+    false
+}
+
+/// The one descent loop of every fit: damped Gauss–Newton steps from `x0`
+/// (projected into the box), stopping after `max_steps` accepted steps
+/// (at least one), or as soon as a step fails to improve the RMSLE by more
+/// than 1e-9 (the result of that step is still returned). Returns the
+/// final vector and its RMSLE.
+fn descend(x0: [f64; 7], gpu_flops: f64, samples: &[Sample], max_steps: usize) -> ([f64; 7], f64) {
+    let mut x = x0;
+    project(&mut x);
+    let mut r = Vec::with_capacity(samples.len());
+    let mut rp = Vec::with_capacity(samples.len());
+    residuals(samples, &x, gpu_flops, &mut r);
+    let mut f = cost(&r);
+    let mut best = f64::INFINITY;
+    for _ in 0..max_steps.max(1) {
+        let moved = step(samples, gpu_flops, &mut x, &mut r, &mut f, &mut rp);
+        // `improved` is false for NaN too, ending the loop. A step that
+        // did not move would repeat itself exactly, so it ends the loop as
+        // well.
+        let improved = f + 1e-9 < best;
+        if !moved || !improved {
+            break;
+        }
+        best = f;
+    }
+    (x, f)
+}
+
 /// One deterministic damped Gauss–Newton (Levenberg–Marquardt) update of
 /// the seven fittable parameters against `points`, seeded from `params`.
 ///
-/// This is the *incremental* counterpart of [`fit_perf_params`]: instead
-/// of a multi-restart simplex search from scratch (milliseconds), it takes
-/// a single curvature step from the current model (microseconds), which is
-/// what an online refitter wants per observation batch. The residuals are
-/// the same log-errors the batch fit minimizes, so both descend the same
-/// RMSLE objective.
+/// This is a single step of the descent [`fit_perf_params`] runs from
+/// each of its starts and [`refit_params`] iterates: the residuals are the
+/// log-errors whose root mean square is the fitted RMSLE.
 ///
 /// The step is accept-if-improves: the damping ladder is walked from
 /// near-Gauss-Newton towards steepest descent and the first candidate that
 /// lowers the RMSLE is taken (after projection into the parameter box).
 /// When no damping level improves — already at a local minimum, or the
-/// Jacobian is degenerate — the input parameters are returned unchanged.
-/// Pure `f64` arithmetic in a fixed evaluation order: identical inputs
-/// produce bit-identical outputs on every call.
+/// Jacobian is degenerate — the input parameters are returned unchanged
+/// (projected into the box). Pure `f64` arithmetic in a fixed evaluation
+/// order: identical inputs produce bit-identical outputs on every call.
 ///
 /// Returns the (possibly unchanged) parameters and their RMSLE on
 /// `points`. `points` must be non-empty.
@@ -405,88 +415,7 @@ pub fn refit_step(
     params: &PerfParams,
     points: &[DataPoint],
 ) -> (PerfParams, f64) {
-    assert!(!points.is_empty(), "refit_step needs at least one point");
-    step(params, &samples(spec, env, params.gpu_flops, points))
-}
-
-/// [`refit_step`] over precomputed samples (taken under
-/// `params.gpu_flops`).
-fn step(params: &PerfParams, samples: &[Sample]) -> (PerfParams, f64) {
-    let gpu_flops = params.gpu_flops;
-    let mut x = params.to_vec();
-    project(&mut x);
-    let residuals = |v: &[f64; 7], out: &mut Vec<f64>| {
-        let p = PerfParams::from_vec(v, gpu_flops);
-        out.clear();
-        out.extend(samples.iter().map(|s| log_error(&p, s)));
-    };
-    let cost = |r: &[f64]| (r.iter().map(|d| d * d).sum::<f64>() / r.len() as f64).sqrt();
-    let mut r0 = Vec::with_capacity(samples.len());
-    residuals(&x, &mut r0);
-    let f0 = cost(&r0);
-    if !f0.is_finite() {
-        return (PerfParams::from_vec(&x, gpu_flops), f0);
-    }
-
-    // Finite-difference Jacobian, column per parameter. Steps are a fixed
-    // fraction of the box so conditioning does not depend on the current
-    // value; a backward difference is used at the upper bound so clamping
-    // never zeroes a column.
-    let m = samples.len();
-    let mut jac: Vec<[f64; 7]> = vec![[0.0; 7]; m];
-    let mut rp = Vec::with_capacity(m);
-    for j in 0..7 {
-        let h = 1e-5 * (HI[j] - LO[j]);
-        let (mut xp, sign) = if x[j] + h <= HI[j] {
-            let mut xp = x;
-            xp[j] += h;
-            (xp, 1.0)
-        } else {
-            let mut xp = x;
-            xp[j] -= h;
-            (xp, -1.0)
-        };
-        project(&mut xp);
-        residuals(&xp, &mut rp);
-        for (row, jr) in jac.iter_mut().enumerate() {
-            jr[j] = sign * (rp[row] - r0[row]) / h;
-        }
-    }
-
-    // Normal equations: a = JᵀJ, g = Jᵀr.
-    let mut a = [[0.0f64; 7]; 7];
-    let mut g = [0.0f64; 7];
-    for row in 0..m {
-        for i in 0..7 {
-            g[i] += jac[row][i] * r0[row];
-            for k in 0..7 {
-                a[i][k] += jac[row][i] * jac[row][k];
-            }
-        }
-    }
-
-    // Damping ladder: near-Gauss-Newton first, steepest-descent-like last;
-    // accept the first candidate that improves the objective.
-    for lambda in [1e-4, 1e-3, 1e-2, 1e-1, 1.0, 10.0, 100.0] {
-        let mut damped = a;
-        for i in 0..7 {
-            damped[i][i] += lambda * a[i][i].max(1e-12);
-        }
-        let Some(delta) = solve7(damped, g) else {
-            continue;
-        };
-        let mut cand = x;
-        for i in 0..7 {
-            cand[i] -= delta[i];
-        }
-        project(&mut cand);
-        residuals(&cand, &mut rp);
-        let fc = cost(&rp);
-        if fc.is_finite() && fc < f0 {
-            return (PerfParams::from_vec(&cand, gpu_flops), fc);
-        }
-    }
-    (PerfParams::from_vec(&x, gpu_flops), f0)
+    refit_params(spec, env, params, points, 1)
 }
 
 /// Iterated [`refit_step`]: up to `max_steps` damped Gauss–Newton updates,
@@ -499,21 +428,10 @@ pub fn refit_params(
     points: &[DataPoint],
     max_steps: usize,
 ) -> (PerfParams, f64) {
-    assert!(!points.is_empty(), "refit_params needs at least one point");
+    assert!(!points.is_empty(), "refit needs at least one point");
     let samples = samples(spec, env, params.gpu_flops, points);
-    let mut current = *params;
-    let mut best = f64::INFINITY;
-    for _ in 0..max_steps.max(1) {
-        let (next, err) = step(&current, &samples);
-        // `improved` is false for NaN too, ending the loop.
-        let improved = err + 1e-9 < best;
-        if !improved {
-            return (next, err);
-        }
-        best = err;
-        current = next;
-    }
-    (current, best)
+    let (x, f) = descend(params.to_vec(), params.gpu_flops, &samples, max_steps);
+    (PerfParams::from_vec(&x, params.gpu_flops), f)
 }
 
 #[cfg(test)]
@@ -603,7 +521,10 @@ mod tests {
             k_sync: truth.k_sync * 0.6,
             ..truth
         };
-        let before = rmsle(&start, &samples(&spec, &env, start.gpu_flops, &points));
+        let mut r = Vec::new();
+        let samples = samples(&spec, &env, start.gpu_flops, &points);
+        residuals(&samples, &start.to_vec(), start.gpu_flops, &mut r);
+        let before = cost(&r);
         let (stepped, after) = refit_step(&spec, &env, &start, &points);
         assert!(after < before, "one step must improve: {after} vs {before}");
         let (_, converged) = refit_params(&spec, &env, &stepped, &points, 16);
@@ -611,6 +532,71 @@ mod tests {
             converged < 0.5 * before,
             "iterated steps must sharply reduce the error: {converged} vs {before}"
         );
+    }
+
+    #[test]
+    fn refit_params_matches_iterated_refit_step_bitwise() {
+        // The shared descent loop reuses each accepted candidate's
+        // residuals; iterating the public single step recomputes them. The
+        // two must agree bit for bit under the stop rule of `refit_params`.
+        fn iterate(
+            spec: &ModelSpec,
+            env: &ClusterEnv,
+            params: &PerfParams,
+            points: &[DataPoint],
+            max_steps: usize,
+        ) -> (PerfParams, f64) {
+            let mut current = *params;
+            let mut best = f64::INFINITY;
+            for _ in 0..max_steps.max(1) {
+                let (next, err) = refit_step(spec, env, &current, points);
+                let improved = err + 1e-9 < best;
+                if !improved {
+                    return (next, err);
+                }
+                best = err;
+                current = next;
+            }
+            (current, best)
+        }
+        let env = ClusterEnv::a800();
+        let truth = PerfParams::default();
+        for spec in [ModelSpec::roberta_large(), ModelSpec::bert_large()] {
+            let points = synthetic_points(&spec, &truth, &env);
+            let drifted: Vec<DataPoint> = points
+                .iter()
+                .map(|p| DataPoint {
+                    iter_time: 1.4 * p.iter_time,
+                    ..p.clone()
+                })
+                .collect();
+            let starts = [
+                truth,
+                PerfParams {
+                    k_bwd: 4.9,
+                    k_opt: 0.9,
+                    k_swap: 31.0,
+                    ..truth
+                },
+                PerfParams {
+                    k_sync: 40.0,
+                    k_const: -1.0,
+                    ..truth
+                },
+            ];
+            for pts in [&points, &drifted] {
+                for start in &starts {
+                    for k in [0, 1, 2, 3, 5, 8, 12, 16] {
+                        let (a, fa) = refit_params(&spec, &env, start, pts, k);
+                        let (b, fb) = iterate(&spec, &env, start, pts, k);
+                        let bits = |p: &PerfParams| p.to_vec().map(f64::to_bits);
+                        assert_eq!(bits(&a), bits(&b), "{} k={k}", spec.name);
+                        assert_eq!(a.gpu_flops.to_bits(), b.gpu_flops.to_bits());
+                        assert_eq!(fa.to_bits(), fb.to_bits(), "{} k={k}", spec.name);
+                    }
+                }
+            }
+        }
     }
 
     #[test]
