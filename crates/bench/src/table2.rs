@@ -203,8 +203,8 @@ mod tests {
     use crate::std_oracle;
 
     /// Family-average errors (%) on the standard testbed as printed by the
-    /// bounded Nelder–Mead fit this table was first recorded with; `None`
-    /// marks an infeasible family.
+    /// bounded Nelder–Mead profile fit that preceded the Gauss–Newton one;
+    /// `None` marks an infeasible family.
     const RECORDED: [[Option<f64>; 4]; 7] = [
         [Some(3.52), Some(5.16), Some(2.60), Some(1.64)],
         [Some(4.79), Some(7.08), Some(3.53), Some(1.65)],

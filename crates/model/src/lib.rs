@@ -19,8 +19,10 @@
 //!   function `f_overlap^k`.
 //! * [`memory`] — GPU/host memory, CPU and bandwidth demand estimation
 //!   (drives OOM feasibility and reproduces Fig. 2).
-//! * [`fit`] — RMSLE model fitting with a from-scratch Nelder–Mead
-//!   optimizer and random restarts (paper §4.3, "continuous model fitting").
+//! * [`fit`] — RMSLE model fitting with one from-scratch damped
+//!   Gauss–Newton descent, run from seeded starts for the profile fit and
+//!   warm-started for online refits (paper §4.3, "continuous model
+//!   fitting").
 //! * [`curve`] — resource sensitivity curves and slopes (paper §5.2, Fig. 6)
 //!   with a concurrent cache.
 //!

@@ -18,8 +18,8 @@
 //! 3. When the worst relative prediction error exceeds the threshold, the
 //!    window is re-fit with damped Gauss–Newton steps
 //!    ([`rubick_model::fit::refit_params`]) seeded from the current
-//!    parameters — an incremental update, not a from-scratch Nelder–Mead
-//!    restart.
+//!    parameters — one warm-started run of the descent the profile fit
+//!    runs from 12 starts.
 //!
 //!    Steps 2–3 are skipped for a **settled** window: one that has not
 //!    changed since it was last judged, without a publish, under
