@@ -16,11 +16,9 @@ impl<'a> Engine<'a> {
         let mut target_map: BTreeMap<JobId, Assignment> = BTreeMap::new();
         let mut order: Vec<JobId> = Vec::new();
         for a in targets {
-            if let Some(rt) = self.jobs.get(&a.job) {
-                if !rt.status.is_finished() && !order.contains(&a.job) {
-                    order.push(a.job);
-                    target_map.insert(a.job, a);
-                }
+            if self.jobs.contains_key(&a.job) && !target_map.contains_key(&a.job) {
+                order.push(a.job);
+                target_map.insert(a.job, a);
             }
         }
 

@@ -9,6 +9,11 @@
 //! would be on the real cluster: the launch fails and the job returns to
 //! the queue.
 //!
+//! The job table holds only active (queued or running) jobs, so every
+//! per-round walk is linear in the active set, not in the run's history. A
+//! job that completes or is cancelled leaves the table; its id stays in
+//! the done set, which answers duplicate-id checks and the finished count.
+//!
 //! Every state transition emits exactly one [`SimEvent`] on the **event
 //! spine** (see `rubick-obs`): the engine folds its own stream into the
 //! [`SimReport`] via [`crate::report::ReportSink`], and
@@ -31,7 +36,7 @@ mod runtime;
 
 use crate::cluster::Cluster;
 use crate::job::{JobId, JobSpec, JobStatus};
-use crate::metrics::{JobRecord, SimReport};
+use crate::metrics::SimReport;
 use crate::refit::RefitHook;
 use crate::report::{self, ReportSink};
 use crate::scheduler::{Assignment, JobDelta, JobSnapshot, Scheduler};
@@ -102,7 +107,11 @@ pub struct Engine<'a> {
     cluster: Cluster,
     tenants: Vec<Tenant>,
     config: EngineConfig,
+    /// Active jobs only: a job leaves the table when it completes or is
+    /// cancelled.
     jobs: BTreeMap<JobId, JobRuntime>,
+    /// Ids of jobs that completed or were cancelled.
+    done: BTreeSet<JobId>,
     queue: EventQueue,
     now: f64,
     tick_pending: bool,
@@ -181,6 +190,7 @@ impl<'a> Engine<'a> {
             tenants,
             config,
             jobs: BTreeMap::new(),
+            done: BTreeSet::new(),
             queue: EventQueue::new(),
             now: 0.0,
             tick_pending: false,
@@ -265,11 +275,7 @@ impl<'a> Engine<'a> {
     }
 
     fn snapshots(&self) -> Vec<JobSnapshot> {
-        self.jobs
-            .values()
-            .filter(|rt| !rt.status.is_finished())
-            .map(|rt| rt.snapshot())
-            .collect()
+        self.jobs.values().map(JobRuntime::snapshot).collect()
     }
 
     /// Runs one scheduling round and applies the target assignment.
@@ -391,22 +397,20 @@ impl<'a> Engine<'a> {
         }
     }
 
-    fn finalize(&mut self, id: JobId) -> JobRecord {
-        let rt = self.jobs.get_mut(&id).expect("job exists");
+    /// Takes `id` out of the job table, releasing its resources, and
+    /// records it as done. The returned runtime is the job's final state.
+    fn retire(&mut self, id: JobId) -> Option<JobRuntime> {
+        let rt = self.jobs.remove(&id)?;
         if let JobStatus::Running { allocation, .. } = &rt.status {
-            let alloc = allocation.clone();
-            self.cluster.release(&alloc);
+            self.cluster.release(allocation);
         }
-        let rt = self.jobs.get_mut(&id).expect("job exists");
-        rt.status = JobStatus::Finished { at: self.now };
-        rt.record(id, self.now)
+        self.done.insert(id);
+        self.mark_removed(id);
+        Some(rt)
     }
 
     fn active_jobs(&self) -> usize {
-        self.jobs
-            .values()
-            .filter(|rt| !rt.status.is_finished())
-            .count()
+        self.jobs.len()
     }
 
     /// The current simulation time, seconds.
@@ -443,14 +447,14 @@ impl<'a> Engine<'a> {
 
     /// Jobs that left the active set (completed or cancelled).
     pub fn finished_jobs(&self) -> usize {
-        self.jobs.len() - self.active_jobs()
+        self.done.len()
     }
 
     /// Whether the engine has ever accepted `id` — pending submission,
     /// active, or already finished. Serve sessions use this to reject
     /// duplicate job ids at the protocol boundary.
     pub fn has_job(&self, id: JobId) -> bool {
-        self.pending.contains_key(&id) || self.jobs.contains_key(&id)
+        self.pending.contains_key(&id) || self.jobs.contains_key(&id) || self.done.contains(&id)
     }
 
     /// Accepts a job: its `Submit` event enters the queue at
@@ -543,13 +547,15 @@ impl<'a> Engine<'a> {
                     need_round = true;
                 }
                 EventKind::Finish(id, epoch) => {
-                    let rt = self.jobs.get(&id).expect("job exists");
-                    if rt.status.is_finished() || rt.epoch != epoch {
+                    let Some(rt) = self.jobs.get(&id) else {
+                        continue; // stale: the job already left the table
+                    };
+                    if rt.epoch != epoch {
                         continue; // stale
                     }
                     if rt.remaining <= 1e-6 {
-                        let record = self.finalize(id);
-                        self.mark_removed(id);
+                        let rt = self.retire(id).expect("job exists");
+                        let record = rt.record(id, self.now);
                         self.emit(sink, report::finished_event(&record));
                         need_round = true;
                     } else {
@@ -571,29 +577,20 @@ impl<'a> Engine<'a> {
                         // emitted for this job, so nothing is emitted now.
                         continue;
                     }
-                    let Some(rt) = self.jobs.get_mut(&id) else {
-                        continue; // unknown id: no-op
+                    // Retiring the job drops it from the table, so stale
+                    // Finish events, snapshots and the active-job count all
+                    // skip it; the fold tells a cancellation apart by the
+                    // JobCancelled event (no JobFinished is emitted, so the
+                    // job appears in neither `jobs` nor `unfinished`).
+                    let Some(rt) = self.retire(id) else {
+                        continue; // unknown or already done: no-op
                     };
-                    if rt.status.is_finished() {
-                        continue; // raced with completion: no-op
-                    }
-                    let (gpus, plan, alloc) = match &rt.status {
+                    let (gpus, plan) = match &rt.status {
                         JobStatus::Running {
                             allocation, plan, ..
-                        } => (allocation.gpus(), plan.label(), Some(allocation.clone())),
-                        _ => (0, String::new(), None),
+                        } => (allocation.gpus(), plan.label()),
+                        JobStatus::Queued => (0, String::new()),
                     };
-                    // Reuse the Finished status so stale Finish events,
-                    // snapshots and the active-job count all exclude the
-                    // job; the fold distinguishes a cancellation by the
-                    // JobCancelled event (no JobFinished is emitted, so
-                    // the job appears in neither `jobs` nor `unfinished`).
-                    rt.status = JobStatus::Finished { at: self.now };
-                    rt.epoch += 1;
-                    if let Some(alloc) = alloc {
-                        self.cluster.release(&alloc);
-                    }
-                    self.mark_removed(id);
                     self.emit(
                         sink,
                         SimEvent::JobCancelled {

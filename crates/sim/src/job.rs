@@ -66,7 +66,9 @@ impl JobSpec {
     }
 }
 
-/// Lifecycle status of a job inside the engine.
+/// Lifecycle status of an active job inside the engine. A job that
+/// completes or is cancelled leaves the engine's job table, so no status
+/// describes it and no scheduler ever sees it.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum JobStatus {
     /// Waiting for resources.
@@ -83,11 +85,6 @@ pub enum JobStatus {
         /// checkpoint-resume window this lies in the future.
         resume_at: f64,
     },
-    /// Completed all target mini-batches.
-    Finished {
-        /// Completion time.
-        at: f64,
-    },
 }
 
 impl JobStatus {
@@ -99,11 +96,6 @@ impl JobStatus {
     /// Whether the job is waiting in the queue.
     pub fn is_queued(&self) -> bool {
         matches!(self, JobStatus::Queued)
-    }
-
-    /// Whether the job has completed.
-    pub fn is_finished(&self) -> bool {
-        matches!(self, JobStatus::Finished { .. })
     }
 }
 
@@ -138,7 +130,6 @@ mod tests {
     #[test]
     fn status_predicates() {
         assert!(JobStatus::Queued.is_queued());
-        assert!(JobStatus::Finished { at: 1.0 }.is_finished());
         let running = JobStatus::Running {
             allocation: Allocation::empty(),
             plan: ExecutionPlan::dp(1),
