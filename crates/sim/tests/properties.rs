@@ -3,12 +3,14 @@
 
 use proptest::prelude::*;
 use rubick_model::{ExecutionPlan, ModelSpec, NodeShape, Resources};
+use rubick_obs::{SimEvent, VecSink};
 use rubick_sim::cluster::{Allocation, Cluster};
-use rubick_sim::engine::{Engine, EngineConfig};
+use rubick_sim::engine::{Engine, EngineConfig, StepOutcome};
 use rubick_sim::job::{JobClass, JobSpec};
 use rubick_sim::scheduler::{Assignment, JobSnapshot, Scheduler};
 use rubick_sim::tenant::{Tenant, TenantId};
 use rubick_testbed::TestbedOracle;
+use std::collections::BTreeSet;
 
 fn any_resources() -> impl Strategy<Value = Resources> {
     (0u32..9, 0u32..97, 0.0f64..1600.0).prop_map(|(g, c, m)| Resources::new(g, c, m))
@@ -130,6 +132,34 @@ impl Scheduler for TestGang {
     }
 }
 
+/// The stepped engine's job bookkeeping against the events seen so far:
+/// every submitted job is running, queued or finished, and every accepted
+/// id stays known unless a cancel withdrew it before its submit fired.
+fn check_bookkeeping(
+    engine: &Engine,
+    events: &[SimEvent],
+    accepted: &[u64],
+    cancel_requested: &BTreeSet<u64>,
+) -> Result<(), TestCaseError> {
+    let submitted: BTreeSet<u64> = events
+        .iter()
+        .filter_map(|ev| match ev {
+            SimEvent::JobSubmitted { job, .. } => Some(*job),
+            _ => None,
+        })
+        .collect();
+    prop_assert_eq!(
+        engine.running_jobs() + engine.queued_jobs() + engine.finished_jobs(),
+        submitted.len()
+    );
+    for id in accepted {
+        if submitted.contains(id) || !cancel_requested.contains(id) {
+            prop_assert!(engine.has_job(*id), "job {} forgotten", id);
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -215,5 +245,72 @@ proptest! {
             engine.run(jobs.clone())
         };
         prop_assert_eq!(run(), run());
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Job bookkeeping of the stepped engine under random submits and
+    /// cancels. A cancel may land before the submit fires, while the job
+    /// queues, while it runs, or after it finished. At every step each
+    /// submitted job is running, queued or finished; every accepted id
+    /// stays known; and the drained run leaves nothing running or queued.
+    /// One 8-GPU node and 4- or 8-GPU jobs make jobs queue often.
+    #[test]
+    fn stepped_engine_bookkeeping(ops in prop::collection::vec(
+        (0u32..4, 0u64..1000, 1000u64..20000, 0usize..64), 1..40,
+    )) {
+        let oracle = TestbedOracle::new(5);
+        let mut engine = Engine::new(
+            &oracle,
+            Box::new(TestGang),
+            Cluster::new(1, NodeShape::a800()),
+            vec![],
+            EngineConfig::default(),
+        );
+        let mut sink = VecSink::default();
+        let mut accepted: Vec<u64> = Vec::new();
+        let mut cancel_requested: BTreeSet<u64> = BTreeSet::new();
+        for (kind, delay, batches, pick) in ops {
+            match kind {
+                0 => {
+                    let id = accepted.len() as u64;
+                    let gpus = 4u32 << (pick % 2);
+                    engine.submit(JobSpec {
+                        id,
+                        model: ModelSpec::roberta_large(),
+                        global_batch: 64,
+                        submit_time: engine.now() + delay as f64,
+                        target_batches: batches,
+                        requested: Resources::new(gpus, gpus * 4, gpus as f64 * 50.0),
+                        initial_plan: ExecutionPlan::dp(gpus),
+                        class: JobClass::Guaranteed,
+                        tenant: TenantId::default(),
+                    });
+                    accepted.push(id);
+                }
+                1 if !accepted.is_empty() => {
+                    let id = accepted[pick % accepted.len()];
+                    engine.cancel(engine.now() + (delay % 400) as f64, id);
+                    cancel_requested.insert(id);
+                }
+                _ => {
+                    engine.step(None, &mut sink);
+                }
+            }
+            check_bookkeeping(&engine, &sink.events, &accepted, &cancel_requested)?;
+        }
+        let outcome = loop {
+            match engine.step(None, &mut sink) {
+                StepOutcome::Advanced { .. } => {
+                    check_bookkeeping(&engine, &sink.events, &accepted, &cancel_requested)?
+                }
+                other => break other,
+            }
+        };
+        prop_assert_eq!(outcome, StepOutcome::Idle);
+        prop_assert_eq!(engine.running_jobs(), 0);
+        prop_assert_eq!(engine.queued_jobs(), 0);
     }
 }
