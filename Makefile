@@ -15,7 +15,8 @@
 #   make benchmark-test  unit tests of the repo benchmark package
 #                      (benchmark/), which builds against the workspace
 #                      crates through path dependencies
-#   make bench         scheduling-round latency benchmarks (BENCH_*.json)
+#   make bench         scheduling-round, model and simulation benchmarks
+#                      (BENCH_*.json)
 #   make bench-check   replay policy/incremental_round and model/refit_update
 #                      and fail on a >20% regression of the fastest sample
 #                      vs the committed BENCH_*.json summaries
@@ -121,6 +122,7 @@ refit-smoke:
 bench:
 	cargo bench -p rubick-bench --bench scheduling
 	cargo bench -p rubick-bench --bench modeling
+	cargo bench -p rubick-bench --bench simulation
 
 # Replays only the incremental tier (BENCH_FILTER) into a scratch dir so
 # the committed summary is never clobbered, then compares each entry's

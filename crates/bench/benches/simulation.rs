@@ -1,10 +1,15 @@
 //! Criterion benches for the simulation substrate: trace generation and
 //! end-to-end simulated cluster runs.
+//!
+//! `sim/406_job_trace/sia` is the engine's layer bench: once Sia's curves
+//! sit in the registry's cache, its rounds are cheap, so the engine's own
+//! per-round work (progress, snapshots, applying targets) is a large share
+//! of the run.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use rubick_core::{ModelRegistry, RubickScheduler, SynergyScheduler};
+use rubick_core::{ModelRegistry, RubickScheduler, SiaScheduler, SynergyScheduler};
 use rubick_model::ModelSpec;
-use rubick_sim::{Cluster, Engine, EngineConfig, Scheduler};
+use rubick_sim::{Cluster, Engine, EngineConfig, JobSpec, Scheduler};
 use rubick_testbed::TestbedOracle;
 use rubick_trace::{generate_base, TraceConfig};
 use std::hint::black_box;
@@ -24,10 +29,28 @@ fn bench_trace_generation(c: &mut Criterion) {
     group.finish();
 }
 
+/// Simulates `trace` on the A800 testbed and returns the finished-job
+/// count.
+fn run_trace(oracle: &TestbedOracle, scheduler: Box<dyn Scheduler>, trace: &[JobSpec]) -> usize {
+    let mut engine = Engine::new(
+        oracle,
+        scheduler,
+        Cluster::a800_testbed(),
+        vec![],
+        EngineConfig::default(),
+    );
+    engine.run(trace.to_vec()).jobs.len()
+}
+
+fn warm_registry(oracle: &TestbedOracle) -> Arc<ModelRegistry> {
+    let registry = Arc::new(ModelRegistry::from_oracle(oracle, &ModelSpec::zoo()).unwrap());
+    registry.warm_curves(64, |s| s.default_batch);
+    registry
+}
+
 fn bench_full_simulation(c: &mut Criterion) {
     let oracle = TestbedOracle::new(0);
-    let registry = Arc::new(ModelRegistry::from_oracle(&oracle, &ModelSpec::zoo()).unwrap());
-    registry.warm_curves(64, |s| s.default_batch);
+    let registry = warm_registry(&oracle);
     let config = TraceConfig {
         base_jobs: 60,
         ..TraceConfig::default()
@@ -54,20 +77,32 @@ fn bench_full_simulation(c: &mut Criterion) {
     ];
     for (name, make) in cases {
         group.bench_function(name, |b| {
-            b.iter(|| {
-                let mut engine = Engine::new(
-                    &oracle,
-                    make(),
-                    Cluster::a800_testbed(),
-                    vec![],
-                    EngineConfig::default(),
-                );
-                black_box(engine.run(trace.clone()).jobs.len())
-            })
+            b.iter(|| black_box(run_trace(&oracle, make(), &trace)))
         });
     }
     group.finish();
 }
 
-criterion_group!(benches, bench_trace_generation, bench_full_simulation);
+fn bench_base_trace(c: &mut Criterion) {
+    let oracle = TestbedOracle::new(0);
+    let registry = warm_registry(&oracle);
+    let trace = generate_base(&TraceConfig::default(), &oracle); // 406 jobs
+
+    let mut group = c.benchmark_group("sim/406_job_trace");
+    group.sample_size(10);
+    group.bench_function("sia", |b| {
+        b.iter(|| {
+            let sia = Box::new(SiaScheduler::new(Arc::clone(&registry)));
+            black_box(run_trace(&oracle, sia, &trace))
+        })
+    });
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_trace_generation,
+    bench_full_simulation,
+    bench_base_trace
+);
 criterion_main!(benches);
