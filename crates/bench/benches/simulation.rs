@@ -4,7 +4,8 @@
 //! `sim/406_job_trace/sia` is the engine's layer bench: once Sia's curves
 //! sit in the registry's cache, its rounds are cheap, so the engine's own
 //! per-round work (progress, snapshots, applying targets) is a large share
-//! of the run.
+//! of the run. `sim/406_job_trace/rubick` is plan search's layer bench: on
+//! the same trace, Rubick's `schedule()` is most of the run.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rubick_core::{ModelRegistry, RubickScheduler, SiaScheduler, SynergyScheduler};
@@ -94,6 +95,12 @@ fn bench_base_trace(c: &mut Criterion) {
         b.iter(|| {
             let sia = Box::new(SiaScheduler::new(Arc::clone(&registry)));
             black_box(run_trace(&oracle, sia, &trace))
+        })
+    });
+    group.bench_function("rubick", |b| {
+        b.iter(|| {
+            let rubick = Box::new(RubickScheduler::new(Arc::clone(&registry)));
+            black_box(run_trace(&oracle, rubick, &trace))
         })
     });
     group.finish();

@@ -5,7 +5,7 @@ use super::RubickScheduler;
 use crate::common::{job_baseline, PlanSearch};
 use crate::round::{LedgerDelta, RoundContext};
 use rubick_model::{
-    BestPlanMemo, ExecutionPlan, MemoryEstimator, Placement, PlanSetCache, Resources,
+    BestPlanMemo, ExecutionPlan, MemoryEstimator, MemoryMode, Placement, PlanSetCache, Resources,
     SensitivityCurve, ThroughputModel,
 };
 use rubick_sim::cluster::{Allocation, Cluster};
@@ -51,13 +51,89 @@ struct Ctx<'a> {
 /// tentative allocation table. Unlike the baselines, Rubick does not
 /// commit assignments incrementally — its passes move resources between
 /// jobs until the round settles, so it keeps the table here and emits the
-/// final list at the end. Cloning snapshots the whole state for the
-/// per-job accept-or-roll-back decision in [`schedule_job`].
-#[derive(Clone)]
+/// final list at the end. [`schedule_job`] brackets each search with
+/// [`begin`](State::begin) and, when the attempt is not kept,
+/// [`rollback`](State::rollback), so a rolled-back search costs only what
+/// it touched. Debug builds derive `Clone` to check every rollback
+/// against a full copy.
+#[cfg_attr(debug_assertions, derive(Clone))]
 struct State<'a> {
     round: RoundContext<'a>,
     alloc: BTreeMap<JobId, Allocation>,
     changed: BTreeSet<JobId>,
+    undo: Undo,
+}
+
+/// The undo log of one search. Its buffers are reused across searches, so
+/// logging allocates only to copy a victim's allocation.
+#[cfg_attr(debug_assertions, derive(Clone))]
+#[derive(Default)]
+struct Undo {
+    /// The free ledger at [`State::begin`].
+    free: Vec<Resources>,
+    /// Each victim's allocation before the search first mutated it.
+    /// Victims are drawn from the table, so each had one.
+    victims: Vec<(JobId, Allocation)>,
+    /// The ids this search newly inserted into `changed`.
+    changed: Vec<JobId>,
+}
+
+impl State<'_> {
+    /// Opens the undo log for one search.
+    fn begin(&mut self) {
+        self.undo.free.clear();
+        self.undo.free.extend_from_slice(self.round.free());
+        self.undo.victims.clear();
+        self.undo.changed.clear();
+    }
+
+    /// `victim`'s allocation, logged before the search first mutates it.
+    fn victim_mut(&mut self, victim: JobId) -> &mut Allocation {
+        let alloc = self.alloc.get_mut(&victim).expect("victim allocated");
+        if !self.undo.victims.iter().any(|(id, _)| *id == victim) {
+            self.undo.victims.push((victim, alloc.clone()));
+        }
+        alloc
+    }
+
+    /// Marks `id` changed, logging the insert if it is new.
+    fn mark_changed(&mut self, id: JobId) {
+        if self.changed.insert(id) {
+            self.undo.changed.push(id);
+        }
+    }
+
+    /// Restores what [`begin`](State::begin) saw: the ledger, each logged
+    /// victim's allocation (re-inserting one whose allocation emptied) and
+    /// the `changed` set. The searched job's own entry is written only
+    /// when the search is kept, so it needs no log.
+    fn rollback(&mut self) {
+        self.round.free_mut().copy_from_slice(&self.undo.free);
+        for (id, alloc) in self.undo.victims.drain(..) {
+            self.alloc.insert(id, alloc);
+        }
+        for id in self.undo.changed.drain(..) {
+            self.changed.remove(&id);
+        }
+    }
+}
+
+/// Whether `state` is bit-identical to `before` in the ledger, the
+/// allocation table and the `changed` set (debug cross-check of
+/// [`State::rollback`]).
+#[cfg(debug_assertions)]
+fn same_state(before: &State<'_>, state: &State<'_>) -> bool {
+    let bits = |r: &Resources| (r.gpus, r.cpus, r.mem_gb.to_bits());
+    let key = |s: &State<'_>| {
+        let free: Vec<_> = s.round.free().iter().map(bits).collect();
+        let table: Vec<(JobId, Vec<_>)> = s
+            .alloc
+            .iter()
+            .map(|(id, a)| (*id, a.per_node.iter().map(|(n, r)| (*n, bits(r))).collect()))
+            .collect();
+        (free, table, s.changed.clone())
+    };
+    key(before) == key(state)
 }
 
 impl<'a> Ctx<'a> {
@@ -373,6 +449,7 @@ pub(super) fn run_round(
         round: RoundContext::new(cluster, jobs),
         alloc: BTreeMap::new(),
         changed: BTreeSet::new(),
+        undo: Undo::default(),
     };
     for (id, alloc) in state.round.charge_running() {
         state.alloc.insert(id, alloc);
@@ -672,9 +749,24 @@ fn quota_allows(ctx: &Ctx<'_>, state: &State<'_>, tenants: &[Tenant], id: JobId)
     tenant.quota.dominates(&(used + want))
 }
 
-/// `ScheduleJob` of Algorithm 1: grow `id` using free resources and, where
+/// `ScheduleJob` of Algorithm 1: one search for job `id`, kept or rolled
+/// back as a whole.
+fn schedule_job(ctx: &Ctx<'_>, state: &mut State<'_>, id: JobId) {
+    state.begin();
+    #[cfg(debug_assertions)]
+    let before = state.clone();
+    if !grow_job(ctx, state, id) {
+        state.rollback();
+        #[cfg(debug_assertions)]
+        assert!(same_state(&before, state), "inexact rollback of {id:?}");
+    }
+}
+
+/// The search of `ScheduleJob`: grow `id` using free resources and, where
 /// justified by slopes, resources reclaimed from the least sensitive jobs.
-fn schedule_job(ctx: &Ctx<'_>, state: &mut State<'_>, id: JobId) -> bool {
+/// Returns whether to keep the attempt; [`schedule_job`] rolls it back
+/// otherwise.
+fn grow_job(ctx: &Ctx<'_>, state: &mut State<'_>, id: JobId) -> bool {
     // The reconfiguration-penalty gate (§5.2) deters churn, but it must not
     // hard-block a clear win: a gated job may still absorb *free* capacity
     // (no victims disturbed) when the predicted saving clears a stricter
@@ -684,7 +776,6 @@ fn schedule_job(ctx: &Ctx<'_>, state: &mut State<'_>, id: JobId) -> bool {
     let Some(model) = ctx.model(id) else {
         return false;
     };
-    let backup = state.clone();
 
     let cur_alloc = state
         .alloc
@@ -793,12 +884,10 @@ fn schedule_job(ctx: &Ctx<'_>, state: &mut State<'_>, id: JobId) -> bool {
     // ---- accept or roll back -------------------------------------------
     let total = tentative.total();
     if tentative.is_empty() || !total.dominates(&minimum) {
-        *state = backup;
         return false;
     }
     let placement = tentative.to_placement();
     let Some((plan, mut tput)) = ctx.best_plan(id, &placement) else {
-        *state = backup;
         return false;
     };
 
@@ -841,8 +930,7 @@ fn schedule_job(ctx: &Ctx<'_>, state: &mut State<'_>, id: JobId) -> bool {
             .throughput(old_plan, snap.spec.global_batch, &old_alloc.to_placement())
             .unwrap_or(0.0);
         if tput < old_tput * (1.0 + ctx.sched.config.min_gain) {
-            *state = backup;
-            return true;
+            return false;
         }
         // Amortization: the upgrade must save more wall-clock over the
         // job's remaining work than the checkpoint-resume it costs (plus
@@ -853,8 +941,7 @@ fn schedule_job(ctx: &Ctx<'_>, state: &mut State<'_>, id: JobId) -> bool {
             let saved = samples_left / old_tput - samples_left / tput;
             let bar = if frozen { 5.0 } else { 2.0 };
             if saved < bar * snap.spec.checkpoint_resume_secs() {
-                *state = backup;
-                return true;
+                return false;
             }
         }
     }
@@ -913,7 +1000,7 @@ fn lowest_slope_victim(ctx: &Ctx<'_>, state: &State<'_>, n: usize, id: JobId) ->
 /// Moves one GPU (with a proportional CPU share) from `victim`'s grant on
 /// node `n` into `tentative`.
 fn transfer_gpu(state: &mut State<'_>, victim: JobId, n: usize, tentative: &mut Allocation) {
-    let alloc = state.alloc.get_mut(&victim).expect("victim allocated");
+    let alloc = state.victim_mut(victim);
     let entry = alloc
         .per_node
         .iter_mut()
@@ -927,7 +1014,7 @@ fn transfer_gpu(state: &mut State<'_>, victim: JobId, n: usize, tentative: &mut 
     if alloc.is_empty() {
         state.alloc.remove(&victim);
     }
-    state.changed.insert(victim);
+    state.mark_changed(victim);
     tentative.merge(&Allocation::on_node(n, moved));
 }
 
@@ -958,6 +1045,11 @@ fn reclaim_cpus(
         let Some((plan, _)) = ctx.best_plan(id, &placement) else {
             break;
         };
+        // Only ZeRO-Offload plans read `cpus`, so any other plan's CPU gain
+        // is exactly 0 and the gain check below would stop here anyway.
+        if plan.memory != MemoryMode::ZeroOffload {
+            break;
+        }
         let my_gain = ctx.cpu_gain(id, &plan, &placement);
         if my_gain <= EPS_SLOPE {
             break;
@@ -991,14 +1083,14 @@ fn reclaim_cpus(
         if loss >= my_gain * SHRINK_HYSTERESIS {
             break;
         }
-        let alloc = state.alloc.get_mut(&victim).expect("victim allocated");
-        let entry = alloc
+        let entry = state
+            .victim_mut(victim)
             .per_node
             .iter_mut()
             .find(|(i, _)| *i == n)
             .expect("victim on node");
         entry.1.cpus -= CPU_DELTA;
-        state.changed.insert(victim);
+        state.mark_changed(victim);
         tentative.merge(&Allocation::on_node(n, Resources::new(0, CPU_DELTA, 0.0)));
     }
 }
@@ -1141,9 +1233,10 @@ mod tests {
     use crate::registry::ModelRegistry;
     use crate::rubick::RubickScheduler;
     use rubick_model::{ExecutionPlan, ModelSpec, NodeShape, Resources};
-    use rubick_sim::cluster::Cluster;
+    use rubick_sim::cluster::{Allocation, Cluster};
     use rubick_sim::engine::{Engine, EngineConfig};
-    use rubick_sim::job::{JobClass, JobSpec};
+    use rubick_sim::job::{JobClass, JobSpec, JobStatus};
+    use rubick_sim::scheduler::{JobSnapshot, Scheduler};
     use rubick_sim::tenant::{Tenant, TenantId};
     use rubick_sim::SimReport;
     use rubick_testbed::TestbedOracle;
@@ -1342,6 +1435,46 @@ mod tests {
         let report = run(&oracle, reg, 2, vec![], jobs);
         assert_eq!(report.jobs.len(), 6, "unfinished: {:?}", report.unfinished);
         assert_eq!(report.infeasible_assignments, 0);
+    }
+
+    /// A guaranteed job whose minimum (16 GPUs) exceeds the one 8-GPU node
+    /// takes every GPU of the best-effort job running there and then rolls
+    /// back. The victim holds no host memory, so the transfers empty it and
+    /// drop its entry; the rollback must re-insert it with all 8 GPUs.
+    #[test]
+    fn rolled_back_search_restores_an_emptied_victim() {
+        let oracle = TestbedOracle::new(24);
+        let model = ModelSpec::roberta_large();
+        let reg = registry(&oracle, std::slice::from_ref(&model));
+        let victim = JobSpec {
+            class: JobClass::BestEffort,
+            ..job(1, model.clone(), 8, ExecutionPlan::dp(8), 1_000_000)
+        };
+        let grower = job(2, model, 16, ExecutionPlan::dp(16), 1000);
+        let snap = |spec: JobSpec, status| JobSnapshot {
+            remaining_batches: spec.target_batches as f64,
+            spec: Arc::new(spec),
+            status,
+            queued_since: 0.0,
+            runtime: 0.0,
+            reconfig_count: 0,
+            baseline_throughput: None,
+        };
+        let running = JobStatus::Running {
+            allocation: Allocation::on_node(0, Resources::new(8, 48, 0.0)),
+            plan: ExecutionPlan::dp(8),
+            throughput: 1.0,
+            resume_at: 0.0,
+        };
+        let jobs = [snap(victim, running), snap(grower, JobStatus::Queued)];
+        let out = RubickScheduler::new(reg).schedule(
+            10.0,
+            &jobs,
+            &Cluster::new(1, NodeShape::a800()),
+            &[],
+        );
+        assert_eq!(out.len(), 1, "{out:?}");
+        assert_eq!((out[0].job, out[0].allocation.gpus()), (1, 8));
     }
 }
 

@@ -198,3 +198,57 @@ proptest! {
         prop_assert!(memo.len() <= 6, "the re-layout and the repeat must hit");
     }
 }
+
+/// Only ZeRO-Offload plans read `cpus`: every other cached plan scores
+/// bit-identically with four more CPUs, on one node and across nodes. Rubick's
+/// CPU reclaim stops at a non-offload plan because this holds. Offload
+/// plans serve as the control: more CPUs must move some of them.
+#[test]
+fn only_offload_plans_read_cpus() {
+    let shape = NodeShape::a800();
+    let env = ClusterEnv::a800();
+    let cache = PlanSetCache::new();
+    let layouts: [&[u32]; 9] = [
+        &[1],
+        &[2],
+        &[4],
+        &[8],
+        &[2, 2],
+        &[4, 4],
+        &[8, 4],
+        &[8, 8],
+        &[8, 8, 8, 8],
+    ];
+    let (mut checked, mut offload_moved) = (0, 0);
+    for spec in ModelSpec::zoo() {
+        let model = model_for(spec);
+        for layout in layouts {
+            let gpus: u32 = layout.iter().sum();
+            for batch in [8u32, 16, 64] {
+                for plan in cache.plans(&model.spec, gpus, batch, &shape, &env).iter() {
+                    let tput = |cpus| {
+                        let at = Placement {
+                            gpus_per_node: layout.to_vec(),
+                            cpus,
+                            host_mem_gb: shape.packed_host_mem_gb(gpus),
+                        };
+                        let tput = model.params.throughput(&model.spec, plan, batch, &at, &env);
+                        tput.to_bits()
+                    };
+                    for c in [1u32, 8, 48, 96] {
+                        if plan.memory == MemoryMode::ZeroOffload {
+                            offload_moved += usize::from(tput(c) != tput(c + 4));
+                        } else {
+                            assert_eq!(tput(c), tput(c + 4), "{plan:?} on {layout:?} at {c} cpus");
+                            checked += 1;
+                        }
+                    }
+                }
+            }
+        }
+    }
+    assert!(
+        checked > 0 && offload_moved > 0,
+        "{checked} checked, {offload_moved} moved"
+    );
+}
