@@ -124,12 +124,6 @@ bench:
 	cargo bench -p rubick-bench --bench modeling
 	cargo bench -p rubick-bench --bench simulation
 
-# Replays only the incremental tier (BENCH_FILTER) into a scratch dir so
-# the committed summary is never clobbered, then compares each entry's
-# fastest sample (min_ns — robust to shared-machine noise, unlike the
-# mean). The replay doubles the sample count: the min over 20 samples
-# sits at or below a committed 10-sample min unless the code genuinely
-# got slower.
 # Quick sanity pass over the incremental tier: BENCH_SMOKE trims the job
 # sizes to 1024 and one sample is taken per variant, so the whole run —
 # including the pre-bench equivalence assertions (incremental == full,
@@ -143,6 +137,12 @@ bench-smoke:
 		cargo bench -p rubick-bench --bench scheduling
 	@echo "bench-smoke: incremental-round equivalence asserts passed"
 
+# Replays only the incremental tier and model/refit_update (BENCH_FILTER)
+# into a scratch dir so the committed summaries are never clobbered, then
+# compares each entry's fastest sample (min_ns — robust to shared-machine
+# noise, unlike the mean). The replay doubles the sample count: the min
+# over 20 samples sits at or below a committed 10-sample min unless the
+# code genuinely got slower.
 bench-check:
 	mkdir -p target/bench-check
 	BENCH_SAMPLE_SIZE=20 BENCH_FILTER=incremental_round \

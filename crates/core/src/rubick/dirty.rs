@@ -10,8 +10,8 @@
 //!   cluster) changed; re-run the plan search exactly as before;
 //! * **satiated-clean** — the job already holds its useful resource cap
 //!   and nothing about *it* changed: its `ScheduleJob` visit provably
-//!   breaks out of the per-node loop before reading the ledger or any
-//!   victim, and the accept/rollback tail is deterministic in
+//!   breaks out of `grow_job`'s per-node loop before reading the ledger or
+//!   any victim, and the accept/rollback tail is deterministic in
 //!   epoch-stable inputs — the visit is a no-op and is skipped
 //!   unconditionally;
 //! * **quiet-clean** — the job is unchanged but not satiated; its

@@ -234,6 +234,37 @@ impl<'a> Ctx<'a> {
             .unwrap_or(self.total_gpus)
     }
 
+    /// The GPU cap of a search for job `id`. Admission is capped at the
+    /// user's request (or the smallest runnable amount if the request
+    /// itself is invalid): a job may not hoard the whole idle cluster the
+    /// moment it arrives. Growth beyond the request happens in later rounds
+    /// through the guarded running-job path, once competing demand is
+    /// visible.
+    fn cap_gpus(&self, id: JobId, running: bool) -> u32 {
+        let snap = self.snap(id);
+        if !self.sched.config.resource_realloc {
+            snap.spec.requested.gpus
+        } else if running {
+            self.g_star(id)
+        } else {
+            let first_useful = self
+                .curve(id)
+                .and_then(|c| c.min_amount_reaching(1e-12))
+                .unwrap_or(snap.spec.requested.gpus);
+            self.g_star(id)
+                .min(snap.spec.requested.gpus.max(first_useful))
+        }
+    }
+
+    /// The CPU cap of a search for job `id` whose GPU cap is `cap_gpus`.
+    fn cap_cpus(&self, id: JobId, cap_gpus: u32) -> u32 {
+        if self.sched.config.resource_realloc {
+            (10 * cap_gpus + 4).max(self.minimum(id).cpus)
+        } else {
+            self.snap(id).spec.requested.cpus
+        }
+    }
+
     /// Whether shrinking `victim` from `gpus` to `gpus − 1` is permitted:
     /// stay above its minimum, and either remain runnable or (best-effort
     /// only) be preempted to zero.
@@ -702,28 +733,18 @@ pub(super) fn run_round(
 }
 
 /// Whether `alloc` already satiates job `id`'s useful caps — the exact
-/// break condition at the top of [`schedule_job`]'s per-node loop, using
-/// the *running*-job GPU cap (the job will be running next round, since it
-/// is being emitted). A satiated job's visit provably never reads the free
+/// break condition at the top of [`grow_job`]'s per-node loop, using the
+/// *running*-job GPU cap (the job will be running next round, since it is
+/// being emitted). A satiated job's visit provably never reads the free
 /// ledger or any victim, which is what licenses the tracker's
 /// unconditional skip.
 fn is_satiated(ctx: &Ctx<'_>, id: JobId, alloc: &Allocation) -> bool {
-    let snap = ctx.snap(id);
     let total = alloc.total();
-    let cap_gpus = if !ctx.sched.config.resource_realloc {
-        snap.spec.requested.gpus
-    } else {
-        ctx.g_star(id)
-    };
+    let cap_gpus = ctx.cap_gpus(id, true);
     if cap_gpus == 0 {
         return false;
     }
-    let minimum = ctx.minimum(id);
-    let cap_cpus = if ctx.sched.config.resource_realloc {
-        (10 * cap_gpus + 4).max(minimum.cpus)
-    } else {
-        snap.spec.requested.cpus
-    };
+    let cap_cpus = ctx.cap_cpus(id, cap_gpus);
     total.gpus >= cap_gpus && total.cpus >= cap_cpus.min(total.gpus * 2 + 1)
 }
 
@@ -750,8 +771,22 @@ fn quota_allows(ctx: &Ctx<'_>, state: &State<'_>, tenants: &[Tenant], id: JobId)
 }
 
 /// `ScheduleJob` of Algorithm 1: one search for job `id`, kept or rolled
-/// back as a whole.
+/// back as a whole, or skipped when it provably rolls back. Debug builds
+/// walk every skipped search on a copy and check that it leaves the state
+/// as it was.
 fn schedule_job(ctx: &Ctx<'_>, state: &mut State<'_>, id: JobId) {
+    if rolls_back_untouched(ctx, state, id) {
+        #[cfg(debug_assertions)]
+        {
+            let mut walked = state.clone();
+            walked.begin();
+            if !grow_job(ctx, &mut walked, id) {
+                walked.rollback();
+            }
+            assert!(same_state(state, &walked), "inexact skip of {id:?}");
+        }
+        return;
+    }
     state.begin();
     #[cfg(debug_assertions)]
     let before = state.clone();
@@ -760,6 +795,82 @@ fn schedule_job(ctx: &Ctx<'_>, state: &mut State<'_>, id: JobId) {
         #[cfg(debug_assertions)]
         assert!(same_state(&before, state), "inexact rollback of {id:?}");
     }
+}
+
+/// Whether the search of job `id` provably rolls back, so
+/// [`schedule_job`] can skip the walk (DESIGN.md §8). Only a frozen job on
+/// a ledger with no free GPU qualifies: its steal cap is its own GPUs, so
+/// the walk can add only CPUs and host memory. When the best plan is the
+/// same non-offload plan without and with every such addition, the walk
+/// finds that plan at the same throughput and reclaims no CPU; the churn
+/// guard then rejects it unless that throughput, or the envelope shrink's
+/// scored with every addition, clears the bar.
+fn rolls_back_untouched(ctx: &Ctx<'_>, state: &State<'_>, id: JobId) -> bool {
+    if !ctx.is_frozen(id) || state.round.free().iter().any(|r| r.gpus > 0) {
+        return false;
+    }
+    let snap = ctx.snap(id);
+    let JobStatus::Running {
+        allocation: old_alloc,
+        plan: old_plan,
+        ..
+    } = &snap.status
+    else {
+        return false;
+    };
+    let Some(model) = ctx.model(id) else {
+        return true;
+    };
+    let cap_gpus = ctx.cap_gpus(id, true);
+    if cap_gpus == 0 {
+        return true;
+    }
+    // A frozen job is never a CPU victim, so its entry differs from its
+    // snapshot only by GPUs (with their CPU share) that other searches took.
+    let cur = state.alloc.get(&id);
+    debug_assert!(
+        cur.map_or(0, Allocation::gpus) < old_alloc.gpus() || cur == Some(old_alloc),
+        "frozen job {id:?} changed without losing a GPU"
+    );
+    let Some(cur) = cur.filter(|a| a.gpus() > 0) else {
+        // Without a GPU the walk can only fail a GPU minimum.
+        return ctx.minimum(id).gpus > 0;
+    };
+    let lo = cur.to_placement();
+    let gpus = lo.total_gpus();
+    let Some((plan, tput)) = ctx.best_plan(id, &lo) else {
+        return false;
+    };
+    let mut hi = Placement {
+        cpus: lo.cpus.max(ctx.cap_cpus(id, cap_gpus)),
+        host_mem_gb: f64::INFINITY,
+        ..lo
+    };
+    if plan.memory == MemoryMode::ZeroOffload
+        || ctx.best_plan(id, &hi).map(|(p, _)| p) != Some(plan)
+    {
+        return false;
+    }
+    let mut bound = tput;
+    if let Some(curve) = ctx.curve(id) {
+        let envelope = curve.value(gpus);
+        if envelope > tput * 1.005 {
+            if let Some(target) = curve.min_amount_reaching(envelope) {
+                // The walk only appends nodes without GPUs, so it shrinks
+                // the same GPU layout.
+                let mut shrunk = cur.clone();
+                shrink_alloc_to(&mut state.round.free().to_vec(), &mut shrunk, target);
+                hi.gpus_per_node = shrunk.to_placement().gpus_per_node;
+                if let Some((_, shrunk)) = ctx.best_plan(id, &hi) {
+                    bound = bound.max(shrunk);
+                }
+            }
+        }
+    }
+    let old_tput = model
+        .throughput(old_plan, snap.spec.global_batch, &old_alloc.to_placement())
+        .unwrap_or(0.0);
+    bound < old_tput * (1.0 + ctx.sched.config.min_gain)
 }
 
 /// The search of `ScheduleJob`: grow `id` using free resources and, where
@@ -783,33 +894,14 @@ fn grow_job(ctx: &Ctx<'_>, state: &mut State<'_>, id: JobId) -> bool {
         .cloned()
         .unwrap_or_else(Allocation::empty);
     let minimum = ctx.minimum(id);
-    // Admission is capped at the user's request (or the smallest runnable
-    // amount if the request itself is invalid): a job may not hoard the
-    // whole idle cluster the moment it arrives. Growth beyond the request
-    // happens in later rounds through the guarded running-job path, once
-    // competing demand is visible. Stealing is further restricted: jobs
-    // whose penalty gate is active may only absorb free capacity.
-    let cap_gpus = if !ctx.sched.config.resource_realloc {
-        snap.spec.requested.gpus
-    } else if snap.status.is_running() {
-        ctx.g_star(id)
-    } else {
-        let first_useful = ctx
-            .curve(id)
-            .and_then(|c| c.min_amount_reaching(1e-12))
-            .unwrap_or(snap.spec.requested.gpus);
-        ctx.g_star(id)
-            .min(snap.spec.requested.gpus.max(first_useful))
-    };
+    // Stealing is restricted further than the caps: jobs whose penalty
+    // gate is active may only absorb free capacity.
+    let cap_gpus = ctx.cap_gpus(id, snap.status.is_running());
     let steal_cap_gpus = if frozen { cur_alloc.gpus() } else { cap_gpus };
     if cap_gpus == 0 {
         return false;
     }
-    let cap_cpus = if ctx.sched.config.resource_realloc {
-        (10 * cap_gpus + 4).max(minimum.cpus)
-    } else {
-        snap.spec.requested.cpus
-    };
+    let cap_cpus = ctx.cap_cpus(id, cap_gpus);
     let cap_mem = ctx
         .estimator
         .host_mem_gb(
@@ -921,8 +1013,14 @@ fn grow_job(ctx: &Ctx<'_>, state: &mut State<'_>, id: JobId) -> bool {
     } = &snap.status
     {
         if *old_alloc == tentative && *old_plan == plan {
-            // Nothing changed; keep as-is but preserve any shrinks made to
-            // other jobs (they were justified by slope comparisons).
+            // Nothing changed. With no victim touched and the table entry
+            // already equal, roll back: the ledger's grab-then-trim round
+            // trip of `f64` host memory need not be bit-exact. Otherwise
+            // keep, preserving any shrinks made to other jobs (they were
+            // justified by slope comparisons).
+            if state.undo.victims.is_empty() && state.alloc.get(&id) == Some(&tentative) {
+                return false;
+            }
             state.alloc.insert(id, tentative);
             return true;
         }
@@ -951,8 +1049,9 @@ fn grow_job(ctx: &Ctx<'_>, state: &mut State<'_>, id: JobId) -> bool {
     true
 }
 
-/// `GetLowestSlopeOverMinJob`: the job on node `n` (other than `id`, not
-/// frozen, shrinkable) with the lowest normalized GPU loss slope.
+/// `GetLowestSlopeOverMinJob`: the job on node `n` (other than `id`,
+/// shrinkable, not about to finish) with the lowest normalized GPU loss
+/// slope. Frozen jobs are eligible.
 fn lowest_slope_victim(ctx: &Ctx<'_>, state: &State<'_>, n: usize, id: JobId) -> Option<JobId> {
     // Note: the reconfiguration-penalty gate deliberately does NOT protect
     // victims here. The gate (§5.2) limits how often a job reconfigures
@@ -1232,7 +1331,7 @@ fn emit(ctx: &Ctx<'_>, mut state: State<'_>) -> Vec<Assignment> {
 mod tests {
     use crate::registry::ModelRegistry;
     use crate::rubick::RubickScheduler;
-    use rubick_model::{ExecutionPlan, ModelSpec, NodeShape, Resources};
+    use rubick_model::{ExecutionPlan, MemoryMode, ModelSpec, NodeShape, Resources};
     use rubick_sim::cluster::{Allocation, Cluster};
     use rubick_sim::engine::{Engine, EngineConfig};
     use rubick_sim::job::{JobClass, JobSpec, JobStatus};
@@ -1475,6 +1574,66 @@ mod tests {
         );
         assert_eq!(out.len(), 1, "{out:?}");
         assert_eq!((out[0].job, out[0].allocation.gpus()), (1, 8));
+    }
+
+    /// A frozen ZeRO-Offload job on a ledger with no free GPU still gains
+    /// from free CPUs, because its plan reads them. It holds fewer GPUs
+    /// than its cap, so its walk grabs CPUs up to the CPU cap and the
+    /// search is kept (`AllocMem` then trims the grant to the plan's
+    /// demand): it must not be skipped. The job holds its packed CPU
+    /// share, which its curve assumes, so only the flatness check (not
+    /// the envelope-shrink bound) stops the skip. The other job's model is
+    /// unknown, so its own search is a no-op.
+    #[test]
+    fn frozen_offload_job_on_a_full_ledger_is_still_searched() {
+        let oracle = TestbedOracle::new(23);
+        let model = ModelSpec::llama2_7b();
+        let reg = registry(&oracle, std::slice::from_ref(&model));
+        let alloc = Allocation::on_node(0, Resources::new(1, 12, 200.0));
+        // Running the best plan on its placement: only more CPUs can help.
+        let (plan, _) = reg
+            .model(&model.name)
+            .and_then(|m| m.best_plan(model.default_batch, &alloc.to_placement()))
+            .unwrap();
+        assert_eq!(plan.memory, MemoryMode::ZeroOffload);
+        let running = |allocation, plan| JobStatus::Running {
+            allocation,
+            plan,
+            throughput: 1.0,
+            resume_at: 0.0,
+        };
+        let snap = |spec: JobSpec, status, runtime| JobSnapshot {
+            remaining_batches: spec.target_batches as f64,
+            spec: Arc::new(spec),
+            status,
+            queued_since: 0.0,
+            runtime,
+            reconfig_count: 0,
+            baseline_throughput: None,
+        };
+        // 100 s of runtime is far below the penalty gate's 0.97 share.
+        let frozen = snap(
+            job(1, model, 1, plan, 1_000_000),
+            running(alloc.clone(), plan),
+            100.0,
+        );
+        assert!(!frozen.reconfig_allowed(0.97));
+        let other = snap(
+            job(2, ModelSpec::roberta_large(), 7, ExecutionPlan::dp(7), 1000),
+            running(
+                Allocation::on_node(0, Resources::new(7, 14, 100.0)),
+                ExecutionPlan::dp(7),
+            ),
+            0.0,
+        );
+        let out = RubickScheduler::new(reg).schedule(
+            10.0,
+            &[frozen, other],
+            &Cluster::new(1, NodeShape::a800()),
+            &[],
+        );
+        let grown = out.iter().find(|a| a.job == 1).expect("job 1 assigned");
+        assert_ne!(grown.allocation, alloc, "{out:?}");
     }
 }
 

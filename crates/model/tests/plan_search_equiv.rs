@@ -252,3 +252,84 @@ fn only_offload_plans_read_cpus() {
         "{checked} checked, {offload_moved} moved"
     );
 }
+
+/// More CPUs never lower a cached plan's score, and host memory above the
+/// packed share changes no best plan, on one node and across nodes. Rubick
+/// decides a frozen job's search on a GPU-full ledger without the walk
+/// because of both: the best plan at the job's CPU cap and `host_mem_gb =
+/// ∞` bounds every placement the walk can reach. A second set of
+/// optimizer weights favours offload, so offload plans win some points.
+#[test]
+fn plan_scores_grow_with_cpus_and_unbounded_host_memory_is_the_packed_share() {
+    let shape = NodeShape::a800();
+    let env = ClusterEnv::a800();
+    let cache = PlanSetCache::new();
+    let layouts: [&[u32]; 9] = [
+        &[1],
+        &[2],
+        &[4],
+        &[8],
+        &[2, 2],
+        &[4, 4],
+        &[8, 4],
+        &[8, 8],
+        &[8, 8, 8, 8],
+    ];
+    let cpu_steps = [1u32, 2, 4, 8, 16, 32, 48, 64, 96, 128, 192];
+    let bits = |r: Option<(ExecutionPlan, f64)>| r.map(|(p, t)| (p, t.to_bits()));
+    let (mut offload_rose, mut offload_best) = (0, 0);
+    for spec in ModelSpec::zoo() {
+        for k_opt in [None, Some((1.0, 0.05))] {
+            let mut model = model_for(spec.clone());
+            if let Some(k) = k_opt {
+                (model.params.k_opt, model.params.k_opt_off) = k;
+            }
+            for layout in layouts {
+                let gpus: u32 = layout.iter().sum();
+                let at = |cpus, host_mem_gb| Placement {
+                    gpus_per_node: layout.to_vec(),
+                    cpus,
+                    host_mem_gb,
+                };
+                let packed = shape.packed_host_mem_gb(gpus);
+                for batch in [8u32, 16, 64] {
+                    for plan in cache.plans(&model.spec, gpus, batch, &shape, &env).iter() {
+                        let tput = |cpus| {
+                            let p = at(cpus, packed);
+                            model.params.throughput(&model.spec, plan, batch, &p, &env)
+                        };
+                        for pair in cpu_steps.windows(2) {
+                            let (fewer, more) = (tput(pair[0]), tput(pair[1]));
+                            assert!(
+                                more >= fewer,
+                                "{plan:?} on {layout:?}: {more} at {} < {fewer} at {} cpus",
+                                pair[1],
+                                pair[0]
+                            );
+                            if plan.memory == MemoryMode::ZeroOffload {
+                                offload_rose += usize::from(more > fewer);
+                            }
+                        }
+                    }
+                    for cpus in [8u32, 96] {
+                        let share = model.best_plan_in(&cache, batch, &at(cpus, packed));
+                        let unbounded = model.best_plan_in(&cache, batch, &at(cpus, f64::INFINITY));
+                        assert_eq!(
+                            bits(unbounded),
+                            bits(share),
+                            "{} on {layout:?} at {cpus} cpus, batch {batch}",
+                            model.spec.name
+                        );
+                        offload_best += usize::from(
+                            share.is_some_and(|(p, _)| p.memory == MemoryMode::ZeroOffload),
+                        );
+                    }
+                }
+            }
+        }
+    }
+    assert!(
+        offload_rose > 0 && offload_best > 0,
+        "{offload_rose} offload rises, {offload_best} offload winners"
+    );
+}
