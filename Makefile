@@ -12,6 +12,9 @@
 #                      workers and fail unless the CSVs are byte-identical,
 #                      then check that dropping --refit changes nothing
 #                      about a frozen-model run
+#   make skip-smoke    run the 406-job base, mt and bp traces through a
+#                      debug build of the Rubick policy, which walks every
+#                      skipped plan search and checks every rollback
 #   make benchmark-test  unit tests of the repo benchmark package
 #                      (benchmark/), which builds against the workspace
 #                      crates through path dependencies
@@ -26,9 +29,9 @@
 # (opt-in: bench timings are machine-dependent, so the default CI gate
 # stays deterministic).
 
-.PHONY: verify fmt lint test build bench bench-check bench-smoke sweep-smoke serve-smoke refit-smoke benchmark-test
+.PHONY: verify fmt lint test build bench bench-check bench-smoke sweep-smoke serve-smoke refit-smoke skip-smoke benchmark-test
 
-verify: fmt lint test sweep-smoke serve-smoke refit-smoke bench-smoke benchmark-test
+verify: fmt lint test sweep-smoke serve-smoke refit-smoke skip-smoke bench-smoke benchmark-test
 
 ifeq ($(BENCH),1)
 verify: bench-check
@@ -118,6 +121,18 @@ refit-smoke:
 		> target/refit-smoke/frozen-hook.csv
 	cmp target/refit-smoke/frozen.csv target/refit-smoke/frozen-hook.csv
 	@echo "refit-smoke: byte-identical at 1 and 4 workers; inert hook changes nothing"
+
+# End-to-end skip gate: debug builds walk every plan search that
+# `rolls_back_untouched` skips on a clone, assert it leaves the state
+# unchanged, and check every rollback against a copy. Full traces reach
+# layouts the unit tests do not, so a skip that is not exact panics here.
+skip-smoke:
+	cargo build -p rubick-cli
+	for trace in base mt bp; do \
+		target/debug/rubick run --scheduler rubick --trace $$trace --seed 7 \
+			--log-level error > /dev/null || exit 1; \
+	done
+	@echo "skip-smoke: every skipped search matches its walk on base, mt and bp"
 
 bench:
 	cargo bench -p rubick-bench --bench scheduling

@@ -12,7 +12,7 @@ use rubick_sim::cluster::{Allocation, Cluster};
 use rubick_sim::job::{JobClass, JobId, JobStatus};
 use rubick_sim::scheduler::{Assignment, JobSnapshot, RoundStats};
 use rubick_sim::tenant::Tenant;
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
@@ -62,6 +62,10 @@ struct State<'a> {
     alloc: BTreeMap<JobId, Allocation>,
     changed: BTreeSet<JobId>,
     undo: Undo,
+    /// The table's victim floor once computed (see
+    /// [`victim_floor`](State::victim_floor)). Only a kept search can move
+    /// a GPU, since a rollback restores the table, so only a keep clears it.
+    floor: Cell<Option<Option<f64>>>,
 }
 
 /// The undo log of one search. Its buffers are reused across searches, so
@@ -114,6 +118,35 @@ impl State<'_> {
         }
         for id in self.undo.changed.drain(..) {
             self.changed.remove(&id);
+        }
+    }
+
+    /// The lowest loss slope of any table entry that
+    /// [`lowest_slope_victim`] could pick on some node, or `None` when no
+    /// entry qualifies. The searched job's own entry is included: it can
+    /// only lower the floor, which keeps every test against it
+    /// conservative. Debug builds rescan on every cached read.
+    fn victim_floor(&self, ctx: &Ctx<'_>) -> Option<f64> {
+        let scan = || {
+            self.alloc
+                .iter()
+                .filter_map(|(id, alloc)| victim_loss(ctx, *id, alloc))
+                .reduce(f64::min)
+        };
+        match self.floor.get() {
+            Some(floor) => {
+                debug_assert_eq!(
+                    floor.map(f64::to_bits),
+                    scan().map(f64::to_bits),
+                    "stale victim floor"
+                );
+                floor
+            }
+            None => {
+                let floor = scan();
+                self.floor.set(Some(floor));
+                floor
+            }
         }
     }
 }
@@ -481,6 +514,7 @@ pub(super) fn run_round(
         alloc: BTreeMap::new(),
         changed: BTreeSet::new(),
         undo: Undo::default(),
+        floor: Cell::new(None),
     };
     for (id, alloc) in state.round.charge_running() {
         state.alloc.insert(id, alloc);
@@ -790,7 +824,9 @@ fn schedule_job(ctx: &Ctx<'_>, state: &mut State<'_>, id: JobId) {
     state.begin();
     #[cfg(debug_assertions)]
     let before = state.clone();
-    if !grow_job(ctx, state, id) {
+    if grow_job(ctx, state, id) {
+        state.floor.set(None);
+    } else {
         state.rollback();
         #[cfg(debug_assertions)]
         assert!(same_state(&before, state), "inexact rollback of {id:?}");
@@ -798,18 +834,39 @@ fn schedule_job(ctx: &Ctx<'_>, state: &mut State<'_>, id: JobId) {
 }
 
 /// Whether the search of job `id` provably rolls back, so
-/// [`schedule_job`] can skip the walk (DESIGN.md §8). Only a frozen job on
-/// a ledger with no free GPU qualifies: its steal cap is its own GPUs, so
-/// the walk can add only CPUs and host memory. When the best plan is the
-/// same non-offload plan without and with every such addition, the walk
-/// finds that plan at the same throughput and reclaims no CPU; the churn
-/// guard then rejects it unless that throughput, or the envelope shrink's
-/// scored with every addition, clears the bar.
+/// [`schedule_job`] can skip the walk (DESIGN.md §8). Only a search on a
+/// ledger with no free GPU whose job cannot take a GPU from any victim
+/// ([`takes_no_gpu`]) qualifies: its walk can add only CPUs and host
+/// memory. Without a GPU the grant fails a GPU minimum or has no plan.
+/// With GPUs, the job must be running on its snapshot's allocation or on
+/// fewer GPUs. When the best plan is then the same non-offload plan
+/// without and with every CPU and memory addition, the walk finds that
+/// plan at the same throughput and reclaims no CPU; the churn guard
+/// rejects it unless that throughput, or the envelope shrink's scored
+/// with every addition, clears the bar.
 fn rolls_back_untouched(ctx: &Ctx<'_>, state: &State<'_>, id: JobId) -> bool {
-    if !ctx.is_frozen(id) || state.round.free().iter().any(|r| r.gpus > 0) {
+    if state.round.free().iter().any(|r| r.gpus > 0) {
         return false;
     }
+    let Some(model) = ctx.model(id) else {
+        return true;
+    };
     let snap = ctx.snap(id);
+    let cap_gpus = ctx.cap_gpus(id, snap.status.is_running());
+    if cap_gpus == 0 {
+        return true;
+    }
+    let cur = state.alloc.get(&id);
+    let frozen = ctx.is_frozen(id);
+    let gpus = cur.map_or(0, Allocation::gpus);
+    let steal_cap = if frozen { gpus } else { cap_gpus };
+    if !takes_no_gpu(ctx, state, id, gpus, steal_cap) {
+        return false;
+    }
+    let Some(cur) = cur.filter(|a| a.gpus() > 0) else {
+        // The grant fails a GPU minimum or, holding no GPU, has no plan.
+        return true;
+    };
     let JobStatus::Running {
         allocation: old_alloc,
         plan: old_plan,
@@ -818,26 +875,14 @@ fn rolls_back_untouched(ctx: &Ctx<'_>, state: &State<'_>, id: JobId) -> bool {
     else {
         return false;
     };
-    let Some(model) = ctx.model(id) else {
-        return true;
-    };
-    let cap_gpus = ctx.cap_gpus(id, true);
-    if cap_gpus == 0 {
-        return true;
+    // An entry that lost only CPUs (to another job's CPU reclaim) can end
+    // the walk back at the snapshot's allocation and hit the "nothing
+    // changed" keep. A frozen job is never a CPU victim.
+    if cur.gpus() >= old_alloc.gpus() && cur != old_alloc {
+        debug_assert!(!frozen, "frozen job {id:?} changed without losing a GPU");
+        return false;
     }
-    // A frozen job is never a CPU victim, so its entry differs from its
-    // snapshot only by GPUs (with their CPU share) that other searches took.
-    let cur = state.alloc.get(&id);
-    debug_assert!(
-        cur.map_or(0, Allocation::gpus) < old_alloc.gpus() || cur == Some(old_alloc),
-        "frozen job {id:?} changed without losing a GPU"
-    );
-    let Some(cur) = cur.filter(|a| a.gpus() > 0) else {
-        // Without a GPU the walk can only fail a GPU minimum.
-        return ctx.minimum(id).gpus > 0;
-    };
     let lo = cur.to_placement();
-    let gpus = lo.total_gpus();
     let Some((plan, tput)) = ctx.best_plan(id, &lo) else {
         return false;
     };
@@ -871,6 +916,26 @@ fn rolls_back_untouched(ctx: &Ctx<'_>, state: &State<'_>, id: JobId) -> bool {
         .throughput(old_plan, snap.spec.global_batch, &old_alloc.to_placement())
         .unwrap_or(0.0);
     bound < old_tput * (1.0 + ctx.sched.config.min_gain)
+}
+
+/// Whether a walk for job `id`, holding `gpus` GPUs under a steal cap of
+/// `steal_cap`, takes no GPU from any victim. It mirrors the steal loop of
+/// [`grow_job`] on a ledger with no free GPU, where the job's GPU count
+/// and gain stay fixed until a GPU moves. The loop then takes one exactly
+/// when some node's lowest victim passes the slope bar, which holds
+/// exactly when the table's victim floor does.
+fn takes_no_gpu(ctx: &Ctx<'_>, state: &State<'_>, id: JobId, gpus: u32, steal_cap: u32) -> bool {
+    if gpus >= steal_cap {
+        return true;
+    }
+    let below_min = gpus < ctx.minimum(id).gpus;
+    let gain = ctx.jump_gain(id, gpus);
+    if !below_min && gain <= EPS_SLOPE {
+        return true;
+    }
+    state
+        .victim_floor(ctx)
+        .is_none_or(|floor| !below_min && floor >= gain * SHRINK_HYSTERESIS)
 }
 
 /// The search of `ScheduleJob`: grow `id` using free resources and, where
@@ -1049,9 +1114,9 @@ fn grow_job(ctx: &Ctx<'_>, state: &mut State<'_>, id: JobId) -> bool {
     true
 }
 
-/// `GetLowestSlopeOverMinJob`: the job on node `n` (other than `id`,
-/// shrinkable, not about to finish) with the lowest normalized GPU loss
-/// slope. Frozen jobs are eligible.
+/// `GetLowestSlopeOverMinJob`: the job on node `n` (other than `id`)
+/// with the lowest normalized GPU loss slope among those
+/// [`victim_loss`] admits. Frozen jobs are eligible.
 fn lowest_slope_victim(ctx: &Ctx<'_>, state: &State<'_>, n: usize, id: JobId) -> Option<JobId> {
     // Note: the reconfiguration-penalty gate deliberately does NOT protect
     // victims here. The gate (§5.2) limits how often a job reconfigures
@@ -1074,26 +1139,35 @@ fn lowest_slope_victim(ctx: &Ctx<'_>, state: &State<'_>, n: usize, id: JobId) ->
         if on_node == 0 {
             continue;
         }
-        let gpus = alloc.gpus();
-        if !ctx.can_shrink(*cand, gpus) {
+        let Some(loss) = victim_loss(ctx, *cand, alloc) else {
             continue;
-        }
-        // A victim about to finish will release everything shortly; a
-        // restart would cost more GPU-time than the transfer recovers.
-        let c_snap = ctx.snap(*cand);
-        if let JobStatus::Running { throughput, .. } = &c_snap.status {
-            let remaining_secs =
-                c_snap.remaining_batches * c_snap.spec.global_batch as f64 / throughput.max(1e-9);
-            if remaining_secs < 3.0 * c_snap.spec.checkpoint_resume_secs() {
-                continue;
-            }
-        }
-        let loss = ctx.loss_slope(*cand, gpus);
+        };
         if best.as_ref().map(|(_, b)| loss < *b).unwrap_or(true) {
             best = Some((*cand, loss));
         }
     }
     best.map(|(id, _)| id)
+}
+
+/// The normalized loss slope of taking one GPU from `cand`, or `None` when
+/// it cannot be a victim: it cannot shrink, or it is about to finish. The
+/// steal loop and the victim floor both filter through here.
+fn victim_loss(ctx: &Ctx<'_>, cand: JobId, alloc: &Allocation) -> Option<f64> {
+    let gpus = alloc.gpus();
+    if !ctx.can_shrink(cand, gpus) {
+        return None;
+    }
+    // A victim about to finish will release everything shortly; a
+    // restart would cost more GPU-time than the transfer recovers.
+    let c_snap = ctx.snap(cand);
+    if let JobStatus::Running { throughput, .. } = &c_snap.status {
+        let remaining_secs =
+            c_snap.remaining_batches * c_snap.spec.global_batch as f64 / throughput.max(1e-9);
+        if remaining_secs < 3.0 * c_snap.spec.checkpoint_resume_secs() {
+            return None;
+        }
+    }
+    Some(ctx.loss_slope(cand, gpus))
 }
 
 /// Moves one GPU (with a proportional CPU share) from `victim`'s grant on
@@ -1335,7 +1409,7 @@ mod tests {
     use rubick_sim::cluster::{Allocation, Cluster};
     use rubick_sim::engine::{Engine, EngineConfig};
     use rubick_sim::job::{JobClass, JobSpec, JobStatus};
-    use rubick_sim::scheduler::{JobSnapshot, Scheduler};
+    use rubick_sim::scheduler::{Assignment, JobSnapshot, Scheduler};
     use rubick_sim::tenant::{Tenant, TenantId};
     use rubick_sim::SimReport;
     use rubick_testbed::TestbedOracle;
@@ -1634,6 +1708,61 @@ mod tests {
         );
         let grown = out.iter().find(|a| a.job == 1).expect("job 1 assigned");
         assert_ne!(grown.allocation, alloc, "{out:?}");
+    }
+
+    /// Schedules a queued best-effort RoBERTa job next to a best-effort
+    /// `victim` model holding all 8 GPUs of the one node, so the ledger has
+    /// no free GPU. The queued job's minimum is zero: it takes a GPU only
+    /// if the victim's loss slope is below its gain times the hysteresis.
+    fn queued_next_to(victim: ModelSpec) -> Vec<Assignment> {
+        let oracle = TestbedOracle::new(24);
+        let grower = ModelSpec::roberta_large();
+        let reg = registry(&oracle, &[victim.clone(), grower.clone()]);
+        let best_effort = |spec: JobSpec| JobSnapshot {
+            remaining_batches: spec.target_batches as f64,
+            spec: Arc::new(JobSpec {
+                class: JobClass::BestEffort,
+                ..spec
+            }),
+            status: JobStatus::Queued,
+            queued_since: 0.0,
+            runtime: 0.0,
+            reconfig_count: 0,
+            baseline_throughput: None,
+        };
+        let mut running = best_effort(job(1, victim, 8, ExecutionPlan::dp(8), 1_000_000));
+        running.status = JobStatus::Running {
+            allocation: Allocation::on_node(0, Resources::new(8, 48, 800.0)),
+            plan: ExecutionPlan::dp(8),
+            throughput: 1.0,
+            resume_at: 0.0,
+        };
+        let queued = best_effort(job(2, grower, 1, ExecutionPlan::dp(1), 1_000_000));
+        RubickScheduler::new(reg).schedule(
+            10.0,
+            &[running, queued],
+            &Cluster::new(1, NodeShape::a800()),
+            &[],
+        )
+    }
+
+    /// A RoBERTa victim's loss slope at 8 GPUs is below the queued job's
+    /// bar, so the search must not be skipped: it takes one GPU.
+    #[test]
+    fn queued_job_on_a_full_ledger_takes_a_gpu_below_the_slope_bar() {
+        let out = queued_next_to(ModelSpec::roberta_large());
+        let gpus: Vec<_> = out.iter().map(|a| (a.job, a.allocation.gpus())).collect();
+        assert_eq!(gpus, [(1, 7), (2, 1)], "{out:?}");
+    }
+
+    /// A BERT victim's loss slope is just above the bar: the search is
+    /// skipped (walked on a clone in debug builds) and the victim keeps
+    /// its allocation.
+    #[test]
+    fn queued_job_on_a_full_ledger_above_the_slope_bar_changes_nothing() {
+        let out = queued_next_to(ModelSpec::bert_large());
+        let gpus: Vec<_> = out.iter().map(|a| (a.job, a.allocation.gpus())).collect();
+        assert_eq!(gpus, [(1, 8)], "{out:?}");
     }
 }
 

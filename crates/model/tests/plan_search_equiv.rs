@@ -333,3 +333,41 @@ fn plan_scores_grow_with_cpus_and_unbounded_host_memory_is_the_packed_share() {
         "{offload_rose} offload rises, {offload_best} offload winners"
     );
 }
+
+/// A placement without GPUs has no plan under any search mode, however
+/// many CPUs and how much host memory it holds. Rubick decides a search
+/// that cannot take a GPU on a GPU-full ledger without the walk because of
+/// this: the walk still grabs free CPUs and memory, then finds no plan.
+#[test]
+fn a_placement_without_gpus_has_no_plan() {
+    let cache = PlanSetCache::new();
+    let mut memo = BestPlanMemo::new();
+    let mut restricted = 0;
+    for spec in ModelSpec::zoo() {
+        let model = model_for(spec);
+        for batch in [8u32, 16, 64] {
+            for cpus in [1u32, 32, 192] {
+                for host_mem_gb in [1.0, 800.0, f64::INFINITY] {
+                    let at = Placement {
+                        gpus_per_node: Vec::new(),
+                        cpus,
+                        host_mem_gb,
+                    };
+                    let name = &model.spec.name;
+                    assert_eq!(model.best_plan_in(&cache, batch, &at), None, "{name}");
+                    assert_eq!(memo.best_plan(&model, &cache, batch, &at), None, "{name}");
+                    for gpus in [1u32, 2, 8, 16] {
+                        let plans = cache.plans(&model.spec, gpus, batch, &model.shape, &model.env);
+                        for plan in plans.iter() {
+                            for search in [PlanSearch::DpScale(*plan), PlanSearch::Fixed(*plan)] {
+                                assert_eq!(search.best_plan(&model, batch, &at), None, "{plan:?}");
+                                restricted += 1;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+    assert!(restricted > 0, "no restricted search checked");
+}
