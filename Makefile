@@ -14,7 +14,9 @@
 #                      about a frozen-model run
 #   make skip-smoke    run the 406-job base, mt and bp traces through a
 #                      debug build of the Rubick policy, which walks every
-#                      skipped plan search and checks every rollback
+#                      skipped plan search and checks every rollback, then
+#                      the mt trace with --refit, whose debug fits check
+#                      every read-set Jacobian entry and early reject
 #   make benchmark-test  unit tests of the repo benchmark package
 #                      (benchmark/), which builds against the workspace
 #                      crates through path dependencies
@@ -126,13 +128,19 @@ refit-smoke:
 # `rolls_back_untouched` skips on a clone, assert it leaves the state
 # unchanged, and check every rollback against a copy. Full traces reach
 # layouts the unit tests do not, so a skip that is not exact panics here.
+# The --refit run does the same for the fit kernel: every Jacobian entry
+# is re-evaluated in full and every early-rejected damping candidate is
+# costed in full, over thousands of live refit windows.
 skip-smoke:
 	cargo build -p rubick-cli
 	for trace in base mt bp; do \
 		target/debug/rubick run --scheduler rubick --trace $$trace --seed 7 \
 			--log-level error > /dev/null || exit 1; \
 	done
-	@echo "skip-smoke: every skipped search matches its walk on base, mt and bp"
+	target/debug/rubick run --scheduler rubick --trace mt --seed 7 --refit \
+		--log-level error > /dev/null
+	@echo "skip-smoke: every skipped search matches its walk on base, mt and bp;"
+	@echo "skip-smoke: every read-set Jacobian entry and early reject matches on mt --refit"
 
 bench:
 	cargo bench -p rubick-bench --bench scheduling

@@ -108,10 +108,13 @@ pub struct FitResult {
 }
 
 /// A data point in the form every fit objective evaluates: the
-/// parameter-independent terms of Eq. 1 and `ln(1 + observed)`, both
-/// computed once per fit rather than once per candidate.
+/// parameter-independent terms of Eq. 1, the fitted parameters they read
+/// and `ln(1 + observed)`, all computed once per fit rather than once per
+/// candidate.
 struct Sample {
     terms: IterTerms,
+    /// [`IterTerms::read_mask`] of `terms`.
+    reads: u8,
     log_observed: f64,
 }
 
@@ -128,23 +131,63 @@ fn samples(
     };
     points
         .iter()
-        .map(|p| Sample {
-            terms: anchor.iter_terms(spec, &p.plan, p.global_batch, &p.placement, env),
-            log_observed: (1.0 + p.iter_time).ln(),
+        .map(|p| {
+            let terms = anchor.iter_terms(spec, &p.plan, p.global_batch, &p.placement, env);
+            Sample {
+                terms,
+                reads: terms.read_mask(),
+                log_observed: (1.0 + p.iter_time).ln(),
+            }
         })
         .collect()
 }
 
-/// Log-errors `ln(1 + predicted) − ln(1 + observed)` of the parameter
-/// vector `x` on every sample, written into `out`.
-fn residuals(samples: &[Sample], x: &[f64; 7], gpu_flops: f64, out: &mut Vec<f64>) {
+/// A sample's `(T_cc, T_oo)` halves of Eq. 1 at one parameter vector.
+type Halves = (f64, f64);
+
+/// The log-error `ln(1 + predicted) − ln(1 + observed)` of `s` from its
+/// Eq. 1 halves: the sum is [`PerfParams::iter_time_from`]'s, in its order.
+#[inline(always)]
+fn log_error(s: &Sample, (t_cc, t_oo): Halves, k_const: f64) -> f64 {
+    (1.0 + (t_cc + t_oo + k_const)).ln() - s.log_observed
+}
+
+/// Log-errors of the parameter vector `x` on every sample, written into
+/// `out`, and each sample's Eq. 1 halves, written into `halves`.
+///
+/// With `below = Some(f)` — a damping-ladder candidate, which is accepted
+/// only below the RMSLE `f` — the pass gives up and returns `false` as
+/// soon as `sqrt(partial/m) >= f` over the partial sum of squares. The
+/// reject is exact: squares are non-negative and rounding is monotone, so
+/// the partial sums never decrease and the full RMSLE cannot fall below
+/// `f` again. A NaN never rejects here; the caller's finiteness test does.
+/// Returns `true` when every sample was evaluated.
+fn residuals(
+    samples: &[Sample],
+    x: &[f64; 7],
+    gpu_flops: f64,
+    below: Option<f64>,
+    out: &mut Vec<f64>,
+    halves: &mut Vec<Halves>,
+) -> bool {
     let p = PerfParams::from_vec(x, gpu_flops);
+    let m = samples.len() as f64;
+    let mut partial = 0.0;
     out.clear();
-    out.extend(
-        samples
-            .iter()
-            .map(|s| (1.0 + p.iter_time_from(&s.terms)).ln() - s.log_observed),
-    );
+    halves.clear();
+    for s in samples {
+        let parts = (p.t_cc(&s.terms), p.t_oo(&s.terms));
+        let d = log_error(s, parts, p.k_const);
+        out.push(d);
+        halves.push(parts);
+        if let Some(f) = below {
+            partial += d * d;
+            if (partial / m).sqrt() >= f {
+                return false;
+            }
+        }
+    }
+    true
 }
 
 /// RMSLE of a residual vector.
@@ -287,20 +330,31 @@ fn solve7(mut a: [[f64; 7]; 7], mut b: [f64; 7]) -> Option<[f64; 7]> {
     Some(x)
 }
 
+/// Buffers of one descent, allocated once and reused by every step.
+struct Scratch {
+    /// Residuals at the current point and their samples' Eq. 1 halves.
+    r: Vec<f64>,
+    halves: Vec<Halves>,
+    /// The same for the damping-ladder candidate being tried.
+    rp: Vec<f64>,
+    halves_p: Vec<Halves>,
+    /// Finite-difference Jacobian, one row per sample.
+    jac: Vec<[f64; 7]>,
+}
+
 /// One damped Gauss–Newton (Levenberg–Marquardt) step from `x`, whose
-/// residuals `r` and RMSLE `f` are passed in rather than recomputed.
+/// residuals (with their Eq. 1 halves) in `sc` and RMSLE `f` are passed
+/// in rather than recomputed.
 ///
 /// The damping ladder is walked from near-Gauss-Newton towards steepest
 /// descent and the first candidate (projected into the box) that lowers
-/// the RMSLE replaces `(x, r, f)`; returns whether one did. `rp` is
-/// scratch space.
+/// the RMSLE replaces `(x, sc.r, f)`; returns whether one did.
 fn step(
     samples: &[Sample],
     gpu_flops: f64,
     x: &mut [f64; 7],
-    r: &mut Vec<f64>,
     f: &mut f64,
-    rp: &mut Vec<f64>,
+    sc: &mut Scratch,
 ) -> bool {
     if !f.is_finite() {
         return false;
@@ -308,9 +362,13 @@ fn step(
     // Finite-difference Jacobian, column per parameter. Steps are a fixed
     // fraction of the box so conditioning does not depend on the current
     // value; a backward difference is used at the upper bound so clamping
-    // never zeroes a column.
+    // never zeroes a column. Column `j` re-evaluates only the Eq. 1 half
+    // that reads parameter `j` (`k_const` reads neither) and nothing on a
+    // sample whose read mask excludes `j`: the perturbed residual is then
+    // the current one, bit for bit. Debug builds evaluate every entry in
+    // full and check the bits.
     let m = samples.len();
-    let mut jac: Vec<[f64; 7]> = vec![[0.0; 7]; m];
+    let (r, halves, jac) = (&sc.r, &sc.halves, &mut sc.jac);
     for j in 0..7 {
         let h = 1e-5 * (HI[j] - LO[j]);
         let mut xp = *x;
@@ -322,9 +380,29 @@ fn step(
             -1.0
         };
         project(&mut xp);
-        residuals(samples, &xp, gpu_flops, rp);
-        for (row, jr) in jac.iter_mut().enumerate() {
-            jr[j] = sign * (rp[row] - r[row]) / h;
+        let p = PerfParams::from_vec(&xp, gpu_flops);
+        let bit = 1u8 << j;
+        for (row, s) in samples.iter().enumerate() {
+            let (t_cc, t_oo) = halves[row];
+            let rp = if s.reads & bit == 0 {
+                r[row]
+            } else {
+                match j {
+                    0 | 1 => log_error(s, (p.t_cc(&s.terms), t_oo), p.k_const),
+                    6 => log_error(s, (t_cc, t_oo), p.k_const),
+                    _ => log_error(s, (t_cc, p.t_oo(&s.terms)), p.k_const),
+                }
+            };
+            jac[row][j] = sign * (rp - r[row]) / h;
+            #[cfg(debug_assertions)]
+            {
+                let full = (1.0 + p.iter_time_from(&s.terms)).ln() - s.log_observed;
+                assert_eq!(
+                    (sign * (full - r[row]) / h).to_bits(),
+                    jac[row][j].to_bits(),
+                    "read-set Jacobian entry ({row}, {j}) diverges"
+                );
+            }
         }
     }
 
@@ -353,12 +431,34 @@ fn step(
             cand[i] -= delta[i];
         }
         project(&mut cand);
-        residuals(samples, &cand, gpu_flops, rp);
-        let fc = cost(rp);
+        // An early reject is exact (see `residuals`); debug builds
+        // evaluate the candidate in full and check it.
+        if !residuals(
+            samples,
+            &cand,
+            gpu_flops,
+            Some(*f),
+            &mut sc.rp,
+            &mut sc.halves_p,
+        ) {
+            #[cfg(debug_assertions)]
+            {
+                let mut full = Vec::new();
+                residuals(samples, &cand, gpu_flops, None, &mut full, &mut Vec::new());
+                let fc = cost(&full);
+                assert!(
+                    fc >= *f || fc.is_nan(),
+                    "early-rejected candidate {fc} beats {f}"
+                );
+            }
+            continue;
+        }
+        let fc = cost(&sc.rp);
         if fc.is_finite() && fc < *f {
             *x = cand;
             *f = fc;
-            std::mem::swap(r, rp);
+            std::mem::swap(&mut sc.r, &mut sc.rp);
+            std::mem::swap(&mut sc.halves, &mut sc.halves_p);
             return true;
         }
     }
@@ -373,13 +473,19 @@ fn step(
 fn descend(x0: [f64; 7], gpu_flops: f64, samples: &[Sample], max_steps: usize) -> ([f64; 7], f64) {
     let mut x = x0;
     project(&mut x);
-    let mut r = Vec::with_capacity(samples.len());
-    let mut rp = Vec::with_capacity(samples.len());
-    residuals(samples, &x, gpu_flops, &mut r);
-    let mut f = cost(&r);
+    let m = samples.len();
+    let mut sc = Scratch {
+        r: Vec::with_capacity(m),
+        halves: Vec::with_capacity(m),
+        rp: Vec::with_capacity(m),
+        halves_p: Vec::with_capacity(m),
+        jac: vec![[0.0; 7]; m],
+    };
+    residuals(samples, &x, gpu_flops, None, &mut sc.r, &mut sc.halves);
+    let mut f = cost(&sc.r);
     let mut best = f64::INFINITY;
     for _ in 0..max_steps.max(1) {
-        let moved = step(samples, gpu_flops, &mut x, &mut r, &mut f, &mut rp);
+        let moved = step(samples, gpu_flops, &mut x, &mut f, &mut sc);
         // `improved` is false for NaN too, ending the loop. A step that
         // did not move would repeat itself exactly, so it ends the loop as
         // well.
@@ -523,7 +629,14 @@ mod tests {
         };
         let mut r = Vec::new();
         let samples = samples(&spec, &env, start.gpu_flops, &points);
-        residuals(&samples, &start.to_vec(), start.gpu_flops, &mut r);
+        residuals(
+            &samples,
+            &start.to_vec(),
+            start.gpu_flops,
+            None,
+            &mut r,
+            &mut Vec::new(),
+        );
         let before = cost(&r);
         let (stepped, after) = refit_step(&spec, &env, &start, &points);
         assert!(after < before, "one step must improve: {after} vs {before}");

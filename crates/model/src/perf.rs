@@ -73,6 +73,45 @@ pub struct IterTerms {
     offload: bool,
 }
 
+impl IterTerms {
+    /// The fitted parameters Eq. 1 may read on these terms: bit `j` stands
+    /// for parameter `j` in [`PerfParams::to_vec`] order. A clear bit is a
+    /// guarantee — changing that parameter leaves
+    /// [`iter_time_from`](PerfParams::iter_time_from) bit-identical — while
+    /// a set bit may be conservative.
+    ///
+    /// `k_bwd` and `k_const` are always read. Only a ZeRO-Offload plan reads
+    /// `k_opt_off`, `k_off` and `k_swap`, and only another plan reads
+    /// `k_opt`. `k_sync` (non-offload) and `k_off` (offload) weigh an
+    /// overlap with the DP sync, which [`f_overlap`] short-circuits when
+    /// `t_comm_dp <= 0`. A fit's finite-difference Jacobian skips every
+    /// column outside the mask.
+    pub fn read_mask(&self) -> u8 {
+        const K_BWD: u8 = 1 << 0;
+        const K_SYNC: u8 = 1 << 1;
+        const K_OPT: u8 = 1 << 2;
+        const K_OPT_OFF: u8 = 1 << 3;
+        const K_OFF: u8 = 1 << 4;
+        const K_SWAP: u8 = 1 << 5;
+        const K_CONST: u8 = 1 << 6;
+        // A NaN time does not short-circuit `f_overlap` either.
+        let syncs = self.t_comm_dp > 0.0 || self.t_comm_dp.is_nan();
+        let mut mask = K_BWD | K_CONST;
+        if self.offload {
+            mask |= K_OPT_OFF | K_SWAP;
+            if syncs {
+                mask |= K_OFF;
+            }
+        } else {
+            mask |= K_OPT;
+            if syncs {
+                mask |= K_SYNC;
+            }
+        }
+        mask
+    }
+}
+
 /// Computes the per-iteration communication volumes of a plan (paper §4.1).
 ///
 /// * DP (ring all-reduce): `V_dp = P · 2(d−1) / (d·t·p)` — the rule also
@@ -329,25 +368,30 @@ impl PerfParams {
     }
 
     /// Eq. 1 over precomputed [`IterTerms`]: combines them with this
-    /// set's seven fitted parameters.
+    /// set's seven fitted parameters as
+    /// [`t_cc`](PerfParams::t_cc)` + `[`t_oo`](PerfParams::t_oo)` + k_const`.
     #[inline(always)]
     pub fn iter_time_from(&self, terms: &IterTerms) -> f64 {
+        self.t_cc(terms) + self.t_oo(terms) + self.k_const
+    }
+
+    /// `T_cc` of Eq. 1: forward, backward and communication (§4.1). Reads
+    /// only `k_bwd` and `k_sync` of the fitted parameters.
+    #[inline(always)]
+    pub fn t_cc(&self, terms: &IterTerms) -> f64 {
         let IterTerms {
             t_fwd,
             t_comm_dp,
             t_comm_tp,
             t_comm_pp,
-            t_off,
-            params_b,
-            opt_div,
             ga_steps,
             gc,
             offload,
+            ..
         } = *terms;
         // GC adds one forward-pass worth of recomputation to the backward pass.
         let t_bwd = self.k_bwd * t_fwd + if gc { t_fwd } else { 0.0 };
-
-        let t_cc = if offload {
+        if offload {
             // DP sync is overlapped with offloading inside T_oo instead.
             let a = ga_steps as f64;
             a * t_fwd + a * t_bwd + t_comm_tp + t_comm_pp
@@ -360,16 +404,27 @@ impl PerfParams {
                 + t_comm_pp
         } else {
             t_fwd + f_overlap(self.k_sync, t_bwd, t_comm_dp) + t_comm_tp + t_comm_pp
-        };
+        }
+    }
 
-        let t_oo = if offload {
+    /// `T_oo` of Eq. 1: optimizer and offloading (§4.2). Reads only
+    /// `k_opt`, `k_opt_off`, `k_off` and `k_swap` of the fitted parameters.
+    #[inline(always)]
+    pub fn t_oo(&self, terms: &IterTerms) -> f64 {
+        let IterTerms {
+            t_comm_dp,
+            t_off,
+            params_b,
+            opt_div,
+            offload,
+            ..
+        } = *terms;
+        if offload {
             let t_opt = self.k_opt_off * params_b / opt_div;
             f_overlap(self.k_off, t_comm_dp, t_off) + f_overlap(self.k_swap, t_opt, t_off)
         } else {
             self.k_opt * params_b / opt_div
-        };
-
-        t_cc + t_oo + self.k_const
+        }
     }
 
     /// Predicted throughput in samples/second: `b / T_iter`.

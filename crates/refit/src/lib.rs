@@ -58,6 +58,7 @@
 
 use rubick_core::ModelRegistry;
 use rubick_model::fit::{refit_params, DataPoint};
+use rubick_model::perf::IterTerms;
 use rubick_model::{PerfParams, ThroughputModel};
 use rubick_sim::{RefitHook, RefitObservation, RefitOutcome};
 use std::collections::BTreeMap;
@@ -145,6 +146,9 @@ pub struct RegistryRefitter {
     /// Per-model-type observation windows.
     windows: BTreeMap<String, Window>,
     stats: RefitStats,
+    /// Scratch: Eq. 1's parameter-independent terms of the window being
+    /// checked, one per point.
+    terms: Vec<IterTerms>,
 }
 
 /// One model type's observation window, deduplicated by configuration
@@ -178,6 +182,7 @@ impl RegistryRefitter {
             config,
             windows: BTreeMap::new(),
             stats: RefitStats::default(),
+            terms: Vec::new(),
         }
     }
 
@@ -191,33 +196,29 @@ impl RegistryRefitter {
         self.windows.get(model).map_or(0, |w| w.points.len())
     }
 
-    /// Worst relative prediction error of `params` over `points`.
-    fn max_rel_error(params: &PerfParams, model: &ThroughputModel, points: &[DataPoint]) -> f64 {
-        let env = &model.env;
+    /// Worst relative prediction error of `params` over `points`, whose
+    /// Eq. 1 terms under `params.gpu_flops` are `terms`.
+    fn max_rel_error(params: &PerfParams, terms: &[IterTerms], points: &[DataPoint]) -> f64 {
         points
             .iter()
-            .map(|p| {
-                let pred =
-                    params.iter_time(&model.spec, &p.plan, p.global_batch, &p.placement, env);
+            .zip(terms)
+            .map(|(p, t)| {
+                let pred = params.iter_time_from(t);
                 ((pred - p.iter_time) / p.iter_time).abs()
             })
             .fold(0.0_f64, f64::max)
     }
 
-    /// Relative envelope shift between two parameter sets over the window:
-    /// the largest relative change in predicted iteration time.
-    fn envelope_shift(
-        old: &PerfParams,
-        new: &PerfParams,
-        model: &ThroughputModel,
-        points: &[DataPoint],
-    ) -> f64 {
-        let env = &model.env;
-        points
+    /// Relative envelope shift between two parameter sets sharing
+    /// `gpu_flops` over the window whose terms are `terms`: the largest
+    /// relative change in predicted iteration time.
+    fn envelope_shift(old: &PerfParams, new: &PerfParams, terms: &[IterTerms]) -> f64 {
+        debug_assert_eq!(old.gpu_flops.to_bits(), new.gpu_flops.to_bits());
+        terms
             .iter()
-            .map(|p| {
-                let a = old.iter_time(&model.spec, &p.plan, p.global_batch, &p.placement, env);
-                let b = new.iter_time(&model.spec, &p.plan, p.global_batch, &p.placement, env);
+            .map(|t| {
+                let a = old.iter_time_from(t);
+                let b = new.iter_time_from(t);
                 if a > 0.0 {
                     ((b - a) / a).abs()
                 } else {
@@ -291,9 +292,22 @@ impl RefitHook for RegistryRefitter {
             return None;
         }
 
+        // One pass of Eq. 1's parameter-independent terms serves the gate
+        // and the envelope shift: a refit keeps `gpu_flops`.
+        self.terms.clear();
+        self.terms.extend(window.points.iter().map(|p| {
+            old_params.iter_terms(
+                &model.spec,
+                &p.plan,
+                p.global_batch,
+                &p.placement,
+                &model.env,
+            )
+        }));
+
         // Gate: is the current model still within tolerance of what the
         // cluster actually measured?
-        if Self::max_rel_error(&old_params, &model, &window.points) <= self.config.threshold {
+        if Self::max_rel_error(&old_params, &self.terms, &window.points) <= self.config.threshold {
             window.settled = Some(bits);
             return None;
         }
@@ -312,7 +326,7 @@ impl RefitHook for RegistryRefitter {
         // beyond the threshold justifies invalidating every cached plan.
         // A NaN shift is immaterial by definition, so test for the
         // affirmative and bail otherwise.
-        let shift = Self::envelope_shift(&old_params, &new_params, &model, &window.points);
+        let shift = Self::envelope_shift(&old_params, &new_params, &self.terms);
         let material = shift > self.config.threshold;
         if !material {
             window.settled = Some(bits);
