@@ -16,7 +16,9 @@
 #                      debug build of the Rubick policy, which walks every
 #                      skipped plan search and checks every rollback, then
 #                      the mt trace with --refit, whose debug fits check
-#                      every read-set Jacobian entry and early reject
+#                      every read-set Jacobian entry and early reject; then
+#                      Sia on base and on mt --refit, whose debug build
+#                      re-resolves every per-job cache hit
 #   make benchmark-test  unit tests of the repo benchmark package
 #                      (benchmark/), which builds against the workspace
 #                      crates through path dependencies
@@ -130,7 +132,10 @@ refit-smoke:
 # layouts the unit tests do not, so a skip that is not exact panics here.
 # The --refit run does the same for the fit kernel: every Jacobian entry
 # is re-evaluated in full and every early-rejected damping candidate is
-# costed in full, over thousands of live refit windows.
+# costed in full, over thousands of live refit windows. The Sia runs
+# re-resolve every per-job cache hit from the registry and check every
+# curve's next rise against the forward walk; the --refit one publishes
+# refits, so the cache is invalidated on a live trace.
 skip-smoke:
 	cargo build -p rubick-cli
 	for trace in base mt bp; do \
@@ -139,8 +144,13 @@ skip-smoke:
 	done
 	target/debug/rubick run --scheduler rubick --trace mt --seed 7 --refit \
 		--log-level error > /dev/null
+	target/debug/rubick run --scheduler sia --trace base --seed 7 \
+		--log-level error > /dev/null
+	target/debug/rubick run --scheduler sia --trace mt --seed 7 --refit \
+		--log-level error > /dev/null
 	@echo "skip-smoke: every skipped search matches its walk on base, mt and bp;"
-	@echo "skip-smoke: every read-set Jacobian entry and early reject matches on mt --refit"
+	@echo "skip-smoke: every read-set Jacobian entry and early reject matches on mt --refit;"
+	@echo "skip-smoke: every Sia cache hit and next rise matches on base and mt --refit"
 
 bench:
 	cargo bench -p rubick-bench --bench scheduling

@@ -16,9 +16,9 @@
 use crate::common::{job_baseline, PlanSearch};
 use crate::registry::ModelRegistry;
 use crate::round::RoundContext;
-use rubick_model::{Resources, SensitivityCurve};
+use rubick_model::{Resources, SensitivityCurve, ThroughputModel};
 use rubick_sim::cluster::Cluster;
-use rubick_sim::job::JobStatus;
+use rubick_sim::job::{JobSpec, JobStatus};
 use rubick_sim::scheduler::{Assignment, JobSnapshot, Scheduler};
 use rubick_sim::tenant::Tenant;
 use std::cmp::Ordering;
@@ -31,6 +31,107 @@ pub struct SiaScheduler {
     /// Churn guard: minimum relative goodput gain to change a running job's
     /// GPU count (Sia restarts jobs to rescale, like Rubick's checkpoints).
     pub min_gain: f64,
+    /// What each job resolves to in the registry, kept across rounds.
+    cache: JobCache,
+}
+
+/// What a round reads from the registry for one job: its curve under
+/// Sia's restricted plan search, its goodput norm and its fitted model.
+/// Each is a pure function of the job's spec and baseline, the registry's
+/// contents and the schedulable GPU count.
+struct JobEntry {
+    /// The spec the entry was resolved for. A hit needs this very `Arc`,
+    /// so a re-submitted id with a new spec never reads a stale entry.
+    spec: Arc<JobSpec>,
+    /// The snapshot's baseline (bits) the norm was derived from.
+    baseline: Option<u64>,
+    curve: Option<Arc<SensitivityCurve>>,
+    norm: f64,
+    model: Option<Arc<ThroughputModel>>,
+}
+
+impl JobEntry {
+    fn resolve(registry: &ModelRegistry, job: &JobSnapshot, total_gpus: u32) -> Self {
+        JobEntry {
+            spec: Arc::clone(&job.spec),
+            baseline: job.baseline_throughput.map(f64::to_bits),
+            curve: registry.gpu_curve(
+                &job.spec.model.name,
+                &search_for(&job.spec),
+                job.spec.global_batch,
+                total_gpus,
+            ),
+            norm: job_baseline(registry, job).unwrap_or(1.0).max(1e-9),
+            model: registry.model(&job.spec.model.name),
+        }
+    }
+
+    fn hits(&self, job: &JobSnapshot) -> bool {
+        Arc::ptr_eq(&self.spec, &job.spec)
+            && self.baseline == job.baseline_throughput.map(f64::to_bits)
+    }
+}
+
+/// Per-job [`JobEntry`]s, valid for one `(registry version, schedulable
+/// GPUs)` pair and cleared when either changes — that covers refits,
+/// on-demand profiling and node failures. Entries sit in the last round's
+/// snapshot order, which the engine gives sorted by job id, so one merge
+/// pass finds every job that stayed; an unsorted slice only costs misses.
+/// Jobs absent from a round are dropped. A pure cache: a fresh scheduler
+/// makes the same decisions.
+#[derive(Default)]
+struct JobCache {
+    key: Option<(u64, u32)>,
+    entries: Vec<JobEntry>,
+}
+
+impl JobCache {
+    /// Aligns the cache with `jobs`: afterwards `entries[pos]` is
+    /// `jobs[pos]`'s entry. Debug builds re-resolve every hit and assert
+    /// it matches.
+    fn refresh(&mut self, registry: &ModelRegistry, jobs: &[JobSnapshot], total_gpus: u32) {
+        let key = Some((registry.version(), total_gpus));
+        if self.key != key {
+            self.key = key;
+            self.entries.clear();
+        }
+        let mut old = std::mem::take(&mut self.entries).into_iter().peekable();
+        self.entries = jobs
+            .iter()
+            .map(|job| {
+                while old.next_if(|e| e.spec.id < job.id()).is_some() {}
+                match old.next_if(|e| e.spec.id == job.id()) {
+                    Some(entry) if entry.hits(job) => {
+                        #[cfg(debug_assertions)]
+                        entry.assert_fresh(registry, job, total_gpus);
+                        entry
+                    }
+                    _ => JobEntry::resolve(registry, job, total_gpus),
+                }
+            })
+            .collect();
+    }
+}
+
+#[cfg(debug_assertions)]
+impl JobEntry {
+    /// Debug cross-check of a cache hit against a fresh resolution.
+    fn assert_fresh(&self, registry: &ModelRegistry, job: &JobSnapshot, total_gpus: u32) {
+        fn same<T>(a: &Option<Arc<T>>, b: &Option<Arc<T>>) -> bool {
+            match (a, b) {
+                (Some(a), Some(b)) => Arc::ptr_eq(a, b),
+                (a, b) => a.is_none() && b.is_none(),
+            }
+        }
+        let fresh = JobEntry::resolve(registry, job, total_gpus);
+        assert!(
+            same(&self.curve, &fresh.curve)
+                && same(&self.model, &fresh.model)
+                && self.norm.to_bits() == fresh.norm.to_bits(),
+            "stale Sia cache entry for job {}",
+            job.id()
+        );
+    }
 }
 
 impl SiaScheduler {
@@ -39,16 +140,18 @@ impl SiaScheduler {
         SiaScheduler {
             registry,
             min_gain: 0.05,
+            cache: JobCache::default(),
         }
     }
+}
 
-    fn search_for(&self, job: &JobSnapshot) -> PlanSearch {
-        if job.spec.initial_plan.parallel.is_model_parallel() {
-            // Footnote fallback: fixed 3D plan, no scaling.
-            PlanSearch::Fixed(job.spec.initial_plan)
-        } else {
-            PlanSearch::DpScale(job.spec.initial_plan)
-        }
+/// Sia's plan-search mode for a job: DP rescaling of its initial plan.
+fn search_for(spec: &JobSpec) -> PlanSearch {
+    if spec.initial_plan.parallel.is_model_parallel() {
+        // Footnote fallback: fixed 3D plan, no scaling.
+        PlanSearch::Fixed(spec.initial_plan)
+    } else {
+        PlanSearch::DpScale(spec.initial_plan)
     }
 }
 
@@ -67,24 +170,15 @@ impl Scheduler for SiaScheduler {
         let shape = cluster.shape();
         let total_gpus = cluster.schedulable_capacity().gpus;
 
-        // Per-job curves under Sia's restricted plan search, indexed by job
-        // position like every per-job vector below.
-        let curves: Vec<Option<Arc<SensitivityCurve>>> = jobs
+        // Per-job curves under Sia's restricted plan search, norms and
+        // models, indexed by job position like every per-job vector below.
+        self.cache.refresh(&self.registry, jobs, total_gpus);
+        let entries = &self.cache.entries;
+        let fill: Vec<_> = entries
             .iter()
-            .map(|job| {
-                self.registry.gpu_curve(
-                    &job.spec.model.name,
-                    &self.search_for(job),
-                    job.spec.global_batch,
-                    total_gpus,
-                )
-            })
+            .map(|e| (e.curve.as_deref(), e.norm))
             .collect();
-        let norms: Vec<f64> = jobs
-            .iter()
-            .map(|job| job_baseline(&self.registry, job).unwrap_or(1.0).max(1e-9))
-            .collect();
-        let target = water_fill(&curves, &norms, total_gpus);
+        let target = water_fill(&fill, total_gpus);
 
         // Keep running jobs whose target matches their current GPU count
         // (or whose change is not worth a restart).
@@ -97,7 +191,7 @@ impl Scheduler for SiaScheduler {
                     let cur = allocation.gpus();
                     let keep = if tgt == cur || tgt == 0 {
                         true
-                    } else if let Some(curve) = &curves[pos] {
+                    } else if let Some(curve) = &entries[pos].curve {
                         let gain = curve.value(tgt) / curve.value(cur).max(1e-12) - 1.0;
                         gain < self.min_gain
                     } else {
@@ -119,13 +213,11 @@ impl Scheduler for SiaScheduler {
         to_place.sort_by_key(|&pos| std::cmp::Reverse(target[pos]));
         for pos in to_place {
             let job = &jobs[pos];
-            let Some(model) = self.registry.model(&job.spec.model.name) else {
+            let entry = &entries[pos];
+            let (Some(model), Some(curve)) = (&entry.model, &entry.curve) else {
                 continue;
             };
-            let search = self.search_for(job);
-            let Some(curve) = &curves[pos] else {
-                continue;
-            };
+            let search = search_for(&job.spec);
             // Round the target down to the nearest valid GPU count.
             let mut g = target[pos];
             let mut placed = false;
@@ -142,7 +234,7 @@ impl Scheduler for SiaScheduler {
                 );
                 if let Some(alloc) = ctx.try_pack(want) {
                     if let Some((plan, _)) =
-                        search.best_plan(&model, job.spec.global_batch, &alloc.to_placement())
+                        search.best_plan(model, job.spec.global_batch, &alloc.to_placement())
                     {
                         ctx.commit(Assignment {
                             job: job.id(),
@@ -183,17 +275,14 @@ struct Jump {
 }
 
 impl Jump {
-    /// The next jump of job `pos` from `cur` GPUs: the smallest amount
-    /// beyond `cur` whose curve value improves, or `None` when the curve
-    /// is flat from `cur` on. Curves can be lumpy (a fixed TP8 plan only
-    /// runs at exactly 8 GPUs), so this is the next *useful* jump, not
-    /// just +1 GPU.
+    /// The next jump of job `pos` from `cur` GPUs, to the curve's
+    /// [`next_rise`](SensitivityCurve::next_rise), or `None` when the curve
+    /// is flat from `cur` on.
     fn next(curve: &SensitivityCurve, cur: u32, norm: f64, pos: usize) -> Option<Jump> {
-        let here = curve.value(cur);
-        let next = (cur + 1..=curve.max_amount()).find(|&g| curve.value(g) > here + 1e-12)?;
+        let next = curve.next_rise(cur)?;
         let gpus = next - cur;
         Some(Jump {
-            gain: (curve.value(next) - here) / gpus as f64 / norm,
+            gain: (curve.value(next) - curve.value(cur)) / gpus as f64 / norm,
             pos,
             gpus,
         })
@@ -224,26 +313,22 @@ impl Ord for Jump {
 
 /// Greedy water-filling on marginal normalized goodput: repeatedly grant
 /// the job with the best per-GPU gain its next useful jump, until the
-/// `total_gpus` run out or no jump fits. Returns each job's GPU target by
-/// position (0 for a job without a curve).
+/// `total_gpus` run out or no jump fits. Takes each job's curve and norm by
+/// position and returns each job's GPU target by position (0 for a job
+/// without a curve).
 ///
 /// A lazy max-heap holds one pending [`Jump`] per job. A job's jump only
 /// changes when that job is granted, so each grant pops one entry and
 /// pushes at most one; a popped jump larger than the GPUs left is dropped
 /// for good, because the GPUs left only shrink and that job's target is
-/// frozen. Cost: O((jobs + grants) · log jobs) heap work plus one forward
-/// walk over each curve.
-fn water_fill(
-    curves: &[Option<Arc<SensitivityCurve>>],
-    norms: &[f64],
-    total_gpus: u32,
-) -> Vec<u32> {
-    let mut target = vec![0u32; curves.len()];
-    let mut heap: BinaryHeap<Jump> = curves
+/// frozen. Each jump is an O(1) read of the curve's `next_rise`, so a round
+/// costs O((jobs + grants) · log jobs).
+fn water_fill(jobs: &[(Option<&SensitivityCurve>, f64)], total_gpus: u32) -> Vec<u32> {
+    let mut target = vec![0u32; jobs.len()];
+    let mut heap: BinaryHeap<Jump> = jobs
         .iter()
-        .zip(norms)
         .enumerate()
-        .filter_map(|(pos, (curve, &norm))| Jump::next(curve.as_deref()?, 0, norm, pos))
+        .filter_map(|(pos, &(curve, norm))| Jump::next(curve?, 0, norm, pos))
         .collect();
     let mut left = total_gpus;
     while left > 0 {
@@ -253,10 +338,9 @@ fn water_fill(
         }
         target[jump.pos] += jump.gpus;
         left -= jump.gpus;
-        let curve = curves[jump.pos]
-            .as_deref()
-            .expect("only jobs with a curve get a jump");
-        if let Some(next) = Jump::next(curve, target[jump.pos], norms[jump.pos], jump.pos) {
+        let (curve, norm) = jobs[jump.pos];
+        let curve = curve.expect("only jobs with a curve get a jump");
+        if let Some(next) = Jump::next(curve, target[jump.pos], norm, jump.pos) {
             heap.push(next);
         }
     }
@@ -268,7 +352,7 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
     use rubick_model::resources::ResourceKind;
-    use rubick_model::{ExecutionPlan, ModelSpec, NodeShape};
+    use rubick_model::{ExecutionPlan, ModelSpec, NodeShape, PerfParams};
     use rubick_sim::engine::{Engine, EngineConfig};
     use rubick_sim::job::{JobClass, JobSpec};
     use rubick_sim::tenant::TenantId;
@@ -337,6 +421,123 @@ mod tests {
         assert_eq!(report.jobs.len(), 1);
         // Fixed plan: never reconfigured, exactly the initial 8 GPUs used.
         assert_eq!(report.jobs[0].reconfig_count, 0);
+    }
+
+    fn spec(id: u64, model: ModelSpec, plan: ExecutionPlan, batch: u32) -> Arc<JobSpec> {
+        let gpus = plan.gpus();
+        Arc::new(JobSpec {
+            id,
+            model,
+            global_batch: batch,
+            submit_time: 0.0,
+            target_batches: 1000,
+            requested: Resources::new(gpus, 4 * gpus, 25.0 * gpus as f64),
+            initial_plan: plan,
+            class: JobClass::Guaranteed,
+            tenant: TenantId::default(),
+        })
+    }
+
+    /// This round's snapshots of `specs`: a job the previous round assigned
+    /// runs on that grant, every other job is queued.
+    fn snapshots(specs: &[(Arc<JobSpec>, Option<f64>)], prev: &[Assignment]) -> Vec<JobSnapshot> {
+        specs
+            .iter()
+            .map(|(spec, baseline)| JobSnapshot {
+                spec: Arc::clone(spec),
+                status: match prev.iter().find(|a| a.job == spec.id) {
+                    Some(a) => JobStatus::Running {
+                        allocation: a.allocation.clone(),
+                        plan: a.plan,
+                        throughput: 1.0,
+                        resume_at: 0.0,
+                    },
+                    None => JobStatus::Queued,
+                },
+                remaining_batches: 1000.0,
+                queued_since: 0.0,
+                runtime: 0.0,
+                reconfig_count: 0,
+                baseline_throughput: *baseline,
+            })
+            .collect()
+    }
+
+    /// A scheduler's cached per-job inputs: curve contents and norm bits.
+    fn cached(sia: &SiaScheduler) -> Vec<(Option<SensitivityCurve>, u64)> {
+        sia.cache
+            .entries
+            .iter()
+            .map(|e| (e.curve.as_deref().cloned(), e.norm.to_bits()))
+            .collect()
+    }
+
+    /// One scheduler kept across rounds decides every round exactly like a
+    /// fresh one, and holds the same per-job inputs, through everything
+    /// that can invalidate its cache: a refit (registry version bump), a
+    /// node failure and recovery (schedulable GPUs), a departed job, an id
+    /// re-submitted with a new spec in the same round, and a new baseline.
+    #[test]
+    fn warm_scheduler_matches_a_fresh_one_every_round() {
+        let oracle = TestbedOracle::new(4);
+        let registry = Arc::new(
+            ModelRegistry::from_oracle(
+                &oracle,
+                &[ModelSpec::roberta_large(), ModelSpec::gpt2_xl()],
+            )
+            .unwrap(),
+        );
+        let mut warm = SiaScheduler::new(Arc::clone(&registry));
+        let mut cluster = Cluster::new(2, NodeShape::a800());
+        let mut specs = vec![
+            (
+                spec(1, ModelSpec::roberta_large(), ExecutionPlan::dp(2), 64),
+                None,
+            ),
+            (
+                spec(2, ModelSpec::gpt2_xl(), ExecutionPlan::dp(4), 16),
+                None,
+            ),
+            (
+                spec(3, ModelSpec::roberta_large(), ExecutionPlan::dp(1), 32),
+                None,
+            ),
+        ];
+        let mut prev = Vec::new();
+        for round in 0..9 {
+            match round {
+                2 => registry.insert(ThroughputModel::new(
+                    ModelSpec::roberta_large(),
+                    PerfParams::default(),
+                    *oracle.env(),
+                    *oracle.shape(),
+                )),
+                3 => {
+                    cluster.set_node_up(1, false);
+                    prev.clear();
+                }
+                4 => {
+                    specs.pop();
+                }
+                5 => {
+                    let plan = ExecutionPlan::three_d(1, 2, 2, 1);
+                    specs[1].0 = spec(2, ModelSpec::gpt2_xl(), plan, 16);
+                }
+                6 => cluster.set_node_up(1, true),
+                7 => specs[0].1 = Some(50.0),
+                _ => {}
+            }
+            let jobs = snapshots(&specs, &prev);
+            let got = warm.schedule(0.0, &jobs, &cluster, &[]);
+            let mut fresh = SiaScheduler::new(Arc::clone(&registry));
+            assert_eq!(
+                got,
+                fresh.schedule(0.0, &jobs, &cluster, &[]),
+                "round {round}"
+            );
+            assert_eq!(cached(&warm), cached(&fresh), "round {round}");
+            prev = got;
+        }
     }
 
     /// The water-fill as a full rescan of every job per grant, kept as the
@@ -434,8 +635,9 @@ mod tests {
         fn heap_water_fill_matches_full_scan(round in any_round()) {
             let (total, jobs) = round;
             let (curves, norms): (Vec<_>, Vec<_>) = jobs.into_iter().unzip();
+            let fill: Vec<_> = curves.iter().map(|c| c.as_deref()).zip(norms.iter().copied()).collect();
             prop_assert_eq!(
-                water_fill(&curves, &norms, total),
+                water_fill(&fill, total),
                 water_fill_reference(&curves, &norms, total)
             );
         }

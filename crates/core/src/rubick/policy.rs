@@ -232,15 +232,16 @@ impl<'a> Ctx<'a> {
     /// Jump-aware normalized gain: sensitivity curves are lumpy (a 30B
     /// model produces zero throughput until ~12 GPUs), so the marginal
     /// value of the *next useful amount* is what matters when growing —
-    /// `(value(g') − value(g)) / (g' − g)` for the smallest improving `g'`.
+    /// `(value(g') − value(g)) / (g' − g)` for the smallest improving `g'`,
+    /// read from the curve's [`SensitivityCurve::next_rise`]. Curves span
+    /// exactly `0..=total_gpus`, so no rise lies beyond the cluster.
     fn jump_gain(&self, id: JobId, gpus: u32) -> f64 {
         let Some(curve) = self.curve(id) else {
             return 0.0;
         };
-        let here = curve.value(gpus);
-        let next = (gpus + 1..=self.total_gpus).find(|&g| curve.value(g) > here + 1e-12);
-        match next {
-            Some(g) => (curve.value(g) - here) / (g - gpus) as f64 / self.norm(id),
+        debug_assert_eq!(curve.max_amount(), self.total_gpus);
+        match curve.next_rise(gpus) {
+            Some(g) => (curve.value(g) - curve.value(gpus)) / (g - gpus) as f64 / self.norm(id),
             None => 0.0,
         }
     }

@@ -47,6 +47,11 @@ pub struct CurvePoint {
     /// [`SensitivityCurve::best_plan_at`] is O(1) instead of a float-equality
     /// walk-back. 0 in the infeasible prefix where the envelope is still 0.
     pub envelope_idx: u32,
+    /// The next useful amount: the smallest larger amount whose envelope
+    /// beats this point's by more than `1e-12`, or `None` when the
+    /// envelope never rises again. Makes
+    /// [`SensitivityCurve::next_rise`] O(1) instead of a forward walk.
+    pub next_rise: Option<u32>,
 }
 
 /// A job's throughput as a function of one resource amount, best plan
@@ -66,9 +71,10 @@ impl SensitivityCurve {
     /// same pass.
     ///
     /// This is the single construction path for every curve, so the
-    /// `envelope_idx` bookkeeping that makes
-    /// [`best_plan_at`](SensitivityCurve::best_plan_at) O(1) lives in
-    /// exactly one place.
+    /// `envelope_idx` and `next_rise` bookkeeping that makes
+    /// [`best_plan_at`](SensitivityCurve::best_plan_at) and
+    /// [`next_rise`](SensitivityCurve::next_rise) O(1) lives in exactly one
+    /// place.
     pub fn from_fn(
         kind: ResourceKind,
         max_amount: u32,
@@ -81,6 +87,7 @@ impl SensitivityCurve {
             envelope: 0.0,
             plan: None,
             envelope_idx: 0,
+            next_rise: None,
         });
         let mut env_best = 0.0f64;
         let mut env_idx = 0u32;
@@ -101,7 +108,25 @@ impl SensitivityCurve {
                 envelope: env_best,
                 plan,
                 envelope_idx: env_idx,
+                next_rise: None,
             });
+        }
+        // Backward, so each point can reuse its successor's answer: on a
+        // bit-identical plateau the threshold is the same and the successor
+        // does not beat it, so the rise is the successor's; anywhere else
+        // the rise is found by a forward walk, which ends at the first step
+        // above `1e-12` — at once on any real throughput step.
+        for a in (0..max_amount as usize).rev() {
+            let here = points[a].envelope;
+            let next = &points[a + 1];
+            points[a].next_rise = if next.envelope.to_bits() == here.to_bits() {
+                next.next_rise
+            } else {
+                points[a + 1..]
+                    .iter()
+                    .find(|p| p.envelope > here + 1e-12)
+                    .map(|p| p.amount)
+            };
         }
         SensitivityCurve { kind, points }
     }
@@ -153,6 +178,24 @@ impl SensitivityCurve {
         }
         let achieving = &self.points[point.envelope_idx as usize];
         achieving.plan.map(|plan| (plan, achieving.raw_throughput))
+    }
+
+    /// The next useful amount above `amount`: the smallest larger amount
+    /// whose envelope beats `value(amount) + 1e-12`, or `None` when the
+    /// curve never rises again (always `None` from the curve's maximum on).
+    /// Curves can be lumpy — a fixed TP8 plan only runs at exactly 8 GPUs —
+    /// so growth jumps here, not by one unit.
+    ///
+    /// O(1): read from [`CurvePoint::next_rise`]. Debug builds check it
+    /// against the forward walk it replaces.
+    pub fn next_rise(&self, amount: u32) -> Option<u32> {
+        let rise = self.points.get(amount as usize)?.next_rise;
+        debug_assert_eq!(
+            rise,
+            crate::reference::next_rise_naive(self, amount),
+            "next_rise({amount}) diverges from the forward walk"
+        );
+        rise
     }
 
     /// Marginal gain of adding one unit at `amount`:
@@ -455,6 +498,7 @@ mod tests {
             assert_eq!(p.envelope.to_bits(), q.envelope.to_bits());
             assert_eq!(p.plan, q.plan);
             assert_eq!(p.envelope_idx, q.envelope_idx);
+            assert_eq!(p.next_rise, q.next_rise);
         }
     }
 

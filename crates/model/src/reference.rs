@@ -4,12 +4,12 @@
 //! allocation-free [`PlanEnumerator`](crate::plan::PlanEnumerator), the
 //! [`PlanSetCache`](crate::planset::PlanSetCache)-backed
 //! [`best_plan`](crate::perf::ThroughputModel::best_plan) fast path and the
-//! O(1) curve envelopes can be *proven* output-identical by property tests
+//! O(1) curve envelopes and next rises can be *proven* output-identical by property tests
 //! (`crates/model/tests/plan_search_equiv.rs`) and benchmarked against as
 //! the cold/naive side in `crates/bench/benches/modeling.rs`.
 //!
-//! Nothing in the scheduler calls these; they are the spec, not the
-//! implementation.
+//! Nothing in the scheduler calls these outside debug-build cross-checks;
+//! they are the spec, not the implementation.
 
 use crate::curve::{CurvePoint, SensitivityCurve};
 use crate::env::ClusterEnv;
@@ -181,6 +181,26 @@ fn backfill_envelope_idx(points: &mut [CurvePoint]) {
     }
 }
 
+/// The next useful amount above `amount` by the forward walk
+/// [`SensitivityCurve::next_rise`] replaces: the first larger amount whose
+/// envelope beats `value(amount) + 1e-12`.
+pub fn next_rise_naive(curve: &SensitivityCurve, amount: u32) -> Option<u32> {
+    let here = curve.value(amount);
+    (amount + 1..=curve.max_amount()).find(|&a| curve.value(a) > here + 1e-12)
+}
+
+/// Fills every point's `next_rise` by [`next_rise_naive`], so full-struct
+/// equality validates the O(1) table too.
+fn backfill_next_rise(mut curve: SensitivityCurve) -> SensitivityCurve {
+    let rises: Vec<Option<u32>> = (0..=curve.max_amount())
+        .map(|a| next_rise_naive(&curve, a))
+        .collect();
+    for (point, rise) in curve.points.iter_mut().zip(rises) {
+        point.next_rise = rise;
+    }
+    curve
+}
+
 /// The original GPU-curve construction: a fresh packed placement and a full
 /// naive `best_plan` per point, with `envelope_idx` derived by the original
 /// walk-back so full-struct equality validates the O(1) index too.
@@ -196,6 +216,7 @@ pub fn for_gpus_naive(
         envelope: 0.0,
         plan: None,
         envelope_idx: 0,
+        next_rise: None,
     });
     let mut env_best = 0.0f64;
     for g in 1..=max_gpus {
@@ -209,13 +230,14 @@ pub fn for_gpus_naive(
             envelope: env_best,
             plan: best.map(|(p, _)| p),
             envelope_idx: 0,
+            next_rise: None,
         });
     }
     backfill_envelope_idx(&mut points);
-    SensitivityCurve {
+    backfill_next_rise(SensitivityCurve {
         kind: ResourceKind::Gpu,
         points,
-    }
+    })
 }
 
 /// The original CPU-curve construction: clones the base placement per point
@@ -234,6 +256,7 @@ pub fn for_cpus_naive(
         envelope: 0.0,
         plan: None,
         envelope_idx: 0,
+        next_rise: None,
     });
     let mut env_best = 0.0f64;
     for c in 1..=max_cpus {
@@ -250,11 +273,12 @@ pub fn for_cpus_naive(
             envelope: env_best,
             plan: best.map(|(p, _)| p),
             envelope_idx: 0,
+            next_rise: None,
         });
     }
     backfill_envelope_idx(&mut points);
-    SensitivityCurve {
+    backfill_next_rise(SensitivityCurve {
         kind: ResourceKind::Cpu,
         points,
-    }
+    })
 }

@@ -4,9 +4,48 @@
 use proptest::prelude::*;
 use rubick_model::perf::{f_overlap, volumes};
 use rubick_model::prelude::*;
+use rubick_model::resources::ResourceKind;
 
 fn any_model() -> impl Strategy<Value = ModelSpec> {
     prop::sample::select(ModelSpec::zoo())
+}
+
+/// Raw per-amount throughputs (0 = infeasible) in the shapes
+/// `next_rise` must handle: a zero prefix, repeated values (envelope
+/// plateaus), steps just below, at and above `1e-12` (also at a magnitude
+/// where `1e-12` is below one ulp), and a curve feasible at one amount
+/// only.
+fn any_raw() -> impl Strategy<Value = Vec<f64>> {
+    let value = prop::sample::select(vec![
+        0.0,
+        1.0,
+        1.0 + 4e-13,
+        1.0 + 8e-13,
+        1.0 + 1e-12,
+        1.0 + 1.3e-12,
+        2.0,
+        2.0 + 9e-13,
+        5.0,
+        1e6,
+        1e6 + 1e-12,
+    ]);
+    (
+        prop::collection::vec(value, 0..40),
+        0usize..12,
+        prop::sample::select(vec![None, Some(0usize), Some(7), Some(20)]),
+    )
+        .prop_map(|(mut raw, zeros, single)| {
+            for r in raw.iter_mut().take(zeros) {
+                *r = 0.0;
+            }
+            if let Some(at) = single {
+                raw.iter_mut().for_each(|r| *r = 0.0);
+                if let Some(r) = raw.get_mut(at) {
+                    *r = 3.0;
+                }
+            }
+            raw
+        })
 }
 
 proptest! {
@@ -151,6 +190,22 @@ proptest! {
                 prop_assert!(g_min <= g);
                 prop_assert!(curve.value(g_min) >= v - 1e-9);
             }
+        }
+    }
+
+    /// `next_rise(a)` is the forward walk it replaces at every amount,
+    /// including amounts past the curve's end.
+    #[test]
+    fn next_rise_matches_forward_walk(raw in any_raw()) {
+        let curve = SensitivityCurve::from_fn(ResourceKind::Gpu, raw.len() as u32, |a| {
+            let t = raw[a as usize - 1];
+            (t > 0.0).then(|| (ExecutionPlan::dp(a), t))
+        });
+        let max = curve.max_amount();
+        for a in 0..=max + 2 {
+            let here = curve.value(a);
+            let walk = (a + 1..=max).find(|&b| curve.value(b) > here + 1e-12);
+            prop_assert_eq!(curve.next_rise(a), walk, "amount {} of {:?}", a, raw);
         }
     }
 
