@@ -274,12 +274,16 @@ impl Scheduler for Hallucinator {
             plan: ExecutionPlan::dp(8),
         }];
         for j in jobs {
-            // Duplicate assignments for the same job: first one wins.
-            for _ in 0..2 {
+            // Two disagreeing assignments for the same job: the requested
+            // GPUs, then all 8 of node 0. The first one wins.
+            for gpus in [j.spec.requested.gpus, 8] {
                 out.push(Assignment {
                     job: j.id(),
-                    allocation: Allocation::on_node(0, j.spec.requested),
-                    plan: j.spec.initial_plan,
+                    allocation: Allocation::on_node(
+                        0,
+                        Resources::new(gpus, gpus * 4, gpus as f64 * 50.0),
+                    ),
+                    plan: ExecutionPlan::dp(gpus),
                 });
             }
         }
@@ -287,10 +291,74 @@ impl Scheduler for Hallucinator {
     }
 }
 
+/// Lists the jobs in reverse id order and asks for all 8 GPUs of node 0
+/// for every queued one.
+struct WholeNodeReversed;
+
+impl Scheduler for WholeNodeReversed {
+    fn name(&self) -> &str {
+        "whole-node-reversed"
+    }
+    fn schedule(
+        &mut self,
+        _now: f64,
+        jobs: &[JobSnapshot],
+        _cluster: &Cluster,
+        _tenants: &[Tenant],
+    ) -> Vec<Assignment> {
+        jobs.iter()
+            .rev()
+            .map(|j| match &j.status {
+                JobStatus::Running {
+                    allocation, plan, ..
+                } => Assignment {
+                    job: j.id(),
+                    allocation: allocation.clone(),
+                    plan: *plan,
+                },
+                JobStatus::Queued => Assignment {
+                    job: j.id(),
+                    allocation: Allocation::on_node(0, Resources::new(8, 32, 400.0)),
+                    plan: ExecutionPlan::dp(8),
+                },
+            })
+            .collect()
+    }
+}
+
 #[test]
 fn unknown_and_duplicate_assignments_are_ignored_gracefully() {
+    use rubick_sim::metrics::Decision;
     let report = run(Box::new(Hallucinator), vec![job(1, 2, 150)]);
     assert_eq!(report.jobs.len(), 1, "unfinished: {:?}", report.unfinished);
+    // The first of two disagreeing assignments wins, in every round.
+    let launched: Vec<(u64, u32)> = report
+        .decisions
+        .iter()
+        .filter_map(|d| match d {
+            Decision::Launch { job, gpus, .. } => Some((*job, *gpus)),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(launched, vec![(1, 2)]);
+    assert!(!report
+        .decisions
+        .iter()
+        .any(|d| matches!(d, Decision::Reconfigure { .. })));
+
+    // Configurations apply in the scheduler's order, not in id order: both
+    // jobs want all of node 0, job 2 is listed first and gets it.
+    let report = run(
+        Box::new(WholeNodeReversed),
+        vec![job(1, 8, 150), job(2, 8, 150)],
+    );
+    assert_eq!(report.jobs.len(), 2, "unfinished: {:?}", report.unfinished);
+    match &report.decisions[..2] {
+        [Decision::Launch { job: 2, .. }, Decision::Reject { job: 1, reason, .. }] => {
+            assert!(reason.contains("overcommitted"), "reason: {reason}")
+        }
+        other => panic!("expected job 2 launched, job 1 rejected: {other:?}"),
+    }
 }
 
 /// A job whose requested configuration cannot even be measured (OOM at
