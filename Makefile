@@ -18,7 +18,9 @@
 #                      the mt trace with --refit, whose debug fits check
 #                      every read-set Jacobian entry and early reject; then
 #                      Sia on base and on mt --refit, whose debug build
-#                      re-resolves every per-job cache hit
+#                      re-resolves every per-job cache hit, and Rubick on
+#                      mt with node and launch failures, whose debug
+#                      engine checks its job table after every step
 #   make benchmark-test  unit tests of the repo benchmark package
 #                      (benchmark/), which builds against the workspace
 #                      crates through path dependencies
@@ -135,7 +137,10 @@ refit-smoke:
 # costed in full, over thousands of live refit windows. The Sia runs
 # re-resolve every per-job cache hit from the registry and check every
 # curve's next rise against the forward walk; the --refit one publishes
-# refits, so the cache is invalidated on a live trace.
+# refits, so the cache is invalidated on a live trace. The --chaos run
+# evicts jobs from failed nodes and fails launches, so the engine's
+# eviction and launch-failure paths, its job-table assertions and
+# Rubick's skip checks on a ledger with down nodes all run in debug.
 skip-smoke:
 	cargo build -p rubick-cli
 	for trace in base mt bp; do \
@@ -148,9 +153,12 @@ skip-smoke:
 		--log-level error > /dev/null
 	target/debug/rubick run --scheduler sia --trace mt --seed 7 --refit \
 		--log-level error > /dev/null
+	target/debug/rubick run --scheduler rubick --trace mt --seed 7 \
+		--chaos examples/chaos/smoke.txt --log-level error > /dev/null
 	@echo "skip-smoke: every skipped search matches its walk on base, mt and bp;"
 	@echo "skip-smoke: every read-set Jacobian entry and early reject matches on mt --refit;"
-	@echo "skip-smoke: every Sia cache hit and next rise matches on base and mt --refit"
+	@echo "skip-smoke: every Sia cache hit and next rise matches on base and mt --refit;"
+	@echo "skip-smoke: every skip and job-table check holds on mt with node and launch failures"
 
 bench:
 	cargo bench -p rubick-bench --bench scheduling

@@ -13,6 +13,9 @@
 //! per-round walk is linear in the active set, not in the run's history. A
 //! job that completes or is cancelled leaves the table; its id stays in
 //! the done set, which answers duplicate-id checks and the finished count.
+//! The table is the policy's input: its snapshots, sorted by id, are the
+//! slice every round hands to [`Scheduler::schedule`], updated in place
+//! rather than rebuilt.
 //!
 //! Every state transition emits exactly one [`SimEvent`] on the **event
 //! spine** (see `rubick-obs`): the engine folds its own stream into the
@@ -34,7 +37,7 @@ mod apply;
 mod event_queue;
 mod runtime;
 
-use crate::cluster::Cluster;
+use crate::cluster::{Allocation, Cluster};
 use crate::job::{JobId, JobSpec, JobStatus};
 use crate::metrics::SimReport;
 use crate::refit::RefitHook;
@@ -43,7 +46,7 @@ use crate::scheduler::{Assignment, JobDelta, JobSnapshot, Scheduler};
 use crate::tenant::Tenant;
 use event_queue::{EventKind, EventQueue};
 use rubick_chaos::{FaultKind, FaultPlan};
-use rubick_model::Placement;
+use rubick_model::{ExecutionPlan, Placement};
 use rubick_obs::{EventSink, NullSink, SimEvent};
 use rubick_testbed::TestbedOracle;
 use runtime::JobRuntime;
@@ -107,9 +110,13 @@ pub struct Engine<'a> {
     cluster: Cluster,
     tenants: Vec<Tenant>,
     config: EngineConfig,
-    /// Active jobs only: a job leaves the table when it completes or is
-    /// cancelled.
-    jobs: BTreeMap<JobId, JobRuntime>,
+    /// Active jobs only, sorted by strictly increasing id: a job leaves
+    /// the table when it completes or is cancelled. This is the slice
+    /// [`Scheduler::schedule`] receives.
+    jobs: Vec<JobSnapshot>,
+    /// The rest of each active job's bookkeeping, at the same position as
+    /// its snapshot in `jobs`.
+    runtimes: Vec<JobRuntime>,
     /// Ids of jobs that completed or were cancelled.
     done: BTreeSet<JobId>,
     queue: EventQueue,
@@ -189,7 +196,8 @@ impl<'a> Engine<'a> {
             cluster,
             tenants,
             config,
-            jobs: BTreeMap::new(),
+            jobs: Vec::new(),
+            runtimes: Vec::new(),
             done: BTreeSet::new(),
             queue: EventQueue::new(),
             now: 0.0,
@@ -251,9 +259,24 @@ impl<'a> Engine<'a> {
 
     /// Advances all running jobs' progress to time `t`.
     fn advance(&mut self, t: f64) {
-        for rt in self.jobs.values_mut() {
-            rt.advance_to(t);
+        for (job, rt) in self.jobs.iter_mut().zip(&mut self.runtimes) {
+            rt.advance_to(job, t);
         }
+    }
+
+    /// The position of active job `id` in the job table.
+    fn pos(&self, id: JobId) -> Option<usize> {
+        self.jobs.binary_search_by_key(&id, JobSnapshot::id).ok()
+    }
+
+    /// Checks the job table's shape: ids strictly increasing, one runtime
+    /// per snapshot.
+    fn debug_check_table(&self) {
+        debug_assert_eq!(self.jobs.len(), self.runtimes.len(), "job table halves");
+        debug_assert!(
+            self.jobs.windows(2).all(|w| w[0].id() < w[1].id()),
+            "job table ids not strictly increasing"
+        );
     }
 
     /// Measures the SLA baseline: the throughput of the user-requested
@@ -274,15 +297,10 @@ impl<'a> Engine<'a> {
         )
     }
 
-    fn snapshots(&self) -> Vec<JobSnapshot> {
-        self.jobs.values().map(JobRuntime::snapshot).collect()
-    }
-
     /// Runs one scheduling round and applies the target assignment.
     fn round(&mut self, sink: &mut dyn EventSink) {
         self.rounds += 1;
-        let snaps = self.snapshots();
-        if snaps.is_empty() {
+        if self.jobs.is_empty() {
             let round = self.rounds;
             self.emit(
                 sink,
@@ -299,7 +317,7 @@ impl<'a> Engine<'a> {
             SimEvent::RoundStarted {
                 at: self.now,
                 round,
-                active_jobs: snaps.len() as u64,
+                active_jobs: self.jobs.len() as u64,
             },
         );
         // Hand the scheduler exactly the jobs that mutated since it last
@@ -317,7 +335,7 @@ impl<'a> Engine<'a> {
         let started = Instant::now();
         let targets = self
             .scheduler
-            .schedule(self.now, &snaps, &self.cluster, &self.tenants);
+            .schedule(self.now, &self.jobs, &self.cluster, &self.tenants);
         let nanos = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
         sink.on_round_latency(nanos);
         if self.config.emit_round_planned {
@@ -345,68 +363,70 @@ impl<'a> Engine<'a> {
     /// [`SimEvent::JobPreemptedByFault`] is emitted per victim, in job-id
     /// order.
     fn evict_jobs_on(&mut self, node: usize, sink: &mut dyn EventSink) {
-        let victims: Vec<JobId> = self
-            .jobs
-            .iter()
-            .filter_map(|(id, rt)| match &rt.status {
-                JobStatus::Running { allocation, .. }
-                    if allocation
-                        .per_node
-                        .iter()
-                        .any(|(n, r)| *n == node && !r.is_zero()) =>
-                {
-                    Some(*id)
-                }
-                _ => None,
-            })
-            .collect();
-        for id in victims {
-            self.mark_changed(id);
-            let rt = self.jobs.get_mut(&id).expect("victim exists");
-            let (alloc, plan) = match &rt.status {
-                JobStatus::Running {
-                    allocation, plan, ..
-                } => (allocation.clone(), plan.label()),
-                _ => unreachable!("victims are running"),
-            };
-            self.cluster.release(&alloc);
-            rt.status = JobStatus::Queued;
-            rt.queued_since = self.now;
-            rt.epoch += 1;
-            rt.fault_evicted_at = Some(self.now);
+        for i in 0..self.jobs.len() {
+            let on_node = self.jobs[i]
+                .allocation()
+                .is_some_and(|a| a.per_node.iter().any(|(n, r)| *n == node && !r.is_zero()));
+            if !on_node {
+                continue;
+            }
+            let (allocation, plan) = self.preempt(i);
+            self.runtimes[i].fault_evicted_at = Some(self.now);
             self.emit(
                 sink,
                 SimEvent::JobPreemptedByFault {
                     at: self.now,
-                    job: id,
+                    job: self.jobs[i].id(),
                     node: node as u64,
-                    gpus: alloc.gpus(),
-                    plan,
+                    gpus: allocation.gpus(),
+                    plan: plan.label(),
                 },
             );
         }
     }
 
-    fn queue_job(&mut self, id: JobId) {
-        let now = self.now;
-        let rt = self.jobs.get_mut(&id).expect("job exists");
-        if !rt.status.is_queued() {
-            rt.status = JobStatus::Queued;
-            rt.queued_since = now;
-            rt.epoch += 1;
+    /// Returns the running job at position `i` to the queue and releases
+    /// its allocation, which comes back with the plan it ran. The caller
+    /// emits the transition's event.
+    fn preempt(&mut self, i: usize) -> (Allocation, ExecutionPlan) {
+        let job = &mut self.jobs[i];
+        let JobStatus::Running {
+            allocation, plan, ..
+        } = std::mem::replace(&mut job.status, JobStatus::Queued)
+        else {
+            unreachable!("only running jobs are preempted")
+        };
+        job.queued_since = self.now;
+        let id = job.id();
+        self.runtimes[i].epoch += 1;
+        self.cluster.release(&allocation);
+        self.mark_changed(id);
+        (allocation, plan)
+    }
+
+    /// Returns the job at position `i` to the queue, if it is not there
+    /// already. Its allocation, if any, is already released.
+    fn requeue(&mut self, i: usize) {
+        let job = &mut self.jobs[i];
+        if !job.status.is_queued() {
+            job.status = JobStatus::Queued;
+            job.queued_since = self.now;
+            self.runtimes[i].epoch += 1;
         }
     }
 
     /// Takes `id` out of the job table, releasing its resources, and
-    /// records it as done. The returned runtime is the job's final state.
-    fn retire(&mut self, id: JobId) -> Option<JobRuntime> {
-        let rt = self.jobs.remove(&id)?;
-        if let JobStatus::Running { allocation, .. } = &rt.status {
+    /// records it as done. Returns the job's final snapshot and runtime.
+    fn retire(&mut self, id: JobId) -> Option<(JobSnapshot, JobRuntime)> {
+        let i = self.pos(id)?;
+        let job = self.jobs.remove(i);
+        let rt = self.runtimes.remove(i);
+        if let Some(allocation) = job.allocation() {
             self.cluster.release(allocation);
         }
         self.done.insert(id);
         self.mark_removed(id);
-        Some(rt)
+        Some((job, rt))
     }
 
     fn active_jobs(&self) -> usize {
@@ -430,19 +450,13 @@ impl<'a> Engine<'a> {
 
     /// Jobs currently holding resources.
     pub fn running_jobs(&self) -> usize {
-        self.jobs
-            .values()
-            .filter(|rt| rt.status.is_running())
-            .count()
+        self.jobs.iter().filter(|j| j.status.is_running()).count()
     }
 
     /// Jobs waiting in the queue (submitted, not running, not finished),
     /// not counting submissions whose `Submit` event has not fired yet.
     pub fn queued_jobs(&self) -> usize {
-        self.jobs
-            .values()
-            .filter(|rt| rt.status.is_queued())
-            .count()
+        self.jobs.iter().filter(|j| j.status.is_queued()).count()
     }
 
     /// Jobs that left the active set (completed or cancelled).
@@ -454,7 +468,7 @@ impl<'a> Engine<'a> {
     /// active, or already finished. Serve sessions use this to reject
     /// duplicate job ids at the protocol boundary.
     pub fn has_job(&self, id: JobId) -> bool {
-        self.pending.contains_key(&id) || self.jobs.contains_key(&id) || self.done.contains(&id)
+        self.pending.contains_key(&id) || self.pos(id).is_some() || self.done.contains(&id)
     }
 
     /// Accepts a job: its `Submit` event enters the queue at
@@ -538,33 +552,37 @@ impl<'a> Engine<'a> {
                     };
                     let baseline = self.baseline_throughput(&spec);
                     let submitted = report::submitted_event(&spec, self.now);
-                    self.jobs.insert(
-                        id,
-                        JobRuntime::submitted(Arc::new(spec), self.now, baseline),
-                    );
+                    let (job, rt) = JobRuntime::submitted(Arc::new(spec), self.now, baseline);
+                    match self.jobs.binary_search_by_key(&id, JobSnapshot::id) {
+                        // A re-submitted active id replaces its entry.
+                        Ok(i) => (self.jobs[i], self.runtimes[i]) = (job, rt),
+                        Err(i) => {
+                            self.jobs.insert(i, job);
+                            self.runtimes.insert(i, rt);
+                        }
+                    }
                     self.mark_changed(id);
                     self.emit(sink, submitted);
                     need_round = true;
                 }
                 EventKind::Finish(id, epoch) => {
-                    let Some(rt) = self.jobs.get(&id) else {
+                    let Some(i) = self.pos(id) else {
                         continue; // stale: the job already left the table
                     };
-                    if rt.epoch != epoch {
+                    if self.runtimes[i].epoch != epoch {
                         continue; // stale
                     }
-                    if rt.remaining <= 1e-6 {
-                        let rt = self.retire(id).expect("job exists");
-                        let record = rt.record(id, self.now);
+                    let job = &self.jobs[i];
+                    if job.remaining_batches <= 1e-6 {
+                        let (job, rt) = self.retire(id).expect("job exists");
+                        let record = rt.record(&job, self.now);
                         self.emit(sink, report::finished_event(&record));
                         need_round = true;
-                    } else {
+                    } else if let JobStatus::Running { throughput, .. } = job.status {
                         // Float drift: re-arm the finish event.
-                        let (batch_size, remaining) = (rt.spec.global_batch as f64, rt.remaining);
-                        if let JobStatus::Running { throughput, .. } = rt.status {
-                            let t = self.now + remaining * batch_size / throughput;
-                            self.queue.push(t, EventKind::Finish(id, epoch));
-                        }
+                        let batch_size = job.spec.global_batch as f64;
+                        let t = self.now + job.remaining_batches * batch_size / throughput;
+                        self.queue.push(t, EventKind::Finish(id, epoch));
                     }
                 }
                 EventKind::Tick => {
@@ -582,10 +600,10 @@ impl<'a> Engine<'a> {
                     // skip it; the fold tells a cancellation apart by the
                     // JobCancelled event (no JobFinished is emitted, so the
                     // job appears in neither `jobs` nor `unfinished`).
-                    let Some(rt) = self.retire(id) else {
+                    let Some((job, _)) = self.retire(id) else {
                         continue; // unknown or already done: no-op
                     };
-                    let (gpus, plan) = match &rt.status {
+                    let (gpus, plan) = match &job.status {
                         JobStatus::Running {
                             allocation, plan, ..
                         } => (allocation.gpus(), plan.label()),
@@ -638,6 +656,7 @@ impl<'a> Engine<'a> {
         if need_round {
             self.round(sink);
         }
+        self.debug_check_table();
         // A material refit bumped the registry version, so every cached
         // plan is stale; make sure a round actually happens to consume
         // that. The periodic heartbeat covers it when armed — otherwise

@@ -1,30 +1,23 @@
 //! Per-job runtime bookkeeping: progress, resource-time integrals and
 //! reconfiguration accounting between engine events.
 
-use crate::job::{JobId, JobSpec, JobStatus};
+use crate::job::{JobSpec, JobStatus};
 use crate::metrics::JobRecord;
 use crate::scheduler::JobSnapshot;
 use std::sync::Arc;
 
-/// The engine's mutable view of one job.
+/// The engine's view of one active job beyond its policy-facing
+/// [`JobSnapshot`]: the integrals and counters a policy never reads. The
+/// engine keeps one beside each snapshot, at the same position.
 #[derive(Debug)]
 pub(crate) struct JobRuntime {
-    pub(crate) spec: Arc<JobSpec>,
-    pub(crate) status: JobStatus,
-    /// Mini-batches left.
-    pub(crate) remaining: f64,
-    pub(crate) queued_since: f64,
-    /// Seconds spent holding resources.
-    pub(crate) runtime: f64,
     /// Seconds of productive training (excludes restore windows).
     pub(crate) work_seconds: f64,
     pub(crate) gpu_seconds: f64,
-    pub(crate) reconfig_count: u32,
     pub(crate) reconfig_time: f64,
     /// GPU-seconds lost to checkpoint-resume windows (delay x held GPUs).
     pub(crate) reconfig_gpu_seconds: f64,
     pub(crate) first_start: Option<f64>,
-    pub(crate) baseline_tput: Option<f64>,
     /// Bumped on every (re)configuration; stale finish events are ignored.
     pub(crate) epoch: u64,
     pub(crate) last_advance: f64,
@@ -36,84 +29,78 @@ pub(crate) struct JobRuntime {
 }
 
 impl JobRuntime {
-    /// A freshly submitted (queued) job.
-    pub(crate) fn submitted(spec: Arc<JobSpec>, now: f64, baseline_tput: Option<f64>) -> Self {
-        JobRuntime {
-            remaining: spec.target_batches as f64,
+    /// A freshly submitted (queued) job: its snapshot and its runtime.
+    pub(crate) fn submitted(
+        spec: Arc<JobSpec>,
+        now: f64,
+        baseline_throughput: Option<f64>,
+    ) -> (JobSnapshot, Self) {
+        let job = JobSnapshot {
+            remaining_batches: spec.target_batches as f64,
+            spec,
+            status: JobStatus::Queued,
             queued_since: now,
             runtime: 0.0,
+            reconfig_count: 0,
+            baseline_throughput,
+        };
+        let rt = JobRuntime {
             work_seconds: 0.0,
             gpu_seconds: 0.0,
-            reconfig_count: 0,
             reconfig_time: 0.0,
             reconfig_gpu_seconds: 0.0,
             first_start: None,
-            baseline_tput,
             epoch: 0,
             last_advance: now,
             fault_evicted_at: None,
             launch_attempts: 0,
-            status: JobStatus::Queued,
-            spec,
-        }
+        };
+        (job, rt)
     }
 
-    /// Advances progress and resource-time integrals to time `t`.
-    pub(crate) fn advance_to(&mut self, t: f64) {
+    /// Advances `job`'s progress and resource-time integrals to time `t`.
+    pub(crate) fn advance_to(&mut self, job: &mut JobSnapshot, t: f64) {
         if let JobStatus::Running {
             throughput,
             resume_at,
             allocation,
             ..
-        } = &self.status
+        } = &job.status
         {
             let held = (t - self.last_advance).max(0.0);
-            self.runtime += held;
+            job.runtime += held;
             self.gpu_seconds += held * allocation.gpus() as f64;
             let work_start = self.last_advance.max(*resume_at);
             if t > work_start {
                 let work = t - work_start;
-                let batches_per_sec = throughput / self.spec.global_batch as f64;
-                self.remaining = (self.remaining - work * batches_per_sec).max(0.0);
+                let batches_per_sec = throughput / job.spec.global_batch as f64;
+                job.remaining_batches = (job.remaining_batches - work * batches_per_sec).max(0.0);
                 self.work_seconds += work;
             }
         }
         self.last_advance = t;
     }
 
-    /// The policy-facing view of this job.
-    pub(crate) fn snapshot(&self) -> JobSnapshot {
-        JobSnapshot {
-            spec: Arc::clone(&self.spec),
-            status: self.status.clone(),
-            remaining_batches: self.remaining,
-            queued_since: self.queued_since,
-            runtime: self.runtime,
-            reconfig_count: self.reconfig_count,
-            baseline_throughput: self.baseline_tput,
-        }
-    }
-
-    /// The final accounting record for a job that completed at
+    /// The final accounting record for `job`, which completed at
     /// `finish_time`.
-    pub(crate) fn record(&self, id: JobId, finish_time: f64) -> JobRecord {
-        let spec = &self.spec;
+    pub(crate) fn record(&self, job: &JobSnapshot, finish_time: f64) -> JobRecord {
+        let spec = &job.spec;
         let samples = spec.target_batches as f64 * spec.global_batch as f64;
         JobRecord {
-            id,
+            id: spec.id,
             model: spec.model.name.clone(),
             class: spec.class,
             tenant: spec.tenant.clone(),
             submit_time: spec.submit_time,
             first_start: self.first_start,
             finish_time,
-            reconfig_count: self.reconfig_count,
+            reconfig_count: job.reconfig_count,
             reconfig_time: self.reconfig_time,
             reconfig_gpu_seconds: self.reconfig_gpu_seconds,
             gpu_seconds: self.gpu_seconds,
-            runtime: self.runtime,
+            runtime: job.runtime,
             target_batches: spec.target_batches,
-            baseline_throughput: self.baseline_tput,
+            baseline_throughput: job.baseline_throughput,
             avg_throughput: if self.work_seconds > 0.0 {
                 samples / self.work_seconds
             } else {

@@ -197,7 +197,10 @@ pub trait Scheduler: Send {
     /// Computes the complete target assignment for this scheduling round.
     ///
     /// * `now` — current simulation time;
-    /// * `jobs` — all queued and running jobs (finished jobs excluded);
+    /// * `jobs` — all queued and running jobs (finished jobs excluded),
+    ///   sorted by strictly increasing id. The slice is the engine's own
+    ///   job table, so a policy may merge per-job state against it
+    ///   without sorting;
     /// * `cluster` — node shapes and *total* capacities. The engine passes
     ///   the cluster with all of `jobs`' allocations still applied; the
     ///   policy is free to plan from scratch since the engine releases and

@@ -361,6 +361,74 @@ fn unknown_and_duplicate_assignments_are_ignored_gracefully() {
     }
 }
 
+/// Launches every queued job with its request and targets every running
+/// job with an empty allocation.
+struct Emptier;
+
+impl Scheduler for Emptier {
+    fn name(&self) -> &str {
+        "emptier"
+    }
+    fn schedule(
+        &mut self,
+        _now: f64,
+        jobs: &[JobSnapshot],
+        _cluster: &Cluster,
+        _tenants: &[Tenant],
+    ) -> Vec<Assignment> {
+        jobs.iter()
+            .map(|j| Assignment {
+                job: j.id(),
+                allocation: if j.status.is_running() {
+                    Allocation::empty()
+                } else {
+                    Allocation::on_node(0, j.spec.requested)
+                },
+                plan: j.spec.initial_plan,
+            })
+            .collect()
+    }
+}
+
+/// An empty target is no target: a running job it names is preempted,
+/// with the event that says so.
+#[test]
+fn empty_target_preempts_with_an_event() {
+    use rubick_obs::{DecisionKind, SimEvent, VecSink};
+    let oracle = TestbedOracle::new(13);
+    let mut engine = Engine::new(
+        &oracle,
+        Box::new(Emptier),
+        Cluster::new(2, NodeShape::a800()),
+        vec![],
+        EngineConfig::default(),
+    );
+    let mut sink = VecSink::default();
+    engine.submit(job(1, 4, 100_000));
+    engine.step(None, &mut sink); // submit: launch on 4 GPUs
+    assert_eq!(engine.running_jobs(), 1);
+    engine.step(None, &mut sink); // heartbeat: empty target
+    assert_eq!(engine.running_jobs(), 0);
+    assert_eq!(engine.queued_jobs(), 1);
+    let last = sink.events.iter().rev().find(|ev| {
+        matches!(
+            ev,
+            SimEvent::DecisionApplied { job: 1, .. } | SimEvent::Reconfigured { job: 1, .. }
+        )
+    });
+    assert!(
+        matches!(
+            last,
+            Some(SimEvent::DecisionApplied {
+                kind: DecisionKind::Preempt,
+                gpus: 4,
+                ..
+            })
+        ),
+        "last word on job 1: {last:?}"
+    );
+}
+
 /// A job whose requested configuration cannot even be measured (OOM at
 /// admission): the engine must record no baseline and proceed.
 #[test]

@@ -85,7 +85,8 @@ proptest! {
 }
 
 /// A simple feasible-gang scheduler used to drive the engine in property
-/// tests.
+/// tests. It checks that the engine hands it the jobs sorted by strictly
+/// increasing id.
 struct TestGang;
 
 impl Scheduler for TestGang {
@@ -100,6 +101,11 @@ impl Scheduler for TestGang {
         cluster: &Cluster,
         _tenants: &[Tenant],
     ) -> Vec<Assignment> {
+        assert!(
+            jobs.windows(2).all(|w| w[0].id() < w[1].id()),
+            "snapshot ids not strictly increasing: {:?}",
+            jobs.iter().map(JobSnapshot::id).collect::<Vec<_>>()
+        );
         let mut free: Vec<Resources> = cluster.nodes().iter().map(|n| n.free).collect();
         let mut out = Vec::new();
         for job in jobs {
@@ -256,7 +262,9 @@ proptest! {
     /// queues, while it runs, or after it finished. At every step each
     /// submitted job is running, queued or finished; every accepted id
     /// stays known; and the drained run leaves nothing running or queued.
-    /// One 8-GPU node and 4- or 8-GPU jobs make jobs queue often.
+    /// One 8-GPU node and 4- or 8-GPU jobs make jobs queue often. Ids are
+    /// bit-reversed submit counters, and `TestGang` checks every round's
+    /// slice is sorted by id.
     #[test]
     fn stepped_engine_bookkeeping(ops in prop::collection::vec(
         (0u32..4, 0u64..1000, 1000u64..20000, 0usize..64), 1..40,
@@ -275,7 +283,9 @@ proptest! {
         for (kind, delay, batches, pick) in ops {
             match kind {
                 0 => {
-                    let id = accepted.len() as u64;
+                    // Ids out of call order, so a submit often lands before
+                    // active jobs in the engine's id-sorted table.
+                    let id = (accepted.len() as u64).reverse_bits();
                     let gpus = 4u32 << (pick % 2);
                     engine.submit(JobSpec {
                         id,
