@@ -1,15 +1,15 @@
 //! Criterion benches for the simulation substrate: trace generation and
 //! end-to-end simulated cluster runs.
 //!
-//! `sim/406_job_trace/sia` is the engine's layer bench. A warm registry
-//! cache alone did not make Sia's rounds cheap: its locked, string-keyed
-//! lookups, one curve and one baseline per job per round, were about 40%
-//! of Sia's `schedule()`. Sia now keeps each job's curve, norm and model
-//! across rounds and reads each next jump from the curve in O(1), so the
-//! engine's own per-round work (progress, snapshots, applying targets) is
-//! a large share of the run. `sim/406_job_trace/rubick` is plan search's
-//! layer bench: on the same trace, Rubick's `schedule()` is most of the
-//! run.
+//! `sim/406_job_trace/sia` is the engine's layer bench. Sia keeps each
+//! job's curve, norm and model across rounds and reads each next jump
+//! from the curve in O(1), so its `schedule()` is cheap and the engine's
+//! own per-round work is a large share of the run. That work is advancing
+//! progress in place and applying targets by job-table position; the
+//! engine's id-sorted snapshot vector is itself the slice `schedule()`
+//! receives, so no round rebuilds it. `sim/406_job_trace/rubick` is plan
+//! search's layer bench: on the same trace, Rubick's `schedule()` is most
+//! of the run.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rubick_core::{ModelRegistry, RubickScheduler, SiaScheduler, SynergyScheduler};

@@ -5,8 +5,7 @@
 //! allocation counts as no assignment), then apply new configurations in
 //! the scheduler's preference order. The first assignment naming a job
 //! wins; later duplicates and unknown ids are ignored. Each applied
-//! transition emits exactly one
-//! event — preemptions and first launches as
+//! transition emits exactly one event — preemptions and first launches as
 //! [`SimEvent::DecisionApplied`], plan/allocation changes as
 //! [`SimEvent::Reconfigured`], and overcommitted or OOM-doomed assignments
 //! as [`SimEvent::LaunchFailed`].
@@ -18,7 +17,6 @@ impl<'a> Engine<'a> {
     pub(super) fn apply(&mut self, targets: Vec<Assignment>, sink: &mut dyn EventSink) {
         // slot[pos]: the index in `targets` of the first assignment naming
         // the job at `pos` (later duplicates and unknown ids are ignored).
-        // An empty allocation counts as no assignment.
         let mut slot: Vec<Option<usize>> = vec![None; self.jobs.len()];
         for (t, a) in targets.iter().enumerate() {
             if let Some(i) = self.pos(a.job) {
@@ -29,7 +27,8 @@ impl<'a> Engine<'a> {
         }
 
         // Phase 1: release running jobs that are changed or preempted, and
-        // flag (by target index) every job to configure.
+        // flag (by target index) every job to configure. An empty
+        // allocation counts as no assignment.
         let mut configure: Vec<Option<usize>> = vec![None; targets.len()];
         for (i, t) in slot.into_iter().enumerate() {
             let target = t
