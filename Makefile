@@ -8,10 +8,9 @@
 #   make serve-smoke   pipe the committed serve session script through
 #                      `rubick serve` and fail unless the reply stream is
 #                      byte-identical to the committed expectation
-#   make refit-smoke   run a --refit simulation sequentially and with 4
-#                      workers and fail unless the CSVs are byte-identical,
-#                      then check that dropping --refit changes nothing
-#                      about a frozen-model run
+#   make refit-smoke   check that a --refit run publishes refits and
+#                      that an inert --refit hook changes nothing about
+#                      a frozen-model run
 #   make skip-smoke    run the 406-job base, mt and bp traces through a
 #                      debug build of the Rubick policy, which walks every
 #                      skipped plan search and checks every rollback, then
@@ -51,8 +50,13 @@ fmt:
 # root — all human-readable output flows through rubick-cli (the one
 # exempt crate, where src/output.rs and src/main.rs are the only print
 # sites). `-D warnings` below promotes any violation to a build error.
+#
+# The benchmark package (its own [workspace], see benchmark-test) is
+# linted too: it compiles against the workspace's public API, including
+# compatibility items nothing inside the workspace uses any more.
 lint:
 	cargo clippy --all-targets -- -D warnings
+	cargo clippy --offline --manifest-path benchmark/Cargo.toml --all-targets -- -D warnings
 
 test:
 	cargo build --release
@@ -105,28 +109,24 @@ serve-smoke:
 	grep -q '"type":"recovered"' target/serve-smoke/recovered.jsonl
 	@echo "serve-smoke: reply stream matches golden; log recovery round-trips"
 
-# End-to-end refit gate: the same --refit run must be byte-identical
-# sequentially and with 4 workers (the hook observes on the engine's
-# single apply path, after the parallel search), and a frozen-model run
-# must not care whether the refit plumbing is compiled in — its CSV is
-# byte-identical with and without an explicit frozen threshold of the
-# sweep dimension. Scratch output lives under target/.
+# End-to-end refit gate: a --refit run must publish at least one refit
+# (its CSV then carries a model_refits row), and a frozen-model run must
+# not care whether the refit plumbing is compiled in — its CSV is
+# byte-identical with and without a refit hook whose threshold no shift
+# can reach. Scratch output lives under target/.
 refit-smoke:
 	cargo build --release -p rubick-cli
 	mkdir -p target/refit-smoke
 	target/release/rubick run --scheduler rubick --jobs 40 --seed 7 \
-		--refit --csv --log-level error > target/refit-smoke/seq.csv
-	target/release/rubick run --scheduler rubick --jobs 40 --seed 7 \
-		--refit --csv --log-level error --parallelism 4 \
-		> target/refit-smoke/par.csv
-	cmp target/refit-smoke/seq.csv target/refit-smoke/par.csv
+		--refit --csv --log-level error > target/refit-smoke/refit.csv
+	grep -q '^model_refits,' target/refit-smoke/refit.csv
 	target/release/rubick run --scheduler rubick --jobs 40 --seed 7 \
 		--csv --log-level error > target/refit-smoke/frozen.csv
 	target/release/rubick run --scheduler rubick --jobs 40 --seed 7 \
 		--refit --refit-threshold 1000000 --csv --log-level error \
 		> target/refit-smoke/frozen-hook.csv
 	cmp target/refit-smoke/frozen.csv target/refit-smoke/frozen-hook.csv
-	@echo "refit-smoke: byte-identical at 1 and 4 workers; inert hook changes nothing"
+	@echo "refit-smoke: a live refit run publishes; inert hook changes nothing"
 
 # End-to-end skip gate: debug builds walk every plan search that
 # `rolls_back_untouched` skips on a clone, assert it leaves the state

@@ -69,49 +69,13 @@ fn bench_round(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("policy/rubick_round");
     group.sample_size(10);
-    for jobs in [8usize, 32, 64] {
+    for jobs in [8usize, 32, 64, 256, 1024] {
         let snaps = snapshots(jobs);
         let cluster = Cluster::new(8, NodeShape::a800());
         group.bench_with_input(BenchmarkId::from_parameter(jobs), &jobs, |b, _| {
             let mut sched = RubickScheduler::new(Arc::clone(&registry));
             b.iter(|| black_box(sched.schedule(0.0, &snaps, &cluster, &[])))
         });
-    }
-    group.finish();
-}
-
-/// Sequential vs parallel round latency at increasing job counts. The
-/// parallel rows use `parallelism = auto` (all cores); on a single-core
-/// runner they measure the thread-pool overhead instead of a speedup, so
-/// interpret the ratio together with the host's core count.
-fn bench_parallel_round(c: &mut Criterion) {
-    let oracle = TestbedOracle::new(0);
-    let registry = Arc::new(
-        ModelRegistry::from_oracle(
-            &oracle,
-            &[
-                ModelSpec::roberta_large(),
-                ModelSpec::bert_large(),
-                ModelSpec::gpt2_xl(),
-                ModelSpec::t5_1b(),
-            ],
-        )
-        .unwrap(),
-    );
-    registry.warm_curves(64, |s| s.default_batch);
-
-    let mut group = c.benchmark_group("policy/parallel_round");
-    group.sample_size(10);
-    for jobs in [64usize, 256, 1024] {
-        let snaps = snapshots(jobs);
-        let cluster = Cluster::new(8, NodeShape::a800());
-        for (mode, parallelism) in [("seq", None), ("par", Some(0))] {
-            group.bench_with_input(BenchmarkId::new(mode, jobs), &jobs, |b, _| {
-                let mut sched = RubickScheduler::new(Arc::clone(&registry));
-                sched.set_parallelism(parallelism);
-                b.iter(|| black_box(sched.schedule(0.0, &snaps, &cluster, &[])))
-            });
-        }
     }
     group.finish();
 }
@@ -349,7 +313,6 @@ fn bench_incremental_round(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_round,
-    bench_parallel_round,
     bench_all_policies,
     bench_incremental_round
 );

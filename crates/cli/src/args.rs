@@ -128,8 +128,9 @@ impl Args {
         matches!(self.get(name), Some("true") | Some("1") | Some("yes"))
     }
 
-    /// The `--parallelism` knob: absent = `None` (sequential),
-    /// `auto` = `Some(0)` (all cores), `<n>` = `Some(n)` worker threads.
+    /// `sweep`'s `--parallelism` knob (cell workers): absent = `None`
+    /// (sequential), `auto` = `Some(0)` (all cores), `<n>` = `Some(n)`
+    /// worker threads.
     ///
     /// # Errors
     ///

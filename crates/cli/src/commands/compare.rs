@@ -31,7 +31,6 @@ pub fn execute(args: &Args) -> Result<(), CliError> {
         "large-frac",
         "seed",
         "csv",
-        "parallelism",
         "log-level",
         "chaos",
         "chaos-seed",

@@ -65,7 +65,7 @@ pub fn trace_config_from(args: &Args) -> Result<TraceConfig, CliError> {
 }
 
 /// Builds a [`ScenarioSpec`] from the flags shared by `run` and
-/// `compare` (`--trace --jobs --load --large-frac --seed --parallelism`),
+/// `compare` (`--trace --jobs --load --large-frac --seed`),
 /// preserving each flag's historical error message.
 pub fn scenario_spec_from(args: &Args) -> Result<ScenarioSpec, CliError> {
     let jobs: usize = args.parse_or("jobs", 406usize)?;
@@ -96,7 +96,6 @@ pub fn scenario_spec_from(args: &Args) -> Result<ScenarioSpec, CliError> {
         large_frac,
         seed: args.parse_or("seed", 2025u64)?,
         refit: refit_from(args)?,
-        parallelism: args.parallelism()?,
         ..ScenarioSpec::default()
     })
 }

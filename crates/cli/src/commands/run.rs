@@ -25,7 +25,6 @@ pub fn execute(args: &Args) -> Result<(), CliError> {
         "seed",
         "csv",
         "verbose",
-        "parallelism",
         "events",
         "progress",
         "log-level",

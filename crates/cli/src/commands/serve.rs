@@ -74,9 +74,10 @@ impl ServeSink {
     }
 }
 
-/// One incoming line, or the reasons the reader stopped producing them.
+/// One incoming line, a line that is not UTF-8, or the end of input.
 enum Incoming {
     Line(String),
+    NotUtf8,
     Eof,
 }
 
@@ -300,11 +301,17 @@ fn drive(
 
     // Ops arrive over a channel so the loop can multiplex the reader with
     // the wall-clock tick; without --tick-ms the channel just blocks.
+    // Lines are read as raw bytes so a line that is not UTF-8 gets an
+    // error reply instead of ending the session; only an I/O error does.
     let (tx, rx) = mpsc::channel::<Incoming>();
     std::thread::spawn(move || {
-        for line in reader.lines() {
-            let Ok(line) = line else { break };
-            if tx.send(Incoming::Line(line)).is_err() {
+        for bytes in reader.split(b'\n') {
+            let Ok(mut bytes) = bytes else { break };
+            if bytes.last() == Some(&b'\r') {
+                bytes.pop();
+            }
+            let incoming = String::from_utf8(bytes).map_or(Incoming::NotUtf8, Incoming::Line);
+            if tx.send(incoming).is_err() {
                 return;
             }
         }
@@ -334,6 +341,13 @@ fn drive(
         };
         let line = match incoming {
             Incoming::Line(line) => line,
+            Incoming::NotUtf8 => {
+                write_line(
+                    out,
+                    "{\"type\":\"error\",\"message\":\"op line is not valid UTF-8\"}",
+                )?;
+                continue;
+            }
             Incoming::Eof => {
                 log.info("input closed; finishing session");
                 break;

@@ -49,8 +49,6 @@ RUN / COMPARE FLAGS:
     --jobs <usize>       Jobs at load 1.0 (default 406)
     --load <f64>         Load factor (default 1.0)
     --large-frac <f64>   Override the large-model fraction of the mix
-    --parallelism <n>    Worker threads per scheduling round: 'auto' or a
-                         count (default: sequential; never changes results)
     --log-level <lvl>    Stderr progress verbosity: error|info|debug
                          (default info; stdout output is unaffected)
     --verbose            (run) print the full decision log
@@ -102,8 +100,10 @@ SWEEP:
     Expands the spec's [grid] blocks into cells (trace x scheduler x jobs
     x load x large_frac x nodes x chaos_rate x chaos_seed x seed x
     refit), runs
-    every cell, and emits one row per cell in grid order. Output is
-    byte-identical at any --parallelism setting. Without --out the CSV
+    every cell, and emits one row per cell in grid order.
+    --parallelism runs cells on worker threads: 'auto' (all cores) or a
+    count (default 1). Each cell's rounds stay on one thread, and output
+    is byte-identical at any setting. Without --out the CSV
     goes to stdout; --jsonl additionally writes a JSON-Lines file. Each
     row ends with per-cell wall_ms/mean_round_ns wall-clock columns;
     --no-timings leaves them empty for run-to-run reproducible output.

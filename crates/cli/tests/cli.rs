@@ -51,6 +51,21 @@ fn unknown_flag_fails_with_name() {
     assert!(stderr(&out).contains("--gups"));
 }
 
+/// Rounds run on one thread, so `run` and `compare` have no in-round
+/// `--parallelism`; only `sweep` keeps it, for cell workers.
+#[test]
+fn run_and_compare_reject_parallelism() {
+    for cmd in ["run", "compare"] {
+        let out = rubick(&[cmd, "--jobs", "4", "--parallelism", "2"]);
+        assert!(!out.status.success(), "{cmd} accepted --parallelism");
+        assert!(
+            stderr(&out).contains("unknown flag --parallelism"),
+            "{cmd} stderr: {}",
+            stderr(&out)
+        );
+    }
+}
+
 #[test]
 fn plans_lists_feasible_plans_best_first() {
     let out = rubick(&["plans", "--model", "gpt2-1.5b", "--gpus", "4"]);
@@ -570,7 +585,7 @@ fn compare_keeps_fixed_row_order_under_chaos() {
 
 /// Runs the binary with `input` piped to stdin (how a serve session is
 /// scripted in tests).
-fn rubick_stdin(args: &[&str], input: &str) -> Output {
+fn rubick_stdin(args: &[&str], input: impl AsRef<[u8]>) -> Output {
     use std::io::Write as _;
     use std::process::Stdio;
     let mut child = Command::new(env!("CARGO_BIN_EXE_rubick"))
@@ -584,7 +599,7 @@ fn rubick_stdin(args: &[&str], input: &str) -> Output {
         .stdin
         .take()
         .expect("stdin piped")
-        .write_all(input.as_bytes())
+        .write_all(input.as_ref())
         .expect("session script written");
     child.wait_with_output().expect("binary exits")
 }
@@ -648,6 +663,26 @@ fn serve_reports_protocol_errors_without_dying() {
     assert!(lines[0].starts_with("{\"type\":\"error\","), "{}", lines[0]);
     assert!(lines[1].contains("unknown model 'alexnet'"), "{}", lines[1]);
     assert_eq!(lines[2], "{\"type\":\"ok\",\"op\":\"shutdown\"}");
+}
+
+/// A line that is not UTF-8 gets an error reply; the ops after it still
+/// run. An empty session's report prints `0.000` GPU-hours, not `-0.000`.
+#[test]
+fn serve_answers_a_non_utf8_line_and_keeps_reading() {
+    let out = rubick_stdin(
+        SERVE_FLAGS,
+        b"\xff\xfe{\"type\":\"status\"}\n{\"type\":\"status\"}\n",
+    );
+    assert!(out.status.success(), "stderr: {}", stderr(&out));
+    let text = stdout(&out);
+    let lines: Vec<&str> = text.lines().collect();
+    assert_eq!(lines.len(), 3, "error + state + report:\n{text}");
+    assert_eq!(
+        lines[0],
+        "{\"type\":\"error\",\"message\":\"op line is not valid UTF-8\"}"
+    );
+    assert!(lines[1].starts_with("{\"type\":\"state\","), "{}", lines[1]);
+    assert!(lines[2].contains("\"gpu_hours\":0.000,"), "{}", lines[2]);
 }
 
 #[test]

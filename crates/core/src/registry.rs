@@ -188,9 +188,9 @@ impl ModelRegistry {
         Some(self.curves.cpu_curve(&model, global_batch, gpus, max_cpus))
     }
 
-    /// Pre-computes all GPU curves in parallel (the "prior to scheduling"
+    /// Pre-computes all GPU curves (the "prior to scheduling"
     /// optimization of §5.2).
-    pub fn warm_curves(&self, max_gpus: u32, batch_of: impl Fn(&ModelSpec) -> u32 + Sync) {
+    pub fn warm_curves(&self, max_gpus: u32, batch_of: impl Fn(&ModelSpec) -> u32) {
         let models: Vec<ThroughputModel> =
             self.models.read().values().map(|m| (**m).clone()).collect();
         self.curves

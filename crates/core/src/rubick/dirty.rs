@@ -45,11 +45,7 @@
 //! Classification state is flat: verdicts live in a `Vec` parallel to the
 //! jobs slice, history in sorted vecs probed by binary search, and job →
 //! position lookups go through a generation-stamped dense [`JobIndex`], so
-//! the per-job probes stay cache-friendly at 100k jobs. The fingerprint
-//! fallback shards the jobs slice across the scoped-thread pool (cut
-//! preferentially at tenant boundaries); each shard writes a disjoint
-//! verdict sub-slice, so the merged result is byte-identical at any thread
-//! count (DESIGN.md §7).
+//! the per-job probes stay cache-friendly at 100k jobs.
 //!
 //! Fingerprints deliberately *exclude* monotone-decreasing inputs
 //! (`remaining_batches`, and through it a victim's remaining seconds, and
@@ -67,11 +63,6 @@ use rubick_sim::scheduler::{Assignment, JobDelta, JobSnapshot, RoundStats};
 use rubick_sim::tenant::Tenant;
 use std::collections::BTreeMap;
 use std::sync::Arc;
-
-/// Below this many jobs the fingerprint fallback stays sequential: the
-/// per-job work is a handful of compares, so thread spawn/join overhead
-/// only pays off on large rounds.
-const MIN_SHARD_JOBS: usize = 256;
 
 /// Everything the plan search reads that is *not* per-job: the fitted
 /// model registry (tracked by its monotone version counter), the cluster
@@ -440,9 +431,8 @@ impl DirtyTracker {
     }
 
     /// Partitions `jobs` by comparing fingerprints and the epoch, using a
-    /// pending engine delta when one was supplied and the sharded full
-    /// fingerprint pass otherwise (`threads` bounds the shard count; the
-    /// result is byte-identical at any value). The caller must still
+    /// pending engine delta when one was supplied and the full
+    /// fingerprint pass otherwise. The caller must still
     /// apply the ledger check (demoting the quiet set on growth,
     /// everything on shrink) before trusting the skip sets.
     ///
@@ -454,7 +444,6 @@ impl DirtyTracker {
         jobs: &[JobSnapshot],
         epoch_now: &Epoch,
         reconfig_threshold: f64,
-        threads: usize,
     ) -> Classification {
         let force = std::mem::take(&mut self.force_dirty);
         let delta = self.pending_delta.take();
@@ -489,7 +478,7 @@ impl DirtyTracker {
                 #[cfg(debug_assertions)]
                 {
                     let (ref_verdicts, ref_ard, _) =
-                        self.classify_fallback(jobs, reconfig_threshold, 1);
+                        self.classify_fallback(jobs, reconfig_threshold);
                     debug_assert_eq!(
                         out.0, ref_verdicts,
                         "delta-driven verdicts diverge from the fingerprint pass \
@@ -499,7 +488,7 @@ impl DirtyTracker {
                 }
                 out
             }
-            None => self.classify_fallback(jobs, reconfig_threshold, threads),
+            None => self.classify_fallback(jobs, reconfig_threshold),
         };
 
         let mut counts = [0u64; 3];
@@ -531,8 +520,7 @@ impl DirtyTracker {
     }
 
     /// One job's verdict under the full fingerprint + emitted-consistency
-    /// check. Pure in (`self`, snapshot), so shard boundaries cannot
-    /// change the result.
+    /// check. Pure in (`self`, snapshot).
     fn classify_one(&self, snap: &JobSnapshot, reconfig_threshold: f64) -> (Verdict, bool) {
         let id = snap.id();
         let fp = Fingerprint::of(snap, reconfig_threshold);
@@ -552,51 +540,21 @@ impl DirtyTracker {
         }
     }
 
-    /// The full fingerprint pass over every job, sharded across up to
-    /// `threads` scoped workers on large rounds. Shard ranges are cut
-    /// preferentially at tenant boundaries (a shard maps to a tenant /
-    /// failure domain when tenants are contiguous in the jobs slice), and
-    /// each shard writes a disjoint verdict sub-slice — the merged output
-    /// is independent of where the cuts land.
+    /// The full fingerprint pass over every job.
     fn classify_fallback(
         &self,
         jobs: &[JobSnapshot],
         reconfig_threshold: f64,
-        threads: usize,
     ) -> (Vec<Verdict>, bool, u64) {
-        let mut verdicts = vec![Verdict::Dirty; jobs.len()];
         let mut any_running_dirty = false;
-        let ranges = shard_ranges(jobs, threads);
-        if ranges.len() <= 1 || jobs.len() < MIN_SHARD_JOBS {
-            for (v, snap) in verdicts.iter_mut().zip(jobs) {
+        let verdicts = jobs
+            .iter()
+            .map(|snap| {
                 let (verdict, running_dirty) = self.classify_one(snap, reconfig_threshold);
-                *v = verdict;
                 any_running_dirty |= running_dirty;
-            }
-        } else {
-            crossbeam::scope(|scope| {
-                let mut rest: &mut [Verdict] = &mut verdicts;
-                let mut handles = Vec::with_capacity(ranges.len());
-                for &(start, end) in &ranges {
-                    let (head, tail) = rest.split_at_mut(end - start);
-                    rest = tail;
-                    let shard = &jobs[start..end];
-                    handles.push(scope.spawn(move || {
-                        let mut running_dirty = false;
-                        for (v, snap) in head.iter_mut().zip(shard) {
-                            let (verdict, rd) = self.classify_one(snap, reconfig_threshold);
-                            *v = verdict;
-                            running_dirty |= rd;
-                        }
-                        running_dirty
-                    }));
-                }
-                for h in handles {
-                    any_running_dirty |= h.join().expect("classify shard panicked");
-                }
+                verdict
             })
-            .expect("classify scope panicked");
-        }
+            .collect();
         (verdicts, any_running_dirty, jobs.len() as u64)
     }
 
@@ -774,30 +732,6 @@ fn merge_sorted(dst: &mut Vec<JobId>, src: &[JobId]) {
     dst.dedup();
 }
 
-/// Cuts `jobs` into at most `threads` contiguous ranges of roughly equal
-/// size, preferring cut points where the tenant changes so a shard aligns
-/// with a tenant / failure domain; a single over-large tenant is hard-cut
-/// at twice the target size so one domain cannot serialize the pass.
-fn shard_ranges(jobs: &[JobSnapshot], threads: usize) -> Vec<(usize, usize)> {
-    let n = jobs.len();
-    if threads <= 1 || n == 0 {
-        return vec![(0, n)];
-    }
-    let target = n.div_ceil(threads);
-    let mut ranges = Vec::with_capacity(threads);
-    let mut start = 0;
-    while start < n {
-        let mut end = (start + target).min(n);
-        let hard_cap = (start + 2 * target).min(n);
-        while end < hard_cap && jobs[end].spec.tenant == jobs[end - 1].spec.tenant {
-            end += 1;
-        }
-        ranges.push((start, end));
-        start = end;
-    }
-    ranges
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -865,7 +799,7 @@ mod tests {
     fn first_round_is_all_dirty_then_steady_state_is_clean() {
         let mut t = DirtyTracker::new();
         let jobs = vec![running(1), snap(2, JobStatus::Queued)];
-        let cls = t.classify(&jobs, &epoch(), 0.97, 1);
+        let cls = t.classify(&jobs, &epoch(), 0.97);
         assert_eq!(cls.dirty_len(), 2);
         assert!(!cls.fast_eligible());
 
@@ -875,7 +809,7 @@ mod tests {
             plan: ExecutionPlan::dp(1),
         }];
         record_simple(&mut t, &jobs, &out, true);
-        let cls = t.classify(&jobs, &epoch(), 0.97, 1);
+        let cls = t.classify(&jobs, &epoch(), 0.97);
         assert_eq!(cls.dirty_len(), 0);
         assert_eq!(cls.verdict_of(1), Some(Verdict::QuietSkip));
         assert_eq!(cls.verdict_of(2), Some(Verdict::QuietSkip));
@@ -898,7 +832,7 @@ mod tests {
                 })
             })
             .collect();
-        t.classify(&jobs, &epoch(), 0.97, 1);
+        t.classify(&jobs, &epoch(), 0.97);
         t.record(
             &jobs,
             &out,
@@ -916,7 +850,7 @@ mod tests {
         if let JobStatus::Running { throughput, .. } = &mut jobs2[0].status {
             *throughput = 2.0;
         }
-        let cls = t.classify(&jobs2, &epoch(), 0.97, 1);
+        let cls = t.classify(&jobs2, &epoch(), 0.97);
         assert_eq!(cls.verdict_of(1), Some(Verdict::Dirty));
         assert_eq!(cls.verdict_of(3), Some(Verdict::Dirty));
         assert_eq!(cls.verdict_of(2), Some(Verdict::SkipAlways));
@@ -934,7 +868,7 @@ mod tests {
             allocation: Allocation::on_node(0, Resources::new(1, 12, 100.0)),
             plan: ExecutionPlan::dp(1),
         }];
-        t.classify(&jobs, &epoch(), 0.97, 1);
+        t.classify(&jobs, &epoch(), 0.97);
         t.record(
             &jobs,
             &out,
@@ -948,7 +882,7 @@ mod tests {
 
         let mut other = epoch();
         other.registry_version = 7;
-        let cls = t.classify(&jobs, &other, 0.97, 1);
+        let cls = t.classify(&jobs, &other, 0.97);
         assert!(!cls.epoch_matched);
         assert_eq!(cls.verdict_of(1), Some(Verdict::Dirty));
         // A registry bump invalidates the cached parts too.
@@ -966,14 +900,14 @@ mod tests {
             None,
         );
         t.force_dirty();
-        let cls = t.classify(&jobs, &epoch(), 0.97, 1);
+        let cls = t.classify(&jobs, &epoch(), 0.97);
         assert!(!cls.epoch_matched);
         assert_eq!(cls.verdict_of(1), Some(Verdict::Dirty));
         // The epoch itself is unchanged, so the parts cache survives the
         // forced re-plan.
         assert!(cls.parts_reusable);
         // The flag is one-shot.
-        let cls = t.classify(&jobs, &epoch(), 0.97, 1);
+        let cls = t.classify(&jobs, &epoch(), 0.97);
         assert!(cls.epoch_matched);
         assert_eq!(cls.verdict_of(1), Some(Verdict::SkipAlways));
     }
@@ -987,13 +921,13 @@ mod tests {
             allocation: Allocation::on_node(0, Resources::new(1, 12, 100.0)),
             plan: ExecutionPlan::dp(1),
         }];
-        t.classify(&queued, &epoch(), 0.97, 1);
+        t.classify(&queued, &epoch(), 0.97);
         // We emitted a launch for job 1 and the previous round was *not*
         // quiet (it admitted a job)…
         record_simple(&mut t, &queued, &out, false);
         // …but the job is still queued: the launch failed, so it is dirty
         // even though its snapshot fingerprint is unchanged.
-        let cls = t.classify(&queued, &epoch(), 0.97, 1);
+        let cls = t.classify(&queued, &epoch(), 0.97);
         assert_eq!(cls.verdict_of(1), Some(Verdict::Dirty));
     }
 
@@ -1039,7 +973,7 @@ mod tests {
         // certificate dies, but the curve/baseline/minimum cache survives.
         let mut quota_change = epoch();
         quota_change.tenants = vec![Tenant::new("t", Resources::new(4, 8, 100.0))];
-        let cls = t.classify(&jobs, &quota_change, 0.97, 1);
+        let cls = t.classify(&jobs, &quota_change, 0.97);
         assert!(!cls.epoch_matched);
         assert_eq!(cls.verdict_of(1), Some(Verdict::Dirty));
         assert!(cls.parts_reusable);
@@ -1048,7 +982,7 @@ mod tests {
         // A capacity change (total GPUs moved) kills the parts too.
         let mut capacity_change = epoch();
         capacity_change.total_gpus = 16;
-        let cls = t.classify(&jobs, &capacity_change, 0.97, 1);
+        let cls = t.classify(&jobs, &capacity_change, 0.97);
         assert!(!cls.epoch_matched && !cls.parts_reusable);
         assert!(t.parts.is_empty());
     }
@@ -1068,7 +1002,7 @@ mod tests {
         record_simple(&mut t, &jobs, &out, true);
 
         t.push_delta(&JobDelta::default());
-        let cls = t.classify(&jobs, &epoch(), 0.97, 1);
+        let cls = t.classify(&jobs, &epoch(), 0.97);
         // One frozen-bit recheck for the running job; the four queued jobs
         // are trusted clean without touching their fingerprints.
         assert_eq!(cls.classified, 1);
@@ -1077,7 +1011,7 @@ mod tests {
         assert!(cls.fast_eligible());
         // The delta is one-shot: the next round falls back to the full
         // pass and fingerprints everything.
-        let cls = t.classify(&jobs, &epoch(), 0.97, 1);
+        let cls = t.classify(&jobs, &epoch(), 0.97);
         assert_eq!(cls.classified, 5);
     }
 
@@ -1103,7 +1037,7 @@ mod tests {
             changed: vec![2],
             removed: vec![],
         });
-        let cls = t.classify(&jobs2, &epoch(), 0.97, 1);
+        let cls = t.classify(&jobs2, &epoch(), 0.97);
         assert_eq!(cls.verdict_of(2), Some(Verdict::Dirty));
         assert_eq!(cls.verdict_of(3), Some(Verdict::QuietSkip));
         // Job 2's fingerprint compare + job 1's frozen recheck.
@@ -1128,7 +1062,7 @@ mod tests {
             changed: vec![],
             removed: vec![2],
         });
-        let cls = t.classify(&jobs2, &epoch(), 0.97, 1);
+        let cls = t.classify(&jobs2, &epoch(), 0.97);
         // The survivor stays clean, but a vanished job frees capacity the
         // quiet certificates never saw: no fast path.
         assert_eq!(cls.dirty_len(), 0);
@@ -1164,7 +1098,7 @@ mod tests {
         // Runtime grew past the gate with no engine transition: the empty
         // delta must still catch the flip via the running-suspect recheck.
         t.push_delta(&JobDelta::default());
-        let cls = t.classify(&old, &epoch(), 0.97, 1);
+        let cls = t.classify(&old, &epoch(), 0.97);
         assert_eq!(cls.verdict_of(1), Some(Verdict::Dirty));
         assert_eq!(cls.classified, 1);
     }
@@ -1185,46 +1119,6 @@ mod tests {
         assert_eq!(d.removed, vec![2, 9]);
         t.clear_delta();
         assert!(t.pending_delta.is_none());
-    }
-
-    #[test]
-    fn sharded_fallback_matches_sequential() {
-        let mut t = DirtyTracker::new();
-        let mut jobs: Vec<JobSnapshot> = Vec::new();
-        for id in 0..300u64 {
-            let mut s = if id % 3 == 0 {
-                running(id)
-            } else {
-                snap(id, JobStatus::Queued)
-            };
-            let mut spec = (*s.spec).clone();
-            spec.tenant = TenantId::new(if id < 150 { "a" } else { "b" });
-            s.spec = Arc::new(spec);
-            jobs.push(s);
-        }
-        let out: Vec<Assignment> = jobs
-            .iter()
-            .filter_map(|s| {
-                s.allocation().map(|a| Assignment {
-                    job: s.id(),
-                    allocation: a.clone(),
-                    plan: *s.plan().unwrap(),
-                })
-            })
-            .collect();
-        record_simple(&mut t, &jobs, &out, true);
-        // Perturb a few jobs so the verdicts are non-trivial.
-        let mut jobs2 = jobs.clone();
-        jobs2[7].queued_since = 1.0;
-        jobs2[211].queued_since = 2.0;
-
-        let seq = t.classify(&jobs2, &epoch(), 0.97, 1);
-        let par = t.classify(&jobs2, &epoch(), 0.97, 4);
-        for pos in 0..jobs2.len() {
-            assert_eq!(seq.verdict(pos), par.verdict(pos), "verdict at {pos}");
-        }
-        assert_eq!(seq.dirty_len(), par.dirty_len());
-        assert_eq!(seq.clean_len(), par.clean_len());
     }
 
     #[test]

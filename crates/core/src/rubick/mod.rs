@@ -67,13 +67,6 @@ pub struct RubickConfig {
     /// Minimum predicted relative throughput gain to justify reconfiguring
     /// a running job (churn guard on top of the penalty gate).
     pub min_gain: f64,
-    /// Worker-thread budget for the per-job context build of a round
-    /// (curves, baselines, minimum demands): `None` = sequential,
-    /// `Some(0)` = auto-detect, `Some(n)` = at most `n` threads. The
-    /// thread count never changes scheduling decisions — per-job results
-    /// are merged into `JobId`-ordered maps, so round output is identical
-    /// at any setting.
-    pub parallelism: Option<usize>,
     /// Incremental dirty-set rounds: fingerprint every job's planning
     /// inputs and skip the plan search for jobs whose previous decision is
     /// provably still optimal-feasible (see `DESIGN.md` §11). Skips fire
@@ -91,7 +84,6 @@ impl Default for RubickConfig {
             plan_reconfig: true,
             resource_realloc: true,
             min_gain: 0.15,
-            parallelism: None,
             incremental: true,
         }
     }
@@ -186,22 +178,11 @@ impl RubickScheduler {
     pub fn config(&self) -> &RubickConfig {
         &self.config
     }
-
-    /// Sets the round-parallelism budget (see
-    /// [`RubickConfig::parallelism`]), builder-style.
-    pub fn with_parallelism(mut self, parallelism: Option<usize>) -> Self {
-        self.config.parallelism = parallelism;
-        self
-    }
 }
 
 impl Scheduler for RubickScheduler {
     fn name(&self) -> &str {
         &self.config.name
-    }
-
-    fn set_parallelism(&mut self, parallelism: Option<usize>) {
-        self.config.parallelism = parallelism;
     }
 
     fn notify(&mut self, delta: &ClusterDelta) {

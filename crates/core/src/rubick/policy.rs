@@ -370,27 +370,6 @@ impl<'a> Ctx<'a> {
     }
 }
 
-/// Below this many jobs the context build stays sequential: thread spawn
-/// and join overhead outweighs the per-job work.
-const MIN_PARALLEL_JOBS: usize = 16;
-
-/// The worker-thread count for a round over `items` jobs: `None` =
-/// sequential, `Some(0)` = all available cores, `Some(n)` = at most `n`.
-fn effective_threads(parallelism: Option<usize>, items: usize) -> usize {
-    let configured = match parallelism {
-        None => 1,
-        Some(0) => std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1),
-        Some(n) => n,
-    };
-    if items < MIN_PARALLEL_JOBS {
-        1
-    } else {
-        configured.clamp(1, items)
-    }
-}
-
 /// Computes one job's context entries: fitted model, plan-search mode, GPU
 /// sensitivity curve, SLA baseline and minimum demand. Pure in (snapshot
 /// spec, registry, cluster geometry) — full-search curves go through the
@@ -497,12 +476,7 @@ pub(super) fn run_round(
             if filtered.is_some() {
                 t.clear_delta();
             }
-            Some(t.classify(
-                jobs,
-                e,
-                cfg.reconfig_threshold,
-                effective_threads(cfg.parallelism, jobs.len()),
-            ))
+            Some(t.classify(jobs, e, cfg.reconfig_threshold))
         }
         _ => None,
     };
@@ -542,17 +516,15 @@ pub(super) fn run_round(
 
     // ---- build round context ------------------------------------------
     // The per-job work (curve, baseline, minimum demand) is the round's
-    // hot path and is embarrassingly parallel: each entry is a pure
-    // function of (snapshot, registry). Entries are computed on worker
-    // threads and merged into `JobId`-keyed BTreeMaps, so the result is
-    // byte-identical to the sequential build at any thread count.
-    // One estimator per round (it is a cheap `Copy` of the cluster's GPU
-    // memory capacity), shared by every per-job minimum-demand search and
-    // the allocation passes below.
+    // hot path. One estimator per round (it is a cheap `Copy` of the
+    // cluster's GPU memory capacity), shared by every per-job
+    // minimum-demand search and the allocation passes below.
     //
     // Incrementally-tracked rounds reuse the epoch-stable slice from the
     // tracker's cache (`build_job_parts` is pure in epoch-stable inputs)
-    // and only rebuild jobs the cache has not seen.
+    // and only rebuild jobs the cache has not seen. Job ids are strictly
+    // increasing, so a miss inserted here is never looked up again this
+    // round.
     let estimator = MemoryEstimator::new(cluster.shape().gpu_mem_gb);
     let mut index = cls.as_mut().map(|c| c.take_index()).unwrap_or_default();
     if cls.is_none() {
@@ -574,52 +546,18 @@ pub(super) fn run_round(
         estimator,
         total_gpus,
     };
-    let cached: Vec<Option<CachedParts>> = match (&tracker, &cls) {
-        (Some(t), Some(c)) if c.parts_reusable => {
-            jobs.iter().map(|s| t.parts.get(&s.id()).cloned()).collect()
-        }
-        _ => vec![None; jobs.len()],
-    };
-    let missing: Vec<&JobSnapshot> = jobs
-        .iter()
-        .zip(&cached)
-        .filter(|(_, hit)| hit.is_none())
-        .map(|(s, _)| s)
-        .collect();
-    let threads = effective_threads(cfg.parallelism, missing.len());
-    let built: Vec<CachedParts> = if threads <= 1 {
-        missing
-            .iter()
-            .map(|snap| build_job_parts(sched, snap, total_gpus, estimator))
-            .collect()
-    } else {
-        let chunk = missing.len().div_ceil(threads);
-        crossbeam::scope(|scope| {
-            let handles: Vec<_> = missing
-                .chunks(chunk)
-                .map(|part| {
-                    scope.spawn(move || {
-                        part.iter()
-                            .map(|snap| build_job_parts(sched, snap, total_gpus, estimator))
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("round context thread panicked"))
-                .collect()
-        })
-        .expect("round context scope panicked")
-    };
-    let mut built = built.into_iter();
-    for (snap, hit) in jobs.iter().zip(cached) {
+    let reusable = cls.as_ref().is_some_and(|c| c.parts_reusable);
+    for snap in jobs {
         let id = snap.id();
         ctx.snaps.push(snap);
+        let hit = match &tracker {
+            Some(t) if reusable => t.parts.get(&id).cloned(),
+            _ => None,
+        };
         let parts = match hit {
             Some(parts) => parts,
             None => {
-                let parts = built.next().expect("one built part per cache miss");
+                let parts = build_job_parts(sched, snap, total_gpus, estimator);
                 if let Some(t) = &mut tracker {
                     t.parts.insert(id, parts.clone());
                 }

@@ -90,21 +90,14 @@ fn rubick() -> Box<dyn Scheduler> {
 
 /// Runs `scheduler` over the small trace with `plan` injected, recording
 /// the full event stream.
-fn run_chaos(
-    scheduler: Box<dyn Scheduler>,
-    plan: FaultPlan,
-    parallelism: Option<usize>,
-) -> Vec<SimEvent> {
+fn run_chaos(scheduler: Box<dyn Scheduler>, plan: FaultPlan) -> Vec<SimEvent> {
     let oracle = TestbedOracle::new(ORACLE_SEED);
     let mut engine = Engine::new(
         &oracle,
         scheduler,
         Cluster::a800_testbed(),
         vec![],
-        EngineConfig {
-            parallelism,
-            ..EngineConfig::default()
-        },
+        EngineConfig::default(),
     )
     .with_chaos(plan);
     let mut sink = VecSink::default();
@@ -138,7 +131,7 @@ fn evicted_vs_restart_plans(events: &[SimEvent]) -> Vec<(u64, String, String)> {
 /// interleaving of churn with ordinary scheduling events.
 #[test]
 fn chaos_event_jsonl_golden_is_stable() {
-    let events = run_chaos(rubick(), scripted_plan(), Some(2));
+    let events = run_chaos(rubick(), scripted_plan());
     assert!(
         events
             .iter()
@@ -161,11 +154,7 @@ fn chaos_event_jsonl_golden_is_stable() {
 fn sia_chaos_event_jsonl_golden_is_stable() {
     let oracle = TestbedOracle::new(ORACLE_SEED);
     let registry = Arc::new(ModelRegistry::from_oracle(&oracle, &ModelSpec::zoo()).unwrap());
-    let events = run_chaos(
-        Box::new(SiaScheduler::new(registry)),
-        scripted_plan(),
-        Some(2),
-    );
+    let events = run_chaos(Box::new(SiaScheduler::new(registry)), scripted_plan());
     let failed_at = events
         .iter()
         .find_map(|e| match e {
@@ -195,7 +184,7 @@ fn sia_chaos_event_jsonl_golden_is_stable() {
 /// was running.
 #[test]
 fn rubick_replans_evicted_jobs_while_antman_replaces() {
-    let rubick_pairs = evicted_vs_restart_plans(&run_chaos(rubick(), scripted_plan(), None));
+    let rubick_pairs = evicted_vs_restart_plans(&run_chaos(rubick(), scripted_plan()));
     assert!(
         !rubick_pairs.is_empty(),
         "no Rubick job was fault-evicted and restarted"
@@ -208,7 +197,6 @@ fn rubick_replans_evicted_jobs_while_antman_replaces() {
     let antman_pairs = evicted_vs_restart_plans(&run_chaos(
         Box::new(AntManScheduler::new()),
         scripted_plan(),
-        None,
     ));
     assert!(
         !antman_pairs.is_empty(),
@@ -225,7 +213,7 @@ fn rubick_replans_evicted_jobs_while_antman_replaces() {
 /// restart, and a nonzero goodput loss.
 #[test]
 fn fault_metrics_fold_accounts_the_outage() {
-    let events = run_chaos(rubick(), scripted_plan(), None);
+    let events = run_chaos(rubick(), scripted_plan());
     let mut metrics = FaultMetricsSink::new();
     for e in &events {
         metrics.on_event(e);
@@ -267,18 +255,17 @@ fn any_chaos() -> impl Strategy<Value = ChaosConfig> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Same seed + same config ⇒ byte-identical event stream at any
-    /// parallelism: the injected faults are compiled ahead of time and the
-    /// launch-failure coin is a pure function of (seed, job, attempt), so
-    /// thread count cannot perturb the simulation.
+    /// Same seed + same config ⇒ byte-identical event stream on every
+    /// run: the injected faults are compiled ahead of time and the
+    /// launch-failure coin is a pure function of (seed, job, attempt).
     #[test]
-    fn same_seed_streams_are_identical_across_parallelism(cfg in any_chaos()) {
+    fn same_seed_streams_are_identical(cfg in any_chaos()) {
         let plan = FaultPlan::compile(&cfg, 8, EngineConfig::default().max_time).unwrap();
-        let seq = run_chaos(rubick(), plan.clone(), None);
-        let par = run_chaos(rubick(), plan, Some(2));
-        prop_assert_eq!(seq.len(), par.len(), "event counts diverge");
-        for (i, (a, b)) in seq.iter().zip(par.iter()).enumerate() {
-            prop_assert_eq!(a, b, "event {} diverges between thread counts", i);
+        let first = run_chaos(rubick(), plan.clone());
+        let second = run_chaos(rubick(), plan);
+        prop_assert_eq!(first.len(), second.len(), "event counts diverge");
+        for (i, (a, b)) in first.iter().zip(second.iter()).enumerate() {
+            prop_assert_eq!(a, b, "event {} diverges between runs", i);
         }
     }
 }

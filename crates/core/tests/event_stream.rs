@@ -1,8 +1,8 @@
 //! Event-spine regression suite: the typed event stream is the single
 //! observable record of a simulation, so it gets the same treatment as the
 //! report summaries — a golden JSONL snapshot, a serialization round-trip,
-//! thread-count invariance, and a proptest that folding the stream through
-//! [`ReportSink`] reproduces the engine's own [`SimReport`].
+//! and a proptest that folding the stream through [`ReportSink`]
+//! reproduces the engine's own [`SimReport`].
 //!
 //! Regenerate the golden after an intentional taxonomy change with:
 //!
@@ -59,7 +59,7 @@ fn check_golden(name: &str, actual: &str) {
 /// Runs a Rubick simulation over `specs` recording every event, returning
 /// the engine's report and the recorded stream. Fresh oracle + registry
 /// per call so repeated runs can't leak online-refit state.
-fn run_recording(specs: Vec<JobSpec>, parallelism: Option<usize>) -> (SimReport, Vec<SimEvent>) {
+fn run_recording(specs: Vec<JobSpec>) -> (SimReport, Vec<SimEvent>) {
     let oracle = TestbedOracle::new(ORACLE_SEED);
     let registry = Arc::new(ModelRegistry::from_oracle(&oracle, &ModelSpec::zoo()).unwrap());
     let mut engine = Engine::new(
@@ -67,10 +67,7 @@ fn run_recording(specs: Vec<JobSpec>, parallelism: Option<usize>) -> (SimReport,
         Box::new(RubickScheduler::new(registry)),
         Cluster::a800_testbed(),
         vec![],
-        EngineConfig {
-            parallelism,
-            ..EngineConfig::default()
-        },
+        EngineConfig::default(),
     );
     let mut sink = VecSink::default();
     let report = engine.run_with_sink(specs, &mut sink);
@@ -94,7 +91,7 @@ fn small_trace() -> Vec<JobSpec> {
 /// field encoding, *and* the emission order of every state transition.
 #[test]
 fn event_jsonl_golden_is_stable() {
-    let (_, events) = run_recording(small_trace(), Some(2));
+    let (_, events) = run_recording(small_trace());
     assert!(!events.is_empty(), "degenerate run: no events");
     let mut lines = String::new();
     for event in &events {
@@ -108,36 +105,12 @@ fn event_jsonl_golden_is_stable() {
 /// simulation produces.
 #[test]
 fn jsonl_roundtrip_is_identity() {
-    let (_, events) = run_recording(small_trace(), None);
+    let (_, events) = run_recording(small_trace());
     for event in &events {
         let line = event.to_jsonl();
         let parsed = SimEvent::from_jsonl(&line)
             .unwrap_or_else(|e| panic!("round-trip parse failed ({e}) on: {line}"));
         assert_eq!(&parsed, event, "round-trip changed the event: {line}");
-    }
-}
-
-/// Events carry only simulation time, so the stream — not just the folded
-/// report — must be identical at any thread count.
-#[test]
-fn event_stream_is_thread_count_invariant() {
-    let specs = small_trace();
-    let (report_seq, seq) = run_recording(specs.clone(), None);
-    let (report_par, par) = run_recording(specs, Some(2));
-    assert_eq!(
-        report_seq, report_par,
-        "reports diverge across thread counts"
-    );
-    assert_eq!(
-        seq.len(),
-        par.len(),
-        "event counts diverge across thread counts"
-    );
-    for (i, (a, b)) in seq.iter().zip(par.iter()).enumerate() {
-        assert_eq!(
-            a, b,
-            "event {i} diverges between sequential and 2-thread runs"
-        );
     }
 }
 
@@ -207,7 +180,7 @@ proptest! {
     fn folded_report_matches_engine_report(specs in any_specs()) {
         // Plan floors can drop every generated job; nothing to check then.
         if !specs.is_empty() {
-            let (report, events) = run_recording(specs, None);
+            let (report, events) = run_recording(specs);
             let mut fold = ReportSink::new();
             for event in &events {
                 fold.on_event(event);

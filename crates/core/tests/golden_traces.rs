@@ -6,9 +6,6 @@
 //! ```text
 //! UPDATE_GOLDEN=1 cargo test -p rubick-core --test golden_traces
 //! ```
-//!
-//! Both runs use `parallelism: Some(2)` so the golden numbers also pin the
-//! parallel round path to the sequential baseline they were recorded from.
 
 use rubick_core::{ModelRegistry, RubickScheduler, SiaScheduler};
 use rubick_model::prelude::ModelSpec;
@@ -92,11 +89,7 @@ fn check_golden(name: &str, actual: &str) {
     );
 }
 
-fn run_rubick(
-    jobs: Vec<rubick_sim::job::JobSpec>,
-    tenants: Vec<Tenant>,
-    parallelism: Option<usize>,
-) -> SimReport {
+fn run_rubick(jobs: Vec<rubick_sim::job::JobSpec>, tenants: Vec<Tenant>) -> SimReport {
     let oracle = TestbedOracle::new(ORACLE_SEED);
     let registry = Arc::new(ModelRegistry::from_oracle(&oracle, &ModelSpec::zoo()).unwrap());
     let mut engine = Engine::new(
@@ -104,10 +97,7 @@ fn run_rubick(
         Box::new(RubickScheduler::new(registry)),
         Cluster::a800_testbed(),
         tenants,
-        EngineConfig {
-            parallelism,
-            ..EngineConfig::default()
-        },
+        EngineConfig::default(),
     );
     engine.run(jobs)
 }
@@ -117,19 +107,7 @@ fn base_trace_summary_is_stable() {
     let oracle = TestbedOracle::new(ORACLE_SEED);
     let jobs = generate_base(&trace_config(), &oracle);
     assert!(!jobs.is_empty());
-    let report = run_rubick(jobs, vec![], Some(2));
-    check_golden("base_trace.txt", &summarize(&report));
-}
-
-/// The sequential round path must reproduce the *same* golden summary as
-/// the parallel one: with the cached plan sets and unchecked scoring in
-/// play, scheduling output stays bit-identical at any thread count.
-#[test]
-fn base_trace_summary_is_stable_sequential() {
-    let oracle = TestbedOracle::new(ORACLE_SEED);
-    let jobs = generate_base(&trace_config(), &oracle);
-    assert!(!jobs.is_empty());
-    let report = run_rubick(jobs, vec![], None);
+    let report = run_rubick(jobs, vec![]);
     check_golden("base_trace.txt", &summarize(&report));
 }
 
@@ -146,10 +124,7 @@ fn antman_trace_summary_is_stable() {
         Box::new(rubick_core::AntManScheduler::new()),
         Cluster::a800_testbed(),
         tenants,
-        EngineConfig {
-            parallelism: Some(2),
-            ..EngineConfig::default()
-        },
+        EngineConfig::default(),
     );
     let report = engine.run(jobs);
     check_golden("antman_trace.txt", &summarize(&report));
@@ -161,7 +136,7 @@ fn multi_tenant_trace_summary_is_stable() {
     let (jobs, tenants) = multi_tenant_trace(&trace_config(), &oracle);
     assert!(!jobs.is_empty());
     assert!(!tenants.is_empty());
-    let report = run_rubick(jobs, tenants, Some(2));
+    let report = run_rubick(jobs, tenants);
     check_golden("multi_tenant.txt", &summarize(&report));
 }
 
@@ -179,10 +154,7 @@ fn sia_trace_golden_is_stable() {
         Box::new(SiaScheduler::new(registry)),
         Cluster::a800_testbed(),
         vec![],
-        EngineConfig {
-            parallelism: Some(2),
-            ..EngineConfig::default()
-        },
+        EngineConfig::default(),
     );
     let mut sink = VecSink::default();
     let report = engine.run_with_sink(jobs, &mut sink);

@@ -8,9 +8,10 @@
 //! stream (the decision trail folds from the stream, so stream equality
 //! subsumes trail equality).
 //!
-//! Mirrors the structure of `parallel_equivalence.rs`: two schedulers
-//! differing only in the knob, over *mirrored* registries (equal-seed
-//! oracles) so online refits cannot leak between the runs.
+//! Each property runs two schedulers differing only in the knob, over
+//! *mirrored* registries (equal-seed oracles fed identical inputs): a
+//! shared registry would let the first run's online refits leak into the
+//! second run's predictions and mask (or fake) divergence.
 
 use proptest::prelude::*;
 use rubick_chaos::{ChaosConfig, FaultPlan};
@@ -30,8 +31,8 @@ use std::sync::{Arc, OnceLock};
 
 const ORACLE_SEED: u64 = 77;
 
-/// A pair of independently built but identical registries (see
-/// `parallel_equivalence.rs` for why sharing one would mask divergence).
+/// A pair of independently built but identical registries (see the
+/// module docs for why sharing one would mask divergence).
 fn registries() -> (Arc<ModelRegistry>, Arc<ModelRegistry>) {
     static REGS: OnceLock<(Arc<ModelRegistry>, Arc<ModelRegistry>)> = OnceLock::new();
     let (a, b) = REGS.get_or_init(|| {
@@ -85,7 +86,7 @@ fn job_snapshot(
     })
 }
 
-/// Arbitrary queued job mixes (same shape as the parallelism suite).
+/// Arbitrary queued job mixes.
 fn any_jobs() -> impl Strategy<Value = Vec<JobSnapshot>> {
     prop::collection::vec((0usize..7, 0u32..3, prop::bool::ANY, 0.0f64..1000.0), 1..36).prop_map(
         |raw| {
@@ -214,10 +215,6 @@ struct FlakyDelta {
 impl Scheduler for FlakyDelta {
     fn name(&self) -> &str {
         self.inner.name()
-    }
-
-    fn set_parallelism(&mut self, parallelism: Option<usize>) {
-        self.inner.set_parallelism(parallelism);
     }
 
     fn notify(&mut self, delta: &ClusterDelta) {

@@ -6,9 +6,9 @@
 //! 1. **Re-plan coupling** — a material refit bumps the shared registry
 //!    version, so the *next* `round_planned` event classifies every job
 //!    dirty (the epoch fingerprint embeds the registry version).
-//! 2. **Determinism** — refit-enabled runs are byte-identical at any
-//!    `parallelism` setting: the hook runs on the engine's single apply
-//!    path, after the round's parallel search has fully completed.
+//! 2. **Determinism** — a refit-enabled run is pinned byte for byte: the
+//!    hook runs on the engine's apply path, after the round's plan search
+//!    has fully completed, so the same inputs give the same refits.
 //! 3. **Convergence** — starting from a deliberately stale offline fit,
 //!    the refitted parameters predict the observed truth strictly better
 //!    than the stale ones did.
@@ -18,9 +18,9 @@
 //!    whose registry version never moves, because the hook is the only
 //!    refit path.
 //!
-//! Contract 2's sequential baseline (report `Debug` line plus event JSONL)
-//! is also pinned as a golden snapshot, so any change to the refitter or
-//! the fit objectives that moves a single bit of a refit shows up here.
+//! Contract 2's run (report `Debug` line plus event JSONL) is a golden
+//! snapshot, so any change to the refitter or the fit objectives that
+//! moves a single bit of a refit shows up here.
 //! Regenerate it after an intentional change with:
 //!
 //! ```text
@@ -41,7 +41,7 @@ use rubick_sim::scheduler::{Assignment, JobSnapshot, Scheduler};
 use rubick_sim::tenant::TenantId;
 use rubick_testbed::TestbedOracle;
 use std::path::PathBuf;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 const ORACLE_SEED: u64 = 77;
 
@@ -50,8 +50,8 @@ const ORACLE_SEED: u64 = 77;
 /// full observation window exceeds the 0.15 material-change threshold.
 const STALE_SCALE: f64 = 1.4;
 
-/// The same deterministic workload shape as the parallel-equivalence
-/// suite: a staggered mix across the zoo, sized so rounds really contend.
+/// A deterministic staggered mix across the zoo, sized so rounds really
+/// contend.
 fn workload(jobs: u64, target_batches: u64) -> Vec<JobSpec> {
     let zoo = ModelSpec::zoo();
     (0..jobs)
@@ -132,7 +132,6 @@ fn fresh_registry(stale: bool) -> Arc<ModelRegistry> {
 fn run_refit(
     registry: &Arc<ModelRegistry>,
     threshold: Option<f64>,
-    parallelism: Option<usize>,
     chaos: Option<FaultPlan>,
     specs: &[JobSpec],
 ) -> (SimReport, Vec<SimEvent>) {
@@ -143,7 +142,6 @@ fn run_refit(
         Cluster::a800_testbed(),
         vec![],
         EngineConfig {
-            parallelism,
             emit_round_planned: true,
             ..EngineConfig::default()
         },
@@ -177,7 +175,7 @@ fn jsonl(events: &[SimEvent]) -> String {
 #[test]
 fn material_refit_replans_every_job_next_round() {
     let specs = workload(24, 400);
-    let (report, events) = run_refit(&fresh_registry(true), Some(0.15), None, None, &specs);
+    let (report, events) = run_refit(&fresh_registry(true), Some(0.15), None, &specs);
 
     assert!(
         report.model_refits > 0,
@@ -307,24 +305,15 @@ fn round_after_refit_matches_a_fresh_scheduler() {
     assert_eq!(after, fresh, "a refit must void every memoized plan");
 }
 
-/// Contract 2: the sequential refit-enabled run, computed once and
-/// compared against every thread count the property tries.
-fn sequential_baseline() -> &'static (String, String) {
-    static BASELINE: OnceLock<(String, String)> = OnceLock::new();
-    BASELINE.get_or_init(|| {
-        let specs = workload(24, 400);
-        let (report, events) = run_refit(&fresh_registry(true), Some(0.15), None, None, &specs);
-        assert!(report.model_refits > 0, "baseline must actually refit");
-        (format!("{report:?}"), jsonl(&events))
-    })
-}
-
-/// The sequential baseline is pinned byte for byte: the report's `Debug`
-/// line, then one JSONL line per event, `model_refit` events included.
+/// Contract 2: the refit-enabled run is pinned byte for byte — the
+/// report's `Debug` line, then one JSONL line per event, `model_refit`
+/// events included.
 #[test]
 fn sequential_baseline_matches_golden() {
-    let (report, events) = sequential_baseline();
-    let actual = format!("{report}\n{events}");
+    let specs = workload(24, 400);
+    let (report, events) = run_refit(&fresh_registry(true), Some(0.15), None, &specs);
+    assert!(report.model_refits > 0, "baseline must actually refit");
+    let actual = format!("{report:?}\n{}", jsonl(&events));
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/refit_events.jsonl");
     if std::env::var_os("UPDATE_GOLDEN").is_some() {
         std::fs::write(&path, &actual).unwrap();
@@ -346,28 +335,6 @@ fn sequential_baseline_matches_golden() {
     );
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(4))]
-
-    /// Refit-enabled runs are byte-identical at any `parallelism`: the
-    /// hook observes on the engine's apply path, strictly after the
-    /// round's (parallel) plan search has completed.
-    #[test]
-    fn refit_runs_are_parallelism_invariant(threads in 2usize..6) {
-        let specs = workload(24, 400);
-        let (report, events) = run_refit(&fresh_registry(true), Some(0.15), Some(threads), None, &specs);
-        let (base_report, base_events) = sequential_baseline();
-        prop_assert_eq!(
-            &format!("{report:?}"), base_report,
-            "SimReport diverges at {} threads", threads
-        );
-        prop_assert_eq!(
-            &jsonl(&events), base_events,
-            "event stream diverges at {} threads", threads
-        );
-    }
-}
-
 /// Contract 3: after the run, every refitted model predicts closer to the
 /// fresh offline fit (the observable truth, up to measurement noise) than
 /// the stale parameters it started from.
@@ -375,7 +342,7 @@ proptest! {
 fn refit_converges_toward_observed_truth() {
     let specs = workload(24, 400);
     let registry = fresh_registry(true);
-    let (report, events) = run_refit(&registry, Some(0.15), None, None, &specs);
+    let (report, events) = run_refit(&registry, Some(0.15), None, &specs);
     assert!(report.model_refits > 0);
 
     let truth =
@@ -465,7 +432,7 @@ proptest! {
         // All 8 testbed nodes straggle: every observation carries a cap.
         let plan = straggler_plan(8, factor);
         let (on, on_events) =
-            run_refit(&fresh_registry(false), Some(0.15), None, Some(plan.clone()), &specs);
+            run_refit(&fresh_registry(false), Some(0.15), Some(plan.clone()), &specs);
         prop_assert_eq!(
             on.model_refits, 0,
             "straggler-capped observations must not refit the model \
@@ -473,7 +440,7 @@ proptest! {
         );
         let frozen = fresh_registry(false);
         let version_before = frozen.version();
-        let (off, off_events) = run_refit(&frozen, None, None, Some(plan), &specs);
+        let (off, off_events) = run_refit(&frozen, None, Some(plan), &specs);
         prop_assert_eq!(
             frozen.version(), version_before,
             "a run without a refit hook must keep its model frozen \

@@ -13,10 +13,9 @@
 //!
 //! Curves are pure functions of `(model type, batch, plan-search mode,
 //! context)`, so [`CurveCache`] memoizes them behind an `RwLock` — one
-//! cache for every policy's search mode — and can pre-compute them
-//! in parallel with crossbeam scoped threads ("the curves can be computed
-//! in parallel or even prior to the scheduling, and then cached for
-//! reuse").
+//! cache for every policy's search mode — and can pre-compute them ("the
+//! curves can be computed in parallel or even prior to the scheduling,
+//! and then cached for reuse").
 
 use crate::perf::ThroughputModel;
 use crate::placement::Placement;
@@ -256,8 +255,7 @@ struct CurveKey {
 /// curve is computed *outside* the map lock inside the cell. Two threads
 /// racing on the same key therefore never compute the curve twice — the
 /// loser blocks on the cell — while threads computing *different* keys stay
-/// fully parallel, which is what makes
-/// [`precompute_gpu_curves`](CurveCache::precompute_gpu_curves) scale.
+/// fully parallel.
 #[must_use = "a cache that is never queried does nothing"]
 #[derive(Debug, Default)]
 pub struct CurveCache {
@@ -363,49 +361,17 @@ impl CurveCache {
         Arc::clone(cell.get_or_init(compute))
     }
 
-    /// Pre-computes GPU curves for many models in parallel using crossbeam
-    /// scoped threads — the "computed in parallel or even prior to the
-    /// scheduling" optimization of §5.2. One thread per model.
+    /// Pre-computes the full-search GPU curve of every model — the
+    /// "prior to the scheduling" optimization of §5.2.
     pub fn precompute_gpu_curves(
         &self,
         models: &[ThroughputModel],
-        global_batch: impl Fn(&ThroughputModel) -> u32 + Sync,
+        global_batch: impl Fn(&ThroughputModel) -> u32,
         max_gpus: u32,
     ) {
-        self.precompute_gpu_curves_with(models, global_batch, max_gpus, models.len());
-    }
-
-    /// Like [`precompute_gpu_curves`](CurveCache::precompute_gpu_curves)
-    /// but bounded to at most `threads` worker threads, each computing a
-    /// contiguous chunk of models. Thread count never affects the cache
-    /// contents — curves are pure functions of `(model, batch, max_gpus)`
-    /// and the cache is keyed, so insertion order is irrelevant.
-    pub fn precompute_gpu_curves_with(
-        &self,
-        models: &[ThroughputModel],
-        global_batch: impl Fn(&ThroughputModel) -> u32 + Sync,
-        max_gpus: u32,
-        threads: usize,
-    ) {
-        let threads = threads.clamp(1, models.len().max(1));
-        if threads <= 1 || models.len() <= 1 {
-            for model in models {
-                self.gpu_curve(model, &PlanSearch::Full, global_batch(model), max_gpus);
-            }
-            return;
+        for model in models {
+            self.gpu_curve(model, &PlanSearch::Full, global_batch(model), max_gpus);
         }
-        let chunk = models.len().div_ceil(threads);
-        let global_batch = &global_batch;
-        crossbeam::scope(|scope| {
-            for part in models.chunks(chunk) {
-                scope.spawn(move || {
-                    for model in part {
-                        self.gpu_curve(model, &PlanSearch::Full, global_batch(model), max_gpus);
-                    }
-                });
-            }
-        })
-        .expect("curve precompute thread panicked");
     }
 }
 

@@ -41,9 +41,8 @@
 //! The refitter is a pure fold over the observation sequence: `BTreeMap`
 //! windows, no clocks, no randomness, and the engine invokes the hook
 //! after each round's scheduler computation has fully completed. Same
-//! seed + same observation order ⇒ bit-identical refits at any
-//! `--parallelism`; hook absent ⇒ byte-identical streams to pre-refit
-//! builds.
+//! seed + same observation order ⇒ bit-identical refits on every run;
+//! hook absent ⇒ byte-identical streams to pre-refit builds.
 //!
 //! ## Chaos
 //!

@@ -95,10 +95,9 @@ pub struct BenchRecord {
     /// Iterations per sample after calibration.
     pub iters_per_sample: u64,
     /// Hardware threads available to this process when the benchmark ran.
-    /// Parallel benches (e.g. `parallel_round/par/*`) are capped by this,
-    /// so summaries recorded on different machines stay comparable —
-    /// a "par" entry measured on a 2-core runner is not mislabeled as a
-    /// genuine N-thread result.
+    /// A multi-threaded bench is capped by this, so summaries recorded on
+    /// different machines stay comparable — an entry measured on a 2-core
+    /// runner is not mislabeled as a genuine N-thread result.
     pub threads_effective: usize,
 }
 

@@ -63,11 +63,9 @@ pub struct EngineConfig {
     pub round_interval: Option<f64>,
     /// Hard stop for the simulation clock, seconds.
     pub max_time: f64,
-    /// Worker-thread budget forwarded to
-    /// [`Scheduler::set_parallelism`] at construction: `None` leaves
-    /// the scheduler as configured, `Some(0)` auto-detects, `Some(n)`
-    /// uses at most `n` threads. Never affects scheduling decisions —
-    /// only how fast a round computes.
+    /// Inert: nothing reads it, and rounds always run on one thread. It
+    /// stays only because the frozen `benchmark/` package sets it;
+    /// remove it together with that use.
     pub parallelism: Option<usize>,
     /// Emit a [`SimEvent::RoundPlanned`] after every round for schedulers
     /// that report [`crate::scheduler::RoundStats`]. Off by default so
@@ -182,14 +180,11 @@ impl<'a> Engine<'a> {
     /// Creates an engine.
     pub fn new(
         oracle: &'a TestbedOracle,
-        mut scheduler: Box<dyn Scheduler + 'a>,
+        scheduler: Box<dyn Scheduler + 'a>,
         cluster: Cluster,
         tenants: Vec<Tenant>,
         config: EngineConfig,
     ) -> Self {
-        if config.parallelism.is_some() {
-            scheduler.set_parallelism(config.parallelism);
-        }
         Engine {
             oracle,
             scheduler,

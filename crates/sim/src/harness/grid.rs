@@ -289,7 +289,6 @@ impl SweepSpec {
                                                         duration_hours: self.duration_hours,
                                                         chaos,
                                                         refit: (refit > 0.0).then_some(refit),
-                                                        parallelism: None,
                                                     };
                                                     cell.validate().map_err(|e| {
                                                         SweepError::Invalid(format!(

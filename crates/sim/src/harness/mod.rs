@@ -8,7 +8,7 @@
 //!
 //! * [`ScenarioSpec`] — a pure-data description of one experiment cell
 //!   (trace kind, job count, load factor, large-model fraction, seed,
-//!   cluster size, chaos knobs, per-round parallelism).
+//!   cluster size, chaos knobs, online refit).
 //! * [`ScenarioBackend`] — the two construction hooks `rubick-sim` cannot
 //!   provide itself without a dependency cycle: policies live in
 //!   `rubick-core` and traces in `rubick-trace`, both of which *depend on*
@@ -123,9 +123,6 @@ pub struct ScenarioSpec {
     /// envelope shift that triggers a registry update), or `None` to keep
     /// the offline fit frozen for the whole run.
     pub refit: Option<f64>,
-    /// Per-round worker threads forwarded to the engine (never affects
-    /// scheduling decisions — only how fast a round computes).
-    pub parallelism: Option<usize>,
 }
 
 impl Default for ScenarioSpec {
@@ -141,7 +138,6 @@ impl Default for ScenarioSpec {
             duration_hours: 12.0,
             chaos: None,
             refit: None,
-            parallelism: None,
         }
     }
 }
@@ -199,12 +195,9 @@ impl ScenarioSpec {
         Cluster::new(self.nodes, NodeShape::a800())
     }
 
-    /// The engine configuration (defaults plus this spec's parallelism).
+    /// The engine configuration every scenario runs with.
     pub fn engine_config(&self) -> EngineConfig {
-        EngineConfig {
-            parallelism: self.parallelism,
-            ..EngineConfig::default()
-        }
+        EngineConfig::default()
     }
 
     /// Compiles the spec's random-fault knobs into a deterministic

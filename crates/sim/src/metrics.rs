@@ -188,6 +188,13 @@ pub struct SimReport {
     pub decisions: Vec<Decision>,
 }
 
+/// Sums from `+0.0`. std's f64 `Sum` starts from `-0.0`, so an empty
+/// total would render as `-0.000`; for non-negative terms the two agree
+/// bit for bit on any non-empty input.
+fn total(values: impl Iterator<Item = f64>) -> f64 {
+    values.fold(0.0, |acc, v| acc + v)
+}
+
 impl SimReport {
     fn jcts<'a>(&'a self, filter: impl Fn(&JobRecord) -> bool + 'a) -> Vec<f64> {
         let mut v: Vec<f64> = self
@@ -211,7 +218,7 @@ impl SimReport {
         if v.is_empty() {
             0.0
         } else {
-            v.iter().sum::<f64>() / v.len() as f64
+            total(v.iter().copied()) / v.len() as f64
         }
     }
 
@@ -242,12 +249,12 @@ impl SimReport {
 
     /// Total GPU-hours consumed.
     pub fn gpu_hours(&self) -> f64 {
-        self.jobs.iter().map(|j| j.gpu_seconds).sum::<f64>() / 3600.0
+        total(self.jobs.iter().map(|j| j.gpu_seconds)) / 3600.0
     }
 
     /// Total time spent reconfiguring across all jobs, seconds.
     pub fn total_reconfig_time(&self) -> f64 {
-        self.jobs.iter().map(|j| j.reconfig_time).sum()
+        total(self.jobs.iter().map(|j| j.reconfig_time))
     }
 
     /// Average per-job reconfiguration time (the paper reports 78 s),
@@ -264,15 +271,11 @@ impl SimReport {
     /// GPU-hours wasted reconfiguring as a share of total GPU-hours (the
     /// paper reports ≈1 % of total GPU hours).
     pub fn reconfig_share(&self) -> f64 {
-        let total: f64 = self.jobs.iter().map(|j| j.gpu_seconds).sum();
-        if total <= 0.0 {
+        let gpu_seconds = total(self.jobs.iter().map(|j| j.gpu_seconds));
+        if gpu_seconds <= 0.0 {
             0.0
         } else {
-            self.jobs
-                .iter()
-                .map(|j| j.reconfig_gpu_seconds)
-                .sum::<f64>()
-                / total
+            total(self.jobs.iter().map(|j| j.reconfig_gpu_seconds)) / gpu_seconds
         }
     }
 
@@ -377,5 +380,8 @@ mod tests {
         assert_eq!(r.avg_jct(), 0.0);
         assert_eq!(r.p99_jct(), 0.0);
         assert_eq!(r.sla_attainment(), 1.0);
+        // Totals of nothing are +0.0, so they never print as "-0.000".
+        assert!(r.gpu_hours().is_sign_positive());
+        assert!(r.total_reconfig_time().is_sign_positive());
     }
 }

@@ -21,9 +21,8 @@
 //! Determinism contract: hooks are invoked synchronously from
 //! [`crate::Engine::step`]'s apply phase, in the engine's deterministic
 //! job order, after the scheduler's round has fully completed — so a
-//! deterministic hook yields byte-identical refits at any `parallelism`
-//! setting, and an engine without a hook is byte-identical to one that
-//! never existed.
+//! deterministic hook yields byte-identical refits on every run, and an
+//! engine without a hook is byte-identical to one that never existed.
 
 use rubick_model::{ExecutionPlan, Placement};
 

@@ -149,15 +149,10 @@ pub trait Scheduler: Send {
     /// A short display name ("rubick", "sia", …).
     fn name(&self) -> &str;
 
-    /// Sets the worker-thread budget for parallelizable phases of a
-    /// scheduling round: `None` = sequential, `Some(0)` = auto-detect
-    /// from [`std::thread::available_parallelism`], `Some(n)` = at most
-    /// `n` threads.
-    ///
-    /// The thread count must never change the returned assignments —
-    /// parallelism is an implementation detail of how a round is
-    /// computed, not part of the policy. Policies with no parallel
-    /// phases ignore the call (the default does nothing).
+    /// Inert: every policy runs its rounds on one thread, and nothing in
+    /// the workspace calls this. It stays as a default no-op only because
+    /// the frozen `benchmark/` package's scheduler wrapper forwards it;
+    /// remove it together with that forwarding.
     fn set_parallelism(&mut self, parallelism: Option<usize>) {
         let _ = parallelism;
     }
