@@ -8,6 +8,8 @@
 #   make serve-smoke   pipe the committed serve session script through
 #                      `rubick serve` and fail unless the reply stream is
 #                      byte-identical to the committed expectation
+#   make exp-smoke     run the Table 4, Fig. 10, Fig. 11 and ablation
+#                      printers in release and fail on a non-zero exit
 #   make refit-smoke   check that a --refit run publishes refits and
 #                      that an inert --refit hook changes nothing about
 #                      a frozen-model run
@@ -34,9 +36,9 @@
 # (opt-in: bench timings are machine-dependent, so the default CI gate
 # stays deterministic).
 
-.PHONY: verify fmt lint test build bench bench-check bench-smoke sweep-smoke serve-smoke refit-smoke skip-smoke benchmark-test
+.PHONY: verify fmt lint test build bench bench-check bench-smoke sweep-smoke exp-smoke serve-smoke refit-smoke skip-smoke benchmark-test
 
-verify: fmt lint test sweep-smoke serve-smoke refit-smoke skip-smoke bench-smoke benchmark-test
+verify: fmt lint test sweep-smoke exp-smoke serve-smoke refit-smoke skip-smoke bench-smoke benchmark-test
 
 ifeq ($(BENCH),1)
 verify: bench-check
@@ -84,6 +86,18 @@ sweep-smoke:
 		--no-timings --parallelism 4 --out target/sweep-smoke/par.csv
 	cmp target/sweep-smoke/seq.csv target/sweep-smoke/par.csv
 	@echo "sweep-smoke: byte-identical at 1 and 4 workers"
+
+# Experiment-printer gate: the printers that run committed sweep specs
+# (table4, fig10, fig11) and the ablations must exit cleanly. Their
+# numbers are not compared here; each row matches `rubick sweep` on the
+# same spec by construction. Output goes to target/.
+exp-smoke:
+	cargo build --release -p rubick-bench
+	mkdir -p target/exp-smoke
+	for exp in exp_table4 exp_fig10 exp_fig11 exp_ablations; do \
+		target/release/$$exp > target/exp-smoke/$$exp.txt 2>/dev/null || exit 1; \
+	done
+	@echo "exp-smoke: table4, fig10, fig11 and ablation printers ran"
 
 # End-to-end serve gate: a scripted NDJSON session (submit/advance/
 # status/cancel/shutdown) pipes through `rubick serve` and the reply

@@ -10,20 +10,32 @@
 //! 4. *Cluster environment*: best-plan choices shift between the A800
 //!    testbed (400/100/20 GB/s) and a commodity cloud (64/3/12 GB/s).
 //!
+//! Sections 1 and 3 run the default scenario (Table 4's base trace, seed
+//! 2025), so the 0.97-threshold row equals Table 4's base/rubick row and
+//! the window-16 row its base/synergy row.
+//!
 //! ```sh
 //! cargo run --release -p rubick-bench --bin exp_ablations
 //! ```
 
-use rubick_bench::{build_registry, hours, run_cluster_experiment, std_oracle};
-use rubick_core::{RubickConfig, RubickScheduler, SynergyScheduler};
+use rubick_bench::{hours, std_oracle, ZooBackend};
+use rubick_core::{ModelRegistry, RubickConfig, RubickScheduler, SynergyScheduler};
 use rubick_model::{enumerate_plans, ModelSpec, PerfParams, Placement};
+use rubick_sim::{run_scenario, ScenarioSpec, Scheduler, SimReport};
 use rubick_testbed::{profile_and_fit, TestbedOracle};
-use rubick_trace::{generate_base, TraceConfig};
 use std::sync::Arc;
 
-fn threshold_sweep(oracle: &TestbedOracle) {
-    let registry = build_registry(oracle);
-    let trace = generate_base(&TraceConfig::default(), oracle);
+/// Runs the default scenario through a policy variant.
+fn run_default(
+    zoo: &ZooBackend,
+    build: impl Fn(Arc<ModelRegistry>) -> Box<dyn Scheduler> + Send + Sync + 'static,
+) -> SimReport {
+    run_scenario(&ScenarioSpec::default(), &zoo.variant(build))
+        .expect("default scenario runs")
+        .report
+}
+
+fn threshold_sweep(zoo: &ZooBackend) {
     println!("== 1. Reconfiguration-penalty threshold (paper default 0.97) ==");
     println!(
         "{:>9} | {:>10} | {:>10} | {:>9} | {:>12}",
@@ -31,14 +43,15 @@ fn threshold_sweep(oracle: &TestbedOracle) {
     );
     println!("{}", "-".repeat(62));
     for threshold in [0.90, 0.95, 0.97, 0.99] {
-        let sched = RubickScheduler::with_config(
-            Arc::clone(&registry),
-            RubickConfig {
-                reconfig_threshold: threshold,
-                ..RubickConfig::default()
-            },
-        );
-        let report = run_cluster_experiment(oracle, Box::new(sched), trace.clone(), vec![]);
+        let report = run_default(zoo, move |registry| {
+            Box::new(RubickScheduler::with_config(
+                registry,
+                RubickConfig {
+                    reconfig_threshold: threshold,
+                    ..RubickConfig::default()
+                },
+            ))
+        });
         println!(
             "{threshold:>9} | {:>10.2} | {:>10.2} | {:>9} | {:>11.2}%",
             hours(report.avg_jct()),
@@ -107,9 +120,7 @@ fn overlap_ablation(oracle: &TestbedOracle) {
     println!();
 }
 
-fn backfill_sweep(oracle: &TestbedOracle) {
-    let registry = build_registry(oracle);
-    let trace = generate_base(&TraceConfig::default(), oracle);
+fn backfill_sweep(zoo: &ZooBackend) {
     println!("== 3. Synergy backfill depth (head-of-line blocking, section 2.2) ==");
     println!(
         "{:>7} | {:>10} | {:>12}",
@@ -117,8 +128,9 @@ fn backfill_sweep(oracle: &TestbedOracle) {
     );
     println!("{}", "-".repeat(36));
     for window in [1usize, 4, 16, 64, 1024] {
-        let sched = SynergyScheduler::new(Arc::clone(&registry)).with_backfill_window(window);
-        let report = run_cluster_experiment(oracle, Box::new(sched), trace.clone(), vec![]);
+        let report = run_default(zoo, move |registry| {
+            Box::new(SynergyScheduler::new(registry).with_backfill_window(window))
+        });
         println!(
             "{window:>7} | {:>10.2} | {:>12.2}",
             hours(report.avg_jct()),
@@ -165,9 +177,10 @@ fn environment_shift(oracle_a800: &TestbedOracle) {
 
 fn main() {
     let oracle = std_oracle();
+    let zoo = ZooBackend::prepare([ScenarioSpec::default().seed]).expect("zoo profiling");
     println!("Rubick reproduction — design-choice ablations\n");
-    threshold_sweep(&oracle);
+    threshold_sweep(&zoo);
     overlap_ablation(&oracle);
-    backfill_sweep(&oracle);
+    backfill_sweep(&zoo);
     environment_shift(&oracle);
 }

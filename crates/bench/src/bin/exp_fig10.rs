@@ -2,49 +2,39 @@
 //! different trace down-sampling rates (load factors), reporting average
 //! JCT and makespan improvements.
 //!
+//! Runs the committed `examples/sweeps/fig10.toml`, so every row matches
+//! `rubick sweep examples/sweeps/fig10.toml`.
+//!
 //! ```sh
 //! cargo run --release -p rubick-bench --bin exp_fig10
 //! ```
 
-use rubick_bench::{build_registry, hours, run_cluster_experiment, std_oracle};
-use rubick_core::{RubickScheduler, SynergyScheduler};
-use rubick_trace::{generate_base, TraceConfig};
-use std::sync::Arc;
+use rubick_bench::{hours, run_sweep};
 
 fn main() {
-    let oracle = std_oracle();
-    eprintln!("[fig10] profiling the 7-model zoo...");
-    let registry = build_registry(&oracle);
+    eprintln!("[fig10] running examples/sweeps/fig10.toml...");
+    let (_, outcomes) = run_sweep(include_str!("../../../../examples/sweeps/fig10.toml"));
+    let cell = |scheduler: &str, load: f64| {
+        &outcomes
+            .iter()
+            .find(|o| o.spec.scheduler == scheduler && o.spec.load == load)
+            .expect("fig10.toml crosses both schedulers with every load")
+            .report
+    };
 
     println!("Figure 10: performance vs. cluster load (Rubick vs. Synergy)\n");
     println!(
-        "{:>5} | {:>5} | {:>12} {:>12} {:>8} | {:>12} {:>12} {:>8}",
-        "load", "jobs", "rubick JCT", "synergy JCT", "gain", "rubick mk", "synergy mk", "gain"
+        "{:>5} | {:>8} | {:>12} {:>12} {:>8} | {:>12} {:>12} {:>8}",
+        "load", "finished", "rubick JCT", "synergy JCT", "gain", "rubick mk", "synergy mk", "gain"
     );
-    println!("{}", "-".repeat(92));
-    for load in [0.5, 0.75, 1.0, 1.25, 1.5] {
-        let config = TraceConfig {
-            load_factor: load,
-            ..TraceConfig::default()
-        };
-        let trace = generate_base(&config, &oracle);
-        eprintln!("[fig10] load {load}: {} jobs, rubick...", trace.len());
-        let rubick = run_cluster_experiment(
-            &oracle,
-            Box::new(RubickScheduler::new(Arc::clone(&registry))),
-            trace.clone(),
-            vec![],
-        );
-        eprintln!("[fig10] load {load}: synergy...");
-        let synergy = run_cluster_experiment(
-            &oracle,
-            Box::new(SynergyScheduler::new(Arc::clone(&registry))),
-            trace.clone(),
-            vec![],
-        );
+    println!("{}", "-".repeat(95));
+    for outcome in outcomes.iter().filter(|o| o.spec.scheduler == "rubick") {
+        let load = outcome.spec.load;
+        let (rubick, synergy) = (&outcome.report, cell("synergy", load));
         println!(
-            "{load:>5} | {:>5} | {:>11.2}h {:>11.2}h {:>7.2}x | {:>11.2}h {:>11.2}h {:>7.2}x",
-            trace.len(),
+            "{load:>5} | {:>3}/{:<4} | {:>11.2}h {:>11.2}h {:>7.2}x | {:>11.2}h {:>11.2}h {:>7.2}x",
+            rubick.jobs.len(),
+            synergy.jobs.len(),
             hours(rubick.avg_jct()),
             hours(synergy.avg_jct()),
             synergy.avg_jct() / rubick.avg_jct().max(1e-9),

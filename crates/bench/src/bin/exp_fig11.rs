@@ -6,49 +6,43 @@
 //! gang-waiting — so Rubick's advantage should *grow* with the large-model
 //! fraction (paper: 2.6x -> 3.4x).
 //!
+//! Runs the committed `examples/sweeps/fig11.toml`, so every row matches
+//! `rubick sweep examples/sweeps/fig11.toml`.
+//!
 //! ```sh
 //! cargo run --release -p rubick-bench --bin exp_fig11
 //! ```
 
-use rubick_bench::{build_registry, hours, run_cluster_experiment, std_oracle};
-use rubick_core::{RubickScheduler, SynergyScheduler};
-use rubick_trace::{with_large_model_fraction, TraceConfig};
-use std::sync::Arc;
+use rubick_bench::{hours, run_sweep};
 
 fn main() {
-    let oracle = std_oracle();
-    eprintln!("[fig11] profiling the 7-model zoo...");
-    let registry = build_registry(&oracle);
-    let config = TraceConfig::default();
+    eprintln!("[fig11] running examples/sweeps/fig11.toml...");
+    let (_, outcomes) = run_sweep(include_str!("../../../../examples/sweeps/fig11.toml"));
+    let cell = |scheduler: &str, frac: Option<f64>| {
+        &outcomes
+            .iter()
+            .find(|o| o.spec.scheduler == scheduler && o.spec.large_frac == frac)
+            .expect("fig11.toml crosses both schedulers with every fraction")
+            .report
+    };
 
     println!("Figure 11: performance vs. large-model fraction (Rubick vs. Synergy)\n");
     println!(
-        "{:>9} | {:>5} | {:>12} | {:>12} | {:>8}",
-        "large frac", "jobs", "rubick JCT", "synergy JCT", "JCT gain"
+        "{:>10} | {:>8} | {:>12} | {:>12} | {:>8}",
+        "large frac", "finished", "rubick JCT", "synergy JCT", "JCT gain"
     );
-    println!("{}", "-".repeat(60));
+    println!("{}", "-".repeat(64));
     let mut gains = Vec::new();
-    for frac in [0.1, 0.25, 0.4, 0.55, 0.7] {
-        let trace = with_large_model_fraction(&config, &oracle, frac);
-        eprintln!("[fig11] frac {frac}: {} jobs, rubick...", trace.len());
-        let rubick = run_cluster_experiment(
-            &oracle,
-            Box::new(RubickScheduler::new(Arc::clone(&registry))),
-            trace.clone(),
-            vec![],
-        );
-        eprintln!("[fig11] frac {frac}: synergy...");
-        let synergy = run_cluster_experiment(
-            &oracle,
-            Box::new(SynergyScheduler::new(Arc::clone(&registry))),
-            trace.clone(),
-            vec![],
-        );
+    for outcome in outcomes.iter().filter(|o| o.spec.scheduler == "rubick") {
+        let frac = outcome.spec.large_frac;
+        let (rubick, synergy) = (&outcome.report, cell("synergy", frac));
         let gain = synergy.avg_jct() / rubick.avg_jct().max(1e-9);
         gains.push(gain);
         println!(
-            "{frac:>9} | {:>5} | {:>11.2}h | {:>11.2}h | {gain:>7.2}x",
-            trace.len(),
+            "{:>10} | {:>3}/{:<4} | {:>11.2}h | {:>11.2}h | {gain:>7.2}x",
+            frac.expect("fig11.toml sets large_frac on every cell"),
+            rubick.jobs.len(),
+            synergy.jobs.len(),
             hours(rubick.avg_jct()),
             hours(synergy.avg_jct()),
         );

@@ -1,7 +1,9 @@
 //! **Table 4** — the 64-GPU cluster experiments, plus the §7.3 system
 //! overheads.
 //!
-//! Traces (12 h, 406 jobs down-sampled Philly-style):
+//! Runs the committed `examples/sweeps/table4.toml` (12 h, 406 jobs
+//! down-sampled Philly-style, seed 2025), so every row matches
+//! `rubick sweep examples/sweeps/table4.toml`:
 //! * **Base** — random feasible initial plans: Rubick vs. Sia vs. Synergy,
 //!   plus the break-down ablations Rubick-E / Rubick-R / Rubick-N;
 //! * **BP** — best initial plans: Rubick vs. Sia vs. Synergy;
@@ -12,75 +14,32 @@
 //! cargo run --release -p rubick-bench --bin exp_table4
 //! ```
 
-use rubick_bench::{build_registry, hours, run_cluster_experiment, std_oracle, with_ratio};
-use rubick_core::{
-    rubick_e, rubick_n, rubick_r, AntManScheduler, RubickScheduler, SiaScheduler, SynergyScheduler,
-};
-use rubick_sim::{JobClass, Scheduler, SimReport};
-use rubick_trace::{best_plan_trace, generate_base, multi_tenant_trace, TraceConfig};
-use std::sync::Arc;
+use rubick_bench::{hours, run_sweep, with_ratio, EXPERIMENT_SEED};
+use rubick_sim::{JobClass, JobRecord, ScenarioOutcome, TraceKind};
 
-/// A labelled job filter selecting one row class of the printed table.
-type ClassFilter = (&'static str, Box<dyn Fn(&rubick_sim::JobRecord) -> bool>);
+/// One row class of the printed table: a label and the jobs it selects.
+type ClassFilter = (&'static str, fn(&JobRecord) -> bool);
+
+const ALL: ClassFilter = ("all", |_| true);
+const MT_CLASSES: [ClassFilter; 3] = [
+    ALL,
+    ("guar.", |j| j.class == JobClass::Guaranteed),
+    ("BE", |j| j.class == JobClass::BestEffort),
+];
+
+fn trace_label(kind: TraceKind) -> &'static str {
+    match kind {
+        TraceKind::Base => "Base",
+        TraceKind::Bp => "BP",
+        TraceKind::Mt => "MT",
+    }
+}
 
 fn main() {
-    let oracle = std_oracle();
-    eprintln!("[table4] profiling the 7-model zoo...");
-    let registry = build_registry(&oracle);
-    let config = TraceConfig::default(); // 406 jobs / 12 h / 64 GPUs
+    eprintln!("[table4] running examples/sweeps/table4.toml...");
+    let (backend, outcomes) = run_sweep(include_str!("../../../../examples/sweeps/table4.toml"));
 
-    let mut summaries: Vec<(String, String, SimReport)> = Vec::new();
-
-    // ---- Base trace ------------------------------------------------------
-    eprintln!("[table4] generating base trace...");
-    let base = generate_base(&config, &oracle);
-    eprintln!("[table4] base trace: {} jobs", base.len());
-    let base_scheds: Vec<Box<dyn Scheduler>> = vec![
-        Box::new(RubickScheduler::new(Arc::clone(&registry))),
-        Box::new(SiaScheduler::new(Arc::clone(&registry))),
-        Box::new(SynergyScheduler::new(Arc::clone(&registry))),
-        Box::new(rubick_e(Arc::clone(&registry))),
-        Box::new(rubick_r(Arc::clone(&registry))),
-        Box::new(rubick_n(Arc::clone(&registry))),
-    ];
-    for sched in base_scheds {
-        let name = sched.name().to_string();
-        eprintln!("[table4] base trace / {name}...");
-        let report = run_cluster_experiment(&oracle, sched, base.clone(), vec![]);
-        summaries.push(("Base".into(), name, report));
-    }
-
-    // ---- BP trace --------------------------------------------------------
-    eprintln!("[table4] generating best-plan trace...");
-    let bp = best_plan_trace(&config, &oracle);
-    let bp_scheds: Vec<Box<dyn Scheduler>> = vec![
-        Box::new(RubickScheduler::new(Arc::clone(&registry))),
-        Box::new(SiaScheduler::new(Arc::clone(&registry))),
-        Box::new(SynergyScheduler::new(Arc::clone(&registry))),
-    ];
-    for sched in bp_scheds {
-        let name = sched.name().to_string();
-        eprintln!("[table4] BP trace / {name}...");
-        let report = run_cluster_experiment(&oracle, sched, bp.clone(), vec![]);
-        summaries.push(("BP".into(), name, report));
-    }
-
-    // ---- MT trace --------------------------------------------------------
-    eprintln!("[table4] generating multi-tenant trace...");
-    let (mt, tenants) = multi_tenant_trace(&config, &oracle);
-    let mt_scheds: Vec<Box<dyn Scheduler>> = vec![
-        Box::new(RubickScheduler::new(Arc::clone(&registry))),
-        Box::new(AntManScheduler::new()),
-    ];
-    for sched in mt_scheds {
-        let name = sched.name().to_string();
-        eprintln!("[table4] MT trace / {name}...");
-        let report = run_cluster_experiment(&oracle, sched, mt.clone(), tenants.clone());
-        summaries.push(("MT".into(), name, report));
-    }
-
-    // ---- print -----------------------------------------------------------
-    println!("\nTable 4: 64-GPU cluster experiments (JCT in hours; ratios vs. Rubick per trace)\n");
+    println!("\nTable 4: 64-GPU cluster experiments (JCT in hours; ratios vs. Rubick per trace and class)\n");
     println!(
         "{:<6} | {:<10} | {:<6} | {:>14} | {:>14} | {:>12} | {:>9} | {:>8}",
         "trace",
@@ -93,40 +52,37 @@ fn main() {
         "finished"
     );
     println!("{}", "-".repeat(102));
-    for trace_name in ["Base", "BP", "MT"] {
-        let rubick_ref = summaries
+    for kind in [TraceKind::Base, TraceKind::Bp, TraceKind::Mt] {
+        let classes: &[ClassFilter] = if kind == TraceKind::Mt {
+            &MT_CLASSES
+        } else {
+            &[ALL]
+        };
+        let cells: Vec<&ScenarioOutcome> =
+            outcomes.iter().filter(|o| o.spec.trace == kind).collect();
+        let rubick = cells
             .iter()
-            .find(|(t, s, _)| t == trace_name && s == "rubick")
-            .map(|(_, _, r)| (r.avg_jct(), r.p99_jct()))
-            .unwrap_or((0.0, 0.0));
-        for (t, name, report) in summaries.iter().filter(|(t, _, _)| t == trace_name) {
-            let rows: Vec<ClassFilter> = if t == "MT" {
-                vec![
-                    ("all", Box::new(|_: &rubick_sim::JobRecord| true)),
-                    (
-                        "guar.",
-                        Box::new(|j: &rubick_sim::JobRecord| j.class == JobClass::Guaranteed),
-                    ),
-                    (
-                        "BE",
-                        Box::new(|j: &rubick_sim::JobRecord| j.class == JobClass::BestEffort),
-                    ),
-                ]
-            } else {
-                vec![("all", Box::new(|_: &rubick_sim::JobRecord| true))]
-            };
-            for (class_label, filt) in rows {
-                let avg = hours(report.avg_jct_where(&filt));
-                let p99 = hours(report.p99_jct_where(&filt));
+            .find(|o| o.spec.scheduler == "rubick")
+            .map(|o| &o.report);
+        for outcome in &cells {
+            let report = &outcome.report;
+            for &(class_label, filt) in classes {
+                // Each class row is compared against Rubick's row of the
+                // same class.
+                let (ref_avg, ref_p99) = rubick.map_or((0.0, 0.0), |r| {
+                    (r.avg_jct_where(filt), r.p99_jct_where(filt))
+                });
                 let sla = if class_label == "guar." {
                     format!("{:.0}%", report.sla_attainment() * 100.0)
                 } else {
                     "-".into()
                 };
                 println!(
-                    "{t:<6} | {name:<10} | {class_label:<6} | {:>14} | {:>14} | {:>12.2} | {sla:>9} | {:>8}",
-                    with_ratio(avg, hours(rubick_ref.0)),
-                    with_ratio(p99, hours(rubick_ref.1)),
+                    "{:<6} | {:<10} | {class_label:<6} | {:>14} | {:>14} | {:>12.2} | {sla:>9} | {:>8}",
+                    trace_label(kind),
+                    outcome.spec.scheduler,
+                    with_ratio(hours(report.avg_jct_where(filt)), hours(ref_avg)),
+                    with_ratio(hours(report.p99_jct_where(filt)), hours(ref_p99)),
                     hours(report.makespan),
                     report.jobs.len(),
                 );
@@ -137,9 +93,10 @@ fn main() {
 
     // ---- §7.3 system overheads --------------------------------------------
     println!("\nSystem overheads (Rubick on the base trace):");
-    if let Some((_, _, r)) = summaries
+    if let Some(r) = outcomes
         .iter()
-        .find(|(t, s, _)| t == "Base" && s == "rubick")
+        .find(|o| o.spec.trace == TraceKind::Base && o.spec.scheduler == "rubick")
+        .map(|o| &o.report)
     {
         println!(
             "  avg reconfiguration time: {:.0} s per reconfiguration (paper: 78 s)",
@@ -156,6 +113,9 @@ fn main() {
             r.rounds
         );
     }
+    let registry = backend
+        .registry(EXPERIMENT_SEED)
+        .expect("table4.toml runs at the experiment seed");
     println!(
         "  profiling: {:.0} s total across 7 model types ({:.0} s/model; paper: 210 s/model)",
         registry.profiling_seconds,

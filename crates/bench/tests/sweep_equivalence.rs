@@ -7,23 +7,24 @@
 mod sweep_support;
 
 use proptest::prelude::*;
+use rubick_bench::ZooBackend;
 use rubick_sim::harness::sweep::{csv_row, run_cells};
 use rubick_sim::{ScenarioOutcome, ScenarioSpec};
 use std::sync::OnceLock;
-use sweep_support::{smoke_spec, TestBackend};
+use sweep_support::{backend_for, smoke_spec};
 
 /// The smoke grid's cells, the shared backend, and the sequential
 /// reference outcomes — computed once; every property case compares
 /// against this.
-fn reference() -> &'static (Vec<ScenarioSpec>, TestBackend, Vec<ScenarioOutcome>) {
-    static REF: OnceLock<(Vec<ScenarioSpec>, TestBackend, Vec<ScenarioOutcome>)> = OnceLock::new();
+fn reference() -> &'static (Vec<ScenarioSpec>, ZooBackend, Vec<ScenarioOutcome>) {
+    static REF: OnceLock<(Vec<ScenarioSpec>, ZooBackend, Vec<ScenarioOutcome>)> = OnceLock::new();
     REF.get_or_init(|| {
         let cells = smoke_spec().expand().expect("smoke grid expands");
         assert!(
             cells.iter().any(|c| c.chaos.is_some()),
             "the property must cover chaos-enabled cells"
         );
-        let backend = TestBackend::for_cells(&cells);
+        let backend = backend_for(&cells);
         let outcomes = run_cells(&cells, &backend, None).expect("sequential reference");
         (cells, backend, outcomes)
     })

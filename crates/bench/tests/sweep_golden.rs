@@ -4,7 +4,7 @@
 //! Regenerate after an intentional behavior change with:
 //!
 //! ```text
-//! UPDATE_GOLDEN=1 cargo test -p rubick-core --test sweep_golden
+//! UPDATE_GOLDEN=1 cargo test -p rubick-bench --test sweep_golden
 //! ```
 //!
 //! A second pass runs the same cells on two worker threads and asserts
@@ -16,14 +16,14 @@ mod sweep_support;
 use rubick_sim::harness::sweep::{render_csv, render_jsonl, run_cells};
 use rubick_sim::{run_scenario, Engine, ScenarioSpec};
 use rubick_testbed::TestbedOracle;
-use sweep_support::{check_golden, smoke_spec, TestBackend};
+use sweep_support::{backend_for, check_golden, smoke_spec};
 
 #[test]
 fn smoke_sweep_renders_stable_csv_and_jsonl() {
     let spec = smoke_spec();
     let cells = spec.expand().expect("smoke grid expands");
     assert_eq!(cells.len(), 8, "2 traces x 2 schedulers x 2 chaos rates");
-    let backend = TestBackend::for_cells(&cells);
+    let backend = backend_for(&cells);
     let outcomes = run_cells(&cells, &backend, None).expect("smoke sweep runs");
     check_golden("sweep_smoke.csv", &render_csv(&outcomes));
     check_golden("sweep_smoke.jsonl", &render_jsonl(&spec.name, &outcomes));
@@ -32,7 +32,7 @@ fn smoke_sweep_renders_stable_csv_and_jsonl() {
 #[test]
 fn smoke_sweep_is_byte_identical_on_two_workers() {
     let cells = smoke_spec().expand().expect("smoke grid expands");
-    let backend = TestBackend::for_cells(&cells);
+    let backend = backend_for(&cells);
     let sequential = run_cells(&cells, &backend, None).expect("sequential sweep");
     let threaded = run_cells(&cells, &backend, Some(2)).expect("threaded sweep");
     assert_eq!(render_csv(&sequential), render_csv(&threaded));
@@ -53,7 +53,7 @@ fn harness_matches_hand_wired_engine() {
         seed: 7,
         ..ScenarioSpec::default()
     };
-    let backend = TestBackend::prepare([spec.seed]);
+    let backend = backend_for(std::slice::from_ref(&spec));
     let outcome = run_scenario(&spec, &backend).expect("harness run");
 
     let oracle = TestbedOracle::new(spec.seed);

@@ -4,7 +4,7 @@
 //! run concurrently: one scoped thread per scheduler, each driving the
 //! shared scenario harness ([`rubick_sim::run_scenario_with`]). The model
 //! zoo is profiled **once** on the main thread (inside
-//! [`CliBackend::prepare`]); each scheduler construction then gets its
+//! [`ZooBackend::prepare`]); each scheduler construction then gets its
 //! own deep copy via
 //! [`ModelRegistry::clone_fitted`](rubick_core::ModelRegistry::clone_fitted),
 //! so online refit state still cannot leak between policies but the
@@ -12,9 +12,10 @@
 //! fixed — rows are printed from the joined results in `SCHEDULERS`
 //! order, identical to the old sequential loop.
 
-use super::{chaos_from, scenario_spec_from, CliBackend, CliError};
+use super::{chaos_from, scenario_spec_from, CliError};
 use crate::args::Args;
 use crate::output::{compare_header, compare_row, Logger};
+use rubick_bench::ZooBackend;
 use rubick_obs::FaultMetricsSink;
 use rubick_sim::{run_scenario_with, ScenarioOutcome};
 
@@ -41,8 +42,8 @@ pub fn execute(args: &Args) -> Result<(), CliError> {
     let base_spec = scenario_spec_from(args)?;
     let chaos = chaos_from(args, base_spec.nodes, base_spec.engine_config().max_time)?;
     // One profiling pass, shared read-only; each thread deep-copies its
-    // registry inside `CliBackend::scheduler`.
-    let backend = CliBackend::prepare([base_spec.seed])?;
+    // registry inside `ZooBackend::scheduler`.
+    let backend = ZooBackend::prepare([base_spec.seed])?;
     log.info(&format!(
         "comparing {} schedulers on {} jobs ({} threads)...",
         SCHEDULERS.len(),

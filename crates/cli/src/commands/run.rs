@@ -4,14 +4,15 @@
 //! ([`rubick_sim::run_scenario_with`]); this module only translates
 //! flags into a [`ScenarioSpec`] and renders the outcome.
 
-use super::{chaos_from, scenario_spec_from, CliBackend, CliError, SCHEDULER_NAMES};
+use super::{chaos_from, scenario_spec_from, CliError};
 use crate::args::Args;
 use crate::output::{
     render_decisions, render_fault_csv, render_fault_report, render_report, render_report_csv,
     Logger,
 };
+use rubick_bench::{ZooBackend, SCHEDULER_NAMES};
 use rubick_model::NodeShape;
-use rubick_obs::{BufferedJsonlSink, EventSink, FanoutSink, ProgressSink, UtilTimelineSink};
+use rubick_obs::{EventSink, FanoutSink, JsonlSink, ProgressSink, UtilTimelineSink};
 use rubick_sim::run_scenario_with;
 
 /// Executes the `run` subcommand.
@@ -47,7 +48,7 @@ pub fn execute(args: &Args) -> Result<(), CliError> {
     }
     let chaos = chaos_from(args, spec.nodes, spec.engine_config().max_time)?;
     log.info("profiling model zoo...");
-    let backend = CliBackend::prepare([spec.seed])?;
+    let backend = ZooBackend::prepare([spec.seed])?;
     log.info(&format!(
         "running {} jobs through {}...",
         spec.jobs, spec.scheduler
@@ -64,15 +65,15 @@ pub fn execute(args: &Args) -> Result<(), CliError> {
             "online refitting enabled (material-change threshold {threshold})"
         ));
     }
-    // The event spine fans out to up to three sinks: the buffered JSONL
-    // writer (--events), the live stderr progress line (--progress) and
+    // The event spine fans out to up to three sinks: the JSONL writer
+    // (--events), the live stderr progress line (--progress) and
     // the per-round utilization timeline (--util-timeline).
     let mut progress = args
         .flag("progress")
         .then(|| ProgressSink::new(std::io::stderr()));
     let mut events = match args.get("events") {
         Some(path) => Some(
-            BufferedJsonlSink::create(path)
+            JsonlSink::create(path)
                 .map_err(|e| format!("cannot create events file '{path}': {e}"))?,
         ),
         None => None,

@@ -19,18 +19,18 @@
 //! {"type":"report",...}
 //! ```
 
-use super::{build_registry, refit_from, scheduler_by_name, CliError, SCHEDULER_NAMES};
+use super::{refit_from, CliError};
 use crate::args::Args;
 use crate::output::{render_serve_report_line, Logger};
-use rubick_model::NodeShape;
-use rubick_obs::{BufferedJsonlSink, EventSink, SimEvent};
-use rubick_refit::{RefitConfig, RegistryRefitter};
+use rubick_bench::{ZooBackend, SCHEDULER_NAMES};
+use rubick_obs::{EventSink, JsonlSink, SimEvent};
 use rubick_sim::serve::{recover, ServeMeta, ServeOp, ServeSession};
-use rubick_sim::{Cluster, Engine, EngineConfig};
+use rubick_sim::{Engine, ScenarioBackend, ScenarioSpec};
 use rubick_testbed::TestbedOracle;
+use std::fs::File;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpListener;
-use std::sync::{mpsc, Arc};
+use std::sync::mpsc;
 use std::time::Duration;
 
 fn json_escape(s: &str) -> String {
@@ -51,7 +51,7 @@ fn json_escape(s: &str) -> String {
 /// (drained after each op) and forwards everything to the `--events` file.
 struct ServeSink {
     echo: Option<Vec<String>>,
-    file: Option<BufferedJsonlSink>,
+    file: Option<JsonlSink<File>>,
 }
 
 impl EventSink for ServeSink {
@@ -146,24 +146,29 @@ pub fn execute(args: &Args) -> Result<(), CliError> {
     };
 
     log.info("profiling model zoo...");
+    let spec = ScenarioSpec {
+        scheduler: scheduler.clone(),
+        seed,
+        nodes,
+        refit,
+        ..ScenarioSpec::default()
+    };
     let oracle = TestbedOracle::new(seed);
-    let registry = build_registry(&oracle)?;
-    let policy = scheduler_by_name(&scheduler, &registry)?;
+    // The session's scheduler and the refitter share one registry, so a
+    // material refit re-plans on the next round. Recovery replays with
+    // the same flags, rebuilding identical refit state deterministically.
+    let (policy, refit_hook) = ZooBackend::prepare([seed])?.scheduler_with_refit(&spec)?;
     let mut engine = Engine::new(
         &oracle,
         policy,
-        Cluster::new(nodes, NodeShape::a800()),
+        spec.cluster(),
         vec![],
-        EngineConfig::default(),
+        spec.engine_config(),
     );
+    if let Some(hook) = refit_hook {
+        engine.set_refit_hook(hook);
+    }
     if let Some(threshold) = refit {
-        // The session's scheduler and the refitter share `registry`, so a
-        // material refit re-plans on the next round. Recovery replays with
-        // the same flags, rebuilding identical refit state deterministically.
-        engine.set_refit_hook(Box::new(RegistryRefitter::new(
-            Arc::clone(&registry),
-            RefitConfig::with_threshold(threshold),
-        )));
         log.info(&format!(
             "online refitting enabled (material-change threshold {threshold})"
         ));
@@ -173,7 +178,7 @@ pub fn execute(args: &Args) -> Result<(), CliError> {
         echo: args.flag("echo-events").then(Vec::new),
         file: match args.get("events") {
             Some(path) => Some(
-                BufferedJsonlSink::create(path)
+                JsonlSink::create(path)
                     .map_err(|e| format!("cannot create events file '{path}': {e}"))?,
             ),
             None => None,

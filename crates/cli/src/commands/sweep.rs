@@ -7,9 +7,10 @@
 //! byte-identical at any `--parallelism` setting. The paper tables ship
 //! as specs under `examples/sweeps/`.
 
-use super::{CliBackend, CliError, SCHEDULER_NAMES};
+use super::CliError;
 use crate::args::Args;
 use crate::output::Logger;
+use rubick_bench::{ZooBackend, SCHEDULER_NAMES};
 use rubick_sim::harness::baseline::{diff_outcomes, parse_baseline};
 use rubick_sim::harness::grid::SweepSpec;
 use rubick_sim::harness::sweep::{render_csv, render_jsonl, resolve_workers, run_cells_with};
@@ -91,7 +92,7 @@ pub fn execute(args: &Args) -> Result<(), CliError> {
         workers,
         seeds.len()
     ));
-    let backend = CliBackend::prepare(seeds)?;
+    let backend = ZooBackend::prepare(seeds)?;
     // Timed by default: interactive sweeps want to see cell cost. The
     // timing columns are the only machine-dependent output bytes, so
     // anything comparing sweep output across runs (the sweep-smoke gate,

@@ -1,17 +1,17 @@
 //! `rubick trace` — generate a synthetic workload trace and summarize it
 //! (or dump it as CSV for external tools).
 
-use super::{oracle_from, trace_config_from, CliError};
+use super::{oracle_from, scenario_spec_from, CliError};
 use crate::args::Args;
-use rubick_trace::generate_base;
+use rubick_bench::workload;
 use std::collections::BTreeMap;
 
 /// Executes the `trace` subcommand.
 pub fn execute(args: &Args) -> Result<(), CliError> {
     args.allow(&["jobs", "load", "seed", "csv"])?;
     let oracle = oracle_from(args)?;
-    let config = trace_config_from(args)?;
-    let jobs = generate_base(&config, &oracle);
+    let spec = scenario_spec_from(args)?;
+    let (jobs, _) = workload(&spec, &oracle);
 
     if args.flag("csv") {
         println!("id,submit_s,model,gpus,cpus,mem_gb,batch,target_batches,initial_plan");
@@ -32,12 +32,12 @@ pub fn execute(args: &Args) -> Result<(), CliError> {
         return Ok(());
     }
 
-    let span_h = config.duration_hours;
+    let span_h = spec.duration_hours;
     println!(
         "trace: {} jobs over {span_h:.0} h (seed {}, load {:.2})\n",
         jobs.len(),
-        config.seed,
-        config.load_factor
+        spec.seed,
+        spec.load
     );
 
     let mut by_model: BTreeMap<&str, (usize, u64)> = BTreeMap::new();

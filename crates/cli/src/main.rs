@@ -53,8 +53,7 @@ RUN / COMPARE FLAGS:
                          (default info; stdout output is unaffected)
     --verbose            (run) print the full decision log
     --events <path>      (run) stream every simulation event to <path> as
-                         JSON Lines (one event per line, buffered through a
-                         background writer thread)
+                         JSON Lines (one event per line)
     --progress           (run) live progress line on stderr (running/queued/
                          finished counts) while the simulation executes
     --chaos <path>       Inject faults from a chaos config file: node

@@ -34,10 +34,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::fs::File;
 use std::io::{self, BufWriter, Write};
-use std::mem;
 use std::path::Path;
-use std::sync::mpsc;
-use std::thread;
 
 /// What kind of placement decision a [`SimEvent::DecisionApplied`] records.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -711,9 +708,8 @@ impl SimEvent {
 /// solely in this header line.
 pub const SCHEMA_VERSION: u32 = 5;
 
-/// The one-line schema header the stream sinks ([`JsonlSink`],
-/// [`BufferedJsonlSink`]) write before the first event (no trailing
-/// newline).
+/// The one-line schema header [`JsonlSink`] writes before the first
+/// event (no trailing newline).
 pub fn schema_header_line() -> String {
     let mut w = JsonWriter::new("schema");
     w.uint("version", u64::from(SCHEMA_VERSION));
@@ -732,7 +728,7 @@ pub enum JsonlLine {
 
 /// Parses one line of a sink-produced stream, accepting both the schema
 /// header and event lines. Use this (rather than [`SimEvent::from_jsonl`])
-/// when reading files written by [`JsonlSink`] or [`BufferedJsonlSink`].
+/// when reading files written by [`JsonlSink`].
 ///
 /// Like [`SimEvent::from_jsonl`], unknown *fields* are tolerated — lookups
 /// go by key, so a newer writer adding fields still parses — while unknown
@@ -1414,157 +1410,6 @@ impl<W: Write> EventSink for JsonlSink<W> {
             return Err(e);
         }
         self.writer.flush()
-    }
-}
-
-enum WriterMsg {
-    Chunk(String),
-    Flush(mpsc::SyncSender<io::Result<()>>),
-}
-
-/// A [`JsonlSink`] variant that moves serialization output to a background
-/// writer thread, so a slow disk never sits on the engine loop.
-///
-/// Events are appended to an in-memory chunk; full chunks are handed to
-/// the writer thread over a channel and the drained `String`s are recycled
-/// back (double-buffering — steady state allocates nothing). The byte
-/// stream is identical to [`JsonlSink`]'s, including the schema header
-/// line. [`EventSink::flush`] round-trips to the writer thread and reports
-/// the first I/O error, sticky, like [`JsonlSink`]; dropping the sink
-/// flushes whatever remains best-effort.
-pub struct BufferedJsonlSink {
-    buf: String,
-    tx: Option<mpsc::Sender<WriterMsg>>,
-    recycle: mpsc::Receiver<String>,
-    handle: Option<thread::JoinHandle<io::Result<()>>>,
-    written: u64,
-    header_pending: bool,
-    failed: bool,
-}
-
-/// Bytes buffered before a chunk is handed to the writer thread.
-const CHUNK_BYTES: usize = 64 * 1024;
-
-impl BufferedJsonlSink {
-    /// Creates (truncating) the file at `path` and streams events into it
-    /// from a background thread.
-    pub fn create(path: impl AsRef<Path>) -> io::Result<BufferedJsonlSink> {
-        Ok(BufferedJsonlSink::new(File::create(path)?))
-    }
-
-    /// Wraps an arbitrary writer, spawning the background writer thread.
-    pub fn new<W: Write + Send + 'static>(writer: W) -> BufferedJsonlSink {
-        let (tx, rx) = mpsc::channel::<WriterMsg>();
-        let (recycle_tx, recycle) = mpsc::channel::<String>();
-        let handle = thread::spawn(move || {
-            let mut writer = BufWriter::new(writer);
-            let mut error: Option<io::Error> = None;
-            for msg in rx {
-                match msg {
-                    WriterMsg::Chunk(mut chunk) => {
-                        if error.is_none() {
-                            if let Err(e) = writer.write_all(chunk.as_bytes()) {
-                                error = Some(e);
-                            }
-                        }
-                        chunk.clear();
-                        let _ = recycle_tx.send(chunk);
-                    }
-                    WriterMsg::Flush(reply) => {
-                        let result = match error.take() {
-                            Some(e) => Err(e),
-                            None => writer.flush(),
-                        };
-                        let _ = reply.send(result);
-                    }
-                }
-            }
-            match error {
-                Some(e) => Err(e),
-                None => writer.flush(),
-            }
-        });
-        BufferedJsonlSink {
-            buf: String::with_capacity(CHUNK_BYTES + 1024),
-            tx: Some(tx),
-            recycle,
-            handle: Some(handle),
-            written: 0,
-            header_pending: true,
-            failed: false,
-        }
-    }
-
-    /// Number of event lines handed to the write pipeline (the schema
-    /// header is not counted). Lines may still be in flight until
-    /// [`EventSink::flush`] returns.
-    pub fn events_written(&self) -> u64 {
-        self.written
-    }
-
-    fn send_chunk(&mut self) {
-        if self.buf.is_empty() {
-            return;
-        }
-        let next = self.recycle.try_recv().unwrap_or_default();
-        let full = mem::replace(&mut self.buf, next);
-        if let Some(tx) = &self.tx {
-            if tx.send(WriterMsg::Chunk(full)).is_err() {
-                self.failed = true;
-            }
-        }
-    }
-}
-
-impl EventSink for BufferedJsonlSink {
-    fn on_event(&mut self, event: &SimEvent) {
-        if self.failed {
-            return;
-        }
-        if self.header_pending {
-            self.buf.push_str(&schema_header_line());
-            self.buf.push('\n');
-            self.header_pending = false;
-        }
-        self.buf.push_str(&event.to_jsonl());
-        self.buf.push('\n');
-        self.written += 1;
-        if self.buf.len() >= CHUNK_BYTES {
-            self.send_chunk();
-        }
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        let dead = || io::Error::other("event writer thread terminated");
-        if self.failed {
-            return Err(dead());
-        }
-        self.send_chunk();
-        let Some(tx) = &self.tx else {
-            return Err(dead());
-        };
-        let (reply_tx, reply_rx) = mpsc::sync_channel(1);
-        if tx.send(WriterMsg::Flush(reply_tx)).is_err() {
-            self.failed = true;
-            return Err(dead());
-        }
-        match reply_rx.recv() {
-            Ok(result) => result,
-            Err(_) => {
-                self.failed = true;
-                Err(dead())
-            }
-        }
-    }
-}
-
-impl Drop for BufferedJsonlSink {
-    fn drop(&mut self) {
-        self.send_chunk();
-        drop(self.tx.take());
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
-        }
     }
 }
 
@@ -2437,47 +2282,7 @@ mod tests {
     }
 
     #[test]
-    fn buffered_sink_bytes_match_jsonl_sink() {
-        use std::sync::{Arc, Mutex};
-
-        /// A writer handing its bytes back through a shared buffer, so the
-        /// test can inspect what the background thread wrote.
-        #[derive(Clone)]
-        struct Shared(Arc<Mutex<Vec<u8>>>);
-        impl Write for Shared {
-            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-                self.0.lock().unwrap().extend_from_slice(buf);
-                Ok(buf.len())
-            }
-            fn flush(&mut self) -> io::Result<()> {
-                Ok(())
-            }
-        }
-
-        let mut reference = JsonlSink::new(Vec::new());
-        let shared = Shared(Arc::new(Mutex::new(Vec::new())));
-        let mut buffered = BufferedJsonlSink::new(shared.clone());
-        // Enough events to force several chunk handoffs.
-        for _ in 0..2000 {
-            for ev in sample_events() {
-                reference.on_event(&ev);
-                buffered.on_event(&ev);
-            }
-        }
-        reference.flush().unwrap();
-        buffered.flush().unwrap();
-        assert_eq!(
-            buffered.events_written(),
-            2000 * sample_events().len() as u64
-        );
-        let expected = reference.writer.into_inner().unwrap();
-        let actual = shared.0.lock().unwrap().clone();
-        assert_eq!(actual, expected, "buffered sink must write identical bytes");
-        drop(buffered);
-    }
-
-    #[test]
-    fn buffered_sink_flushes_on_drop() {
+    fn jsonl_sink_flushes_on_drop() {
         use std::sync::{Arc, Mutex};
         #[derive(Clone)]
         struct Shared(Arc<Mutex<Vec<u8>>>);
@@ -2492,7 +2297,7 @@ mod tests {
         }
         let shared = Shared(Arc::new(Mutex::new(Vec::new())));
         {
-            let mut sink = BufferedJsonlSink::new(shared.clone());
+            let mut sink = JsonlSink::new(shared.clone());
             sink.on_event(&SimEvent::TickSkipped { at: 1.0, round: 1 });
             // No flush: drop must deliver the buffered lines.
         }
@@ -2506,7 +2311,7 @@ mod tests {
     }
 
     #[test]
-    fn buffered_sink_reports_write_errors_on_flush() {
+    fn jsonl_sink_reports_write_errors_on_flush() {
         struct Broken;
         impl Write for Broken {
             fn write(&mut self, _buf: &[u8]) -> io::Result<usize> {
@@ -2516,7 +2321,7 @@ mod tests {
                 Ok(())
             }
         }
-        let mut sink = BufferedJsonlSink::new(Broken);
+        let mut sink = JsonlSink::new(Broken);
         for _ in 0..5000 {
             sink.on_event(&SimEvent::TickSkipped { at: 0.0, round: 1 });
         }

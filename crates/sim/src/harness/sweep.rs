@@ -6,7 +6,7 @@
 //! shared cursor. Results are stored by cell index and rendered in grid
 //! order, which makes the output **byte-identical at any worker count**:
 //! parallelism only changes wall-clock time, never a single output byte.
-//! The `sweep_golden`/`sweep_equivalence` suites in `rubick-core` pin
+//! The `sweep_golden`/`sweep_equivalence` suites in `rubick-bench` pin
 //! this property.
 //!
 //! Timed runs ([`run_cells_with`] with `timings = true`) additionally
