@@ -104,7 +104,9 @@ exp-smoke:
 # stream — including the final report line — must be byte-identical to
 # the committed golden. Also round-trips the write-ahead log: a second
 # run journals the same session to a scratch log, restarts from it, and
-# the recovered state must answer `status` identically.
+# after its `recovered` line the restarted daemon must answer `status`,
+# `shutdown` and the report byte-identically to the golden's last three
+# lines.
 serve-smoke:
 	cargo build --release -p rubick-cli
 	mkdir -p target/serve-smoke
@@ -120,7 +122,10 @@ serve-smoke:
 		target/release/rubick serve --scheduler rubick --seed 7 --nodes 2 \
 		--log-level error --log target/serve-smoke/session.log \
 		> target/serve-smoke/recovered.jsonl
-	grep -q '"type":"recovered"' target/serve-smoke/recovered.jsonl
+	head -n 1 target/serve-smoke/recovered.jsonl | grep -q '^{"type":"recovered",'
+	tail -n +2 target/serve-smoke/recovered.jsonl > target/serve-smoke/recovered-tail.jsonl
+	tail -n 3 examples/serve/smoke-expected.jsonl | \
+		cmp - target/serve-smoke/recovered-tail.jsonl
 	@echo "serve-smoke: reply stream matches golden; log recovery round-trips"
 
 # End-to-end refit gate: a --refit run must publish at least one refit

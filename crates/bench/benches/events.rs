@@ -10,7 +10,7 @@
 use criterion::Criterion;
 use rubick_core::{ModelRegistry, SynergyScheduler};
 use rubick_model::ModelSpec;
-use rubick_obs::{CountersSink, EventSink, JsonlSink, NullSink, SimEvent, VecSink};
+use rubick_obs::{EventSink, JsonlSink, NullSink, SimEvent, VecSink};
 use rubick_sim::{Cluster, Engine, EngineConfig, JobSpec, ReportSink};
 use rubick_testbed::TestbedOracle;
 use rubick_trace::{generate_base, TraceConfig};
@@ -38,14 +38,6 @@ fn bench_events(c: &mut Criterion, oracle: &TestbedOracle, trace: &[JobSpec]) {
             let mut engine = engine_for(oracle, &registry);
             let mut sink = NullSink;
             black_box(engine.run_with_sink(trace.to_vec(), &mut sink).jobs.len())
-        })
-    });
-    group.bench_function("run_counters", |b| {
-        b.iter(|| {
-            let mut engine = engine_for(oracle, &registry);
-            let mut sink = CountersSink::default();
-            engine.run_with_sink(trace.to_vec(), &mut sink);
-            black_box(sink.total_events())
         })
     });
     group.bench_function("run_jsonl_devnull", |b| {

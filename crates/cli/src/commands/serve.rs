@@ -23,7 +23,7 @@ use super::{refit_from, CliError};
 use crate::args::Args;
 use crate::output::{render_serve_report_line, Logger};
 use rubick_bench::{ZooBackend, SCHEDULER_NAMES};
-use rubick_obs::{EventSink, JsonlSink, SimEvent};
+use rubick_obs::{EventSink, JsonWriter, JsonlSink, SimEvent};
 use rubick_sim::serve::{recover, ServeMeta, ServeOp, ServeSession};
 use rubick_sim::{Engine, ScenarioBackend, ScenarioSpec};
 use rubick_testbed::TestbedOracle;
@@ -33,18 +33,11 @@ use std::net::TcpListener;
 use std::sync::mpsc;
 use std::time::Duration;
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
+/// The reply to an op that could not be applied.
+fn error_line(message: &str) -> String {
+    let mut w = JsonWriter::new("error");
+    w.str("message", message);
+    w.finish()
 }
 
 /// The per-session event sink: optionally buffers lines for `--echo-events`
@@ -206,12 +199,11 @@ pub fn execute(args: &Args) -> Result<(), CliError> {
                     "recovered session from '{path}': {} op(s), {} event(s) replayed",
                     recovery.stats.ops_replayed, recovery.stats.events_replayed
                 ));
-                recovered_line = Some(format!(
-                    "{{\"type\":\"recovered\",\"ops\":{},\"events\":{},\"torn_tail\":{}}}",
-                    recovery.stats.ops_replayed,
-                    recovery.stats.events_replayed,
-                    recovery.stats.torn_tail
-                ));
+                let mut w = JsonWriter::new("recovered");
+                w.uint("ops", recovery.stats.ops_replayed as u64);
+                w.uint("events", recovery.stats.events_replayed as u64);
+                w.bool("torn_tail", recovery.stats.torn_tail);
+                recovered_line = Some(w.finish());
                 recovery.session
             } else {
                 ServeSession::with_log(engine, &meta, std::path::Path::new(path))
@@ -243,7 +235,9 @@ pub fn execute(args: &Args) -> Result<(), CliError> {
                 .map_err(|e| format!("cannot resolve listen address: {e}"))?;
             // The bound address goes to stdout so a client (or test) can
             // find an OS-assigned port.
-            println!("{{\"type\":\"listening\",\"addr\":\"{local}\"}}");
+            let mut w = JsonWriter::new("listening");
+            w.str("addr", &local.to_string());
+            println!("{}", w.finish());
             std::io::stdout().flush().ok();
             log.info(&format!("listening on {local}; serving one connection"));
             let (conn, peer) = listener
@@ -347,10 +341,7 @@ fn drive(
         let line = match incoming {
             Incoming::Line(line) => line,
             Incoming::NotUtf8 => {
-                write_line(
-                    out,
-                    "{\"type\":\"error\",\"message\":\"op line is not valid UTF-8\"}",
-                )?;
+                write_line(out, &error_line("op line is not valid UTF-8"))?;
                 continue;
             }
             Incoming::Eof => {
@@ -364,10 +355,7 @@ fn drive(
         let op = match ServeOp::parse(&line) {
             Ok(op) => op,
             Err(e) => {
-                write_line(
-                    out,
-                    &format!("{{\"type\":\"error\",\"message\":\"{}\"}}", json_escape(&e)),
-                )?;
+                write_line(out, &error_line(&e))?;
                 continue;
             }
         };
@@ -381,10 +369,7 @@ fn drive(
             }
             Err(e) => {
                 sink.drain_echo();
-                write_line(
-                    out,
-                    &format!("{{\"type\":\"error\",\"message\":\"{}\"}}", json_escape(&e)),
-                )?;
+                write_line(out, &error_line(&e))?;
             }
         }
         if shutdown {

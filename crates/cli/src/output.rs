@@ -8,7 +8,7 @@
 
 use crate::args::Args;
 use crate::commands::CliError;
-use rubick_obs::FaultMetricsSink;
+use rubick_obs::{FaultMetricsSink, JsonWriter};
 use rubick_sim::metrics::Decision;
 use rubick_sim::{JobClass, SimReport};
 use std::fmt::Write as _;
@@ -73,19 +73,16 @@ impl Logger {
 /// The `serve` session's final protocol line: the report's headline
 /// numbers as one JSON object (full fidelity stays in `--events`).
 pub fn render_serve_report_line(report: &SimReport) -> String {
-    format!(
-        "{{\"type\":\"report\",\"scheduler\":\"{}\",\"finished\":{},\"unfinished\":{},\
-         \"avg_jct_s\":{:.3},\"p99_jct_s\":{:.3},\"makespan_s\":{:.3},\"gpu_hours\":{:.3},\
-         \"sla\":{:.4}}}",
-        report.scheduler,
-        report.jobs.len(),
-        report.unfinished.len(),
-        report.avg_jct(),
-        report.p99_jct(),
-        report.makespan,
-        report.gpu_hours(),
-        report.sla_attainment()
-    )
+    let mut w = JsonWriter::new("report");
+    w.str("scheduler", &report.scheduler);
+    w.uint("finished", report.jobs.len() as u64);
+    w.uint("unfinished", report.unfinished.len() as u64);
+    w.raw("avg_jct_s", &format!("{:.3}", report.avg_jct()));
+    w.raw("p99_jct_s", &format!("{:.3}", report.p99_jct()));
+    w.raw("makespan_s", &format!("{:.3}", report.makespan));
+    w.raw("gpu_hours", &format!("{:.3}", report.gpu_hours()));
+    w.raw("sla", &format!("{:.4}", report.sla_attainment()));
+    w.finish()
 }
 
 /// The `run --csv` key/value block.

@@ -6,7 +6,7 @@
 //!
 //! Every state transition inside the simulation engine emits exactly one
 //! event; everything downstream — the [`SimReport`]-style summaries, the
-//! decision audit trail, JSONL logs, per-policy counters — is a *fold* over
+//! decision audit trail, JSONL logs, fault metrics — is a *fold* over
 //! this stream, so metrics have a single source of truth.
 //!
 //! Design constraints:
@@ -22,6 +22,10 @@
 //!   shortest round-trip formatting and [`SimEvent::from_jsonl`] parses the
 //!   raw token back, so `serialize ∘ parse` is the identity on the values
 //!   the engine produces.
+//! * **One JSON codec.** [`JsonWriter`] encodes and [`JsonObject`] decodes
+//!   every flat JSON line the workspace writes or reads — events, serve
+//!   journal and reply lines, sweep rows — so no other crate formats JSON
+//!   by hand.
 //!
 //! `SimReport` here refers to `rubick_sim::metrics::SimReport`, the fold
 //! implemented by `rubick_sim::report::ReportSink` on top of this crate.
@@ -785,7 +789,7 @@ impl JsonObject {
         self.fields.str(key)
     }
 
-    /// A required numeric field.
+    /// A required finite numeric field.
     pub fn num(&self, key: &str) -> Result<f64, EventParseError> {
         self.fields.num(key)
     }
@@ -800,7 +804,7 @@ impl JsonObject {
         self.fields.uint32(key)
     }
 
-    /// A numeric-or-null field (`null` reads as `None`).
+    /// A finite-numeric-or-null field (`null` reads as `None`).
     pub fn opt_num(&self, key: &str) -> Result<Option<f64>, EventParseError> {
         self.fields.opt_num(key)
     }
@@ -1001,19 +1005,41 @@ impl std::error::Error for EventParseError {}
 // JSON encoding / decoding (flat objects only; no external dependency).
 // ---------------------------------------------------------------------------
 
-struct JsonWriter {
+/// Builds one flat JSON object on one line: the encoder behind every
+/// record this workspace writes (events, serve journal and replies, sweep
+/// rows), so they all escape strings and print numbers the same way.
+///
+/// Fields appear in call order. Strings escape `"`, `\`, `\n`, `\r` and
+/// `\t` by name and other control characters as `\u00XX`; floats print as
+/// Rust's shortest round-trip form, non-finite ones as `null`.
+///
+/// ```
+/// use rubick_obs::{JsonObject, JsonWriter};
+///
+/// let mut w = JsonWriter::new("ok");
+/// w.str("op", "submit");
+/// w.uint("job", 7);
+/// let line = w.finish();
+/// assert_eq!(line, r#"{"type":"ok","op":"submit","job":7}"#);
+/// assert_eq!(JsonObject::parse(&line).unwrap().uint("job").unwrap(), 7);
+/// ```
+pub struct JsonWriter {
     out: String,
 }
 
 impl JsonWriter {
-    fn new(ty: &str) -> Self {
-        let mut w = JsonWriter {
-            out: String::with_capacity(128),
-        };
-        w.out.push('{');
-        w.key("type");
-        push_json_str(&mut w.out, ty);
+    /// An object whose first field is `"type":ty`.
+    pub fn new(ty: &str) -> Self {
+        let mut w = JsonWriter::untyped();
+        w.str("type", ty);
         w
+    }
+
+    /// An object with no leading `type` field.
+    pub fn untyped() -> Self {
+        let mut out = String::with_capacity(128);
+        out.push('{');
+        JsonWriter { out }
     }
 
     fn key(&mut self, k: &str) {
@@ -1024,17 +1050,20 @@ impl JsonWriter {
         self.out.push(':');
     }
 
-    fn str(&mut self, k: &str, v: &str) {
+    /// A string field.
+    pub fn str(&mut self, k: &str, v: &str) {
         self.key(k);
         push_json_str(&mut self.out, v);
     }
 
-    fn num(&mut self, k: &str, v: f64) {
+    /// A numeric field (`null` when `v` is not finite).
+    pub fn num(&mut self, k: &str, v: f64) {
         self.key(k);
         push_json_f64(&mut self.out, v);
     }
 
-    fn opt_num(&mut self, k: &str, v: Option<f64>) {
+    /// A numeric-or-null field.
+    pub fn opt_num(&mut self, k: &str, v: Option<f64>) {
         self.key(k);
         match v {
             Some(v) => push_json_f64(&mut self.out, v),
@@ -1042,13 +1071,29 @@ impl JsonWriter {
         }
     }
 
-    fn uint(&mut self, k: &str, v: u64) {
+    /// An unsigned-integer field.
+    pub fn uint(&mut self, k: &str, v: u64) {
         self.key(k);
         use fmt::Write as _;
         let _ = write!(self.out, "{v}");
     }
 
-    fn finish(mut self) -> String {
+    /// A `true`/`false` field.
+    pub fn bool(&mut self, k: &str, v: bool) {
+        self.key(k);
+        self.out.push_str(if v { "true" } else { "false" });
+    }
+
+    /// A field whose value is an already-formatted JSON token, such as a
+    /// fixed-precision number from `format!("{:.3}", x)` or `null`. The
+    /// caller guarantees the token is valid JSON.
+    pub fn raw(&mut self, k: &str, token: &str) {
+        self.key(k);
+        self.out.push_str(token);
+    }
+
+    /// Closes the object and returns the line (no trailing newline).
+    pub fn finish(mut self) -> String {
         self.out.push('}');
         self.out
     }
@@ -1125,11 +1170,19 @@ impl Fields {
         }
     }
 
+    /// A finite number: a token that overflows `f64` (`1e999`) is an
+    /// error, since the writer could only print it back as `null`.
     fn num(&self, key: &str) -> Result<f64, EventParseError> {
         match self.get(key)? {
-            JsonValue::Num(raw) => raw
-                .parse::<f64>()
-                .map_err(|_| EventParseError::new(format!("field {key:?}: bad number {raw:?}"))),
+            JsonValue::Num(raw) => match raw.parse::<f64>() {
+                Ok(v) if v.is_finite() => Ok(v),
+                Ok(_) => Err(EventParseError::new(format!(
+                    "field {key:?}: number {raw:?} is not finite"
+                ))),
+                Err(_) => Err(EventParseError::new(format!(
+                    "field {key:?}: bad number {raw:?}"
+                ))),
+            },
             _ => Err(EventParseError::new(format!(
                 "field {key:?} is not a number"
             ))),
@@ -1526,218 +1579,6 @@ impl EventSink for FaultMetricsSink {
             }
             _ => {}
         }
-    }
-}
-
-/// Number of buckets in [`LatencyHistogram`]: powers of ten from 1 ns up.
-pub const LATENCY_BUCKETS: usize = 10;
-
-/// A decimal-log histogram of scheduling-round wall-clock latencies.
-///
-/// Bucket `i` counts rounds whose latency was in `[10^i, 10^(i+1))`
-/// nanoseconds; the last bucket absorbs everything ≥ 1 s.
-#[derive(Debug, Default, Clone, PartialEq, Eq)]
-pub struct LatencyHistogram {
-    buckets: [u64; LATENCY_BUCKETS],
-    count: u64,
-    sum_ns: u128,
-    max_ns: u64,
-}
-
-impl LatencyHistogram {
-    /// Records one latency sample, nanoseconds.
-    pub fn record(&mut self, nanos: u64) {
-        let idx = (nanos.max(1).ilog10() as usize).min(LATENCY_BUCKETS - 1);
-        self.buckets[idx] += 1;
-        self.count += 1;
-        self.sum_ns += u128::from(nanos);
-        self.max_ns = self.max_ns.max(nanos);
-    }
-
-    /// Number of samples recorded.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Mean latency in nanoseconds (0 when empty).
-    pub fn mean_ns(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum_ns as f64 / self.count as f64
-        }
-    }
-
-    /// Largest sample seen, nanoseconds.
-    pub fn max_ns(&self) -> u64 {
-        self.max_ns
-    }
-
-    /// The raw bucket counts; bucket `i` covers `[10^i, 10^(i+1))` ns.
-    pub fn buckets(&self) -> &[u64; LATENCY_BUCKETS] {
-        &self.buckets
-    }
-}
-
-/// A sink that folds the stream into per-event-type counters plus a
-/// round-latency histogram — cheap enough to leave on in every run, rich
-/// enough to compare policies ("how often does Sia preempt vs Rubick?").
-#[derive(Debug, Default, Clone)]
-pub struct CountersSink {
-    /// Jobs submitted.
-    pub submitted: u64,
-    /// Scheduling rounds that saw a non-empty snapshot.
-    pub rounds: u64,
-    /// Rounds skipped because no job was active.
-    pub ticks_skipped: u64,
-    /// First launches applied.
-    pub launches: u64,
-    /// Preemptions applied.
-    pub preempts: u64,
-    /// Reconfigurations applied.
-    pub reconfigs: u64,
-    /// Failed launches (overcommit / testbed OOM / injected).
-    pub launch_failures: u64,
-    /// Jobs completed.
-    pub finished: u64,
-    /// Jobs cancelled by their owner (serve sessions).
-    pub cancelled: u64,
-    /// Node failures (fault injection).
-    pub node_failures: u64,
-    /// Node recoveries (fault injection).
-    pub node_recoveries: u64,
-    /// Jobs evicted by a node failure.
-    pub fault_evictions: u64,
-    /// Fault-evicted jobs relaunched.
-    pub restarts: u64,
-    /// Rounds that reported incremental-planning statistics.
-    pub rounds_planned: u64,
-    /// Jobs re-searched across all planned rounds (dirty).
-    pub jobs_dirty: u64,
-    /// Jobs kept without re-search across all planned rounds (clean).
-    pub jobs_clean: u64,
-    /// Running jobs whose assignment was reused verbatim.
-    pub jobs_reused: u64,
-    /// Jobs actually visited by a plan search across all planned rounds.
-    pub jobs_searched: u64,
-    /// Fingerprint comparisons performed across all planned rounds.
-    pub jobs_classified: u64,
-    /// Online model refits that materially changed a throughput model.
-    pub model_refits: u64,
-    /// Wall-clock latency distribution of scheduling rounds.
-    pub round_latency: LatencyHistogram,
-}
-
-impl CountersSink {
-    /// Total events observed.
-    pub fn total_events(&self) -> u64 {
-        self.submitted
-            + self.rounds
-            + self.ticks_skipped
-            + self.launches
-            + self.preempts
-            + self.reconfigs
-            + self.launch_failures
-            + self.finished
-            + self.cancelled
-            + self.node_failures
-            + self.node_recoveries
-            + self.fault_evictions
-            + self.restarts
-            + self.rounds_planned
-            + self.model_refits
-    }
-
-    /// Renders the counters as stable `key=value` lines (used by the CLI's
-    /// debug output). Fault counters appear only when fault injection
-    /// actually fired, so chaos-free output is unchanged.
-    pub fn summary(&self) -> String {
-        let mut out = format!(
-            "submitted={} rounds={} ticks_skipped={} launches={} preempts={} \
-             reconfigs={} launch_failures={} finished={} round_latency_mean_us={:.1}",
-            self.submitted,
-            self.rounds,
-            self.ticks_skipped,
-            self.launches,
-            self.preempts,
-            self.reconfigs,
-            self.launch_failures,
-            self.finished,
-            self.round_latency.mean_ns() / 1e3,
-        );
-        if self.cancelled > 0 {
-            use fmt::Write as _;
-            let _ = write!(out, " cancelled={}", self.cancelled);
-        }
-        if self.node_failures + self.node_recoveries + self.fault_evictions + self.restarts > 0 {
-            use fmt::Write as _;
-            let _ = write!(
-                out,
-                " node_failures={} node_recoveries={} fault_evictions={} restarts={}",
-                self.node_failures, self.node_recoveries, self.fault_evictions, self.restarts,
-            );
-        }
-        if self.rounds_planned > 0 {
-            use fmt::Write as _;
-            let _ = write!(
-                out,
-                " rounds_planned={} jobs_dirty={} jobs_clean={} jobs_reused={} \
-                 jobs_searched={} jobs_classified={}",
-                self.rounds_planned,
-                self.jobs_dirty,
-                self.jobs_clean,
-                self.jobs_reused,
-                self.jobs_searched,
-                self.jobs_classified,
-            );
-        }
-        if self.model_refits > 0 {
-            use fmt::Write as _;
-            let _ = write!(out, " model_refits={}", self.model_refits);
-        }
-        out
-    }
-}
-
-impl EventSink for CountersSink {
-    fn on_event(&mut self, event: &SimEvent) {
-        match event {
-            SimEvent::JobSubmitted { .. } => self.submitted += 1,
-            SimEvent::RoundStarted { .. } => self.rounds += 1,
-            SimEvent::TickSkipped { .. } => self.ticks_skipped += 1,
-            SimEvent::DecisionApplied { kind, .. } => match kind {
-                DecisionKind::Launch => self.launches += 1,
-                DecisionKind::Preempt => self.preempts += 1,
-            },
-            SimEvent::Reconfigured { .. } => self.reconfigs += 1,
-            SimEvent::LaunchFailed { .. } => self.launch_failures += 1,
-            SimEvent::JobFinished { .. } => self.finished += 1,
-            SimEvent::JobCancelled { .. } => self.cancelled += 1,
-            SimEvent::NodeFailed { .. } => self.node_failures += 1,
-            SimEvent::NodeRecovered { .. } => self.node_recoveries += 1,
-            SimEvent::JobPreemptedByFault { .. } => self.fault_evictions += 1,
-            SimEvent::JobRestarted { .. } => self.restarts += 1,
-            SimEvent::RoundPlanned {
-                dirty,
-                clean,
-                reused,
-                searched,
-                classified,
-                ..
-            } => {
-                self.rounds_planned += 1;
-                self.jobs_dirty += dirty;
-                self.jobs_clean += clean;
-                self.jobs_reused += reused;
-                self.jobs_searched += searched;
-                self.jobs_classified += classified;
-            }
-            SimEvent::ModelRefit { .. } => self.model_refits += 1,
-        }
-    }
-
-    fn on_round_latency(&mut self, nanos: u64) {
-        self.round_latency.record(nanos);
     }
 }
 
@@ -2368,31 +2209,6 @@ mod tests {
     }
 
     #[test]
-    fn counters_sink_counts_by_variant() {
-        let mut sink = CountersSink::default();
-        for ev in sample_events() {
-            sink.on_event(&ev);
-        }
-        sink.on_round_latency(1_500);
-        sink.on_round_latency(2_000_000);
-        assert_eq!(sink.submitted, 1);
-        assert_eq!(sink.rounds, 1);
-        assert_eq!(sink.ticks_skipped, 1);
-        assert_eq!(sink.launches, 1);
-        assert_eq!(sink.preempts, 1);
-        assert_eq!(sink.reconfigs, 1);
-        assert_eq!(sink.launch_failures, 1);
-        assert_eq!(sink.finished, 1);
-        assert_eq!(sink.total_events(), sample_events().len() as u64);
-        assert_eq!(sink.round_latency.count(), 2);
-        assert_eq!(sink.round_latency.max_ns(), 2_000_000);
-        // 1.5 µs lands in the [10^3, 10^4) bucket, 2 ms in [10^6, 10^7).
-        assert_eq!(sink.round_latency.buckets()[3], 1);
-        assert_eq!(sink.round_latency.buckets()[6], 1);
-        assert!(sink.summary().contains("launches=1"));
-    }
-
-    #[test]
     fn round_planned_round_trips_and_counts() {
         let ev = SimEvent::RoundPlanned {
             at: 600.0,
@@ -2411,25 +2227,6 @@ mod tests {
         );
         assert_eq!(ev.kind(), "round_planned");
         assert_eq!(ev.at(), 600.0);
-
-        let mut sink = CountersSink::default();
-        sink.on_event(&ev);
-        sink.on_event(&ev);
-        assert_eq!(sink.rounds_planned, 2);
-        assert_eq!(sink.jobs_dirty, 4);
-        assert_eq!(sink.jobs_clean, 80);
-        assert_eq!(sink.jobs_reused, 60);
-        assert_eq!(sink.jobs_searched, 24);
-        assert_eq!(sink.jobs_classified, 10);
-        assert_eq!(sink.total_events(), 2);
-        assert!(sink.summary().contains("rounds_planned=2"));
-        assert!(sink.summary().contains("jobs_classified=10"));
-        // Chaos-free, incremental-free folds keep the old summary shape.
-        let mut plain = CountersSink::default();
-        for e in sample_events() {
-            plain.on_event(&e);
-        }
-        assert!(!plain.summary().contains("rounds_planned"));
     }
 
     #[test]
@@ -2472,17 +2269,6 @@ mod tests {
         assert_eq!(ev.kind(), "job_cancelled");
         assert!(SimEvent::known_type("job_cancelled"));
         assert!(!SimEvent::known_type("schema"));
-        let mut sink = CountersSink::default();
-        sink.on_event(&ev);
-        assert_eq!(sink.cancelled, 1);
-        assert_eq!(sink.total_events(), 1);
-        assert!(sink.summary().contains("cancelled=1"));
-        // Cancel-free folds keep the old summary shape.
-        let mut plain = CountersSink::default();
-        for e in sample_events() {
-            plain.on_event(&e);
-        }
-        assert!(!plain.summary().contains("cancelled"));
     }
 
     fn temp_path(name: &str) -> std::path::PathBuf {
@@ -2633,9 +2419,26 @@ mod tests {
         assert!(text.ends_with('\n'));
     }
 
+    /// Records what a sink sees: events and round latencies.
+    #[derive(Default)]
+    struct Recorder {
+        events: Vec<SimEvent>,
+        latencies: Vec<u64>,
+    }
+
+    impl EventSink for Recorder {
+        fn on_event(&mut self, event: &SimEvent) {
+            self.events.push(event.clone());
+        }
+
+        fn on_round_latency(&mut self, nanos: u64) {
+            self.latencies.push(nanos);
+        }
+    }
+
     #[test]
     fn fanout_sink_of_two_feeds_both() {
-        let mut a = CountersSink::default();
+        let mut a = Recorder::default();
         let mut b = VecSink::default();
         {
             let mut fan = FanoutSink::new();
@@ -2647,14 +2450,14 @@ mod tests {
             fan.on_round_latency(10);
             fan.flush().unwrap();
         }
-        assert_eq!(a.total_events(), sample_events().len() as u64);
-        assert_eq!(a.round_latency.count(), 1);
+        assert_eq!(a.events, sample_events());
+        assert_eq!(a.latencies, [10]);
         assert_eq!(b.events, sample_events());
     }
 
     #[test]
     fn fanout_sink_feeds_all_in_order() {
-        let mut a = CountersSink::default();
+        let mut a = Recorder::default();
         let mut b = VecSink::default();
         let mut c = VecSink::default();
         {
@@ -2670,8 +2473,8 @@ mod tests {
             fan.on_round_latency(10);
             fan.flush().unwrap();
         }
-        assert_eq!(a.total_events(), sample_events().len() as u64);
-        assert_eq!(a.round_latency.count(), 1);
+        assert_eq!(a.events, sample_events());
+        assert_eq!(a.latencies, [10]);
         assert_eq!(b.events, sample_events());
         assert_eq!(c.events, b.events);
     }
@@ -2698,22 +2501,18 @@ mod tests {
     }
 
     #[test]
-    fn model_refit_counts_and_appears_in_summary() {
-        let mut sink = CountersSink::default();
-        sink.on_event(&SimEvent::ModelRefit {
+    fn model_refit_round_trips() {
+        let ev = SimEvent::ModelRefit {
             at: 1.0,
             model: "gpt2".into(),
             shift: 0.2,
             old_params: "1,1,1,1,1,1,1".into(),
             new_params: "2,2,2,2,2,2,2".into(),
-        });
-        assert_eq!(sink.model_refits, 1);
-        assert_eq!(sink.total_events(), 1);
-        assert!(sink.summary().contains("model_refits=1"));
-        // Refit-free folds keep the old summary shape.
-        let mut plain = CountersSink::default();
-        plain.on_event(&SimEvent::TickSkipped { at: 0.0, round: 1 });
-        assert!(!plain.summary().contains("model_refits"));
+        };
+        let line = ev.to_jsonl();
+        assert_eq!(SimEvent::from_jsonl(&line).unwrap(), ev, "line: {line}");
+        assert_eq!(ev.kind(), "model_refit");
+        assert!(SimEvent::known_type("model_refit"));
     }
 
     #[test]

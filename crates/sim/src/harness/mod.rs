@@ -387,17 +387,14 @@ pub fn run_scenario_with(
     if let Some(plan) = chaos {
         engine = engine.with_chaos(plan);
     }
-    let report = match (faults.as_mut(), extra_sink) {
-        (Some(metrics), Some(sink)) => {
-            let mut fan = FanoutSink::new();
-            fan.push(sink);
-            fan.push(metrics);
-            engine.run_with_sink(jobs, &mut fan)
-        }
-        (Some(metrics), None) => engine.run_with_sink(jobs, metrics),
-        (None, Some(sink)) => engine.run_with_sink(jobs, sink),
-        (None, None) => engine.run(jobs),
-    };
+    let mut fan = FanoutSink::new();
+    if let Some(sink) = extra_sink {
+        fan.push(sink);
+    }
+    if let Some(metrics) = &mut faults {
+        fan.push(metrics);
+    }
+    let report = engine.run_with_sink(jobs, &mut fan);
     Ok(ScenarioOutcome {
         spec: spec.clone(),
         report,

@@ -15,7 +15,7 @@
 //! goldens always run untimed (the CLI's `--no-timings`).
 
 use super::{run_scenario, CellTiming, ScenarioBackend, ScenarioOutcome, ScenarioSpec};
-use std::fmt::Write as _;
+use rubick_obs::JsonWriter;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
@@ -286,28 +286,13 @@ pub fn render_csv(outcomes: &[ScenarioOutcome]) -> String {
     s
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// The JSONL stream header line carrying the sweep name and cell count.
 pub fn jsonl_header(name: &str, cells: usize) -> String {
-    format!(
-        "{{\"type\":\"sweep\",\"version\":{SWEEP_SCHEMA_VERSION},\"name\":\"{}\",\"cells\":{cells}}}",
-        json_escape(name)
-    )
+    let mut w = JsonWriter::new("sweep");
+    w.uint("version", u64::from(SWEEP_SCHEMA_VERSION));
+    w.str("name", name);
+    w.uint("cells", cells as u64);
+    w.finish()
 }
 
 /// Renders one cell as a JSON object (no trailing newline), fields
@@ -315,45 +300,38 @@ pub fn jsonl_header(name: &str, cells: usize) -> String {
 /// timing fields are `null` when the sweep ran untimed.
 pub fn jsonl_row(cell: usize, outcome: &ScenarioOutcome) -> String {
     let r = Row::new(cell, outcome);
-    let large_frac = r
-        .large_frac
-        .map(|f| f.to_string())
-        .unwrap_or_else(|| "null".to_string());
-    let wall_ms = r.wall_ms.unwrap_or_else(|| "null".to_string());
-    let mean_round_ns = r.mean_round_ns.unwrap_or_else(|| "null".to_string());
-    format!(
-        "{{\"cell\":{},\"trace\":\"{}\",\"scheduler\":\"{}\",\"jobs\":{},\"load\":{},\
-         \"large_frac\":{large_frac},\"seed\":{},\"nodes\":{},\"chaos_rate\":{},\
-         \"chaos_seed\":{},\"finished\":{},\"unfinished\":{},\"avg_jct_s\":{},\
-         \"p99_jct_s\":{},\"makespan_s\":{},\"gpu_hours\":{},\"reconfigs\":{},\
-         \"reconfig_share\":{},\"sla\":{},\"avg_jct_guar_s\":{},\"avg_jct_be_s\":{},\
-         \"node_failures\":{},\"fault_evictions\":{},\"restarts\":{},\
-         \"goodput_lost_gpu_h\":{},\"wall_ms\":{wall_ms},\"mean_round_ns\":{mean_round_ns}}}",
-        r.cell,
-        r.trace,
-        json_escape(&r.scheduler),
-        r.jobs,
-        r.load,
-        r.seed,
-        r.nodes,
-        r.chaos_rate,
-        r.chaos_seed,
-        r.finished,
-        r.unfinished,
-        r.avg_jct_s,
-        r.p99_jct_s,
-        r.makespan_s,
-        r.gpu_hours,
-        r.reconfigs,
-        r.reconfig_share,
-        r.sla,
-        r.avg_jct_guar_s,
-        r.avg_jct_be_s,
-        r.node_failures,
-        r.fault_evictions,
-        r.restarts,
-        r.goodput_lost_gpu_h,
-    )
+    let mut w = JsonWriter::untyped();
+    w.uint("cell", r.cell as u64);
+    w.str("trace", r.trace);
+    w.str("scheduler", &r.scheduler);
+    w.uint("jobs", r.jobs as u64);
+    w.num("load", r.load);
+    w.opt_num("large_frac", r.large_frac);
+    w.uint("seed", r.seed);
+    w.uint("nodes", r.nodes as u64);
+    w.num("chaos_rate", r.chaos_rate);
+    w.uint("chaos_seed", r.chaos_seed);
+    w.uint("finished", r.finished as u64);
+    w.uint("unfinished", r.unfinished as u64);
+    w.raw("avg_jct_s", &r.avg_jct_s);
+    w.raw("p99_jct_s", &r.p99_jct_s);
+    w.raw("makespan_s", &r.makespan_s);
+    w.raw("gpu_hours", &r.gpu_hours);
+    w.uint("reconfigs", u64::from(r.reconfigs));
+    w.raw("reconfig_share", &r.reconfig_share);
+    w.raw("sla", &r.sla);
+    w.raw("avg_jct_guar_s", &r.avg_jct_guar_s);
+    w.raw("avg_jct_be_s", &r.avg_jct_be_s);
+    w.uint("node_failures", r.node_failures);
+    w.uint("fault_evictions", r.fault_evictions);
+    w.uint("restarts", r.restarts);
+    w.raw("goodput_lost_gpu_h", &r.goodput_lost_gpu_h);
+    w.raw("wall_ms", r.wall_ms.as_deref().unwrap_or("null"));
+    w.raw(
+        "mean_round_ns",
+        r.mean_round_ns.as_deref().unwrap_or("null"),
+    );
+    w.finish()
 }
 
 /// Renders the whole sweep as JSON Lines: the [`jsonl_header`] line plus
@@ -418,6 +396,16 @@ mod tests {
         let header = jsonl_header("fig\"10\"", 2);
         assert!(header.contains("\\\"10\\\""), "{header}");
         assert!(header.contains("\"version\":2"), "{header}");
+        // Any name reads back unchanged, and re-renders to the same line.
+        let odd = "n\"a\\m\te\r\n\u{1}-é";
+        let header = jsonl_header(odd, 2);
+        assert!(
+            header.contains(r#""name":"n\"a\\m\te\r\n\u0001-é""#),
+            "{header}"
+        );
+        let obj = rubick_obs::JsonObject::parse(&header).unwrap();
+        assert_eq!(obj.str("name").unwrap(), odd);
+        assert_eq!(jsonl_header(obj.str("name").unwrap(), 2), header);
         let row = jsonl_row(1, &outcome("rubick", false));
         assert!(row.contains("\"large_frac\":null"), "{row}");
         assert!(row.contains("\"makespan_s\":1234.500"), "{row}");

@@ -13,9 +13,10 @@
 //! * Jobs whose `Submit` event never fired (the simulation hit `max_time`
 //!   first) cannot appear in the stream; the engine supplements them into
 //!   [`SimReport::unfinished`] after folding.
-//! * A targeted job with an *empty* allocation is silently requeued
-//!   without an event, mirroring the pre-spine engine which recorded no
-//!   decision for it (no in-tree policy emits such assignments).
+//! * A target with an *empty* allocation counts as no assignment: a
+//!   running job it names is preempted with a `decision_applied` event of
+//!   kind `preempt`, and a queued one stays queued without an event (no
+//!   in-tree policy emits such assignments).
 
 use crate::job::{JobClass, JobId, JobSpec};
 use crate::metrics::{Decision, JobRecord, SimReport};

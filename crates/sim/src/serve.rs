@@ -42,7 +42,8 @@ use crate::metrics::SimReport;
 use crate::tenant::TenantId;
 use rubick_model::{ExecutionPlan, ModelSpec, NodeShape, Resources};
 use rubick_obs::{
-    read_event_log_tolerant, EventSink, JsonObject, LogLine, SimEvent, SCHEMA_VERSION,
+    read_event_log_tolerant, EventSink, FanoutSink, JsonObject, JsonWriter, LogLine, SimEvent,
+    VecSink, SCHEMA_VERSION,
 };
 use std::fs::{File, OpenOptions};
 use std::io::{self, BufWriter, Write};
@@ -51,22 +52,6 @@ use std::path::{Path, PathBuf};
 /// Version of the serve-log line format (the header/op/marker lines; the
 /// event lines carry their own [`SCHEMA_VERSION`]).
 pub const SERVE_LOG_VERSION: u32 = 1;
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
 
 /// The immutable session parameters recorded in the log's header line —
 /// enough for `recover` to refuse a log written under different
@@ -84,13 +69,13 @@ pub struct ServeMeta {
 impl ServeMeta {
     /// The log's first line.
     pub fn header_line(&self) -> String {
-        format!(
-            "{{\"type\":\"serve\",\"version\":{SERVE_LOG_VERSION},\"events_version\":{SCHEMA_VERSION},\
-             \"scheduler\":\"{}\",\"seed\":{},\"nodes\":{}}}",
-            json_escape(&self.scheduler),
-            self.seed,
-            self.nodes
-        )
+        let mut w = JsonWriter::new("serve");
+        w.uint("version", u64::from(SERVE_LOG_VERSION));
+        w.uint("events_version", u64::from(SCHEMA_VERSION));
+        w.str("scheduler", &self.scheduler);
+        w.uint("seed", self.seed);
+        w.uint("nodes", self.nodes as u64);
+        w.finish()
     }
 
     /// Parses a header line object.
@@ -311,38 +296,44 @@ impl ServeOp {
     /// identity, which is what lets [`recover`] re-serialize a journalled
     /// op byte-for-byte.
     pub fn to_jsonl(&self) -> String {
+        let mut w = JsonWriter::new(self.kind());
         match self {
             ServeOp::Submit(s) => {
-                let mut line = format!(
-                    "{{\"type\":\"submit\",\"job\":{},\"model\":\"{}\",\"gpus\":{}",
-                    s.job,
-                    json_escape(&s.model),
-                    s.gpus
-                );
+                w.uint("job", s.job);
+                w.str("model", &s.model);
+                w.uint("gpus", u64::from(s.gpus));
                 if let Some(batch) = s.batch {
-                    line.push_str(&format!(",\"batch\":{batch}"));
+                    w.uint("batch", u64::from(batch));
                 }
-                line.push_str(&format!(
-                    ",\"target_batches\":{},\"class\":\"{}\",\"tenant\":\"{}\",\"plan\":\"{}\"",
-                    s.target_batches,
-                    s.class,
-                    json_escape(&s.tenant),
-                    json_escape(&s.plan)
-                ));
+                w.uint("target_batches", s.target_batches);
+                w.str("class", &s.class.to_string());
+                w.str("tenant", &s.tenant);
+                w.str("plan", &s.plan);
                 if let Some(at) = s.at {
-                    line.push_str(&format!(",\"at\":{at}"));
+                    w.num("at", at);
                 }
-                line.push('}');
-                line
             }
-            ServeOp::Cancel { job, at } => match at {
-                Some(at) => format!("{{\"type\":\"cancel\",\"job\":{job},\"at\":{at}}}"),
-                None => format!("{{\"type\":\"cancel\",\"job\":{job}}}"),
-            },
-            ServeOp::Advance { until } => format!("{{\"type\":\"advance\",\"until\":{until}}}"),
-            ServeOp::Status => "{\"type\":\"status\"}".to_string(),
-            ServeOp::Snapshot => "{\"type\":\"snapshot\"}".to_string(),
-            ServeOp::Shutdown => "{\"type\":\"shutdown\"}".to_string(),
+            ServeOp::Cancel { job, at } => {
+                w.uint("job", *job);
+                if let Some(at) = at {
+                    w.num("at", *at);
+                }
+            }
+            ServeOp::Advance { until } => w.num("until", *until),
+            ServeOp::Status | ServeOp::Snapshot | ServeOp::Shutdown => {}
+        }
+        w.finish()
+    }
+
+    /// The op's wire label (its JSON `type` field).
+    fn kind(&self) -> &'static str {
+        match self {
+            ServeOp::Submit(_) => "submit",
+            ServeOp::Cancel { .. } => "cancel",
+            ServeOp::Advance { .. } => "advance",
+            ServeOp::Status => "status",
+            ServeOp::Snapshot => "snapshot",
+            ServeOp::Shutdown => "shutdown",
         }
     }
 
@@ -395,30 +386,33 @@ impl ServeReply {
     /// One-line JSON serialization of the reply.
     pub fn to_jsonl(&self) -> String {
         match self {
-            ServeReply::Ok { op, job } => match job {
-                Some(job) => format!("{{\"type\":\"ok\",\"op\":\"{op}\",\"job\":{job}}}"),
-                None => format!("{{\"type\":\"ok\",\"op\":\"{op}\"}}"),
-            },
+            ServeReply::Ok { op, job } => {
+                let mut w = JsonWriter::new("ok");
+                w.str("op", op);
+                if let Some(job) = job {
+                    w.uint("job", *job);
+                }
+                w.finish()
+            }
             ServeReply::State(s) => {
-                let next = s
-                    .next_event
-                    .map(|t| t.to_string())
-                    .unwrap_or_else(|| "null".to_string());
-                format!(
-                    "{{\"type\":\"state\",\"clock\":{},\"now\":{},\"running\":{},\"queued\":{},\
-                     \"finished\":{},\"next_event\":{next}}}",
-                    s.clock, s.now, s.running, s.queued, s.finished
-                )
+                let mut w = JsonWriter::new("state");
+                w.num("clock", s.clock);
+                w.num("now", s.now);
+                w.uint("running", s.running as u64);
+                w.uint("queued", s.queued as u64);
+                w.uint("finished", s.finished as u64);
+                w.opt_num("next_event", s.next_event);
+                w.finish()
             }
-            ServeReply::Compacted { events_dropped } => {
-                format!("{{\"type\":\"compacted\",\"events_dropped\":{events_dropped}}}")
-            }
+            ServeReply::Compacted { events_dropped } => marker_line(*events_dropped),
         }
     }
 }
 
 fn marker_line(events_dropped: u64) -> String {
-    format!("{{\"type\":\"compacted\",\"events_dropped\":{events_dropped}}}")
+    let mut w = JsonWriter::new("compacted");
+    w.uint("events_dropped", events_dropped);
+    w.finish()
 }
 
 /// The append-only session journal.
@@ -479,11 +473,6 @@ impl ServeLog {
         self.flush_soft();
     }
 
-    fn log_event(&mut self, event: &SimEvent) {
-        self.write_line(&event.to_jsonl());
-        self.events_logged += 1;
-    }
-
     fn flush_soft(&mut self) {
         if self.error.is_none() {
             if let Err(e) = self.file.flush() {
@@ -534,36 +523,11 @@ impl ServeLog {
     }
 }
 
-/// Journals engine events and forwards them to the caller's sink.
-struct LogTee<'a> {
-    log: Option<&'a mut ServeLog>,
-    out: &'a mut dyn EventSink,
-}
-
-impl EventSink for LogTee<'_> {
+/// The journal appends every engine event it observes.
+impl EventSink for ServeLog {
     fn on_event(&mut self, event: &SimEvent) {
-        if let Some(log) = self.log.as_mut() {
-            log.log_event(event);
-        }
-        self.out.on_event(event);
-    }
-
-    fn on_round_latency(&mut self, nanos: u64) {
-        self.out.on_round_latency(nanos);
-    }
-}
-
-/// Collects regenerated event lines during replay, forwarding each event
-/// to the caller's sink so subscribers see the recovered stream too.
-struct CaptureSink<'a> {
-    lines: Vec<String>,
-    out: &'a mut dyn EventSink,
-}
-
-impl EventSink for CaptureSink<'_> {
-    fn on_event(&mut self, event: &SimEvent) {
-        self.lines.push(event.to_jsonl());
-        self.out.on_event(event);
+        self.write_line(&event.to_jsonl());
+        self.events_logged += 1;
     }
 }
 
@@ -737,12 +701,13 @@ impl<'a> ServeSession<'a> {
         self.clock = until;
         let outcome = {
             let ServeSession { engine, log, .. } = self;
-            let mut tee = LogTee {
-                log: log.as_mut(),
-                out: sink,
-            };
+            let mut fan = FanoutSink::new();
+            if let Some(log) = log {
+                fan.push(log);
+            }
+            fan.push(sink);
             loop {
-                match engine.step(Some(until), &mut tee) {
+                match engine.step(Some(until), &mut fan) {
                     StepOutcome::Advanced { .. } => {}
                     other => break other,
                 }
@@ -872,26 +837,29 @@ pub fn recover<'a>(
     }
 
     // Replay the op journal through the fresh engine, capturing the
-    // regenerated event stream.
+    // regenerated event stream beside the caller's sink.
     let mut session = ServeSession::new(engine);
-    let mut capture = CaptureSink {
-        lines: Vec::new(),
-        out: sink,
-    };
-    for (i, op) in ops.iter().enumerate() {
-        session
-            .apply(op, &mut capture)
-            .map_err(|e| format!("replaying journalled op {i}: {e}"))?;
+    let mut capture = VecSink::default();
+    {
+        let mut fan = FanoutSink::new();
+        fan.push(&mut capture);
+        fan.push(sink);
+        for (i, op) in ops.iter().enumerate() {
+            session
+                .apply(op, &mut fan)
+                .map_err(|e| format!("replaying journalled op {i}: {e}"))?;
+        }
     }
-    let regen = capture.lines;
+    let regen = capture.events;
 
     // Verify: the logged events must match the replay at the compaction
-    // offset. Replay may run *longer* than the log (a crash mid-advance
-    // journals the op but only a prefix of its events) — never shorter.
+    // offset, compared as rendered lines. Replay may run *longer* than the
+    // log (a crash mid-advance journals the op but only a prefix of its
+    // events) — never shorter.
     let offset = events_dropped as usize;
     for (i, logged) in logged_events.iter().enumerate() {
-        match regen.get(offset + i) {
-            Some(r) if r == logged => {}
+        match regen.get(offset + i).map(SimEvent::to_jsonl) {
+            Some(r) if r == *logged => {}
             Some(r) => {
                 return Err(format!(
                     "serve log '{}' diverges from deterministic replay at event {}: \
@@ -935,7 +903,7 @@ pub fn recover<'a>(
         content.push('\n');
     }
     for missing in &regen[offset + logged_events.len()..] {
-        content.push_str(missing);
+        content.push_str(&missing.to_jsonl());
         content.push('\n');
     }
     let tmp = path.with_extension("tmp");
@@ -1078,6 +1046,9 @@ mod tests {
             "{\"type\":\"status\"}",
             "{\"type\":\"snapshot\"}",
             "{\"type\":\"shutdown\"}",
+            // Quote, backslash, TAB, CR, LF, U+0001 and non-ASCII text.
+            r#"{"type":"submit","job":8,"model":"m\"o\\d\te\rl\n\u0001-é","gpus":2,
+               "tenant":"t\"e\\n\ta\rn\nt\u0001-ü","plan":"p\"l\\a\tn\r\n\u0001-ß"}"#,
         ];
         for line in lines {
             let op = ServeOp::parse(line).unwrap();
@@ -1086,6 +1057,58 @@ mod tests {
             // Canonical form is a fixed point.
             assert_eq!(ServeOp::parse(&rendered).unwrap().to_jsonl(), rendered);
         }
+        let ServeOp::Submit(odd) = ServeOp::parse(lines[7]).unwrap() else {
+            panic!("expected submit");
+        };
+        assert_eq!(odd.model, "m\"o\\d\te\rl\n\u{1}-é");
+        // Control characters escape as event lines do: TAB and CR by name.
+        let rendered = ServeOp::Submit(odd).to_jsonl();
+        assert!(
+            rendered.contains(r#""model":"m\"o\\d\te\rl\n\u0001-é""#),
+            "{rendered}"
+        );
+    }
+
+    #[test]
+    fn non_finite_numbers_are_rejected_and_never_journalled() {
+        for (line, field) in [
+            (r#"{"type":"advance","until":1e999}"#, "until"),
+            (r#"{"type":"cancel","job":1,"at":1e999}"#, "at"),
+            (
+                r#"{"type":"submit","job":4,"model":"roberta-355m","gpus":4,"at":-1e999}"#,
+                "at",
+            ),
+        ] {
+            let err = ServeOp::parse(line).unwrap_err();
+            assert!(
+                err.contains(&format!("field {field:?}")) && err.contains("not finite"),
+                "{line}: {err}"
+            );
+        }
+
+        // A session fed the rejected lines between valid ops journals only
+        // the valid ones, so its log still recovers.
+        let path = temp_path("non-finite");
+        let oracle = TestbedOracle::new(1);
+        let mut session = ServeSession::with_log(engine(&oracle), &meta(), &path).unwrap();
+        let script = [
+            submit_line(1, 400),
+            r#"{"type":"advance","until":1e999}"#.to_string(),
+            "{\"type\":\"advance\",\"until\":600}".to_string(),
+            r#"{"type":"cancel","job":1,"at":1e999}"#.to_string(),
+        ];
+        for line in &script {
+            if let Ok(op) = ServeOp::parse(line) {
+                session.apply(&op, &mut NullSink).unwrap();
+            }
+        }
+        let report = format!("{:?}", session.finish());
+        let text = std::fs::read_to_string(&path).unwrap();
+        assert!(!text.contains("inf") && !text.contains("1e999"), "{text}");
+        let recovery = recover(&path, engine(&oracle), &mut NullSink).unwrap();
+        assert_eq!(recovery.stats.ops_replayed, 2);
+        assert_eq!(format!("{:?}", recovery.session.finish()), report);
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]
