@@ -27,9 +27,10 @@
 #                      crates through path dependencies
 #   make bench         scheduling-round, model and simulation benchmarks
 #                      (BENCH_*.json)
-#   make bench-check   replay policy/incremental_round and model/refit_update
-#                      and fail on a >20% regression of the fastest sample
-#                      vs the committed BENCH_*.json summaries
+#   make bench-check   replay policy/incremental_round, model/refit_update
+#                      and model/best_plan/memo_hit and fail on a >20%
+#                      regression of the fastest sample vs the committed
+#                      BENCH_*.json summaries
 #   make build         release build of the whole workspace
 #
 # `BENCH=1 make verify` additionally runs the bench-check perf gate
@@ -151,6 +152,8 @@ refit-smoke:
 # `rolls_back_untouched` skips on a clone, assert it leaves the state
 # unchanged, and check every rollback against a copy. Full traces reach
 # layouts the unit tests do not, so a skip that is not exact panics here.
+# Every best-plan memo hit, answered through the job's cached memo row, is
+# recomputed by the scan and compared bit for bit on every Rubick run.
 # The --refit run does the same for the fit kernel: every Jacobian entry
 # is re-evaluated in full and every early-rejected damping candidate is
 # costed in full, over thousands of live refit windows. The Sia runs
@@ -175,6 +178,7 @@ skip-smoke:
 	target/debug/rubick run --scheduler rubick --trace mt --seed 7 \
 		--chaos examples/chaos/smoke.txt --log-level error > /dev/null
 	@echo "skip-smoke: every skipped search matches its walk on base, mt and bp;"
+	@echo "skip-smoke: every best-plan memo hit through a job's row matches its scan on every Rubick run;"
 	@echo "skip-smoke: every read-set Jacobian entry and early reject matches on mt --refit;"
 	@echo "skip-smoke: every Sia cache hit and next rise matches on base and mt --refit;"
 	@echo "skip-smoke: every skip and job-table check holds on mt with node and launch failures"
@@ -197,8 +201,9 @@ bench-smoke:
 		cargo bench -p rubick-bench --bench scheduling
 	@echo "bench-smoke: incremental-round equivalence asserts passed"
 
-# Replays only the incremental tier and model/refit_update (BENCH_FILTER)
-# into a scratch dir so the committed summaries are never clobbered, then
+# Replays only the incremental tier, model/refit_update and the memo hit
+# (BENCH_FILTER) into scratch dirs so the committed summaries are never
+# clobbered (the two modeling replays write to separate dirs), then
 # compares each entry's fastest sample (min_ns — robust to shared-machine
 # noise, unlike the mean). The replay doubles the sample count: the min
 # over 20 samples sits at or below a committed 10-sample min unless the
@@ -211,6 +216,11 @@ bench-check:
 	BENCH_SAMPLE_SIZE=20 BENCH_FILTER=refit_update \
 		BENCH_OUT_DIR=$(CURDIR)/target/bench-check \
 		cargo bench -p rubick-bench --bench modeling
+	mkdir -p target/bench-check/memo_hit
+	BENCH_SAMPLE_SIZE=20 BENCH_FILTER=memo_hit \
+		BENCH_OUT_DIR=$(CURDIR)/target/bench-check/memo_hit \
+		cargo bench -p rubick-bench --bench modeling
 	BENCH_CHECK=1 BENCH_CHECK_FRESH=$(CURDIR)/target/bench-check/BENCH_scheduling.json \
 		BENCH_CHECK_FRESH_MODELING=$(CURDIR)/target/bench-check/BENCH_modeling.json \
+		BENCH_CHECK_FRESH_MEMO_HIT=$(CURDIR)/target/bench-check/memo_hit/BENCH_modeling.json \
 		cargo test -p rubick-bench --test bench_check -- --nocapture

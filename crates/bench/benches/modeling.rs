@@ -64,7 +64,7 @@ fn bench_curve(c: &mut Criterion) {
 /// re-checks feasibility per plan on every call; the optimized path pays
 /// enumeration once into a [`PlanSetCache`] and then scores the cached set
 /// through the unchecked throughput fast path; a [`BestPlanMemo`] hit
-/// skips the scoring as well.
+/// through a resolved row skips the scoring as well.
 fn bench_best_plan(c: &mut Criterion) {
     let batch = 32u32;
     let mut group = c.benchmark_group("model/best_plan");
@@ -98,11 +98,14 @@ fn bench_best_plan(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("planset_warm", &tag), &gpus, |b, _| {
             b.iter(|| black_box(model.best_plan_in(&warm, batch, &placement)))
         });
-        // A repeat of a seen placement class: one memo lookup, no scoring.
+        // A repeat of a seen placement class through a pre-resolved row,
+        // as the Rubick policy asks: two array indexes and a class scan,
+        // no hashing and no scoring.
         let mut memo = BestPlanMemo::new();
-        memo.best_plan(&model, &warm, batch, &placement);
+        let row = memo.row(&model, batch);
+        memo.best_plan_at(row, &model, &warm, batch, &placement);
         group.bench_with_input(BenchmarkId::new("memo_hit", &tag), &gpus, |b, _| {
-            b.iter(|| black_box(memo.best_plan(&model, &warm, batch, &placement)))
+            b.iter(|| black_box(memo.best_plan_at(row, &model, &warm, batch, &placement)))
         });
     }
     group.finish();

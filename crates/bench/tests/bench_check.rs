@@ -1,10 +1,12 @@
-//! Opt-in perf regression gate for the incremental-round tier.
+//! Opt-in perf regression gate for the incremental-round tier, the
+//! refit update and the best-plan memo hit.
 //!
 //! `make bench-check` (or `BENCH=1 make verify`) replays the
-//! `policy/incremental_round` benchmarks into a scratch directory and
-//! then runs this test with `BENCH_CHECK=1`: every incremental-round
-//! entry in the committed `BENCH_scheduling.json` must exist in the
-//! fresh summary with a `min_ns` no more than 20% slower. The *fastest*
+//! `policy/incremental_round`, `model/refit_update` and
+//! `model/best_plan/memo_hit` benchmarks into a scratch directory and
+//! then runs this test with `BENCH_CHECK=1`: every gated entry in the
+//! committed `BENCH_*.json` must exist in the fresh summary with a
+//! `min_ns` no more than 20% slower. The *fastest*
 //! sample is compared, not the mean — on a shared machine the mean
 //! soaks up scheduler noise (observed >1.4x run-to-run on sub-ms
 //! entries), while the minimum approximates the noise-free cost and
@@ -37,13 +39,16 @@ fn parse_summary(body: &str) -> Vec<(String, f64)> {
 
 /// Compares one gated tier: every committed entry under `tier` must be
 /// present in the fresh summary with a `min_ns` within [`TOLERANCE`].
-fn check_tier(committed_name: &str, fresh_env: &str, tier: &str) {
+/// The fresh summary is `$fresh_env`, else `fresh_dir/committed_name`
+/// under `target/bench-check`, where `make bench-check` writes it.
+fn check_tier(committed_name: &str, fresh_env: &str, fresh_dir: &str, tier: &str) {
     let committed_path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join(committed_name);
     let fresh_path = std::env::var(fresh_env)
         .map(PathBuf::from)
         .unwrap_or_else(|_| {
             PathBuf::from(env!("CARGO_MANIFEST_DIR"))
                 .join("../../target/bench-check")
+                .join(fresh_dir)
                 .join(committed_name)
         });
 
@@ -99,7 +104,7 @@ fn incremental_round_has_not_regressed() {
         eprintln!("bench_check: skipped (set BENCH_CHECK=1 to enable; see `make bench-check`)");
         return;
     }
-    check_tier("BENCH_scheduling.json", "BENCH_CHECK_FRESH", TIER);
+    check_tier("BENCH_scheduling.json", "BENCH_CHECK_FRESH", "", TIER);
 }
 
 #[test]
@@ -111,7 +116,25 @@ fn refit_update_has_not_regressed() {
     check_tier(
         "BENCH_modeling.json",
         "BENCH_CHECK_FRESH_MODELING",
+        "",
         "model/refit_update/",
+    );
+}
+
+/// The Rubick policy's best-plan lookup: a memo hit through a resolved
+/// row. Replayed into its own directory, since a filtered run writes a
+/// partial `BENCH_modeling.json`.
+#[test]
+fn memo_hit_has_not_regressed() {
+    if std::env::var("BENCH_CHECK").as_deref() != Ok("1") {
+        eprintln!("bench_check: skipped (set BENCH_CHECK=1 to enable; see `make bench-check`)");
+        return;
+    }
+    check_tier(
+        "BENCH_modeling.json",
+        "BENCH_CHECK_FRESH_MEMO_HIT",
+        "memo_hit",
+        "model/best_plan/memo_hit/",
     );
 }
 

@@ -56,7 +56,7 @@
 //! cheapest victim, leaving strictly costlier ones).
 
 use crate::common::PlanSearch;
-use rubick_model::{ExecutionPlan, Resources, SensitivityCurve, ThroughputModel};
+use rubick_model::{ExecutionPlan, MemoRow, Resources, SensitivityCurve, ThroughputModel};
 use rubick_sim::cluster::Allocation;
 use rubick_sim::job::{JobId, JobStatus};
 use rubick_sim::scheduler::{Assignment, JobDelta, JobSnapshot, RoundStats};
@@ -90,7 +90,10 @@ impl Epoch {
     /// spec, registry version, total GPUs, node *shape*): quota edits and
     /// per-node capacity changes (a node going down) invalidate plan
     /// certificates but not curves, baselines or minimum demands, as long
-    /// as the registry and the total GPU count are unchanged.
+    /// as the registry and the total GPU count are unchanged. The round
+    /// reads the registry version once for this epoch and for the
+    /// best-plan memo, so cached memo rows die exactly when the memo
+    /// drops its rows.
     pub(crate) fn parts_compatible(&self, now: &Epoch) -> bool {
         self.registry_version == now.registry_version && self.total_gpus == now.total_gpus
     }
@@ -151,6 +154,10 @@ pub(crate) struct CachedParts {
     pub(crate) baseline: Option<f64>,
     /// Minimum resource demand (`MinRes` of Algorithm 1).
     pub(crate) minimum: Resources,
+    /// The job's row of the scheduler's best-plan memo, for a
+    /// [`PlanSearch::Full`] job with a model. The memo drops its rows when
+    /// the registry version moves, and so does this cache.
+    pub(crate) row: Option<MemoRow>,
 }
 
 /// Generation-stamped dense map from [`JobId`] to a job's position in the
@@ -966,6 +973,7 @@ mod tests {
                 curve: None,
                 baseline: Some(1.0),
                 minimum: Resources::new(1, 1, 1.0),
+                row: None,
             },
         );
 

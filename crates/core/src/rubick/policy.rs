@@ -5,8 +5,8 @@ use super::RubickScheduler;
 use crate::common::{job_baseline, PlanSearch};
 use crate::round::{LedgerDelta, RoundContext};
 use rubick_model::{
-    BestPlanMemo, ExecutionPlan, MemoryEstimator, MemoryMode, Placement, PlanSetCache, Resources,
-    SensitivityCurve, ThroughputModel,
+    BestPlanMemo, ExecutionPlan, MemoRow, MemoryEstimator, MemoryMode, Placement, PlanSetCache,
+    Resources, SensitivityCurve, ThroughputModel,
 };
 use rubick_sim::cluster::{Allocation, Cluster};
 use rubick_sim::job::{JobClass, JobId, JobStatus};
@@ -37,6 +37,8 @@ struct Ctx<'a> {
     index: JobIndex,
     snaps: Vec<&'a JobSnapshot>,
     models: Vec<Option<Arc<ThroughputModel>>>,
+    /// Each job's best-plan memo row, parallel to `models`.
+    rows: Vec<Option<MemoRow>>,
     memo: RefCell<&'a mut BestPlanMemo>,
     searches: Vec<PlanSearch>,
     minima: Vec<Resources>,
@@ -191,17 +193,23 @@ impl<'a> Ctx<'a> {
     }
 
     /// `GetBestPlan` for job `id` on `placement` under its search mode.
-    /// Full search goes through the round's memo; the restricted modes
-    /// score at most one candidate and keep the checked path.
+    /// Full search goes through the job's row of the round's memo; the
+    /// restricted modes score at most one candidate and keep the checked
+    /// path.
     fn best_plan(&self, id: JobId, placement: &Placement) -> Option<(ExecutionPlan, f64)> {
         let pos = self.idx(id);
         let model = self.models[pos].as_deref()?;
         let batch = self.snaps[pos].spec.global_batch;
         match &self.searches[pos] {
             PlanSearch::Full => {
-                self.memo
-                    .borrow_mut()
-                    .best_plan(model, PlanSetCache::global(), batch, placement)
+                let row = self.rows[pos].expect("full-search job with a model has a memo row");
+                self.memo.borrow_mut().best_plan_at(
+                    row,
+                    model,
+                    PlanSetCache::global(),
+                    batch,
+                    placement,
+                )
             }
             search => search.best_plan(model, batch, placement),
         }
@@ -371,9 +379,10 @@ impl<'a> Ctx<'a> {
 }
 
 /// Computes one job's context entries: fitted model, plan-search mode, GPU
-/// sensitivity curve, SLA baseline and minimum demand. Pure in (snapshot
-/// spec, registry, cluster geometry) — full-search curves go through the
-/// shared keyed cache, whose hit/miss pattern cannot change the values.
+/// sensitivity curve, SLA baseline, minimum demand and best-plan memo row.
+/// Pure in (snapshot spec, registry, cluster geometry) — full-search
+/// curves go through the shared keyed cache, whose hit/miss pattern cannot
+/// change the values, and the memo row is valid for the registry version.
 /// Because every input is epoch-stable, the result is cacheable across
 /// rounds by the [`DirtyTracker`](super::dirty::DirtyTracker); the
 /// penalty-gate state (`frozen`) depends on the job's runtime and is
@@ -383,6 +392,7 @@ fn build_job_parts(
     snap: &JobSnapshot,
     total_gpus: u32,
     estimator: MemoryEstimator,
+    memo: &mut BestPlanMemo,
 ) -> CachedParts {
     let cfg = &sched.config;
     let search = if cfg.plan_reconfig {
@@ -392,8 +402,14 @@ fn build_job_parts(
     } else {
         PlanSearch::Fixed(snap.spec.initial_plan)
     };
+    let model = sched.registry.model(&snap.spec.model.name);
+    let row = match (&search, &model) {
+        (PlanSearch::Full, Some(m)) => Some(memo.row(m, snap.spec.global_batch)),
+        _ => None,
+    };
     CachedParts {
-        model: sched.registry.model(&snap.spec.model.name),
+        model,
+        row,
         curve: sched.registry.gpu_curve(
             &snap.spec.model.name,
             &search,
@@ -537,6 +553,7 @@ pub(super) fn run_round(
         index,
         snaps: Vec::with_capacity(n),
         models: Vec::with_capacity(n),
+        rows: Vec::with_capacity(n),
         memo: RefCell::new(plan_memo.at_version(registry_version)),
         searches: Vec::with_capacity(n),
         minima: Vec::with_capacity(n),
@@ -557,7 +574,7 @@ pub(super) fn run_round(
         let parts = match hit {
             Some(parts) => parts,
             None => {
-                let parts = build_job_parts(sched, snap, total_gpus, estimator);
+                let parts = build_job_parts(sched, snap, total_gpus, estimator, ctx.memo.get_mut());
                 if let Some(t) = &mut tracker {
                     t.parts.insert(id, parts.clone());
                 }
@@ -565,6 +582,7 @@ pub(super) fn run_round(
             }
         };
         ctx.models.push(parts.model);
+        ctx.rows.push(parts.row);
         ctx.curves.push(parts.curve);
         ctx.baselines.push(parts.baseline);
         ctx.minima.push(parts.minimum);

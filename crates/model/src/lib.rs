@@ -69,7 +69,7 @@ pub use env::ClusterEnv;
 pub use error::ModelError;
 pub use fit::{fit_perf_params, refit_params, refit_step, DataPoint, FitOptions, FitResult};
 pub use memory::{MemoryEstimator, ResourceDemand};
-pub use perf::{BestPlanMemo, PerfParams, ThroughputModel};
+pub use perf::{BestPlanMemo, MemoRow, PerfParams, ThroughputModel};
 pub use placement::{CommTopology, Placement};
 pub use plan::{enumerate_plans, ExecutionPlan, MemoryMode, Parallelism, PlanEnumerator, PlanKind};
 pub use planset::PlanSetCache;
@@ -86,7 +86,7 @@ pub mod prelude {
         fit_perf_params, refit_params, refit_step, DataPoint, FitOptions, FitResult,
     };
     pub use crate::memory::{MemoryEstimator, ResourceDemand};
-    pub use crate::perf::{BestPlanMemo, PerfParams, ThroughputModel};
+    pub use crate::perf::{BestPlanMemo, MemoRow, PerfParams, ThroughputModel};
     pub use crate::placement::{CommTopology, Placement};
     pub use crate::plan::{
         enumerate_plans, ExecutionPlan, MemoryMode, Parallelism, PlanEnumerator, PlanKind,

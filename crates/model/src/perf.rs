@@ -609,14 +609,15 @@ impl ThroughputModel {
     }
 }
 
-/// Entry cap of a [`BestPlanMemo`]: reaching it clears the memo. One
-/// paper-scale Rubick simulation (406 jobs, 64 GPUs) stores about 4k.
+/// Entry cap of a [`BestPlanMemo`]: reaching it empties every table but
+/// keeps the rows. One paper-scale Rubick simulation (406 jobs, 64 GPUs)
+/// stores about 1.7k.
 const MEMO_MAX_ENTRIES: usize = 1 << 16;
 
 /// The part of a placement that [`ThroughputModel::best_plan_in`] can
 /// see, given the plan set it scores. Two placements of one class get the
 /// same best plan with the same throughput bits.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct PlacementClass {
     /// `min_gpus_on_node().max(1)` when the placement spans nodes, else 0:
     /// [`CommTopology::derive`] reads nothing else of the GPU layout.
@@ -643,9 +644,12 @@ struct ClassTable {
     plans: Arc<[ExecutionPlan]>,
     reads_cpus: bool,
     packed_host_mem_gb: f64,
-    /// The distinct host-memory demands of `plans`, ascending.
+    /// The distinct host-memory demands of `plans`, ascending. A NaN
+    /// demand never exceeds a placement's host memory, so it is left out.
     host_demands: Box<[f64]>,
-    best: HashMap<PlacementClass, (u32, f64)>,
+    /// The classes seen so far with their entries. A table holds a few
+    /// classes, so a linear scan beats hashing one.
+    best: Vec<(PlacementClass, (u32, f64))>,
 }
 
 impl ClassTable {
@@ -654,6 +658,7 @@ impl ClassTable {
         let mut host_demands: Vec<f64> = plans
             .iter()
             .map(|p| estimator.host_mem_gb(&model.spec, p))
+            .filter(|d| !d.is_nan())
             .collect();
         host_demands.sort_by(f64::total_cmp);
         host_demands.dedup();
@@ -661,13 +666,20 @@ impl ClassTable {
             reads_cpus: plans.iter().any(|p| p.memory == MemoryMode::ZeroOffload),
             packed_host_mem_gb: model.shape.packed_host_mem_gb(gpus),
             host_demands: host_demands.into(),
-            best: HashMap::new(),
+            best: Vec::new(),
             plans,
         }
     }
 
     fn plan_at(&self, (index, tput): (u32, f64)) -> Option<(ExecutionPlan, f64)> {
         (index != NO_PLAN).then(|| (self.plans[index as usize], tput))
+    }
+
+    fn entry(&self, class: PlacementClass) -> Option<(u32, f64)> {
+        self.best
+            .iter()
+            .find(|(c, _)| *c == class)
+            .map(|&(_, entry)| entry)
     }
 
     fn class_of(&self, placement: &Placement) -> PlacementClass {
@@ -679,14 +691,24 @@ impl ClassTable {
             },
             cpus: if self.reads_cpus { placement.cpus } else { 0 },
             host_short: if placement.host_mem_gb < self.packed_host_mem_gb {
+                // `host` is not NaN here and the demands hold no NaN, so
+                // the demands above it are exactly the sorted suffix.
                 let host = placement.host_mem_gb;
-                self.host_demands.iter().filter(|&&d| d > host).count() as u32
+                let fitting = self.host_demands.partition_point(|&d| d <= host);
+                (self.host_demands.len() - fitting) as u32
             } else {
                 0
             },
         }
     }
 }
+
+/// A handle to one `(model, batch)` row of a [`BestPlanMemo`], resolved
+/// by [`BestPlanMemo::row`]. It stays valid until the memo is
+/// [`clear`](BestPlanMemo::clear)ed; the memo's own entry cap empties the
+/// row's tables but keeps the row.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct MemoRow(usize);
 
 /// A memo of [`ThroughputModel::best_plan_in`] keyed by placement class.
 ///
@@ -695,13 +717,16 @@ impl ClassTable {
 /// nodes, the CPU count when an offload plan is in the set, and, below the
 /// packed host-memory share, which plans' host demands the placement
 /// cannot meet. A scheduler asks for the same few classes over and over,
-/// so the memo answers repeats with one lookup instead of re-scoring the
-/// plan set.
+/// so the memo answers repeats without re-scoring the plan set.
 ///
-/// Entries are keyed by model *name*: the caller must [`clear`](BestPlanMemo::clear)
-/// the memo whenever a name's fitted model may have changed (a registry
-/// refit). In debug builds every hit is recomputed and compared bit for
-/// bit.
+/// The memo holds one row per `(model, batch)`, indexed by GPU count.
+/// [`row`](BestPlanMemo::row) resolves a row by model *name* — the one
+/// hashed lookup — and [`best_plan_at`](BestPlanMemo::best_plan_at)
+/// answers through that handle with two array indexes and a scan of the
+/// table's few classes. The caller must [`clear`](BestPlanMemo::clear) the
+/// memo whenever a name's fitted model may have changed (a registry
+/// refit), and resolve its handles again after. In debug builds every hit
+/// is recomputed and compared bit for bit.
 ///
 /// ```
 /// use rubick_model::prelude::*;
@@ -719,21 +744,49 @@ impl ClassTable {
 /// let hit = memo.best_plan(&model, &cache, 16, &Placement::spread(16, 8, 192, 3300.0));
 /// assert_eq!(miss, hit);
 /// assert_eq!(miss, model.best_plan_in(&cache, 16, &placement));
+/// // A resolved row answers the same without looking the model up.
+/// let row = memo.row(&model, 16);
+/// assert_eq!(memo.best_plan_at(row, &model, &cache, 16, &placement), miss);
 /// assert_eq!(memo.len(), 1);
 /// ```
 #[must_use = "a memo that is never queried does nothing"]
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct BestPlanMemo {
-    /// `model name → (batch, gpus) → table`.
-    sets: HashMap<String, HashMap<(u32, u32), ClassTable>>,
+    /// `model name → [(batch, row)]`, read only by [`row`](BestPlanMemo::row).
+    index: HashMap<String, Vec<(u32, MemoRow)>>,
+    /// `row → gpus → table`.
+    rows: Vec<Vec<Option<ClassTable>>>,
     /// Placement classes stored across all tables.
     entries: usize,
+    /// Entry count at which the tables are emptied: [`MEMO_MAX_ENTRIES`]
+    /// outside unit tests.
+    max_entries: usize,
+}
+
+impl Default for BestPlanMemo {
+    fn default() -> Self {
+        BestPlanMemo {
+            index: HashMap::new(),
+            rows: Vec::new(),
+            entries: 0,
+            max_entries: MEMO_MAX_ENTRIES,
+        }
+    }
 }
 
 impl BestPlanMemo {
     /// An empty memo.
     pub fn new() -> Self {
         BestPlanMemo::default()
+    }
+
+    /// An empty memo whose tables empty at `max_entries` entries.
+    #[cfg(test)]
+    fn with_max_entries(max_entries: usize) -> Self {
+        BestPlanMemo {
+            max_entries,
+            ..BestPlanMemo::default()
+        }
     }
 
     /// Number of memoized placement classes.
@@ -746,14 +799,39 @@ impl BestPlanMemo {
         self.entries == 0
     }
 
-    /// Drops every entry.
+    /// Drops every entry and every row: handles resolved before are
+    /// invalid after.
     pub fn clear(&mut self) {
-        self.sets.clear();
+        self.index.clear();
+        self.rows.clear();
         self.entries = 0;
+    }
+
+    /// The row of `(model, global_batch)`, created empty on first sight.
+    /// Resolving a row stores no entry, and resolving it again returns
+    /// the same handle.
+    pub fn row(&mut self, model: &ThroughputModel, global_batch: u32) -> MemoRow {
+        let name = &model.spec.name;
+        if let Some(&(_, row)) = self
+            .index
+            .get(name)
+            .and_then(|rows| rows.iter().find(|&&(b, _)| b == global_batch))
+        {
+            return row;
+        }
+        let row = MemoRow(self.rows.len());
+        self.rows.push(Vec::new());
+        self.index
+            .entry(name.clone())
+            .or_default()
+            .push((global_batch, row));
+        row
     }
 
     /// [`model.best_plan_in(cache, global_batch, placement)`](ThroughputModel::best_plan_in),
     /// answered from the memo when this placement's class was seen before.
+    /// Resolves the row on every call; a caller that asks repeatedly for
+    /// one job resolves it once and uses [`best_plan_at`](BestPlanMemo::best_plan_at).
     pub fn best_plan(
         &mut self,
         model: &ThroughputModel,
@@ -761,17 +839,35 @@ impl BestPlanMemo {
         global_batch: u32,
         placement: &Placement,
     ) -> Option<(ExecutionPlan, f64)> {
+        let row = self.row(model, global_batch);
+        self.best_plan_at(row, model, cache, global_batch, placement)
+    }
+
+    /// [`best_plan`](BestPlanMemo::best_plan) through a `row` that
+    /// [`row(model, global_batch)`](BestPlanMemo::row) resolved since the
+    /// last [`clear`](BestPlanMemo::clear). Hashes nothing.
+    pub fn best_plan_at(
+        &mut self,
+        row: MemoRow,
+        model: &ThroughputModel,
+        cache: &PlanSetCache,
+        global_batch: u32,
+        placement: &Placement,
+    ) -> Option<(ExecutionPlan, f64)> {
+        debug_assert!(
+            self.index
+                .get(&model.spec.name)
+                .is_some_and(|rows| rows.iter().any(|&(b, r)| (b, r) == (global_batch, row))),
+            "memo row {row:?} is not ({}, batch {global_batch})",
+            model.spec.name
+        );
         let gpus = placement.total_gpus();
         if gpus == 0 {
             return None;
         }
-        let point = (global_batch, gpus);
-        if let Some(table) = self
-            .sets
-            .get(&model.spec.name)
-            .and_then(|tables| tables.get(&point))
-        {
-            if let Some(&entry) = table.best.get(&table.class_of(placement)) {
+        let slot = gpus as usize;
+        if let Some(Some(table)) = self.rows[row.0].get(slot) {
+            if let Some(entry) = table.entry(table.class_of(placement)) {
                 let hit = table.plan_at(entry);
                 #[cfg(debug_assertions)]
                 {
@@ -786,22 +882,23 @@ impl BestPlanMemo {
                 return hit;
             }
         }
-        if self.entries >= MEMO_MAX_ENTRIES {
-            self.clear();
+        if self.entries >= self.max_entries {
+            // Empty the tables, not the rows: handles stay valid.
+            self.rows.iter_mut().for_each(Vec::clear);
+            self.entries = 0;
         }
-        let table = self
-            .sets
-            .entry(model.spec.name.clone())
-            .or_default()
-            .entry(point)
-            .or_insert_with(|| {
-                let plans = cache.plans(&model.spec, gpus, global_batch, &model.shape, &model.env);
-                ClassTable::new(model, gpus, plans)
-            });
+        let tables = &mut self.rows[row.0];
+        if tables.len() <= slot {
+            tables.resize_with(slot + 1, || None);
+        }
+        let table = tables[slot].get_or_insert_with(|| {
+            let plans = cache.plans(&model.spec, gpus, global_batch, &model.shape, &model.env);
+            ClassTable::new(model, gpus, plans)
+        });
         let entry = model
             .scan_plans(&table.plans, global_batch, placement)
             .map_or((NO_PLAN, 0.0), |(i, tput)| (i as u32, tput));
-        table.best.insert(table.class_of(placement), entry);
+        table.best.push((table.class_of(placement), entry));
         self.entries += 1;
         table.plan_at(entry)
     }
@@ -941,6 +1038,67 @@ mod tests {
         );
         let placement = Placement::single_node(1, 12, 200.0);
         assert!(model.best_plan(64, &placement).is_none());
+    }
+
+    fn memo_model(spec: ModelSpec) -> ThroughputModel {
+        ThroughputModel::new(
+            spec,
+            PerfParams::default(),
+            ClusterEnv::a800(),
+            NodeShape::a800(),
+        )
+    }
+
+    fn bits(r: Option<(ExecutionPlan, f64)>) -> Option<(ExecutionPlan, u64)> {
+        r.map(|(p, t)| (p, t.to_bits()))
+    }
+
+    #[test]
+    fn memo_row_is_idempotent() {
+        let model = memo_model(ModelSpec::gpt2_xl());
+        let cache = PlanSetCache::new();
+        let mut memo = BestPlanMemo::new();
+        let row = memo.row(&model, 16);
+        assert_eq!(memo.row(&model, 16), row);
+        assert_eq!(memo.len(), 0, "resolving a row stores no entry");
+        let placement = Placement::single_node(8, 96, 1600.0);
+        memo.best_plan_at(row, &model, &cache, 16, &placement);
+        assert_eq!(memo.len(), 1);
+        assert_eq!(memo.row(&model, 16), row);
+        assert_eq!(memo.len(), 1);
+        assert_ne!(memo.row(&model, 32), row, "another batch is another row");
+    }
+
+    #[test]
+    fn memo_rows_survive_the_entry_cap() {
+        let cache = PlanSetCache::new();
+        let gpt = memo_model(ModelSpec::gpt2_xl());
+        let llama = memo_model(ModelSpec::llama2_7b());
+        let mut memo = BestPlanMemo::with_max_entries(3);
+        let rows = [memo.row(&gpt, 16), memo.row(&llama, 16)];
+        let models = [&gpt, &llama];
+        let placements: Vec<Placement> = [1u32, 2, 4, 8]
+            .iter()
+            .map(|&g| Placement::single_node(g, 12 * g, 200.0 * g as f64))
+            .collect();
+        // Eight misses against a cap of three: the tables empty twice.
+        for placement in &placements {
+            for (&row, model) in rows.iter().zip(models) {
+                let memoized = bits(memo.best_plan_at(row, model, &cache, 16, placement));
+                let scanned = bits(model.best_plan_in(&cache, 16, placement));
+                assert_eq!(memoized, scanned, "{} at {placement}", model.spec.name);
+                assert!(memo.len() <= 3);
+            }
+        }
+        assert_eq!(memo.row(&gpt, 16), rows[0], "the cap keeps the rows");
+        assert_eq!(memo.row(&llama, 16), rows[1]);
+        // A hit after the clears answers like the scan too.
+        let last = placements.last().expect("placements");
+        let hit = bits(memo.best_plan_at(rows[1], &llama, &cache, 16, last));
+        assert_eq!(hit, bits(llama.best_plan_in(&cache, 16, last)));
+        memo.clear();
+        assert!(memo.is_empty());
+        assert_eq!(memo.row(&llama, 16), MemoRow(0), "clear drops the rows");
     }
 
     #[test]

@@ -199,6 +199,61 @@ proptest! {
     }
 }
 
+/// Memo rows keep models and batches apart: two models at two batches
+/// share one memo and the same GPU counts, and every answer through a
+/// resolved row equals the uncached scan bit for bit. The rows are
+/// interleaved per placement, so a row that reached another's tables
+/// would answer with the wrong plan set.
+#[test]
+fn memo_rows_match_scan_across_models_and_batches() {
+    let cache = PlanSetCache::new();
+    let models = [
+        model_for(ModelSpec::gpt2_xl()),
+        model_for(ModelSpec::llama2_7b()),
+    ];
+    let batches = [16u32, 64];
+    let mut memo = BestPlanMemo::new();
+    let rows: Vec<_> = models
+        .iter()
+        .flat_map(|m| batches.map(|b| (m, b)))
+        .map(|(m, b)| (m, b, memo.row(m, b)))
+        .collect();
+    let layouts: [&[u32]; 8] = [&[1], &[2], &[1, 1], &[4], &[2, 2], &[8], &[4, 4], &[7, 1]];
+    let bits = |r: Option<(ExecutionPlan, f64)>| r.map(|(p, t)| (p, t.to_bits()));
+    let mut checked = 0;
+    for layout in layouts {
+        let gpus: u32 = layout.iter().sum();
+        let packed_host = NodeShape::a800().packed_host_mem_gb(gpus);
+        for cpus in [4u32, 48] {
+            for frac in [0.1, 0.5, 1.0] {
+                let placement = Placement {
+                    gpus_per_node: layout.to_vec(),
+                    cpus,
+                    host_mem_gb: packed_host * frac,
+                };
+                // Twice: a miss, then a hit.
+                for _ in 0..2 {
+                    for &(model, batch, row) in &rows {
+                        let memoized =
+                            bits(memo.best_plan_at(row, model, &cache, batch, &placement));
+                        let scanned = bits(model.best_plan_in(&cache, batch, &placement));
+                        assert_eq!(
+                            memoized, scanned,
+                            "{} batch {batch} at {placement}",
+                            model.spec.name
+                        );
+                        checked += 1;
+                    }
+                }
+            }
+        }
+    }
+    assert_eq!(checked, 8 * 2 * 3 * 2 * 4);
+    for &(model, batch, row) in &rows {
+        assert_eq!(memo.row(model, batch), row, "rows are stable across hits");
+    }
+}
+
 /// Only ZeRO-Offload plans read `cpus`: every other cached plan scores
 /// bit-identically with four more CPUs, on one node and across nodes. Rubick's
 /// CPU reclaim stops at a non-offload plan because this holds. Offload

@@ -321,18 +321,22 @@ impl SweepSpec {
         self.grids
             .iter()
             .map(|g| {
-                g.trace.len()
-                    * g.scheduler.len()
-                    * g.jobs.as_ref().map_or(1, Vec::len)
-                    * g.load.len()
-                    * g.large_frac.len()
-                    * g.nodes.len()
-                    * g.chaos_rate.len()
-                    * g.chaos_seed.len()
-                    * g.seed.as_ref().map_or(1, Vec::len)
-                    * g.refit.len()
+                [
+                    g.trace.len(),
+                    g.scheduler.len(),
+                    g.jobs.as_ref().map_or(1, Vec::len),
+                    g.load.len(),
+                    g.large_frac.len(),
+                    g.nodes.len(),
+                    g.chaos_rate.len(),
+                    g.chaos_seed.len(),
+                    g.seed.as_ref().map_or(1, Vec::len),
+                    g.refit.len(),
+                ]
+                .into_iter()
+                .fold(1, usize::saturating_mul)
             })
-            .sum()
+            .fold(0, usize::saturating_add)
     }
 }
 
@@ -688,6 +692,34 @@ scheduler = ["rubick", "antman"]
         );
         let spec = SweepSpec::parse(&text).unwrap();
         assert!(matches!(spec.expand(), Err(SweepError::TooLarge(5000))));
+    }
+
+    #[test]
+    fn astronomically_large_grids_saturate_the_count() {
+        // Ten dimensions of 100 values each (duplicates are accepted):
+        // 10^20 cells, past `usize::MAX`.
+        let hundred = |v: &str| vec![v; 100].join(", ");
+        let text = format!(
+            "[sweep]\n[grid]\ntrace = [{}]\nscheduler = [{}]\njobs = [{}]\nload = [{}]\n\
+             large_frac = [{}]\nnodes = [{}]\nchaos_rate = [{}]\nchaos_seed = [{}]\n\
+             seed = [{}]\nrefit = [{}]\n",
+            hundred("\"base\""),
+            hundred("\"rubick\""),
+            hundred("5"),
+            hundred("1.0"),
+            hundred("0.5"),
+            hundred("2"),
+            hundred("0"),
+            hundred("1"),
+            hundred("1"),
+            hundred("0"),
+        );
+        let spec = SweepSpec::parse(&text).unwrap();
+        assert_eq!(spec.cell_count(), usize::MAX);
+        assert!(matches!(
+            spec.expand(),
+            Err(SweepError::TooLarge(usize::MAX))
+        ));
     }
 
     #[test]
