@@ -222,5 +222,4 @@ bench-check:
 		cargo bench -p rubick-bench --bench modeling
 	BENCH_CHECK=1 BENCH_CHECK_FRESH=$(CURDIR)/target/bench-check/BENCH_scheduling.json \
 		BENCH_CHECK_FRESH_MODELING=$(CURDIR)/target/bench-check/BENCH_modeling.json \
-		BENCH_CHECK_FRESH_MEMO_HIT=$(CURDIR)/target/bench-check/memo_hit/BENCH_modeling.json \
 		cargo test -p rubick-bench --test bench_check -- --nocapture

@@ -37,20 +37,23 @@ fn parse_summary(body: &str) -> Vec<(String, f64)> {
         .collect()
 }
 
-/// Compares one gated tier: every committed entry under `tier` must be
-/// present in the fresh summary with a `min_ns` within [`TOLERANCE`].
-/// The fresh summary is `$fresh_env`, else `fresh_dir/committed_name`
-/// under `target/bench-check`, where `make bench-check` writes it.
-fn check_tier(committed_name: &str, fresh_env: &str, fresh_dir: &str, tier: &str) {
-    let committed_path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join(committed_name);
-    let fresh_path = std::env::var(fresh_env)
+/// Where `make bench-check` writes the fresh summaries.
+fn bench_check_dir() -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../target/bench-check")
+}
+
+/// The fresh summary `$fresh_env`, else `name` under [`bench_check_dir`].
+fn fresh_summary(fresh_env: &str, name: &str) -> PathBuf {
+    std::env::var(fresh_env)
         .map(PathBuf::from)
-        .unwrap_or_else(|_| {
-            PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-                .join("../../target/bench-check")
-                .join(fresh_dir)
-                .join(committed_name)
-        });
+        .unwrap_or_else(|_| bench_check_dir().join(name))
+}
+
+/// Compares one gated tier: every committed entry under `tier` must be
+/// present in the fresh summary at `fresh_path` with a `min_ns` within
+/// [`TOLERANCE`].
+fn check_tier(committed_name: &str, fresh_path: PathBuf, tier: &str) {
+    let committed_path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join(committed_name);
 
     let committed = std::fs::read_to_string(&committed_path)
         .unwrap_or_else(|e| panic!("cannot read {}: {e}", committed_path.display()));
@@ -104,7 +107,11 @@ fn incremental_round_has_not_regressed() {
         eprintln!("bench_check: skipped (set BENCH_CHECK=1 to enable; see `make bench-check`)");
         return;
     }
-    check_tier("BENCH_scheduling.json", "BENCH_CHECK_FRESH", "", TIER);
+    check_tier(
+        "BENCH_scheduling.json",
+        fresh_summary("BENCH_CHECK_FRESH", "BENCH_scheduling.json"),
+        TIER,
+    );
 }
 
 #[test]
@@ -115,8 +122,7 @@ fn refit_update_has_not_regressed() {
     }
     check_tier(
         "BENCH_modeling.json",
-        "BENCH_CHECK_FRESH_MODELING",
-        "",
+        fresh_summary("BENCH_CHECK_FRESH_MODELING", "BENCH_modeling.json"),
         "model/refit_update/",
     );
 }
@@ -132,8 +138,7 @@ fn memo_hit_has_not_regressed() {
     }
     check_tier(
         "BENCH_modeling.json",
-        "BENCH_CHECK_FRESH_MEMO_HIT",
-        "memo_hit",
+        bench_check_dir().join("memo_hit/BENCH_modeling.json"),
         "model/best_plan/memo_hit/",
     );
 }

@@ -90,10 +90,7 @@ impl Epoch {
     /// spec, registry version, total GPUs, node *shape*): quota edits and
     /// per-node capacity changes (a node going down) invalidate plan
     /// certificates but not curves, baselines or minimum demands, as long
-    /// as the registry and the total GPU count are unchanged. The round
-    /// reads the registry version once for this epoch and for the
-    /// best-plan memo, so cached memo rows die exactly when the memo
-    /// drops its rows.
+    /// as the registry and the total GPU count are unchanged.
     pub(crate) fn parts_compatible(&self, now: &Epoch) -> bool {
         self.registry_version == now.registry_version && self.total_gpus == now.total_gpus
     }
@@ -155,8 +152,7 @@ pub(crate) struct CachedParts {
     /// Minimum resource demand (`MinRes` of Algorithm 1).
     pub(crate) minimum: Resources,
     /// The job's row of the scheduler's best-plan memo, for a
-    /// [`PlanSearch::Full`] job with a model. The memo drops its rows when
-    /// the registry version moves, and so does this cache.
+    /// [`PlanSearch::Full`] job with a model.
     pub(crate) row: Option<MemoRow>,
 }
 

@@ -120,9 +120,7 @@ pub struct RubickScheduler {
 }
 
 /// The scheduler's [`BestPlanMemo`] and the registry version its entries
-/// were computed under: a refit or a newly profiled model clears it,
-/// rows included. The dirty tracker's cached per-job parts hold memo rows
-/// and are dropped on the same version read, so no stale row survives.
+/// were computed under: a refit or a newly profiled model clears it.
 #[derive(Debug, Default)]
 pub(crate) struct PlanMemo {
     version: u64,

@@ -382,7 +382,7 @@ impl<'a> Ctx<'a> {
 /// sensitivity curve, SLA baseline, minimum demand and best-plan memo row.
 /// Pure in (snapshot spec, registry, cluster geometry) — full-search
 /// curves go through the shared keyed cache, whose hit/miss pattern cannot
-/// change the values, and the memo row is valid for the registry version.
+/// change the values.
 /// Because every input is epoch-stable, the result is cacheable across
 /// rounds by the [`DirtyTracker`](super::dirty::DirtyTracker); the
 /// penalty-gate state (`frozen`) depends on the job's runtime and is

@@ -609,9 +609,11 @@ impl ThroughputModel {
     }
 }
 
-/// Entry cap of a [`BestPlanMemo`]: reaching it empties every table but
-/// keeps the rows. One paper-scale Rubick simulation (406 jobs, 64 GPUs)
-/// stores about 1.7k.
+/// Entry cap of a [`BestPlanMemo`]: reaching it empties and frees every
+/// table but keeps the rows. One paper-scale Rubick simulation (406 jobs,
+/// 64 GPUs) stores about 1.7k. The cap does not bound the rows: an empty
+/// row and its index slot (a few dozen bytes) stay for every distinct
+/// `(model, batch)` seen since the last [`BestPlanMemo::clear`].
 const MEMO_MAX_ENTRIES: usize = 1 << 16;
 
 /// The part of a placement that [`ThroughputModel::best_plan_in`] can
@@ -704,11 +706,17 @@ impl ClassTable {
 }
 
 /// A handle to one `(model, batch)` row of a [`BestPlanMemo`], resolved
-/// by [`BestPlanMemo::row`]. It stays valid until the memo is
+/// by [`BestPlanMemo::row`]. It names its row until the memo is
 /// [`clear`](BestPlanMemo::clear)ed; the memo's own entry cap empties the
-/// row's tables but keeps the row.
+/// row's tables but keeps the row. A handle from before a `clear` still
+/// answers correctly: the memo sees its old generation and resolves the
+/// row again, paying the hashed lookup.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MemoRow(usize);
+pub struct MemoRow {
+    slot: usize,
+    /// The memo's [`clear`](BestPlanMemo::clear) count when resolved.
+    generation: u64,
+}
 
 /// A memo of [`ThroughputModel::best_plan_in`] keyed by placement class.
 ///
@@ -761,6 +769,8 @@ pub struct BestPlanMemo {
     /// Entry count at which the tables are emptied: [`MEMO_MAX_ENTRIES`]
     /// outside unit tests.
     max_entries: usize,
+    /// How many times [`clear`](BestPlanMemo::clear) dropped the rows.
+    generation: u64,
 }
 
 impl Default for BestPlanMemo {
@@ -770,6 +780,7 @@ impl Default for BestPlanMemo {
             rows: Vec::new(),
             entries: 0,
             max_entries: MEMO_MAX_ENTRIES,
+            generation: 0,
         }
     }
 }
@@ -799,12 +810,14 @@ impl BestPlanMemo {
         self.entries == 0
     }
 
-    /// Drops every entry and every row: handles resolved before are
-    /// invalid after.
+    /// Drops every entry and every row. Handles resolved before name no
+    /// row after; [`best_plan_at`](BestPlanMemo::best_plan_at) resolves
+    /// them again.
     pub fn clear(&mut self) {
         self.index.clear();
         self.rows.clear();
         self.entries = 0;
+        self.generation += 1;
     }
 
     /// The row of `(model, global_batch)`, created empty on first sight.
@@ -819,7 +832,10 @@ impl BestPlanMemo {
         {
             return row;
         }
-        let row = MemoRow(self.rows.len());
+        let row = MemoRow {
+            slot: self.rows.len(),
+            generation: self.generation,
+        };
         self.rows.push(Vec::new());
         self.index
             .entry(name.clone())
@@ -844,16 +860,20 @@ impl BestPlanMemo {
     }
 
     /// [`best_plan`](BestPlanMemo::best_plan) through a `row` that
-    /// [`row(model, global_batch)`](BestPlanMemo::row) resolved since the
-    /// last [`clear`](BestPlanMemo::clear). Hashes nothing.
+    /// [`row(model, global_batch)`](BestPlanMemo::row) resolved. Hashes
+    /// nothing unless the memo was [`clear`](BestPlanMemo::clear)ed since,
+    /// in which case the row is resolved again.
     pub fn best_plan_at(
         &mut self,
-        row: MemoRow,
+        mut row: MemoRow,
         model: &ThroughputModel,
         cache: &PlanSetCache,
         global_batch: u32,
         placement: &Placement,
     ) -> Option<(ExecutionPlan, f64)> {
+        if row.generation != self.generation {
+            row = self.row(model, global_batch);
+        }
         debug_assert!(
             self.index
                 .get(&model.spec.name)
@@ -866,7 +886,7 @@ impl BestPlanMemo {
             return None;
         }
         let slot = gpus as usize;
-        if let Some(Some(table)) = self.rows[row.0].get(slot) {
+        if let Some(Some(table)) = self.rows[row.slot].get(slot) {
             if let Some(entry) = table.entry(table.class_of(placement)) {
                 let hit = table.plan_at(entry);
                 #[cfg(debug_assertions)]
@@ -883,11 +903,11 @@ impl BestPlanMemo {
             }
         }
         if self.entries >= self.max_entries {
-            // Empty the tables, not the rows: handles stay valid.
-            self.rows.iter_mut().for_each(Vec::clear);
+            // Free the tables, not the rows: handles stay valid.
+            self.rows.iter_mut().for_each(|tables| *tables = Vec::new());
             self.entries = 0;
         }
-        let tables = &mut self.rows[row.0];
+        let tables = &mut self.rows[row.slot];
         if tables.len() <= slot {
             tables.resize_with(slot + 1, || None);
         }
@@ -1098,7 +1118,31 @@ mod tests {
         assert_eq!(hit, bits(llama.best_plan_in(&cache, 16, last)));
         memo.clear();
         assert!(memo.is_empty());
-        assert_eq!(memo.row(&llama, 16), MemoRow(0), "clear drops the rows");
+        assert_ne!(memo.row(&llama, 16), rows[1], "clear drops the rows");
+    }
+
+    #[test]
+    fn memo_rows_from_before_a_clear_resolve_again() {
+        let cache = PlanSetCache::new();
+        let gpt = memo_model(ModelSpec::gpt2_xl());
+        let llama = memo_model(ModelSpec::llama2_7b());
+        let mut memo = BestPlanMemo::new();
+        let stale = memo.row(&gpt, 16);
+        let placement = Placement::single_node(8, 96, 1600.0);
+        memo.best_plan_at(stale, &gpt, &cache, 16, &placement);
+        memo.clear();
+        // llama takes the slot the stale gpt handle names.
+        let fresh = memo.row(&llama, 16);
+        memo.best_plan_at(fresh, &llama, &cache, 16, &placement);
+        for _ in 0..2 {
+            let answer = bits(memo.best_plan_at(stale, &gpt, &cache, 16, &placement));
+            assert_eq!(answer, bits(gpt.best_plan_in(&cache, 16, &placement)));
+        }
+        assert_eq!(memo.len(), 2, "the stale handle reached gpt's new row");
+        assert_eq!(
+            bits(memo.best_plan_at(fresh, &llama, &cache, 16, &placement)),
+            bits(llama.best_plan_in(&cache, 16, &placement))
+        );
     }
 
     #[test]
