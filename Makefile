@@ -153,8 +153,10 @@ refit-smoke:
 # unchanged, and check every rollback against a copy. Full traces reach
 # layouts the unit tests do not, so a skip that is not exact panics here.
 # Every best-plan memo hit, answered through the job's cached memo row, is
-# recomputed by the scan and compared bit for bit on every Rubick run.
-# The --refit run does the same for the fit kernel: every Jacobian entry
+# recomputed by the scan and compared bit for bit on every Rubick run, and
+# so is every miss, including the split misses that re-score only the
+# offload plans after a CPU step. The --refit run resets the memo rows of
+# each refitted model while the other models' rows stay. The --refit run does the same for the fit kernel: every Jacobian entry
 # is re-evaluated in full and every early-rejected damping candidate is
 # costed in full, over thousands of live refit windows. The Sia runs
 # re-resolve every per-job cache hit from the registry and check every
@@ -179,6 +181,7 @@ skip-smoke:
 		--chaos examples/chaos/smoke.txt --log-level error > /dev/null
 	@echo "skip-smoke: every skipped search matches its walk on base, mt and bp;"
 	@echo "skip-smoke: every best-plan memo hit through a job's row matches its scan on every Rubick run;"
+	@echo "skip-smoke: every best-plan memo miss, split or full, matches its full scan on every Rubick run;"
 	@echo "skip-smoke: every read-set Jacobian entry and early reject matches on mt --refit;"
 	@echo "skip-smoke: every Sia cache hit and next rise matches on base and mt --refit;"
 	@echo "skip-smoke: every skip and job-table check holds on mt with node and launch failures"

@@ -5,7 +5,7 @@
 //! curves are "computed in parallel or even prior to the scheduling, and
 //! then cached for reuse" (§5.2).
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use rubick_model::fit::{fit_perf_params, refit_params, DataPoint, FitOptions};
 use rubick_model::prelude::*;
 use rubick_model::reference;
@@ -64,7 +64,8 @@ fn bench_curve(c: &mut Criterion) {
 /// re-checks feasibility per plan on every call; the optimized path pays
 /// enumeration once into a [`PlanSetCache`] and then scores the cached set
 /// through the unchecked throughput fast path; a [`BestPlanMemo`] hit
-/// through a resolved row skips the scoring as well.
+/// through a resolved row skips the scoring as well, and a miss one CPU
+/// step away from a stored class scores only the offload plans.
 fn bench_best_plan(c: &mut Criterion) {
     let batch = 32u32;
     let mut group = c.benchmark_group("model/best_plan");
@@ -107,6 +108,39 @@ fn bench_best_plan(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("memo_hit", &tag), &gpus, |b, _| {
             b.iter(|| black_box(memo.best_plan_at(row, &model, &warm, batch, &placement)))
         });
+        // A class that differs from a stored one only in `cpus`, as
+        // Rubick's `reclaim_cpus` asks one 4-CPU step at a time: the miss
+        // re-scores only the ZeRO-Offload plans. Each timed call gets a
+        // fresh memo whose row already holds the sibling class; seeding
+        // it and dropping it are not timed. llama-30b/16 holds no offload
+        // plan, so its class ignores `cpus` and a CPU step is a hit.
+        let plans = warm.plans(&model.spec, gpus, batch, &model.shape, &model.env);
+        if !plans.iter().any(|p| p.memory == MemoryMode::ZeroOffload) {
+            continue;
+        }
+        let sibling = Placement {
+            cpus: placement.cpus - 4,
+            ..placement.clone()
+        };
+        group.bench_with_input(
+            BenchmarkId::new("memo_miss_cpu_step", &tag),
+            &gpus,
+            |b, _| {
+                b.iter_batched(
+                    || {
+                        let mut memo = BestPlanMemo::new();
+                        let row = memo.row(&model, batch);
+                        memo.best_plan_at(row, &model, &warm, batch, &sibling);
+                        (memo, row)
+                    },
+                    |(mut memo, row)| {
+                        let answer = memo.best_plan_at(row, &model, &warm, batch, &placement);
+                        (memo, answer)
+                    },
+                    BatchSize::SmallInput,
+                )
+            },
+        );
     }
     group.finish();
 }

@@ -665,6 +665,29 @@ fn serve_reports_protocol_errors_without_dying() {
     assert_eq!(lines[2], "{\"type\":\"ok\",\"op\":\"shutdown\"}");
 }
 
+/// A malformed op line and a submit without its `job` field are answered
+/// as op errors, not in the event-log reader's wording, and the session
+/// keeps reading.
+#[test]
+fn serve_words_a_bad_op_line_as_an_invalid_op() {
+    let session = "{\"type\":\"sta\n\
+        {\"type\":\"submit\",\"model\":\"roberta-355m\",\"gpus\":4}\n\
+        {\"type\":\"shutdown\"}\n";
+    let out = rubick_stdin(SERVE_FLAGS, session);
+    assert!(out.status.success(), "stderr: {}", stderr(&out));
+    let text = stdout(&out);
+    let lines: Vec<&str> = text.lines().collect();
+    assert_eq!(
+        lines[0],
+        "{\"type\":\"error\",\"message\":\"invalid op: unterminated string\"}"
+    );
+    assert_eq!(
+        lines[1],
+        "{\"type\":\"error\",\"message\":\"invalid op: missing field \\\"job\\\"\"}"
+    );
+    assert_eq!(lines[2], "{\"type\":\"ok\",\"op\":\"shutdown\"}");
+}
+
 /// A line that is not UTF-8 gets an error reply; the ops after it still
 /// run. An empty session's report prints `0.000` GPU-hours, not `-0.000`.
 #[test]

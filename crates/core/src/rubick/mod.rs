@@ -115,27 +115,10 @@ pub struct RubickScheduler {
     /// per round.
     pub(crate) tracker: Mutex<dirty::DirtyTracker>,
     /// `GetBestPlan` answers by placement class, kept across rounds and
-    /// locked once per round like `tracker`.
-    pub(crate) plan_memo: Mutex<PlanMemo>,
-}
-
-/// The scheduler's [`BestPlanMemo`] and the registry version its entries
-/// were computed under: a refit or a newly profiled model clears it.
-#[derive(Debug, Default)]
-pub(crate) struct PlanMemo {
-    version: u64,
-    memo: BestPlanMemo,
-}
-
-impl PlanMemo {
-    /// The memo, emptied first if the registry moved past `version`.
-    pub(crate) fn at_version(&mut self, version: u64) -> &mut BestPlanMemo {
-        if self.version != version {
-            self.memo.clear();
-            self.version = version;
-        }
-        &mut self.memo
-    }
+    /// locked once per round like `tracker`. Each memo row remembers the
+    /// fit it was scored under, so a refit empties only the refitted
+    /// model's rows.
+    pub(crate) plan_memo: Mutex<BestPlanMemo>,
 }
 
 impl RubickScheduler {
@@ -146,7 +129,7 @@ impl RubickScheduler {
             config: RubickConfig::default(),
             lazy: None,
             tracker: Mutex::new(dirty::DirtyTracker::new()),
-            plan_memo: Mutex::new(PlanMemo::default()),
+            plan_memo: Mutex::new(BestPlanMemo::new()),
         }
     }
 
@@ -157,7 +140,7 @@ impl RubickScheduler {
             config,
             lazy: None,
             tracker: Mutex::new(dirty::DirtyTracker::new()),
-            plan_memo: Mutex::new(PlanMemo::default()),
+            plan_memo: Mutex::new(BestPlanMemo::new()),
         }
     }
 

@@ -471,7 +471,7 @@ pub(super) fn run_round(
     // of the previous round. The epoch embeds the registry version, so a
     // refit published since the last round (by the engine's refit hook)
     // or a model profiled on demand above invalidates every certificate
-    // at once. The same version read keys the best-plan memo below.
+    // at once.
     let registry_version = sched.registry.version();
     let epoch_now = cfg.incremental.then(|| Epoch {
         registry_version,
@@ -554,7 +554,7 @@ pub(super) fn run_round(
         snaps: Vec::with_capacity(n),
         models: Vec::with_capacity(n),
         rows: Vec::with_capacity(n),
-        memo: RefCell::new(plan_memo.at_version(registry_version)),
+        memo: RefCell::new(&mut *plan_memo),
         searches: Vec::with_capacity(n),
         minima: Vec::with_capacity(n),
         baselines: Vec::with_capacity(n),

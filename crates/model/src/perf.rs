@@ -583,37 +583,69 @@ impl ThroughputModel {
     }
 
     /// The strict-max scan behind [`best_plan_in`](ThroughputModel::best_plan_in)
-    /// and the [`BestPlanMemo`] miss path: the index of the best plan in
-    /// `plans` (the cached set for `placement.total_gpus()`) and its
-    /// throughput.
+    /// and the debug check of every [`BestPlanMemo`] miss: the index of the
+    /// best plan in `plans` (the cached set for `placement.total_gpus()`)
+    /// and its throughput.
     fn scan_plans(
         &self,
         plans: &[ExecutionPlan],
         global_batch: u32,
         placement: &Placement,
     ) -> Option<(usize, f64)> {
+        let mut best = NO_BEST;
+        self.score_plans(
+            plans,
+            0..plans.len() as u32,
+            global_batch,
+            placement,
+            |i, _, tput| keep_max(&mut best, i, tput),
+        );
+        (best.0 != NO_PLAN).then_some((best.0 as usize, best.1))
+    }
+
+    /// Scores `plans[i]` on `placement` for each `i` of `indices`, in
+    /// order, and passes `(i, plan, throughput)` to `visit`. `plans` is the
+    /// cached set for `placement.total_gpus()`, so the one check left is
+    /// host memory: below the packed share, a plan whose host demand
+    /// exceeds `placement.host_mem_gb` is skipped.
+    #[inline(always)]
+    fn score_plans(
+        &self,
+        plans: &[ExecutionPlan],
+        indices: impl IntoIterator<Item = u32>,
+        global_batch: u32,
+        placement: &Placement,
+        mut visit: impl FnMut(u32, &ExecutionPlan, f64),
+    ) {
         let packed_host = self.shape.packed_host_mem_gb(placement.total_gpus());
         let recheck_host = placement.host_mem_gb < packed_host;
         let estimator = MemoryEstimator::new(self.shape.gpu_mem_gb);
-        let mut best: Option<(usize, f64)> = None;
-        for (i, plan) in plans.iter().enumerate() {
+        for i in indices {
+            let plan = &plans[i as usize];
             if recheck_host && estimator.host_mem_gb(&self.spec, plan) > placement.host_mem_gb {
                 continue;
             }
-            let tput = self.throughput_unchecked(plan, global_batch, placement);
-            if best.as_ref().map(|(_, b)| tput > *b).unwrap_or(true) {
-                best = Some((i, tput));
-            }
+            visit(
+                i,
+                plan,
+                self.throughput_unchecked(plan, global_batch, placement),
+            );
         }
-        best
     }
+}
+
+/// Whether two fits score every plan alike: the fitted parameters
+/// compared bit for bit, the spec, environment and node shape with `==`.
+fn same_fit(a: &ThroughputModel, b: &ThroughputModel) -> bool {
+    let bits = |p: &PerfParams| (p.to_vec().map(f64::to_bits), p.gpu_flops.to_bits());
+    bits(&a.params) == bits(&b.params) && a.spec == b.spec && a.env == b.env && a.shape == b.shape
 }
 
 /// Entry cap of a [`BestPlanMemo`]: reaching it empties and frees every
 /// table but keeps the rows. One paper-scale Rubick simulation (406 jobs,
-/// 64 GPUs) stores about 1.7k. The cap does not bound the rows: an empty
-/// row and its index slot (a few dozen bytes) stay for every distinct
-/// `(model, batch)` seen since the last [`BestPlanMemo::clear`].
+/// 64 GPUs) stores about 1.7k. The cap does not bound the rows: a row
+/// (its fit and an empty table list) and its index slot stay for every
+/// distinct `(model, batch)` the memo has seen.
 const MEMO_MAX_ENTRIES: usize = 1 << 16;
 
 /// The part of a placement that [`ThroughputModel::best_plan_in`] can
@@ -635,8 +667,64 @@ struct PlacementClass {
     host_short: u32,
 }
 
+impl PlacementClass {
+    /// Whether the two classes differ at most in `cpus`, so every plan
+    /// that ignores `cpus` scores alike on both and the host recheck
+    /// drops the same plans.
+    fn same_but_cpus(&self, other: &PlacementClass) -> bool {
+        (self.min_per_node, self.host_short) == (other.min_per_node, other.host_short)
+    }
+}
+
 /// The plan index a [`ClassTable`] stores when no plan fits.
 const NO_PLAN: u32 = u32::MAX;
+
+/// A best plan: its index into a plan set and its throughput, or
+/// [`NO_BEST`] when no plan fits.
+type Best = (u32, f64);
+
+/// The [`Best`] of an empty scan.
+const NO_BEST: Best = (NO_PLAN, 0.0);
+
+/// Folds plan `i` scoring `tput` into `best` the way a strict-`>` scan in
+/// plan order does: the first plan scored is kept until a later one
+/// scores strictly higher.
+#[inline(always)]
+fn keep_max(best: &mut Best, i: u32, tput: f64) {
+    if best.0 == NO_PLAN || tput > best.1 {
+        *best = (i, tput);
+    }
+}
+
+/// The best of two disjoint parts of one plan set, each found by a
+/// strict-`>` scan in plan order. The higher throughput wins; on a tie
+/// the lower plan index wins, which is what one scan over the whole set
+/// returns. Exact only when neither throughput is NaN.
+fn merge_best(a: Best, b: Best) -> Best {
+    if b.0 == NO_PLAN {
+        return a;
+    }
+    if a.0 == NO_PLAN {
+        return b;
+    }
+    if a.1 > b.1 || (a.1 == b.1 && a.0 < b.0) {
+        a
+    } else {
+        b
+    }
+}
+
+/// One placement class of a [`ClassTable`] and its answers.
+#[derive(Debug, Clone, Copy)]
+struct ClassEntry {
+    class: PlacementClass,
+    /// The best plan of the whole set.
+    best: Best,
+    /// The best plan among those that ignore `cpus` (every plan outside
+    /// [`ClassTable::offload`]). A class that differs only in `cpus`
+    /// shares it.
+    fixed: Best,
+}
 
 /// One `(model, batch, gpus)` point of a [`BestPlanMemo`]: the cached plan
 /// set and the best plan per placement class, as an index into it (or
@@ -644,14 +732,16 @@ const NO_PLAN: u32 = u32::MAX;
 #[derive(Debug)]
 struct ClassTable {
     plans: Arc<[ExecutionPlan]>,
-    reads_cpus: bool,
+    /// The indices of the ZeRO-Offload plans in `plans`, ascending: the
+    /// only plans whose score reads `cpus`.
+    offload: Box<[u32]>,
     packed_host_mem_gb: f64,
     /// The distinct host-memory demands of `plans`, ascending. A NaN
     /// demand never exceeds a placement's host memory, so it is left out.
     host_demands: Box<[f64]>,
-    /// The classes seen so far with their entries. A table holds a few
-    /// classes, so a linear scan beats hashing one.
-    best: Vec<(PlacementClass, (u32, f64))>,
+    /// The classes seen so far. A table holds a few classes, so a linear
+    /// scan beats hashing one.
+    classes: Vec<ClassEntry>,
 }
 
 impl ClassTable {
@@ -665,23 +755,25 @@ impl ClassTable {
         host_demands.sort_by(f64::total_cmp);
         host_demands.dedup();
         ClassTable {
-            reads_cpus: plans.iter().any(|p| p.memory == MemoryMode::ZeroOffload),
+            offload: (0..plans.len() as u32)
+                .filter(|&i| plans[i as usize].memory == MemoryMode::ZeroOffload)
+                .collect(),
             packed_host_mem_gb: model.shape.packed_host_mem_gb(gpus),
             host_demands: host_demands.into(),
-            best: Vec::new(),
+            classes: Vec::new(),
             plans,
         }
     }
 
-    fn plan_at(&self, (index, tput): (u32, f64)) -> Option<(ExecutionPlan, f64)> {
+    fn plan_at(&self, (index, tput): Best) -> Option<(ExecutionPlan, f64)> {
         (index != NO_PLAN).then(|| (self.plans[index as usize], tput))
     }
 
-    fn entry(&self, class: PlacementClass) -> Option<(u32, f64)> {
-        self.best
+    fn entry(&self, class: PlacementClass) -> Option<Best> {
+        self.classes
             .iter()
-            .find(|(c, _)| *c == class)
-            .map(|&(_, entry)| entry)
+            .find(|e| e.class == class)
+            .map(|e| e.best)
     }
 
     fn class_of(&self, placement: &Placement) -> PlacementClass {
@@ -691,7 +783,11 @@ impl ClassTable {
             } else {
                 0
             },
-            cpus: if self.reads_cpus { placement.cpus } else { 0 },
+            cpus: if self.offload.is_empty() {
+                0
+            } else {
+                placement.cpus
+            },
             host_short: if placement.host_mem_gb < self.packed_host_mem_gb {
                 // `host` is not NaN here and the demands hold no NaN, so
                 // the demands above it are exactly the sorted suffix.
@@ -703,19 +799,105 @@ impl ClassTable {
             },
         }
     }
+
+    /// Answers `placement`, whose class this table has not stored, and
+    /// stores the class. A class that differs from a stored one only in
+    /// `cpus` takes the split path ([`split_miss`](ClassTable::split_miss));
+    /// any other miss scans the whole set once for both bests.
+    fn miss(&mut self, model: &ThroughputModel, global_batch: u32, placement: &Placement) -> Best {
+        let class = self.class_of(placement);
+        let entry = self
+            .split_miss(model, class, global_batch, placement)
+            .unwrap_or_else(|| {
+                let (mut best, mut fixed) = (NO_BEST, NO_BEST);
+                let all = 0..self.plans.len() as u32;
+                model.score_plans(
+                    &self.plans,
+                    all,
+                    global_batch,
+                    placement,
+                    |i, plan, tput| {
+                        keep_max(&mut best, i, tput);
+                        if plan.memory != MemoryMode::ZeroOffload {
+                            keep_max(&mut fixed, i, tput);
+                        }
+                    },
+                );
+                ClassEntry { class, best, fixed }
+            });
+        self.classes.push(entry);
+        entry.best
+    }
+
+    /// The miss of a class that differs from a stored one only in `cpus`:
+    /// the stored class's best among the plans that ignore `cpus` still
+    /// holds, so only the offload plans are scored and the two bests
+    /// merged. `None` when no such class is stored, or when the reused
+    /// best or an offload score is NaN and the merge would be inexact.
+    fn split_miss(
+        &self,
+        model: &ThroughputModel,
+        class: PlacementClass,
+        global_batch: u32,
+        placement: &Placement,
+    ) -> Option<ClassEntry> {
+        let fixed = self
+            .classes
+            .iter()
+            .find(|e| e.class.same_but_cpus(&class))?
+            .fixed;
+        if fixed.1.is_nan() {
+            return None;
+        }
+        let (mut offload, mut nan) = (NO_BEST, false);
+        let indices = self.offload.iter().copied();
+        model.score_plans(
+            &self.plans,
+            indices,
+            global_batch,
+            placement,
+            |i, _, tput| {
+                nan |= tput.is_nan();
+                keep_max(&mut offload, i, tput);
+            },
+        );
+        (!nan).then(|| ClassEntry {
+            class,
+            best: merge_best(fixed, offload),
+            fixed,
+        })
+    }
 }
 
 /// A handle to one `(model, batch)` row of a [`BestPlanMemo`], resolved
-/// by [`BestPlanMemo::row`]. It names its row until the memo is
-/// [`clear`](BestPlanMemo::clear)ed; the memo's own entry cap empties the
-/// row's tables but keeps the row. A handle from before a `clear` still
-/// answers correctly: the memo sees its old generation and resolves the
-/// row again, paying the hashed lookup.
+/// by [`BestPlanMemo::row`]. It names its row until a different fit of
+/// the model resets the row; the memo's own entry cap empties the row's
+/// tables but keeps the row. A handle from before a reset still answers
+/// correctly: the memo sees its old generation and resolves the row
+/// again, paying the hashed lookup.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MemoRow {
     slot: usize,
-    /// The memo's [`clear`](BestPlanMemo::clear) count when resolved.
+    /// The row's reset count when resolved.
     generation: u64,
+}
+
+/// One `(model, batch)` row of a [`BestPlanMemo`].
+#[derive(Debug)]
+struct Row {
+    /// The fit every table of the row was scored under.
+    fit: ThroughputModel,
+    /// How many times a different fit reset the row.
+    generation: u64,
+    /// `gpus → table`.
+    tables: Vec<Option<ClassTable>>,
+}
+
+impl Row {
+    /// Placement classes stored across the row's tables.
+    fn entries(&self) -> usize {
+        self.tables.iter().flatten().map(|t| t.classes.len()).sum()
+    }
 }
 
 /// A memo of [`ThroughputModel::best_plan_in`] keyed by placement class.
@@ -725,16 +907,19 @@ pub struct MemoRow {
 /// nodes, the CPU count when an offload plan is in the set, and, below the
 /// packed host-memory share, which plans' host demands the placement
 /// cannot meet. A scheduler asks for the same few classes over and over,
-/// so the memo answers repeats without re-scoring the plan set.
+/// so the memo answers repeats without re-scoring the plan set. A class
+/// that differs from a stored one only in `cpus` re-scores only the
+/// ZeRO-Offload plans, the only ones that read `cpus`.
 ///
 /// The memo holds one row per `(model, batch)`, indexed by GPU count.
 /// [`row`](BestPlanMemo::row) resolves a row by model *name* — the one
 /// hashed lookup — and [`best_plan_at`](BestPlanMemo::best_plan_at)
 /// answers through that handle with two array indexes and a scan of the
-/// table's few classes. The caller must [`clear`](BestPlanMemo::clear) the
-/// memo whenever a name's fitted model may have changed (a registry
-/// refit), and resolve its handles again after. In debug builds every hit
-/// is recomputed and compared bit for bit.
+/// table's few classes. Each row remembers the fit it was scored under:
+/// when `row` is handed a different fit of the model (a registry refit),
+/// it empties that row alone, and handles resolved before answer through
+/// a fresh lookup. In debug builds every miss and every hit is
+/// recomputed and compared bit for bit.
 ///
 /// ```
 /// use rubick_model::prelude::*;
@@ -760,17 +945,15 @@ pub struct MemoRow {
 #[must_use = "a memo that is never queried does nothing"]
 #[derive(Debug)]
 pub struct BestPlanMemo {
-    /// `model name → [(batch, row)]`, read only by [`row`](BestPlanMemo::row).
-    index: HashMap<String, Vec<(u32, MemoRow)>>,
-    /// `row → gpus → table`.
-    rows: Vec<Vec<Option<ClassTable>>>,
+    /// `model name → [(batch, slot)]`, read only by [`row`](BestPlanMemo::row).
+    index: HashMap<String, Vec<(u32, usize)>>,
+    /// `slot → row`.
+    rows: Vec<Row>,
     /// Placement classes stored across all tables.
     entries: usize,
     /// Entry count at which the tables are emptied: [`MEMO_MAX_ENTRIES`]
     /// outside unit tests.
     max_entries: usize,
-    /// How many times [`clear`](BestPlanMemo::clear) dropped the rows.
-    generation: u64,
 }
 
 impl Default for BestPlanMemo {
@@ -780,7 +963,6 @@ impl Default for BestPlanMemo {
             rows: Vec::new(),
             entries: 0,
             max_entries: MEMO_MAX_ENTRIES,
-            generation: 0,
         }
     }
 }
@@ -810,38 +992,44 @@ impl BestPlanMemo {
         self.entries == 0
     }
 
-    /// Drops every entry and every row. Handles resolved before name no
-    /// row after; [`best_plan_at`](BestPlanMemo::best_plan_at) resolves
-    /// them again.
-    pub fn clear(&mut self) {
-        self.index.clear();
-        self.rows.clear();
-        self.entries = 0;
-        self.generation += 1;
-    }
-
     /// The row of `(model, global_batch)`, created empty on first sight.
-    /// Resolving a row stores no entry, and resolving it again returns
-    /// the same handle.
+    /// Resolving a row stores no entry, and resolving it again under the
+    /// same fit returns the same handle. Under a different fit of the
+    /// model (compared by [`same_fit`]) the row's tables are emptied and
+    /// its generation moves, so handles resolved before resolve again.
     pub fn row(&mut self, model: &ThroughputModel, global_batch: u32) -> MemoRow {
         let name = &model.spec.name;
-        if let Some(&(_, row)) = self
+        let found = self
             .index
             .get(name)
-            .and_then(|rows| rows.iter().find(|&&(b, _)| b == global_batch))
-        {
-            return row;
-        }
-        let row = MemoRow {
-            slot: self.rows.len(),
-            generation: self.generation,
+            .and_then(|rows| rows.iter().find(|&&(b, _)| b == global_batch));
+        let Some(&(_, slot)) = found else {
+            let slot = self.rows.len();
+            self.rows.push(Row {
+                fit: model.clone(),
+                generation: 0,
+                tables: Vec::new(),
+            });
+            self.index
+                .entry(name.clone())
+                .or_default()
+                .push((global_batch, slot));
+            return MemoRow {
+                slot,
+                generation: 0,
+            };
         };
-        self.rows.push(Vec::new());
-        self.index
-            .entry(name.clone())
-            .or_default()
-            .push((global_batch, row));
-        row
+        let row = &mut self.rows[slot];
+        if !same_fit(&row.fit, model) {
+            self.entries -= row.entries();
+            row.tables.clear();
+            row.fit = model.clone();
+            row.generation += 1;
+        }
+        MemoRow {
+            slot,
+            generation: row.generation,
+        }
     }
 
     /// [`model.best_plan_in(cache, global_batch, placement)`](ThroughputModel::best_plan_in),
@@ -861,8 +1049,9 @@ impl BestPlanMemo {
 
     /// [`best_plan`](BestPlanMemo::best_plan) through a `row` that
     /// [`row(model, global_batch)`](BestPlanMemo::row) resolved. Hashes
-    /// nothing unless the memo was [`clear`](BestPlanMemo::clear)ed since,
-    /// in which case the row is resolved again.
+    /// nothing unless a different fit reset the row since, in which case
+    /// the row is resolved again. `model` must be the fit the handle was
+    /// last resolved with.
     pub fn best_plan_at(
         &mut self,
         mut row: MemoRow,
@@ -871,14 +1060,15 @@ impl BestPlanMemo {
         global_batch: u32,
         placement: &Placement,
     ) -> Option<(ExecutionPlan, f64)> {
-        if row.generation != self.generation {
+        if row.generation != self.rows[row.slot].generation {
             row = self.row(model, global_batch);
         }
         debug_assert!(
             self.index
                 .get(&model.spec.name)
-                .is_some_and(|rows| rows.iter().any(|&(b, r)| (b, r) == (global_batch, row))),
-            "memo row {row:?} is not ({}, batch {global_batch})",
+                .is_some_and(|rows| rows.contains(&(global_batch, row.slot)))
+                && same_fit(&self.rows[row.slot].fit, model),
+            "memo row {row:?} is not ({}, batch {global_batch}) under this fit",
             model.spec.name
         );
         let gpus = placement.total_gpus();
@@ -886,7 +1076,7 @@ impl BestPlanMemo {
             return None;
         }
         let slot = gpus as usize;
-        if let Some(Some(table)) = self.rows[row.slot].get(slot) {
+        if let Some(Some(table)) = self.rows[row.slot].tables.get(slot) {
             if let Some(entry) = table.entry(table.class_of(placement)) {
                 let hit = table.plan_at(entry);
                 #[cfg(debug_assertions)]
@@ -904,10 +1094,10 @@ impl BestPlanMemo {
         }
         if self.entries >= self.max_entries {
             // Free the tables, not the rows: handles stay valid.
-            self.rows.iter_mut().for_each(|tables| *tables = Vec::new());
+            self.rows.iter_mut().for_each(|r| r.tables = Vec::new());
             self.entries = 0;
         }
-        let tables = &mut self.rows[row.slot];
+        let tables = &mut self.rows[row.slot].tables;
         if tables.len() <= slot {
             tables.resize_with(slot + 1, || None);
         }
@@ -915,12 +1105,19 @@ impl BestPlanMemo {
             let plans = cache.plans(&model.spec, gpus, global_batch, &model.shape, &model.env);
             ClassTable::new(model, gpus, plans)
         });
-        let entry = model
-            .scan_plans(&table.plans, global_batch, placement)
-            .map_or((NO_PLAN, 0.0), |(i, tput)| (i as u32, tput));
-        table.best.push((table.class_of(placement), entry));
+        let best = table.miss(model, global_batch, placement);
+        #[cfg(debug_assertions)]
+        {
+            let scanned = model.scan_plans(&table.plans, global_batch, placement);
+            assert_eq!(
+                (best.0 != NO_PLAN).then_some((best.0 as usize, best.1.to_bits())),
+                scanned.map(|(i, t)| (i, t.to_bits())),
+                "best-plan memo miss diverges for {} at {placement}",
+                model.spec.name
+            );
+        }
         self.entries += 1;
-        table.plan_at(entry)
+        table.plan_at(best)
     }
 }
 
@@ -1112,37 +1309,153 @@ mod tests {
         }
         assert_eq!(memo.row(&gpt, 16), rows[0], "the cap keeps the rows");
         assert_eq!(memo.row(&llama, 16), rows[1]);
-        // A hit after the clears answers like the scan too.
+        // A hit after the cap emptied the tables answers like the scan too.
         let last = placements.last().expect("placements");
         let hit = bits(memo.best_plan_at(rows[1], &llama, &cache, 16, last));
         assert_eq!(hit, bits(llama.best_plan_in(&cache, 16, last)));
-        memo.clear();
-        assert!(memo.is_empty());
-        assert_ne!(memo.row(&llama, 16), rows[1], "clear drops the rows");
     }
 
     #[test]
-    fn memo_rows_from_before_a_clear_resolve_again() {
+    fn merge_best_matches_one_strict_scan() {
+        // A tie takes the lower index, from either side.
+        assert_eq!(merge_best((3, 2.0), (1, 2.0)), (1, 2.0));
+        assert_eq!(merge_best((1, 2.0), (3, 2.0)), (1, 2.0));
+        // Otherwise the higher throughput wins, whatever its index.
+        assert_eq!(merge_best((5, 3.0), (1, 2.0)), (5, 3.0));
+        assert_eq!(merge_best((0, 1.0), (7, 4.0)), (7, 4.0));
+        // One side empty: the other stands. Both empty: no plan.
+        assert_eq!(merge_best(NO_BEST, (4, 1.0)), (4, 1.0));
+        assert_eq!(merge_best((2, 1.0), NO_BEST), (2, 1.0));
+        assert_eq!(merge_best(NO_BEST, NO_BEST).0, NO_PLAN);
+        // Every split of every four-plan score vector over three values
+        // (ties included) merges to what one scan over all plans returns.
+        let scan = |scores: &[f64], keep: &dyn Fn(u32) -> bool| {
+            let mut best = NO_BEST;
+            for (i, &tput) in scores.iter().enumerate() {
+                if keep(i as u32) {
+                    keep_max(&mut best, i as u32, tput);
+                }
+            }
+            best
+        };
+        let mut checked = 0;
+        for code in 0..3u32.pow(4) {
+            let scores: Vec<f64> = (0..4).map(|k| (code / 3u32.pow(k) % 3) as f64).collect();
+            let whole = scan(&scores, &|_| true);
+            for mask in 0..1u32 << 4 {
+                let fixed = scan(&scores, &|i| mask & (1 << i) == 0);
+                let offload = scan(&scores, &|i| mask & (1 << i) != 0);
+                assert_eq!(
+                    merge_best(fixed, offload),
+                    whole,
+                    "{scores:?}, mask {mask:04b}"
+                );
+                checked += 1;
+            }
+        }
+        assert_eq!(checked, 81 * 16);
+    }
+
+    #[test]
+    fn memo_split_misses_score_only_offload_plans() {
+        let cache = PlanSetCache::new();
+        let mut model = memo_model(ModelSpec::gpt2_xl());
+        // Weights under which offload wins some CPU counts and loses others.
+        (model.params.k_opt, model.params.k_opt_off) = (0.5, 5.0);
+        let mut memo = BestPlanMemo::new();
+        let row = memo.row(&model, 16);
+        let mut winners = [0; 2];
+        for layout in [vec![8u32], vec![4, 4]] {
+            let gpus: u32 = layout.iter().sum();
+            for cpus in (1..=97).step_by(4) {
+                let placement = Placement {
+                    gpus_per_node: layout.clone(),
+                    cpus,
+                    host_mem_gb: model.shape.packed_host_mem_gb(gpus),
+                };
+                let memoized = bits(memo.best_plan_at(row, &model, &cache, 16, &placement));
+                assert_eq!(memoized, bits(model.best_plan_in(&cache, 16, &placement)));
+                let table = memo.rows[row.slot].tables[gpus as usize]
+                    .as_ref()
+                    .expect("table stored");
+                assert!(!table.offload.is_empty(), "no offload plan in the set");
+                let entry = *table.classes.last().expect("class stored");
+                // The stored split matches a scan of the non-offload plans.
+                let mut fixed = NO_BEST;
+                let all = 0..table.plans.len() as u32;
+                model.score_plans(&table.plans, all, 16, &placement, |i, plan, tput| {
+                    if plan.memory != MemoryMode::ZeroOffload {
+                        keep_max(&mut fixed, i, tput);
+                    }
+                });
+                assert_eq!(entry.fixed.0, fixed.0);
+                assert_eq!(entry.fixed.1.to_bits(), fixed.1.to_bits());
+                // The split path, taken from the first CPU count's class,
+                // answers like the scan.
+                let class = table.class_of(&placement);
+                let via_split = table
+                    .split_miss(&model, class, 16, &placement)
+                    .expect("a class of these GPUs is stored");
+                assert_eq!(via_split.best.0, entry.best.0, "{placement}");
+                assert_eq!(via_split.best.1.to_bits(), entry.best.1.to_bits());
+                winners[usize::from(table.offload.contains(&entry.best.0))] += 1;
+            }
+        }
+        assert!(winners[0] > 0 && winners[1] > 0, "winners {winners:?}");
+    }
+
+    #[test]
+    fn memo_refit_resets_only_the_refitted_row() {
         let cache = PlanSetCache::new();
         let gpt = memo_model(ModelSpec::gpt2_xl());
         let llama = memo_model(ModelSpec::llama2_7b());
         let mut memo = BestPlanMemo::new();
-        let stale = memo.row(&gpt, 16);
-        let placement = Placement::single_node(8, 96, 1600.0);
-        memo.best_plan_at(stale, &gpt, &cache, 16, &placement);
-        memo.clear();
-        // llama takes the slot the stale gpt handle names.
-        let fresh = memo.row(&llama, 16);
-        memo.best_plan_at(fresh, &llama, &cache, 16, &placement);
-        for _ in 0..2 {
-            let answer = bits(memo.best_plan_at(stale, &gpt, &cache, 16, &placement));
-            assert_eq!(answer, bits(gpt.best_plan_in(&cache, 16, &placement)));
+        let (stale, kept) = (memo.row(&gpt, 16), memo.row(&llama, 16));
+        let placements: Vec<Placement> = [1u32, 2, 4, 8]
+            .iter()
+            .map(|&g| Placement::single_node(g, 12 * g, 200.0 * g as f64))
+            .chain([Placement::spread(16, 8, 192, 3200.0)])
+            .collect();
+        for placement in &placements {
+            memo.best_plan_at(stale, &gpt, &cache, 16, placement);
+            memo.best_plan_at(kept, &llama, &cache, 16, placement);
         }
-        assert_eq!(memo.len(), 2, "the stale handle reached gpt's new row");
+        let gpt_entries = memo.rows[stale.slot].entries();
+        assert_eq!(gpt_entries, placements.len());
+        let before = memo.len();
+
+        // The refit: the same spec with other fitted weights.
+        let mut gpt2 = gpt.clone();
+        gpt2.params.k_opt *= 1.5;
+        gpt2.params.k_bwd *= 1.1;
+        let fresh = memo.row(&gpt2, 16);
+        assert_ne!(fresh, stale, "a refit moves the row's generation");
+        assert_eq!(memo.len(), before - gpt_entries, "only gpt's entries go");
+        assert_eq!(memo.row(&llama, 16), kept, "llama's row is untouched");
         assert_eq!(
-            bits(memo.best_plan_at(fresh, &llama, &cache, 16, &placement)),
-            bits(llama.best_plan_in(&cache, 16, &placement))
+            memo.row(&gpt2, 16),
+            fresh,
+            "the same fit again keeps the row"
         );
+
+        let mut moved = 0;
+        for placement in &placements {
+            let answer = bits(memo.best_plan_at(fresh, &gpt2, &cache, 16, placement));
+            let scanned = bits(gpt2.best_plan_in(&cache, 16, placement));
+            assert_eq!(answer, scanned, "refitted row at {placement}");
+            moved += usize::from(answer != bits(gpt.best_plan_in(&cache, 16, placement)));
+            // A handle from before the refit resolves again and hits.
+            let via_stale = bits(memo.best_plan_at(stale, &gpt2, &cache, 16, placement));
+            assert_eq!(via_stale, scanned, "stale handle at {placement}");
+        }
+        assert!(moved > 0, "the refit changes no answer");
+        let after = memo.len();
+        for placement in &placements {
+            let answer = bits(memo.best_plan_at(kept, &llama, &cache, 16, placement));
+            assert_eq!(answer, bits(llama.best_plan_in(&cache, 16, placement)));
+        }
+        assert_eq!(memo.len(), after, "llama's kept entries still hit");
+        assert_eq!(after, before, "the refitted row refilled once");
     }
 
     #[test]

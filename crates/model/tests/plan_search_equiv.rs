@@ -426,3 +426,75 @@ fn a_placement_without_gpus_has_no_plan() {
     }
     assert!(restricted > 0, "no restricted search checked");
 }
+
+/// A memo miss whose class differs from a stored one only in `cpus`
+/// scores only the ZeRO-Offload plans and merges with the stored best of
+/// the rest. Walking `cpus` in Rubick's 4-CPU steps over packed and
+/// spread layouts, at host memory above and below the packed share, makes
+/// one full miss per layout and host and then split misses; each answer,
+/// and the hit that repeats it, equals the uncached scan bit for bit. Two sets of
+/// optimizer weights make offload lose at every CPU count in one and win
+/// from some count on in the other.
+#[test]
+fn split_misses_match_scan_over_cpu_steps() {
+    let shape = NodeShape::a800();
+    let env = ClusterEnv::a800();
+    let cache = PlanSetCache::new();
+    let bits = |r: Option<(ExecutionPlan, f64)>| r.map(|(p, t)| (p, t.to_bits()));
+    let (mut checked, mut offload_won) = (0, 0);
+    for k_opt in [None, Some((0.5, 5.0))] {
+        let mut model = model_for(ModelSpec::gpt2_xl());
+        if let Some(k) = k_opt {
+            (model.params.k_opt, model.params.k_opt_off) = k;
+        }
+        // One memo for all layouts and hosts, so a split that reused a
+        // class of another layout or host would answer wrongly.
+        let mut memo = BestPlanMemo::new();
+        let row = memo.row(&model, 16);
+        for layout in [vec![8u32], vec![4, 4], vec![16], vec![8, 8]] {
+            let gpus: u32 = layout.iter().sum();
+            let plans = cache.plans(&model.spec, gpus, 16, &shape, &env);
+            assert!(
+                plans.iter().any(|p| p.memory == MemoryMode::ZeroOffload),
+                "no offload plan on {gpus} GPUs"
+            );
+            // Above the packed share; just below the largest host demand
+            // in the set, which drops the plans that need the most; and
+            // just below the smallest, which drops every plan.
+            let estimator = MemoryEstimator::new(shape.gpu_mem_gb);
+            let demands: Vec<f64> = plans
+                .iter()
+                .map(|p| estimator.host_mem_gb(&model.spec, p))
+                .collect();
+            let top = demands.iter().copied().fold(0.0, f64::max);
+            let bottom = demands.iter().copied().fold(f64::INFINITY, f64::min);
+            assert!(bottom < top && top <= shape.packed_host_mem_gb(gpus));
+            let hosts = [
+                shape.packed_host_mem_gb(gpus) * 1.5,
+                top * 0.99,
+                bottom * 0.99,
+            ];
+            for host_mem_gb in hosts {
+                for cpus in (1..=129).step_by(4) {
+                    let at = Placement {
+                        gpus_per_node: layout.clone(),
+                        cpus,
+                        host_mem_gb,
+                    };
+                    let scanned = bits(model.best_plan_in(&cache, 16, &at));
+                    for _ in 0..2 {
+                        let memoized = bits(memo.best_plan_at(row, &model, &cache, 16, &at));
+                        assert_eq!(memoized, scanned, "{k_opt:?} at {at}");
+                        checked += 1;
+                    }
+                    offload_won += usize::from(
+                        scanned.is_some_and(|(p, _)| p.memory == MemoryMode::ZeroOffload),
+                    );
+                }
+            }
+        }
+        assert_eq!(memo.len(), 4 * 3 * 33, "one entry per class");
+    }
+    assert_eq!(checked, 2 * 4 * 3 * 33 * 2);
+    assert!(offload_won > 0, "offload never wins");
+}

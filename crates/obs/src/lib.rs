@@ -991,6 +991,13 @@ impl EventParseError {
             message: message.into(),
         }
     }
+
+    /// What is wrong with the line, without the `invalid event line:`
+    /// prefix that [`Display`](fmt::Display) adds. Readers of lines that
+    /// are not events (protocol ops) word their own errors with it.
+    pub fn message(&self) -> &str {
+        &self.message
+    }
 }
 
 impl fmt::Display for EventParseError {

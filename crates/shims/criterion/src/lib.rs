@@ -4,8 +4,9 @@
 //! vendors the slice of criterion its benches use: [`Criterion`],
 //! [`Criterion::benchmark_group`] / [`BenchmarkGroup`] (with
 //! `sample_size`, `bench_function`, `bench_with_input`, `finish`),
-//! [`BenchmarkId`], [`Bencher::iter`], and the
-//! [`criterion_group!`] / [`criterion_main!`] macros.
+//! [`BenchmarkId`], [`Bencher::iter`], [`Bencher::iter_batched`] with
+//! [`BatchSize`], and the [`criterion_group!`] / [`criterion_main!`]
+//! macros.
 //!
 //! Measurement model: each benchmark is warmed up briefly, then the
 //! iteration count per sample is calibrated so a sample takes roughly
@@ -101,6 +102,14 @@ pub struct BenchRecord {
     pub threads_effective: usize,
 }
 
+/// How many inputs [`Bencher::iter_batched`] builds before timing them.
+/// The shim has criterion's one variant its benches use.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum BatchSize {
+    /// Cheap inputs: up to 1024 per batch.
+    SmallInput,
+}
+
 /// The timing loop handed to each benchmark closure.
 pub struct Bencher {
     iters_per_sample: u64,
@@ -111,15 +120,52 @@ pub struct Bencher {
 impl Bencher {
     /// Runs `routine` repeatedly and records per-iteration timings.
     pub fn iter<O, R: FnMut() -> O>(&mut self, mut routine: R) {
-        // Warm up and calibrate: grow the iteration count until one
-        // sample takes about TARGET_SAMPLE_NS.
-        let mut iters: u64 = 1;
-        loop {
+        self.measure(|iters| {
             let start = Instant::now();
             for _ in 0..iters {
                 std_black_box(routine());
             }
-            let elapsed = start.elapsed();
+            start.elapsed()
+        });
+    }
+
+    /// Like [`iter`](Bencher::iter), but each call of `routine` consumes
+    /// a fresh input from `setup`, and only `routine` is timed: inputs are
+    /// built a batch at a time before the clock starts, and outputs are
+    /// dropped after it stops.
+    pub fn iter_batched<I, O, S, R>(&mut self, mut setup: S, mut routine: R, size: BatchSize)
+    where
+        S: FnMut() -> I,
+        R: FnMut(I) -> O,
+    {
+        let BatchSize::SmallInput = size;
+        self.measure(|iters| {
+            let mut elapsed = Duration::ZERO;
+            let mut left = iters;
+            while left > 0 {
+                let n = left.min(1024);
+                let inputs: Vec<I> = (0..n).map(|_| setup()).collect();
+                let mut outputs = Vec::with_capacity(n as usize);
+                let start = Instant::now();
+                for input in inputs {
+                    outputs.push(std_black_box(routine(input)));
+                }
+                elapsed += start.elapsed();
+                drop(outputs);
+                left -= n;
+            }
+            elapsed
+        });
+    }
+
+    /// Calibrates and samples `timed`, which runs the benchmark for the
+    /// given number of iterations and returns the time they took.
+    fn measure(&mut self, mut timed: impl FnMut(u64) -> Duration) {
+        // Warm up and calibrate: grow the iteration count until one
+        // sample takes about TARGET_SAMPLE_NS.
+        let mut iters: u64 = 1;
+        loop {
+            let elapsed = timed(iters);
             if elapsed >= Duration::from_nanos(TARGET_SAMPLE_NS) || iters >= 1 << 20 {
                 break;
             }
@@ -131,11 +177,7 @@ impl Bencher {
 
         self.per_iter_ns.clear();
         for _ in 0..self.sample_size {
-            let start = Instant::now();
-            for _ in 0..iters {
-                std_black_box(routine());
-            }
-            let elapsed = start.elapsed();
+            let elapsed = timed(iters);
             self.per_iter_ns
                 .push(elapsed.as_nanos() as f64 / iters as f64);
         }
@@ -361,10 +403,26 @@ mod tests {
         group.bench_with_input(BenchmarkId::from_parameter(3), &3u32, |b, &x| {
             b.iter(|| black_box(x * 2))
         });
+        let (mut built, mut consumed) = (0u64, 0u64);
+        group.bench_function("batched", |b| {
+            b.iter_batched(
+                || {
+                    built += 1;
+                    vec![1u64; 4]
+                },
+                |v| {
+                    consumed += 1;
+                    black_box(v.iter().sum::<u64>())
+                },
+                BatchSize::SmallInput,
+            )
+        });
         group.finish();
-        assert_eq!(c.records().len(), 2);
+        assert_eq!(built, consumed, "every input is consumed once");
+        assert_eq!(c.records().len(), 3);
         assert_eq!(c.records()[0].id, "shim/noop");
         assert_eq!(c.records()[1].id, "shim/3");
+        assert_eq!(c.records()[2].id, "shim/batched");
         assert!(c
             .records()
             .iter()

@@ -215,14 +215,21 @@ pub enum ServeOp {
     Shutdown,
 }
 
+/// A field or JSON error of a protocol line, worded as the op error it
+/// is rather than as an event-log error.
+fn invalid_op(e: rubick_obs::EventParseError) -> String {
+    format!("invalid op: {}", e.message())
+}
+
 impl ServeOp {
     /// Parses one NDJSON protocol line.
     ///
     /// # Errors
     ///
-    /// Malformed JSON, unknown op types, missing required fields.
+    /// Malformed JSON, unknown op types, missing required fields, each
+    /// worded `invalid op: …`.
     pub fn parse(line: &str) -> Result<ServeOp, String> {
-        let obj = JsonObject::parse(line).map_err(|e| e.to_string())?;
+        let obj = JsonObject::parse(line).map_err(invalid_op)?;
         ServeOp::from_object(&obj)
     }
 
@@ -231,12 +238,12 @@ impl ServeOp {
     ///
     /// # Errors
     ///
-    /// Unknown op types and missing required fields.
+    /// Unknown op types and missing required fields; a missing or
+    /// mistyped field is worded `invalid op: …`.
     pub fn from_object(obj: &JsonObject) -> Result<ServeOp, String> {
-        let err = |e: rubick_obs::EventParseError| e.to_string();
-        match obj.ty().map_err(err)? {
+        match obj.ty().map_err(invalid_op)? {
             "submit" => {
-                let class = match obj.opt_str("class").map_err(err)? {
+                let class = match obj.opt_str("class").map_err(invalid_op)? {
                     None | Some("guaranteed") => JobClass::Guaranteed,
                     Some("best-effort") => JobClass::BestEffort,
                     Some(other) => {
@@ -244,44 +251,44 @@ impl ServeOp {
                     }
                 };
                 let batch = if obj.contains("batch") {
-                    Some(obj.uint32("batch").map_err(err)?)
+                    Some(obj.uint32("batch").map_err(invalid_op)?)
                 } else {
                     None
                 };
                 Ok(ServeOp::Submit(SubmitOp {
-                    job: obj.uint("job").map_err(err)?,
-                    model: obj.str("model").map_err(err)?.to_string(),
-                    gpus: obj.uint32("gpus").map_err(err)?,
+                    job: obj.uint("job").map_err(invalid_op)?,
+                    model: obj.str("model").map_err(invalid_op)?.to_string(),
+                    gpus: obj.uint32("gpus").map_err(invalid_op)?,
                     batch,
-                    target_batches: obj.uint_or(1000, "target_batches").map_err(err)?,
+                    target_batches: obj.uint_or(1000, "target_batches").map_err(invalid_op)?,
                     class,
                     tenant: obj
                         .opt_str("tenant")
-                        .map_err(err)?
+                        .map_err(invalid_op)?
                         .unwrap_or_default()
                         .to_string(),
                     plan: obj
                         .opt_str("plan")
-                        .map_err(err)?
+                        .map_err(invalid_op)?
                         .unwrap_or("dp")
                         .to_string(),
                     at: if obj.contains("at") {
-                        obj.opt_num("at").map_err(err)?
+                        obj.opt_num("at").map_err(invalid_op)?
                     } else {
                         None
                     },
                 }))
             }
             "cancel" => Ok(ServeOp::Cancel {
-                job: obj.uint("job").map_err(err)?,
+                job: obj.uint("job").map_err(invalid_op)?,
                 at: if obj.contains("at") {
-                    obj.opt_num("at").map_err(err)?
+                    obj.opt_num("at").map_err(invalid_op)?
                 } else {
                     None
                 },
             }),
             "advance" => Ok(ServeOp::Advance {
-                until: obj.num("until").map_err(err)?,
+                until: obj.num("until").map_err(invalid_op)?,
             }),
             "status" => Ok(ServeOp::Status),
             "snapshot" => Ok(ServeOp::Snapshot),
@@ -1066,6 +1073,31 @@ mod tests {
         assert!(
             rendered.contains(r#""model":"m\"o\\d\te\rl\n\u0001-é""#),
             "{rendered}"
+        );
+    }
+
+    #[test]
+    fn bad_op_lines_are_worded_as_op_errors() {
+        assert_eq!(
+            ServeOp::parse(r#"{"type":"sta"#).unwrap_err(),
+            "invalid op: unterminated string"
+        );
+        let no_job = r#"{"type":"submit","model":"roberta-355m","gpus":4}"#;
+        assert_eq!(
+            ServeOp::parse(no_job).unwrap_err(),
+            r#"invalid op: missing field "job""#
+        );
+        let obj = JsonObject::parse(no_job).unwrap();
+        assert_eq!(
+            ServeOp::from_object(&obj).unwrap_err(),
+            r#"invalid op: missing field "job""#
+        );
+        // The event-log reader keeps its own wording for the same fault.
+        let event_err = JsonObject::parse(r#"{"type":"sta"#).unwrap_err();
+        assert_eq!(event_err.message(), "unterminated string");
+        assert_eq!(
+            event_err.to_string(),
+            "invalid event line: unterminated string"
         );
     }
 
