@@ -258,4 +258,18 @@ mod tests {
         let err = scheduler_by_name("nope", &registry).err().unwrap();
         assert!(err.contains(&SCHEDULER_NAMES.join("|")), "{err}");
     }
+
+    /// Each scenario schedules on its own registry copy, so no two threads
+    /// ever fill one curve cache.
+    #[test]
+    fn scenarios_get_isolated_registries() {
+        let spec = ScenarioSpec::default();
+        let backend = ZooBackend::prepare([spec.seed]).unwrap();
+        let (_, a) = backend.policy(&spec).unwrap();
+        let (_, b) = backend.policy(&spec).unwrap();
+        let pristine = backend.registry(spec.seed).unwrap();
+        assert!(!Arc::ptr_eq(&a, &b));
+        assert!(!Arc::ptr_eq(&a, pristine));
+        assert!(!Arc::ptr_eq(&b, pristine));
+    }
 }

@@ -23,6 +23,7 @@
 #![deny(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]
 #![deny(clippy::print_stdout, clippy::print_stderr)]
+#![cfg_attr(not(test), warn(unused_crate_dependencies))]
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};

@@ -7,10 +7,11 @@
 //! [`ZooBackend::prepare`]); each scheduler construction then gets its
 //! own deep copy via
 //! [`ModelRegistry::clone_fitted`](rubick_core::ModelRegistry::clone_fitted),
-//! so online refit state still cannot leak between policies but the
-//! profiling pass is no longer repeated seven times. Output order is
-//! fixed — rows are printed from the joined results in `SCHEDULERS`
-//! order, identical to the old sequential loop.
+//! with its own empty curve cache, so neither online refits nor curves
+//! are shared between threads. Only the process-wide
+//! [`PlanSetCache`](rubick_model::PlanSetCache) is. Output order is fixed:
+//! rows are printed from the joined results in `SCHEDULERS` order, as a
+//! sequential loop would print them.
 
 use super::{chaos_from, scenario_spec_from, CliError};
 use crate::args::Args;
@@ -56,7 +57,7 @@ pub fn execute(args: &Args) -> Result<(), CliError> {
     let backend = &backend;
     let base_spec = &base_spec;
     let chaos = &chaos;
-    let results: Vec<Result<ScenarioOutcome, String>> = crossbeam::scope(|s| {
+    let results: Vec<Result<ScenarioOutcome, String>> = std::thread::scope(|s| {
         let handles: Vec<_> = SCHEDULERS
             .iter()
             .map(|name| {
@@ -73,8 +74,7 @@ pub fn execute(args: &Args) -> Result<(), CliError> {
             .into_iter()
             .map(|h| h.join().expect("comparison thread panicked"))
             .collect()
-    })
-    .expect("comparison scope");
+    });
 
     let csv = args.flag("csv");
     println!("{}", compare_header(csv));

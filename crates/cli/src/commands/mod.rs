@@ -58,7 +58,7 @@ pub fn scenario_spec_from(args: &Args) -> Result<ScenarioSpec, CliError> {
             Some(frac)
         }
     };
-    Ok(ScenarioSpec {
+    let spec = ScenarioSpec {
         scheduler: args.str_or("scheduler", "rubick"),
         trace: TraceKind::parse(&args.str_or("trace", "base"))?,
         jobs,
@@ -67,7 +67,9 @@ pub fn scenario_spec_from(args: &Args) -> Result<ScenarioSpec, CliError> {
         seed: args.parse_or("seed", 2025u64)?,
         refit: refit_from(args)?,
         ..ScenarioSpec::default()
-    })
+    };
+    spec.validate()?;
+    Ok(spec)
 }
 
 /// Resolves the `--refit` / `--refit-threshold` pair into the spec's

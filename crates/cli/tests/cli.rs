@@ -66,6 +66,30 @@ fn run_and_compare_reject_parallelism() {
     }
 }
 
+/// A scaled trace too large to hold fails validation instead of aborting
+/// on the allocation.
+#[test]
+fn oversized_scaled_trace_fails_naming_jobs_and_load() {
+    let spec = sweep_spec("huge", "[sweep]\njobs = 5\n[grid]\nload = [1e9]\n");
+    let cases: [&[&str]; 4] = [
+        &["run", "--jobs", "5", "--load", "1e9"],
+        &["trace", "--jobs", "5", "--load", "1e9"],
+        &["run", "--jobs", "100000000000"],
+        &["sweep", spec.to_str().unwrap()],
+    ];
+    for args in cases {
+        let out = rubick(args);
+        let err = stderr(&out);
+        assert_eq!(out.status.code(), Some(1), "{args:?} stderr: {err}");
+        assert!(
+            err.contains("jobs") && err.contains("load"),
+            "{args:?} stderr: {err}"
+        );
+        assert!(err.contains("maximum 1000000"), "{args:?} stderr: {err}");
+    }
+    std::fs::remove_file(&spec).ok();
+}
+
 #[test]
 fn plans_lists_feasible_plans_best_first() {
     let out = rubick(&["plans", "--model", "gpt2-1.5b", "--gpus", "4"]);

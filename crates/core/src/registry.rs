@@ -5,12 +5,11 @@
 //! the policy-side store of those models, together with the sensitivity
 //! curve cache of §5.2.
 
-use parking_lot::RwLock;
 use rubick_model::prelude::*;
 use rubick_testbed::{profile_and_fit, TestbedOracle};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError, RwLock};
 
 /// Fitted models per model type, plus shared sensitivity-curve cache.
 ///
@@ -71,7 +70,8 @@ impl ModelRegistry {
             registry.profiling_seconds += report.wall_seconds;
             registry
                 .models
-                .write()
+                .get_mut()
+                .unwrap_or_else(PoisonError::into_inner)
                 .insert(spec.name.clone(), Arc::new(model));
         }
         Ok(registry)
@@ -89,7 +89,12 @@ impl ModelRegistry {
     /// type is already known (no cost) or profiling fails (no feasible
     /// plan anywhere).
     pub fn profile_on_demand(&self, oracle: &TestbedOracle, spec: &ModelSpec) -> Option<f64> {
-        if self.models.read().contains_key(&spec.name) {
+        if self
+            .models
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .contains_key(&spec.name)
+        {
             return None;
         }
         let (model, report) = profile_and_fit(oracle, spec, spec.default_batch).ok()?;
@@ -101,7 +106,12 @@ impl ModelRegistry {
     pub fn insert(&self, model: ThroughputModel) {
         let name = model.spec.name.clone();
         self.curves.invalidate_model(&name);
-        if self.models.write().insert(name, Arc::new(model)).is_some() {
+        let replaced = self
+            .models
+            .write()
+            .unwrap_or_else(PoisonError::into_inner)
+            .insert(name, Arc::new(model));
+        if replaced.is_some() {
             self.refits.fetch_add(1, Ordering::Relaxed);
         }
         self.version.fetch_add(1, Ordering::Release);
@@ -125,7 +135,12 @@ impl ModelRegistry {
     /// registry so online refits stay isolated per scheduler.
     pub fn clone_fitted(&self) -> Self {
         ModelRegistry {
-            models: RwLock::new(self.models.read().clone()),
+            models: RwLock::new(
+                self.models
+                    .read()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .clone(),
+            ),
             curves: CurveCache::new(),
             refits: AtomicUsize::new(0),
             version: AtomicU64::new(self.version.load(Ordering::Acquire)),
@@ -137,12 +152,22 @@ impl ModelRegistry {
 
     /// Looks up the fitted model for a model type.
     pub fn model(&self, name: &str) -> Option<Arc<ThroughputModel>> {
-        self.models.read().get(name).cloned()
+        self.models
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .get(name)
+            .cloned()
     }
 
     /// Registered model-type names (sorted for determinism).
     pub fn names(&self) -> Vec<String> {
-        let mut v: Vec<String> = self.models.read().keys().cloned().collect();
+        let mut v: Vec<String> = self
+            .models
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .keys()
+            .cloned()
+            .collect();
         v.sort();
         v
     }
@@ -191,8 +216,13 @@ impl ModelRegistry {
     /// Pre-computes all GPU curves (the "prior to scheduling"
     /// optimization of §5.2).
     pub fn warm_curves(&self, max_gpus: u32, batch_of: impl Fn(&ModelSpec) -> u32) {
-        let models: Vec<ThroughputModel> =
-            self.models.read().values().map(|m| (**m).clone()).collect();
+        let models: Vec<ThroughputModel> = self
+            .models
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .values()
+            .map(|m| (**m).clone())
+            .collect();
         self.curves
             .precompute_gpu_curves(&models, |m| batch_of(&m.spec), max_gpus);
     }

@@ -28,7 +28,6 @@ mod policy;
 pub use minres::min_res;
 
 use crate::registry::ModelRegistry;
-use parking_lot::Mutex;
 use rubick_model::BestPlanMemo;
 use rubick_sim::cluster::Cluster;
 use rubick_sim::scheduler::{
@@ -45,7 +44,7 @@ use std::sync::Arc;
 pub(crate) struct LazyProfiling {
     pub(crate) oracle: TestbedOracle,
     /// Simulation time at which each model type's fitted model is ready.
-    pub(crate) ready_at: Mutex<HashMap<String, f64>>,
+    pub(crate) ready_at: HashMap<String, f64>,
 }
 
 /// Tunables of the Rubick policy (and its ablations).
@@ -110,15 +109,12 @@ pub struct RubickScheduler {
     pub(crate) config: RubickConfig,
     pub(crate) lazy: Option<LazyProfiling>,
     /// Incremental-planning memory (fingerprints, ledger projection,
-    /// cached per-job context). Interior-mutable because rounds run
-    /// through `&self` plumbing; uncontended in practice — locked once
-    /// per round.
-    pub(crate) tracker: Mutex<dirty::DirtyTracker>,
-    /// `GetBestPlan` answers by placement class, kept across rounds and
-    /// locked once per round like `tracker`. Each memo row remembers the
-    /// fit it was scored under, so a refit empties only the refitted
-    /// model's rows.
-    pub(crate) plan_memo: Mutex<BestPlanMemo>,
+    /// cached per-job context), carried from one round to the next.
+    pub(crate) tracker: dirty::DirtyTracker,
+    /// `GetBestPlan` answers by placement class, kept across rounds. Each
+    /// memo row remembers the fit it was scored under, so a refit empties
+    /// only the refitted model's rows.
+    pub(crate) plan_memo: BestPlanMemo,
 }
 
 impl RubickScheduler {
@@ -128,8 +124,8 @@ impl RubickScheduler {
             registry,
             config: RubickConfig::default(),
             lazy: None,
-            tracker: Mutex::new(dirty::DirtyTracker::new()),
-            plan_memo: Mutex::new(BestPlanMemo::new()),
+            tracker: dirty::DirtyTracker::new(),
+            plan_memo: BestPlanMemo::new(),
         }
     }
 
@@ -139,8 +135,8 @@ impl RubickScheduler {
             registry,
             config,
             lazy: None,
-            tracker: Mutex::new(dirty::DirtyTracker::new()),
-            plan_memo: Mutex::new(BestPlanMemo::new()),
+            tracker: dirty::DirtyTracker::new(),
+            plan_memo: BestPlanMemo::new(),
         }
     }
 
@@ -152,7 +148,7 @@ impl RubickScheduler {
     pub fn with_lazy_profiling(mut self, oracle: TestbedOracle) -> Self {
         self.lazy = Some(LazyProfiling {
             oracle,
-            ready_at: Mutex::new(HashMap::new()),
+            ready_at: HashMap::new(),
         });
         self
     }
@@ -174,7 +170,7 @@ impl Scheduler for RubickScheduler {
         // explicit signal keeps the tracker honest even if a future
         // epoch field is relaxed.
         let _ = delta;
-        self.tracker.lock().force_dirty();
+        self.tracker.force_dirty();
     }
 
     fn notify_jobs(&mut self, delta: &JobDelta) {
@@ -184,11 +180,11 @@ impl Scheduler for RubickScheduler {
         // of the whole cluster. Deltas over-approximate, so pushing one is
         // always sound; classification falls back to full fingerprinting
         // whenever no delta was pushed.
-        self.tracker.lock().push_delta(delta);
+        self.tracker.push_delta(delta);
     }
 
     fn last_round_stats(&self) -> Option<RoundStats> {
-        self.tracker.lock().stats()
+        self.tracker.stats()
     }
 
     fn schedule(

@@ -1,8 +1,9 @@
 //! The per-round scheduling logic (lines 1–24 of Algorithm 1).
 
 use super::dirty::{CachedParts, Classification, Epoch, JobIndex, Verdict};
-use super::RubickScheduler;
+use super::{RubickConfig, RubickScheduler};
 use crate::common::{job_baseline, PlanSearch};
+use crate::registry::ModelRegistry;
 use crate::round::{LedgerDelta, RoundContext};
 use rubick_model::{
     BestPlanMemo, ExecutionPlan, MemoRow, MemoryEstimator, MemoryMode, Placement, PlanSetCache,
@@ -33,7 +34,7 @@ const SHRINK_HYSTERESIS: f64 = 0.45;
 /// cache-friendly. The one mutable part is the scheduler's best-plan memo,
 /// borrowed for the round.
 struct Ctx<'a> {
-    sched: &'a RubickScheduler,
+    config: &'a RubickConfig,
     index: JobIndex,
     snaps: Vec<&'a JobSnapshot>,
     models: Vec<Option<Arc<ThroughputModel>>>,
@@ -284,7 +285,7 @@ impl<'a> Ctx<'a> {
     /// visible.
     fn cap_gpus(&self, id: JobId, running: bool) -> u32 {
         let snap = self.snap(id);
-        if !self.sched.config.resource_realloc {
+        if !self.config.resource_realloc {
             snap.spec.requested.gpus
         } else if running {
             self.g_star(id)
@@ -300,7 +301,7 @@ impl<'a> Ctx<'a> {
 
     /// The CPU cap of a search for job `id` whose GPU cap is `cap_gpus`.
     fn cap_cpus(&self, id: JobId, cap_gpus: u32) -> u32 {
-        if self.sched.config.resource_realloc {
+        if self.config.resource_realloc {
             (10 * cap_gpus + 4).max(self.minimum(id).cpus)
         } else {
             self.snap(id).spec.requested.cpus
@@ -388,13 +389,13 @@ impl<'a> Ctx<'a> {
 /// penalty-gate state (`frozen`) depends on the job's runtime and is
 /// computed per round at merge time instead.
 fn build_job_parts(
-    sched: &RubickScheduler,
+    registry: &ModelRegistry,
+    cfg: &RubickConfig,
     snap: &JobSnapshot,
     total_gpus: u32,
     estimator: MemoryEstimator,
     memo: &mut BestPlanMemo,
 ) -> CachedParts {
-    let cfg = &sched.config;
     let search = if cfg.plan_reconfig {
         PlanSearch::Full
     } else if cfg.resource_realloc {
@@ -402,7 +403,7 @@ fn build_job_parts(
     } else {
         PlanSearch::Fixed(snap.spec.initial_plan)
     };
-    let model = sched.registry.model(&snap.spec.model.name);
+    let model = registry.model(&snap.spec.model.name);
     let row = match (&search, &model) {
         (PlanSearch::Full, Some(m)) => Some(memo.row(m, snap.spec.global_batch)),
         _ => None,
@@ -410,45 +411,44 @@ fn build_job_parts(
     CachedParts {
         model,
         row,
-        curve: sched.registry.gpu_curve(
+        curve: registry.gpu_curve(
             &snap.spec.model.name,
             &search,
             snap.spec.global_batch,
             total_gpus,
         ),
-        baseline: job_baseline(&sched.registry, snap),
-        minimum: super::minres::min_res(
-            &sched.registry,
-            snap,
-            &search,
-            cfg.resource_realloc,
-            estimator,
-        ),
+        baseline: job_baseline(registry, snap),
+        minimum: super::minres::min_res(registry, snap, &search, cfg.resource_realloc, estimator),
         search,
     }
 }
 
 /// Entry point called from [`Scheduler::schedule`](rubick_sim::Scheduler).
 pub(super) fn run_round(
-    sched: &RubickScheduler,
+    sched: &mut RubickScheduler,
     now: f64,
     jobs: &[JobSnapshot],
     cluster: &Cluster,
     tenants: &[Tenant],
 ) -> Vec<Assignment> {
-    let cfg = &sched.config;
+    let RubickScheduler {
+        ref registry,
+        config: ref cfg,
+        ref mut lazy,
+        ref mut tracker,
+        ref mut plan_memo,
+    } = *sched;
     let total_gpus = cluster.schedulable_capacity().gpus;
 
     // ---- lazy profiling (phase ① of Fig. 4) -----------------------------
     // Unknown model types are profiled on first sight; their jobs stay in
     // the queue until the simulated profiling window elapses.
-    let filtered: Option<Vec<JobSnapshot>> = sched.lazy.as_ref().map(|lazy| {
-        let mut ready = lazy.ready_at.lock();
+    let filtered: Option<Vec<JobSnapshot>> = lazy.as_mut().map(|lazy| {
+        let ready = &mut lazy.ready_at;
         for snap in jobs {
             let name = &snap.spec.model.name;
-            if sched.registry.model(name).is_none() && !ready.contains_key(name) {
-                let wall = sched
-                    .registry
+            if registry.model(name).is_none() && !ready.contains_key(name) {
+                let wall = registry
                     .profile_on_demand(&lazy.oracle, &snap.spec.model)
                     .unwrap_or(0.0);
                 ready.insert(name.clone(), now + wall);
@@ -472,7 +472,7 @@ pub(super) fn run_round(
     // refit published since the last round (by the engine's refit hook)
     // or a model profiled on demand above invalidates every certificate
     // at once.
-    let registry_version = sched.registry.version();
+    let registry_version = registry.version();
     let epoch_now = cfg.incremental.then(|| Epoch {
         registry_version,
         total_gpus,
@@ -483,7 +483,7 @@ pub(super) fn run_round(
             .collect(),
         tenants: tenants.to_vec(),
     });
-    let mut tracker = cfg.incremental.then(|| sched.tracker.lock());
+    let mut tracker = cfg.incremental.then_some(tracker);
     let mut cls: Option<Classification> = match (&mut tracker, &epoch_now) {
         (Some(t), Some(e)) => {
             // Lazy profiling filters the jobs slice, so the engine's delta
@@ -547,14 +547,13 @@ pub(super) fn run_round(
         index.rebuild(jobs);
     }
     let n = jobs.len();
-    let mut plan_memo = sched.plan_memo.lock();
     let mut ctx = Ctx {
-        sched,
+        config: cfg,
         index,
         snaps: Vec::with_capacity(n),
         models: Vec::with_capacity(n),
         rows: Vec::with_capacity(n),
-        memo: RefCell::new(&mut *plan_memo),
+        memo: RefCell::new(plan_memo),
         searches: Vec::with_capacity(n),
         minima: Vec::with_capacity(n),
         baselines: Vec::with_capacity(n),
@@ -574,7 +573,14 @@ pub(super) fn run_round(
         let parts = match hit {
             Some(parts) => parts,
             None => {
-                let parts = build_job_parts(sched, snap, total_gpus, estimator, ctx.memo.get_mut());
+                let parts = build_job_parts(
+                    registry,
+                    cfg,
+                    snap,
+                    total_gpus,
+                    estimator,
+                    ctx.memo.get_mut(),
+                );
                 if let Some(t) = &mut tracker {
                     t.parts.insert(id, parts.clone());
                 }
@@ -698,7 +704,7 @@ pub(super) fn run_round(
     let out = emit(&ctx, state);
 
     // ---- record incremental memory for the next round -------------------
-    if let (Some(mut t), Some(c), Some(e)) = (tracker, cls, epoch_now) {
+    if let (Some(t), Some(c), Some(e)) = (tracker, cls, epoch_now) {
         let running_total = jobs.iter().filter(|s| s.status.is_running()).count() as u64;
         t.set_stats(RoundStats {
             dirty: c.dirty_len(),
@@ -872,7 +878,7 @@ fn rolls_back_untouched(ctx: &Ctx<'_>, state: &State<'_>, id: JobId) -> bool {
     let old_tput = model
         .throughput(old_plan, snap.spec.global_batch, &old_alloc.to_placement())
         .unwrap_or(0.0);
-    bound < old_tput * (1.0 + ctx.sched.config.min_gain)
+    bound < old_tput * (1.0 + ctx.config.min_gain)
 }
 
 /// Whether a walk for job `id`, holding `gpus` GPUs under a steal cap of
@@ -990,7 +996,7 @@ fn grow_job(ctx: &Ctx<'_>, state: &mut State<'_>, id: JobId) -> bool {
             }
         }
         // Reclaim CPUs similarly (relevant for offload-bound jobs).
-        if ctx.sched.config.resource_realloc {
+        if ctx.config.resource_realloc {
             reclaim_cpus(ctx, state, n, id, &mut tentative, cap_cpus);
         }
     }
@@ -1049,7 +1055,7 @@ fn grow_job(ctx: &Ctx<'_>, state: &mut State<'_>, id: JobId) -> bool {
         let old_tput = model
             .throughput(old_plan, snap.spec.global_batch, &old_alloc.to_placement())
             .unwrap_or(0.0);
-        if tput < old_tput * (1.0 + ctx.sched.config.min_gain) {
+        if tput < old_tput * (1.0 + ctx.config.min_gain) {
             return false;
         }
         // Amortization: the upgrade must save more wall-clock over the
@@ -1331,8 +1337,8 @@ fn emit(ctx: &Ctx<'_>, mut state: State<'_>) -> Vec<Assignment> {
                 let old = model
                     .throughput(old_plan, snap.spec.global_batch, &placement)
                     .unwrap_or(0.0);
-                if new > old * (1.0 + ctx.sched.config.min_gain)
-                    && snap.reconfig_allowed(ctx.sched.config.reconfig_threshold)
+                if new > old * (1.0 + ctx.config.min_gain)
+                    && snap.reconfig_allowed(ctx.config.reconfig_threshold)
                 {
                     plan
                 } else {

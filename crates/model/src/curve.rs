@@ -12,20 +12,19 @@
 //!   (`GetLowestSlopeOverMinJob`) of Algorithm 1.
 //!
 //! Curves are pure functions of `(model type, batch, plan-search mode,
-//! context)`, so [`CurveCache`] memoizes them behind an `RwLock` — one
-//! cache for every policy's search mode — and can pre-compute them ("the
-//! curves can be computed in parallel or even prior to the scheduling,
-//! and then cached for reuse").
+//! context)`, so [`CurveCache`] memoizes them — one cache for every
+//! policy's search mode — and can pre-compute them ("the curves can be
+//! computed in parallel or even prior to the scheduling, and then cached
+//! for reuse").
 
 use crate::perf::ThroughputModel;
 use crate::placement::Placement;
 use crate::plan::ExecutionPlan;
 use crate::resources::ResourceKind;
 use crate::search::PlanSearch;
-use parking_lot::RwLock;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, PoisonError, RwLock};
 
 /// One point of a sensitivity curve: the best plan and throughput at a
 /// given resource amount (plan is `None` when no plan is feasible there).
@@ -238,7 +237,7 @@ struct CurveKey {
     context: (u32, u32),
 }
 
-/// A concurrent cache of sensitivity curves, keyed by model type.
+/// A cache of sensitivity curves, keyed by model type.
 ///
 /// Curves only depend on the model type and search mode (not the
 /// individual job), so all jobs of one type — and, under a restricted
@@ -250,20 +249,16 @@ struct CurveKey {
 /// [`invalidate_model`](CurveCache::invalidate_model) drops the model's
 /// whole group, every search mode at once.
 ///
-/// Each entry is a per-key [`OnceLock`] cell: on a miss the cell is inserted
-/// under the write lock (double-checked by `entry().or_insert_with`) and the
-/// curve is computed *outside* the map lock inside the cell. Two threads
-/// racing on the same key therefore never compute the curve twice — the
-/// loser blocks on the cell — while threads computing *different* keys stay
-/// fully parallel.
+/// Each registry owns one cache, and one scheduler fills it: sweep cells
+/// and `compare` threads each schedule on their own
+/// `ModelRegistry::clone_fitted` copy, whose cache starts empty. The
+/// `RwLock` only lets a registry shared behind an `Arc` invalidate through
+/// `&self`; a miss computes the curve outside the lock and inserts it.
 #[must_use = "a cache that is never queried does nothing"]
 #[derive(Debug, Default)]
 pub struct CurveCache {
-    curves: RwLock<HashMap<String, HashMap<CurveKey, CurveCell>>>,
+    curves: RwLock<HashMap<String, HashMap<CurveKey, Arc<SensitivityCurve>>>>,
 }
-
-/// One cached curve, filled at most once.
-type CurveCell = Arc<OnceLock<Arc<SensitivityCurve>>>;
 
 impl CurveCache {
     /// Creates an empty cache.
@@ -273,18 +268,29 @@ impl CurveCache {
 
     /// Number of cached curves.
     pub fn len(&self) -> usize {
-        self.curves.read().values().map(HashMap::len).sum()
+        self.curves
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .values()
+            .map(HashMap::len)
+            .sum()
     }
 
     /// Whether the cache is empty.
     pub fn is_empty(&self) -> bool {
-        self.curves.read().is_empty()
+        self.curves
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .is_empty()
     }
 
     /// Drops all cached curves of one model type, under every search mode
     /// (e.g. after an online refit changed the model parameters).
     pub fn invalidate_model(&self, model_name: &str) {
-        self.curves.write().remove(model_name);
+        self.curves
+            .write()
+            .unwrap_or_else(PoisonError::into_inner)
+            .remove(model_name);
     }
 
     /// Returns the GPU curve for `model` under `search`, computing and
@@ -303,7 +309,7 @@ impl CurveCache {
             context: (0, max_gpus),
         };
         self.get_or_compute(&model.spec.name, key, || {
-            Arc::new(search.gpu_curve(model, global_batch, max_gpus))
+            search.gpu_curve(model, global_batch, max_gpus)
         })
     }
 
@@ -323,42 +329,36 @@ impl CurveCache {
             context: (gpus, max_cpus),
         };
         self.get_or_compute(&model.spec.name, key, || {
-            Arc::new(SensitivityCurve::for_cpus(
-                model,
-                global_batch,
-                gpus,
-                max_cpus,
-            ))
+            SensitivityCurve::for_cpus(model, global_batch, gpus, max_cpus)
         })
     }
 
-    /// The shared lookup path: fast read-locked hit, double-checked cell
-    /// insert on miss, curve computation inside the per-key cell (outside
-    /// the map lock).
+    /// The shared lookup path: a hit hashes the borrowed model name; a miss
+    /// computes the curve and inserts it.
     fn get_or_compute(
         &self,
         model: &str,
         key: CurveKey,
-        compute: impl FnOnce() -> Arc<SensitivityCurve>,
+        compute: impl FnOnce() -> SensitivityCurve,
     ) -> Arc<SensitivityCurve> {
-        // `read()` must be released before `write()` is taken; binding the
-        // lookup result first ends the guard temporary's lifetime (in an
-        // `if let`/`else` the scrutinee temporary would live through the
-        // `else` block and deadlock on the write lock).
-        let existing = self
+        // Binding the hit ends the read guard before `write()` is taken.
+        let hit = self
             .curves
             .read()
+            .unwrap_or_else(PoisonError::into_inner)
             .get(model)
             .and_then(|curves| curves.get(&key))
             .map(Arc::clone);
-        let cell = if let Some(cell) = existing {
-            cell
-        } else {
-            let mut curves = self.curves.write();
-            let curves = curves.entry(model.to_string()).or_default();
-            Arc::clone(curves.entry(key).or_default())
-        };
-        Arc::clone(cell.get_or_init(compute))
+        hit.unwrap_or_else(|| {
+            let curve = Arc::new(compute());
+            self.curves
+                .write()
+                .unwrap_or_else(PoisonError::into_inner)
+                .entry(model.to_string())
+                .or_default()
+                .insert(key, Arc::clone(&curve));
+            curve
+        })
     }
 
     /// Pre-computes the full-search GPU curve of every model — the
@@ -519,7 +519,7 @@ mod tests {
     }
 
     #[test]
-    fn parallel_precompute_populates_cache() {
+    fn precompute_populates_cache() {
         let cache = CurveCache::new();
         let models: Vec<_> = [ModelSpec::vit_base(), ModelSpec::roberta_large()]
             .into_iter()

@@ -24,7 +24,7 @@
 //!   warm-started for online refits (paper §4.3, "continuous model
 //!   fitting").
 //! * [`curve`] — resource sensitivity curves and slopes (paper §5.2, Fig. 6)
-//!   with a concurrent cache.
+//!   with a memoizing cache.
 //!
 //! ## Quick example
 //!
@@ -49,6 +49,7 @@
 #![deny(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]
 #![deny(clippy::print_stdout, clippy::print_stderr)]
+#![cfg_attr(not(test), warn(unused_crate_dependencies))]
 
 pub mod curve;
 pub mod env;

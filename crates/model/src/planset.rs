@@ -6,8 +6,9 @@
 //! itself derived from `(gpus, shape)`, and ignores the cluster environment
 //! (see [`MemoryEstimator::check_feasible`](crate::memory::MemoryEstimator::check_feasible)).
 //! `minRes`, the policy round and the baselines all hit the same points
-//! repeatedly, so [`PlanSetCache`] memoizes the enumerated list behind the
-//! same `RwLock<HashMap>` pattern as [`CurveCache`](crate::curve::CurveCache).
+//! repeatedly, so [`PlanSetCache`] memoizes the enumerated list in an
+//! `RwLock<HashMap>`: the process-wide [`PlanSetCache::global`] is shared by
+//! every thread, sweep cell workers and `compare`'s schedulers included.
 //!
 //! Unlike curves, plan sets never depend on the fitted [`PerfParams`]
 //! (crate::perf::PerfParams), so an online refit does **not** invalidate
@@ -18,9 +19,8 @@ use crate::env::ClusterEnv;
 use crate::plan::{ExecutionPlan, PlanEnumerator};
 use crate::resources::NodeShape;
 use crate::spec::ModelSpec;
-use parking_lot::RwLock;
 use std::collections::HashMap;
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, OnceLock, PoisonError, RwLock};
 
 /// Cache key: every input the enumeration depends on, with float fields
 /// stored as IEEE-754 bit patterns so the key is `Eq + Hash`.
@@ -57,10 +57,14 @@ impl PlanSetKey {
     }
 }
 
-/// A concurrent cache of enumerated feasible-plan sets.
+/// A thread-safe cache of enumerated feasible-plan sets.
 ///
 /// Entries are shared `Arc<[ExecutionPlan]>` slices: a cache hit is one
 /// read-lock acquisition and an `Arc` clone — no enumeration, no `Vec`.
+/// Unlike a registry's [`CurveCache`](crate::curve::CurveCache), the
+/// [`global`](PlanSetCache::global) instance really is filled by several
+/// threads at once, hence the double-checked insert in
+/// [`plans`](PlanSetCache::plans).
 ///
 /// ```
 /// use rubick_model::prelude::*;
@@ -93,18 +97,27 @@ impl PlanSetCache {
 
     /// Number of cached plan sets.
     pub fn len(&self) -> usize {
-        self.sets.read().len()
+        self.sets
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .len()
     }
 
     /// Whether the cache is empty.
     pub fn is_empty(&self) -> bool {
-        self.sets.read().is_empty()
+        self.sets
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .is_empty()
     }
 
     /// Drops every cached set (test/bench hygiene; never needed for
     /// correctness since all enumeration inputs are part of the key).
     pub fn clear(&self) {
-        self.sets.write().clear();
+        self.sets
+            .write()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clear();
     }
 
     /// Returns the feasible plan set for `spec` on exactly `gpus` GPUs,
@@ -123,10 +136,15 @@ impl PlanSetCache {
         env: &ClusterEnv,
     ) -> Arc<[ExecutionPlan]> {
         let key = PlanSetKey::new(spec, gpus, global_batch, shape);
-        if let Some(set) = self.sets.read().get(&key) {
+        if let Some(set) = self
+            .sets
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .get(&key)
+        {
             return Arc::clone(set);
         }
-        let mut sets = self.sets.write();
+        let mut sets = self.sets.write().unwrap_or_else(PoisonError::into_inner);
         if let Some(set) = sets.get(&key) {
             return Arc::clone(set);
         }
@@ -188,7 +206,7 @@ mod tests {
         let (shape, env) = ctx();
         let cache = PlanSetCache::new();
         let spec = ModelSpec::t5_1b();
-        crossbeam::scope(|scope| {
+        std::thread::scope(|scope| {
             for _ in 0..4 {
                 scope.spawn(|| {
                     for g in 1..=8 {
@@ -196,8 +214,7 @@ mod tests {
                     }
                 });
             }
-        })
-        .expect("planset thread panicked");
+        });
         assert_eq!(cache.len(), 8);
     }
 }

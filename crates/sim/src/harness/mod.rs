@@ -94,6 +94,11 @@ impl ChaosKnobs {
     }
 }
 
+/// The largest trace a scenario may scale to, `round(jobs × load)` jobs:
+/// over 2,000× the paper's 406-job down-sample, and far below a count
+/// whose job table would exhaust memory.
+pub const MAX_SCALED_JOBS: usize = 1_000_000;
+
 /// A pure-data description of one experiment: everything needed to
 /// reproduce a simulation except the policy and trace constructors
 /// (injected via [`ScenarioBackend`]).
@@ -157,6 +162,14 @@ impl ScenarioSpec {
         }
         if !(self.load > 0.0 && self.load.is_finite()) {
             return Err(format!("load must be a positive number, got {}", self.load));
+        }
+        // Rounded as `TraceConfig::num_jobs` rounds it.
+        let scaled = (self.jobs as f64 * self.load).round();
+        if scaled > MAX_SCALED_JOBS as f64 {
+            return Err(format!(
+                "jobs {} at load {} scale to {scaled} jobs, more than the maximum {MAX_SCALED_JOBS}",
+                self.jobs, self.load
+            ));
         }
         if let Some(frac) = self.large_frac {
             if !(0.0..=1.0).contains(&frac) {
@@ -428,7 +441,7 @@ mod tests {
 
     #[test]
     fn validation_names_the_offending_knob() {
-        let cases: [(ScenarioSpec, &str); 6] = [
+        let cases: [(ScenarioSpec, &str); 7] = [
             (
                 ScenarioSpec {
                     jobs: 0,
@@ -442,6 +455,14 @@ mod tests {
                     ..ScenarioSpec::default()
                 },
                 "load",
+            ),
+            (
+                ScenarioSpec {
+                    jobs: 5,
+                    load: 1e9,
+                    ..ScenarioSpec::default()
+                },
+                "jobs 5 at load 1000000000",
             ),
             (
                 ScenarioSpec {

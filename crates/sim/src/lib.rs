@@ -33,6 +33,7 @@
 #![deny(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]
 #![deny(clippy::print_stdout, clippy::print_stderr)]
+#![cfg_attr(not(test), warn(unused_crate_dependencies))]
 
 pub mod cluster;
 pub mod engine;

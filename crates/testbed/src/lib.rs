@@ -24,6 +24,7 @@
 #![deny(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]
 #![deny(clippy::print_stdout, clippy::print_stderr)]
+#![cfg_attr(not(test), warn(unused_crate_dependencies))]
 
 pub mod loss;
 pub mod oracle;

@@ -33,6 +33,7 @@
 //! ```
 
 #![deny(clippy::print_stdout, clippy::print_stderr)]
+#![cfg_attr(not(test), warn(unused_crate_dependencies))]
 
 pub use rubick_core as core;
 pub use rubick_model as model;
