@@ -17,7 +17,10 @@
 #                      debug build of the Rubick policy, which walks every
 #                      skipped plan search and checks every rollback, then
 #                      the mt trace with --refit, whose debug fits check
-#                      every read-set Jacobian entry and early reject; then
+#                      every read-set Jacobian entry and early reject; every
+#                      Rubick run also recomputes each skip-certificate hit
+#                      (the mt --refit and --chaos runs cover certificate
+#                      clears on a refit and on node loss); then
 #                      Sia on base and on mt --refit, whose debug build
 #                      re-resolves every per-job cache hit, and Rubick on
 #                      mt with node and launch failures, whose debug
@@ -180,6 +183,7 @@ skip-smoke:
 	target/debug/rubick run --scheduler rubick --trace mt --seed 7 \
 		--chaos examples/chaos/smoke.txt --log-level error > /dev/null
 	@echo "skip-smoke: every skipped search matches its walk on base, mt and bp;"
+	@echo "skip-smoke: every skip-certificate hit is recomputed and matches its chain on every Rubick run;"
 	@echo "skip-smoke: every best-plan memo hit through a job's row matches its scan on every Rubick run;"
 	@echo "skip-smoke: every best-plan memo miss, split or full, matches its full scan on every Rubick run;"
 	@echo "skip-smoke: every read-set Jacobian entry and early reject matches on mt --refit;"

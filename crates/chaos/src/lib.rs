@@ -57,6 +57,47 @@ pub enum ScriptedFault {
     },
 }
 
+impl ScriptedFault {
+    /// The range check of the directive's value.
+    fn check(&self) -> Result<(), String> {
+        match *self {
+            ScriptedFault::Fail { at, .. } | ScriptedFault::Recover { at, .. } => {
+                Range::NonNeg.check("scripted fault time", at)
+            }
+            ScriptedFault::Straggle { factor, .. } => {
+                Range::Factor.check("straggle factor", factor)
+            }
+        }
+    }
+}
+
+/// The valid range of a knob or directive value.
+#[derive(Debug, Clone, Copy)]
+enum Range {
+    /// Finite and `>= 0`.
+    NonNeg,
+    /// In `[0, 1]`.
+    Unit,
+    /// In `(0, 1]`.
+    Factor,
+}
+
+impl Range {
+    /// `Ok` when `v` is in range, else a message naming `name`.
+    fn check(self, name: &str, v: f64) -> Result<(), String> {
+        let (ok, want) = match self {
+            Range::NonNeg => (v.is_finite() && v >= 0.0, "finite and >= 0"),
+            Range::Unit => ((0.0..=1.0).contains(&v), "in [0, 1]"),
+            Range::Factor => (v > 0.0 && v <= 1.0, "in (0, 1]"),
+        };
+        if ok {
+            Ok(())
+        } else {
+            Err(format!("{name} must be {want}, got {v}"))
+        }
+    }
+}
+
 /// Knobs controlling fault generation.
 ///
 /// All rates default to zero, so `ChaosConfig::default()` compiles to a
@@ -200,75 +241,67 @@ impl ChaosConfig {
                         .parse::<u64>()
                         .map_err(|_| err(format!("seed: bad integer {:?}", args[0])))?;
                 }
-                "node-failure-rate-per-hour" => cfg.node_failure_rate_per_hour = one(&args)?,
-                "node-repair-secs" => cfg.node_repair_secs = one(&args)?,
-                "straggler-frac" => cfg.straggler_frac = one(&args)?,
-                "straggler-slowdown" => cfg.straggler_slowdown = one(&args)?,
-                "launch-failure-prob" => cfg.launch_failure_prob = one(&args)?,
-                "restart-penalty-secs" => cfg.restart_penalty_secs = one(&args)?,
-                "fail" => {
-                    let (node, at) = two(&args)?;
-                    cfg.scripted.push(ScriptedFault::Fail { node, at });
+                "fail" | "recover" | "straggle" => {
+                    let (node, v) = two(&args)?;
+                    let fault = match key {
+                        "fail" => ScriptedFault::Fail { node, at: v },
+                        "recover" => ScriptedFault::Recover { node, at: v },
+                        _ => ScriptedFault::Straggle { node, factor: v },
+                    };
+                    fault.check().map_err(err)?;
+                    cfg.scripted.push(fault);
                 }
-                "recover" => {
-                    let (node, at) = two(&args)?;
-                    cfg.scripted.push(ScriptedFault::Recover { node, at });
+                knob => {
+                    let slot = match knob {
+                        "node-failure-rate-per-hour" => &mut cfg.node_failure_rate_per_hour,
+                        "node-repair-secs" => &mut cfg.node_repair_secs,
+                        "straggler-frac" => &mut cfg.straggler_frac,
+                        "straggler-slowdown" => &mut cfg.straggler_slowdown,
+                        "launch-failure-prob" => &mut cfg.launch_failure_prob,
+                        "restart-penalty-secs" => &mut cfg.restart_penalty_secs,
+                        other => return Err(err(format!("unknown directive {other:?}"))),
+                    };
+                    *slot = one(&args)?;
+                    let (name, range, v) = cfg
+                        .knobs()
+                        .into_iter()
+                        .find(|(name, ..)| *name == knob)
+                        .expect("every parsed knob is listed");
+                    range.check(name, v).map_err(err)?;
                 }
-                "straggle" => {
-                    let (node, factor) = two(&args)?;
-                    cfg.scripted.push(ScriptedFault::Straggle { node, factor });
-                }
-                other => return Err(err(format!("unknown directive {other:?}"))),
             }
         }
-        cfg.validate()?;
         Ok(cfg)
     }
 
+    /// Each rate knob's scenario-file name, valid range and value.
+    fn knobs(&self) -> [(&'static str, Range, f64); 6] {
+        [
+            (
+                "node-failure-rate-per-hour",
+                Range::NonNeg,
+                self.node_failure_rate_per_hour,
+            ),
+            ("node-repair-secs", Range::NonNeg, self.node_repair_secs),
+            ("straggler-frac", Range::Unit, self.straggler_frac),
+            ("straggler-slowdown", Range::Factor, self.straggler_slowdown),
+            ("launch-failure-prob", Range::Unit, self.launch_failure_prob),
+            (
+                "restart-penalty-secs",
+                Range::NonNeg,
+                self.restart_penalty_secs,
+            ),
+        ]
+    }
+
+    /// Range-checks every knob and scripted directive of a config built in
+    /// code ([`ChaosConfig::parse`] checks each line as it reads it).
     fn validate(&self) -> Result<(), ChaosError> {
-        let unit = |name: &str, v: f64| -> Result<(), ChaosError> {
-            if !(0.0..=1.0).contains(&v) {
-                return Err(ChaosError::Invalid(format!(
-                    "{name} must be in [0, 1], got {v}"
-                )));
-            }
-            Ok(())
-        };
-        let nonneg = |name: &str, v: f64| -> Result<(), ChaosError> {
-            if !v.is_finite() || v < 0.0 {
-                return Err(ChaosError::Invalid(format!(
-                    "{name} must be finite and >= 0, got {v}"
-                )));
-            }
-            Ok(())
-        };
-        nonneg(
-            "node-failure-rate-per-hour",
-            self.node_failure_rate_per_hour,
-        )?;
-        nonneg("node-repair-secs", self.node_repair_secs)?;
-        nonneg("restart-penalty-secs", self.restart_penalty_secs)?;
-        unit("straggler-frac", self.straggler_frac)?;
-        unit("launch-failure-prob", self.launch_failure_prob)?;
-        if !(self.straggler_slowdown > 0.0 && self.straggler_slowdown <= 1.0) {
-            return Err(ChaosError::Invalid(format!(
-                "straggler-slowdown must be in (0, 1], got {}",
-                self.straggler_slowdown
-            )));
+        for (name, range, v) in self.knobs() {
+            range.check(name, v).map_err(ChaosError::Invalid)?;
         }
         for s in &self.scripted {
-            match *s {
-                ScriptedFault::Fail { at, .. } | ScriptedFault::Recover { at, .. } => {
-                    nonneg("scripted fault time", at)?;
-                }
-                ScriptedFault::Straggle { factor, .. } => {
-                    if !(factor > 0.0 && factor <= 1.0) {
-                        return Err(ChaosError::Invalid(format!(
-                            "straggle factor must be in (0, 1], got {factor}"
-                        )));
-                    }
-                }
-            }
+            s.check().map_err(ChaosError::Invalid)?;
         }
         Ok(())
     }
@@ -545,6 +578,21 @@ mod tests {
         assert!(ChaosConfig::parse("seed x\n").is_err());
         assert!(ChaosConfig::parse("launch-failure-prob 1.5\n").is_err());
         assert!(ChaosConfig::parse("straggle 0 0\n").is_err());
+        // Out-of-range knobs and directive values name their line too.
+        let err = ChaosConfig::parse("seed 7\nnode-failure-rate-per-hour inf\n").unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "chaos config line 2: node-failure-rate-per-hour must be finite and >= 0, got inf"
+        );
+        let err = ChaosConfig::parse("seed 7\n\nfail 0 100\nstraggle 1 1.5\n").unwrap_err();
+        assert!(matches!(err, ChaosError::Parse { line: 4, .. }), "{err}");
+        // Configs built in code still go through `validate`.
+        let cfg = ChaosConfig {
+            straggler_slowdown: 0.0,
+            ..ChaosConfig::default()
+        };
+        let err = FaultPlan::compile(&cfg, 1, 1.0).unwrap_err();
+        assert!(matches!(err, ChaosError::Invalid(_)), "{err}");
     }
 
     #[test]

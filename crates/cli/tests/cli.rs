@@ -360,6 +360,28 @@ fn chaos_rejects_bad_config_with_line_number() {
     std::fs::remove_file(&path).ok();
 }
 
+#[test]
+fn chaos_out_of_range_knob_names_its_line_once() {
+    let path =
+        std::env::temp_dir().join(format!("rubick-cli-rangechaos-{}.cfg", std::process::id()));
+    std::fs::write(&path, "seed 7\nnode-failure-rate-per-hour inf\n").unwrap();
+    let out = rubick(&["run", "--jobs", "20", "--chaos", path.to_str().unwrap()]);
+    std::fs::remove_file(&path).ok();
+    assert!(!out.status.success());
+    let err = stderr(&out);
+    assert!(
+        err.contains(
+            "chaos config line 2: node-failure-rate-per-hour must be finite and >= 0, got inf"
+        ),
+        "stderr: {err}"
+    );
+    assert_eq!(
+        err.matches("invalid chaos config").count(),
+        1,
+        "stderr: {err}"
+    );
+}
+
 /// Writes a sweep spec to a temp file, returning its path.
 fn sweep_spec(tag: &str, text: &str) -> std::path::PathBuf {
     let path = std::env::temp_dir().join(format!(

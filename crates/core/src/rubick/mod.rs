@@ -115,6 +115,10 @@ pub struct RubickScheduler {
     /// memo row remembers the fit it was scored under, so a refit empties
     /// only the refitted model's rows.
     pub(crate) plan_memo: BestPlanMemo,
+    /// Skip verdicts of running jobs on a GPU-full ledger, by job, kept
+    /// across rounds beside the memo and cleared when the registry version
+    /// or the cluster's GPU count moves.
+    pub(crate) skip_certs: policy::SkipCerts,
 }
 
 impl RubickScheduler {
@@ -126,6 +130,7 @@ impl RubickScheduler {
             lazy: None,
             tracker: dirty::DirtyTracker::new(),
             plan_memo: BestPlanMemo::new(),
+            skip_certs: policy::SkipCerts::default(),
         }
     }
 
@@ -137,6 +142,7 @@ impl RubickScheduler {
             lazy: None,
             tracker: dirty::DirtyTracker::new(),
             plan_memo: BestPlanMemo::new(),
+            skip_certs: policy::SkipCerts::default(),
         }
     }
 

@@ -14,7 +14,7 @@ use rubick_sim::job::{JobClass, JobId, JobStatus};
 use rubick_sim::scheduler::{Assignment, JobSnapshot, RoundStats};
 use rubick_sim::tenant::Tenant;
 use std::cell::{Cell, RefCell};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
 
 /// CPU transfer unit `Δr` (GPUs move one at a time).
@@ -31,8 +31,8 @@ const SHRINK_HYSTERESIS: f64 = 0.45;
 /// minima. Stored as dense vectors parallel to the jobs slice, addressed
 /// through the round's [`JobIndex`] — per-job probes are array reads
 /// instead of tree walks, which is what keeps 100k-job rounds
-/// cache-friendly. The one mutable part is the scheduler's best-plan memo,
-/// borrowed for the round.
+/// cache-friendly. The mutable parts are the scheduler's best-plan memo
+/// and skip certificates, borrowed for the round.
 struct Ctx<'a> {
     config: &'a RubickConfig,
     index: JobIndex,
@@ -41,6 +41,7 @@ struct Ctx<'a> {
     /// Each job's best-plan memo row, parallel to `models`.
     rows: Vec<Option<MemoRow>>,
     memo: RefCell<&'a mut BestPlanMemo>,
+    certs: RefCell<&'a mut SkipCerts>,
     searches: Vec<PlanSearch>,
     minima: Vec<Resources>,
     baselines: Vec<Option<f64>>,
@@ -154,6 +155,37 @@ impl State<'_> {
     }
 }
 
+/// Skip verdicts of running jobs on a GPU-full ledger, kept across rounds
+/// (DESIGN.md §8). Once a job's table entry equals its snapshot's
+/// allocation, whether its search rolls back ([`churn_guard_rejects`]) is
+/// a fact of the snapshot's `(allocation, plan)` under one fit and one
+/// cluster size, so it is decided once and answered from here.
+#[derive(Default)]
+pub(crate) struct SkipCerts {
+    /// The `(registry version, total GPUs)` every verdict was decided
+    /// under.
+    stamp: Option<(u64, u32)>,
+    certs: HashMap<JobId, SkipCert>,
+}
+
+/// One job's verdict and the snapshot pair it was decided on.
+struct SkipCert {
+    alloc: Allocation,
+    plan: ExecutionPlan,
+    rolls_back: bool,
+}
+
+impl SkipCerts {
+    /// Drops every verdict when the fit or the cluster size moved.
+    fn restamp(&mut self, registry_version: u64, total_gpus: u32) {
+        let stamp = Some((registry_version, total_gpus));
+        if self.stamp != stamp {
+            self.certs.clear();
+            self.stamp = stamp;
+        }
+    }
+}
+
 /// Whether `state` is bit-identical to `before` in the ledger, the
 /// allocation table and the `changed` set (debug cross-check of
 /// [`State::rollback`]).
@@ -214,6 +246,38 @@ impl<'a> Ctx<'a> {
             }
             search => search.best_plan(model, batch, placement),
         }
+    }
+
+    /// Whether the search of running job `id`, holding its snapshot's
+    /// `alloc` under `plan` with no GPU to take, rolls back: its
+    /// certificate when one was decided on this pair, else
+    /// [`churn_guard_rejects`], recorded. Debug builds re-decide every hit.
+    fn skip_cert(&self, id: JobId, alloc: &Allocation, plan: &ExecutionPlan) -> bool {
+        let hit = self
+            .certs
+            .borrow()
+            .certs
+            .get(&id)
+            .filter(|c| c.alloc == *alloc && c.plan == *plan)
+            .map(|c| c.rolls_back);
+        if let Some(rolls_back) = hit {
+            debug_assert_eq!(
+                rolls_back,
+                churn_guard_rejects(self, id, alloc, alloc, plan),
+                "stale skip cert of {id:?}"
+            );
+            return rolls_back;
+        }
+        let rolls_back = churn_guard_rejects(self, id, alloc, alloc, plan);
+        self.certs.borrow_mut().certs.insert(
+            id,
+            SkipCert {
+                alloc: alloc.clone(),
+                plan: *plan,
+                rolls_back,
+            },
+        );
+        rolls_back
     }
 
     fn is_frozen(&self, id: JobId) -> bool {
@@ -437,6 +501,7 @@ pub(super) fn run_round(
         ref mut lazy,
         ref mut tracker,
         ref mut plan_memo,
+        ref mut skip_certs,
     } = *sched;
     let total_gpus = cluster.schedulable_capacity().gpus;
 
@@ -473,6 +538,7 @@ pub(super) fn run_round(
     // or a model profiled on demand above invalidates every certificate
     // at once.
     let registry_version = registry.version();
+    skip_certs.restamp(registry_version, total_gpus);
     let epoch_now = cfg.incremental.then(|| Epoch {
         registry_version,
         total_gpus,
@@ -554,6 +620,7 @@ pub(super) fn run_round(
         models: Vec::with_capacity(n),
         rows: Vec::with_capacity(n),
         memo: RefCell::new(plan_memo),
+        certs: RefCell::new(skip_certs),
         searches: Vec::with_capacity(n),
         minima: Vec::with_capacity(n),
         baselines: Vec::with_capacity(n),
@@ -702,6 +769,11 @@ pub(super) fn run_round(
     // is exactly what next round's quiet-skip certificates need.
     let quiet = state.changed.is_empty();
     let out = emit(&ctx, state);
+    // Certificates of jobs that left the system are dead weight.
+    ctx.certs
+        .get_mut()
+        .certs
+        .retain(|id, _| ctx.index.get(*id).is_some());
 
     // ---- record incremental memory for the next round -------------------
     if let (Some(t), Some(c), Some(e)) = (tracker, cls, epoch_now) {
@@ -801,19 +873,15 @@ fn schedule_job(ctx: &Ctx<'_>, state: &mut State<'_>, id: JobId) {
 /// ledger with no free GPU whose job cannot take a GPU from any victim
 /// ([`takes_no_gpu`]) qualifies: its walk can add only CPUs and host
 /// memory. Without a GPU the grant fails a GPU minimum or has no plan.
-/// With GPUs, the job must be running on its snapshot's allocation or on
-/// fewer GPUs. When the best plan is then the same non-offload plan
-/// without and with every CPU and memory addition, the walk finds that
-/// plan at the same throughput and reclaims no CPU; the churn guard
-/// rejects it unless that throughput, or the envelope shrink's scored
-/// with every addition, clears the bar.
+/// With GPUs, the job must be running on its snapshot's allocation, whose
+/// verdict is certified per job ([`Ctx::skip_cert`]), or on fewer GPUs.
 fn rolls_back_untouched(ctx: &Ctx<'_>, state: &State<'_>, id: JobId) -> bool {
     if state.round.free().iter().any(|r| r.gpus > 0) {
         return false;
     }
-    let Some(model) = ctx.model(id) else {
+    if ctx.model(id).is_none() {
         return true;
-    };
+    }
     let snap = ctx.snap(id);
     let cap_gpus = ctx.cap_gpus(id, snap.status.is_running());
     if cap_gpus == 0 {
@@ -838,19 +906,44 @@ fn rolls_back_untouched(ctx: &Ctx<'_>, state: &State<'_>, id: JobId) -> bool {
     else {
         return false;
     };
+    if cur == old_alloc {
+        return ctx.skip_cert(id, old_alloc, old_plan);
+    }
     // An entry that lost only CPUs (to another job's CPU reclaim) can end
     // the walk back at the snapshot's allocation and hit the "nothing
     // changed" keep. A frozen job is never a CPU victim.
-    if cur.gpus() >= old_alloc.gpus() && cur != old_alloc {
+    if cur.gpus() >= old_alloc.gpus() {
         debug_assert!(!frozen, "frozen job {id:?} changed without losing a GPU");
         return false;
     }
+    churn_guard_rejects(ctx, id, cur, old_alloc, old_plan)
+}
+
+/// Whether the walk of running job `id` from `cur` (its snapshot's
+/// allocation `old_alloc`, or that allocation less some GPUs), adding only
+/// CPUs and host memory, ends in the churn guard's rollback. When the best
+/// plan is the same non-offload plan without and with every CPU and memory
+/// addition, the walk finds that plan at the same throughput and reclaims
+/// no CPU; the guard rejects it unless that throughput, or the envelope
+/// shrink's scored with every addition, clears the bar against the
+/// snapshot's `old_plan`. No input is the ledger: the shrink only returns
+/// GPUs to it, and the bound reads the shrunk layout alone.
+fn churn_guard_rejects(
+    ctx: &Ctx<'_>,
+    id: JobId,
+    cur: &Allocation,
+    old_alloc: &Allocation,
+    old_plan: &ExecutionPlan,
+) -> bool {
+    let Some(model) = ctx.model(id) else {
+        return true;
+    };
     let lo = cur.to_placement();
     let Some((plan, tput)) = ctx.best_plan(id, &lo) else {
         return false;
     };
     let mut hi = Placement {
-        cpus: lo.cpus.max(ctx.cap_cpus(id, cap_gpus)),
+        cpus: lo.cpus.max(ctx.cap_cpus(id, ctx.cap_gpus(id, true))),
         host_mem_gb: f64::INFINITY,
         ..lo
     };
@@ -861,13 +954,13 @@ fn rolls_back_untouched(ctx: &Ctx<'_>, state: &State<'_>, id: JobId) -> bool {
     }
     let mut bound = tput;
     if let Some(curve) = ctx.curve(id) {
-        let envelope = curve.value(gpus);
+        let envelope = curve.value(cur.gpus());
         if envelope > tput * 1.005 {
             if let Some(target) = curve.min_amount_reaching(envelope) {
                 // The walk only appends nodes without GPUs, so it shrinks
                 // the same GPU layout.
                 let mut shrunk = cur.clone();
-                shrink_alloc_to(&mut state.round.free().to_vec(), &mut shrunk, target);
+                drop_gpus_to(&mut shrunk, target, |_| {});
                 hi.gpus_per_node = shrunk.to_placement().gpus_per_node;
                 if let Some((_, shrunk)) = ctx.best_plan(id, &hi) {
                     bound = bound.max(shrunk);
@@ -876,7 +969,11 @@ fn rolls_back_untouched(ctx: &Ctx<'_>, state: &State<'_>, id: JobId) -> bool {
         }
     }
     let old_tput = model
-        .throughput(old_plan, snap.spec.global_batch, &old_alloc.to_placement())
+        .throughput(
+            old_plan,
+            ctx.snap(id).spec.global_batch,
+            &old_alloc.to_placement(),
+        )
         .unwrap_or(0.0);
     bound < old_tput * (1.0 + ctx.config.min_gain)
 }
@@ -1031,7 +1128,7 @@ fn grow_job(ctx: &Ctx<'_>, state: &mut State<'_>, id: JobId) -> bool {
     let demand = ctx
         .estimator
         .demand(&snap.spec.model, &plan, snap.spec.global_batch);
-    trim_to_demand(state, &mut tentative, &demand);
+    trim_to_demand(state.round.free_mut(), &mut tentative, &demand);
 
     // Churn guard for running jobs: only reconfigure for a real gain.
     if let JobStatus::Running {
@@ -1234,6 +1331,14 @@ fn reclaim_cpus(
 /// Returns GPUs above `target` to the free pool, smallest per-node grants
 /// first (consolidation).
 fn shrink_alloc_to(free: &mut [Resources], tentative: &mut Allocation, target: u32) {
+    drop_gpus_to(tentative, target, |node| {
+        free[node] += Resources::new(1, 0, 0.0)
+    });
+}
+
+/// Drops GPUs above `target` from `tentative`, smallest per-node grants
+/// first, calling `freed` with each dropped GPU's node.
+fn drop_gpus_to(tentative: &mut Allocation, target: u32, mut freed: impl FnMut(usize)) {
     while tentative.gpus() > target {
         // Drop from the node entry with the fewest GPUs.
         let Some(idx) = tentative
@@ -1248,7 +1353,7 @@ fn shrink_alloc_to(free: &mut [Resources], tentative: &mut Allocation, target: u
         };
         let node = tentative.per_node[idx].0;
         tentative.per_node[idx].1.gpus -= 1;
-        free[node] += Resources::new(1, 0, 0.0);
+        freed(node);
         tentative.per_node.retain(|(_, r)| r.any_positive());
     }
 }
@@ -1256,7 +1361,7 @@ fn shrink_alloc_to(free: &mut [Resources], tentative: &mut Allocation, target: u
 /// `AllocMem` (lines 19–23): size the job's CPU and host-memory grant to
 /// the chosen plan's demand, returning the excess to the free pool.
 fn trim_to_demand(
-    state: &mut State<'_>,
+    free: &mut [Resources],
     tentative: &mut Allocation,
     demand: &rubick_model::ResourceDemand,
 ) {
@@ -1267,13 +1372,13 @@ fn trim_to_demand(
         if excess_cpus > 0 {
             let back = excess_cpus.min(res.cpus.saturating_sub(res.gpus)); // keep ≥1 cpu/gpu
             res.cpus -= back;
-            state.round.free_mut()[*node] += Resources::new(0, back, 0.0);
+            free[*node] += Resources::new(0, back, 0.0);
             excess_cpus -= back;
         }
         if excess_mem > 0.0 {
             let back = excess_mem.min(res.mem_gb);
             res.mem_gb -= back;
-            state.round.free_mut()[*node] += Resources::new(0, 0, back);
+            free[*node] += Resources::new(0, 0, back);
             excess_mem -= back;
         }
     }
@@ -1282,16 +1387,20 @@ fn trim_to_demand(
 
 /// Builds the final assignment list: recompute plans for changed jobs,
 /// reproduce current configs verbatim for untouched ones.
-fn emit(ctx: &Ctx<'_>, mut state: State<'_>) -> Vec<Assignment> {
+fn emit(ctx: &Ctx<'_>, state: State<'_>) -> Vec<Assignment> {
+    let State {
+        mut round,
+        alloc: table,
+        changed,
+        ..
+    } = state;
     let mut out = Vec::new();
-    let ids: Vec<JobId> = state.alloc.keys().copied().collect();
-    for id in ids {
-        let alloc = state.alloc[&id].clone();
+    for (&id, alloc) in &table {
         if alloc.is_empty() {
             continue;
         }
         let snap = ctx.snap(id);
-        if !state.changed.contains(&id) {
+        if !changed.contains(&id) {
             if let JobStatus::Running {
                 allocation, plan, ..
             } = &snap.status
@@ -1307,7 +1416,7 @@ fn emit(ctx: &Ctx<'_>, mut state: State<'_>) -> Vec<Assignment> {
         let Some(model) = ctx.model(id) else {
             continue;
         };
-        let mut alloc = alloc;
+        let mut alloc = alloc.clone();
         let placement = alloc.to_placement();
         let best = ctx.best_plan(id, &placement).or_else(|| {
             // The exact GPU count has no valid plan (common under
@@ -1316,7 +1425,7 @@ fn emit(ctx: &Ctx<'_>, mut state: State<'_>) -> Vec<Assignment> {
             // preempting the job outright.
             let curve = ctx.curve(id)?;
             let (plan, _) = curve.best_plan_at(alloc.gpus())?;
-            shrink_alloc_to(state.round.free_mut(), &mut alloc, plan.gpus());
+            shrink_alloc_to(round.free_mut(), &mut alloc, plan.gpus());
             ctx.best_plan(id, &alloc.to_placement())
         });
         let Some((plan, _)) = best else {
@@ -1351,7 +1460,7 @@ fn emit(ctx: &Ctx<'_>, mut state: State<'_>) -> Vec<Assignment> {
         let demand = ctx
             .estimator
             .demand(&snap.spec.model, &plan, snap.spec.global_batch);
-        trim_to_demand(&mut state, &mut alloc, &demand);
+        trim_to_demand(round.free_mut(), &mut alloc, &demand);
         if alloc.is_empty() {
             continue;
         }
@@ -1367,7 +1476,7 @@ fn emit(ctx: &Ctx<'_>, mut state: State<'_>) -> Vec<Assignment> {
 #[cfg(test)]
 mod tests {
     use crate::registry::ModelRegistry;
-    use crate::rubick::RubickScheduler;
+    use crate::rubick::{RubickConfig, RubickScheduler};
     use rubick_model::{ExecutionPlan, MemoryMode, ModelSpec, NodeShape, Resources};
     use rubick_sim::cluster::{Allocation, Cluster};
     use rubick_sim::engine::{Engine, EngineConfig};
@@ -1726,6 +1835,144 @@ mod tests {
         let out = queued_next_to(ModelSpec::bert_large());
         let gpus: Vec<_> = out.iter().map(|a| (a.job, a.allocation.gpus())).collect();
         assert_eq!(gpus, [(1, 8)], "{out:?}");
+    }
+
+    /// A full-round scheduler, so every round searches every job.
+    fn full_rounds(reg: &Arc<ModelRegistry>) -> RubickScheduler {
+        RubickScheduler::with_config(
+            Arc::clone(reg),
+            RubickConfig {
+                incremental: false,
+                ..RubickConfig::default()
+            },
+        )
+    }
+
+    /// Two frozen running jobs holding four GPUs each of the one node: the
+    /// ledger has no free GPU and neither job may take one, so each search
+    /// reaches its skip certificate.
+    fn gpu_full_pair() -> (Arc<ModelRegistry>, Vec<JobSnapshot>) {
+        let oracle = TestbedOracle::new(24);
+        let models = [ModelSpec::roberta_large(), ModelSpec::bert_large()];
+        let reg = registry(&oracle, &models);
+        let jobs = models
+            .into_iter()
+            .zip(1..)
+            .map(|(model, id)| {
+                let spec = job(id, model, 4, ExecutionPlan::dp(4), 1_000_000);
+                let node = Resources::new(4, 24, 200.0);
+                JobSnapshot {
+                    remaining_batches: spec.target_batches as f64,
+                    spec: Arc::new(spec),
+                    status: JobStatus::Running {
+                        allocation: Allocation::on_node(0, node),
+                        plan: ExecutionPlan::dp(4),
+                        throughput: 1.0,
+                        resume_at: 0.0,
+                    },
+                    queued_since: 0.0,
+                    // Far below the penalty gate's 0.97 share: frozen.
+                    runtime: 100.0,
+                    reconfig_count: 0,
+                    baseline_throughput: None,
+                }
+            })
+            .collect();
+        (reg, jobs)
+    }
+
+    fn decide(sched: &mut RubickScheduler, jobs: &[JobSnapshot]) -> Vec<Assignment> {
+        sched.schedule(10.0, jobs, &Cluster::new(1, NodeShape::a800()), &[])
+    }
+
+    /// Every certificate as `(job, allocation, plan, verdict)`, by job.
+    fn certs(sched: &RubickScheduler) -> Vec<(u64, Allocation, ExecutionPlan, bool)> {
+        let mut certs: Vec<_> = sched
+            .skip_certs
+            .certs
+            .iter()
+            .map(|(id, c)| (*id, c.alloc.clone(), c.plan, c.rolls_back))
+            .collect();
+        certs.sort_by_key(|c| c.0);
+        certs
+    }
+
+    /// Flips the stored verdicts of `ids`, so a certificate served
+    /// without being re-decided shows up in the output, the certificates,
+    /// or (debug builds) the hit's recompute.
+    fn poison(sched: &mut RubickScheduler, ids: &[u64]) {
+        for id in ids {
+            let cert = sched.skip_certs.certs.get_mut(id).expect("certified");
+            cert.rolls_back = !cert.rolls_back;
+        }
+    }
+
+    /// Schedules `jobs` on `warm` and on a scheduler with no certificate,
+    /// and checks both decide the same assignments and certificates.
+    fn assert_matches_cold(
+        warm: &mut RubickScheduler,
+        reg: &Arc<ModelRegistry>,
+        jobs: &[JobSnapshot],
+    ) {
+        let out = decide(warm, jobs);
+        let mut cold = full_rounds(reg);
+        assert_eq!(out, decide(&mut cold, jobs));
+        assert_eq!(certs(warm), certs(&cold));
+    }
+
+    /// A job whose allocation or plan moved since its certificate was
+    /// decided misses it and is re-decided on the new pair.
+    #[test]
+    fn reconfigured_job_misses_its_cert() {
+        let (reg, mut jobs) = gpu_full_pair();
+        let mut warm = full_rounds(&reg);
+        decide(&mut warm, &jobs);
+        // The plan moves, then the allocation.
+        let reconfigs = [
+            (Resources::new(4, 24, 200.0), ExecutionPlan::zero_dp(4)),
+            (Resources::new(4, 16, 150.0), ExecutionPlan::zero_dp(4)),
+        ];
+        for (node, new_plan) in reconfigs {
+            let JobStatus::Running {
+                allocation, plan, ..
+            } = &mut jobs[0].status
+            else {
+                unreachable!("job 1 runs");
+            };
+            *allocation = Allocation::on_node(0, node);
+            *plan = new_plan;
+            poison(&mut warm, &[1]);
+            assert_matches_cold(&mut warm, &reg, &jobs);
+            assert_eq!(certs(&warm)[0].1, Allocation::on_node(0, node));
+        }
+    }
+
+    /// A registry version bump (a refit published through
+    /// `ModelRegistry::insert`) clears every certificate.
+    #[test]
+    fn registry_bump_clears_every_cert() {
+        let (reg, jobs) = gpu_full_pair();
+        let mut warm = full_rounds(&reg);
+        decide(&mut warm, &jobs);
+        poison(&mut warm, &[1, 2]);
+        let refit = reg.model(&ModelSpec::roberta_large().name).unwrap();
+        reg.insert(refit.as_ref().clone());
+        assert_matches_cold(&mut warm, &reg, &jobs);
+    }
+
+    /// A job that left the system loses its certificate. Job 3 starts on
+    /// finished job 2's GPUs, so the ledger stays GPU-full.
+    #[test]
+    fn finished_jobs_lose_their_cert() {
+        let (reg, mut jobs) = gpu_full_pair();
+        let mut warm = full_rounds(&reg);
+        decide(&mut warm, &jobs);
+        let mut spec = JobSpec::clone(&jobs[1].spec);
+        spec.id = 3;
+        jobs[1].spec = Arc::new(spec);
+        assert_matches_cold(&mut warm, &reg, &jobs);
+        let ids: Vec<_> = certs(&warm).iter().map(|c| c.0).collect();
+        assert_eq!(ids, [1, 3]);
     }
 }
 
