@@ -18,6 +18,8 @@
 #                      skipped plan search and checks every rollback, then
 #                      the mt trace with --refit, whose debug fits check
 #                      every read-set Jacobian entry and early reject; every
+#                      debug run checks each negligible-overlap shortcut
+#                      of f_overlap against the full formula; every
 #                      Rubick run also recomputes each skip-certificate hit
 #                      (the mt --refit and --chaos runs cover certificate
 #                      clears on a refit and on node loss); then
@@ -187,6 +189,7 @@ skip-smoke:
 	@echo "skip-smoke: every best-plan memo hit through a job's row matches its scan on every Rubick run;"
 	@echo "skip-smoke: every best-plan memo miss, split or full, matches its full scan on every Rubick run;"
 	@echo "skip-smoke: every read-set Jacobian entry and early reject matches on mt --refit;"
+	@echo "skip-smoke: every negligible-overlap shortcut matches the full f_overlap formula on every run;"
 	@echo "skip-smoke: every Sia cache hit and next rise matches on base and mt --refit;"
 	@echo "skip-smoke: every skip and job-table check holds on mt with node and launch failures"
 

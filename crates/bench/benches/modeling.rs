@@ -6,9 +6,11 @@
 //! then cached for reuse" (§5.2).
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
+use rubick_core::ModelRegistry;
 use rubick_model::fit::{fit_perf_params, refit_params, DataPoint, FitOptions};
 use rubick_model::prelude::*;
 use rubick_model::reference;
+use rubick_testbed::TestbedOracle;
 use std::hint::black_box;
 
 fn bench_iter_time(c: &mut Criterion) {
@@ -238,6 +240,21 @@ fn bench_refit_update(c: &mut Criterion) {
     group.finish();
 }
 
+/// Zoo profiling: profile and fit every zoo model against the seed-2025
+/// testbed, as `ModelRegistry::from_oracle` does before every simulated
+/// cluster starts. The fits dominate it, so this is where a fit-kernel
+/// change shows at the scale of a whole run's setup.
+fn bench_zoo_profile(c: &mut Criterion) {
+    let oracle = TestbedOracle::new(2025);
+    let zoo = ModelSpec::zoo();
+    let mut group = c.benchmark_group("model/zoo_profile");
+    group.sample_size(10);
+    group.bench_function("seed2025", |b| {
+        b.iter(|| black_box(ModelRegistry::from_oracle(&oracle, &zoo).unwrap()))
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_iter_time,
@@ -246,6 +263,7 @@ criterion_group!(
     bench_best_plan,
     bench_curve_build,
     bench_fit,
-    bench_refit_update
+    bench_refit_update,
+    bench_zoo_profile
 );
 criterion_main!(benches);

@@ -42,30 +42,39 @@ pub fn execute(args: &Args) -> Result<(), CliError> {
             point.iter_time
         );
     }
+    // A parameter no profiled sample reads keeps whatever the winning fit
+    // start drew, so it is not shown as a fitted value.
+    let read = report.points.iter().fold(0u8, |mask, pt| {
+        let terms = model.params.iter_terms(
+            &spec,
+            &pt.plan,
+            pt.global_batch,
+            &pt.placement,
+            oracle.env(),
+        );
+        mask | terms.read_mask()
+    });
     let p = model.params;
+    let rows = [
+        ("k_bwd", p.k_bwd, 3, "backward/forward ratio"),
+        ("k_sync", p.k_sync, 3, "bwd/DP-sync overlap exponent"),
+        ("k_opt", p.k_opt, 4, "GPU optimizer s per B params"),
+        ("k_opt_off", p.k_opt_off, 3, "CPU optimizer efficiency"),
+        ("k_off", p.k_off, 3, "sync/offload overlap exponent"),
+        ("k_swap", p.k_swap, 3, "opt/swap overlap exponent"),
+        ("k_const", p.k_const, 4, "constant overhead, s"),
+    ];
     println!("\nfitted parameters (Table 1):");
-    println!("  k_bwd     = {:>8.3}   (backward/forward ratio)", p.k_bwd);
-    println!(
-        "  k_sync    = {:>8.3}   (bwd/DP-sync overlap exponent)",
-        p.k_sync
-    );
-    println!(
-        "  k_opt     = {:>8.4}   (GPU optimizer s per B params)",
-        p.k_opt
-    );
-    println!(
-        "  k_opt_off = {:>8.3}   (CPU optimizer efficiency)",
-        p.k_opt_off
-    );
-    println!(
-        "  k_off     = {:>8.3}   (sync/offload overlap exponent)",
-        p.k_off
-    );
-    println!(
-        "  k_swap    = {:>8.3}   (opt/swap overlap exponent)",
-        p.k_swap
-    );
-    println!("  k_const   = {:>8.4}   (constant overhead, s)", p.k_const);
+    for (j, (name, value, prec, what)) in rows.into_iter().enumerate() {
+        if read & (1 << j) == 0 {
+            println!(
+                "  {name:<9} = {:>8}   not identified (no profiled sample reads it)",
+                "-"
+            );
+        } else {
+            println!("  {name:<9} = {value:>8.prec$}   ({what})");
+        }
+    }
     println!(
         "  gpu_flops = {:>8.2e} (profiled effective FLOP/s)",
         p.gpu_flops

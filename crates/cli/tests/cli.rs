@@ -980,3 +980,33 @@ fn sweep_baseline_accepts_jsonl_and_rejects_garbage() {
     std::fs::remove_file(&jsonl).ok();
     std::fs::remove_file(&garbage).ok();
 }
+
+/// The parameters `rubick profile` flags as unidentified in its text
+/// output, in Table 1 order.
+fn unidentified_params(model: &str) -> Vec<String> {
+    let out = rubick(&["profile", "--model", model]);
+    assert!(out.status.success(), "stderr: {}", stderr(&out));
+    stdout(&out)
+        .lines()
+        .filter(|l| l.contains("not identified (no profiled sample reads it)"))
+        .map(|l| l.split('=').next().unwrap().trim().to_string())
+        .collect()
+}
+
+/// `llama-30b` profiles no ZeRO-Offload sample, so the three offload
+/// parameters keep whatever the winning fit start drew and must not be
+/// printed as fitted; `vit-86m` profiles every plan family.
+#[test]
+fn profile_flags_parameters_no_sample_reads() {
+    assert_eq!(
+        unidentified_params("llama-30b"),
+        ["k_opt_off", "k_off", "k_swap"]
+    );
+    assert!(unidentified_params("vit-86m").is_empty());
+    // The CSV output still lists every parameter with its value.
+    let csv = rubick(&["profile", "--model", "llama-30b", "--csv"]);
+    assert!(csv.status.success(), "stderr: {}", stderr(&csv));
+    let text = stdout(&csv);
+    assert_eq!(text.lines().count(), 9, "{text}");
+    assert!(text.lines().any(|l| l.starts_with("k_swap,")), "{text}");
+}

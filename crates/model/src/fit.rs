@@ -18,7 +18,7 @@ use crate::env::ClusterEnv;
 use crate::error::ModelError;
 use crate::perf::{IterTerms, PerfParams};
 use crate::placement::Placement;
-use crate::plan::ExecutionPlan;
+use crate::plan::{ExecutionPlan, MemoryMode};
 use crate::spec::ModelSpec;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -115,6 +115,9 @@ struct Sample {
     terms: IterTerms,
     /// [`IterTerms::read_mask`] of `terms`.
     reads: u8,
+    /// The plan runs ZeRO-Offload, so `T_oo` is
+    /// [`PerfParams::t_sync_off`]` + `[`PerfParams::t_opt_swap`].
+    offload: bool,
     log_observed: f64,
 }
 
@@ -136,24 +139,57 @@ fn samples(
             Sample {
                 terms,
                 reads: terms.read_mask(),
+                offload: p.plan.memory == MemoryMode::ZeroOffload,
                 log_observed: (1.0 + p.iter_time).ln(),
             }
         })
         .collect()
 }
 
-/// A sample's `(T_cc, T_oo)` halves of Eq. 1 at one parameter vector.
-type Halves = (f64, f64);
+/// A sample's Eq. 1 parts at one parameter vector: `(T_cc, T_oo)` and,
+/// on a ZeRO-Offload sample, the two summands of `T_oo` (zero elsewhere).
+#[derive(Clone, Copy)]
+struct Parts {
+    t_cc: f64,
+    t_oo: f64,
+    sync_off: f64,
+    opt_swap: f64,
+}
+
+impl Parts {
+    /// The parts of `s` under `p`, each summand evaluated once.
+    #[inline(always)]
+    fn of(p: &PerfParams, s: &Sample) -> Parts {
+        let t_cc = p.t_cc(&s.terms);
+        if s.offload {
+            let (sync_off, opt_swap) = (p.t_sync_off(&s.terms), p.t_opt_swap(&s.terms));
+            Parts {
+                t_cc,
+                t_oo: sync_off + opt_swap,
+                sync_off,
+                opt_swap,
+            }
+        } else {
+            Parts {
+                t_cc,
+                t_oo: p.t_oo(&s.terms),
+                sync_off: 0.0,
+                opt_swap: 0.0,
+            }
+        }
+    }
+}
 
 /// The log-error `ln(1 + predicted) − ln(1 + observed)` of `s` from its
-/// Eq. 1 halves: the sum is [`PerfParams::iter_time_from`]'s, in its order.
+/// Eq. 1 halves `T_cc` and `T_oo`: the sum is
+/// [`PerfParams::iter_time_from`]'s, in its order.
 #[inline(always)]
-fn log_error(s: &Sample, (t_cc, t_oo): Halves, k_const: f64) -> f64 {
+fn log_error(s: &Sample, t_cc: f64, t_oo: f64, k_const: f64) -> f64 {
     (1.0 + (t_cc + t_oo + k_const)).ln() - s.log_observed
 }
 
 /// Log-errors of the parameter vector `x` on every sample, written into
-/// `out`, and each sample's Eq. 1 halves, written into `halves`.
+/// `out`, and each sample's Eq. 1 [`Parts`], written into `parts`.
 ///
 /// With `below = Some(f)` — a damping-ladder candidate, which is accepted
 /// only below the RMSLE `f` — the pass gives up and returns `false` as
@@ -168,18 +204,19 @@ fn residuals(
     gpu_flops: f64,
     below: Option<f64>,
     out: &mut Vec<f64>,
-    halves: &mut Vec<Halves>,
+    parts: &mut Vec<Parts>,
 ) -> bool {
     let p = PerfParams::from_vec(x, gpu_flops);
     let m = samples.len() as f64;
     let mut partial = 0.0;
     out.clear();
-    halves.clear();
+    parts.clear();
     for s in samples {
-        let parts = (p.t_cc(&s.terms), p.t_oo(&s.terms));
-        let d = log_error(s, parts, p.k_const);
+        let at = Parts::of(&p, s);
+        debug_assert_eq!(at.t_oo.to_bits(), p.t_oo(&s.terms).to_bits());
+        let d = log_error(s, at.t_cc, at.t_oo, p.k_const);
         out.push(d);
-        halves.push(parts);
+        parts.push(at);
         if let Some(f) = below {
             partial += d * d;
             if (partial / m).sqrt() >= f {
@@ -332,18 +369,18 @@ fn solve7(mut a: [[f64; 7]; 7], mut b: [f64; 7]) -> Option<[f64; 7]> {
 
 /// Buffers of one descent, allocated once and reused by every step.
 struct Scratch {
-    /// Residuals at the current point and their samples' Eq. 1 halves.
+    /// Residuals at the current point and their samples' Eq. 1 parts.
     r: Vec<f64>,
-    halves: Vec<Halves>,
+    parts: Vec<Parts>,
     /// The same for the damping-ladder candidate being tried.
     rp: Vec<f64>,
-    halves_p: Vec<Halves>,
+    parts_p: Vec<Parts>,
     /// Finite-difference Jacobian, one row per sample.
     jac: Vec<[f64; 7]>,
 }
 
 /// One damped Gauss–Newton (Levenberg–Marquardt) step from `x`, whose
-/// residuals (with their Eq. 1 halves) in `sc` and RMSLE `f` are passed
+/// residuals (with their Eq. 1 parts) in `sc` and RMSLE `f` are passed
 /// in rather than recomputed.
 ///
 /// The damping ladder is walked from near-Gauss-Newton towards steepest
@@ -362,13 +399,18 @@ fn step(
     // Finite-difference Jacobian, column per parameter. Steps are a fixed
     // fraction of the box so conditioning does not depend on the current
     // value; a backward difference is used at the upper bound so clamping
-    // never zeroes a column. Column `j` re-evaluates only the Eq. 1 half
-    // that reads parameter `j` (`k_const` reads neither) and nothing on a
-    // sample whose read mask excludes `j`: the perturbed residual is then
-    // the current one, bit for bit. Debug builds evaluate every entry in
-    // full and check the bits.
+    // never zeroes a column. Column `j` re-evaluates only the Eq. 1 term
+    // that reads parameter `j` — `T_cc` for `k_bwd`/`k_sync`, `T_oo` for
+    // `k_opt`, and on an offload sample only `t_sync_off` for `k_off` or
+    // `t_opt_swap` for `k_opt_off`/`k_swap` (`k_const` reads none) — and
+    // nothing on a sample whose read mask excludes `j`: the perturbed
+    // residual is then the current one, bit for bit. So is it when the
+    // re-evaluated `(T_cc, T_oo)` equals the current pair bitwise (as when
+    // `f_overlap` returns its larger operand at both exponents), since
+    // `k_const` only moves in column 6. Debug builds evaluate every entry
+    // in full and check the bits.
     let m = samples.len();
-    let (r, halves, jac) = (&sc.r, &sc.halves, &mut sc.jac);
+    let (r, parts, jac) = (&sc.r, &sc.parts, &mut sc.jac);
     for j in 0..7 {
         let h = 1e-5 * (HI[j] - LO[j]);
         let mut xp = *x;
@@ -383,14 +425,23 @@ fn step(
         let p = PerfParams::from_vec(&xp, gpu_flops);
         let bit = 1u8 << j;
         for (row, s) in samples.iter().enumerate() {
-            let (t_cc, t_oo) = halves[row];
+            let at = parts[row];
             let rp = if s.reads & bit == 0 {
                 r[row]
+            } else if j == 6 {
+                log_error(s, at.t_cc, at.t_oo, p.k_const)
             } else {
-                match j {
-                    0 | 1 => log_error(s, (p.t_cc(&s.terms), t_oo), p.k_const),
-                    6 => log_error(s, (t_cc, t_oo), p.k_const),
-                    _ => log_error(s, (t_cc, p.t_oo(&s.terms)), p.k_const),
+                // Columns 3–5 are in the read mask of offload samples only.
+                let (t_cc, t_oo) = match j {
+                    0 | 1 => (p.t_cc(&s.terms), at.t_oo),
+                    2 => (at.t_cc, p.t_oo(&s.terms)),
+                    4 => (at.t_cc, p.t_sync_off(&s.terms) + at.opt_swap),
+                    _ => (at.t_cc, at.sync_off + p.t_opt_swap(&s.terms)),
+                };
+                if t_cc.to_bits() == at.t_cc.to_bits() && t_oo.to_bits() == at.t_oo.to_bits() {
+                    r[row]
+                } else {
+                    log_error(s, t_cc, t_oo, p.k_const)
                 }
             };
             jac[row][j] = sign * (rp - r[row]) / h;
@@ -439,7 +490,7 @@ fn step(
             gpu_flops,
             Some(*f),
             &mut sc.rp,
-            &mut sc.halves_p,
+            &mut sc.parts_p,
         ) {
             #[cfg(debug_assertions)]
             {
@@ -458,7 +509,7 @@ fn step(
             *x = cand;
             *f = fc;
             std::mem::swap(&mut sc.r, &mut sc.rp);
-            std::mem::swap(&mut sc.halves, &mut sc.halves_p);
+            std::mem::swap(&mut sc.parts, &mut sc.parts_p);
             return true;
         }
     }
@@ -476,12 +527,12 @@ fn descend(x0: [f64; 7], gpu_flops: f64, samples: &[Sample], max_steps: usize) -
     let m = samples.len();
     let mut sc = Scratch {
         r: Vec::with_capacity(m),
-        halves: Vec::with_capacity(m),
+        parts: Vec::with_capacity(m),
         rp: Vec::with_capacity(m),
-        halves_p: Vec::with_capacity(m),
+        parts_p: Vec::with_capacity(m),
         jac: vec![[0.0; 7]; m],
     };
-    residuals(samples, &x, gpu_flops, None, &mut sc.r, &mut sc.halves);
+    residuals(samples, &x, gpu_flops, None, &mut sc.r, &mut sc.parts);
     let mut f = cost(&sc.r);
     let mut best = f64::INFINITY;
     for _ in 0..max_steps.max(1) {

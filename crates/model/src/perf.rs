@@ -176,6 +176,16 @@ pub fn volumes(spec: &ModelSpec, plan: &ExecutionPlan, global_batch: u32) -> Com
 /// * monotonically non-increasing in `k`, bounded by `[max(x,y), x+y]`.
 ///
 /// `k` is clamped to `[1, 64]`; zero operands short-circuit.
+///
+/// A negligible overlap returns the larger operand without calling `powf`,
+/// bit-identical to the formula: write `r = lo / hi = 2^e · (1 + m)` with
+/// `m ∈ [0, 1)` read from its bits. Since `log2(1 + m) ≤ m + 0.0861` on
+/// `[0, 1)`, `(e + m + 0.09) · k ≤ −54` gives `r^k < 2^−54`, so a `powf`
+/// within one ulp returns at most `2^−54`, `1 + r^k` rounds to `1`,
+/// `1^(1/k) = 1` and the result is `hi`. The bound also holds for a
+/// subnormal or zero `r` (the bits give `e = −1023`); a NaN `r` or `k`
+/// fails the test. Debug builds evaluate the formula on every hit and
+/// check the bits.
 pub fn f_overlap(k: f64, x: f64, y: f64) -> f64 {
     if x <= 0.0 {
         return y.max(0.0);
@@ -186,7 +196,20 @@ pub fn f_overlap(k: f64, x: f64, y: f64) -> f64 {
     let k = k.clamp(1.0, 64.0);
     // Compute in a numerically stable way: factor out the larger operand.
     let (hi, lo) = if x >= y { (x, y) } else { (y, x) };
-    hi * (1.0 + (lo / hi).powf(k)).powf(1.0 / k)
+    let ratio = lo / hi;
+    let bits = ratio.to_bits();
+    let e = ((bits >> 52) & 0x7ff) as f64 - 1023.0;
+    let m = (bits & ((1 << 52) - 1)) as f64 * f64::EPSILON;
+    if (e + m + 0.09) * k <= -54.0 {
+        #[cfg(debug_assertions)]
+        assert_eq!(
+            (hi * (1.0 + ratio.powf(k)).powf(1.0 / k)).to_bits(),
+            hi.to_bits(),
+            "negligible-overlap shortcut diverges at k = {k}, x = {x}, y = {y}"
+        );
+        return hi;
+    }
+    hi * (1.0 + ratio.powf(k)).powf(1.0 / k)
 }
 
 /// The seven fittable parameters of the performance model (Table 1), plus
@@ -409,22 +432,32 @@ impl PerfParams {
 
     /// `T_oo` of Eq. 1: optimizer and offloading (§4.2). Reads only
     /// `k_opt`, `k_opt_off`, `k_off` and `k_swap` of the fitted parameters.
+    /// Under ZeRO-Offload it is
+    /// [`t_sync_off`](PerfParams::t_sync_off)` + `[`t_opt_swap`](PerfParams::t_opt_swap).
     #[inline(always)]
     pub fn t_oo(&self, terms: &IterTerms) -> f64 {
-        let IterTerms {
-            t_comm_dp,
-            t_off,
-            params_b,
-            opt_div,
-            offload,
-            ..
-        } = *terms;
-        if offload {
-            let t_opt = self.k_opt_off * params_b / opt_div;
-            f_overlap(self.k_off, t_comm_dp, t_off) + f_overlap(self.k_swap, t_opt, t_off)
+        if terms.offload {
+            self.t_sync_off(terms) + self.t_opt_swap(terms)
         } else {
-            self.k_opt * params_b / opt_div
+            self.k_opt * terms.params_b / terms.opt_div
         }
+    }
+
+    /// The first summand of a ZeRO-Offload plan's `T_oo`: the DP sync
+    /// overlapped with offloading. Reads only `k_off`; another plan's
+    /// `T_oo` does not use it.
+    #[inline(always)]
+    pub fn t_sync_off(&self, terms: &IterTerms) -> f64 {
+        f_overlap(self.k_off, terms.t_comm_dp, terms.t_off)
+    }
+
+    /// The second summand of a ZeRO-Offload plan's `T_oo`: the CPU
+    /// optimizer overlapped with swapping. Reads only `k_opt_off` and
+    /// `k_swap`; another plan's `T_oo` does not use it.
+    #[inline(always)]
+    pub fn t_opt_swap(&self, terms: &IterTerms) -> f64 {
+        let t_opt = self.k_opt_off * terms.params_b / terms.opt_div;
+        f_overlap(self.k_swap, t_opt, terms.t_off)
     }
 
     /// Predicted throughput in samples/second: `b / T_iter`.

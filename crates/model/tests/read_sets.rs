@@ -126,3 +126,55 @@ fn read_mask_drops_the_unread_overlaps() {
     assert_eq!(mask(ExecutionPlan::zero_offload(1)), 0b110_1001);
     assert_eq!(mask(ExecutionPlan::zero_offload(4)), 0b111_1001);
 }
+
+/// The ZeRO-Offload terms of the sweep: only an offload plan reads
+/// `k_opt_off` (bit 3 of the read mask).
+fn offload_terms() -> Vec<(String, IterTerms)> {
+    let out: Vec<_> = all_terms()
+        .into_iter()
+        .filter(|(_, terms)| terms.read_mask() & (1 << 3) != 0)
+        .collect();
+    assert!(!out.is_empty());
+    out
+}
+
+#[test]
+fn offload_summands_sum_to_t_oo_bitwise() {
+    for (label, terms) in offload_terms() {
+        for p in bases() {
+            let split = p.t_sync_off(&terms) + p.t_opt_swap(&terms);
+            assert_eq!(split.to_bits(), p.t_oo(&terms).to_bits(), "{label}");
+        }
+    }
+}
+
+#[test]
+fn each_offload_summand_reads_only_its_parameters() {
+    // `t_sync_off` reads `k_off` (4); `t_opt_swap` reads `k_opt_off` (3)
+    // and `k_swap` (5). Moving one summand's parameters must leave the
+    // other summand's bits alone.
+    type Summand = fn(&PerfParams, &IterTerms) -> f64;
+    let cases: [(usize, Summand); 3] = [
+        (4, PerfParams::t_opt_swap),
+        (3, PerfParams::t_sync_off),
+        (5, PerfParams::t_sync_off),
+    ];
+    for (label, terms) in offload_terms() {
+        for base in bases() {
+            let x = base.to_vec();
+            for (j, other) in cases {
+                let want = other(&base, &terms).to_bits();
+                for v in [LO[j], HI[j], 0.5 * (LO[j] + HI[j]), 1.37 * x[j]] {
+                    let mut y = x;
+                    y[j] = v;
+                    let moved = PerfParams::from_vec(&y, base.gpu_flops);
+                    assert_eq!(
+                        other(&moved, &terms).to_bits(),
+                        want,
+                        "{label}: parameter {j} = {v}"
+                    );
+                }
+            }
+        }
+    }
+}
