@@ -7,6 +7,7 @@ use rubick_sim::job::{JobClass, JobSpec};
 use rubick_sim::tenant::TenantId;
 use rubick_testbed::TestbedOracle;
 use serde::{Deserialize, Serialize};
+use std::collections::HashMap;
 
 /// Configuration of the synthetic trace.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -154,6 +155,73 @@ pub fn candidate_plans(
     plans
 }
 
+/// One model's [`candidate_plans`] answers, by `(gpus, batch)`.
+type Answers = HashMap<(u32, u32), Vec<ExecutionPlan>>;
+
+/// [`candidate_plans`] memoized per `(model, gpus, batch)` for one trace
+/// build. The answer depends on nothing else (one build reads one oracle)
+/// and draws no randomness, so a build asks each question once and yields
+/// the same trace as one that asks every time.
+pub(crate) struct PlanMemo<'o> {
+    oracle: &'o TestbedOracle,
+    /// Per model: the spec the answers were computed for, and the answers.
+    /// A build names a handful of models.
+    models: Vec<(ModelSpec, Answers)>,
+    /// Answers every question afresh (the memo-free reference in tests).
+    #[cfg(test)]
+    bypass: bool,
+}
+
+impl<'o> PlanMemo<'o> {
+    pub(crate) fn new(oracle: &'o TestbedOracle) -> PlanMemo<'o> {
+        PlanMemo {
+            oracle,
+            models: Vec::new(),
+            #[cfg(test)]
+            bypass: false,
+        }
+    }
+
+    #[cfg(test)]
+    pub(crate) fn uncached(oracle: &'o TestbedOracle) -> PlanMemo<'o> {
+        PlanMemo {
+            bypass: true,
+            ..PlanMemo::new(oracle)
+        }
+    }
+
+    pub(crate) fn oracle(&self) -> &'o TestbedOracle {
+        self.oracle
+    }
+
+    /// [`candidate_plans`]`(oracle, spec, gpus, global_batch)`.
+    pub(crate) fn plans(
+        &mut self,
+        spec: &ModelSpec,
+        gpus: u32,
+        global_batch: u32,
+    ) -> Vec<ExecutionPlan> {
+        #[cfg(test)]
+        if self.bypass {
+            return candidate_plans(self.oracle, spec, gpus, global_batch);
+        }
+        let slot = match self.models.iter().position(|(m, _)| m.name == spec.name) {
+            Some(i) => i,
+            None => {
+                self.models.push((spec.clone(), HashMap::new()));
+                self.models.len() - 1
+            }
+        };
+        let (model, answers) = &mut self.models[slot];
+        debug_assert!(model == spec, "two specs named {} in one build", spec.name);
+        let oracle = self.oracle;
+        answers
+            .entry((gpus, global_batch))
+            .or_insert_with(|| candidate_plans(oracle, spec, gpus, global_batch))
+            .clone()
+    }
+}
+
 /// Picks a random initial plan with realistic user weights: plain DP /
 /// ZeRO-DP / model-parallel plans are common first choices; gradient
 /// accumulation is a tuning knob some users enable; checkpointing and
@@ -190,6 +258,12 @@ pub fn pick_weighted_plan(plans: &[ExecutionPlan], rng: &mut SmallRng) -> Execut
 /// infeasible for the sampled model get a feasible count with the duration
 /// adjusted to preserve GPU-hours.
 pub fn generate_base(config: &TraceConfig, oracle: &TestbedOracle) -> Vec<JobSpec> {
+    generate_base_with(config, &mut PlanMemo::new(oracle))
+}
+
+/// [`generate_base`], asking `memo` for candidate plans.
+pub(crate) fn generate_base_with(config: &TraceConfig, memo: &mut PlanMemo<'_>) -> Vec<JobSpec> {
+    let oracle = memo.oracle();
     let mut rng = SmallRng::seed_from_u64(config.seed);
     let span = config.duration_hours * 3600.0;
     let n = config.num_jobs();
@@ -215,11 +289,11 @@ pub fn generate_base(config: &TraceConfig, oracle: &TestbedOracle) -> Vec<JobSpe
         let batch = model.default_batch;
         // Ensure feasibility: walk GPU counts up (then down) until some
         // plan exists; preserve GPU-hours when we change the count.
-        let mut plans = candidate_plans(oracle, &model, gpus, batch);
+        let mut plans = memo.plans(&model, gpus, batch);
         if plans.is_empty() {
             let mut found = None;
             for g in (gpus + 1)..=config.cluster_gpus {
-                let p = candidate_plans(oracle, &model, g, batch);
+                let p = memo.plans(&model, g, batch);
                 if !p.is_empty() {
                     found = Some((g, p));
                     break;
@@ -227,7 +301,7 @@ pub fn generate_base(config: &TraceConfig, oracle: &TestbedOracle) -> Vec<JobSpe
             }
             if found.is_none() {
                 for g in (1..gpus).rev() {
-                    let p = candidate_plans(oracle, &model, g, batch);
+                    let p = memo.plans(&model, g, batch);
                     if !p.is_empty() {
                         found = Some((g, p));
                         break;
@@ -303,6 +377,22 @@ mod tests {
         TraceConfig {
             base_jobs: 60,
             ..TraceConfig::default()
+        }
+    }
+
+    #[test]
+    fn memoized_plans_build_the_memo_free_trace() {
+        for seed in [1, 7, 2025] {
+            let oracle = TestbedOracle::new(seed);
+            let config = TraceConfig {
+                seed,
+                ..small_config()
+            };
+            assert_eq!(
+                generate_base(&config, &oracle),
+                generate_base_with(&config, &mut PlanMemo::uncached(&oracle)),
+                "seed {seed}"
+            );
         }
     }
 

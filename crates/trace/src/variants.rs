@@ -1,6 +1,6 @@
 //! Scenario variants of the base trace (§7.3) and the sweep knobs (§7.4).
 
-use crate::philly::{candidate_plans, generate_base, TraceConfig};
+use crate::philly::{generate_base, generate_base_with, PlanMemo, TraceConfig};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use rubick_model::{ModelSpec, Placement};
@@ -14,7 +14,13 @@ use rubick_testbed::TestbedOracle;
 /// baselines shrinks but persists on this trace, because the assigned plan
 /// "is the best only for the initial resource allocation".
 pub fn best_plan_trace(config: &TraceConfig, oracle: &TestbedOracle) -> Vec<JobSpec> {
-    let mut jobs = generate_base(config, oracle);
+    best_plan_trace_with(config, &mut PlanMemo::new(oracle))
+}
+
+/// [`best_plan_trace`], asking `memo` for candidate plans.
+fn best_plan_trace_with(config: &TraceConfig, memo: &mut PlanMemo<'_>) -> Vec<JobSpec> {
+    let oracle = memo.oracle();
+    let mut jobs = generate_base_with(config, memo);
     let shape = *oracle.shape();
     for job in &mut jobs {
         let placement = Placement::spread(
@@ -24,7 +30,7 @@ pub fn best_plan_trace(config: &TraceConfig, oracle: &TestbedOracle) -> Vec<JobS
             job.requested.mem_gb,
         );
         let mut best: Option<(rubick_model::ExecutionPlan, f64)> = None;
-        for plan in candidate_plans(oracle, &job.model, job.requested.gpus, job.global_batch) {
+        for plan in memo.plans(&job.model, job.requested.gpus, job.global_batch) {
             if let Some(tput) = oracle.throughput(&job.model, &plan, job.global_batch, &placement) {
                 if best.as_ref().map(|(_, b)| tput > *b).unwrap_or(true) {
                     best = Some((plan, tput));
@@ -75,7 +81,17 @@ pub fn with_large_model_fraction(
     oracle: &TestbedOracle,
     fraction: f64,
 ) -> Vec<JobSpec> {
-    let mut jobs = generate_base(config, oracle);
+    with_large_model_fraction_with(config, &mut PlanMemo::new(oracle), fraction)
+}
+
+/// [`with_large_model_fraction`], asking `memo` for candidate plans.
+fn with_large_model_fraction_with(
+    config: &TraceConfig,
+    memo: &mut PlanMemo<'_>,
+    fraction: f64,
+) -> Vec<JobSpec> {
+    let oracle = memo.oracle();
+    let mut jobs = generate_base_with(config, memo);
     let mut rng = SmallRng::seed_from_u64(config.seed ^ 0xF16);
     let n = jobs.len();
     let want_large = (n as f64 * fraction).round() as usize;
@@ -85,7 +101,7 @@ pub fn with_large_model_fraction(
     let mut large_idx: Vec<usize> = (0..n).filter(|&i| jobs[i].model.is_large()).collect();
     let mut small_idx: Vec<usize> = (0..n).filter(|&i| !jobs[i].model.is_large()).collect();
 
-    let reassign = |job: &mut JobSpec, model: ModelSpec, rng: &mut SmallRng| {
+    let mut reassign = |job: &mut JobSpec, model: ModelSpec, rng: &mut SmallRng| {
         let batch = model.default_batch;
         // The job's current wall-clock duration at its requested config.
         let old_placement = Placement::spread(
@@ -112,10 +128,10 @@ pub fn with_large_model_fraction(
             .gpus
             .max(crate::philly::request_floor(&model))
             .min(64);
-        let mut plans = candidate_plans(oracle, &model, gpus, batch);
+        let mut plans = memo.plans(&model, gpus, batch);
         while plans.is_empty() && gpus < 64 {
             gpus *= 2;
-            plans = candidate_plans(oracle, &model, gpus.min(64), batch);
+            plans = memo.plans(&model, gpus.min(64), batch);
         }
         if plans.is_empty() {
             return false;
@@ -179,6 +195,26 @@ mod tests {
         TraceConfig {
             base_jobs: 50,
             ..TraceConfig::default()
+        }
+    }
+
+    #[test]
+    fn memoized_plans_build_the_memo_free_variants() {
+        for seed in [1, 7, 2025] {
+            let oracle = TestbedOracle::new(seed);
+            let config = TraceConfig { seed, ..cfg() };
+            assert_eq!(
+                best_plan_trace(&config, &oracle),
+                best_plan_trace_with(&config, &mut PlanMemo::uncached(&oracle)),
+                "best-plan trace, seed {seed}"
+            );
+            for frac in [0.1, 0.7] {
+                assert_eq!(
+                    with_large_model_fraction(&config, &oracle, frac),
+                    with_large_model_fraction_with(&config, &mut PlanMemo::uncached(&oracle), frac),
+                    "large fraction {frac}, seed {seed}"
+                );
+            }
         }
     }
 
