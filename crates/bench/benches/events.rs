@@ -6,9 +6,14 @@
 //! This bench uses a custom `main` instead of `criterion_main!` so it can
 //! *assert* the budget after measuring — a regression fails the bench run
 //! instead of silently shipping a slower engine.
+//!
+//! `events/parse_line` and `events/render_line` time the JSONL codec per
+//! event line (`SimEvent::from_jsonl` and `SimEvent::to_jsonl`), cycling
+//! through the stream a Sia run of the 406-job base trace emits. They
+//! carry no budget.
 
 use criterion::Criterion;
-use rubick_core::{ModelRegistry, SynergyScheduler};
+use rubick_core::{ModelRegistry, SiaScheduler, SynergyScheduler};
 use rubick_model::ModelSpec;
 use rubick_obs::{EventSink, JsonlSink, NullSink, SimEvent, VecSink};
 use rubick_sim::{Cluster, Engine, EngineConfig, JobSpec, ReportSink};
@@ -67,6 +72,41 @@ fn bench_events(c: &mut Criterion, oracle: &TestbedOracle, trace: &[JobSpec]) {
     group.finish();
 }
 
+/// Per-line codec costs over a captured base-trace Sia stream.
+fn bench_codec(c: &mut Criterion, oracle: &TestbedOracle) {
+    let registry = Arc::new(ModelRegistry::from_oracle(oracle, &ModelSpec::zoo()).unwrap());
+    let trace = generate_base(&TraceConfig::default(), oracle);
+    let mut recorded = VecSink::default();
+    Engine::new(
+        oracle,
+        Box::new(SiaScheduler::new(registry)),
+        Cluster::a800_testbed(),
+        vec![],
+        EngineConfig::default(),
+    )
+    .run_with_sink(trace, &mut recorded);
+    let events = recorded.events;
+    let lines: Vec<String> = events.iter().map(SimEvent::to_jsonl).collect();
+
+    let mut group = c.benchmark_group("events");
+    group.sample_size(10);
+    let mut next = 0;
+    group.bench_function("parse_line", |b| {
+        b.iter(|| {
+            next = (next + 1) % lines.len();
+            black_box(SimEvent::from_jsonl(&lines[next]).is_ok())
+        })
+    });
+    let mut next = 0;
+    group.bench_function("render_line", |b| {
+        b.iter(|| {
+            next = (next + 1) % events.len();
+            black_box(events[next].to_jsonl().len())
+        })
+    });
+    group.finish();
+}
+
 fn main() {
     let oracle = TestbedOracle::new(0);
     let config = TraceConfig {
@@ -77,6 +117,7 @@ fn main() {
 
     let mut c = Criterion::default();
     bench_events(&mut c, &oracle, &trace);
+    bench_codec(&mut c, &oracle);
 
     let min_ns = |id: &str| {
         c.records()

@@ -218,3 +218,172 @@ proptest! {
         prop_assert_eq!(&crashed_events, events);
     }
 }
+
+/// Writes `text` as a journal, recovers it, finishes the recovered
+/// session, and returns the file's bytes afterwards.
+fn recover_text(tag: &str, text: &str) -> Result<Vec<u8>, String> {
+    let path = temp_path(tag);
+    std::fs::write(&path, text).unwrap();
+    let oracle = TestbedOracle::new(SEED);
+    let recovery = recover(&path, engine(&oracle), &mut Capture::default());
+    let out = recovery.map(|r| {
+        r.session.finish();
+        std::fs::read(&path).unwrap()
+    });
+    std::fs::remove_file(&path).ok();
+    out
+}
+
+fn baseline_text() -> String {
+    String::from_utf8(baseline().0.clone()).unwrap()
+}
+
+/// Whether a journal line is an event line (not header, op or marker).
+fn is_event(line: &str) -> bool {
+    rubick_obs::JsonObject::parse(line)
+        .ok()
+        .and_then(|obj| obj.ty().ok().map(SimEvent::known_type))
+        .unwrap_or(false)
+}
+
+/// Reverses the field order of a line whose strings hold no comma.
+fn reorder(line: &str) -> String {
+    let inner = &line[1..line.len() - 1];
+    let mut fields: Vec<&str> = inner.split(',').collect();
+    fields.reverse();
+    format!("{{{}}}", fields.join(","))
+}
+
+/// Rewrites the first line `pick` selects with `edit`.
+fn edit_first(text: &str, pick: impl Fn(&str) -> bool, edit: impl Fn(&str) -> String) -> String {
+    let mut done = false;
+    text.lines()
+        .map(|line| {
+            if !done && pick(line) {
+                done = true;
+                edit(line)
+            } else {
+                line.to_string()
+            }
+        })
+        .map(|line| line + "\n")
+        .collect()
+}
+
+#[cfg(unix)]
+#[test]
+fn finished_journal_recovers_without_a_rewrite() {
+    use std::os::unix::fs::MetadataExt;
+    let (log, _, _) = baseline();
+    let path = temp_path("no-rewrite");
+    std::fs::write(&path, log).unwrap();
+    let inode = std::fs::metadata(&path).unwrap().ino();
+    let oracle = TestbedOracle::new(SEED);
+    let recovery = recover(&path, engine(&oracle), &mut Capture::default()).unwrap();
+    assert!(!recovery.stats.torn_tail);
+    assert_eq!(
+        recovery.stats.events_verified,
+        recovery.stats.events_replayed
+    );
+    assert_eq!(
+        std::fs::metadata(&path).unwrap().ino(),
+        inode,
+        "file was replaced"
+    );
+    assert_eq!(&std::fs::read(&path).unwrap(), log);
+    recovery.session.finish();
+    assert_eq!(std::fs::metadata(&path).unwrap().ino(), inode);
+    assert_eq!(&std::fs::read(&path).unwrap(), log);
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn non_canonical_journals_heal_to_canonical_bytes() {
+    let canonical = baseline_text();
+    let is_round = |l: &str| l.contains(r#""type":"round_started""#);
+    let is_submit = |l: &str| l.contains(r#""type":"submit""#);
+    let is_advance = |l: &str| l.contains(r#""type":"advance""#);
+    let has_fraction = |l: &str| is_event(l) && fraction_end(l).is_some();
+    let pad_fraction = |l: &str| {
+        let end = fraction_end(l).unwrap();
+        format!("{}0{}", &l[..end], &l[end..])
+    };
+    let variants = [
+        ("crlf", canonical.replace('\n', "\r\n")),
+        ("blank", {
+            let mut lines: Vec<&str> = canonical.lines().collect();
+            lines.insert(3, "");
+            lines.insert(6, "   ");
+            lines.join("\n") + "\n"
+        }),
+        ("reordered-op", edit_first(&canonical, is_submit, reorder)),
+        ("reordered-event", edit_first(&canonical, is_round, reorder)),
+        (
+            "padded-fraction",
+            edit_first(&canonical, has_fraction, pad_fraction),
+        ),
+        (
+            "integral-dot-zero",
+            edit_first(&canonical, is_advance, |l| l.replace('}', ".0}")),
+        ),
+        ("torn", canonical.clone() + r#"{"type":"round_sta"#),
+    ];
+    for (tag, text) in variants {
+        assert_ne!(text, canonical, "{tag}: the variant must differ");
+        let healed = recover_text(tag, &text).unwrap_or_else(|e| panic!("{tag}: {e}"));
+        assert_eq!(String::from_utf8(healed).unwrap(), canonical, "{tag}");
+    }
+}
+
+/// The end of the first `digits.digits` number in `line`.
+fn fraction_end(line: &str) -> Option<usize> {
+    let b = line.as_bytes();
+    let dot = (1..b.len().saturating_sub(1))
+        .find(|&i| b[i] == b'.' && b[i - 1].is_ascii_digit() && b[i + 1].is_ascii_digit())?;
+    Some(
+        dot + 1
+            + b[dot + 1..]
+                .iter()
+                .take_while(|c| c.is_ascii_digit())
+                .count(),
+    )
+}
+
+#[test]
+fn recovery_errors_keep_their_text() {
+    let canonical = baseline_text();
+    let path = |tag: &str| temp_path(tag).display().to_string();
+
+    // A changed event, also written non-canonically: the error quotes the
+    // logged event's canonical rendering next to the replayed line.
+    let lines: Vec<&str> = canonical.lines().collect();
+    let (at, original) = lines
+        .iter()
+        .enumerate()
+        .find(|(_, l)| l.contains(r#""type":"round_started""#))
+        .map(|(i, l)| (i, l.to_string()))
+        .unwrap();
+    let index = lines[..at].iter().filter(|l| is_event(l)).count();
+    let tampered = reorder(&original.replace(r#""round":"#, r#""round":9"#));
+    let text = edit_first(&canonical, |l| l == original, |_| tampered.clone());
+    let logged = SimEvent::from_jsonl(&tampered).unwrap().to_jsonl();
+    assert_eq!(
+        recover_text("diverge", &text).unwrap_err(),
+        format!(
+            "serve log '{}' diverges from deterministic replay at event {index}: \
+             logged {logged} vs replayed {original}",
+            path("diverge")
+        )
+    );
+
+    // One event line more than replay regenerates.
+    let last_event = canonical.lines().rev().find(|l| is_event(l)).unwrap();
+    let text = format!("{canonical}{last_event}\n");
+    assert_eq!(
+        recover_text("beyond", &text).unwrap_err(),
+        format!(
+            "serve log '{}' has 1 event line(s) beyond what replay regenerates",
+            path("beyond")
+        )
+    );
+}

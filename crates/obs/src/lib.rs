@@ -39,6 +39,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::fs::File;
 use std::io::{self, BufWriter, Write};
+use std::ops::Range;
 use std::path::Path;
 
 /// What kind of placement decision a [`SimEvent::DecisionApplied`] records.
@@ -368,7 +369,15 @@ impl SimEvent {
     /// line back with [`SimEvent::from_jsonl`] reproduces the value
     /// bit-exactly.
     pub fn to_jsonl(&self) -> String {
-        let mut w = JsonWriter::new(self.kind());
+        let mut out = String::with_capacity(128);
+        self.write_jsonl(&mut out);
+        out
+    }
+
+    /// Appends the [`SimEvent::to_jsonl`] line to `out` (no trailing
+    /// newline), so a sink rendering many events can reuse one buffer.
+    pub fn write_jsonl(&self, out: &mut String) {
+        let mut w = JsonWriter::appending(std::mem::take(out), self.kind());
         match self {
             SimEvent::JobSubmitted {
                 at,
@@ -542,7 +551,7 @@ impl SimEvent {
                 w.str("new_params", new_params);
             }
         }
-        w.finish()
+        *out = w.finish();
     }
 
     /// Parses one JSONL line produced by [`SimEvent::to_jsonl`].
@@ -553,7 +562,8 @@ impl SimEvent {
 
     /// Whether `ty` is a `type` label this crate's event taxonomy knows.
     /// Serve/session logs interleave event lines with non-event records;
-    /// [`read_event_log`] uses this to route lines without re-parsing.
+    /// [`read_event_log_tolerant`] uses this to route lines without
+    /// re-parsing.
     pub fn known_type(ty: &str) -> bool {
         matches!(
             ty,
@@ -745,7 +755,7 @@ pub fn parse_jsonl_line(line: &str) -> Result<JsonlLine, EventParseError> {
             .map_err(|_| EventParseError::new("schema version overflows u32"))?;
         return Ok(JsonlLine::Schema(version));
     }
-    SimEvent::from_jsonl(line).map(JsonlLine::Event)
+    SimEvent::from_fields(&f).map(JsonlLine::Event)
 }
 
 // ---------------------------------------------------------------------------
@@ -782,7 +792,7 @@ impl JsonObject {
 
     /// Whether `key` is present.
     pub fn contains(&self, key: &str) -> bool {
-        self.fields.map.contains_key(key)
+        self.fields.contains(key)
     }
 
     /// A required string field.
@@ -866,77 +876,32 @@ impl fmt::Display for EventLogError {
 
 impl std::error::Error for EventLogError {}
 
-/// A streaming reader over a JSONL event-log file. Yields one [`LogLine`]
-/// per non-empty line; see [`read_event_log`].
-pub struct EventLogReader {
-    lines: io::Lines<io::BufReader<File>>,
-    line_no: u64,
-}
-
-impl EventLogReader {
-    fn classify(line: &str, line_no: u64) -> Result<LogLine, EventLogError> {
-        let err = |e: EventParseError| EventLogError {
-            line: line_no,
-            message: e.to_string(),
-        };
-        let obj = JsonObject::parse(line).map_err(err)?;
-        let ty = obj.ty().map_err(err)?;
-        if ty == "schema" {
-            let version =
-                u32::try_from(obj.uint("version").map_err(err)?).map_err(|_| EventLogError {
-                    line: line_no,
-                    message: "schema version overflows u32".into(),
-                })?;
-            return Ok(LogLine::Schema(version));
-        }
-        if SimEvent::known_type(ty) {
-            return SimEvent::from_fields(&obj.fields)
-                .map(LogLine::Event)
-                .map_err(err);
-        }
-        Ok(LogLine::Other(obj))
+/// Classifies one non-blank line of an event log.
+fn classify(line: &str, line_no: u64) -> Result<LogLine, EventLogError> {
+    let err = |e: EventParseError| EventLogError {
+        line: line_no,
+        message: e.to_string(),
+    };
+    let obj = JsonObject::parse(line).map_err(err)?;
+    let ty = obj.ty().map_err(err)?;
+    if ty == "schema" {
+        let version =
+            u32::try_from(obj.uint("version").map_err(err)?).map_err(|_| EventLogError {
+                line: line_no,
+                message: "schema version overflows u32".into(),
+            })?;
+        return Ok(LogLine::Schema(version));
     }
-}
-
-impl Iterator for EventLogReader {
-    type Item = Result<LogLine, EventLogError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        loop {
-            let line = match self.lines.next()? {
-                Ok(line) => line,
-                Err(e) => {
-                    self.line_no += 1;
-                    return Some(Err(EventLogError {
-                        line: self.line_no,
-                        message: format!("read error: {e}"),
-                    }));
-                }
-            };
-            self.line_no += 1;
-            if line.trim().is_empty() {
-                continue;
-            }
-            return Some(EventLogReader::classify(&line, self.line_no));
-        }
+    if SimEvent::known_type(ty) {
+        return SimEvent::from_fields(&obj.fields)
+            .map(LogLine::Event)
+            .map_err(err);
     }
+    Ok(LogLine::Other(obj))
 }
 
-/// Opens a JSONL event log for streaming. Every non-empty line is
-/// classified as schema header, [`SimEvent`], or [`LogLine::Other`];
-/// unknown *fields* inside known records are tolerated, and unknown record
-/// *types* surface as `Other` rather than an error so mixed logs (serve
-/// sessions, annotated streams) remain readable.
-pub fn read_event_log(path: impl AsRef<Path>) -> io::Result<EventLogReader> {
-    use std::io::BufRead as _;
-    let file = File::open(path)?;
-    Ok(EventLogReader {
-        lines: io::BufReader::new(file).lines(),
-        line_no: 0,
-    })
-}
-
-/// A fully-read event log, with a crash-tolerance flag.
+/// A fully-read event log, with a crash-tolerance flag and the text of
+/// every retained line.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EventLog {
     /// Every parsed line, in file order.
@@ -944,38 +909,90 @@ pub struct EventLog {
     /// Whether the final line was torn (unparseable) and dropped — the
     /// signature of a process killed mid-append.
     pub torn_tail: bool,
+    /// The file's text up to the torn line: the whole file when
+    /// `torn_tail` is false.
+    pub text: String,
+    /// Where each of `lines` sits in `text`, without its `\n` or `\r\n`.
+    pub spans: Vec<Range<usize>>,
+}
+
+impl EventLog {
+    /// The raw text of `lines[i]`, as it appears in the file.
+    pub fn raw(&self, i: usize) -> &str {
+        &self.text[self.spans[i].clone()]
+    }
 }
 
 /// Reads a whole event log, forgiving a torn *final* line: a process
 /// killed mid-append leaves a partial last line, which recovery must
 /// treat as "never written". Any malformed line before the end is still
 /// an error.
+///
+/// Every non-empty line is classified as schema header, [`SimEvent`], or
+/// [`LogLine::Other`]; unknown *fields* inside known records are
+/// tolerated, and unknown record *types* surface as `Other` rather than an
+/// error so mixed logs (serve sessions, annotated streams) remain
+/// readable. Lines end at `\n`, with a `\r` before it dropped; a line that
+/// is not UTF-8 is an error like a malformed one.
 pub fn read_event_log_tolerant(
     path: impl AsRef<Path>,
 ) -> io::Result<Result<EventLog, EventLogError>> {
-    let reader = read_event_log(path)?;
+    let mut bytes = std::fs::read(path)?;
     let mut lines = Vec::new();
-    let mut deferred: Option<EventLogError> = None;
-    for item in reader {
+    let mut spans = Vec::new();
+    // The first bad line and where it starts; forgiven if nothing follows.
+    let mut deferred: Option<(EventLogError, usize)> = None;
+    let mut line_no = 0u64;
+    let mut start = 0;
+    while start < bytes.len() {
+        let (mut end, next) = match bytes[start..].iter().position(|&b| b == b'\n') {
+            Some(len) => (start + len, start + len + 1),
+            None => (bytes.len(), bytes.len()),
+        };
+        if next > end && end > start && bytes[end - 1] == b'\r' {
+            end -= 1;
+        }
+        line_no += 1;
+        let item = match std::str::from_utf8(&bytes[start..end]) {
+            Ok(line) if line.trim().is_empty() => {
+                start = next;
+                continue;
+            }
+            Ok(line) => classify(line, line_no),
+            Err(_) => Err(EventLogError {
+                line: line_no,
+                message: "read error: stream did not contain valid UTF-8".into(),
+            }),
+        };
         match item {
             Ok(line) => {
-                if let Some(e) = deferred.take() {
+                if let Some((e, _)) = deferred.take() {
                     // The bad line was not the last one after all.
                     return Ok(Err(e));
                 }
                 lines.push(line);
+                spans.push(start..end);
             }
             Err(e) => {
-                if let Some(prior) = deferred.take() {
+                if let Some((prior, _)) = deferred.take() {
                     return Ok(Err(prior));
                 }
-                deferred = Some(e);
+                deferred = Some((e, start));
             }
         }
+        start = next;
     }
+    let torn_at = deferred.map(|(_, at)| at);
+    if let Some(at) = torn_at {
+        bytes.truncate(at);
+    }
+    let text =
+        String::from_utf8(bytes).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
     Ok(Ok(EventLog {
         lines,
-        torn_tail: deferred.is_some(),
+        torn_tail: torn_at.is_some(),
+        text,
+        spans,
     }))
 }
 
@@ -1038,16 +1055,26 @@ pub struct JsonWriter {
 impl JsonWriter {
     /// An object whose first field is `"type":ty`.
     pub fn new(ty: &str) -> Self {
-        let mut w = JsonWriter::untyped();
-        w.str("type", ty);
-        w
+        JsonWriter::appending(String::with_capacity(128), ty)
     }
 
     /// An object with no leading `type` field.
     pub fn untyped() -> Self {
-        let mut out = String::with_capacity(128);
+        JsonWriter::open(String::with_capacity(128))
+    }
+
+    /// Starts an object at the end of `out`, which [`JsonWriter::finish`]
+    /// hands back with the object appended.
+    fn open(mut out: String) -> Self {
         out.push('{');
         JsonWriter { out }
+    }
+
+    /// [`JsonWriter::new`], appending to `out`.
+    fn appending(out: String, ty: &str) -> Self {
+        let mut w = JsonWriter::open(out);
+        w.str("type", ty);
+        w
     }
 
     fn key(&mut self, k: &str) {
@@ -1082,8 +1109,7 @@ impl JsonWriter {
     /// An unsigned-integer field.
     pub fn uint(&mut self, k: &str, v: u64) {
         self.key(k);
-        use fmt::Write as _;
-        let _ = write!(self.out, "{v}");
+        push_u64(&mut self.out, v);
     }
 
     /// A `true`/`false` field.
@@ -1107,9 +1133,17 @@ impl JsonWriter {
     }
 }
 
+/// Pushes `s` as a JSON string. The text before the first byte that needs
+/// an escape (a quote, a backslash or a control character; all ASCII, so
+/// never inside a multi-byte character) is copied whole.
 fn push_json_str(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
+    let plain = s
+        .bytes()
+        .position(|b| b == b'"' || b == b'\\' || b < 0x20)
+        .unwrap_or(s.len());
+    out.push_str(&s[..plain]);
+    for c in s[plain..].chars() {
         match c {
             '"' => out.push_str("\\\""),
             '\\' => out.push_str("\\\\"),
@@ -1126,12 +1160,37 @@ fn push_json_str(out: &mut String, s: &str) {
     out.push('"');
 }
 
+/// Pushes the decimal digits of `v`, as `{v}` prints them.
+fn push_u64(out: &mut String, mut v: u64) {
+    let mut digits = [0u8; 20];
+    let mut start = digits.len();
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    out.extend(digits[start..].iter().map(|&d| char::from(d)));
+}
+
 /// `{}` on `f64` is Rust's shortest string that round-trips to the same
 /// bits, which keeps the log both compact and lossless. Non-finite values
 /// never occur in simulation output (times and throughputs are finite), but
 /// encode them as `null` rather than emitting invalid JSON.
+///
+/// An integral value below 1e15 in magnitude (so exactly an `i64`) prints
+/// under `{}` as its integer digits with no fraction or exponent, so it
+/// takes the integer path; `-0.0` (which prints `-0`) and everything else
+/// go through `{}`.
 fn push_json_f64(out: &mut String, v: f64) {
-    if v.is_finite() {
+    if v.abs() < 1e15 && v.trunc() == v && (v != 0.0 || v.is_sign_positive()) {
+        if v < 0.0 {
+            out.push('-');
+        }
+        push_u64(out, v.abs() as u64);
+    } else if v.is_finite() {
         use fmt::Write as _;
         let _ = write!(out, "{v}");
     } else {
@@ -1139,33 +1198,99 @@ fn push_json_f64(out: &mut String, v: f64) {
     }
 }
 
-/// A parsed scalar: the raw number token is kept as text so integers larger
-/// than 2^53 survive the trip untruncated.
-#[derive(Debug, Clone, PartialEq)]
-enum JsonValue {
+/// A parsed scalar, borrowed from its [`Fields`] buffer: the raw number
+/// token is kept as text so integers larger than 2^53 survive the trip
+/// untruncated.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum JsonValue<'a> {
     Null,
-    Num(String),
-    Str(String),
+    Num(&'a str),
+    Str(&'a str),
 }
 
-#[derive(Debug, Clone, PartialEq)]
+/// A byte range of [`Fields::buf`].
+#[derive(Debug, Clone, Copy)]
+struct Span {
+    start: usize,
+    end: usize,
+}
+
+/// A [`JsonValue`] as a span of the owning buffer.
+#[derive(Debug, Clone, Copy)]
+enum Value {
+    Null,
+    Num(Span),
+    Str(Span),
+}
+
+/// One `"key":value` pair.
+#[derive(Debug, Clone, Copy)]
+struct Entry {
+    key: Span,
+    value: Value,
+}
+
+/// One parsed flat object: a copy of the trimmed line, followed by the
+/// unescaped text of any string that held an escape, plus the pairs in
+/// line order as spans of that buffer. A string without escapes is a span
+/// of the line itself. Lookups scan from the back, so a repeated key reads
+/// as its last value.
+#[derive(Clone)]
 struct Fields {
-    map: BTreeMap<String, JsonValue>,
+    buf: String,
+    entries: Vec<Entry>,
 }
 
 impl Fields {
     fn parse(line: &str) -> Result<Fields, EventParseError> {
-        let mut p = Parser { rest: line.trim() };
-        let map = p.object()?;
-        if !p.rest.trim().is_empty() {
+        let src = line.trim();
+        let mut p = Parser {
+            src,
+            pos: 0,
+            fields: Fields {
+                buf: String::with_capacity(src.len()),
+                entries: Vec::with_capacity(16),
+            },
+        };
+        p.fields.buf.push_str(src);
+        p.object()?;
+        if !p.rest().trim().is_empty() {
             return Err(EventParseError::new("trailing data after object"));
         }
-        Ok(Fields { map })
+        Ok(p.fields)
     }
 
-    fn get(&self, key: &str) -> Result<&JsonValue, EventParseError> {
-        self.map
-            .get(key)
+    fn text(&self, span: Span) -> &str {
+        &self.buf[span.start..span.end]
+    }
+
+    fn value(&self, entry: &Entry) -> JsonValue<'_> {
+        match entry.value {
+            Value::Null => JsonValue::Null,
+            Value::Num(span) => JsonValue::Num(self.text(span)),
+            Value::Str(span) => JsonValue::Str(self.text(span)),
+        }
+    }
+
+    fn find(&self, key: &str) -> Option<&Entry> {
+        self.entries.iter().rev().find(|e| self.text(e.key) == key)
+    }
+
+    fn contains(&self, key: &str) -> bool {
+        self.find(key).is_some()
+    }
+
+    /// The pairs as a last-wins map: what equality and `Debug` see.
+    fn map(&self) -> BTreeMap<&str, JsonValue<'_>> {
+        self.entries
+            .iter()
+            .map(|e| (self.text(e.key), self.value(e)))
+            .collect()
+    }
+
+    fn get(&self, key: &str) -> Result<JsonValue<'_>, EventParseError> {
+        self.find(key)
+            .map(|e| self.value(e))
             .ok_or_else(|| EventParseError::new(format!("missing field {key:?}")))
     }
 
@@ -1227,7 +1352,7 @@ impl Fields {
     /// of an error — for counters added to an event after its schema
     /// version shipped. A present-but-malformed value still errors.
     fn uint_or(&self, default: u64, key: &str) -> Result<u64, EventParseError> {
-        if self.map.contains_key(key) {
+        if self.contains(key) {
             self.uint(key)
         } else {
             Ok(default)
@@ -1235,86 +1360,140 @@ impl Fields {
     }
 }
 
-/// A minimal parser for the flat JSON objects this crate emits: one object
-/// per line, scalar values only (string, number, null).
-struct Parser<'a> {
-    rest: &'a str,
+impl PartialEq for Fields {
+    fn eq(&self, other: &Fields) -> bool {
+        self.map() == other.map()
+    }
 }
 
-impl<'a> Parser<'a> {
-    fn skip_ws(&mut self) {
-        self.rest = self.rest.trim_start();
+impl fmt::Debug for Fields {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Fields").field("map", &self.map()).finish()
+    }
+}
+
+/// A minimal parser for the flat JSON objects this crate emits: one object
+/// per line, scalar values only (string, number, null). It reads `src`
+/// (which `fields.buf` starts as a copy of, so offsets agree) and records
+/// each pair into `fields`.
+struct Parser<'a> {
+    src: &'a str,
+    pos: usize,
+    fields: Fields,
+}
+
+impl Parser<'_> {
+    fn rest(&self) -> &str {
+        &self.src[self.pos..]
     }
 
-    fn eat(&mut self, c: char) -> Result<(), EventParseError> {
+    fn skip_ws(&mut self) {
+        self.pos = self.src.len() - self.rest().trim_start().len();
+    }
+
+    fn eat(&mut self, c: u8) -> Result<(), EventParseError> {
         self.skip_ws();
-        if let Some(r) = self.rest.strip_prefix(c) {
-            self.rest = r;
+        if self.rest().as_bytes().first() == Some(&c) {
+            self.pos += 1;
             Ok(())
         } else {
             Err(EventParseError::new(format!(
-                "expected {c:?} at {:?}",
-                truncate(self.rest)
+                "expected {:?} at {:?}",
+                char::from(c),
+                truncate(self.rest())
             )))
         }
     }
 
-    fn object(&mut self) -> Result<BTreeMap<String, JsonValue>, EventParseError> {
-        self.eat('{')?;
-        let mut map = BTreeMap::new();
+    fn object(&mut self) -> Result<(), EventParseError> {
+        self.eat(b'{')?;
         self.skip_ws();
-        if self.rest.starts_with('}') {
-            self.rest = &self.rest[1..];
-            return Ok(map);
+        if self.rest().starts_with('}') {
+            self.pos += 1;
+            return Ok(());
         }
         loop {
             let key = self.string()?;
-            self.eat(':')?;
+            self.eat(b':')?;
             let value = self.value()?;
-            map.insert(key, value);
+            self.fields.entries.push(Entry { key, value });
             self.skip_ws();
-            if let Some(r) = self.rest.strip_prefix(',') {
-                self.rest = r;
+            if self.rest().starts_with(',') {
+                self.pos += 1;
             } else {
-                self.eat('}')?;
-                return Ok(map);
+                return self.eat(b'}');
             }
         }
     }
 
-    fn value(&mut self) -> Result<JsonValue, EventParseError> {
+    fn value(&mut self) -> Result<Value, EventParseError> {
         self.skip_ws();
-        if self.rest.starts_with('"') {
-            return Ok(JsonValue::Str(self.string()?));
+        if self.rest().starts_with('"') {
+            return Ok(Value::Str(self.string()?));
         }
-        if let Some(r) = self.rest.strip_prefix("null") {
-            self.rest = r;
-            return Ok(JsonValue::Null);
+        if self.rest().starts_with("null") {
+            self.pos += 4;
+            return Ok(Value::Null);
         }
-        let end = self
-            .rest
-            .find(|c: char| !matches!(c, '0'..='9' | '-' | '+' | '.' | 'e' | 'E'))
-            .unwrap_or(self.rest.len());
-        if end == 0 {
+        let len = self
+            .rest()
+            .bytes()
+            .position(|b| !matches!(b, b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E'))
+            .unwrap_or(self.rest().len());
+        if len == 0 {
             return Err(EventParseError::new(format!(
                 "expected scalar at {:?}",
-                truncate(self.rest)
+                truncate(self.rest())
             )));
         }
-        let (tok, rest) = self.rest.split_at(end);
-        self.rest = rest;
-        Ok(JsonValue::Num(tok.to_string()))
+        let start = self.pos;
+        self.pos += len;
+        Ok(Value::Num(Span {
+            start,
+            end: self.pos,
+        }))
     }
 
-    fn string(&mut self) -> Result<String, EventParseError> {
-        self.eat('"')?;
-        let mut out = String::new();
-        let mut chars = self.rest.char_indices();
+    /// A string: a span of the line when it holds no escape, else the
+    /// unescaped text appended to the buffer.
+    fn string(&mut self) -> Result<Span, EventParseError> {
+        self.eat(b'"')?;
+        let start = self.pos;
+        match self.rest().bytes().position(|b| b == b'"' || b == b'\\') {
+            Some(len) if self.rest().as_bytes()[len] == b'"' => {
+                self.pos += len + 1;
+                Ok(Span {
+                    start,
+                    end: start + len,
+                })
+            }
+            Some(len) => {
+                let buf = &mut self.fields.buf;
+                let unescaped = buf.len();
+                buf.push_str(&self.src[start..start + len]);
+                self.pos += len;
+                self.unescape()?;
+                Ok(Span {
+                    start: unescaped,
+                    end: self.fields.buf.len(),
+                })
+            }
+            None => Err(EventParseError::new("unterminated string")),
+        }
+    }
+
+    /// Decodes the rest of a string from its first escape up to and past
+    /// its closing quote, appending the text to the buffer.
+    fn unescape(&mut self) -> Result<(), EventParseError> {
+        let src = self.src;
+        let rest = &src[self.pos..];
+        let out = &mut self.fields.buf;
+        let mut chars = rest.char_indices();
         while let Some((i, c)) = chars.next() {
             match c {
                 '"' => {
-                    self.rest = &self.rest[i + 1..];
-                    return Ok(out);
+                    self.pos += i + 1;
+                    return Ok(());
                 }
                 '\\' => match chars.next() {
                     Some((_, '"')) => out.push('"'),
@@ -1324,8 +1503,7 @@ impl<'a> Parser<'a> {
                     Some((_, 'r')) => out.push('\r'),
                     Some((_, 't')) => out.push('\t'),
                     Some((j, 'u')) => {
-                        let hex = self
-                            .rest
+                        let hex = rest
                             .get(j + 1..j + 5)
                             .ok_or_else(|| EventParseError::new("truncated \\u escape"))?;
                         let code = u32::from_str_radix(hex, 16)
@@ -1417,6 +1595,8 @@ pub struct JsonlSink<W: Write> {
     written: u64,
     header_pending: bool,
     error: Option<io::Error>,
+    /// The line being written, reused across events.
+    line: String,
 }
 
 impl JsonlSink<File> {
@@ -1434,6 +1614,7 @@ impl<W: Write> JsonlSink<W> {
             written: 0,
             header_pending: true,
             error: None,
+            line: String::with_capacity(256),
         }
     }
 
@@ -1458,9 +1639,10 @@ impl<W: Write> EventSink for JsonlSink<W> {
             }
             self.header_pending = false;
         }
-        let mut line = event.to_jsonl();
-        line.push('\n');
-        match self.writer.write_all(line.as_bytes()) {
+        self.line.clear();
+        event.write_jsonl(&mut self.line);
+        self.line.push('\n');
+        match self.writer.write_all(self.line.as_bytes()) {
             Ok(()) => self.written += 1,
             Err(e) => self.error = Some(e),
         }
@@ -2295,16 +2477,23 @@ mod tests {
             text.push_str(&ev.to_jsonl());
             text.push('\n');
         }
-        text.push_str("{\"type\":\"submit_op\",\"job\":9,\"at\":1.5}\n");
+        text.push_str("{\"type\":\"submit_op\",\"job\":9,\"at\":1.5}\r\n");
         text.push('\n'); // blank lines are skipped
         std::fs::write(&path, &text).unwrap();
 
-        let lines: Vec<LogLine> = read_event_log(&path)
-            .unwrap()
-            .collect::<Result<_, _>>()
-            .unwrap();
+        let log = read_event_log_tolerant(&path).unwrap().unwrap();
         std::fs::remove_file(&path).unwrap();
+        assert!(!log.torn_tail);
+        assert_eq!(log.text, text);
+        let lines = log.lines.clone();
         assert_eq!(lines.len(), sample_events().len() + 2);
+        assert_eq!(log.raw(0), schema_header_line());
+        assert_eq!(log.raw(1), sample_events()[0].to_jsonl());
+        assert_eq!(
+            log.raw(lines.len() - 1),
+            "{\"type\":\"submit_op\",\"job\":9,\"at\":1.5}",
+            "the raw text drops the CRLF"
+        );
         assert_eq!(lines[0], LogLine::Schema(SCHEMA_VERSION));
         for (i, ev) in sample_events().into_iter().enumerate() {
             assert_eq!(lines[1 + i], LogLine::Event(ev));
@@ -2334,10 +2523,12 @@ mod tests {
         text.push('\n');
         text.push_str(&ev.to_jsonl());
         text.push('\n');
+        let whole = text.clone();
         text.push_str("{\"type\":\"tick_skip"); // torn
         std::fs::write(&path, &text).unwrap();
         let log = read_event_log_tolerant(&path).unwrap().unwrap();
         assert!(log.torn_tail);
+        assert_eq!(log.text, whole, "the torn line is not kept");
         assert_eq!(
             log.lines,
             vec![LogLine::Schema(SCHEMA_VERSION), LogLine::Event(ev.clone())]

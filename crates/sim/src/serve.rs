@@ -43,7 +43,7 @@ use crate::tenant::TenantId;
 use rubick_model::{ExecutionPlan, ModelSpec, NodeShape, Resources};
 use rubick_obs::{
     read_event_log_tolerant, EventSink, FanoutSink, JsonObject, JsonWriter, LogLine, SimEvent,
-    VecSink, SCHEMA_VERSION,
+    SCHEMA_VERSION,
 };
 use std::fs::{File, OpenOptions};
 use std::io::{self, BufWriter, Write};
@@ -439,6 +439,8 @@ struct ServeLog {
     bytes: u64,
     /// First I/O error, sticky (subsequent writes are no-ops).
     error: Option<io::Error>,
+    /// The event line being written, reused across events.
+    line: String,
 }
 
 impl ServeLog {
@@ -457,6 +459,7 @@ impl ServeLog {
             events_logged: 0,
             bytes,
             error: None,
+            line: String::with_capacity(256),
         })
     }
 
@@ -533,7 +536,11 @@ impl ServeLog {
 /// The journal appends every engine event it observes.
 impl EventSink for ServeLog {
     fn on_event(&mut self, event: &SimEvent) {
-        self.write_line(&event.to_jsonl());
+        let mut line = std::mem::take(&mut self.line);
+        line.clear();
+        event.write_jsonl(&mut line);
+        self.write_line(&line);
+        self.line = line;
         self.events_logged += 1;
     }
 }
@@ -768,12 +775,86 @@ pub struct Recovery<'a> {
     pub stats: RecoveryStats,
 }
 
+/// The regenerated event stream as replay sees it: every event is counted,
+/// and those at or past `from` (the compaction offset; the journal keeps
+/// no event line before it) are rendered into one buffer, each followed
+/// by `\n`. Verification and heal read nothing else.
+struct TailSink {
+    from: usize,
+    seen: usize,
+    text: String,
+    /// Where each rendered line starts in `text`.
+    starts: Vec<usize>,
+}
+
+impl TailSink {
+    fn new(from: usize) -> TailSink {
+        TailSink {
+            from,
+            seen: 0,
+            text: String::new(),
+            starts: Vec::new(),
+        }
+    }
+
+    /// The rendered line of event `k` (counted from the session start).
+    fn line(&self, k: usize) -> Option<&str> {
+        let i = k.checked_sub(self.from)?;
+        let start = *self.starts.get(i)?;
+        let end = self.starts.get(i + 1).copied().unwrap_or(self.text.len());
+        Some(&self.text[start..end - 1])
+    }
+
+    /// Events `k..`, each line followed by `\n`.
+    fn lines_from(&self, k: usize) -> &str {
+        match k.checked_sub(self.from).and_then(|i| self.starts.get(i)) {
+            Some(&start) => &self.text[start..],
+            None => "",
+        }
+    }
+}
+
+impl EventSink for TailSink {
+    fn on_event(&mut self, event: &SimEvent) {
+        if self.seen >= self.from {
+            self.starts.push(self.text.len());
+            event.write_jsonl(&mut self.text);
+            self.text.push('\n');
+        }
+        self.seen += 1;
+    }
+}
+
+/// What a retained journal line is, which fixes its canonical rendering.
+enum Retained {
+    Header,
+    Op,
+    Marker,
+    Event,
+}
+
+/// Whether `text` is exactly `lines`, each followed by `\n`.
+fn is_text_of<'s>(text: &str, lines: impl Iterator<Item = &'s str>) -> bool {
+    let mut rest = text;
+    for line in lines {
+        match rest.strip_prefix(line).and_then(|r| r.strip_prefix('\n')) {
+            Some(r) => rest = r,
+            None => return false,
+        }
+    }
+    rest.is_empty()
+}
+
 /// Recovers a session from its journal: replays the logged ops through
 /// `engine` (which must be constructed exactly as the original — same
 /// scheduler, seed and cluster), verifies the regenerated event stream
 /// against the logged one, heals a torn tail, and reattaches the journal
 /// in append mode. Every regenerated event is forwarded to `sink`, so
 /// event subscribers can rebuild their state alongside the engine.
+///
+/// A journal that is already canonical and not torn (the common case: a
+/// clean shutdown, or a crash between lines) is not rewritten; recovery
+/// only appends the events it is missing, if any.
 ///
 /// # Errors
 ///
@@ -791,17 +872,24 @@ pub fn recover<'a>(
         .map_err(|e| format!("serve log '{}': {e}", path.display()))?;
     let mut meta: Option<ServeMeta> = None;
     let mut ops: Vec<ServeOp> = Vec::new();
+    // Each op's canonical line, rendered once for heal and the journal.
+    let mut op_lines: Vec<String> = Vec::new();
     let mut events_dropped: u64 = 0;
-    let mut logged_events: Vec<String> = Vec::new();
-    for line in &log.lines {
-        match line {
+    // The index in `log.lines` of each event line.
+    let mut logged_events: Vec<usize> = Vec::new();
+    let mut retained: Vec<Retained> = Vec::with_capacity(log.lines.len());
+    for (i, line) in log.lines.iter().enumerate() {
+        let kind = match line {
             LogLine::Schema(_) => {
                 return Err(format!(
                     "serve log '{}': unexpected bare event-schema header",
                     path.display()
                 ))
             }
-            LogLine::Event(e) => logged_events.push(e.to_jsonl()),
+            LogLine::Event(_) => {
+                logged_events.push(i);
+                Retained::Event
+            }
             LogLine::Other(obj) => {
                 let ty = obj.ty().map_err(|e| e.to_string())?;
                 match ty {
@@ -813,10 +901,17 @@ pub fn recover<'a>(
                             ));
                         }
                         meta = Some(ServeMeta::parse(obj)?);
+                        Retained::Header
                     }
-                    "submit" | "cancel" | "advance" => ops.push(ServeOp::from_object(obj)?),
+                    "submit" | "cancel" | "advance" => {
+                        let op = ServeOp::from_object(obj)?;
+                        op_lines.push(op.to_jsonl());
+                        ops.push(op);
+                        Retained::Op
+                    }
                     "compacted" => {
                         events_dropped = obj.uint("events_dropped").map_err(|e| e.to_string())?;
+                        Retained::Marker
                     }
                     other => {
                         return Err(format!(
@@ -826,7 +921,8 @@ pub fn recover<'a>(
                     }
                 }
             }
-        }
+        };
+        retained.push(kind);
     }
     let meta = meta.ok_or_else(|| {
         format!(
@@ -843,13 +939,14 @@ pub fn recover<'a>(
         ));
     }
 
-    // Replay the op journal through the fresh engine, capturing the
-    // regenerated event stream beside the caller's sink.
+    // Replay the op journal through the fresh engine, rendering the
+    // regenerated events the journal can hold beside the caller's sink.
+    let offset = events_dropped as usize;
     let mut session = ServeSession::new(engine);
-    let mut capture = VecSink::default();
+    let mut tail = TailSink::new(offset);
     {
         let mut fan = FanoutSink::new();
-        fan.push(&mut capture);
+        fan.push(&mut tail);
         fan.push(sink);
         for (i, op) in ops.iter().enumerate() {
             session
@@ -857,81 +954,103 @@ pub fn recover<'a>(
                 .map_err(|e| format!("replaying journalled op {i}: {e}"))?;
         }
     }
-    let regen = capture.events;
 
     // Verify: the logged events must match the replay at the compaction
     // offset, compared as rendered lines. Replay may run *longer* than the
     // log (a crash mid-advance journals the op but only a prefix of its
-    // events) — never shorter.
-    let offset = events_dropped as usize;
-    for (i, logged) in logged_events.iter().enumerate() {
-        match regen.get(offset + i).map(SimEvent::to_jsonl) {
-            Some(r) if r == *logged => {}
-            Some(r) => {
-                return Err(format!(
-                    "serve log '{}' diverges from deterministic replay at event {}: \
-                     logged {logged} vs replayed {r}",
-                    path.display(),
-                    offset + i
-                ))
-            }
-            None => {
-                return Err(format!(
-                    "serve log '{}' has {} event line(s) beyond what replay regenerates",
-                    path.display(),
-                    logged_events.len() + offset - regen.len()
-                ))
-            }
+    // events) — never shorter. A logged line equal to the rendering needs
+    // no parse; one that differs may still be the same event written
+    // differently (reordered keys, `1.50`), so its parsed event is
+    // rendered and compared.
+    for (i, &at) in logged_events.iter().enumerate() {
+        let Some(replayed) = tail.line(offset + i) else {
+            return Err(format!(
+                "serve log '{}' has {} event line(s) beyond what replay regenerates",
+                path.display(),
+                logged_events.len() + offset - tail.seen
+            ));
+        };
+        if replayed == log.raw(at) {
+            continue;
+        }
+        let logged = match &log.lines[at] {
+            LogLine::Event(e) => e.to_jsonl(),
+            _ => unreachable!("logged_events indexes event lines"),
+        };
+        if logged != replayed {
+            return Err(format!(
+                "serve log '{}' diverges from deterministic replay at event {}: \
+                 logged {logged} vs replayed {replayed}",
+                path.display(),
+                offset + i
+            ));
         }
     }
-    if offset > regen.len() {
+    if offset > tail.seen {
         return Err(format!(
             "serve log '{}' claims {offset} compacted event(s) but replay regenerates only {}",
             path.display(),
-            regen.len()
+            tail.seen
         ));
     }
 
-    // Heal: rewrite the retained lines canonically (dropping the torn
-    // tail) and append the events the log was missing, leaving a file
-    // byte-identical to what an uninterrupted session would have written.
-    let mut content = String::new();
-    for line in &log.lines {
-        let rendered = match line {
-            LogLine::Event(e) => e.to_jsonl(),
-            LogLine::Other(obj) => match obj.ty().map_err(|e| e.to_string())? {
-                "serve" => meta.header_line(),
-                "compacted" => marker_line(events_dropped),
-                _ => ServeOp::from_object(obj)?.to_jsonl(),
-            },
-            LogLine::Schema(_) => unreachable!("rejected above"),
-        };
-        content.push_str(&rendered);
-        content.push('\n');
-    }
-    for missing in &regen[offset + logged_events.len()..] {
-        content.push_str(&missing.to_jsonl());
-        content.push('\n');
-    }
-    let tmp = path.with_extension("tmp");
-    let file = std::fs::write(&tmp, &content)
-        .and_then(|()| std::fs::rename(&tmp, path))
-        .and_then(|()| OpenOptions::new().append(true).open(path))
-        .map_err(|e| format!("healing serve log '{}': {e}", path.display()))?;
+    // Heal: the file must hold the retained lines canonically (the torn
+    // tail dropped) followed by the events the log was missing — what an
+    // uninterrupted session would have written. A file that already holds
+    // the canonical lines only gets the missing events appended; any other
+    // is rewritten whole.
+    let header = meta.header_line();
+    let marker = marker_line(events_dropped);
+    let (header_str, marker_str, tail_lines) = (header.as_str(), marker.as_str(), &tail);
+    let canonical = || {
+        let mut op_line = op_lines.iter();
+        let mut event = offset;
+        retained.iter().map(move |kind| match kind {
+            Retained::Header => header_str,
+            Retained::Marker => marker_str,
+            Retained::Op => op_line.next().map_or("", String::as_str),
+            Retained::Event => {
+                event += 1;
+                tail_lines.line(event - 1).unwrap_or_default()
+            }
+        })
+    };
+    let missing = tail.lines_from(offset + logged_events.len());
+    let (file, bytes) = if !log.torn_tail && is_text_of(&log.text, canonical()) {
+        let file = OpenOptions::new()
+            .append(true)
+            .open(path)
+            .and_then(|mut file| file.write_all(missing.as_bytes()).map(|()| file));
+        (file, log.text.len() + missing.len())
+    } else {
+        let mut content = String::with_capacity(log.text.len() + missing.len());
+        for line in canonical() {
+            content.push_str(line);
+            content.push('\n');
+        }
+        content.push_str(missing);
+        let tmp = path.with_extension("tmp");
+        let file = std::fs::write(&tmp, &content)
+            .and_then(|()| std::fs::rename(&tmp, path))
+            .and_then(|()| OpenOptions::new().append(true).open(path));
+        (file, content.len())
+    };
+    let file = file.map_err(|e| format!("healing serve log '{}': {e}", path.display()))?;
     session.log = Some(ServeLog {
         path: path.to_path_buf(),
         file: BufWriter::new(file),
-        header: meta.header_line(),
-        ops: ops.iter().map(ServeOp::to_jsonl).collect(),
+        header,
+        ops: op_lines,
         events_dropped,
-        events_logged: (regen.len() - offset) as u64,
-        bytes: content.len() as u64,
+        events_logged: (tail.seen - offset) as u64,
+        bytes: bytes as u64,
         error: None,
+        line: String::with_capacity(256),
     });
     Ok(Recovery {
         stats: RecoveryStats {
             ops_replayed: ops.len(),
-            events_replayed: regen.len(),
+            events_replayed: tail.seen,
             events_verified: logged_events.len(),
             torn_tail: log.torn_tail,
         },
