@@ -24,7 +24,9 @@
 #                      (the mt --refit and --chaos runs cover certificate
 #                      clears on a refit and on node loss); then
 #                      Sia on base and on mt --refit, whose debug build
-#                      re-resolves every per-job cache hit, and Rubick on
+#                      re-resolves every per-job cache hit and rebuilds
+#                      every DP-rescale curve miss from the job's own
+#                      plan against its DP-free key, and Rubick on
 #                      mt with node and launch failures, whose debug
 #                      engine checks its job table after every step
 #   make benchmark-test  unit tests of the repo benchmark package
@@ -190,7 +192,7 @@ skip-smoke:
 	@echo "skip-smoke: every best-plan memo miss, split or full, matches its full scan on every Rubick run;"
 	@echo "skip-smoke: every read-set Jacobian entry and early reject matches on mt --refit;"
 	@echo "skip-smoke: every negligible-overlap shortcut matches the full f_overlap formula on every run;"
-	@echo "skip-smoke: every Sia cache hit and next rise matches on base and mt --refit;"
+	@echo "skip-smoke: every Sia cache hit, next rise and DP-rescale curve under its DP-free key matches on base and mt --refit;"
 	@echo "skip-smoke: every skip and job-table check holds on mt with node and launch failures"
 
 bench:

@@ -12,6 +12,7 @@ use rubick_model::prelude::*;
 use rubick_model::reference;
 use rubick_testbed::TestbedOracle;
 use std::hint::black_box;
+use std::sync::Arc;
 
 fn bench_iter_time(c: &mut Criterion) {
     let spec = ModelSpec::gpt2_xl();
@@ -150,6 +151,7 @@ fn bench_best_plan(c: &mut Criterion) {
 /// Cold vs warm GPU-curve construction: the naive reference runs the full
 /// re-enumerating `best_plan` at every point; the optimized build hits the
 /// global plan-set cache at every point after the first pass warms it.
+/// `dp_scale` times a cached DP-rescale build and a hit across DP degrees.
 fn bench_curve_build(c: &mut Criterion) {
     let model = ThroughputModel::new(
         ModelSpec::gpt2_xl(),
@@ -169,6 +171,19 @@ fn bench_curve_build(c: &mut Criterion) {
     SensitivityCurve::for_gpus(&model, batch, max_gpus);
     group.bench_function("warm", |b| {
         b.iter(|| black_box(SensitivityCurve::for_gpus(&model, batch, max_gpus)))
+    });
+    // Sia's path for an arriving job: a cold 64-GPU DP-rescale build
+    // through a fresh cache, then a job whose initial plan differs only in
+    // DP degree, which must hit the same entry.
+    let (first, second) = (ExecutionPlan::zero_dp(2), ExecutionPlan::zero_dp(4));
+    group.bench_function("dp_scale", |b| {
+        b.iter(|| {
+            let cache = CurveCache::new();
+            let built = cache.gpu_curve(&model, &PlanSearch::DpScale(first), 64, 64);
+            let hit = cache.gpu_curve(&model, &PlanSearch::DpScale(second), 64, 64);
+            assert!(Arc::ptr_eq(&built, &hit), "a DP-only difference missed");
+            black_box(hit)
+        })
     });
     group.finish();
 }

@@ -134,14 +134,8 @@ mod tests {
     fn fixed_search_only_matches_exact_gpus() {
         let plan = ExecutionPlan::dp(4);
         let search = PlanSearch::Fixed(plan);
-        let model = ThroughputModel::new(
-            ModelSpec::roberta_large(),
-            PerfParams::default(),
-            ClusterEnv::a800(),
-            NodeShape::a800(),
-        );
-        assert_eq!(search.candidates(&model, 4, 64), vec![plan]);
-        assert!(search.candidates(&model, 8, 64).is_empty());
+        assert_eq!(search.candidate(4, 64), Some(plan));
+        assert_eq!(search.candidate(8, 64), None);
     }
 
     #[test]

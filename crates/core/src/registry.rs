@@ -185,6 +185,10 @@ impl ModelRegistry {
     /// Cached GPU sensitivity curve for a model type under a plan-search
     /// mode. Full-search and restricted (DP-rescale, fixed-plan) curves
     /// share the one cache, so [`ModelRegistry::insert`] evicts both.
+    /// Jobs of one model type and batch share a DP-rescale curve when
+    /// their initial plans have the same plan structure, DP degree
+    /// excluded: rescaling sets the DP degree from the GPU amount and
+    /// never reads the initial one ([`PlanSearch::curve_key`]).
     ///
     /// Returns `None` when the model type was never registered.
     pub fn gpu_curve(

@@ -133,10 +133,7 @@ impl SensitivityCurve {
     /// and host memory scaling proportionally to a packed placement
     /// (matching how the scheduler packs jobs onto nodes).
     pub fn for_gpus(model: &ThroughputModel, global_batch: u32, max_gpus: u32) -> Self {
-        SensitivityCurve::from_fn(ResourceKind::Gpu, max_gpus, |g| {
-            let placement = Placement::packed(g, &model.shape);
-            model.best_plan(global_batch, &placement)
-        })
+        PlanSearch::Full.gpu_curve(model, global_batch, max_gpus)
     }
 
     /// Builds the CPU sensitivity curve at a fixed GPU count: amounts
@@ -227,8 +224,9 @@ impl SensitivityCurve {
 struct CurveKey {
     batch: u32,
     kind: ResourceKind,
-    /// The plan-search mode the curve was built under: full search, or a
-    /// DP-rescale / fixed variant carrying its plan. CPU curves are always
+    /// The plan-search mode the curve was built under, as
+    /// [`PlanSearch::curve_key`] files it: full search, a DP-rescale base
+    /// with its DP degree set to 1, or a fixed plan. CPU curves are always
     /// full search.
     search: PlanSearch,
     /// Curve context: `(fixed GPU count, max amount)` for CPU curves,
@@ -241,8 +239,12 @@ struct CurveKey {
 ///
 /// Curves only depend on the model type and search mode (not the
 /// individual job), so all jobs of one type — and, under a restricted
-/// search, the same initial plan — share cached curves across scheduling
-/// rounds.
+/// search, the same plan structure, DP degree excluded — share cached
+/// curves across scheduling rounds. The DP degree is left out because
+/// DP rescaling derives it from the GPU amount and never reads the base's
+/// ([`PlanSearch::curve_key`]); a fixed plan keeps its whole plan in the
+/// key. Debug builds check every DP-rescale miss against a build from the
+/// caller's own base.
 ///
 /// Entries are grouped by model type: a lookup hashes the borrowed model
 /// name instead of cloning it into a key, and
@@ -294,7 +296,9 @@ impl CurveCache {
     }
 
     /// Returns the GPU curve for `model` under `search`, computing and
-    /// caching it on first use.
+    /// caching it on first use. A miss builds from the key's search mode
+    /// ([`PlanSearch::curve_key`]), so every DP degree of one DP-rescale
+    /// base shares one build.
     pub fn gpu_curve(
         &self,
         model: &ThroughputModel,
@@ -305,11 +309,20 @@ impl CurveCache {
         let key = CurveKey {
             batch: global_batch,
             kind: ResourceKind::Gpu,
-            search: *search,
+            search: search.curve_key(),
             context: (0, max_gpus),
         };
         self.get_or_compute(&model.spec.name, key, || {
-            search.gpu_curve(model, global_batch, max_gpus)
+            let curve = key.search.gpu_curve(model, global_batch, max_gpus);
+            #[cfg(debug_assertions)]
+            if key.search != *search {
+                assert_eq!(
+                    crate::reference::curve_bits(&curve),
+                    crate::reference::curve_bits(&search.gpu_curve(model, global_batch, max_gpus)),
+                    "DP-rescale curve of {search:?} diverges from its key's"
+                );
+            }
+            curve
         })
     }
 
@@ -457,15 +470,10 @@ mod tests {
     /// pattern, plans and envelope indices exactly.
     fn assert_bitwise_eq(a: &SensitivityCurve, b: &SensitivityCurve) {
         assert_eq!(a.kind, b.kind);
-        assert_eq!(a.points.len(), b.points.len());
-        for (p, q) in a.points.iter().zip(&b.points) {
-            assert_eq!(p.amount, q.amount);
-            assert_eq!(p.raw_throughput.to_bits(), q.raw_throughput.to_bits());
-            assert_eq!(p.envelope.to_bits(), q.envelope.to_bits());
-            assert_eq!(p.plan, q.plan);
-            assert_eq!(p.envelope_idx, q.envelope_idx);
-            assert_eq!(p.next_rise, q.next_rise);
-        }
+        assert_eq!(
+            crate::reference::curve_bits(a),
+            crate::reference::curve_bits(b)
+        );
     }
 
     #[test]

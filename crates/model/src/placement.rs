@@ -70,15 +70,27 @@ impl Placement {
     /// This is the "default placement" plan enumeration assumes before the
     /// scheduler has chosen real nodes.
     pub fn packed(gpus: u32, shape: &NodeShape) -> Self {
-        let frac = |total: f64| total * gpus as f64 / shape.gpus as f64;
-        Placement::spread(
-            gpus,
-            shape.gpus,
-            frac(shape.cpus as f64).round() as u32,
-            // Must stay bit-identical to `NodeShape::packed_host_mem_gb`,
-            // which replays this share for the unchecked best-plan path.
-            shape.packed_host_mem_gb(gpus),
-        )
+        let mut placement = Placement::single_node(0, 0, 0.0);
+        placement.set_packed(gpus, shape);
+        placement
+    }
+
+    /// Overwrites this placement with [`Placement::packed`]`(gpus, shape)`,
+    /// reusing the per-node buffer, so a curve build that walks every GPU
+    /// amount allocates it once instead of once per amount.
+    pub fn set_packed(&mut self, gpus: u32, shape: &NodeShape) {
+        assert!(shape.gpus > 0, "a node shape needs GPUs");
+        let (full, rest) = (gpus / shape.gpus, gpus % shape.gpus);
+        self.gpus_per_node.clear();
+        self.gpus_per_node
+            .extend(std::iter::repeat_n(shape.gpus, full as usize));
+        if rest > 0 {
+            self.gpus_per_node.push(rest);
+        }
+        self.cpus = (shape.cpus as f64 * gpus as f64 / shape.gpus as f64).round() as u32;
+        // Must stay bit-identical to `NodeShape::packed_host_mem_gb`,
+        // which replays this share for the unchecked best-plan path.
+        self.host_mem_gb = shape.packed_host_mem_gb(gpus);
     }
 
     /// Total GPUs across all nodes.
@@ -178,6 +190,33 @@ mod tests {
         assert_eq!(p.gpus_per_node, vec![4]);
         assert_eq!(p.cpus, 48); // half a 96-CPU node
         assert!((p.host_mem_gb - 800.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn set_packed_matches_packed_on_a_reused_buffer() {
+        let odd = NodeShape {
+            gpus: 6,
+            cpus: 70,
+            mem_gb: 1000.0,
+            gpu_mem_gb: 40.0,
+        };
+        for shape in [NodeShape::a800(), odd] {
+            let amounts: Vec<u32> = (0..=4 * shape.gpus).collect();
+            // Up, then down, so every amount is also written over a larger
+            // placement's buffer.
+            let mut buf = Placement::packed(4 * shape.gpus, &shape);
+            for &g in amounts.iter().chain(amounts.iter().rev()) {
+                buf.set_packed(g, &shape);
+                let fresh = Placement::packed(g, &shape);
+                assert_eq!(buf, fresh, "{g} GPUs on {shape:?}");
+                assert_eq!(buf.host_mem_gb.to_bits(), fresh.host_mem_gb.to_bits());
+                // The node layout `spread` builds, with the proportional
+                // CPU and host-memory share.
+                let cpus = (shape.cpus as f64 * g as f64 / shape.gpus as f64).round() as u32;
+                let spread = Placement::spread(g, shape.gpus, cpus, shape.packed_host_mem_gb(g));
+                assert_eq!(buf, spread, "{g} GPUs on {shape:?}");
+            }
+        }
     }
 
     #[test]

@@ -3,9 +3,11 @@
 //! These are the pre-optimization code paths, kept verbatim so the
 //! allocation-free [`PlanEnumerator`](crate::plan::PlanEnumerator), the
 //! [`PlanSetCache`](crate::planset::PlanSetCache)-backed
-//! [`best_plan`](crate::perf::ThroughputModel::best_plan) fast path and the
-//! O(1) curve envelopes and next rises can be *proven* output-identical by property tests
-//! (`crates/model/tests/plan_search_equiv.rs`) and benchmarked against as
+//! [`best_plan`](crate::perf::ThroughputModel::best_plan) fast path, the
+//! O(1) curve envelopes and next rises, and the in-place restricted curve
+//! builds cached under a DP-free key can be *proven* output-identical by
+//! property tests (`crates/model/tests/plan_search_equiv.rs`) and
+//! benchmarked against as
 //! the cold/naive side in `crates/bench/benches/modeling.rs`.
 //!
 //! Nothing in the scheduler calls these outside debug-build cross-checks;
@@ -18,6 +20,7 @@ use crate::perf::ThroughputModel;
 use crate::placement::Placement;
 use crate::plan::{ExecutionPlan, MemoryMode, Parallelism};
 use crate::resources::{NodeShape, ResourceKind};
+use crate::search::PlanSearch;
 use crate::spec::ModelSpec;
 
 /// Candidate TP degrees: powers of two up to a node's width (the original
@@ -281,4 +284,73 @@ pub fn for_cpus_naive(
         kind: ResourceKind::Cpu,
         points,
     })
+}
+
+/// The original candidate list of a restricted search mode: the rescaled
+/// base or the fixed plan at its exact GPU count, collected into a `Vec`.
+fn restricted_candidates_naive(
+    search: &PlanSearch,
+    gpus: u32,
+    global_batch: u32,
+) -> Vec<ExecutionPlan> {
+    match search {
+        PlanSearch::Full => unreachable!("full search has no restricted candidates"),
+        PlanSearch::DpScale(base) => PlanSearch::rescale_dp(base, gpus, global_batch)
+            .into_iter()
+            .collect(),
+        PlanSearch::Fixed(plan) => {
+            if plan.gpus() == gpus {
+                vec![*plan]
+            } else {
+                Vec::new()
+            }
+        }
+    }
+}
+
+/// The original restricted (DP-rescale or fixed-plan) GPU-curve build: a
+/// fresh packed placement per amount, then the checked scoring loop over
+/// the collected candidates, keeping the first best.
+pub fn restricted_gpu_curve_naive(
+    search: &PlanSearch,
+    model: &ThroughputModel,
+    global_batch: u32,
+    max_gpus: u32,
+) -> SensitivityCurve {
+    SensitivityCurve::from_fn(ResourceKind::Gpu, max_gpus, |g| {
+        let placement = Placement::packed(g, &model.shape);
+        let mut best: Option<(ExecutionPlan, f64)> = None;
+        for plan in restricted_candidates_naive(search, placement.total_gpus(), global_batch) {
+            if let Ok(tput) = model.throughput(&plan, global_batch, &placement) {
+                if best.as_ref().map(|(_, b)| tput > *b).unwrap_or(true) {
+                    best = Some((plan, tput));
+                }
+            }
+        }
+        best
+    })
+}
+
+/// One curve point by bit pattern: amount, raw throughput and envelope
+/// bits, plan, envelope index and next rise.
+pub type PointBits = (u32, u64, u64, Option<ExecutionPlan>, u32, Option<u32>);
+
+/// A curve's points by bit pattern, so `assert_eq!` on two curves is
+/// bitwise equality (`f64` equality would miss a sign or NaN payload) and
+/// names the first diverging point.
+pub fn curve_bits(curve: &SensitivityCurve) -> Vec<PointBits> {
+    curve
+        .points
+        .iter()
+        .map(|p| {
+            (
+                p.amount,
+                p.raw_throughput.to_bits(),
+                p.envelope.to_bits(),
+                p.plan,
+                p.envelope_idx,
+                p.next_rise,
+            )
+        })
+        .collect()
 }

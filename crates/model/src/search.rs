@@ -9,7 +9,7 @@
 use crate::curve::SensitivityCurve;
 use crate::perf::ThroughputModel;
 use crate::placement::Placement;
-use crate::plan::{enumerate_plans, ExecutionPlan, Parallelism};
+use crate::plan::{ExecutionPlan, Parallelism};
 use crate::resources::ResourceKind;
 
 /// The plan-reconfiguration freedom a policy has.
@@ -57,27 +57,32 @@ impl PlanSearch {
         Some(plan)
     }
 
-    /// The candidate plans this search mode considers on `gpus` GPUs.
-    pub fn candidates(
-        &self,
-        model: &ThroughputModel,
-        gpus: u32,
-        global_batch: u32,
-    ) -> Vec<ExecutionPlan> {
+    /// The key [`CurveCache`](crate::curve::CurveCache) files this mode's
+    /// curves under: a DP-rescale base with its DP degree set to 1, every
+    /// other mode as it is. Exact because [`rescale_dp`](Self::rescale_dp)
+    /// never reads `base.parallel.dp` — it keeps TP, PP, memory mode, GA,
+    /// micro-batches and GC, and derives the DP degree from `gpus` — so
+    /// all bases that differ only in DP degree build one bit-identical
+    /// curve.
+    pub fn curve_key(&self) -> PlanSearch {
+        match *self {
+            PlanSearch::DpScale(mut base) => {
+                base.parallel.dp = 1;
+                PlanSearch::DpScale(base)
+            }
+            search => search,
+        }
+    }
+
+    /// The one plan a restricted mode considers on `gpus` GPUs: the
+    /// rescaled base, or the fixed plan at exactly its GPU count. `None`
+    /// when that plan does not exist here, and always under full search,
+    /// whose many candidates [`ThroughputModel::best_plan`] scans.
+    pub fn candidate(&self, gpus: u32, global_batch: u32) -> Option<ExecutionPlan> {
         match self {
-            PlanSearch::Full => {
-                enumerate_plans(&model.spec, gpus, global_batch, &model.shape, &model.env)
-            }
-            PlanSearch::DpScale(base) => Self::rescale_dp(base, gpus, global_batch)
-                .into_iter()
-                .collect(),
-            PlanSearch::Fixed(plan) => {
-                if plan.gpus() == gpus {
-                    vec![*plan]
-                } else {
-                    Vec::new()
-                }
-            }
+            PlanSearch::Full => None,
+            PlanSearch::DpScale(base) => Self::rescale_dp(base, gpus, global_batch),
+            PlanSearch::Fixed(plan) => (plan.gpus() == gpus).then_some(*plan),
         }
     }
 
@@ -85,9 +90,9 @@ impl PlanSearch {
     /// search mode — `GetBestPlan` of Algorithm 1, restricted per policy.
     ///
     /// Full search delegates to the model's cached, unchecked fast path
-    /// ([`ThroughputModel::best_plan`]), which scores the same candidates in
-    /// the same order; the restricted modes have at most one candidate and
-    /// keep the checked scoring.
+    /// ([`ThroughputModel::best_plan`]), which scores every candidate; the
+    /// restricted modes score their one [`candidate`](Self::candidate)
+    /// through the checked path.
     pub fn best_plan(
         &self,
         model: &ThroughputModel,
@@ -97,15 +102,9 @@ impl PlanSearch {
         if let PlanSearch::Full = self {
             return model.best_plan(global_batch, placement);
         }
-        let mut best: Option<(ExecutionPlan, f64)> = None;
-        for plan in self.candidates(model, placement.total_gpus(), global_batch) {
-            if let Ok(tput) = model.throughput(&plan, global_batch, placement) {
-                if best.as_ref().map(|(_, b)| tput > *b).unwrap_or(true) {
-                    best = Some((plan, tput));
-                }
-            }
-        }
-        best
+        let plan = self.candidate(placement.total_gpus(), global_batch)?;
+        let tput = model.throughput(&plan, global_batch, placement).ok()?;
+        Some((plan, tput))
     }
 
     /// Builds the GPU sensitivity curve under this search mode, uncached.
@@ -117,12 +116,11 @@ impl PlanSearch {
         global_batch: u32,
         max_gpus: u32,
     ) -> SensitivityCurve {
-        match self {
-            PlanSearch::Full => SensitivityCurve::for_gpus(model, global_batch, max_gpus),
-            _ => SensitivityCurve::from_fn(ResourceKind::Gpu, max_gpus, |g| {
-                let placement = Placement::packed(g, &model.shape);
-                self.best_plan(model, global_batch, &placement)
-            }),
-        }
+        // One packed placement rewritten in place per amount.
+        let mut placement = Placement::packed(0, &model.shape);
+        SensitivityCurve::from_fn(ResourceKind::Gpu, max_gpus, |g| {
+            placement.set_packed(g, &model.shape);
+            self.best_plan(model, global_batch, &placement)
+        })
     }
 }

@@ -2,8 +2,9 @@
 //!
 //! Every optimized path — the lazy [`PlanEnumerator`], the
 //! [`PlanSetCache`]-backed unchecked `best_plan`, the placement-class
-//! [`BestPlanMemo`], and the O(1) `envelope_idx` curve lookups — must
-//! produce output *bit-identical* to
+//! [`BestPlanMemo`], the O(1) `envelope_idx` curve lookups, and the
+//! in-place restricted curve builds a [`CurveCache`] files under a DP-free
+//! key — must produce output *bit-identical* to
 //! the retained naive reference in [`rubick_model::reference`]. These
 //! property tests sweep the full seven-model zoo and 1..=16 GPUs so any
 //! divergence in plan ordering, feasibility filtering, float scoring or
@@ -12,6 +13,7 @@
 use proptest::prelude::*;
 use rubick_model::prelude::*;
 use rubick_model::reference;
+use std::sync::Arc;
 
 fn any_model() -> impl Strategy<Value = ModelSpec> {
     prop::sample::select(ModelSpec::zoo())
@@ -124,6 +126,47 @@ proptest! {
         let fast = SensitivityCurve::for_cpus(&model, 16, gpus, max_cpus);
         let naive = reference::for_cpus_naive(&model, 16, gpus, max_cpus);
         prop_assert_eq!(fast, naive);
+    }
+
+    /// Restricted curves served by a [`CurveCache`] equal the naive build —
+    /// a packed placement per amount, then the collected-candidates loop —
+    /// bit for bit, for DP-rescale and fixed-plan bases drawn from the
+    /// model's feasible plans. Two DP-rescale bases that differ only in DP
+    /// degree hit one entry: the second lookup returns the first's `Arc`.
+    #[test]
+    fn cached_restricted_curve_matches_naive(
+        spec in any_model(),
+        base_gpus in prop::sample::select(vec![1u32, 2, 4, 8, 16]),
+        pick in 0usize..1024,
+        dps in (1u32..9, 1u32..9),
+        batch in prop::sample::select(vec![8u32, 16, 64]),
+        max_gpus in 1u32..33,
+    ) {
+        let model = model_for(spec);
+        let plans = enumerate_plans(&model.spec, base_gpus, batch, &model.shape, &model.env);
+        let Some(&plan) = plans.get(pick % plans.len().max(1)) else {
+            return Ok(());
+        };
+        let with_dp = |dp| {
+            let mut base = plan;
+            base.parallel.dp = dp;
+            PlanSearch::DpScale(base)
+        };
+        let cache = CurveCache::new();
+        let scaled = cache.gpu_curve(&model, &with_dp(dps.0), batch, max_gpus);
+        let naive = reference::restricted_gpu_curve_naive(&with_dp(dps.0), &model, batch, max_gpus);
+        prop_assert_eq!(reference::curve_bits(&scaled), reference::curve_bits(&naive));
+        let other = cache.gpu_curve(&model, &with_dp(dps.1), batch, max_gpus);
+        prop_assert!(Arc::ptr_eq(&scaled, &other), "DP {} and {} built twice", dps.0, dps.1);
+        prop_assert_eq!(cache.len(), 1);
+        let naive = reference::restricted_gpu_curve_naive(&with_dp(dps.1), &model, batch, max_gpus);
+        prop_assert_eq!(reference::curve_bits(&other), reference::curve_bits(&naive));
+
+        let fixed = PlanSearch::Fixed(plan);
+        let cached = cache.gpu_curve(&model, &fixed, batch, max_gpus);
+        let naive = reference::restricted_gpu_curve_naive(&fixed, &model, batch, max_gpus);
+        prop_assert_eq!(reference::curve_bits(&cached), reference::curve_bits(&naive));
+        prop_assert_eq!(cache.len(), 2);
     }
 
     /// The placement-class memo answers exactly like the uncached scan and
