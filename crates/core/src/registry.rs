@@ -205,18 +205,6 @@ impl ModelRegistry {
         )
     }
 
-    /// Cached CPU sensitivity curve for a model type at a fixed GPU count.
-    pub fn cpu_curve(
-        &self,
-        name: &str,
-        global_batch: u32,
-        gpus: u32,
-        max_cpus: u32,
-    ) -> Option<Arc<SensitivityCurve>> {
-        let model = self.model(name)?;
-        Some(self.curves.cpu_curve(&model, global_batch, gpus, max_cpus))
-    }
-
     /// Pre-computes all GPU curves (the "prior to scheduling"
     /// optimization of §5.2).
     pub fn warm_curves(&self, max_gpus: u32, batch_of: impl Fn(&ModelSpec) -> u32) {

@@ -124,14 +124,7 @@ pub struct RubickScheduler {
 impl RubickScheduler {
     /// Full Rubick with default configuration.
     pub fn new(registry: Arc<ModelRegistry>) -> Self {
-        RubickScheduler {
-            registry,
-            config: RubickConfig::default(),
-            lazy: None,
-            tracker: dirty::DirtyTracker::new(),
-            plan_memo: BestPlanMemo::new(),
-            skip_certs: policy::SkipCerts::default(),
-        }
+        RubickScheduler::with_config(registry, RubickConfig::default())
     }
 
     /// Rubick with a custom configuration (used by the ablation variants).

@@ -11,8 +11,8 @@
 //!   allocation order (`SortBySlope`) and the shrink decision
 //!   (`GetLowestSlopeOverMinJob`) of Algorithm 1.
 //!
-//! Curves are pure functions of `(model type, batch, plan-search mode,
-//! context)`, so [`CurveCache`] memoizes them — one cache for every
+//! GPU curves are pure functions of `(model type, batch, plan-search mode,
+//! max GPUs)`, so [`CurveCache`] memoizes them — one cache for every
 //! policy's search mode — and can pre-compute them ("the curves can be
 //! computed in parallel or even prior to the scheduling, and then cached
 //! for reuse").
@@ -22,13 +22,12 @@ use crate::placement::Placement;
 use crate::plan::ExecutionPlan;
 use crate::resources::ResourceKind;
 use crate::search::PlanSearch;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::{Arc, PoisonError, RwLock};
 
 /// One point of a sensitivity curve: the best plan and throughput at a
 /// given resource amount (plan is `None` when no plan is feasible there).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CurvePoint {
     /// The resource amount (GPUs or CPUs).
     pub amount: u32,
@@ -54,7 +53,7 @@ pub struct CurvePoint {
 
 /// A job's throughput as a function of one resource amount, best plan
 /// chosen at every point.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SensitivityCurve {
     /// Which resource this curve scales.
     pub kind: ResourceKind,
@@ -219,23 +218,18 @@ impl SensitivityCurve {
     }
 }
 
-/// Cache key under one model type: batch + search mode + curve context.
+/// Cache key under one model type: batch + search mode + max GPU count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct CurveKey {
     batch: u32,
-    kind: ResourceKind,
     /// The plan-search mode the curve was built under, as
     /// [`PlanSearch::curve_key`] files it: full search, a DP-rescale base
-    /// with its DP degree set to 1, or a fixed plan. CPU curves are always
-    /// full search.
+    /// with its DP degree set to 1, or a fixed plan.
     search: PlanSearch,
-    /// Curve context: `(fixed GPU count, max amount)` for CPU curves,
-    /// `(0, max amount)` for GPU curves — a tuple, so the components can
-    /// never collide.
-    context: (u32, u32),
+    max_gpus: u32,
 }
 
-/// A cache of sensitivity curves, keyed by model type.
+/// A cache of GPU sensitivity curves, keyed by model type.
 ///
 /// Curves only depend on the model type and search mode (not the
 /// individual job), so all jobs of one type — and, under a restricted
@@ -308,11 +302,19 @@ impl CurveCache {
     ) -> Arc<SensitivityCurve> {
         let key = CurveKey {
             batch: global_batch,
-            kind: ResourceKind::Gpu,
             search: search.curve_key(),
-            context: (0, max_gpus),
+            max_gpus,
         };
-        self.get_or_compute(&model.spec.name, key, || {
+        // A hit hashes the borrowed model name. Binding it ends the read
+        // guard before `write()` is taken.
+        let hit = self
+            .curves
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .get(&model.spec.name)
+            .and_then(|curves| curves.get(&key))
+            .map(Arc::clone);
+        hit.unwrap_or_else(|| {
             let curve = key.search.gpu_curve(model, global_batch, max_gpus);
             #[cfg(debug_assertions)]
             if key.search != *search {
@@ -322,52 +324,11 @@ impl CurveCache {
                     "DP-rescale curve of {search:?} diverges from its key's"
                 );
             }
-            curve
-        })
-    }
-
-    /// Returns the CPU curve for `model` at a fixed GPU count, computing
-    /// and caching it on first use.
-    pub fn cpu_curve(
-        &self,
-        model: &ThroughputModel,
-        global_batch: u32,
-        gpus: u32,
-        max_cpus: u32,
-    ) -> Arc<SensitivityCurve> {
-        let key = CurveKey {
-            batch: global_batch,
-            kind: ResourceKind::Cpu,
-            search: PlanSearch::Full,
-            context: (gpus, max_cpus),
-        };
-        self.get_or_compute(&model.spec.name, key, || {
-            SensitivityCurve::for_cpus(model, global_batch, gpus, max_cpus)
-        })
-    }
-
-    /// The shared lookup path: a hit hashes the borrowed model name; a miss
-    /// computes the curve and inserts it.
-    fn get_or_compute(
-        &self,
-        model: &str,
-        key: CurveKey,
-        compute: impl FnOnce() -> SensitivityCurve,
-    ) -> Arc<SensitivityCurve> {
-        // Binding the hit ends the read guard before `write()` is taken.
-        let hit = self
-            .curves
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
-            .get(model)
-            .and_then(|curves| curves.get(&key))
-            .map(Arc::clone);
-        hit.unwrap_or_else(|| {
-            let curve = Arc::new(compute());
+            let curve = Arc::new(curve);
             self.curves
                 .write()
                 .unwrap_or_else(PoisonError::into_inner)
-                .entry(model.to_string())
+                .entry(model.spec.name.clone())
                 .or_default()
                 .insert(key, Arc::clone(&curve));
             curve

@@ -5,8 +5,6 @@
 //! `B_pcie` (GPU↔host). They are measured offline on the real cluster; here
 //! they default to the paper's testbed values.
 
-use serde::{Deserialize, Serialize};
-
 /// Environment constants measured once per cluster (paper §4.1, Table 1).
 ///
 /// All bandwidths are in GB/s (10⁹ bytes per second).
@@ -17,7 +15,7 @@ use serde::{Deserialize, Serialize};
 /// assert!(env.b_intra > env.b_inter);
 /// assert!(env.b_inter > env.b_pcie);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClusterEnv {
     /// Intra-node (NVLink) bandwidth, GB/s.
     pub b_intra: f64,
@@ -48,14 +46,6 @@ impl ClusterEnv {
             b_pcie: 12.0,
         }
     }
-
-    /// Returns a copy with the inter-node bandwidth scaled by `factor`.
-    ///
-    /// Handy for ablations on communication sensitivity.
-    pub fn with_inter_scaled(mut self, factor: f64) -> Self {
-        self.b_inter *= factor;
-        self
-    }
 }
 
 impl Default for ClusterEnv {
@@ -72,13 +62,6 @@ mod tests {
     fn a800_ordering() {
         let e = ClusterEnv::a800();
         assert!(e.b_intra > e.b_inter && e.b_inter > e.b_pcie);
-    }
-
-    #[test]
-    fn scaling_inter() {
-        let e = ClusterEnv::a800().with_inter_scaled(0.5);
-        assert!((e.b_inter - 50.0).abs() < 1e-9);
-        assert!((e.b_intra - 400.0).abs() < 1e-9);
     }
 
     #[test]

@@ -22,11 +22,10 @@ use crate::plan::{ExecutionPlan, MemoryMode};
 use crate::spec::ModelSpec;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// One profiled observation: a plan ran on a placement and achieved an
 /// iteration time.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DataPoint {
     /// The execution plan that was measured.
     pub plan: ExecutionPlan,
@@ -69,7 +68,7 @@ const LO: [f64; 7] = [0.5, 1.0, 1e-4, 1e-3, 1.0, 1.0, 0.0];
 const HI: [f64; 7] = [5.0, 32.0, 1.0, 100.0, 32.0, 32.0, 1.0];
 
 /// Options controlling the fit.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FitOptions {
     /// Number of descent starts: the first at [`PerfParams::default`], the
     /// rest drawn at random inside the parameter box.
@@ -99,7 +98,7 @@ impl Default for FitOptions {
 }
 
 /// A completed fit.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FitResult {
     /// The fitted parameters.
     pub params: PerfParams,

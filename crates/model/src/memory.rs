@@ -20,7 +20,6 @@ use crate::placement::Placement;
 use crate::plan::{ExecutionPlan, MemoryMode};
 use crate::resources::Resources;
 use crate::spec::ModelSpec;
-use serde::{Deserialize, Serialize};
 
 /// fp16 weight bytes per parameter.
 const W16: f64 = 2.0;
@@ -54,7 +53,7 @@ const GIB: f64 = 1024.0 * 1024.0 * 1024.0;
 
 /// The full multi-resource footprint of one (model, plan, batch)
 /// combination — what Fig. 2 plots.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ResourceDemand {
     /// GPUs the plan runs on.
     pub gpus: u32,
@@ -78,7 +77,7 @@ impl ResourceDemand {
 }
 
 /// Estimates memory/CPU demands and checks plan feasibility.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MemoryEstimator {
     /// Device memory capacity per GPU, GiB (80 for A800).
     pub gpu_mem_cap_gb: f64,

@@ -18,12 +18,11 @@ use crate::plan::{ExecutionPlan, MemoryMode};
 use crate::planset::PlanSetCache;
 use crate::resources::NodeShape;
 use crate::spec::ModelSpec;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Communication volumes of one training iteration, in bytes.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct CommVolumes {
     /// Data-parallel gradient synchronization volume.
     pub dp_bytes: f64,
@@ -229,7 +228,7 @@ pub fn f_overlap(k: f64, x: f64, y: f64) -> f64 {
 /// let t = params.iter_time(&spec, &plan, 16, &placement, &ClusterEnv::a800());
 /// assert!(t > 0.0 && t.is_finite());
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PerfParams {
     /// Backward/forward compute ratio: `T_bwd = k_bwd · T_fwd`.
     pub k_bwd: f64,
@@ -476,7 +475,7 @@ impl PerfParams {
 /// A fitted performance model for one model type, bundled with the cluster
 /// environment and node shape so it can answer scheduler queries
 /// ("best plan on `g` GPUs?", "throughput of this placement?") directly.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ThroughputModel {
     /// The model type this performance model describes.
     pub spec: ModelSpec,

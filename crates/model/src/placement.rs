@@ -11,7 +11,6 @@
 use crate::env::ClusterEnv;
 use crate::plan::Parallelism;
 use crate::resources::{NodeShape, Resources};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Where a job's resources live.
@@ -26,7 +25,7 @@ use std::fmt;
 /// assert_eq!(p.gpus_per_node, vec![8, 8]);
 /// assert!(p.spans_nodes());
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Placement {
     /// GPUs used on each involved node (all entries positive).
     pub gpus_per_node: Vec<u32>,
@@ -128,7 +127,7 @@ impl fmt::Display for Placement {
 }
 
 /// The effective bandwidth seen by each communication class of a plan.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CommTopology {
     /// Bandwidth for DP gradient synchronization, GB/s.
     pub b_dp: f64,

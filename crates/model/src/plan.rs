@@ -14,11 +14,10 @@ use crate::memory::MemoryEstimator;
 use crate::placement::Placement;
 use crate::resources::NodeShape;
 use crate::spec::ModelSpec;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The 3D-parallelism degrees: `d·t·p` GPUs total (Table 1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Parallelism {
     /// Data-parallel size `d` (number of model replicas).
     pub dp: u32,
@@ -65,7 +64,7 @@ impl fmt::Display for Parallelism {
 }
 
 /// Memory strategy layered on top of data parallelism.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MemoryMode {
     /// Vanilla: every replica holds full model states.
     Plain,
@@ -115,7 +114,7 @@ impl fmt::Display for MemoryMode {
 /// assert!(plan.validate(&spec, 16).is_ok());
 /// assert_eq!(plan.label(), "ZeRO-DP8+GA2");
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ExecutionPlan {
     /// 3D-parallel degrees.
     pub parallel: Parallelism,
@@ -312,7 +311,7 @@ impl fmt::Display for ExecutionPlan {
 }
 
 /// Coarse plan category (the series names in the paper's figures).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PlanKind {
     /// Pure data parallelism (optionally with GA/GC).
     DataParallel,

@@ -6,7 +6,6 @@
 //! used everywhere: job requests, node free capacity, allocations, and the
 //! `minRes` SLA demand of Algorithm 1.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub, SubAssign};
 
@@ -23,7 +22,7 @@ use std::ops::{Add, AddAssign, Sub, SubAssign};
 /// assert!(have.dominates(&req));
 /// assert!(!req.dominates(&have));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Resources {
     /// Number of GPUs.
     pub gpus: u32,
@@ -140,7 +139,7 @@ impl fmt::Display for Resources {
 
 /// A resource dimension name, used for sensitivity curves and the
 /// `resType ∈ {GPU, CPU}` loop of Algorithm 1.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ResourceKind {
     /// GPU count.
     Gpu,
@@ -164,7 +163,7 @@ impl fmt::Display for ResourceKind {
 ///
 /// The paper's testbed nodes are 8× A800-80GB with 96 vCPUs and 1600 GiB of
 /// host memory ([`NodeShape::a800`]).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NodeShape {
     /// GPUs per node.
     pub gpus: u32,

@@ -7,13 +7,12 @@
 //! and trace generation. [`ModelSpec::zoo`] returns the seven evaluation
 //! models of Table 2, from ViT (86 M) to LLaMA-30B.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Broad architecture family; used by the trace generator to decide which
 /// plans are sensible candidates (the paper disables TP/PP for the small
 /// encoder models in the Base trace).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ModelFamily {
     /// Vision transformer (ViT).
     Vision,
@@ -49,7 +48,7 @@ impl fmt::Display for ModelFamily {
 /// assert_eq!(gpt2.layers, 48);
 /// assert!(gpt2.params > 1.4e9 && gpt2.params < 1.6e9);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ModelSpec {
     /// Model-type name (e.g. `"gpt2-1.5b"`); the key for model reuse.
     pub name: String,

@@ -5,11 +5,10 @@
 //! which convert to the [`Placement`] the performance model consumes.
 
 use rubick_model::{NodeShape, Placement, Resources};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// One server in the cluster.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Node {
     /// Node index within the cluster.
     pub id: usize,
@@ -55,7 +54,7 @@ impl Node {
 /// The node set and per-node amounts determine both placement quality
 /// (single-node vs. distributed) and the bandwidths the job's communication
 /// sees.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Allocation {
     /// `(node id, resources granted on that node)`, node ids unique.
     pub per_node: Vec<(usize, Resources)>,
@@ -186,7 +185,7 @@ impl std::error::Error for ClusterError {}
 /// cluster.release(&alloc);
 /// assert_eq!(cluster.free_total().gpus, 64);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Cluster {
     nodes: Vec<Node>,
     shape: NodeShape,

@@ -3,7 +3,6 @@
 use crate::cluster::Allocation;
 use crate::tenant::TenantId;
 use rubick_model::{ExecutionPlan, ModelSpec, Resources};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Unique job identifier.
@@ -11,7 +10,7 @@ pub type JobId = u64;
 
 /// Whether a job consumes tenant quota (and enjoys SLA protection) or runs
 /// opportunistically (paper §5.1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum JobClass {
     /// Consumes quota; the system guarantees at least the performance of
     /// the requested resources with the original plan.
@@ -30,7 +29,7 @@ impl fmt::Display for JobClass {
 }
 
 /// An immutable job description, as submitted by the user.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct JobSpec {
     /// Unique id.
     pub id: JobId,
@@ -69,7 +68,7 @@ impl JobSpec {
 /// Lifecycle status of an active job inside the engine. A job that
 /// completes or is cancelled leaves the engine's job table, so no status
 /// describes it and no scheduler ever sees it.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum JobStatus {
     /// Waiting for resources.
     Queued,

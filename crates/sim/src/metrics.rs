@@ -7,14 +7,13 @@
 
 use crate::job::{JobClass, JobId};
 use crate::tenant::TenantId;
-use serde::{Deserialize, Serialize};
 
 /// One scheduling decision the engine applied (the audit trail of a run).
 ///
 /// The engine records launches, reconfigurations, preemptions and rejected
 /// assignments so experiments and the CLI's `--verbose` mode can explain
 /// *why* a run behaved the way it did.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Decision {
     /// A queued job was launched.
     Launch {
@@ -102,7 +101,7 @@ impl Decision {
 }
 
 /// Everything recorded about one completed job.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct JobRecord {
     /// Job id.
     pub id: JobId,
@@ -165,7 +164,7 @@ impl JobRecord {
 }
 
 /// The outcome of one simulated experiment.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct SimReport {
     /// Scheduler that produced this run.
     pub scheduler: String,
@@ -240,11 +239,6 @@ impl SimReport {
     /// Average JCT for one scheduling class, seconds.
     pub fn avg_jct_class(&self, class: JobClass) -> f64 {
         self.avg_jct_where(|j| j.class == class)
-    }
-
-    /// P99 JCT for one scheduling class, seconds.
-    pub fn p99_jct_class(&self, class: JobClass) -> f64 {
-        self.p99_jct_where(|j| j.class == class)
     }
 
     /// Total GPU-hours consumed.

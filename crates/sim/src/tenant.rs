@@ -6,11 +6,10 @@
 //! guaranteed) and Tenant-B with none (all jobs best-effort).
 
 use rubick_model::Resources;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A tenant identifier.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize, Default, PartialOrd, Ord)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Default, PartialOrd, Ord)]
 pub struct TenantId(pub String);
 
 impl TenantId {
@@ -37,7 +36,7 @@ impl From<&str> for TenantId {
 }
 
 /// A tenant with a resource quota.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Tenant {
     /// Tenant identity.
     pub id: TenantId,

@@ -59,15 +59,6 @@ pub struct LossTrace {
 }
 
 impl LossTrace {
-    /// Final train loss (last step).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the trace is empty.
-    pub fn final_train(&self) -> f64 {
-        *self.train.last().expect("empty loss trace")
-    }
-
     /// Maximum absolute per-step train-loss difference versus another trace
     /// of the same length (the quantity Fig. 9 plots and Table 3 reports).
     pub fn max_diff(&self, other: &LossTrace) -> f64 {

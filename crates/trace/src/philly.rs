@@ -6,11 +6,10 @@ use rubick_model::{enumerate_plans, ExecutionPlan, ModelSpec, Placement, PlanKin
 use rubick_sim::job::{JobClass, JobSpec};
 use rubick_sim::tenant::TenantId;
 use rubick_testbed::TestbedOracle;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Configuration of the synthetic trace.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TraceConfig {
     /// RNG seed (traces are fully deterministic).
     pub seed: u64,
