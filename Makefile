@@ -39,12 +39,14 @@
 #                      regression of the fastest sample vs the committed
 #                      BENCH_*.json summaries
 #   make build         release build of the whole workspace
+#   make loc           count the *.rs lines under crates/ and src/: shims,
+#                      tests/benches, and the rest
 #
 # `BENCH=1 make verify` additionally runs the bench-check perf gate
 # (opt-in: bench timings are machine-dependent, so the default CI gate
 # stays deterministic).
 
-.PHONY: verify fmt lint test build bench bench-check bench-smoke sweep-smoke exp-smoke serve-smoke refit-smoke skip-smoke benchmark-test
+.PHONY: verify fmt lint test build loc bench bench-check bench-smoke sweep-smoke exp-smoke serve-smoke refit-smoke skip-smoke benchmark-test
 
 verify: fmt lint test sweep-smoke exp-smoke serve-smoke refit-smoke skip-smoke bench-smoke benchmark-test
 
@@ -74,6 +76,17 @@ test:
 
 build:
 	cargo build --release
+
+# Line counts of the Rust sources, the unit of the deletion budget.
+# "tests/benches" is every file under a tests/ or benches/ directory
+# outside the shims; inline #[cfg(test)] modules count as "rest".
+loc:
+	@shims=$$(find crates/shims -name '*.rs' -print0 | xargs -0 cat | wc -l); \
+	tests=$$(find crates src -name '*.rs' -not -path 'crates/shims/*' \
+		\( -path '*/tests/*' -o -path '*/benches/*' \) -print0 | xargs -0 cat | wc -l); \
+	total=$$(find crates src -name '*.rs' -print0 | xargs -0 cat | wc -l); \
+	printf '%-14s %7d\n' shims $$shims tests/benches $$tests \
+		rest $$((total - shims - tests)) total $$total
 
 # The benchmark package has its own [workspace] and is not a member of the
 # root one, so neither `test` nor `lint` compiles it. This keeps the API it

@@ -221,7 +221,7 @@ fn unwritable_events_path_fails_with_path() {
 
 #[test]
 fn events_stream_parses_and_folds_to_the_printed_report() {
-    use rubick_obs::{parse_jsonl_line, EventSink, JsonlLine, SimEvent};
+    use rubick_obs::{parse_log_line, EventSink, LogLine, SimEvent};
     use rubick_sim::ReportSink;
 
     let path = std::env::temp_dir().join(format!("rubick-cli-events-{}.jsonl", std::process::id()));
@@ -244,14 +244,15 @@ fn events_stream_parses_and_folds_to_the_printed_report() {
     // back into a typed event...
     let text = std::fs::read_to_string(&path).expect("events file written");
     let mut lines = text.lines();
-    match parse_jsonl_line(lines.next().expect("nonempty file")) {
-        Ok(JsonlLine::Schema(v)) => assert_eq!(v, rubick_obs::SCHEMA_VERSION),
+    match parse_log_line(lines.next().expect("nonempty file")) {
+        Ok(LogLine::Schema(v)) => assert_eq!(v, rubick_obs::SCHEMA_VERSION),
         other => panic!("first line must be the schema header, got {other:?}"),
     }
     let events: Vec<SimEvent> = lines
-        .map(|l| match parse_jsonl_line(l).expect("valid JSONL line") {
-            JsonlLine::Event(e) => e,
-            JsonlLine::Schema(_) => panic!("schema header repeated mid-stream"),
+        .map(|l| match parse_log_line(l).expect("valid JSONL line") {
+            LogLine::Event(e) => e,
+            LogLine::Schema(_) => panic!("schema header repeated mid-stream"),
+            LogLine::Other(obj) => panic!("non-event record {obj:?} in a sink stream"),
         })
         .collect();
     assert!(!events.is_empty());

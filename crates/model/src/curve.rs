@@ -499,7 +499,7 @@ mod tests {
     }
 
     #[test]
-    fn cpu_curve_rises_for_offload_bound_model() {
+    fn for_cpus_rises_for_offload_bound_model() {
         // On 1 GPU a large model must offload; more CPUs speed the optimizer.
         let m = model(ModelSpec::llama2_7b());
         let curve = SensitivityCurve::for_cpus(&m, 32, 1, 64);

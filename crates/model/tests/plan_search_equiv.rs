@@ -117,7 +117,7 @@ proptest! {
     /// CPU curves match the naive construction as full structs, proving the
     /// hoisted-placement loop changes nothing.
     #[test]
-    fn cpu_curve_matches_naive(
+    fn for_cpus_matches_naive(
         spec in any_model(),
         gpus in 1u32..9,
         max_cpus in 1u32..33,

@@ -1,7 +1,7 @@
 //! The event vocabulary and its JSONL form: [`SimEvent`], the schema
 //! header, and the tolerant event-log reader.
 
-use crate::json::{EventParseError, Fields, JsonObject, JsonWriter};
+use crate::json::{EventParseError, JsonObject, JsonWriter};
 use std::fmt;
 use std::io;
 use std::ops::Range;
@@ -521,14 +521,12 @@ impl SimEvent {
 
     /// Parses one JSONL line produced by [`SimEvent::to_jsonl`].
     pub fn from_jsonl(line: &str) -> Result<SimEvent, EventParseError> {
-        let f = Fields::parse(line)?;
-        SimEvent::from_fields(&f)
+        SimEvent::from_object(&JsonObject::parse(line)?)
     }
 
     /// Whether `ty` is a `type` label this crate's event taxonomy knows.
     /// Serve/session logs interleave event lines with non-event records;
-    /// [`read_event_log_tolerant`] uses this to route lines without
-    /// re-parsing.
+    /// [`parse_log_line`] uses this to route lines without re-parsing.
     pub fn known_type(ty: &str) -> bool {
         matches!(
             ty,
@@ -549,7 +547,7 @@ impl SimEvent {
         )
     }
 
-    fn from_fields(f: &Fields) -> Result<SimEvent, EventParseError> {
+    fn from_object(f: &JsonObject) -> Result<SimEvent, EventParseError> {
         let ev = match f.str("type")? {
             "job_submitted" => SimEvent::JobSubmitted {
                 at: f.num("at")?,
@@ -696,33 +694,6 @@ pub fn schema_header_line() -> String {
     w.finish()
 }
 
-/// One parsed line of a sink-produced JSONL stream: either the schema
-/// header or an event.
-#[derive(Debug, Clone, PartialEq)]
-pub enum JsonlLine {
-    /// The `{"type":"schema","version":N}` header line.
-    Schema(u32),
-    /// An ordinary event line.
-    Event(SimEvent),
-}
-
-/// Parses one line of a sink-produced stream, accepting both the schema
-/// header and event lines. Use this (rather than [`SimEvent::from_jsonl`])
-/// when reading files written by [`JsonlSink`](crate::JsonlSink).
-///
-/// Like [`SimEvent::from_jsonl`], unknown *fields* are tolerated — lookups
-/// go by key, so a newer writer adding fields still parses — while unknown
-/// event *types* are an error.
-pub fn parse_jsonl_line(line: &str) -> Result<JsonlLine, EventParseError> {
-    let f = Fields::parse(line)?;
-    if f.str("type")? == "schema" {
-        let version = u32::try_from(f.uint("version")?)
-            .map_err(|_| EventParseError::new("schema version overflows u32"))?;
-        return Ok(JsonlLine::Schema(version));
-    }
-    SimEvent::from_fields(&f).map(JsonlLine::Event)
-}
-
 // ---------------------------------------------------------------------------
 // Event-log files: streaming reader over sink-produced (or serve-session)
 // JSONL, schema-header aware and tolerant of interleaved non-event records.
@@ -758,26 +729,23 @@ impl fmt::Display for EventLogError {
 
 impl std::error::Error for EventLogError {}
 
-/// Classifies one non-blank line of an event log.
-fn classify(line: &str, line_no: u64) -> Result<LogLine, EventLogError> {
-    let err = |e: EventParseError| EventLogError {
-        line: line_no,
-        message: e.to_string(),
-    };
-    let obj = JsonObject::parse(line).map_err(err)?;
-    let ty = obj.ty().map_err(err)?;
+/// Classifies one line of a sink-produced or serve-session stream as the
+/// schema header, a [`SimEvent`], or a [`LogLine::Other`] record.
+///
+/// Unknown *fields* are tolerated — lookups go by key, so a newer writer
+/// adding fields still parses — and a record whose `type` is not in the
+/// event taxonomy is `Other`, not an error. A line that is not a flat JSON
+/// object, or a known event missing a field, is an error.
+pub fn parse_log_line(line: &str) -> Result<LogLine, EventParseError> {
+    let obj = JsonObject::parse(line)?;
+    let ty = obj.ty()?;
     if ty == "schema" {
-        let version =
-            u32::try_from(obj.uint("version").map_err(err)?).map_err(|_| EventLogError {
-                line: line_no,
-                message: "schema version overflows u32".into(),
-            })?;
+        let version = u32::try_from(obj.uint("version")?)
+            .map_err(|_| EventParseError::bare("schema version overflows u32"))?;
         return Ok(LogLine::Schema(version));
     }
     if SimEvent::known_type(ty) {
-        return SimEvent::from_fields(&obj.fields)
-            .map(LogLine::Event)
-            .map_err(err);
+        return SimEvent::from_object(&obj).map(LogLine::Event);
     }
     Ok(LogLine::Other(obj))
 }
@@ -810,12 +778,10 @@ impl EventLog {
 /// treat as "never written". Any malformed line before the end is still
 /// an error.
 ///
-/// Every non-empty line is classified as schema header, [`SimEvent`], or
-/// [`LogLine::Other`]; unknown *fields* inside known records are
-/// tolerated, and unknown record *types* surface as `Other` rather than an
-/// error so mixed logs (serve sessions, annotated streams) remain
-/// readable. Lines end at `\n`, with a `\r` before it dropped; a line that
-/// is not UTF-8 is an error like a malformed one.
+/// Every non-empty line goes through [`parse_log_line`], so mixed logs
+/// (serve sessions, annotated streams) remain readable; its errors carry
+/// the line number. Lines end at `\n`, with a `\r` before it dropped; a
+/// line that is not UTF-8 is an error like a malformed one.
 pub fn read_event_log_tolerant(
     path: impl AsRef<Path>,
 ) -> io::Result<Result<EventLog, EventLogError>> {
@@ -840,7 +806,10 @@ pub fn read_event_log_tolerant(
                 start = next;
                 continue;
             }
-            Ok(line) => classify(line, line_no),
+            Ok(line) => parse_log_line(line).map_err(|e| EventLogError {
+                line: line_no,
+                message: e.to_string(),
+            }),
             Err(_) => Err(EventLogError {
                 line: line_no,
                 message: "read error: stream did not contain valid UTF-8".into(),

@@ -1,107 +1,33 @@
-//! The flat-object JSON codec: [`JsonWriter`] encodes, [`JsonObject`]
-//! decodes.
+//! The flat-object JSON codec (scalar values only, no external
+//! dependency): [`JsonWriter`] encodes, [`JsonObject`] decodes.
 
 use std::collections::BTreeMap;
 use std::fmt;
-
-// ---------------------------------------------------------------------------
-// JSON encoding / decoding (flat objects only; no external dependency).
-// ---------------------------------------------------------------------------
-
-/// One parsed flat JSON object with tolerant, by-key accessors.
-///
-/// This is the public face of the crate's internal JSON decoder: records
-/// that are *not* simulation events (serve-session ops, sweep JSONL rows,
-/// compaction markers) parse into a `JsonObject` so callers can read their
-/// fields without writing another JSON parser. Unknown fields are simply
-/// never looked up; missing fields error (or default, via the `*_or`
-/// accessors) at lookup time.
-#[derive(Debug, Clone, PartialEq)]
-pub struct JsonObject {
-    pub(crate) fields: Fields,
-}
-
-impl JsonObject {
-    /// Parses one line holding a flat JSON object (string / number / null
-    /// values only).
-    pub fn parse(line: &str) -> Result<JsonObject, EventParseError> {
-        Ok(JsonObject {
-            fields: Fields::parse(line)?,
-        })
-    }
-
-    /// The `type` field, present on every record this workspace writes.
-    pub fn ty(&self) -> Result<&str, EventParseError> {
-        self.fields.str("type")
-    }
-
-    /// Whether `key` is present.
-    pub fn contains(&self, key: &str) -> bool {
-        self.fields.contains(key)
-    }
-
-    /// A required string field.
-    pub fn str(&self, key: &str) -> Result<&str, EventParseError> {
-        self.fields.str(key)
-    }
-
-    /// A required finite numeric field.
-    pub fn num(&self, key: &str) -> Result<f64, EventParseError> {
-        self.fields.num(key)
-    }
-
-    /// A required unsigned-integer field.
-    pub fn uint(&self, key: &str) -> Result<u64, EventParseError> {
-        self.fields.uint(key)
-    }
-
-    /// A required unsigned-integer field that must fit in `u32`.
-    pub fn uint32(&self, key: &str) -> Result<u32, EventParseError> {
-        self.fields.uint32(key)
-    }
-
-    /// A finite-numeric-or-null field (`null` reads as `None`).
-    pub fn opt_num(&self, key: &str) -> Result<Option<f64>, EventParseError> {
-        self.fields.opt_num(key)
-    }
-
-    /// A string field that may be absent.
-    pub fn opt_str(&self, key: &str) -> Result<Option<&str>, EventParseError> {
-        if self.contains(key) {
-            self.fields.str(key).map(Some)
-        } else {
-            Ok(None)
-        }
-    }
-
-    /// An unsigned-integer field defaulting when absent (present-but-bad
-    /// still errors).
-    pub fn uint_or(&self, default: u64, key: &str) -> Result<u64, EventParseError> {
-        self.fields.uint_or(default, key)
-    }
-
-    /// A numeric field defaulting when absent (present-but-bad still
-    /// errors).
-    pub fn num_or(&self, default: f64, key: &str) -> Result<f64, EventParseError> {
-        if self.contains(key) {
-            self.fields.num(key)
-        } else {
-            Ok(default)
-        }
-    }
-}
 
 /// Error produced when a JSONL line cannot be parsed back into a
 /// [`SimEvent`](crate::SimEvent).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EventParseError {
     message: String,
+    /// Whether [`Display`](fmt::Display) leaves out the `invalid event
+    /// line:` prefix: set for a well-formed schema header whose version
+    /// overflows `u32`.
+    bare: bool,
 }
 
 impl EventParseError {
     pub(crate) fn new(message: impl Into<String>) -> Self {
         EventParseError {
             message: message.into(),
+            bare: false,
+        }
+    }
+
+    /// An error whose [`Display`](fmt::Display) is `message` alone.
+    pub(crate) fn bare(message: impl Into<String>) -> Self {
+        EventParseError {
+            message: message.into(),
+            bare: true,
         }
     }
 
@@ -115,7 +41,10 @@ impl EventParseError {
 
 impl fmt::Display for EventParseError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "invalid event line: {}", self.message)
+        if !self.bare {
+            f.write_str("invalid event line: ")?;
+        }
+        f.write_str(&self.message)
     }
 }
 
@@ -289,7 +218,7 @@ fn push_json_f64(out: &mut String, v: f64) {
     }
 }
 
-/// A parsed scalar, borrowed from its [`Fields`] buffer: the raw number
+/// A parsed scalar, borrowed from its [`JsonObject`] buffer: the raw number
 /// token is kept as text so integers larger than 2^53 survive the trip
 /// untruncated.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -299,7 +228,7 @@ enum JsonValue<'a> {
     Str(&'a str),
 }
 
-/// A byte range of [`Fields::buf`].
+/// A byte range of [`JsonObject::buf`].
 #[derive(Debug, Clone, Copy)]
 struct Span {
     start: usize,
@@ -321,34 +250,41 @@ struct Entry {
     value: Value,
 }
 
-/// One parsed flat object: a copy of the trimmed line, followed by the
-/// unescaped text of any string that held an escape, plus the pairs in
-/// line order as spans of that buffer. A string without escapes is a span
-/// of the line itself. Lookups scan from the back, so a repeated key reads
-/// as its last value.
+/// One parsed flat JSON object with tolerant, by-key accessors: the
+/// decoder behind every record this workspace reads — events, serve-session
+/// ops, sweep JSONL rows, compaction markers. Unknown fields are simply
+/// never looked up; missing fields error (or default, via the `*_or`
+/// accessors) at lookup time.
+///
+/// It holds a copy of the trimmed line, followed by the unescaped text of
+/// any string that held an escape, plus the pairs in line order as spans
+/// of that buffer. A string without escapes is a span of the line itself.
+/// Lookups scan from the back, so a repeated key reads as its last value.
 #[derive(Clone)]
-pub(crate) struct Fields {
+pub struct JsonObject {
     buf: String,
     entries: Vec<Entry>,
 }
 
-impl Fields {
-    pub(crate) fn parse(line: &str) -> Result<Fields, EventParseError> {
+impl JsonObject {
+    /// Parses one line holding a flat JSON object (string / number / null
+    /// values only).
+    pub fn parse(line: &str) -> Result<JsonObject, EventParseError> {
         let src = line.trim();
         let mut p = Parser {
             src,
             pos: 0,
-            fields: Fields {
+            obj: JsonObject {
                 buf: String::with_capacity(src.len()),
                 entries: Vec::with_capacity(16),
             },
         };
-        p.fields.buf.push_str(src);
+        p.obj.buf.push_str(src);
         p.object()?;
         if !p.rest().trim().is_empty() {
             return Err(EventParseError::new("trailing data after object"));
         }
-        Ok(p.fields)
+        Ok(p.obj)
     }
 
     fn text(&self, span: Span) -> &str {
@@ -367,7 +303,8 @@ impl Fields {
         self.entries.iter().rev().find(|e| self.text(e.key) == key)
     }
 
-    pub(crate) fn contains(&self, key: &str) -> bool {
+    /// Whether `key` is present.
+    pub fn contains(&self, key: &str) -> bool {
         self.find(key).is_some()
     }
 
@@ -385,7 +322,13 @@ impl Fields {
             .ok_or_else(|| EventParseError::new(format!("missing field {key:?}")))
     }
 
-    pub(crate) fn str(&self, key: &str) -> Result<&str, EventParseError> {
+    /// The `type` field, present on every record this workspace writes.
+    pub fn ty(&self) -> Result<&str, EventParseError> {
+        self.str("type")
+    }
+
+    /// A required string field.
+    pub fn str(&self, key: &str) -> Result<&str, EventParseError> {
         match self.get(key)? {
             JsonValue::Str(s) => Ok(s),
             _ => Err(EventParseError::new(format!(
@@ -394,9 +337,10 @@ impl Fields {
         }
     }
 
-    /// A finite number: a token that overflows `f64` (`1e999`) is an
-    /// error, since the writer could only print it back as `null`.
-    pub(crate) fn num(&self, key: &str) -> Result<f64, EventParseError> {
+    /// A required finite numeric field: a token that overflows `f64`
+    /// (`1e999`) is an error, since the writer could only print it back as
+    /// `null`.
+    pub fn num(&self, key: &str) -> Result<f64, EventParseError> {
         match self.get(key)? {
             JsonValue::Num(raw) => match raw.parse::<f64>() {
                 Ok(v) if v.is_finite() => Ok(v),
@@ -413,7 +357,8 @@ impl Fields {
         }
     }
 
-    pub(crate) fn opt_num(&self, key: &str) -> Result<Option<f64>, EventParseError> {
+    /// A finite-numeric-or-null field (`null` reads as `None`).
+    pub fn opt_num(&self, key: &str) -> Result<Option<f64>, EventParseError> {
         match self.get(key)? {
             JsonValue::Null => Ok(None),
             JsonValue::Num(_) => Ok(Some(self.num(key)?)),
@@ -423,7 +368,8 @@ impl Fields {
         }
     }
 
-    pub(crate) fn uint(&self, key: &str) -> Result<u64, EventParseError> {
+    /// A required unsigned-integer field.
+    pub fn uint(&self, key: &str) -> Result<u64, EventParseError> {
         match self.get(key)? {
             JsonValue::Num(raw) => raw
                 .parse::<u64>()
@@ -434,43 +380,65 @@ impl Fields {
         }
     }
 
-    pub(crate) fn uint32(&self, key: &str) -> Result<u32, EventParseError> {
+    /// A required unsigned-integer field that must fit in `u32`.
+    pub fn uint32(&self, key: &str) -> Result<u32, EventParseError> {
         u32::try_from(self.uint(key)?)
             .map_err(|_| EventParseError::new(format!("field {key:?} overflows u32")))
     }
 
-    /// Like [`Fields::uint`], but a *missing* key yields `default` instead
+    /// Like [`JsonObject::uint`], but a *missing* key yields `default` instead
     /// of an error — for counters added to an event after its schema
     /// version shipped. A present-but-malformed value still errors.
-    pub(crate) fn uint_or(&self, default: u64, key: &str) -> Result<u64, EventParseError> {
+    pub fn uint_or(&self, default: u64, key: &str) -> Result<u64, EventParseError> {
         if self.contains(key) {
             self.uint(key)
         } else {
             Ok(default)
         }
     }
+
+    /// A string field that may be absent.
+    pub fn opt_str(&self, key: &str) -> Result<Option<&str>, EventParseError> {
+        if self.contains(key) {
+            self.str(key).map(Some)
+        } else {
+            Ok(None)
+        }
+    }
+
+    /// A numeric field defaulting when absent (present-but-bad still
+    /// errors).
+    pub fn num_or(&self, default: f64, key: &str) -> Result<f64, EventParseError> {
+        if self.contains(key) {
+            self.num(key)
+        } else {
+            Ok(default)
+        }
+    }
 }
 
-impl PartialEq for Fields {
-    fn eq(&self, other: &Fields) -> bool {
+impl PartialEq for JsonObject {
+    fn eq(&self, other: &JsonObject) -> bool {
         self.map() == other.map()
     }
 }
 
-impl fmt::Debug for Fields {
+impl fmt::Debug for JsonObject {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Fields").field("map", &self.map()).finish()
+        f.debug_struct("JsonObject")
+            .field("map", &self.map())
+            .finish()
     }
 }
 
 /// A minimal parser for the flat JSON objects this crate emits: one object
 /// per line, scalar values only (string, number, null). It reads `src`
-/// (which `fields.buf` starts as a copy of, so offsets agree) and records
-/// each pair into `fields`.
+/// (which `obj.buf` starts as a copy of, so offsets agree) and records
+/// each pair into `obj`.
 struct Parser<'a> {
     src: &'a str,
     pos: usize,
-    fields: Fields,
+    obj: JsonObject,
 }
 
 impl Parser<'_> {
@@ -507,7 +475,7 @@ impl Parser<'_> {
             let key = self.string()?;
             self.eat(b':')?;
             let value = self.value()?;
-            self.fields.entries.push(Entry { key, value });
+            self.obj.entries.push(Entry { key, value });
             self.skip_ws();
             if self.rest().starts_with(',') {
                 self.pos += 1;
@@ -559,14 +527,14 @@ impl Parser<'_> {
                 })
             }
             Some(len) => {
-                let buf = &mut self.fields.buf;
+                let buf = &mut self.obj.buf;
                 let unescaped = buf.len();
                 buf.push_str(&self.src[start..start + len]);
                 self.pos += len;
                 self.unescape()?;
                 Ok(Span {
                     start: unescaped,
-                    end: self.fields.buf.len(),
+                    end: self.obj.buf.len(),
                 })
             }
             None => Err(EventParseError::new("unterminated string")),
@@ -578,7 +546,7 @@ impl Parser<'_> {
     fn unescape(&mut self) -> Result<(), EventParseError> {
         let src = self.src;
         let rest = &src[self.pos..];
-        let out = &mut self.fields.buf;
+        let out = &mut self.obj.buf;
         let mut chars = rest.char_indices();
         while let Some((i, c)) = chars.next() {
             match c {

@@ -5,7 +5,7 @@
 //! ([`EventSink`]).
 //!
 //! Every state transition inside the simulation engine emits exactly one
-//! event; everything downstream — the [`SimReport`]-style summaries, the
+//! event; everything downstream — the `SimReport`-style summaries, the
 //! decision audit trail, JSONL logs, fault metrics — is a *fold* over
 //! this stream, so metrics have a single source of truth.
 //!
@@ -25,10 +25,15 @@
 //! * **One JSON codec.** [`JsonWriter`] encodes and [`JsonObject`] decodes
 //!   every flat JSON line the workspace writes or reads — events, serve
 //!   journal and reply lines, sweep rows — so no other crate formats JSON
-//!   by hand.
+//!   by hand. [`parse_log_line`] is the one classifier of a stream line:
+//!   schema header, event, or any other record.
 //!
 //! `SimReport` here refers to `rubick_sim::metrics::SimReport`, the fold
 //! implemented by `rubick_sim::report::ReportSink` on top of this crate.
+//!
+//! The code sits in three private modules, re-exported here: `json` (the
+//! codec), `event` (the vocabulary, the schema header and the log reader)
+//! and `sinks`.
 
 #![deny(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]
@@ -40,8 +45,8 @@ mod json;
 mod sinks;
 
 pub use event::{
-    params_from_str, params_to_str, parse_jsonl_line, read_event_log_tolerant, schema_header_line,
-    DecisionKind, EventLog, EventLogError, JsonlLine, LogLine, SimEvent, SCHEMA_VERSION,
+    params_from_str, params_to_str, parse_log_line, read_event_log_tolerant, schema_header_line,
+    DecisionKind, EventLog, EventLogError, LogLine, SimEvent, SCHEMA_VERSION,
 };
 pub use json::{EventParseError, JsonObject, JsonWriter};
 pub use sinks::{
@@ -179,13 +184,13 @@ mod tests {
         let text = String::from_utf8(bytes).unwrap();
         let mut lines = text.lines();
         assert_eq!(
-            parse_jsonl_line(lines.next().unwrap()).unwrap(),
-            JsonlLine::Schema(SCHEMA_VERSION)
+            parse_log_line(lines.next().unwrap()).unwrap(),
+            LogLine::Schema(SCHEMA_VERSION)
         );
         let parsed: Vec<SimEvent> = lines
-            .map(|l| match parse_jsonl_line(l).unwrap() {
-                JsonlLine::Event(ev) => ev,
-                JsonlLine::Schema(v) => panic!("unexpected second header v{v}"),
+            .map(|l| match parse_log_line(l).unwrap() {
+                LogLine::Event(ev) => ev,
+                other => panic!("expected an event line, got {other:?}"),
             })
             .collect();
         assert_eq!(parsed, sample_events());
@@ -208,9 +213,9 @@ mod tests {
             SimEvent::TickSkipped { at: 1.5, round: 2 }
         );
         let header = "{\"type\":\"schema\",\"version\":2,\"generator\":\"future\"}";
-        assert_eq!(parse_jsonl_line(header).unwrap(), JsonlLine::Schema(2));
+        assert_eq!(parse_log_line(header).unwrap(), LogLine::Schema(2));
         // Unknown event *types* are still an error.
-        assert!(parse_jsonl_line("{\"type\":\"wormhole\",\"at\":0}").is_err());
+        assert!(SimEvent::from_jsonl("{\"type\":\"wormhole\",\"at\":0}").is_err());
     }
 
     #[test]
@@ -236,7 +241,7 @@ mod tests {
         for ev in events {
             let line = ev.to_jsonl();
             assert_eq!(SimEvent::from_jsonl(&line).unwrap(), ev, "line: {line}");
-            assert_eq!(parse_jsonl_line(&line).unwrap(), JsonlLine::Event(ev));
+            assert_eq!(parse_log_line(&line).unwrap(), LogLine::Event(ev));
         }
     }
 
@@ -264,8 +269,8 @@ mod tests {
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 2, "header + one event, got: {text:?}");
         assert_eq!(
-            parse_jsonl_line(lines[0]).unwrap(),
-            JsonlLine::Schema(SCHEMA_VERSION)
+            parse_log_line(lines[0]).unwrap(),
+            LogLine::Schema(SCHEMA_VERSION)
         );
     }
 
@@ -339,10 +344,7 @@ mod tests {
         };
         let line = ev.to_jsonl();
         assert_eq!(SimEvent::from_jsonl(&line).unwrap(), ev, "line: {line}");
-        assert_eq!(
-            parse_jsonl_line(&line).unwrap(),
-            JsonlLine::Event(ev.clone())
-        );
+        assert_eq!(parse_log_line(&line).unwrap(), LogLine::Event(ev.clone()));
         assert_eq!(ev.kind(), "round_planned");
         assert_eq!(ev.at(), 600.0);
     }
@@ -380,10 +382,7 @@ mod tests {
         };
         let line = ev.to_jsonl();
         assert_eq!(SimEvent::from_jsonl(&line).unwrap(), ev, "line: {line}");
-        assert_eq!(
-            parse_jsonl_line(&line).unwrap(),
-            JsonlLine::Event(ev.clone())
-        );
+        assert_eq!(parse_log_line(&line).unwrap(), LogLine::Event(ev.clone()));
         assert_eq!(ev.kind(), "job_cancelled");
         assert!(SimEvent::known_type("job_cancelled"));
         assert!(!SimEvent::known_type("schema"));

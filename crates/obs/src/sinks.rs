@@ -63,8 +63,9 @@ impl EventSink for VecSink {
 /// A sink that streams events as JSON Lines to any writer.
 ///
 /// The first event is preceded by the one-line schema header
-/// (see [`SCHEMA_VERSION`](crate::SCHEMA_VERSION)); parse sink output with
-/// [`parse_jsonl_line`](crate::parse_jsonl_line).
+/// (see [`SCHEMA_VERSION`](crate::SCHEMA_VERSION)); read sink output back
+/// line by line with [`parse_log_line`](crate::parse_log_line), or as a
+/// whole file with [`read_event_log_tolerant`](crate::read_event_log_tolerant).
 /// I/O errors are sticky: the first error is remembered and reported by
 /// [`EventSink::flush`] (writes after an error become no-ops), so a broken
 /// pipe halfway through a run cannot pass silently.

@@ -306,7 +306,7 @@ fn check_line(line: &str) -> Result<(), TestCaseError> {
                 );
             }
             prop_assert_eq!(
-                format!("JsonObject {{ fields: Fields {{ map: {:?} }} }}", want.map),
+                format!("JsonObject {{ map: {:?} }}", want.map),
                 format!("{got:?}")
             );
             // A reparse of the same line is equal; so is its clone.

@@ -444,6 +444,26 @@ fn num_as<T: std::str::FromStr>(
         .map_err(|_| parse_err(lineno, format!("'{key}' expects {expected}, got '{raw}'")))
 }
 
+/// A finite value `>= 0`, for a dimension that `0` switches off: the
+/// expansion maps every value `<= 0` to "off", so a negative or non-finite
+/// one must fail here rather than silently become an off cell.
+fn off_or_positive(
+    key: &str,
+    value: &Value,
+    expected: &str,
+    lineno: usize,
+) -> Result<f64, SweepError> {
+    let x: f64 = num_as(key, value, expected, lineno)?;
+    if x >= 0.0 && x.is_finite() {
+        Ok(x)
+    } else {
+        Err(parse_err(
+            lineno,
+            format!("'{key}' expects {expected}, got {x}"),
+        ))
+    }
+}
+
 fn str_of(key: &str, value: &Value, lineno: usize) -> Result<String, SweepError> {
     match value {
         Value::Str(s) => Ok(s.clone()),
@@ -528,7 +548,7 @@ fn apply_grid_key(
         "chaos_rate" => {
             grid.chaos_rate = values
                 .iter()
-                .map(|v| num_as(key, v, "failures/node/hour", lineno))
+                .map(|v| off_or_positive(key, v, "failures/node/hour >= 0 (0 = no chaos)", lineno))
                 .collect::<Result<_, _>>()?
         }
         "chaos_seed" => {
@@ -548,7 +568,7 @@ fn apply_grid_key(
         "refit" => {
             grid.refit = values
                 .iter()
-                .map(|v| num_as(key, v, "a refit threshold (0 = frozen)", lineno))
+                .map(|v| off_or_positive(key, v, "a refit threshold >= 0 (0 = frozen)", lineno))
                 .collect::<Result<_, _>>()?
         }
         other => {
@@ -650,6 +670,12 @@ scheduler = ["rubick", "antman"]
             ("[grid]\nload = [\"high\"]\n", "got a string"),
             ("[sweep]\nname = 3\n[grid]\n", "got a number"),
             ("[grid]\njobs = [3.5]\n", "'3.5'"),
+            ("[grid]\nchaos_rate = [0, -0.5]\n", "line 2: 'chaos_rate'"),
+            ("[grid]\nchaos_rate = [nan]\n", "line 2: 'chaos_rate'"),
+            ("[grid]\nchaos_rate = [inf]\n", "line 2: 'chaos_rate'"),
+            ("[grid]\nrefit = [0, -0.5]\n", "line 2: 'refit'"),
+            ("[grid]\nrefit = [nan]\n", "line 2: 'refit'"),
+            ("[grid]\nrefit = [inf]\n", "line 2: 'refit'"),
         ];
         for (text, needle) in cases {
             let err = SweepSpec::parse(text).unwrap_err().to_string();
