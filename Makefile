@@ -28,7 +28,9 @@
 #                      every DP-rescale curve miss from the job's own
 #                      plan against its DP-free key, and Rubick on
 #                      mt with node and launch failures, whose debug
-#                      engine checks its job table after every step
+#                      engine checks its job table after every step,
+#                      then Rubick on mt with --refit and --chaos, where
+#                      most GPU-reach skips fire
 #   make benchmark-test  unit tests of the repo benchmark package
 #                      (benchmark/), which builds against the workspace
 #                      crates through path dependencies
@@ -185,6 +187,9 @@ refit-smoke:
 # evicts jobs from failed nodes and fails launches, so the engine's
 # eviction and launch-failure paths, its job-table assertions and
 # Rubick's skip checks on a ledger with down nodes all run in debug.
+# The last run combines --refit and --chaos, as the mt-refit-chaos
+# benchmark workload does: there most queued guaranteed searches skip on
+# the GPU-reach certificate, and each one is walked and checked.
 skip-smoke:
 	cargo build -p rubick-cli
 	for trace in base mt bp; do \
@@ -199,6 +204,8 @@ skip-smoke:
 		--log-level error > /dev/null
 	target/debug/rubick run --scheduler rubick --trace mt --seed 7 \
 		--chaos examples/chaos/smoke.txt --log-level error > /dev/null
+	target/debug/rubick run --scheduler rubick --trace mt --seed 7 --refit \
+		--chaos examples/chaos/smoke.txt --log-level error > /dev/null
 	@echo "skip-smoke: every skipped search matches its walk on base, mt and bp;"
 	@echo "skip-smoke: every skip-certificate hit is recomputed and matches its chain on every Rubick run;"
 	@echo "skip-smoke: every best-plan memo hit through a job's row matches its scan on every Rubick run;"
@@ -206,7 +213,8 @@ skip-smoke:
 	@echo "skip-smoke: every read-set Jacobian entry and early reject matches on mt --refit;"
 	@echo "skip-smoke: every negligible-overlap shortcut matches the full f_overlap formula on every run;"
 	@echo "skip-smoke: every Sia cache hit, next rise and DP-rescale curve under its DP-free key matches on base and mt --refit;"
-	@echo "skip-smoke: every skip and job-table check holds on mt with node and launch failures"
+	@echo "skip-smoke: every skip and job-table check holds on mt with node and launch failures;"
+	@echo "skip-smoke: every GPU-reach skip rolls back on its walk and every cached reach matches its rescan, on every Rubick run and on mt --refit --chaos"
 
 bench:
 	cargo bench -p rubick-bench --bench scheduling

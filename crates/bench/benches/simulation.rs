@@ -9,12 +9,19 @@
 //! engine's id-sorted snapshot vector is itself the slice `schedule()`
 //! receives, so no round rebuilds it. `sim/406_job_trace/rubick` is plan
 //! search's layer bench: on the same trace, Rubick's `schedule()` is most
-//! of the run.
+//! of the run. `sim/203_job_mt/rubick_refit_chaos` is the multi-tenant
+//! one: the half-scale mt trace on four nodes with the online refit hook
+//! and node failures, where many queued guaranteed jobs cannot reach
+//! their GPU minimum and skip their search.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use rubick_bench::ZooBackend;
 use rubick_core::{ModelRegistry, RubickScheduler, SiaScheduler, SynergyScheduler};
 use rubick_model::ModelSpec;
-use rubick_sim::{Cluster, Engine, EngineConfig, JobSpec, Scheduler};
+use rubick_sim::{
+    run_scenario, ChaosKnobs, Cluster, Engine, EngineConfig, JobSpec, ScenarioSpec, Scheduler,
+    TraceKind,
+};
 use rubick_testbed::TestbedOracle;
 use rubick_trace::{generate_base, TraceConfig};
 use std::hint::black_box;
@@ -110,10 +117,35 @@ fn bench_base_trace(c: &mut Criterion) {
     group.finish();
 }
 
+/// A whole 203-job mt run on four nodes through the scenario harness, with
+/// the refit hook at 0.15 and node failures at 0.02 per node-hour: the
+/// repo benchmark's `mt-refit-chaos` cell at seed 2025. Not gated.
+fn bench_mt_refit_chaos(c: &mut Criterion) {
+    let spec = ScenarioSpec {
+        trace: TraceKind::Mt,
+        jobs: 203,
+        nodes: 4,
+        chaos: Some(ChaosKnobs {
+            failure_rate_per_hour: 0.02,
+            seed: 2025,
+        }),
+        refit: Some(0.15),
+        ..ScenarioSpec::default()
+    };
+    let backend = ZooBackend::prepare([spec.seed]).unwrap();
+    let mut group = c.benchmark_group("sim/203_job_mt");
+    group.sample_size(10);
+    group.bench_function("rubick_refit_chaos", |b| {
+        b.iter(|| black_box(run_scenario(&spec, &backend).unwrap().report.jobs.len()))
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_trace_generation,
     bench_full_simulation,
-    bench_base_trace
+    bench_base_trace,
+    bench_mt_refit_chaos
 );
 criterion_main!(benches);

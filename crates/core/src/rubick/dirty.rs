@@ -134,7 +134,8 @@ impl Fingerprint {
 }
 
 /// The cached, epoch-stable slice of a job's round context: fitted model,
-/// plan-search mode, sensitivity curve, SLA baseline and minimum demand.
+/// plan-search mode, sensitivity curve, minimum demand, and the GPU caps
+/// and slope norm the curve and SLA baseline fix.
 /// The penalty gate (`frozen`) is *not* cached — it depends on the job's
 /// runtime and is recomputed every round.
 #[derive(Clone)]
@@ -147,13 +148,20 @@ pub(crate) struct CachedParts {
     pub(crate) search: PlanSearch,
     /// GPU sensitivity curve under `search`, if the model is known.
     pub(crate) curve: Option<Arc<SensitivityCurve>>,
-    /// SLA baseline throughput, if derivable.
-    pub(crate) baseline: Option<f64>,
     /// Minimum resource demand (`MinRes` of Algorithm 1).
     pub(crate) minimum: Resources,
     /// The job's row of the scheduler's best-plan memo, for a
     /// [`PlanSearch::Full`] job with a model.
     pub(crate) row: Option<MemoRow>,
+    /// The useful GPU cap: the smallest amount whose curve value is
+    /// within 0.5 % of the peak on this cluster (the request without a
+    /// curve).
+    pub(crate) g_star: u32,
+    /// The smallest amount with any throughput (the request without one).
+    pub(crate) first_useful: u32,
+    /// Slope normalization constant: the geometric mean of the SLA
+    /// baseline and the curve peak.
+    pub(crate) norm: f64,
 }
 
 /// Generation-stamped dense map from [`JobId`] to a job's position in the
@@ -967,9 +975,11 @@ mod tests {
                 model: None,
                 search: PlanSearch::Fixed(ExecutionPlan::dp(1)),
                 curve: None,
-                baseline: Some(1.0),
                 minimum: Resources::new(1, 1, 1.0),
                 row: None,
+                g_star: 1,
+                first_useful: 1,
+                norm: 1.0,
             },
         );
 

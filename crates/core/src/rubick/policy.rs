@@ -6,8 +6,8 @@ use crate::common::{job_baseline, PlanSearch};
 use crate::registry::ModelRegistry;
 use crate::round::{LedgerDelta, RoundContext};
 use rubick_model::{
-    BestPlanMemo, ExecutionPlan, MemoRow, MemoryEstimator, MemoryMode, Placement, PlanSetCache,
-    Resources, SensitivityCurve, ThroughputModel,
+    BestPlanMemo, ExecutionPlan, MemoryEstimator, MemoryMode, Placement, PlanSetCache, Resources,
+    SensitivityCurve, ThroughputModel,
 };
 use rubick_sim::cluster::{Allocation, Cluster};
 use rubick_sim::job::{JobClass, JobId, JobStatus};
@@ -27,25 +27,20 @@ const EPS_SLOPE: f64 = 1e-9;
 /// checkpoint-resume penalty on every swing.
 const SHRINK_HYSTERESIS: f64 = 0.45;
 
-/// Per-round immutable context: snapshots, models, curves, baselines,
-/// minima. Stored as dense vectors parallel to the jobs slice, addressed
-/// through the round's [`JobIndex`] — per-job probes are array reads
-/// instead of tree walks, which is what keeps 100k-job rounds
-/// cache-friendly. The mutable parts are the scheduler's best-plan memo
-/// and skip certificates, borrowed for the round.
+/// Per-round immutable context: snapshots, each job's epoch-stable
+/// [`CachedParts`] (model, curve, minimum, caps, norm) and penalty gate.
+/// Stored as dense vectors parallel to the jobs slice, addressed through
+/// the round's [`JobIndex`] — per-job probes are array reads instead of
+/// tree walks, which is what keeps 100k-job rounds cache-friendly. The
+/// mutable parts are the scheduler's best-plan memo and skip
+/// certificates, borrowed for the round.
 struct Ctx<'a> {
     config: &'a RubickConfig,
     index: JobIndex,
     snaps: Vec<&'a JobSnapshot>,
-    models: Vec<Option<Arc<ThroughputModel>>>,
-    /// Each job's best-plan memo row, parallel to `models`.
-    rows: Vec<Option<MemoRow>>,
+    parts: Vec<CachedParts>,
     memo: RefCell<&'a mut BestPlanMemo>,
     certs: RefCell<&'a mut SkipCerts>,
-    searches: Vec<PlanSearch>,
-    minima: Vec<Resources>,
-    baselines: Vec<Option<f64>>,
-    curves: Vec<Option<Arc<SensitivityCurve>>>,
     frozen: Vec<bool>,
     estimator: MemoryEstimator,
     total_gpus: u32,
@@ -70,6 +65,9 @@ struct State<'a> {
     /// [`victim_floor`](State::victim_floor)). Only a kept search can move
     /// a GPU, since a rollback restores the table, so only a keep clears it.
     floor: Cell<Option<Option<f64>>>,
+    /// The table's GPU reach once computed (see
+    /// [`gpu_reach`](State::gpu_reach)), cleared like `floor`.
+    reach: Cell<Option<u32>>,
 }
 
 /// The undo log of one search. Its buffers are reused across searches, so
@@ -153,6 +151,30 @@ impl State<'_> {
             }
         }
     }
+
+    /// The most GPUs any walk could add to a job's table entry: every free
+    /// GPU, plus each table entry's GPUs above its own minimum, which is
+    /// all [`Ctx::can_shrink`] lets the steal loop take from it. Debug
+    /// builds rescan on every cached read.
+    fn gpu_reach(&self, ctx: &Ctx<'_>) -> u32 {
+        let scan = || {
+            let free: u32 = self.round.free().iter().map(|r| r.gpus).sum();
+            self.alloc.iter().fold(free, |reach, (id, alloc)| {
+                reach + alloc.gpus().saturating_sub(ctx.minimum(*id).gpus)
+            })
+        };
+        match self.reach.get() {
+            Some(reach) => {
+                debug_assert_eq!(reach, scan(), "stale GPU reach");
+                reach
+            }
+            None => {
+                let reach = scan();
+                self.reach.set(Some(reach));
+                reach
+            }
+        }
+    }
 }
 
 /// Skip verdicts of running jobs on a GPU-full ledger, kept across rounds
@@ -213,16 +235,20 @@ impl<'a> Ctx<'a> {
         self.snaps[self.idx(id)]
     }
 
+    fn parts(&self, id: JobId) -> &CachedParts {
+        &self.parts[self.idx(id)]
+    }
+
     fn curve(&self, id: JobId) -> Option<&Arc<SensitivityCurve>> {
-        self.curves[self.idx(id)].as_ref()
+        self.parts(id).curve.as_ref()
     }
 
     fn minimum(&self, id: JobId) -> Resources {
-        self.minima[self.idx(id)]
+        self.parts(id).minimum
     }
 
     fn model(&self, id: JobId) -> Option<&ThroughputModel> {
-        self.models[self.idx(id)].as_deref()
+        self.parts(id).model.as_deref()
     }
 
     /// `GetBestPlan` for job `id` on `placement` under its search mode.
@@ -231,11 +257,14 @@ impl<'a> Ctx<'a> {
     /// path.
     fn best_plan(&self, id: JobId, placement: &Placement) -> Option<(ExecutionPlan, f64)> {
         let pos = self.idx(id);
-        let model = self.models[pos].as_deref()?;
+        let parts = &self.parts[pos];
+        let model = parts.model.as_deref()?;
         let batch = self.snaps[pos].spec.global_batch;
-        match &self.searches[pos] {
+        match &parts.search {
             PlanSearch::Full => {
-                let row = self.rows[pos].expect("full-search job with a model has a memo row");
+                let row = parts
+                    .row
+                    .expect("full-search job with a model has a memo row");
                 self.memo.borrow_mut().best_plan_at(
                     row,
                     model,
@@ -284,24 +313,6 @@ impl<'a> Ctx<'a> {
         self.frozen[self.idx(id)]
     }
 
-    /// Slope normalization constant: the geometric mean of the job's SLA
-    /// baseline (throughput of the user-requested configuration) and its
-    /// best achievable throughput on this cluster (curve peak). Baseline
-    /// normalization alone lets jobs with weak submitted plans dominate the
-    /// slope order (low average JCT but heavy churn and starved tails);
-    /// peak normalization alone is scale-free but sacrifices average JCT.
-    /// The geometric mean interpolates between the two.
-    fn norm(&self, id: JobId) -> f64 {
-        let pos = self.idx(id);
-        let baseline = self.baselines[pos].unwrap_or(1.0).max(1e-9);
-        let peak = self.curves[pos]
-            .as_ref()
-            .map(|c| c.value(self.total_gpus))
-            .filter(|v| *v > 0.0)
-            .unwrap_or(baseline);
-        (baseline * peak).sqrt().max(1e-9)
-    }
-
     /// Jump-aware normalized gain: sensitivity curves are lumpy (a 30B
     /// model produces zero throughput until ~12 GPUs), so the marginal
     /// value of the *next useful amount* is what matters when growing —
@@ -309,36 +320,25 @@ impl<'a> Ctx<'a> {
     /// read from the curve's [`SensitivityCurve::next_rise`]. Curves span
     /// exactly `0..=total_gpus`, so no rise lies beyond the cluster.
     fn jump_gain(&self, id: JobId, gpus: u32) -> f64 {
-        let Some(curve) = self.curve(id) else {
+        let parts = self.parts(id);
+        let Some(curve) = &parts.curve else {
             return 0.0;
         };
         debug_assert_eq!(curve.max_amount(), self.total_gpus);
         match curve.next_rise(gpus) {
-            Some(g) => (curve.value(g) - curve.value(gpus)) / (g - gpus) as f64 / self.norm(id),
+            Some(g) => (curve.value(g) - curve.value(gpus)) / (g - gpus) as f64 / parts.norm,
             None => 0.0,
         }
     }
 
     /// Normalized marginal loss of one fewer GPU at `gpus` (envelope step).
     fn loss_slope(&self, id: JobId, gpus: u32) -> f64 {
-        self.curve(id)
-            .map(|c| c.loss_slope(gpus) / self.norm(id))
+        let parts = self.parts(id);
+        parts
+            .curve
+            .as_ref()
+            .map(|c| c.loss_slope(gpus) / parts.norm)
             .unwrap_or(f64::INFINITY)
-    }
-
-    /// The useful GPU cap: the smallest amount achieving (within 0.5 %) the
-    /// best throughput the curve reaches on this cluster.
-    fn g_star(&self, id: JobId) -> u32 {
-        let Some(curve) = self.curve(id) else {
-            return self.snap(id).spec.requested.gpus;
-        };
-        let peak = curve.value(self.total_gpus);
-        if peak <= 0.0 {
-            return 0;
-        }
-        curve
-            .min_amount_reaching(peak * 0.995)
-            .unwrap_or(self.total_gpus)
     }
 
     /// The GPU cap of a search for job `id`. Admission is capped at the
@@ -348,18 +348,15 @@ impl<'a> Ctx<'a> {
     /// through the guarded running-job path, once competing demand is
     /// visible.
     fn cap_gpus(&self, id: JobId, running: bool) -> u32 {
-        let snap = self.snap(id);
+        let pos = self.idx(id);
+        let parts = &self.parts[pos];
+        let requested = self.snaps[pos].spec.requested.gpus;
         if !self.config.resource_realloc {
-            snap.spec.requested.gpus
+            requested
         } else if running {
-            self.g_star(id)
+            parts.g_star
         } else {
-            let first_useful = self
-                .curve(id)
-                .and_then(|c| c.min_amount_reaching(1e-12))
-                .unwrap_or(snap.spec.requested.gpus);
-            self.g_star(id)
-                .min(snap.spec.requested.gpus.max(first_useful))
+            parts.g_star.min(requested.max(parts.first_useful))
         }
     }
 
@@ -412,7 +409,7 @@ impl<'a> Ctx<'a> {
             model
                 .params
                 .throughput(&model.spec, plan, snap.spec.global_batch, &more, &model.env);
-        ((next - cur) / CPU_DELTA as f64 / self.norm(id)).max(0.0)
+        ((next - cur) / CPU_DELTA as f64 / self.parts(id).norm).max(0.0)
     }
 
     fn cpu_loss(&self, id: JobId, plan: &ExecutionPlan, placement: &Placement) -> f64 {
@@ -439,12 +436,13 @@ impl<'a> Ctx<'a> {
             &fewer,
             &model.env,
         );
-        ((cur - prev) / CPU_DELTA as f64 / self.norm(id)).max(0.0)
+        ((cur - prev) / CPU_DELTA as f64 / self.parts(id).norm).max(0.0)
     }
 }
 
 /// Computes one job's context entries: fitted model, plan-search mode, GPU
-/// sensitivity curve, SLA baseline, minimum demand and best-plan memo row.
+/// sensitivity curve, minimum demand, best-plan memo row, and what the
+/// curve and SLA baseline fix for the whole epoch (GPU caps, slope norm).
 /// Pure in (snapshot spec, registry, cluster geometry) — full-search
 /// curves go through the shared keyed cache, whose hit/miss pattern cannot
 /// change the values.
@@ -472,18 +470,47 @@ fn build_job_parts(
         (PlanSearch::Full, Some(m)) => Some(memo.row(m, snap.spec.global_batch)),
         _ => None,
     };
+    let curve = registry.gpu_curve(
+        &snap.spec.model.name,
+        &search,
+        snap.spec.global_batch,
+        total_gpus,
+    );
+    let requested = snap.spec.requested.gpus;
+    // The curve spans exactly `0..=total_gpus`, so its last value is the
+    // best throughput the job reaches on this cluster.
+    let peak = curve.as_ref().map(|c| c.value(total_gpus));
+    // The useful GPU cap: the smallest amount achieving (within 0.5 %)
+    // that peak.
+    let g_star = match (&curve, peak) {
+        (Some(_), Some(peak)) if peak <= 0.0 => 0,
+        (Some(c), Some(peak)) => c.min_amount_reaching(peak * 0.995).unwrap_or(total_gpus),
+        _ => requested,
+    };
+    let first_useful = curve
+        .as_ref()
+        .and_then(|c| c.min_amount_reaching(1e-12))
+        .unwrap_or(requested);
+    // Slope normalization constant: the geometric mean of the job's SLA
+    // baseline (throughput of the user-requested configuration) and its
+    // peak. Baseline normalization alone lets jobs with weak submitted
+    // plans dominate the slope order (low average JCT but heavy churn and
+    // starved tails); peak normalization alone is scale-free but
+    // sacrifices average JCT. The geometric mean interpolates between the
+    // two.
+    let baseline = job_baseline(registry, snap).unwrap_or(1.0).max(1e-9);
+    let norm = (baseline * peak.filter(|v| *v > 0.0).unwrap_or(baseline))
+        .sqrt()
+        .max(1e-9);
     CachedParts {
         model,
         row,
-        curve: registry.gpu_curve(
-            &snap.spec.model.name,
-            &search,
-            snap.spec.global_batch,
-            total_gpus,
-        ),
-        baseline: job_baseline(registry, snap),
+        curve,
         minimum: super::minres::min_res(registry, snap, &search, cfg.resource_realloc, estimator),
         search,
+        g_star,
+        first_useful,
+        norm,
     }
 }
 
@@ -572,6 +599,7 @@ pub(super) fn run_round(
         changed: BTreeSet::new(),
         undo: Undo::default(),
         floor: Cell::new(None),
+        reach: Cell::new(None),
     };
     for (id, alloc) in state.round.charge_running() {
         state.alloc.insert(id, alloc);
@@ -597,7 +625,7 @@ pub(super) fn run_round(
     }
 
     // ---- build round context ------------------------------------------
-    // The per-job work (curve, baseline, minimum demand) is the round's
+    // The per-job work (curve, caps, norm, minimum demand) is the round's
     // hot path. One estimator per round (it is a cheap `Copy` of the
     // cluster's GPU memory capacity), shared by every per-job
     // minimum-demand search and the allocation passes below.
@@ -617,14 +645,9 @@ pub(super) fn run_round(
         config: cfg,
         index,
         snaps: Vec::with_capacity(n),
-        models: Vec::with_capacity(n),
-        rows: Vec::with_capacity(n),
+        parts: Vec::with_capacity(n),
         memo: RefCell::new(plan_memo),
         certs: RefCell::new(skip_certs),
-        searches: Vec::with_capacity(n),
-        minima: Vec::with_capacity(n),
-        baselines: Vec::with_capacity(n),
-        curves: Vec::with_capacity(n),
         frozen: Vec::with_capacity(n),
         estimator,
         total_gpus,
@@ -654,16 +677,11 @@ pub(super) fn run_round(
                 parts
             }
         };
-        ctx.models.push(parts.model);
-        ctx.rows.push(parts.row);
-        ctx.curves.push(parts.curve);
-        ctx.baselines.push(parts.baseline);
-        ctx.minima.push(parts.minimum);
+        ctx.parts.push(parts);
         // The penalty gate reads the job's accumulated runtime, which
         // grows every round — never cached.
         ctx.frozen
             .push(snap.status.is_running() && !snap.reconfig_allowed(cfg.reconfig_threshold));
-        ctx.searches.push(parts.search);
     }
 
     // The skip predicate of the incremental round: satiated-clean jobs
@@ -861,6 +879,7 @@ fn schedule_job(ctx: &Ctx<'_>, state: &mut State<'_>, id: JobId) {
     let before = state.clone();
     if grow_job(ctx, state, id) {
         state.floor.set(None);
+        state.reach.set(None);
     } else {
         state.rollback();
         #[cfg(debug_assertions)]
@@ -869,13 +888,24 @@ fn schedule_job(ctx: &Ctx<'_>, state: &mut State<'_>, id: JobId) {
 }
 
 /// Whether the search of job `id` provably rolls back, so
-/// [`schedule_job`] can skip the walk (DESIGN.md §8). Only a search on a
-/// ledger with no free GPU whose job cannot take a GPU from any victim
-/// ([`takes_no_gpu`]) qualifies: its walk can add only CPUs and host
-/// memory. Without a GPU the grant fails a GPU minimum or has no plan.
-/// With GPUs, the job must be running on its snapshot's allocation, whose
-/// verdict is certified per job ([`Ctx::skip_cert`]), or on fewer GPUs.
+/// [`schedule_job`] can skip the walk (DESIGN.md §8). Two cases qualify.
+/// A job below its GPU minimum that could not reach it with every GPU of
+/// the table's [`gpu_reach`](State::gpu_reach) fails the minimum. On a
+/// ledger with no free GPU, so does a search whose job cannot take a GPU
+/// from any victim ([`takes_no_gpu`]): its walk can add only CPUs and
+/// host memory. Without a GPU the grant fails a GPU minimum or has no
+/// plan. With GPUs, the job must be running on its snapshot's allocation,
+/// whose verdict is certified per job ([`Ctx::skip_cert`]), or on fewer
+/// GPUs.
 fn rolls_back_untouched(ctx: &Ctx<'_>, state: &State<'_>, id: JobId) -> bool {
+    let cur = state.alloc.get(&id);
+    let gpus = cur.map_or(0, Allocation::gpus);
+    let min_gpus = ctx.minimum(id).gpus;
+    if gpus < min_gpus && gpus + state.gpu_reach(ctx) < min_gpus {
+        #[cfg(test)]
+        tests::REACH_SKIPS.with(|n| n.set(n.get() + 1));
+        return true;
+    }
     if state.round.free().iter().any(|r| r.gpus > 0) {
         return false;
     }
@@ -887,9 +917,7 @@ fn rolls_back_untouched(ctx: &Ctx<'_>, state: &State<'_>, id: JobId) -> bool {
     if cap_gpus == 0 {
         return true;
     }
-    let cur = state.alloc.get(&id);
     let frozen = ctx.is_frozen(id);
-    let gpus = cur.map_or(0, Allocation::gpus);
     let steal_cap = if frozen { gpus } else { cap_gpus };
     if !takes_no_gpu(ctx, state, id, gpus, steal_cap) {
         return false;
@@ -1485,7 +1513,14 @@ mod tests {
     use rubick_sim::tenant::{Tenant, TenantId};
     use rubick_sim::SimReport;
     use rubick_testbed::TestbedOracle;
+    use std::cell::Cell;
     use std::sync::Arc;
+
+    thread_local! {
+        /// Searches this thread's rounds skipped on the GPU-reach
+        /// certificate.
+        pub(super) static REACH_SKIPS: Cell<u64> = const { Cell::new(0) };
+    }
 
     fn registry(oracle: &TestbedOracle, specs: &[ModelSpec]) -> Arc<ModelRegistry> {
         Arc::new(ModelRegistry::from_oracle(oracle, specs).unwrap())
@@ -1973,6 +2008,139 @@ mod tests {
         assert_matches_cold(&mut warm, &reg, &jobs);
         let ids: Vec<_> = certs(&warm).iter().map(|c| c.0).collect();
         assert_eq!(ids, [1, 3]);
+    }
+
+    /// A guaranteed job whose SLA baseline no GPU count reaches, so
+    /// `min_res` falls back to the whole request as its minimum. The
+    /// baseline also sets the job's slope norm: a larger one orders it
+    /// later in the running pass.
+    fn pinned(spec: JobSpec, status: JobStatus, baseline: f64) -> JobSnapshot {
+        JobSnapshot {
+            remaining_batches: spec.target_batches as f64,
+            spec: Arc::new(spec),
+            status,
+            queued_since: 0.0,
+            runtime: 0.0,
+            reconfig_count: 0,
+            baseline_throughput: Some(baseline),
+        }
+    }
+
+    fn running_on(per_node: Vec<(usize, Resources)>, plan: ExecutionPlan) -> JobStatus {
+        JobStatus::Running {
+            allocation: Allocation { per_node },
+            plan,
+            throughput: 1.0,
+            resume_at: 0.0,
+        }
+    }
+
+    /// A pinned RoBERTa job running on `held` GPUs of the one node and a
+    /// queued pinned one asking for 4: the GPU reach is the node's free
+    /// GPUs, since the running job sits at its minimum. Returns the
+    /// round's assignments and how many searches skipped on the reach.
+    fn queued_beside_pinned(held: u32) -> (Vec<Assignment>, u64) {
+        let oracle = TestbedOracle::new(24);
+        let model = ModelSpec::roberta_large();
+        let reg = registry(&oracle, std::slice::from_ref(&model));
+        let plan = ExecutionPlan::dp(held);
+        let holder = pinned(
+            job(1, model.clone(), held, plan, 1_000_000),
+            running_on(vec![(0, Resources::new(held, 6 * held, 100.0))], plan),
+            1e6,
+        );
+        let queued = pinned(
+            job(2, model, 4, ExecutionPlan::dp(4), 1_000_000),
+            JobStatus::Queued,
+            1e6,
+        );
+        REACH_SKIPS.with(|n| n.set(0));
+        let out = decide(&mut full_rounds(&reg), &[holder, queued]);
+        (out, REACH_SKIPS.with(Cell::get))
+    }
+
+    /// Two free GPUs cannot lift the queued job to its minimum of 4, so
+    /// its search is skipped with free GPUs on the ledger (and walked on
+    /// a clone in debug builds, which must roll back).
+    #[test]
+    fn queued_job_beyond_the_gpu_reach_is_skipped() {
+        let (out, skips) = queued_beside_pinned(6);
+        assert_eq!(skips, 1);
+        assert!(out.iter().all(|a| a.job != 2), "{out:?}");
+    }
+
+    /// With four free GPUs the reach meets the minimum exactly: the
+    /// search is walked and admits the job on them.
+    #[test]
+    fn queued_job_at_the_gpu_reach_is_walked() {
+        let (out, skips) = queued_beside_pinned(4);
+        assert_eq!(skips, 0);
+        let admitted = out.iter().find(|a| a.job == 2).expect("job 2 admitted");
+        assert_eq!(admitted.allocation.gpus(), 4, "{out:?}");
+    }
+
+    /// A kept search that returns GPUs raises the reach mid-pass, and a
+    /// later search must see the raise. On two nodes, ViT job 1 runs on
+    /// nine GPUs (eight on node 0, one on node 1) at its minimum of nine;
+    /// its best nine-GPU plan is a nine-stage pipeline well below the
+    /// eight-GPU envelope, so its search sheds node 1's GPU and is kept.
+    /// ViT job 3 runs on node 1's other seven GPUs below its minimum of
+    /// eight, and its larger norm searches it after job 1. Queued job 2
+    /// is skipped first, caching a reach of 0; job 3 reaches its minimum
+    /// only through the GPU job 1 freed.
+    #[test]
+    fn kept_search_that_frees_gpus_raises_the_reach_for_later_searches() {
+        let oracle = TestbedOracle::new(24);
+        let model = ModelSpec::vit_base();
+        let reg = registry(&oracle, std::slice::from_ref(&model));
+        let vit = reg.model(&model.name).unwrap();
+        let batch = model.default_batch;
+        let best = |gpus| {
+            let placement = rubick_model::Placement::spread(gpus, 8, 12 * gpus, 100.0);
+            vit.best_plan(batch, &placement).unwrap().0
+        };
+        let (nine, seven) = (best(9), best(7));
+        let shedder = pinned(
+            job(1, model.clone(), 9, nine, 1_000_000),
+            running_on(
+                vec![
+                    (0, Resources::new(8, 96, 800.0)),
+                    (1, Resources::new(1, 12, 100.0)),
+                ],
+                nine,
+            ),
+            1e6,
+        );
+        let queued = pinned(
+            job(2, model.clone(), 4, ExecutionPlan::dp(4), 1_000_000),
+            JobStatus::Queued,
+            1e6,
+        );
+        let grower = pinned(
+            job(3, model, 8, seven, 1_000_000),
+            running_on(vec![(1, Resources::new(7, 84, 700.0))], seven),
+            1e12,
+        );
+        REACH_SKIPS.with(|n| n.set(0));
+        let out = full_rounds(&reg).schedule(
+            10.0,
+            &[shedder, queued, grower],
+            &Cluster::new(2, NodeShape::a800()),
+            &[],
+        );
+        // (job, node, GPUs) of every grant holding GPUs.
+        let gpus: Vec<_> = out
+            .iter()
+            .flat_map(|a| {
+                a.allocation
+                    .per_node
+                    .iter()
+                    .map(|(n, r)| (a.job, *n, r.gpus))
+            })
+            .filter(|g| g.2 > 0)
+            .collect();
+        assert_eq!(gpus, [(1, 0, 8), (3, 1, 8)], "{out:?}");
+        assert_eq!(REACH_SKIPS.with(Cell::get), 1);
     }
 }
 

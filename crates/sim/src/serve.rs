@@ -166,6 +166,9 @@ impl SubmitOp {
                 self.job
             ));
         }
+        if self.batch == Some(0) {
+            return Err(format!("job {}: batch must be at least 1", self.job));
+        }
         let batch = self.batch.unwrap_or(model.default_batch);
         let plan = plan_by_kind(&self.plan, self.gpus)?;
         plan.validate(&model, batch)
@@ -437,7 +440,9 @@ struct ServeLog {
     /// newlines included). Drops back to the rewritten size on compaction,
     /// which is what the auto-compaction threshold watches.
     bytes: u64,
-    /// First I/O error, sticky (subsequent writes are no-ops).
+    /// First I/O error, sticky: later writes are no-ops and every later
+    /// [`check`](ServeLog::check) reports it, because a journal that lost
+    /// a line (or whose handle points at a replaced file) cannot replay.
     error: Option<io::Error>,
     /// The event line being written, reused across events.
     line: String,
@@ -493,7 +498,7 @@ impl ServeLog {
 
     fn check(&mut self) -> Result<(), String> {
         self.flush_soft();
-        match self.error.take() {
+        match &self.error {
             Some(e) => Err(format!("serve log '{}': {e}", self.path.display())),
             None => Ok(()),
         }
@@ -501,11 +506,15 @@ impl ServeLog {
 
     /// Rewrites the log to header + op journal + compaction marker,
     /// dropping every event line; returns how many were dropped.
+    ///
+    /// Failure-atomic: until the rename replaces the log, a failure leaves
+    /// the file, the handle and the counters as they were. Once it has,
+    /// the counters describe the new file, and a failure to reopen it is
+    /// the sticky error (the old handle points at the unlinked file).
     fn compact(&mut self) -> Result<u64, String> {
         self.check()?;
         let dropped_now = self.events_logged;
-        self.events_dropped += dropped_now;
-        self.events_logged = 0;
+        let events_dropped = self.events_dropped + dropped_now;
         let mut content = String::with_capacity(self.header.len() + 64 * (self.ops.len() + 2));
         content.push_str(&self.header);
         content.push('\n');
@@ -513,22 +522,26 @@ impl ServeLog {
             content.push_str(op);
             content.push('\n');
         }
-        content.push_str(&marker_line(self.events_dropped));
+        content.push_str(&marker_line(events_dropped));
         content.push('\n');
         let tmp = self.path.with_extension("tmp");
-        let reopen = std::fs::write(&tmp, &content)
+        let failed = |e: &io::Error| format!("compacting serve log '{}': {e}", self.path.display());
+        std::fs::write(&tmp, &content)
             .and_then(|()| std::fs::rename(&tmp, &self.path))
-            .and_then(|()| OpenOptions::new().append(true).open(&self.path));
-        match reopen {
+            .map_err(|e| failed(&e))?;
+        self.events_dropped = events_dropped;
+        self.events_logged = 0;
+        self.bytes = content.len() as u64;
+        match OpenOptions::new().append(true).open(&self.path) {
             Ok(file) => {
                 self.file = BufWriter::new(file);
-                self.bytes = content.len() as u64;
                 Ok(dropped_now)
             }
-            Err(e) => Err(format!(
-                "compacting serve log '{}': {e}",
-                self.path.display()
-            )),
+            Err(e) => {
+                let message = failed(&e);
+                self.error = Some(e);
+                Err(message)
+            }
         }
     }
 }
@@ -1482,6 +1495,54 @@ mod tests {
         assert!(recovery.stats.events_verified < recovery.stats.events_replayed);
         assert_eq!(format!("{:?}", recovery.session.finish()), full_report);
         std::fs::remove_file(&path).ok();
+    }
+
+    /// A compaction whose tmp write fails (a directory sits at the tmp
+    /// path) leaves the journal byte for byte and its counters as they
+    /// were, so the next compaction reports every event line it removes.
+    #[test]
+    fn failed_compaction_leaves_the_journal_and_its_counts_intact() {
+        let path = temp_path("compact-fail");
+        let tmp = path.with_extension("tmp");
+        std::fs::create_dir_all(&tmp).unwrap();
+        let oracle = TestbedOracle::new(1);
+        let mut session = ServeSession::with_log(engine(&oracle), &meta(), &path).unwrap();
+        let mut sink = NullSink;
+        let script = ops_script();
+        for op in &script[..3] {
+            session.apply(op, &mut sink).unwrap();
+        }
+        let before = std::fs::read(&path).unwrap();
+        let err = session.apply(&ServeOp::Snapshot, &mut sink).unwrap_err();
+        assert!(err.starts_with("compacting serve log"), "{err}");
+        assert_eq!(std::fs::read(&path).unwrap(), before);
+        for op in &script[3..] {
+            session.apply(op, &mut sink).unwrap();
+        }
+        std::fs::remove_dir(&tmp).unwrap();
+        // Every line but the header and the journalled ops is an event.
+        let lines = std::fs::read_to_string(&path).unwrap().lines().count();
+        let events = (lines - 1 - script.len()) as u64;
+        let ServeReply::Compacted { events_dropped } =
+            session.apply(&ServeOp::Snapshot, &mut sink).unwrap()
+        else {
+            panic!("snapshot replies compacted");
+        };
+        assert_eq!(events_dropped, events);
+        let full_report = format!("{:?}", session.finish());
+        let recovery = recover(&path, engine(&oracle), &mut NullSink).unwrap();
+        assert_eq!(format!("{:?}", recovery.session.finish()), full_report);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn submit_rejects_a_zero_batch() {
+        let line =
+            "{\"type\":\"submit\",\"job\":3,\"model\":\"roberta-355m\",\"gpus\":4,\"batch\":0}";
+        let ServeOp::Submit(op) = ServeOp::parse(line).unwrap() else {
+            panic!("expected submit");
+        };
+        assert_eq!(op.resolve().unwrap_err(), "job 3: batch must be at least 1");
     }
 
     #[test]
