@@ -20,15 +20,16 @@
 #                      every read-set Jacobian entry and early reject; every
 #                      debug run checks each negligible-overlap shortcut
 #                      of f_overlap against the full formula; every
-#                      Rubick run also recomputes each skip-certificate hit
-#                      (the mt --refit and --chaos runs cover certificate
-#                      clears on a refit and on node loss); then
-#                      Sia on base and on mt --refit, whose debug build
-#                      re-resolves every per-job cache hit and rebuilds
-#                      every DP-rescale curve miss from the job's own
-#                      plan against its DP-free key, and Rubick on
-#                      mt with node and launch failures, whose debug
-#                      engine checks its job table after every step,
+#                      Rubick and Sia run re-resolves each per-job cache
+#                      hit, and every Rubick run also recomputes each
+#                      skip-certificate hit (the mt --refit and --chaos
+#                      runs cover cache clears on a refit and on node
+#                      loss); then Sia on base and on mt --refit, whose
+#                      debug build rebuilds every DP-rescale curve miss
+#                      from the job's own plan against its DP-free key,
+#                      and Rubick on mt with node and launch failures,
+#                      whose debug engine checks its job table after
+#                      every step,
 #                      then Rubick on mt with --refit and --chaos, where
 #                      most GPU-reach skips fire
 #   make benchmark-test  unit tests of the repo benchmark package
@@ -212,7 +213,8 @@ skip-smoke:
 	@echo "skip-smoke: every best-plan memo miss, split or full, matches its full scan on every Rubick run;"
 	@echo "skip-smoke: every read-set Jacobian entry and early reject matches on mt --refit;"
 	@echo "skip-smoke: every negligible-overlap shortcut matches the full f_overlap formula on every run;"
-	@echo "skip-smoke: every Sia cache hit, next rise and DP-rescale curve under its DP-free key matches on base and mt --refit;"
+	@echo "skip-smoke: every per-job cache hit is re-resolved and matches on every Rubick and Sia run;"
+	@echo "skip-smoke: every Sia next rise and DP-rescale curve under its DP-free key matches on base and mt --refit;"
 	@echo "skip-smoke: every skip and job-table check holds on mt with node and launch failures;"
 	@echo "skip-smoke: every GPU-reach skip rolls back on its walk and every cached reach matches its rescan, on every Rubick run and on mt --refit --chaos"
 

@@ -367,6 +367,11 @@ fn stream_seed(seed: u64, salt: u64, index: u64) -> u64 {
     mix64(seed ^ mix64(salt) ^ index.wrapping_mul(0xD1B5_4A32_D192_ED03))
 }
 
+/// The most node fault events a compiled timeline may hold: far above any
+/// committed config (the smoke sweep's 0.3 failures per node-hour on 8
+/// nodes compile to about 14k over 120 days), far below exhausting memory.
+const MAX_FAULT_EVENTS: usize = 1_000_000;
+
 const SALT_FAILURES: u64 = 0xFA11;
 const SALT_STRAGGLERS: u64 = 0x51_0C;
 const SALT_LAUNCH: u64 = 0x1AC4;
@@ -377,8 +382,9 @@ impl FaultPlan {
     ///
     /// # Errors
     ///
-    /// Rejects invalid knob values and scripted directives naming nodes
-    /// outside the cluster.
+    /// Rejects invalid knob values, scripted directives naming nodes
+    /// outside the cluster, and random failures that would compile to more
+    /// than a million fault events.
     pub fn compile(
         config: &ChaosConfig,
         nodes: usize,
@@ -444,6 +450,18 @@ impl FaultPlan {
             }
         } else if config.node_failure_rate_per_hour > 0.0 {
             let lambda = config.node_failure_rate_per_hour / 3600.0;
+            let mut push = |event: FaultEvent| {
+                if timeline.len() == MAX_FAULT_EVENTS {
+                    return Err(ChaosError::Invalid(format!(
+                        "node-failure-rate-per-hour {} with node-repair-secs {} on {nodes} \
+                         nodes over {horizon} s compiles to more than {MAX_FAULT_EVENTS} \
+                         fault events; lower the rate or raise the repair time",
+                        config.node_failure_rate_per_hour, config.node_repair_secs
+                    )));
+                }
+                timeline.push(event);
+                Ok(())
+            };
             for node in 0..nodes {
                 let mut rng =
                     SmallRng::seed_from_u64(stream_seed(config.seed, SALT_FAILURES, node as u64));
@@ -456,21 +474,21 @@ impl FaultPlan {
                     if t >= horizon {
                         break;
                     }
-                    timeline.push(FaultEvent {
+                    push(FaultEvent {
                         at: t,
                         node,
                         kind: FaultKind::Down,
-                    });
+                    })?;
                     let repair = config.node_repair_secs * (0.5 + rng.random::<f64>());
                     t += repair.max(1.0);
                     if t >= horizon {
                         break; // Stays down for the rest of the run.
                     }
-                    timeline.push(FaultEvent {
+                    push(FaultEvent {
                         at: t,
                         node,
                         kind: FaultKind::Up,
-                    });
+                    })?;
                 }
             }
         }
@@ -698,6 +716,25 @@ mod tests {
         }
         // Timeline is globally sorted.
         assert!(plan.timeline().windows(2).all(|w| w[0].at <= w[1].at));
+    }
+
+    #[test]
+    fn a_timeline_beyond_the_event_bound_is_rejected() {
+        // One failure per node-second and one-second repairs: about one
+        // event per node per second, so 1.2 million on two nodes.
+        let flood = ChaosConfig {
+            node_failure_rate_per_hour: 3600.0,
+            node_repair_secs: 0.0,
+            ..ChaosConfig::default()
+        };
+        let err = FaultPlan::compile(&flood, 2, 6e5).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "invalid chaos config: node-failure-rate-per-hour 3600 with node-repair-secs 0 \
+             on 2 nodes over 600000 s compiles to more than 1000000 fault events; lower the \
+             rate or raise the repair time"
+        );
+        assert!(FaultPlan::compile(&flood, 2, 3e5).unwrap().timeline().len() > 500_000);
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! * ZeRO/GA/GC behaviors are whatever the initial plan already had; Sia
 //!   never switches strategies.
 
-use crate::common::{job_baseline, PlanSearch};
+use crate::common::{job_baseline, same_arc, CacheEntry, JobCache, PlanSearch};
 use crate::registry::ModelRegistry;
 use crate::round::RoundContext;
 use rubick_model::{Resources, SensitivityCurve, ThroughputModel};
@@ -25,112 +25,32 @@ use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::sync::Arc;
 
+/// Churn guard: minimum relative goodput gain to change a running job's
+/// GPU count (Sia restarts jobs to rescale, like Rubick's checkpoints).
+const MIN_GAIN: f64 = 0.05;
+
 /// The Sia baseline scheduler.
 pub struct SiaScheduler {
     registry: Arc<ModelRegistry>,
-    /// Churn guard: minimum relative goodput gain to change a running job's
-    /// GPU count (Sia restarts jobs to rescale, like Rubick's checkpoints).
-    pub min_gain: f64,
     /// What each job resolves to in the registry, kept across rounds.
-    cache: JobCache,
+    cache: JobCache<SiaEntry>,
 }
 
 /// What a round reads from the registry for one job: its curve under
 /// Sia's restricted plan search, its goodput norm and its fitted model.
-/// Each is a pure function of the job's spec and baseline, the registry's
-/// contents and the schedulable GPU count.
-struct JobEntry {
-    /// The spec the entry was resolved for. A hit needs this very `Arc`,
-    /// so a re-submitted id with a new spec never reads a stale entry.
-    spec: Arc<JobSpec>,
-    /// The snapshot's baseline (bits) the norm was derived from.
-    baseline: Option<u64>,
+struct SiaEntry {
     curve: Option<Arc<SensitivityCurve>>,
     norm: f64,
     model: Option<Arc<ThroughputModel>>,
 }
 
-impl JobEntry {
-    fn resolve(registry: &ModelRegistry, job: &JobSnapshot, total_gpus: u32) -> Self {
-        JobEntry {
-            spec: Arc::clone(&job.spec),
-            baseline: job.baseline_throughput.map(f64::to_bits),
-            curve: registry.gpu_curve(
-                &job.spec.model.name,
-                &search_for(&job.spec),
-                job.spec.global_batch,
-                total_gpus,
-            ),
-            norm: job_baseline(registry, job).unwrap_or(1.0).max(1e-9),
-            model: registry.model(&job.spec.model.name),
-        }
-    }
+impl CacheEntry for SiaEntry {
+    const POLICY: &'static str = "Sia";
 
-    fn hits(&self, job: &JobSnapshot) -> bool {
-        Arc::ptr_eq(&self.spec, &job.spec)
-            && self.baseline == job.baseline_throughput.map(f64::to_bits)
-    }
-}
-
-/// Per-job [`JobEntry`]s, valid for one `(registry version, schedulable
-/// GPUs)` pair and cleared when either changes — that covers refits,
-/// on-demand profiling and node failures. Entries sit in the last round's
-/// snapshot order, which the engine gives sorted by job id, so one merge
-/// pass finds every job that stayed; an unsorted slice only costs misses.
-/// Jobs absent from a round are dropped. A pure cache: a fresh scheduler
-/// makes the same decisions.
-#[derive(Default)]
-struct JobCache {
-    key: Option<(u64, u32)>,
-    entries: Vec<JobEntry>,
-}
-
-impl JobCache {
-    /// Aligns the cache with `jobs`: afterwards `entries[pos]` is
-    /// `jobs[pos]`'s entry. Debug builds re-resolve every hit and assert
-    /// it matches.
-    fn refresh(&mut self, registry: &ModelRegistry, jobs: &[JobSnapshot], total_gpus: u32) {
-        let key = Some((registry.version(), total_gpus));
-        if self.key != key {
-            self.key = key;
-            self.entries.clear();
-        }
-        let mut old = std::mem::take(&mut self.entries).into_iter().peekable();
-        self.entries = jobs
-            .iter()
-            .map(|job| {
-                while old.next_if(|e| e.spec.id < job.id()).is_some() {}
-                match old.next_if(|e| e.spec.id == job.id()) {
-                    Some(entry) if entry.hits(job) => {
-                        #[cfg(debug_assertions)]
-                        entry.assert_fresh(registry, job, total_gpus);
-                        entry
-                    }
-                    _ => JobEntry::resolve(registry, job, total_gpus),
-                }
-            })
-            .collect();
-    }
-}
-
-#[cfg(debug_assertions)]
-impl JobEntry {
-    /// Debug cross-check of a cache hit against a fresh resolution.
-    fn assert_fresh(&self, registry: &ModelRegistry, job: &JobSnapshot, total_gpus: u32) {
-        fn same<T>(a: &Option<Arc<T>>, b: &Option<Arc<T>>) -> bool {
-            match (a, b) {
-                (Some(a), Some(b)) => Arc::ptr_eq(a, b),
-                (a, b) => a.is_none() && b.is_none(),
-            }
-        }
-        let fresh = JobEntry::resolve(registry, job, total_gpus);
-        assert!(
-            same(&self.curve, &fresh.curve)
-                && same(&self.model, &fresh.model)
-                && self.norm.to_bits() == fresh.norm.to_bits(),
-            "stale Sia cache entry for job {}",
-            job.id()
-        );
+    fn same(&self, fresh: &Self) -> bool {
+        same_arc(&self.curve, &fresh.curve)
+            && same_arc(&self.model, &fresh.model)
+            && self.norm.to_bits() == fresh.norm.to_bits()
     }
 }
 
@@ -139,7 +59,6 @@ impl SiaScheduler {
     pub fn new(registry: Arc<ModelRegistry>) -> Self {
         SiaScheduler {
             registry,
-            min_gain: 0.05,
             cache: JobCache::default(),
         }
     }
@@ -172,8 +91,19 @@ impl Scheduler for SiaScheduler {
 
         // Per-job curves under Sia's restricted plan search, norms and
         // models, indexed by job position like every per-job vector below.
-        self.cache.refresh(&self.registry, jobs, total_gpus);
-        let entries = &self.cache.entries;
+        let registry = &self.registry;
+        let entries = self
+            .cache
+            .refresh(registry, total_gpus, jobs, |job| SiaEntry {
+                curve: registry.gpu_curve(
+                    &job.spec.model.name,
+                    &search_for(&job.spec),
+                    job.spec.global_batch,
+                    total_gpus,
+                ),
+                norm: job_baseline(registry, job).unwrap_or(1.0).max(1e-9),
+                model: registry.model(&job.spec.model.name),
+            });
         let fill: Vec<_> = entries
             .iter()
             .map(|e| (e.curve.as_deref(), e.norm))
@@ -193,7 +123,7 @@ impl Scheduler for SiaScheduler {
                         true
                     } else if let Some(curve) = &entries[pos].curve {
                         let gain = curve.value(tgt) / curve.value(cur).max(1e-12) - 1.0;
-                        gain < self.min_gain
+                        gain < MIN_GAIN
                     } else {
                         true
                     };

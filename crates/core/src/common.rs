@@ -9,12 +9,133 @@
 //!   these totals" into a per-node [`Allocation`] against free capacity.
 //! * [`job_baseline`] — a job's SLA baseline derived from the registry's
 //!   fitted models.
+//! * `JobCache` — what a policy derives for each job from the registry,
+//!   kept across rounds.
 
 use crate::registry::ModelRegistry;
 use rubick_model::prelude::*;
 pub use rubick_model::PlanSearch;
 use rubick_sim::cluster::Allocation;
+use rubick_sim::job::{JobId, JobSpec};
 use rubick_sim::scheduler::JobSnapshot;
+use std::ops::Deref;
+use std::sync::Arc;
+
+/// What a policy derives for one job and keeps in a [`JobCache`]: a pure
+/// function of the job's spec and baseline, the registry's contents and
+/// the schedulable GPU count.
+pub(crate) trait CacheEntry {
+    /// The policy named when a debug cross-check fails.
+    const POLICY: &'static str;
+
+    /// Whether `self` is what a fresh resolution, `fresh`, derived.
+    fn same(&self, fresh: &Self) -> bool;
+}
+
+/// Whether `a` and `b` are both `None` or the same `Arc`.
+pub(crate) fn same_arc<T>(a: &Option<Arc<T>>, b: &Option<Arc<T>>) -> bool {
+    match (a, b) {
+        (Some(a), Some(b)) => Arc::ptr_eq(a, b),
+        (a, b) => a.is_none() && b.is_none(),
+    }
+}
+
+/// One job's cached entry and the inputs it was resolved for.
+pub(crate) struct Cached<E> {
+    /// The spec the entry was resolved for. A hit needs this very `Arc`,
+    /// so a re-submitted id with a new spec never reads a stale entry.
+    spec: Arc<JobSpec>,
+    /// The snapshot's baseline (bits) the entry was resolved with.
+    baseline: Option<u64>,
+    entry: E,
+}
+
+impl<E> Cached<E> {
+    /// The job the entry belongs to.
+    pub(crate) fn id(&self) -> JobId {
+        self.spec.id
+    }
+}
+
+impl<E> Deref for Cached<E> {
+    type Target = E;
+
+    fn deref(&self) -> &E {
+        &self.entry
+    }
+}
+
+/// Per-job entries, valid for one `(registry version, schedulable GPUs)`
+/// pair and cleared when either changes — that covers refits, on-demand
+/// profiling and node failures. Entries sit in the last round's snapshot
+/// order, which the engine gives sorted by job id, so one merge pass finds
+/// every job that stayed; an unsorted slice only costs misses. Jobs absent
+/// from a round are dropped. A pure cache: a fresh scheduler makes the
+/// same decisions.
+pub(crate) struct JobCache<E> {
+    key: Option<(u64, u32)>,
+    pub(crate) entries: Vec<Cached<E>>,
+}
+
+impl<E> Default for JobCache<E> {
+    fn default() -> Self {
+        JobCache {
+            key: None,
+            entries: Vec::new(),
+        }
+    }
+}
+
+impl<E: CacheEntry> JobCache<E> {
+    /// Aligns the cache with `jobs` and returns the entries, where
+    /// `entries[pos]` is `jobs[pos]`'s. A job without a hit gets
+    /// `resolve(job)`. Debug builds re-resolve every hit and assert it
+    /// is the [same](CacheEntry::same).
+    pub(crate) fn refresh(
+        &mut self,
+        registry: &ModelRegistry,
+        total_gpus: u32,
+        jobs: &[JobSnapshot],
+        mut resolve: impl FnMut(&JobSnapshot) -> E,
+    ) -> &[Cached<E>] {
+        let key = Some((registry.version(), total_gpus));
+        if self.key != key {
+            self.key = key;
+            self.entries.clear();
+        }
+        let mut old = std::mem::take(&mut self.entries).into_iter().peekable();
+        self.entries = jobs
+            .iter()
+            .map(|job| {
+                let baseline = job.baseline_throughput.map(f64::to_bits);
+                while old.next_if(|e| e.id() < job.id()).is_some() {}
+                match old.next_if(|e| e.id() == job.id()) {
+                    Some(cached)
+                        if Arc::ptr_eq(&cached.spec, &job.spec) && cached.baseline == baseline =>
+                    {
+                        debug_assert!(
+                            cached.same(&resolve(job)),
+                            "stale {} cache entry for job {}",
+                            E::POLICY,
+                            job.id()
+                        );
+                        cached
+                    }
+                    _ => {
+                        #[cfg(test)]
+                        testing::RESOLVED.with(|n| n.set(n.get() + 1));
+                        Cached {
+                            spec: Arc::clone(&job.spec),
+                            baseline,
+                            entry: resolve(job),
+                        }
+                    }
+                }
+            })
+            .collect();
+        &self.entries
+    }
+}
 
 /// Packs a resource total onto the cluster's free capacity.
 ///
@@ -107,9 +228,125 @@ pub fn job_baseline(registry: &ModelRegistry, snap: &JobSnapshot) -> Option<f64>
         .ok()
 }
 
+/// Helpers shared by the crate's unit tests.
+#[cfg(test)]
+pub(crate) mod testing {
+    use rubick_model::{ExecutionPlan, ModelSpec, Resources};
+    use rubick_sim::job::{JobClass, JobSpec, JobStatus};
+    use rubick_sim::scheduler::JobSnapshot;
+    use rubick_sim::tenant::TenantId;
+    use std::sync::Arc;
+
+    thread_local! {
+        /// Cache entries this thread resolved on a miss.
+        pub static RESOLVED: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    }
+
+    /// A guaranteed job of `n` batches of `model`'s default size, asking
+    /// for `gpus` GPUs with six CPUs and 100 GB each.
+    pub fn job(id: u64, model: ModelSpec, gpus: u32, plan: ExecutionPlan, n: u64) -> JobSpec {
+        JobSpec {
+            id,
+            global_batch: model.default_batch,
+            submit_time: 0.0,
+            target_batches: n,
+            requested: Resources::new(gpus, gpus * 6, gpus as f64 * 100.0),
+            initial_plan: plan,
+            class: JobClass::Guaranteed,
+            tenant: TenantId::default(),
+            model,
+        }
+    }
+
+    /// `spec`'s snapshot in `status`, with no work done, no queueing time
+    /// and no baseline.
+    pub fn snapshot(spec: JobSpec, status: JobStatus) -> JobSnapshot {
+        JobSnapshot {
+            remaining_batches: spec.target_batches as f64,
+            spec: Arc::new(spec),
+            status,
+            queued_since: 0.0,
+            runtime: 0.0,
+            reconfig_count: 0,
+            baseline_throughput: None,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use super::testing::{job, snapshot};
     use super::*;
+    use rubick_sim::job::JobStatus;
+
+    /// A test entry: the serial number of the resolution that made it.
+    /// Serials differ by design, so the debug check accepts any pair.
+    struct Serial(u64);
+
+    impl CacheEntry for Serial {
+        const POLICY: &'static str = "test";
+
+        fn same(&self, _: &Self) -> bool {
+            true
+        }
+    }
+
+    /// A hit, both key changes, a departure, a re-submitted id, a new
+    /// baseline and an unsorted slice. An entry that keeps its serial hit.
+    #[test]
+    fn job_cache_hits_only_the_same_job_under_the_same_key() {
+        let registry = ModelRegistry::new(ClusterEnv::a800(), NodeShape::a800());
+        let (mut cache, mut serial) = (JobCache::default(), 0);
+        // Each entry's `(job, serial)` after a refresh on `gpus` GPUs.
+        let mut refresh = |jobs: &[JobSnapshot], gpus| -> Vec<(JobId, u64)> {
+            let entries = cache.refresh(&registry, gpus, jobs, |_| {
+                serial += 1;
+                Serial(serial)
+            });
+            entries.iter().map(|e| (e.id(), e.0)).collect()
+        };
+        let mut jobs: Vec<_> = (1..=3)
+            .map(|id| {
+                let spec = job(id, ModelSpec::roberta_large(), 1, ExecutionPlan::dp(1), 100);
+                snapshot(spec, JobStatus::Queued)
+            })
+            .collect();
+        let first = refresh(&jobs, 8);
+        assert_eq!(refresh(&jobs, 8), first);
+        let moved = refresh(&jobs, 16);
+        assert!(moved
+            .iter()
+            .zip(&first)
+            .all(|(a, b)| a.0 == b.0 && a.1 > b.1));
+        registry.insert(ThroughputModel::new(
+            ModelSpec::roberta_large(),
+            PerfParams::default(),
+            ClusterEnv::a800(),
+            NodeShape::a800(),
+        ));
+        let bumped = refresh(&jobs, 16);
+        assert!(bumped.iter().zip(&moved).all(|(a, b)| a.1 > b.1));
+        // A departed job is dropped, so it misses when it comes back.
+        let departed = jobs.remove(1);
+        assert_eq!(refresh(&jobs, 16), [bumped[0], bumped[2]]);
+        jobs.insert(1, departed);
+        let back = refresh(&jobs, 16);
+        assert_eq!((back[0], back[2]), (bumped[0], bumped[2]));
+        assert!(back[1].1 > bumped[2].1);
+        // A new spec `Arc`, equal in value, and a new baseline miss.
+        jobs[0].spec = Arc::new(JobSpec::clone(&jobs[0].spec));
+        jobs[2].baseline_throughput = Some(5.0);
+        let renewed = refresh(&jobs, 16);
+        assert_eq!(renewed[1], back[1]);
+        assert!(renewed[0].1 > back[1].1 && renewed[2].1 > back[1].1);
+        // An unsorted slice still aligns each entry with its job and costs
+        // only misses: the merge keeps job 3, then misses 2 and 1.
+        jobs.swap(0, 2);
+        let unsorted = refresh(&jobs, 16);
+        assert_eq!(unsorted[0], renewed[2]);
+        assert_eq!([unsorted[1].0, unsorted[2].0], [2, 1]);
+        assert!(unsorted[1].1 > renewed[2].1 && unsorted[2].1 > renewed[2].1);
+    }
 
     #[test]
     fn rescale_dp_keeps_structure() {

@@ -55,21 +55,16 @@
 //! approaching completion (the about-to-finish filter only removes the
 //! cheapest victim, leaving strictly costlier ones).
 
-use crate::common::PlanSearch;
-use rubick_model::{ExecutionPlan, MemoRow, Resources, SensitivityCurve, ThroughputModel};
+use rubick_model::{ExecutionPlan, Resources};
 use rubick_sim::cluster::Allocation;
 use rubick_sim::job::{JobId, JobStatus};
 use rubick_sim::scheduler::{Assignment, JobDelta, JobSnapshot, RoundStats};
 use rubick_sim::tenant::Tenant;
-use std::collections::BTreeMap;
-use std::sync::Arc;
 
 /// Everything the plan search reads that is *not* per-job: the fitted
 /// model registry (tracked by its monotone version counter), the cluster
 /// geometry and the tenant quotas. An epoch mismatch invalidates every
-/// certificate at once; whether it also invalidates the cached per-job
-/// context parts depends on *which* component moved — see
-/// [`Epoch::parts_compatible`].
+/// certificate at once.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct Epoch {
     /// [`ModelRegistry::version`](crate::ModelRegistry::version) at the
@@ -82,18 +77,6 @@ pub(crate) struct Epoch {
     pub(crate) node_caps: Vec<Resources>,
     /// Tenant quotas, compared structurally.
     pub(crate) tenants: Vec<Tenant>,
-}
-
-impl Epoch {
-    /// Whether cached [`CachedParts`] computed under `self` are still
-    /// valid under `now`. `build_job_parts` is pure in (policy config, job
-    /// spec, registry version, total GPUs, node *shape*): quota edits and
-    /// per-node capacity changes (a node going down) invalidate plan
-    /// certificates but not curves, baselines or minimum demands, as long
-    /// as the registry and the total GPU count are unchanged.
-    pub(crate) fn parts_compatible(&self, now: &Epoch) -> bool {
-        self.registry_version == now.registry_version && self.total_gpus == now.total_gpus
-    }
 }
 
 /// Per-job fingerprint of every snapshot field the plan search reads,
@@ -131,37 +114,6 @@ impl Fingerprint {
             frozen: running && !snap.reconfig_allowed(reconfig_threshold),
         }
     }
-}
-
-/// The cached, epoch-stable slice of a job's round context: fitted model,
-/// plan-search mode, sensitivity curve, minimum demand, and the GPU caps
-/// and slope norm the curve and SLA baseline fix.
-/// The penalty gate (`frozen`) is *not* cached — it depends on the job's
-/// runtime and is recomputed every round.
-#[derive(Clone)]
-pub(crate) struct CachedParts {
-    /// The job's fitted model, resolved from the registry once; valid for
-    /// as long as the registry version is (see [`Epoch::parts_compatible`]).
-    pub(crate) model: Option<Arc<ThroughputModel>>,
-    /// Plan-reconfiguration freedom (a function of the policy config and
-    /// the job's immutable initial plan).
-    pub(crate) search: PlanSearch,
-    /// GPU sensitivity curve under `search`, if the model is known.
-    pub(crate) curve: Option<Arc<SensitivityCurve>>,
-    /// Minimum resource demand (`MinRes` of Algorithm 1).
-    pub(crate) minimum: Resources,
-    /// The job's row of the scheduler's best-plan memo, for a
-    /// [`PlanSearch::Full`] job with a model.
-    pub(crate) row: Option<MemoRow>,
-    /// The useful GPU cap: the smallest amount whose curve value is
-    /// within 0.5 % of the peak on this cluster (the request without a
-    /// curve).
-    pub(crate) g_star: u32,
-    /// The smallest amount with any throughput (the request without one).
-    pub(crate) first_useful: u32,
-    /// Slope normalization constant: the geometric mean of the SLA
-    /// baseline and the curve peak.
-    pub(crate) norm: f64,
 }
 
 /// Generation-stamped dense map from [`JobId`] to a job's position in the
@@ -253,10 +205,6 @@ pub(crate) struct Classification {
     /// mismatch marks everything dirty); tests pin it directly.
     #[cfg_attr(not(test), allow(dead_code))]
     pub(crate) epoch_matched: bool,
-    /// Whether the cached per-job parts survive this round (the epoch
-    /// components they depend on are unchanged, even if quotas or node
-    /// capacities moved — see [`Epoch::parts_compatible`]).
-    pub(crate) parts_reusable: bool,
     /// Fingerprint comparisons performed: O(changed + running) on the
     /// delta path, O(jobs) on the fallback, 0 on an epoch mismatch.
     pub(crate) classified: u64,
@@ -353,9 +301,6 @@ pub(crate) struct DirtyTracker {
     /// Whether the last round ended with `state.changed` empty.
     prev_round_quiet: bool,
     epoch: Option<Epoch>,
-    /// Per-job context parts cache, valid while the epoch's
-    /// parts-relevant components are unchanged.
-    pub(crate) parts: BTreeMap<JobId, CachedParts>,
     /// Set by [`Scheduler::notify`](rubick_sim::Scheduler::notify) on a
     /// cluster delta; forces a full re-plan on the next round.
     force_dirty: bool,
@@ -461,19 +406,11 @@ impl DirtyTracker {
         let mut index = std::mem::take(&mut self.scratch_index);
         index.rebuild(jobs);
         let epoch_matched = !force && self.epoch.as_ref() == Some(epoch_now);
-        let parts_reusable = self
-            .epoch
-            .as_ref()
-            .is_some_and(|e| e.parts_compatible(epoch_now));
-        if !parts_reusable {
-            self.parts.clear();
-        }
         if !epoch_matched {
             // No certificate survives; re-plan everything from scratch.
             return Classification {
                 verdicts: vec![Verdict::Dirty; jobs.len()],
                 dirty_count: jobs.len() as u64,
-                parts_reusable,
                 index,
                 ..Classification::default()
             };
@@ -512,7 +449,6 @@ impl DirtyTracker {
             quiet_skip_count: counts[Verdict::QuietSkip as usize],
             verdicts,
             epoch_matched: true,
-            parts_reusable,
             classified,
             fast_base: false,
             index,
@@ -676,21 +612,16 @@ impl DirtyTracker {
     /// Records the end-of-round memory: fingerprints of the snapshots the
     /// round planned over, the emitted assignments, which of them are
     /// satiated (per `satiated`, evaluated against epoch-stable context),
-    /// and the ledger projection replaying `node_caps` minus every
-    /// emitted allocation in id order. `index` (when the caller still has
-    /// this round's [`JobIndex`]) makes the parts-cache liveness pruning
-    /// O(1) per entry.
-    #[allow(clippy::too_many_arguments)]
+    /// and the ledger projection replaying the epoch's `node_caps` minus every
+    /// emitted allocation in id order.
     pub(crate) fn record(
         &mut self,
         jobs: &[JobSnapshot],
         out: &[Assignment],
-        node_caps: Vec<Resources>,
         epoch: Epoch,
         quiet: bool,
         reconfig_threshold: f64,
         satiated: impl Fn(JobId, &Allocation) -> bool,
-        index: Option<&JobIndex>,
     ) {
         self.fingerprints.clear();
         self.fingerprints.extend(
@@ -711,7 +642,7 @@ impl DirtyTracker {
                 .map(|a| a.job),
         );
         self.satiated.sort_unstable();
-        let mut free = node_caps;
+        let mut free = epoch.node_caps.clone();
         for a in out {
             for (node, res) in &a.allocation.per_node {
                 if let Some(slot) = free.get_mut(*node) {
@@ -721,14 +652,6 @@ impl DirtyTracker {
         }
         self.projected_free = free;
         self.prev_round_quiet = quiet;
-        // Cached parts for jobs that left the system are dead weight.
-        match index {
-            Some(ix) => self.parts.retain(|id, _| ix.get(*id).is_some()),
-            None => {
-                let live: std::collections::BTreeSet<JobId> = jobs.iter().map(|s| s.id()).collect();
-                self.parts.retain(|id, _| live.contains(id));
-            }
-        }
         self.epoch = Some(epoch);
     }
 }
@@ -746,29 +669,26 @@ fn merge_sorted(dst: &mut Vec<JobId>, src: &[JobId]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::testing::{job, snapshot};
     use rubick_model::{ExecutionPlan, ModelSpec, NodeShape};
-    use rubick_sim::job::{JobClass, JobSpec};
-    use rubick_sim::tenant::TenantId;
+    use rubick_sim::job::JobSpec;
+    use std::sync::Arc;
 
     fn snap(id: JobId, status: JobStatus) -> JobSnapshot {
-        JobSnapshot {
-            spec: Arc::new(JobSpec {
+        let spec = JobSpec {
+            requested: Resources::new(1, 12, 100.0),
+            ..job(
                 id,
-                model: ModelSpec::roberta_large(),
-                global_batch: 64,
-                submit_time: 0.0,
-                target_batches: 1000,
-                requested: Resources::new(1, 12, 100.0),
-                initial_plan: ExecutionPlan::dp(1),
-                class: JobClass::Guaranteed,
-                tenant: TenantId::default(),
-            }),
-            status,
-            remaining_batches: 1000.0,
-            queued_since: 0.0,
+                ModelSpec::roberta_large(),
+                1,
+                ExecutionPlan::dp(1),
+                1000,
+            )
+        };
+        JobSnapshot {
             runtime: 1_000.0,
-            reconfig_count: 0,
             baseline_throughput: Some(1.0),
+            ..snapshot(spec, status)
         }
     }
 
@@ -784,6 +704,15 @@ mod tests {
         )
     }
 
+    /// The one assignment that keeps job 1 as [`running`] holds it.
+    fn job1_as_running() -> Vec<Assignment> {
+        vec![Assignment {
+            job: 1,
+            allocation: Allocation::on_node(0, Resources::new(1, 12, 100.0)),
+            plan: ExecutionPlan::dp(1),
+        }]
+    }
+
     fn epoch() -> Epoch {
         Epoch {
             registry_version: 0,
@@ -794,16 +723,7 @@ mod tests {
     }
 
     fn record_simple(t: &mut DirtyTracker, jobs: &[JobSnapshot], out: &[Assignment], quiet: bool) {
-        t.record(
-            jobs,
-            out,
-            epoch().node_caps,
-            epoch(),
-            quiet,
-            0.97,
-            |_, _| false,
-            None,
-        );
+        t.record(jobs, out, epoch(), quiet, 0.97, |_, _| false);
     }
 
     #[test]
@@ -814,11 +734,7 @@ mod tests {
         assert_eq!(cls.dirty_len(), 2);
         assert!(!cls.fast_eligible());
 
-        let out = vec![Assignment {
-            job: 1,
-            allocation: Allocation::on_node(0, Resources::new(1, 12, 100.0)),
-            plan: ExecutionPlan::dp(1),
-        }];
+        let out = job1_as_running();
         record_simple(&mut t, &jobs, &out, true);
         let cls = t.classify(&jobs, &epoch(), 0.97);
         assert_eq!(cls.dirty_len(), 0);
@@ -844,16 +760,7 @@ mod tests {
             })
             .collect();
         t.classify(&jobs, &epoch(), 0.97);
-        t.record(
-            &jobs,
-            &out,
-            epoch().node_caps,
-            epoch(),
-            true,
-            0.97,
-            |id, _| id == 2,
-            None,
-        );
+        t.record(&jobs, &out, epoch(), true, 0.97, |id, _| id == 2);
 
         // Job 1's throughput moved: it and the queued job are dirty, the
         // satiated job 2 keeps its unconditional skip.
@@ -874,49 +781,22 @@ mod tests {
     fn epoch_mismatch_and_notify_dirty_everything() {
         let mut t = DirtyTracker::new();
         let jobs = vec![running(1)];
-        let out = vec![Assignment {
-            job: 1,
-            allocation: Allocation::on_node(0, Resources::new(1, 12, 100.0)),
-            plan: ExecutionPlan::dp(1),
-        }];
+        let out = job1_as_running();
         t.classify(&jobs, &epoch(), 0.97);
-        t.record(
-            &jobs,
-            &out,
-            epoch().node_caps,
-            epoch(),
-            true,
-            0.97,
-            |_, _| true,
-            None,
-        );
+        t.record(&jobs, &out, epoch(), true, 0.97, |_, _| true);
 
         let mut other = epoch();
         other.registry_version = 7;
         let cls = t.classify(&jobs, &other, 0.97);
         assert!(!cls.epoch_matched);
         assert_eq!(cls.verdict_of(1), Some(Verdict::Dirty));
-        // A registry bump invalidates the cached parts too.
-        assert!(!cls.parts_reusable);
 
         // Re-record, then a notified cluster delta forces one dirty round.
-        t.record(
-            &jobs,
-            &out,
-            epoch().node_caps,
-            epoch(),
-            true,
-            0.97,
-            |_, _| true,
-            None,
-        );
+        t.record(&jobs, &out, epoch(), true, 0.97, |_, _| true);
         t.force_dirty();
         let cls = t.classify(&jobs, &epoch(), 0.97);
         assert!(!cls.epoch_matched);
         assert_eq!(cls.verdict_of(1), Some(Verdict::Dirty));
-        // The epoch itself is unchanged, so the parts cache survives the
-        // forced re-plan.
-        assert!(cls.parts_reusable);
         // The flag is one-shot.
         let cls = t.classify(&jobs, &epoch(), 0.97);
         assert!(cls.epoch_matched);
@@ -927,11 +807,7 @@ mod tests {
     fn failed_launch_is_caught_by_emitted_consistency() {
         let mut t = DirtyTracker::new();
         let queued = vec![snap(1, JobStatus::Queued)];
-        let out = vec![Assignment {
-            job: 1,
-            allocation: Allocation::on_node(0, Resources::new(1, 12, 100.0)),
-            plan: ExecutionPlan::dp(1),
-        }];
+        let out = job1_as_running();
         t.classify(&queued, &epoch(), 0.97);
         // We emitted a launch for job 1 and the previous round was *not*
         // quiet (it admitted a job)…
@@ -946,11 +822,7 @@ mod tests {
     fn projection_matches_caps_minus_emitted() {
         let mut t = DirtyTracker::new();
         let jobs = vec![running(1)];
-        let out = vec![Assignment {
-            job: 1,
-            allocation: Allocation::on_node(0, Resources::new(1, 12, 100.0)),
-            plan: ExecutionPlan::dp(1),
-        }];
+        let out = job1_as_running();
         record_simple(&mut t, &jobs, &out, true);
         let cap = NodeShape::a800().capacity();
         assert_eq!(
@@ -960,59 +832,13 @@ mod tests {
     }
 
     #[test]
-    fn quota_only_epoch_change_keeps_cached_parts() {
-        let mut t = DirtyTracker::new();
-        let jobs = vec![running(1)];
-        let out = vec![Assignment {
-            job: 1,
-            allocation: Allocation::on_node(0, Resources::new(1, 12, 100.0)),
-            plan: ExecutionPlan::dp(1),
-        }];
-        record_simple(&mut t, &jobs, &out, true);
-        t.parts.insert(
-            1,
-            CachedParts {
-                model: None,
-                search: PlanSearch::Fixed(ExecutionPlan::dp(1)),
-                curve: None,
-                minimum: Resources::new(1, 1, 1.0),
-                row: None,
-                g_star: 1,
-                first_useful: 1,
-                norm: 1.0,
-            },
-        );
-
-        // Quotas moved, registry and capacity did not: every plan
-        // certificate dies, but the curve/baseline/minimum cache survives.
-        let mut quota_change = epoch();
-        quota_change.tenants = vec![Tenant::new("t", Resources::new(4, 8, 100.0))];
-        let cls = t.classify(&jobs, &quota_change, 0.97);
-        assert!(!cls.epoch_matched);
-        assert_eq!(cls.verdict_of(1), Some(Verdict::Dirty));
-        assert!(cls.parts_reusable);
-        assert!(t.parts.contains_key(&1));
-
-        // A capacity change (total GPUs moved) kills the parts too.
-        let mut capacity_change = epoch();
-        capacity_change.total_gpus = 16;
-        let cls = t.classify(&jobs, &capacity_change, 0.97);
-        assert!(!cls.epoch_matched && !cls.parts_reusable);
-        assert!(t.parts.is_empty());
-    }
-
-    #[test]
     fn empty_delta_classifies_only_running_suspects() {
         let mut t = DirtyTracker::new();
         let mut jobs = vec![running(1)];
         for id in 2..6 {
             jobs.push(snap(id, JobStatus::Queued));
         }
-        let out = vec![Assignment {
-            job: 1,
-            allocation: Allocation::on_node(0, Resources::new(1, 12, 100.0)),
-            plan: ExecutionPlan::dp(1),
-        }];
+        let out = job1_as_running();
         record_simple(&mut t, &jobs, &out, true);
 
         t.push_delta(&JobDelta::default());
@@ -1037,11 +863,7 @@ mod tests {
             snap(2, JobStatus::Queued),
             snap(3, JobStatus::Queued),
         ];
-        let out = vec![Assignment {
-            job: 1,
-            allocation: Allocation::on_node(0, Resources::new(1, 12, 100.0)),
-            plan: ExecutionPlan::dp(1),
-        }];
+        let out = job1_as_running();
         record_simple(&mut t, &jobs, &out, true);
 
         // Job 2 re-queued at a later time; the engine marks it.
@@ -1063,11 +885,7 @@ mod tests {
     fn delta_removed_job_blocks_the_fast_path() {
         let mut t = DirtyTracker::new();
         let jobs = vec![running(1), snap(2, JobStatus::Queued)];
-        let out = vec![Assignment {
-            job: 1,
-            allocation: Allocation::on_node(0, Resources::new(1, 12, 100.0)),
-            plan: ExecutionPlan::dp(1),
-        }];
+        let out = job1_as_running();
         record_simple(&mut t, &jobs, &out, true);
 
         // Job 2 finished and left the snapshot set.
@@ -1102,11 +920,7 @@ mod tests {
         assert!(old[0].reconfig_allowed(0.97), "gate must open with age");
 
         let mut t = DirtyTracker::new();
-        let out = vec![Assignment {
-            job: 1,
-            allocation: Allocation::on_node(0, Resources::new(1, 12, 100.0)),
-            plan: ExecutionPlan::dp(1),
-        }];
+        let out = job1_as_running();
         record_simple(&mut t, &young, &out, true);
 
         // Runtime grew past the gate with no engine transition: the empty

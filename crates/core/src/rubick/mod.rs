@@ -27,6 +27,7 @@ mod policy;
 
 pub use minres::min_res;
 
+use crate::common::JobCache;
 use crate::registry::ModelRegistry;
 use rubick_model::BestPlanMemo;
 use rubick_sim::cluster::Cluster;
@@ -54,18 +55,12 @@ pub struct RubickConfig {
     pub name: String,
     /// Reconfiguration-penalty threshold on `(T − N·δ)/T` (paper: 0.97).
     pub reconfig_threshold: f64,
-    /// Queueing delay after which a best-effort job is scheduled with
-    /// priority to prevent starvation, seconds.
-    pub starvation_timeout: f64,
     /// Allow switching execution plans (disabled in Rubick-R/N, which fall
     /// back to Sia-style DP rescaling / frozen plans).
     pub plan_reconfig: bool,
     /// Allow multi-resource reallocation (disabled in Rubick-E/N, which pin
     /// every job to its requested amounts).
     pub resource_realloc: bool,
-    /// Minimum predicted relative throughput gain to justify reconfiguring
-    /// a running job (churn guard on top of the penalty gate).
-    pub min_gain: f64,
     /// Incremental dirty-set rounds: fingerprint every job's planning
     /// inputs and skip the plan search for jobs whose previous decision is
     /// provably still optimal-feasible (see `DESIGN.md` §11). Skips fire
@@ -79,10 +74,8 @@ impl Default for RubickConfig {
         RubickConfig {
             name: "rubick".into(),
             reconfig_threshold: 0.97,
-            starvation_timeout: 1200.0,
             plan_reconfig: true,
             resource_realloc: true,
-            min_gain: 0.15,
             incremental: true,
         }
     }
@@ -108,17 +101,17 @@ pub struct RubickScheduler {
     pub(crate) registry: Arc<ModelRegistry>,
     pub(crate) config: RubickConfig,
     pub(crate) lazy: Option<LazyProfiling>,
-    /// Incremental-planning memory (fingerprints, ledger projection,
-    /// cached per-job context), carried from one round to the next.
+    /// Incremental-planning memory (fingerprints, emitted assignments,
+    /// ledger projection), carried from one round to the next.
     pub(crate) tracker: dirty::DirtyTracker,
     /// `GetBestPlan` answers by placement class, kept across rounds. Each
     /// memo row remembers the fit it was scored under, so a refit empties
     /// only the refitted model's rows.
     pub(crate) plan_memo: BestPlanMemo,
-    /// Skip verdicts of running jobs on a GPU-full ledger, by job, kept
-    /// across rounds beside the memo and cleared when the registry version
-    /// or the cluster's GPU count moves.
-    pub(crate) skip_certs: policy::SkipCerts,
+    /// Each job's epoch-stable context and skip certificate, kept across
+    /// rounds beside the memo and cleared when the registry version or the
+    /// cluster's GPU count moves.
+    pub(crate) cache: JobCache<policy::RubickEntry>,
 }
 
 impl RubickScheduler {
@@ -135,7 +128,7 @@ impl RubickScheduler {
             lazy: None,
             tracker: dirty::DirtyTracker::new(),
             plan_memo: BestPlanMemo::new(),
-            skip_certs: policy::SkipCerts::default(),
+            cache: JobCache::default(),
         }
     }
 

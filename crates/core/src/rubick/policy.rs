@@ -1,20 +1,20 @@
 //! The per-round scheduling logic (lines 1–24 of Algorithm 1).
 
-use super::dirty::{CachedParts, Classification, Epoch, JobIndex, Verdict};
+use super::dirty::{Classification, Epoch, JobIndex, Verdict};
 use super::{RubickConfig, RubickScheduler};
-use crate::common::{job_baseline, PlanSearch};
+use crate::common::{job_baseline, same_arc, CacheEntry, Cached, PlanSearch};
 use crate::registry::ModelRegistry;
 use crate::round::{LedgerDelta, RoundContext};
 use rubick_model::{
-    BestPlanMemo, ExecutionPlan, MemoryEstimator, MemoryMode, Placement, PlanSetCache, Resources,
-    SensitivityCurve, ThroughputModel,
+    BestPlanMemo, ExecutionPlan, MemoRow, MemoryEstimator, MemoryMode, Placement, PlanSetCache,
+    Resources, SensitivityCurve, ThroughputModel,
 };
 use rubick_sim::cluster::{Allocation, Cluster};
 use rubick_sim::job::{JobClass, JobId, JobStatus};
 use rubick_sim::scheduler::{Assignment, JobSnapshot, RoundStats};
 use rubick_sim::tenant::Tenant;
 use std::cell::{Cell, RefCell};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 /// CPU transfer unit `Δr` (GPUs move one at a time).
@@ -26,21 +26,88 @@ const EPS_SLOPE: f64 = 1e-9;
 /// jobs with near-equal slopes flap resources back and forth, paying a
 /// checkpoint-resume penalty on every swing.
 const SHRINK_HYSTERESIS: f64 = 0.45;
+/// Minimum predicted relative throughput gain to justify reconfiguring a
+/// running job (churn guard on top of the penalty gate).
+const MIN_GAIN: f64 = 0.15;
+/// Queueing delay after which a best-effort job is scheduled with priority
+/// to prevent starvation, seconds.
+const STARVATION_TIMEOUT: f64 = 1200.0;
 
-/// Per-round immutable context: snapshots, each job's epoch-stable
-/// [`CachedParts`] (model, curve, minimum, caps, norm) and penalty gate.
-/// Stored as dense vectors parallel to the jobs slice, addressed through
-/// the round's [`JobIndex`] — per-job probes are array reads instead of
-/// tree walks, which is what keeps 100k-job rounds cache-friendly. The
-/// mutable parts are the scheduler's best-plan memo and skip
-/// certificates, borrowed for the round.
+/// The cached, epoch-stable slice of a job's round context: fitted model,
+/// plan-search mode, sensitivity curve, minimum demand, and the GPU caps
+/// and slope norm the curve and SLA baseline fix.
+/// The penalty gate (`frozen`) is *not* cached — it depends on the job's
+/// runtime and is recomputed every round.
+struct CachedParts {
+    /// The job's fitted model, resolved from the registry once.
+    model: Option<Arc<ThroughputModel>>,
+    /// Plan-reconfiguration freedom (a function of the policy config and
+    /// the job's immutable initial plan).
+    search: PlanSearch,
+    /// GPU sensitivity curve under `search`, if the model is known.
+    curve: Option<Arc<SensitivityCurve>>,
+    /// Minimum resource demand (`MinRes` of Algorithm 1).
+    minimum: Resources,
+    /// The job's row of the scheduler's best-plan memo, for a
+    /// [`PlanSearch::Full`] job with a model.
+    row: Option<MemoRow>,
+    /// The useful GPU cap: the smallest amount whose curve value is
+    /// within 0.5 % of the peak on this cluster (the request without a
+    /// curve).
+    g_star: u32,
+    /// The smallest amount with any throughput (the request without one).
+    first_useful: u32,
+    /// Slope normalization constant: the geometric mean of the SLA
+    /// baseline and the curve peak.
+    norm: f64,
+}
+
+/// What the scheduler keeps per job across rounds in its
+/// [`JobCache`](crate::common::JobCache): the job's [`CachedParts`] and
+/// its skip certificate ([`Ctx::skip_cert`]).
+pub(crate) struct RubickEntry {
+    parts: CachedParts,
+    cert: RefCell<Option<SkipCert>>,
+}
+
+/// A running job's skip verdict on a GPU-full ledger (DESIGN.md §8). Once
+/// the job's table entry equals its snapshot's allocation, whether its
+/// search rolls back ([`churn_guard_rejects`]) is a fact of the snapshot's
+/// `(allocation, plan)` under the entry's parts, so it is decided once and
+/// kept in the entry.
+struct SkipCert {
+    alloc: Allocation,
+    plan: ExecutionPlan,
+    rolls_back: bool,
+}
+
+impl CacheEntry for RubickEntry {
+    const POLICY: &'static str = "Rubick";
+
+    fn same(&self, fresh: &Self) -> bool {
+        let (a, b) = (&self.parts, &fresh.parts);
+        let bits = |r: &Resources| (r.gpus, r.cpus, r.mem_gb.to_bits());
+        same_arc(&a.model, &b.model)
+            && a.search == b.search
+            && same_arc(&a.curve, &b.curve)
+            && bits(&a.minimum) == bits(&b.minimum)
+            && a.row == b.row
+            && (a.g_star, a.first_useful) == (b.g_star, b.first_useful)
+            && a.norm.to_bits() == b.norm.to_bits()
+    }
+}
+
+/// Per-round immutable context: the jobs slice, each job's cache entry and
+/// penalty gate, all by position in the slice and addressed through the
+/// round's [`JobIndex`], so per-job probes are array reads. The mutable
+/// parts are the scheduler's best-plan memo, borrowed for the round, and
+/// each entry's certificate cell.
 struct Ctx<'a> {
     config: &'a RubickConfig,
     index: JobIndex,
-    snaps: Vec<&'a JobSnapshot>,
-    parts: Vec<CachedParts>,
+    jobs: &'a [JobSnapshot],
+    entries: &'a [Cached<RubickEntry>],
     memo: RefCell<&'a mut BestPlanMemo>,
-    certs: RefCell<&'a mut SkipCerts>,
     frozen: Vec<bool>,
     estimator: MemoryEstimator,
     total_gpus: u32,
@@ -177,37 +244,6 @@ impl State<'_> {
     }
 }
 
-/// Skip verdicts of running jobs on a GPU-full ledger, kept across rounds
-/// (DESIGN.md §8). Once a job's table entry equals its snapshot's
-/// allocation, whether its search rolls back ([`churn_guard_rejects`]) is
-/// a fact of the snapshot's `(allocation, plan)` under one fit and one
-/// cluster size, so it is decided once and answered from here.
-#[derive(Default)]
-pub(crate) struct SkipCerts {
-    /// The `(registry version, total GPUs)` every verdict was decided
-    /// under.
-    stamp: Option<(u64, u32)>,
-    certs: HashMap<JobId, SkipCert>,
-}
-
-/// One job's verdict and the snapshot pair it was decided on.
-struct SkipCert {
-    alloc: Allocation,
-    plan: ExecutionPlan,
-    rolls_back: bool,
-}
-
-impl SkipCerts {
-    /// Drops every verdict when the fit or the cluster size moved.
-    fn restamp(&mut self, registry_version: u64, total_gpus: u32) {
-        let stamp = Some((registry_version, total_gpus));
-        if self.stamp != stamp {
-            self.certs.clear();
-            self.stamp = stamp;
-        }
-    }
-}
-
 /// Whether `state` is bit-identical to `before` in the ledger, the
 /// allocation table and the `changed` set (debug cross-check of
 /// [`State::rollback`]).
@@ -232,11 +268,11 @@ impl<'a> Ctx<'a> {
     }
 
     fn snap(&self, id: JobId) -> &JobSnapshot {
-        self.snaps[self.idx(id)]
+        &self.jobs[self.idx(id)]
     }
 
     fn parts(&self, id: JobId) -> &CachedParts {
-        &self.parts[self.idx(id)]
+        &self.entries[self.idx(id)].parts
     }
 
     fn curve(&self, id: JobId) -> Option<&Arc<SensitivityCurve>> {
@@ -257,9 +293,9 @@ impl<'a> Ctx<'a> {
     /// path.
     fn best_plan(&self, id: JobId, placement: &Placement) -> Option<(ExecutionPlan, f64)> {
         let pos = self.idx(id);
-        let parts = &self.parts[pos];
+        let parts = &self.entries[pos].parts;
         let model = parts.model.as_deref()?;
-        let batch = self.snaps[pos].spec.global_batch;
+        let batch = self.jobs[pos].spec.global_batch;
         match &parts.search {
             PlanSearch::Full => {
                 let row = parts
@@ -280,13 +316,13 @@ impl<'a> Ctx<'a> {
     /// Whether the search of running job `id`, holding its snapshot's
     /// `alloc` under `plan` with no GPU to take, rolls back: its
     /// certificate when one was decided on this pair, else
-    /// [`churn_guard_rejects`], recorded. Debug builds re-decide every hit.
+    /// [`churn_guard_rejects`], recorded in the job's entry. Debug builds
+    /// re-decide every hit.
     fn skip_cert(&self, id: JobId, alloc: &Allocation, plan: &ExecutionPlan) -> bool {
-        let hit = self
-            .certs
+        let cert = &self.entries[self.idx(id)].cert;
+        let hit = cert
             .borrow()
-            .certs
-            .get(&id)
+            .as_ref()
             .filter(|c| c.alloc == *alloc && c.plan == *plan)
             .map(|c| c.rolls_back);
         if let Some(rolls_back) = hit {
@@ -298,14 +334,11 @@ impl<'a> Ctx<'a> {
             return rolls_back;
         }
         let rolls_back = churn_guard_rejects(self, id, alloc, alloc, plan);
-        self.certs.borrow_mut().certs.insert(
-            id,
-            SkipCert {
-                alloc: alloc.clone(),
-                plan: *plan,
-                rolls_back,
-            },
-        );
+        *cert.borrow_mut() = Some(SkipCert {
+            alloc: alloc.clone(),
+            plan: *plan,
+            rolls_back,
+        });
         rolls_back
     }
 
@@ -349,8 +382,8 @@ impl<'a> Ctx<'a> {
     /// visible.
     fn cap_gpus(&self, id: JobId, running: bool) -> u32 {
         let pos = self.idx(id);
-        let parts = &self.parts[pos];
-        let requested = self.snaps[pos].spec.requested.gpus;
+        let parts = &self.entries[pos].parts;
+        let requested = self.jobs[pos].spec.requested.gpus;
         if !self.config.resource_realloc {
             requested
         } else if running {
@@ -446,10 +479,10 @@ impl<'a> Ctx<'a> {
 /// Pure in (snapshot spec, registry, cluster geometry) — full-search
 /// curves go through the shared keyed cache, whose hit/miss pattern cannot
 /// change the values.
-/// Because every input is epoch-stable, the result is cacheable across
-/// rounds by the [`DirtyTracker`](super::dirty::DirtyTracker); the
+/// Because every input is epoch-stable, the result is cached across
+/// rounds in the scheduler's [`JobCache`](crate::common::JobCache); the
 /// penalty-gate state (`frozen`) depends on the job's runtime and is
-/// computed per round at merge time instead.
+/// computed per round instead.
 fn build_job_parts(
     registry: &ModelRegistry,
     cfg: &RubickConfig,
@@ -528,7 +561,7 @@ pub(super) fn run_round(
         ref mut lazy,
         ref mut tracker,
         ref mut plan_memo,
-        ref mut skip_certs,
+        ref mut cache,
     } = *sched;
     let total_gpus = cluster.schedulable_capacity().gpus;
 
@@ -564,10 +597,8 @@ pub(super) fn run_round(
     // refit published since the last round (by the engine's refit hook)
     // or a model profiled on demand above invalidates every certificate
     // at once.
-    let registry_version = registry.version();
-    skip_certs.restamp(registry_version, total_gpus);
     let epoch_now = cfg.incremental.then(|| Epoch {
-        registry_version,
+        registry_version: registry.version(),
         total_gpus,
         node_caps: cluster
             .nodes()
@@ -625,64 +656,34 @@ pub(super) fn run_round(
     }
 
     // ---- build round context ------------------------------------------
-    // The per-job work (curve, caps, norm, minimum demand) is the round's
-    // hot path. One estimator per round (it is a cheap `Copy` of the
-    // cluster's GPU memory capacity), shared by every per-job
-    // minimum-demand search and the allocation passes below.
-    //
-    // Incrementally-tracked rounds reuse the epoch-stable slice from the
-    // tracker's cache (`build_job_parts` is pure in epoch-stable inputs)
-    // and only rebuild jobs the cache has not seen. Job ids are strictly
-    // increasing, so a miss inserted here is never looked up again this
-    // round.
+    // Every round, incremental or full, builds the epoch-stable parts
+    // (curve, caps, norm, minimum demand) only of the jobs the cache does
+    // not hold. One estimator (a cheap `Copy` of the GPU memory capacity)
+    // serves every minimum-demand search and the allocation passes below.
     let estimator = MemoryEstimator::new(cluster.shape().gpu_mem_gb);
+    let entries = cache.refresh(registry, total_gpus, jobs, |snap| RubickEntry {
+        parts: build_job_parts(registry, cfg, snap, total_gpus, estimator, plan_memo),
+        cert: RefCell::new(None),
+    });
     let mut index = cls.as_mut().map(|c| c.take_index()).unwrap_or_default();
     if cls.is_none() {
         index.rebuild(jobs);
     }
-    let n = jobs.len();
     let mut ctx = Ctx {
         config: cfg,
         index,
-        snaps: Vec::with_capacity(n),
-        parts: Vec::with_capacity(n),
+        jobs,
+        entries,
         memo: RefCell::new(plan_memo),
-        certs: RefCell::new(skip_certs),
-        frozen: Vec::with_capacity(n),
+        // The penalty gate reads the job's accumulated runtime, which
+        // grows every round — never cached.
+        frozen: jobs
+            .iter()
+            .map(|s| s.status.is_running() && !s.reconfig_allowed(cfg.reconfig_threshold))
+            .collect(),
         estimator,
         total_gpus,
     };
-    let reusable = cls.as_ref().is_some_and(|c| c.parts_reusable);
-    for snap in jobs {
-        let id = snap.id();
-        ctx.snaps.push(snap);
-        let hit = match &tracker {
-            Some(t) if reusable => t.parts.get(&id).cloned(),
-            _ => None,
-        };
-        let parts = match hit {
-            Some(parts) => parts,
-            None => {
-                let parts = build_job_parts(
-                    registry,
-                    cfg,
-                    snap,
-                    total_gpus,
-                    estimator,
-                    ctx.memo.get_mut(),
-                );
-                if let Some(t) = &mut tracker {
-                    t.parts.insert(id, parts.clone());
-                }
-                parts
-            }
-        };
-        ctx.parts.push(parts);
-        // The penalty gate reads the job's accumulated runtime, which
-        // grows every round — never cached.
-        ctx.frozen
-            .push(snap.status.is_running() && !snap.reconfig_allowed(cfg.reconfig_threshold));
-    }
 
     // The skip predicate of the incremental round: satiated-clean jobs
     // skip their (provably no-op) visit unconditionally; quiet-clean jobs
@@ -720,7 +721,7 @@ pub(super) fn run_round(
     let starving: Vec<JobId> = state
         .round
         .queued_fifo(|s| {
-            s.spec.class == JobClass::BestEffort && now - s.queued_since > cfg.starvation_timeout
+            s.spec.class == JobClass::BestEffort && now - s.queued_since > STARVATION_TIMEOUT
         })
         .iter()
         .map(|s| s.id())
@@ -754,7 +755,7 @@ pub(super) fn run_round(
         let slope = ctx.jump_gain(*id, gpus);
         let snap = ctx.snap(*id);
         let age = if snap.status.is_queued() {
-            (now - snap.queued_since).max(0.0) / cfg.starvation_timeout.max(1.0)
+            (now - snap.queued_since).max(0.0) / STARVATION_TIMEOUT
         } else {
             0.0
         };
@@ -787,11 +788,6 @@ pub(super) fn run_round(
     // is exactly what next round's quiet-skip certificates need.
     let quiet = state.changed.is_empty();
     let out = emit(&ctx, state);
-    // Certificates of jobs that left the system are dead weight.
-    ctx.certs
-        .get_mut()
-        .certs
-        .retain(|id, _| ctx.index.get(*id).is_some());
 
     // ---- record incremental memory for the next round -------------------
     if let (Some(t), Some(c), Some(e)) = (tracker, cls, epoch_now) {
@@ -803,17 +799,9 @@ pub(super) fn run_round(
             searched,
             classified: c.classified,
         });
-        let node_caps = e.node_caps.clone();
-        t.record(
-            jobs,
-            &out,
-            node_caps,
-            e,
-            quiet,
-            cfg.reconfig_threshold,
-            |id, alloc| is_satiated(&ctx, id, alloc),
-            Some(&ctx.index),
-        );
+        t.record(jobs, &out, e, quiet, cfg.reconfig_threshold, |id, alloc| {
+            is_satiated(&ctx, id, alloc)
+        });
         t.restore_index(std::mem::take(&mut ctx.index));
     }
     out
@@ -1003,7 +991,7 @@ fn churn_guard_rejects(
             &old_alloc.to_placement(),
         )
         .unwrap_or(0.0);
-    bound < old_tput * (1.0 + ctx.config.min_gain)
+    bound < old_tput * (1.0 + MIN_GAIN)
 }
 
 /// Whether a walk for job `id`, holding `gpus` GPUs under a steal cap of
@@ -1180,7 +1168,7 @@ fn grow_job(ctx: &Ctx<'_>, state: &mut State<'_>, id: JobId) -> bool {
         let old_tput = model
             .throughput(old_plan, snap.spec.global_batch, &old_alloc.to_placement())
             .unwrap_or(0.0);
-        if tput < old_tput * (1.0 + ctx.config.min_gain) {
+        if tput < old_tput * (1.0 + MIN_GAIN) {
             return false;
         }
         // Amortization: the upgrade must save more wall-clock over the
@@ -1474,7 +1462,7 @@ fn emit(ctx: &Ctx<'_>, state: State<'_>) -> Vec<Assignment> {
                 let old = model
                     .throughput(old_plan, snap.spec.global_batch, &placement)
                     .unwrap_or(0.0);
-                if new > old * (1.0 + ctx.config.min_gain)
+                if new > old * (1.0 + MIN_GAIN)
                     && snap.reconfig_allowed(ctx.config.reconfig_threshold)
                 {
                     plan
@@ -1503,13 +1491,14 @@ fn emit(ctx: &Ctx<'_>, state: State<'_>) -> Vec<Assignment> {
 
 #[cfg(test)]
 mod tests {
+    use crate::common::testing::{job, snapshot, RESOLVED};
     use crate::registry::ModelRegistry;
     use crate::rubick::{RubickConfig, RubickScheduler};
     use rubick_model::{ExecutionPlan, MemoryMode, ModelSpec, NodeShape, Resources};
     use rubick_sim::cluster::{Allocation, Cluster};
     use rubick_sim::engine::{Engine, EngineConfig};
     use rubick_sim::job::{JobClass, JobSpec, JobStatus};
-    use rubick_sim::scheduler::{Assignment, JobSnapshot, Scheduler};
+    use rubick_sim::scheduler::{Assignment, ClusterDelta, JobSnapshot, Scheduler};
     use rubick_sim::tenant::{Tenant, TenantId};
     use rubick_sim::SimReport;
     use rubick_testbed::TestbedOracle;
@@ -1524,20 +1513,6 @@ mod tests {
 
     fn registry(oracle: &TestbedOracle, specs: &[ModelSpec]) -> Arc<ModelRegistry> {
         Arc::new(ModelRegistry::from_oracle(oracle, specs).unwrap())
-    }
-
-    fn job(id: u64, model: ModelSpec, gpus: u32, plan: ExecutionPlan, batches: u64) -> JobSpec {
-        JobSpec {
-            id,
-            global_batch: model.default_batch,
-            submit_time: 0.0,
-            target_batches: batches,
-            requested: Resources::new(gpus, gpus * 6, gpus as f64 * 100.0),
-            initial_plan: plan,
-            class: JobClass::Guaranteed,
-            tenant: TenantId::default(),
-            model,
-        }
     }
 
     fn run(
@@ -1731,22 +1706,16 @@ mod tests {
             ..job(1, model.clone(), 8, ExecutionPlan::dp(8), 1_000_000)
         };
         let grower = job(2, model, 16, ExecutionPlan::dp(16), 1000);
-        let snap = |spec: JobSpec, status| JobSnapshot {
-            remaining_batches: spec.target_batches as f64,
-            spec: Arc::new(spec),
-            status,
-            queued_since: 0.0,
-            runtime: 0.0,
-            reconfig_count: 0,
-            baseline_throughput: None,
-        };
         let running = JobStatus::Running {
             allocation: Allocation::on_node(0, Resources::new(8, 48, 0.0)),
             plan: ExecutionPlan::dp(8),
             throughput: 1.0,
             resume_at: 0.0,
         };
-        let jobs = [snap(victim, running), snap(grower, JobStatus::Queued)];
+        let jobs = [
+            snapshot(victim, running),
+            snapshot(grower, JobStatus::Queued),
+        ];
         let out = RubickScheduler::new(reg).schedule(
             10.0,
             &jobs,
@@ -1783,29 +1752,21 @@ mod tests {
             throughput: 1.0,
             resume_at: 0.0,
         };
-        let snap = |spec: JobSpec, status, runtime| JobSnapshot {
-            remaining_batches: spec.target_batches as f64,
-            spec: Arc::new(spec),
-            status,
-            queued_since: 0.0,
-            runtime,
-            reconfig_count: 0,
-            baseline_throughput: None,
-        };
         // 100 s of runtime is far below the penalty gate's 0.97 share.
-        let frozen = snap(
-            job(1, model, 1, plan, 1_000_000),
-            running(alloc.clone(), plan),
-            100.0,
-        );
+        let frozen = JobSnapshot {
+            runtime: 100.0,
+            ..snapshot(
+                job(1, model, 1, plan, 1_000_000),
+                running(alloc.clone(), plan),
+            )
+        };
         assert!(!frozen.reconfig_allowed(0.97));
-        let other = snap(
+        let other = snapshot(
             job(2, ModelSpec::roberta_large(), 7, ExecutionPlan::dp(7), 1000),
             running(
                 Allocation::on_node(0, Resources::new(7, 14, 100.0)),
                 ExecutionPlan::dp(7),
             ),
-            0.0,
         );
         let out = RubickScheduler::new(reg).schedule(
             10.0,
@@ -1825,26 +1786,23 @@ mod tests {
         let oracle = TestbedOracle::new(24);
         let grower = ModelSpec::roberta_large();
         let reg = registry(&oracle, &[victim.clone(), grower.clone()]);
-        let best_effort = |spec: JobSpec| JobSnapshot {
-            remaining_batches: spec.target_batches as f64,
-            spec: Arc::new(JobSpec {
-                class: JobClass::BestEffort,
-                ..spec
-            }),
-            status: JobStatus::Queued,
-            queued_since: 0.0,
-            runtime: 0.0,
-            reconfig_count: 0,
-            baseline_throughput: None,
+        let best_effort = |spec: JobSpec, status| {
+            let class = JobClass::BestEffort;
+            snapshot(JobSpec { class, ..spec }, status)
         };
-        let mut running = best_effort(job(1, victim, 8, ExecutionPlan::dp(8), 1_000_000));
-        running.status = JobStatus::Running {
-            allocation: Allocation::on_node(0, Resources::new(8, 48, 800.0)),
-            plan: ExecutionPlan::dp(8),
-            throughput: 1.0,
-            resume_at: 0.0,
-        };
-        let queued = best_effort(job(2, grower, 1, ExecutionPlan::dp(1), 1_000_000));
+        let running = best_effort(
+            job(1, victim, 8, ExecutionPlan::dp(8), 1_000_000),
+            JobStatus::Running {
+                allocation: Allocation::on_node(0, Resources::new(8, 48, 800.0)),
+                plan: ExecutionPlan::dp(8),
+                throughput: 1.0,
+                resume_at: 0.0,
+            },
+        );
+        let queued = best_effort(
+            job(2, grower, 1, ExecutionPlan::dp(1), 1_000_000),
+            JobStatus::Queued,
+        );
         RubickScheduler::new(reg).schedule(
             10.0,
             &[running, queued],
@@ -1896,20 +1854,11 @@ mod tests {
             .map(|(model, id)| {
                 let spec = job(id, model, 4, ExecutionPlan::dp(4), 1_000_000);
                 let node = Resources::new(4, 24, 200.0);
+                let status = running_on(vec![(0, node)], ExecutionPlan::dp(4));
+                // Far below the penalty gate's 0.97 share: frozen.
                 JobSnapshot {
-                    remaining_batches: spec.target_batches as f64,
-                    spec: Arc::new(spec),
-                    status: JobStatus::Running {
-                        allocation: Allocation::on_node(0, node),
-                        plan: ExecutionPlan::dp(4),
-                        throughput: 1.0,
-                        resume_at: 0.0,
-                    },
-                    queued_since: 0.0,
-                    // Far below the penalty gate's 0.97 share: frozen.
                     runtime: 100.0,
-                    reconfig_count: 0,
-                    baseline_throughput: None,
+                    ..snapshot(spec, status)
                 }
             })
             .collect();
@@ -1920,16 +1869,19 @@ mod tests {
         sched.schedule(10.0, jobs, &Cluster::new(1, NodeShape::a800()), &[])
     }
 
-    /// Every certificate as `(job, allocation, plan, verdict)`, by job.
+    /// Every certificate in the scheduler's cache as `(job, allocation,
+    /// plan, verdict)`, in the last round's job order.
     fn certs(sched: &RubickScheduler) -> Vec<(u64, Allocation, ExecutionPlan, bool)> {
-        let mut certs: Vec<_> = sched
-            .skip_certs
-            .certs
+        sched
+            .cache
+            .entries
             .iter()
-            .map(|(id, c)| (*id, c.alloc.clone(), c.plan, c.rolls_back))
-            .collect();
-        certs.sort_by_key(|c| c.0);
-        certs
+            .filter_map(|e| {
+                let cert = e.cert.borrow();
+                let c = cert.as_ref()?;
+                Some((e.id(), c.alloc.clone(), c.plan, c.rolls_back))
+            })
+            .collect()
     }
 
     /// Flips the stored verdicts of `ids`, so a certificate served
@@ -1937,7 +1889,9 @@ mod tests {
     /// or (debug builds) the hit's recompute.
     fn poison(sched: &mut RubickScheduler, ids: &[u64]) {
         for id in ids {
-            let cert = sched.skip_certs.certs.get_mut(id).expect("certified");
+            let entry = sched.cache.entries.iter().find(|e| e.id() == *id);
+            let mut cert = entry.expect("cached").cert.borrow_mut();
+            let cert = cert.as_mut().expect("certified");
             cert.rolls_back = !cert.rolls_back;
         }
     }
@@ -2010,19 +1964,39 @@ mod tests {
         assert_eq!(ids, [1, 3]);
     }
 
+    /// Quotas moving re-plans every job of an incremental scheduler but
+    /// resolves none: its cache keys on the registry version and the
+    /// cluster's GPU count only, so every entry keeps its certificate. So
+    /// does a re-plan forced by a notified cluster delta. A change of the
+    /// GPU count resolves every job again.
+    #[test]
+    fn quota_only_epoch_change_keeps_cached_parts() {
+        let (reg, jobs) = gpu_full_pair();
+        // The cache misses, dirty jobs and certificates of one round.
+        let round = |sched: &mut RubickScheduler, nodes, tenants: &[Tenant]| {
+            RESOLVED.with(|n| n.set(0));
+            let cluster = Cluster::new(nodes, NodeShape::a800());
+            sched.schedule(10.0, &jobs, &cluster, tenants);
+            let dirty = sched.last_round_stats().unwrap().dirty;
+            (RESOLVED.with(Cell::get), dirty, certs(sched).len())
+        };
+        let mut sched = RubickScheduler::new(reg);
+        assert_eq!(round(&mut sched, 1, &[]), (2, 2, 2));
+        let quota = [Tenant::new("t", Resources::new(4, 8, 100.0))];
+        assert_eq!(round(&mut sched, 1, &quota), (0, 2, 2));
+        sched.notify(&ClusterDelta::NodeUp(0));
+        assert_eq!(round(&mut sched, 1, &quota), (0, 2, 2));
+        assert_eq!(round(&mut sched, 2, &quota).0, 2);
+    }
+
     /// A guaranteed job whose SLA baseline no GPU count reaches, so
     /// `min_res` falls back to the whole request as its minimum. The
     /// baseline also sets the job's slope norm: a larger one orders it
     /// later in the running pass.
     fn pinned(spec: JobSpec, status: JobStatus, baseline: f64) -> JobSnapshot {
         JobSnapshot {
-            remaining_batches: spec.target_batches as f64,
-            spec: Arc::new(spec),
-            status,
-            queued_since: 0.0,
-            runtime: 0.0,
-            reconfig_count: 0,
             baseline_throughput: Some(baseline),
+            ..snapshot(spec, status)
         }
     }
 

@@ -517,6 +517,17 @@ mod tests {
             ..ScenarioSpec::default()
         };
         assert!(with_rate.fault_plan().unwrap().is_some());
+        // Failures after each ~1800 s repair, 128 nodes, 120 days: ~1.5M.
+        let flood = ScenarioSpec {
+            chaos: Some(ChaosKnobs {
+                failure_rate_per_hour: 1e12,
+                seed: 7,
+            }),
+            nodes: 128,
+            ..ScenarioSpec::default()
+        };
+        let err = flood.fault_plan().unwrap_err();
+        assert!(err.contains("node-failure-rate-per-hour"), "{err}");
     }
 
     #[test]
