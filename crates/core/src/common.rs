@@ -71,10 +71,13 @@ impl<E> Deref for Cached<E> {
 /// order, which the engine gives sorted by job id, so one merge pass finds
 /// every job that stayed; an unsorted slice only costs misses. Jobs absent
 /// from a round are dropped. A pure cache: a fresh scheduler makes the
-/// same decisions.
+/// same decisions. The merge fills a second buffer and the two swap each
+/// round, so a steady-state refresh allocates nothing.
 pub(crate) struct JobCache<E> {
     key: Option<(u64, u32)>,
     pub(crate) entries: Vec<Cached<E>>,
+    /// The other buffer, empty between refreshes.
+    spare: Vec<Cached<E>>,
 }
 
 impl<E> Default for JobCache<E> {
@@ -82,6 +85,7 @@ impl<E> Default for JobCache<E> {
         JobCache {
             key: None,
             entries: Vec::new(),
+            spare: Vec::new(),
         }
     }
 }
@@ -103,36 +107,36 @@ impl<E: CacheEntry> JobCache<E> {
             self.key = key;
             self.entries.clear();
         }
-        let mut old = std::mem::take(&mut self.entries).into_iter().peekable();
-        self.entries = jobs
-            .iter()
-            .map(|job| {
-                let baseline = job.baseline_throughput.map(f64::to_bits);
-                while old.next_if(|e| e.id() < job.id()).is_some() {}
-                match old.next_if(|e| e.id() == job.id()) {
-                    Some(cached)
-                        if Arc::ptr_eq(&cached.spec, &job.spec) && cached.baseline == baseline =>
-                    {
-                        debug_assert!(
-                            cached.same(&resolve(job)),
-                            "stale {} cache entry for job {}",
-                            E::POLICY,
-                            job.id()
-                        );
-                        cached
-                    }
-                    _ => {
-                        #[cfg(test)]
-                        testing::RESOLVED.with(|n| n.set(n.get() + 1));
-                        Cached {
-                            spec: Arc::clone(&job.spec),
-                            baseline,
-                            entry: resolve(job),
-                        }
+        let mut fresh = std::mem::take(&mut self.spare);
+        let mut old = self.entries.drain(..).peekable();
+        for job in jobs {
+            let baseline = job.baseline_throughput.map(f64::to_bits);
+            while old.next_if(|e| e.id() < job.id()).is_some() {}
+            fresh.push(match old.next_if(|e| e.id() == job.id()) {
+                Some(cached)
+                    if Arc::ptr_eq(&cached.spec, &job.spec) && cached.baseline == baseline =>
+                {
+                    debug_assert!(
+                        cached.same(&resolve(job)),
+                        "stale {} cache entry for job {}",
+                        E::POLICY,
+                        job.id()
+                    );
+                    cached
+                }
+                _ => {
+                    #[cfg(test)]
+                    testing::RESOLVED.with(|n| n.set(n.get() + 1));
+                    Cached {
+                        spec: Arc::clone(&job.spec),
+                        baseline,
+                        entry: resolve(job),
                     }
                 }
-            })
-            .collect();
+            });
+        }
+        drop(old);
+        self.spare = std::mem::replace(&mut self.entries, fresh);
         &self.entries
     }
 }
@@ -202,7 +206,7 @@ pub fn pack_gang(free: &[Resources], want: Resources) -> Option<Allocation> {
         let frac = take as f64 / want.gpus as f64;
         let cpus = ((want.cpus as f64 * frac).round() as u32).min(free[i].cpus);
         let mem = (want.mem_gb * frac).min(free[i].mem_gb);
-        alloc.merge(&Allocation::on_node(i, Resources::new(take, cpus, mem)));
+        alloc.add(i, Resources::new(take, cpus, mem));
     }
     debug_assert_eq!(left, 0);
     Some(alloc)

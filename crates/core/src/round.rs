@@ -198,20 +198,19 @@ impl<'a> RoundContext<'a> {
     }
 
     /// Charges every running job's allocation against the ledger *without*
-    /// committing assignments, returning `(job, allocation)` pairs. This
-    /// is Rubick's entry point: it seeds its own mutable allocation table
-    /// from the pairs and decides later which jobs actually keep, shrink
-    /// or grow their resources.
-    pub fn charge_running(&mut self) -> Vec<(JobId, Allocation)> {
+    /// committing assignments, in snapshot order, and passes each job's
+    /// `(position in the snapshot, allocation)` to `each`. This is Rubick's
+    /// entry point: it seeds its own mutable allocation table from the
+    /// pairs and decides later which jobs actually keep, shrink or grow
+    /// their resources.
+    pub fn charge_running(&mut self, mut each: impl FnMut(usize, &'a Allocation)) {
         let jobs = self.jobs;
-        let mut running = Vec::new();
-        for job in jobs {
+        for (pos, job) in jobs.iter().enumerate() {
             if let JobStatus::Running { allocation, .. } = &job.status {
                 self.charge(allocation);
-                running.push((job.id(), allocation.clone()));
+                each(pos, allocation);
             }
         }
-        running
     }
 
     /// Queued jobs matching `pred`, in FIFO order (`queued_since`, then id
@@ -395,9 +394,9 @@ mod tests {
         let cluster = Cluster::new(2, NodeShape::a800());
         let jobs = vec![running(1, 0, 4), running(2, 1, 8)];
         let mut ctx = RoundContext::new(&cluster, &jobs);
-        let pairs = ctx.charge_running();
-        assert_eq!(pairs.len(), 2);
-        assert_eq!(pairs[0].0, 1);
+        let mut pairs = Vec::new();
+        ctx.charge_running(|pos, alloc| pairs.push((pos, alloc.gpus())));
+        assert_eq!(pairs, [(0, 4), (1, 8)]);
         assert!(ctx.committed().is_empty());
         assert_eq!(ctx.free()[1].gpus, NodeShape::a800().capacity().gpus - 8);
     }
@@ -407,7 +406,7 @@ mod tests {
         let cluster = Cluster::new(2, NodeShape::a800());
         let jobs = vec![running(1, 0, 4)];
         let mut ctx = RoundContext::new(&cluster, &jobs);
-        ctx.charge_running();
+        ctx.charge_running(|_, _| {});
         let projected = ctx.free().to_vec();
         assert_eq!(ctx.delta_vs(&projected), LedgerDelta::Unchanged);
         // Job 1 finished: its allocation came back — pure growth on node 0.

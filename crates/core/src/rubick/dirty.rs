@@ -20,7 +20,7 @@
 //!   still bit-identical to that one: the previous round must have been
 //!   *quiet* (no lasting mutation), the ledger projection must match
 //!   exactly, no running job may be dirty, and nothing may have mutated
-//!   the state yet this round (`state.changed` still empty).
+//!   the state yet this round (no changed flag set in the table).
 //!
 //! When every job is clean, the previous round was quiet and the ledger
 //! matches, the round takes a **fast path**: no per-job context is built,
@@ -182,7 +182,7 @@ pub(crate) enum Verdict {
     /// Satiated clean: skipped unconditionally.
     SkipAlways,
     /// Non-satiated clean: skipped only while the round state is still
-    /// untouched (`state.changed` empty).
+    /// untouched (no changed flag set in the table).
     QuietSkip,
 }
 
@@ -298,7 +298,7 @@ pub(crate) struct DirtyTracker {
     /// the same `free[n] -= r` op sequence as `RoundContext::new` +
     /// `charge_running` so equality is bit-exact.
     projected_free: Vec<Resources>,
-    /// Whether the last round ended with `state.changed` empty.
+    /// Whether the last round ended with no changed flag set.
     prev_round_quiet: bool,
     epoch: Option<Epoch>,
     /// Set by [`Scheduler::notify`](rubick_sim::Scheduler::notify) on a
@@ -346,6 +346,12 @@ impl DirtyTracker {
     /// (lazy profiling), so the engine's delta no longer describes it.
     pub(crate) fn clear_delta(&mut self) {
         self.pending_delta = None;
+    }
+
+    /// Moves the reusable index allocation out, for a round that does
+    /// not classify; hand it back via [`DirtyTracker::restore_index`].
+    pub(crate) fn take_index(&mut self) -> JobIndex {
+        std::mem::take(&mut self.scratch_index)
     }
 
     /// Returns the round index allocation for reuse by the next round.
@@ -631,9 +637,18 @@ impl DirtyTracker {
         // Engine snapshots arrive id-sorted, making this near-O(n); the
         // probes require sorted order regardless of the caller.
         self.fingerprints.sort_unstable_by_key(|&(id, _)| id);
-        self.emitted.clear();
-        self.emitted
-            .extend(out.iter().map(|a| (a.job, (a.allocation.clone(), a.plan))));
+        // Refilled in place: each kept entry's allocation buffer is reused.
+        self.emitted.truncate(out.len());
+        for (i, a) in out.iter().enumerate() {
+            match self.emitted.get_mut(i) {
+                Some((id, (alloc, plan))) => {
+                    *id = a.job;
+                    alloc.clone_from(&a.allocation);
+                    *plan = a.plan;
+                }
+                None => self.emitted.push((a.job, (a.allocation.clone(), a.plan))),
+            }
+        }
         self.emitted.sort_unstable_by_key(|&(id, _)| id);
         self.satiated.clear();
         self.satiated.extend(
@@ -642,15 +657,14 @@ impl DirtyTracker {
                 .map(|a| a.job),
         );
         self.satiated.sort_unstable();
-        let mut free = epoch.node_caps.clone();
+        self.projected_free.clone_from(&epoch.node_caps);
         for a in out {
             for (node, res) in &a.allocation.per_node {
-                if let Some(slot) = free.get_mut(*node) {
+                if let Some(slot) = self.projected_free.get_mut(*node) {
                     *slot -= *res;
                 }
             }
         }
-        self.projected_free = free;
         self.prev_round_quiet = quiet;
         self.epoch = Some(epoch);
     }

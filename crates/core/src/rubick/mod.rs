@@ -112,6 +112,9 @@ pub struct RubickScheduler {
     /// rounds beside the memo and cleared when the registry version or the
     /// cluster's GPU count moves.
     pub(crate) cache: JobCache<policy::RubickEntry>,
+    /// The round state's buffers (allocation table, undo log, pass-2
+    /// order), refilled every round instead of reallocated.
+    pub(crate) buffers: policy::RoundBuffers,
 }
 
 impl RubickScheduler {
@@ -129,6 +132,7 @@ impl RubickScheduler {
             tracker: dirty::DirtyTracker::new(),
             plan_memo: BestPlanMemo::new(),
             cache: JobCache::default(),
+            buffers: policy::RoundBuffers::default(),
         }
     }
 

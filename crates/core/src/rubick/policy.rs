@@ -14,7 +14,6 @@ use rubick_sim::job::{JobClass, JobId, JobStatus};
 use rubick_sim::scheduler::{Assignment, JobSnapshot, RoundStats};
 use rubick_sim::tenant::Tenant;
 use std::cell::{Cell, RefCell};
-use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 /// CPU transfer unit `Δr` (GPUs move one at a time).
@@ -104,17 +103,124 @@ impl CacheEntry for RubickEntry {
 /// each entry's certificate cell.
 struct Ctx<'a> {
     config: &'a RubickConfig,
-    index: JobIndex,
+    index: &'a JobIndex,
     jobs: &'a [JobSnapshot],
     entries: &'a [Cached<RubickEntry>],
     memo: RefCell<&'a mut BestPlanMemo>,
-    frozen: Vec<bool>,
+    frozen: &'a [bool],
     estimator: MemoryEstimator,
     total_gpus: u32,
 }
 
+/// The buffers of Rubick's round state, kept by the scheduler across
+/// rounds so that a steady-state round refills them instead of
+/// allocating its bookkeeping anew.
+#[derive(Default)]
+pub(crate) struct RoundBuffers {
+    table: Table,
+    undo: Undo,
+    /// Each job's penalty gate, by slice position ([`Ctx::is_frozen`]).
+    frozen: Vec<bool>,
+    /// Pass 2's `(priority, job)` order.
+    rest: Vec<(f64, JobId)>,
+}
+
+/// Rubick's tentative allocation table, indexed by position in the
+/// round's jobs slice. Every walk over it goes in job-id order, which
+/// victim ties (the first minimum wins), the quota sums and the order of
+/// the emitted assignments all depend on; for the engine's id-sorted
+/// slice that order is the slice's. Only the positions that held an
+/// entry this round are listed, so resetting the table costs what the
+/// last round entered, not the jobs slice.
+#[cfg_attr(debug_assertions, derive(Clone))]
+#[derive(Default)]
+struct Table {
+    /// `slots[pos]` is the grant of `jobs[pos]`, empty unless held.
+    slots: Vec<Allocation>,
+    /// Whether the table holds an entry for `jobs[pos]`: a running job
+    /// from the start of the round or a kept search, even once its grant
+    /// has emptied, until a steal that empties it drops it.
+    held: Vec<bool>,
+    /// Whether a kept search changed `jobs[pos]`'s entry this round.
+    changed: Vec<bool>,
+    /// How many `changed` flags are set.
+    changed_count: usize,
+    /// `(job, slice position)` of every job that held an entry this
+    /// round, sorted by job id. Every other slot is empty and unflagged.
+    order: Vec<(JobId, u32)>,
+}
+
+impl Table {
+    /// Empties the table for a round over `len` jobs, keeping its
+    /// buffers: only the slots last round listed need clearing.
+    fn reset(&mut self, len: usize) {
+        for &(_, pos) in &self.order {
+            let pos = pos as usize;
+            self.slots[pos].per_node.clear();
+            self.held[pos] = false;
+            self.changed[pos] = false;
+        }
+        self.order.clear();
+        self.changed_count = 0;
+        self.slots.resize_with(len, Allocation::empty);
+        self.held.resize(len, false);
+        self.changed.resize(len, false);
+    }
+
+    /// Enters `alloc` as the grant of job `id` at `pos`, which holds no
+    /// entry yet. Call [`sort`](Table::sort) after the last fill.
+    fn fill(&mut self, pos: usize, id: JobId, alloc: &Allocation) {
+        self.slots[pos].clone_from(alloc);
+        self.held[pos] = true;
+        self.order.push((id, pos as u32));
+    }
+
+    /// Puts the filled entries in job-id order, which the engine's
+    /// id-sorted slice already gives.
+    fn sort(&mut self) {
+        if !self.order.windows(2).all(|w| w[0].0 < w[1].0) {
+            self.order.sort_unstable_by_key(|&(id, _)| id);
+        }
+    }
+
+    /// The entry of the job at `pos`, if it has one.
+    fn get(&self, pos: usize) -> Option<&Allocation> {
+        self.held[pos].then(|| &self.slots[pos])
+    }
+
+    /// Sets the entry of job `id` at `pos` to `alloc`, listing the job in
+    /// id order if it held no entry yet this round.
+    fn insert(&mut self, pos: usize, id: JobId, alloc: Allocation) {
+        self.slots[pos] = alloc;
+        if !self.held[pos] {
+            self.held[pos] = true;
+            if let Err(at) = self.order.binary_search_by_key(&id, |&(id, _)| id) {
+                self.order.insert(at, (id, pos as u32));
+            }
+        }
+    }
+
+    /// Marks the job at `pos` changed; returns whether the mark is new.
+    fn mark_changed(&mut self, pos: usize) -> bool {
+        let new = !self.changed[pos];
+        if new {
+            self.changed[pos] = true;
+            self.changed_count += 1;
+        }
+        new
+    }
+
+    /// Every held entry as `(job, grant)`, in job-id order.
+    fn entries(&self) -> impl Iterator<Item = (JobId, &Allocation)> {
+        self.order
+            .iter()
+            .filter(|&&(_, pos)| self.held[pos as usize])
+            .map(|&(id, pos)| (id, &self.slots[pos as usize]))
+    }
+}
+
 /// Mutable round state: the shared [`RoundContext`] ledger plus Rubick's
-/// tentative allocation table. Unlike the baselines, Rubick does not
+/// tentative allocation [`Table`]. Unlike the baselines, Rubick does not
 /// commit assignments incrementally — its passes move resources between
 /// jobs until the round settles, so it keeps the table here and emits the
 /// final list at the end. [`schedule_job`] brackets each search with
@@ -125,8 +231,9 @@ struct Ctx<'a> {
 #[cfg_attr(debug_assertions, derive(Clone))]
 struct State<'a> {
     round: RoundContext<'a>,
-    alloc: BTreeMap<JobId, Allocation>,
-    changed: BTreeSet<JobId>,
+    /// The round's id → position map, shared with [`Ctx`].
+    index: &'a JobIndex,
+    table: Table,
     undo: Undo,
     /// The table's victim floor once computed (see
     /// [`victim_floor`](State::victim_floor)). Only a kept search can move
@@ -137,21 +244,41 @@ struct State<'a> {
     reach: Cell<Option<u32>>,
 }
 
-/// The undo log of one search. Its buffers are reused across searches, so
-/// logging allocates only to copy a victim's allocation.
+/// The undo log of one search. Its buffers are reused across searches and
+/// rounds, so logging allocates only to copy a victim's allocation.
 #[cfg_attr(debug_assertions, derive(Clone))]
 #[derive(Default)]
 struct Undo {
     /// The free ledger at [`State::begin`].
     free: Vec<Resources>,
-    /// Each victim's allocation before the search first mutated it.
-    /// Victims are drawn from the table, so each had one.
-    victims: Vec<(JobId, Allocation)>,
-    /// The ids this search newly inserted into `changed`.
-    changed: Vec<JobId>,
+    /// Each victim's slice position and allocation before the search
+    /// first mutated it. Victims are drawn from the table, so each had one.
+    victims: Vec<(usize, Allocation)>,
+    /// The slice positions this search newly marked changed.
+    changed: Vec<usize>,
 }
 
 impl State<'_> {
+    fn pos(&self, id: JobId) -> usize {
+        self.index.get(id).expect("job known to round state")
+    }
+
+    /// Job `id`'s table entry, if it has one.
+    fn get(&self, id: JobId) -> Option<&Allocation> {
+        self.table.get(self.pos(id))
+    }
+
+    /// Sets job `id`'s table entry to `alloc`.
+    fn insert(&mut self, id: JobId, alloc: Allocation) {
+        let pos = self.pos(id);
+        self.table.insert(pos, id, alloc);
+    }
+
+    /// Whether any kept search changed an entry this round.
+    fn any_changed(&self) -> bool {
+        self.table.changed_count > 0
+    }
+
     /// Opens the undo log for one search.
     fn begin(&mut self) {
         self.undo.free.clear();
@@ -162,31 +289,43 @@ impl State<'_> {
 
     /// `victim`'s allocation, logged before the search first mutates it.
     fn victim_mut(&mut self, victim: JobId) -> &mut Allocation {
-        let alloc = self.alloc.get_mut(&victim).expect("victim allocated");
-        if !self.undo.victims.iter().any(|(id, _)| *id == victim) {
-            self.undo.victims.push((victim, alloc.clone()));
+        let pos = self.pos(victim);
+        debug_assert!(self.table.held[pos], "victim allocated");
+        let alloc = &mut self.table.slots[pos];
+        if !self.undo.victims.iter().any(|(p, _)| *p == pos) {
+            self.undo.victims.push((pos, alloc.clone()));
         }
         alloc
     }
 
-    /// Marks `id` changed, logging the insert if it is new.
+    /// Drops `victim`'s emptied entry from the table.
+    fn remove(&mut self, victim: JobId) {
+        let pos = self.pos(victim);
+        self.table.slots[pos].per_node.clear();
+        self.table.held[pos] = false;
+    }
+
+    /// Marks `id` changed, logging the mark if it is new.
     fn mark_changed(&mut self, id: JobId) {
-        if self.changed.insert(id) {
-            self.undo.changed.push(id);
+        let pos = self.pos(id);
+        if self.table.mark_changed(pos) {
+            self.undo.changed.push(pos);
         }
     }
 
     /// Restores what [`begin`](State::begin) saw: the ledger, each logged
-    /// victim's allocation (re-inserting one whose allocation emptied) and
-    /// the `changed` set. The searched job's own entry is written only
+    /// victim's allocation (re-entering one whose allocation emptied) and
+    /// the changed flags. The searched job's own entry is written only
     /// when the search is kept, so it needs no log.
     fn rollback(&mut self) {
         self.round.free_mut().copy_from_slice(&self.undo.free);
-        for (id, alloc) in self.undo.victims.drain(..) {
-            self.alloc.insert(id, alloc);
+        for (pos, alloc) in self.undo.victims.drain(..) {
+            self.table.slots[pos] = alloc;
+            self.table.held[pos] = true;
         }
-        for id in self.undo.changed.drain(..) {
-            self.changed.remove(&id);
+        for pos in self.undo.changed.drain(..) {
+            self.table.changed[pos] = false;
+            self.table.changed_count -= 1;
         }
     }
 
@@ -197,9 +336,9 @@ impl State<'_> {
     /// conservative. Debug builds rescan on every cached read.
     fn victim_floor(&self, ctx: &Ctx<'_>) -> Option<f64> {
         let scan = || {
-            self.alloc
-                .iter()
-                .filter_map(|(id, alloc)| victim_loss(ctx, *id, alloc))
+            self.table
+                .entries()
+                .filter_map(|(id, alloc)| victim_loss(ctx, id, alloc))
                 .reduce(f64::min)
         };
         match self.floor.get() {
@@ -226,8 +365,8 @@ impl State<'_> {
     fn gpu_reach(&self, ctx: &Ctx<'_>) -> u32 {
         let scan = || {
             let free: u32 = self.round.free().iter().map(|r| r.gpus).sum();
-            self.alloc.iter().fold(free, |reach, (id, alloc)| {
-                reach + alloc.gpus().saturating_sub(ctx.minimum(*id).gpus)
+            self.table.entries().fold(free, |reach, (id, alloc)| {
+                reach + alloc.gpus().saturating_sub(ctx.minimum(id).gpus)
             })
         };
         match self.reach.get() {
@@ -244,20 +383,22 @@ impl State<'_> {
     }
 }
 
-/// Whether `state` is bit-identical to `before` in the ledger, the
-/// allocation table and the `changed` set (debug cross-check of
-/// [`State::rollback`]).
+/// Whether `state` is bit-identical to `before` in the ledger and the
+/// whole allocation table: every slot, held flag and changed flag (debug
+/// cross-check of [`State::rollback`]).
 #[cfg(debug_assertions)]
 fn same_state(before: &State<'_>, state: &State<'_>) -> bool {
     let bits = |r: &Resources| (r.gpus, r.cpus, r.mem_gb.to_bits());
     let key = |s: &State<'_>| {
+        let t = &s.table;
         let free: Vec<_> = s.round.free().iter().map(bits).collect();
-        let table: Vec<(JobId, Vec<_>)> = s
-            .alloc
+        let slots: Vec<Vec<_>> = t
+            .slots
             .iter()
-            .map(|(id, a)| (*id, a.per_node.iter().map(|(n, r)| (*n, bits(r))).collect()))
+            .map(|a| a.per_node.iter().map(|(n, r)| (*n, bits(r))).collect())
             .collect();
-        (free, table, s.changed.clone())
+        let flags = (t.held.clone(), t.changed.clone(), t.changed_count);
+        (free, slots, flags, t.order.clone())
     };
     key(before) == key(state)
 }
@@ -562,6 +703,7 @@ pub(super) fn run_round(
         ref mut tracker,
         ref mut plan_memo,
         ref mut cache,
+        ref mut buffers,
     } = *sched;
     let total_gpus = cluster.schedulable_capacity().gpus;
 
@@ -607,18 +749,24 @@ pub(super) fn run_round(
             .collect(),
         tenants: tenants.to_vec(),
     });
-    let mut tracker = cfg.incremental.then_some(tracker);
-    let mut cls: Option<Classification> = match (&mut tracker, &epoch_now) {
-        (Some(t), Some(e)) => {
-            // Lazy profiling filters the jobs slice, so the engine's delta
-            // (expressed against the unfiltered job set) cannot be trusted
-            // this round — fall back to full fingerprinting.
-            if filtered.is_some() {
-                t.clear_delta();
-            }
-            Some(t.classify(jobs, e, cfg.reconfig_threshold))
+    let mut cls: Option<Classification> = epoch_now.as_ref().map(|e| {
+        // Lazy profiling filters the jobs slice, so the engine's delta
+        // (expressed against the unfiltered job set) cannot be trusted
+        // this round — fall back to full fingerprinting.
+        if filtered.is_some() {
+            tracker.clear_delta();
         }
-        _ => None,
+        tracker.classify(jobs, e, cfg.reconfig_threshold)
+    });
+    // The round's one id → position map, shared by the state and the
+    // context and handed back to the tracker at the end of the round.
+    let index = match &mut cls {
+        Some(c) => c.take_index(),
+        None => {
+            let mut index = tracker.take_index();
+            index.rebuild(jobs);
+            index
+        }
     };
 
     // ---- initial state: current allocations applied --------------------
@@ -626,15 +774,18 @@ pub(super) fn run_round(
     // fast path) only needs the post-charge free vector, which is cheap.
     let mut state = State {
         round: RoundContext::new(cluster, jobs),
-        alloc: BTreeMap::new(),
-        changed: BTreeSet::new(),
-        undo: Undo::default(),
+        index: &index,
+        table: std::mem::take(&mut buffers.table),
+        undo: std::mem::take(&mut buffers.undo),
         floor: Cell::new(None),
         reach: Cell::new(None),
     };
-    for (id, alloc) in state.round.charge_running() {
-        state.alloc.insert(id, alloc);
-    }
+    let table = &mut state.table;
+    table.reset(jobs.len());
+    state
+        .round
+        .charge_running(|pos, alloc| table.fill(pos, jobs[pos].id(), alloc));
+    table.sort();
 
     // ---- ledger check + fast path --------------------------------------
     // Capacity growth (a job finished or was evicted elsewhere) gives
@@ -642,16 +793,18 @@ pub(super) fn run_round(
     // survive it; any shrink is maximally conservative. When every job is
     // clean, the previous round was quiet and the ledger is bit-identical,
     // the whole round is provably a verbatim re-emit.
-    if let (Some(t), Some(c)) = (&mut tracker, &mut cls) {
-        match state.round.delta_vs(t.projected_free()) {
+    if let Some(c) = &mut cls {
+        match state.round.delta_vs(tracker.projected_free()) {
             LedgerDelta::Unchanged => {}
             LedgerDelta::Grown(_) => c.demote_quiet(),
             LedgerDelta::Shrunk(_) => c.demote_all(),
         }
         if c.fast_eligible() {
             let classified = c.classified;
-            t.restore_index(c.take_index());
-            return t.fast_path(jobs, classified);
+            buffers.table = state.table;
+            buffers.undo = state.undo;
+            tracker.restore_index(index);
+            return tracker.fast_path(jobs, classified);
         }
     }
 
@@ -665,22 +818,20 @@ pub(super) fn run_round(
         parts: build_job_parts(registry, cfg, snap, total_gpus, estimator, plan_memo),
         cert: RefCell::new(None),
     });
-    let mut index = cls.as_mut().map(|c| c.take_index()).unwrap_or_default();
-    if cls.is_none() {
-        index.rebuild(jobs);
-    }
-    let mut ctx = Ctx {
+    // The penalty gate reads the job's accumulated runtime, which grows
+    // every round — never cached.
+    buffers.frozen.clear();
+    buffers.frozen.extend(
+        jobs.iter()
+            .map(|s| s.status.is_running() && !s.reconfig_allowed(cfg.reconfig_threshold)),
+    );
+    let ctx = Ctx {
         config: cfg,
-        index,
+        index: &index,
         jobs,
         entries,
         memo: RefCell::new(plan_memo),
-        // The penalty gate reads the job's accumulated runtime, which
-        // grows every round — never cached.
-        frozen: jobs
-            .iter()
-            .map(|s| s.status.is_running() && !s.reconfig_allowed(cfg.reconfig_threshold))
-            .collect(),
+        frozen: &buffers.frozen,
         estimator,
         total_gpus,
     };
@@ -693,7 +844,7 @@ pub(super) fn run_round(
     let may_skip = |state: &State<'_>, id: &JobId| -> bool {
         cls.as_ref().is_some_and(|c| match c.verdict(ctx.idx(*id)) {
             Verdict::SkipAlways => true,
-            Verdict::QuietSkip => state.changed.is_empty(),
+            Verdict::QuietSkip => !state.any_changed(),
             Verdict::Dirty => false,
         })
     };
@@ -735,43 +886,40 @@ pub(super) fn run_round(
     }
 
     // ---- pass 2: best-effort + running, sorted by slope ----------------
-    let rest: Vec<JobId> = jobs
-        .iter()
-        .filter(|s| {
-            // Queued jobs already admitted by the privileged/starvation
-            // passes hold an allocation in `state` and are done this round.
-            (s.status.is_queued()
-                && s.spec.class == JobClass::BestEffort
-                && !state.alloc.contains_key(&s.id()))
-                || s.status.is_running()
-        })
-        .map(|s| s.id())
-        .collect();
     // Sort by jump-aware slope with queue aging: a job's priority rises as
     // it waits, smoothly generalizing the hard starvation promotion so
     // large lumpy-curve jobs (low slope-per-GPU) still get scheduled.
-    let priority = |ctx: &Ctx<'_>, state: &State<'_>, id: &JobId| -> f64 {
-        let gpus = state.alloc.get(id).map(|x| x.gpus()).unwrap_or(0);
-        let slope = ctx.jump_gain(*id, gpus);
-        let snap = ctx.snap(*id);
-        let age = if snap.status.is_queued() {
-            (now - snap.queued_since).max(0.0) / STARVATION_TIMEOUT
-        } else {
-            0.0
-        };
-        slope * (1.0 + age)
-    };
     // Keys are computed once per job, not per comparison: the comparator
     // used to re-derive them (curve queries) O(n log n) times, which
     // dominated mostly-skipped incremental rounds. Same values, same
     // tie-break, so the order — and every golden — is unchanged.
-    let mut rest: Vec<(f64, JobId)> = rest
-        .into_iter()
-        .map(|id| (priority(&ctx, &state, &id), id))
-        .collect();
+    let rest = &mut buffers.rest;
+    rest.clear();
+    rest.extend(
+        jobs.iter()
+            .enumerate()
+            .filter(|(pos, s)| {
+                // Queued jobs already admitted by the privileged/starvation
+                // passes hold an allocation in `state` and are done this
+                // round.
+                (s.status.is_queued()
+                    && s.spec.class == JobClass::BestEffort
+                    && !state.table.held[*pos])
+                    || s.status.is_running()
+            })
+            .map(|(pos, s)| {
+                let gpus = state.table.get(pos).map_or(0, Allocation::gpus);
+                let slope = ctx.jump_gain(s.id(), gpus);
+                let age = if s.status.is_queued() {
+                    (now - s.queued_since).max(0.0) / STARVATION_TIMEOUT
+                } else {
+                    0.0
+                };
+                (slope * (1.0 + age), s.id())
+            }),
+    );
     rest.sort_by(|(pa, a), (pb, b)| pb.total_cmp(pa).then(a.cmp(b)));
-    let rest: Vec<JobId> = rest.into_iter().map(|(_, id)| id).collect();
-    for id in rest {
+    for &(_, id) in rest.iter() {
         if may_skip(&state, &id) {
             continue;
         }
@@ -783,27 +931,30 @@ pub(super) fn run_round(
     }
 
     // ---- emit assignments ----------------------------------------------
-    // Quietness is judged *before* emit (emit only reads): a round with an
-    // empty changed-set left the state bit-identical to its start, which
-    // is exactly what next round's quiet-skip certificates need.
-    let quiet = state.changed.is_empty();
-    let out = emit(&ctx, state);
+    // Quietness is judged *before* emit (emit only reads the table): a
+    // round with no changed entry left the state bit-identical to its
+    // start, which is exactly what next round's quiet-skip certificates
+    // need.
+    let quiet = !state.any_changed();
+    let out = emit(&ctx, &mut state);
+    buffers.table = state.table;
+    buffers.undo = state.undo;
 
     // ---- record incremental memory for the next round -------------------
-    if let (Some(t), Some(c), Some(e)) = (tracker, cls, epoch_now) {
+    if let (Some(c), Some(e)) = (cls, epoch_now) {
         let running_total = jobs.iter().filter(|s| s.status.is_running()).count() as u64;
-        t.set_stats(RoundStats {
+        tracker.set_stats(RoundStats {
             dirty: c.dirty_len(),
             clean: c.clean_len(),
             reused: running_total.saturating_sub(running_searched),
             searched,
             classified: c.classified,
         });
-        t.record(jobs, &out, e, quiet, cfg.reconfig_threshold, |id, alloc| {
+        tracker.record(jobs, &out, e, quiet, cfg.reconfig_threshold, |id, alloc| {
             is_satiated(&ctx, id, alloc)
         });
-        t.restore_index(std::mem::take(&mut ctx.index));
     }
+    tracker.restore_index(index);
     out
 }
 
@@ -832,13 +983,13 @@ fn quota_allows(ctx: &Ctx<'_>, state: &State<'_>, tenants: &[Tenant], id: JobId)
         return true;
     };
     let mut used = Resources::zero();
-    for (other, alloc) in &state.alloc {
-        if *other == id || alloc.is_empty() {
+    for (other, alloc) in state.table.entries() {
+        if other == id || alloc.is_empty() {
             continue;
         }
-        let o = ctx.snap(*other);
+        let o = ctx.snap(other);
         if o.spec.class == JobClass::Guaranteed && o.spec.tenant == snap.spec.tenant {
-            used += ctx.minimum(*other);
+            used += ctx.minimum(other);
         }
     }
     let want = ctx.minimum(id);
@@ -886,7 +1037,7 @@ fn schedule_job(ctx: &Ctx<'_>, state: &mut State<'_>, id: JobId) {
 /// whose verdict is certified per job ([`Ctx::skip_cert`]), or on fewer
 /// GPUs.
 fn rolls_back_untouched(ctx: &Ctx<'_>, state: &State<'_>, id: JobId) -> bool {
-    let cur = state.alloc.get(&id);
+    let cur = state.get(id);
     let gpus = cur.map_or(0, Allocation::gpus);
     let min_gpus = ctx.minimum(id).gpus;
     if gpus < min_gpus && gpus + state.gpu_reach(ctx) < min_gpus {
@@ -1029,16 +1180,12 @@ fn grow_job(ctx: &Ctx<'_>, state: &mut State<'_>, id: JobId) -> bool {
         return false;
     };
 
-    let cur_alloc = state
-        .alloc
-        .get(&id)
-        .cloned()
-        .unwrap_or_else(Allocation::empty);
+    let mut tentative = state.get(id).cloned().unwrap_or_default();
     let minimum = ctx.minimum(id);
     // Stealing is restricted further than the caps: jobs whose penalty
     // gate is active may only absorb free capacity.
     let cap_gpus = ctx.cap_gpus(id, snap.status.is_running());
-    let steal_cap_gpus = if frozen { cur_alloc.gpus() } else { cap_gpus };
+    let steal_cap_gpus = if frozen { tentative.gpus() } else { cap_gpus };
     if cap_gpus == 0 {
         return false;
     }
@@ -1050,8 +1197,6 @@ fn grow_job(ctx: &Ctx<'_>, state: &mut State<'_>, id: JobId) -> bool {
             &ExecutionPlan::zero_offload(cap_gpus.max(1)),
         )
         .max(snap.spec.requested.mem_gb);
-
-    let mut tentative = cur_alloc.clone();
 
     // Node order: nodes the job already occupies first (consolidation),
     // then descending free GPUs.
@@ -1084,7 +1229,7 @@ fn grow_job(ctx: &Ctx<'_>, state: &mut State<'_>, id: JobId) -> bool {
         );
         if take.any_positive() {
             state.round.free_mut()[n] -= take;
-            tentative.merge(&Allocation::on_node(n, take));
+            tentative.add(n, take);
         }
         // Reclaim GPUs from the least sensitive job on this node.
         loop {
@@ -1100,7 +1245,7 @@ fn grow_job(ctx: &Ctx<'_>, state: &mut State<'_>, id: JobId) -> bool {
             let Some(victim) = lowest_slope_victim(ctx, state, n, id) else {
                 break;
             };
-            let victim_gpus = state.alloc[&victim].gpus();
+            let victim_gpus = state.get(victim).expect("victim allocated").gpus();
             let victim_loss = ctx.loss_slope(victim, victim_gpus);
             if below_min || victim_loss < my_gain * SHRINK_HYSTERESIS {
                 transfer_gpu(state, victim, n, &mut tentative);
@@ -1159,10 +1304,10 @@ fn grow_job(ctx: &Ctx<'_>, state: &mut State<'_>, id: JobId) -> bool {
             // trip of `f64` host memory need not be bit-exact. Otherwise
             // keep, preserving any shrinks made to other jobs (they were
             // justified by slope comparisons).
-            if state.undo.victims.is_empty() && state.alloc.get(&id) == Some(&tentative) {
+            if state.undo.victims.is_empty() && state.get(id) == Some(&tentative) {
                 return false;
             }
-            state.alloc.insert(id, tentative);
+            state.insert(id, tentative);
             return true;
         }
         let old_tput = model
@@ -1185,8 +1330,9 @@ fn grow_job(ctx: &Ctx<'_>, state: &mut State<'_>, id: JobId) -> bool {
         }
     }
 
-    state.alloc.insert(id, tentative);
-    state.changed.insert(id);
+    let pos = state.pos(id);
+    state.insert(id, tentative);
+    state.table.mark_changed(pos);
     true
 }
 
@@ -1202,8 +1348,8 @@ fn lowest_slope_victim(ctx: &Ctx<'_>, state: &State<'_>, n: usize, id: JobId) ->
     // bounded instead by the slope comparison itself: a transfer only
     // happens when it increases total normalized throughput.
     let mut best: Option<(JobId, f64)> = None;
-    for (cand, alloc) in &state.alloc {
-        if *cand == id {
+    for (cand, alloc) in state.table.entries() {
+        if cand == id {
             continue;
         }
         let on_node = alloc
@@ -1215,11 +1361,11 @@ fn lowest_slope_victim(ctx: &Ctx<'_>, state: &State<'_>, n: usize, id: JobId) ->
         if on_node == 0 {
             continue;
         }
-        let Some(loss) = victim_loss(ctx, *cand, alloc) else {
+        let Some(loss) = victim_loss(ctx, cand, alloc) else {
             continue;
         };
         if best.as_ref().map(|(_, b)| loss < *b).unwrap_or(true) {
-            best = Some((*cand, loss));
+            best = Some((cand, loss));
         }
     }
     best.map(|(id, _)| id)
@@ -1261,10 +1407,10 @@ fn transfer_gpu(state: &mut State<'_>, victim: JobId, n: usize, tentative: &mut 
     let moved = Resources::new(1, cpus_per_gpu, 0.0);
     alloc.per_node.retain(|(_, r)| r.any_positive());
     if alloc.is_empty() {
-        state.alloc.remove(&victim);
+        state.remove(victim);
     }
     state.mark_changed(victim);
-    tentative.merge(&Allocation::on_node(n, moved));
+    tentative.add(n, moved);
 }
 
 /// CPU reclamation on node `n` for job `id` under its current tentative
@@ -1305,8 +1451,8 @@ fn reclaim_cpus(
         }
         // Lowest CPU-loss victim on the node.
         let mut best: Option<(JobId, f64)> = None;
-        for (cand, alloc) in &state.alloc {
-            if *cand == id || ctx.is_frozen(*cand) {
+        for (cand, alloc) in state.table.entries() {
+            if cand == id || ctx.is_frozen(cand) {
                 continue;
             }
             let on_node = alloc
@@ -1315,17 +1461,17 @@ fn reclaim_cpus(
                 .find(|(i, _)| *i == n)
                 .map(|(_, r)| r.cpus)
                 .unwrap_or(0);
-            let min_cpus = ctx.minimum(*cand).cpus;
+            let min_cpus = ctx.minimum(cand).cpus;
             if on_node < CPU_DELTA || alloc.total().cpus < min_cpus + CPU_DELTA {
                 continue;
             }
-            let c_snap = ctx.snap(*cand);
+            let c_snap = ctx.snap(cand);
             let Some(plan) = c_snap.plan().copied() else {
                 continue;
             };
-            let loss = ctx.cpu_loss(*cand, &plan, &alloc.to_placement());
+            let loss = ctx.cpu_loss(cand, &plan, &alloc.to_placement());
             if best.as_ref().map(|(_, b)| loss < *b).unwrap_or(true) {
-                best = Some((*cand, loss));
+                best = Some((cand, loss));
             }
         }
         let Some((victim, loss)) = best else { break };
@@ -1340,7 +1486,7 @@ fn reclaim_cpus(
             .expect("victim on node");
         entry.1.cpus -= CPU_DELTA;
         state.mark_changed(victim);
-        tentative.merge(&Allocation::on_node(n, Resources::new(0, CPU_DELTA, 0.0)));
+        tentative.add(n, Resources::new(0, CPU_DELTA, 0.0));
     }
 }
 
@@ -1403,20 +1549,17 @@ fn trim_to_demand(
 
 /// Builds the final assignment list: recompute plans for changed jobs,
 /// reproduce current configs verbatim for untouched ones.
-fn emit(ctx: &Ctx<'_>, state: State<'_>) -> Vec<Assignment> {
-    let State {
-        mut round,
-        alloc: table,
-        changed,
-        ..
-    } = state;
+fn emit(ctx: &Ctx<'_>, state: &mut State<'_>) -> Vec<Assignment> {
+    let State { round, table, .. } = state;
     let mut out = Vec::new();
-    for (&id, alloc) in &table {
-        if alloc.is_empty() {
+    for &(id, pos) in &table.order {
+        let pos = pos as usize;
+        let alloc = &table.slots[pos];
+        if !table.held[pos] || alloc.is_empty() {
             continue;
         }
-        let snap = ctx.snap(id);
-        if !changed.contains(&id) {
+        let snap = &ctx.jobs[pos];
+        if !table.changed[pos] {
             if let JobStatus::Running {
                 allocation, plan, ..
             } = &snap.status
@@ -2115,6 +2258,116 @@ mod tests {
             .collect();
         assert_eq!(gpus, [(1, 0, 8), (3, 1, 8)], "{out:?}");
         assert_eq!(REACH_SKIPS.with(Cell::get), 1);
+    }
+
+    /// A mixed round on two nodes: two running guaranteed jobs, a running
+    /// and a queued best-effort job, and a queued guaranteed one. Every
+    /// host-memory amount is a whole number of GB, so the ledger charges
+    /// are exact in any order.
+    fn mixed_jobs() -> (Arc<ModelRegistry>, Vec<JobSnapshot>) {
+        let oracle = TestbedOracle::new(24);
+        let models = [
+            ModelSpec::roberta_large(),
+            ModelSpec::bert_large(),
+            ModelSpec::t5_1b(),
+        ];
+        let reg = registry(&oracle, &models);
+        let [roberta, bert, t5] = models;
+        let best_effort = |spec: JobSpec| JobSpec {
+            class: JobClass::BestEffort,
+            ..spec
+        };
+        let running = |node, gpus| {
+            let grant = Resources::new(gpus, 6 * gpus, 100.0 * gpus as f64);
+            running_on(vec![(node, grant)], ExecutionPlan::dp(gpus))
+        };
+        let jobs = vec![
+            snapshot(
+                job(1, roberta.clone(), 4, ExecutionPlan::dp(4), 1_000_000),
+                running(0, 4),
+            ),
+            snapshot(
+                job(2, bert.clone(), 4, ExecutionPlan::dp(4), 1_000_000),
+                running(1, 4),
+            ),
+            snapshot(
+                best_effort(job(3, roberta.clone(), 2, ExecutionPlan::dp(2), 1_000_000)),
+                running(0, 2),
+            ),
+            snapshot(
+                job(4, t5, 2, ExecutionPlan::zero_dp(2), 1_000_000),
+                JobStatus::Queued,
+            ),
+            snapshot(
+                best_effort(job(5, bert, 2, ExecutionPlan::dp(2), 1_000_000)),
+                JobStatus::Queued,
+            ),
+        ];
+        (reg, jobs)
+    }
+
+    /// A cold round over a shuffled jobs slice, incremental and full,
+    /// emits exactly the assignments of the id-sorted slice: the table
+    /// walks its entries in job-id order whatever the slice order.
+    #[test]
+    fn shuffled_slice_emits_the_id_sorted_assignments() {
+        let (reg, sorted) = mixed_jobs();
+        let cluster = Cluster::new(2, NodeShape::a800());
+        let shuffled: Vec<_> = [3, 0, 4, 2, 1].map(|i| sorted[i].clone()).into();
+        for incremental in [true, false] {
+            let cfg = RubickConfig {
+                incremental,
+                ..RubickConfig::default()
+            };
+            let cold = |jobs: &[JobSnapshot]| {
+                let mut sched = RubickScheduler::with_config(Arc::clone(&reg), cfg.clone());
+                sched.schedule(10.0, jobs, &cluster, &[])
+            };
+            let want = cold(&sorted);
+            assert!(want.len() >= 3, "{want:?}");
+            assert!(want.windows(2).all(|w| w[0].job < w[1].job), "{want:?}");
+            assert_eq!(cold(&shuffled), want, "incremental: {incremental}");
+        }
+    }
+
+    /// A warm scheduler whose rounds gain and lose jobs, so every
+    /// position shifts and its reused buffers hold stale slots, decides
+    /// every round as a cold one does, full and incremental. The ledger
+    /// stays GPU-full, so every running job's search reaches its skip
+    /// certificate and a warm certificate must equal a cold one. The
+    /// queued jobs' model is not in the registry, so they take nothing.
+    #[test]
+    fn warm_table_buffers_match_cold_as_the_slice_shifts() {
+        let (reg, jobs) = gpu_full_pair();
+        let (first, second) = (jobs[0].clone(), jobs[1].clone());
+        let queued = |id| {
+            let spec = job(id, ModelSpec::gpt2_xl(), 2, ExecutionPlan::dp(2), 1000);
+            snapshot(spec, JobStatus::Queued)
+        };
+        // Job 5 starts on job 1's GPUs once job 1 finishes.
+        let mut spec = JobSpec::clone(&second.spec);
+        spec.id = 5;
+        let fifth = JobSnapshot {
+            spec: Arc::new(spec),
+            ..second.clone()
+        };
+        let rounds = [
+            vec![first.clone(), second.clone()],
+            // A lower id arrives, so both running jobs move up a slot.
+            vec![queued(0), first, second.clone()],
+            // Jobs 0 and 1 leave: job 2 moves down to slot 0.
+            vec![second.clone(), queued(3), fifth.clone()],
+            // Slot 2 goes stale.
+            vec![second, fifth],
+            Vec::new(),
+        ];
+        let mut warm = full_rounds(&reg);
+        let mut incremental = RubickScheduler::new(Arc::clone(&reg));
+        for jobs in &rounds {
+            assert_matches_cold(&mut warm, &reg, jobs);
+            let cold = decide(&mut full_rounds(&reg), jobs);
+            assert_eq!(decide(&mut incremental, jobs), cold);
+        }
     }
 }
 

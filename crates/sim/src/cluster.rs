@@ -54,10 +54,24 @@ impl Node {
 /// The node set and per-node amounts determine both placement quality
 /// (single-node vs. distributed) and the bandwidths the job's communication
 /// sees.
-#[derive(Debug, Clone, PartialEq, Default)]
+#[derive(Debug, PartialEq, Default)]
 pub struct Allocation {
     /// `(node id, resources granted on that node)`, node ids unique.
     pub per_node: Vec<(usize, Resources)>,
+}
+
+impl Clone for Allocation {
+    fn clone(&self) -> Self {
+        Allocation {
+            per_node: self.per_node.clone(),
+        }
+    }
+
+    /// Copies `source` into this allocation's buffer, so refilling a kept
+    /// allocation does not allocate once its buffer is large enough.
+    fn clone_from(&mut self, source: &Self) {
+        self.per_node.clone_from(&source.per_node);
+    }
 }
 
 impl Allocation {
@@ -108,14 +122,12 @@ impl Allocation {
         }
     }
 
-    /// Merges another allocation into this one (summing grants per node).
-    pub fn merge(&mut self, other: &Allocation) {
-        for (node, res) in &other.per_node {
-            if let Some((_, mine)) = self.per_node.iter_mut().find(|(n, _)| n == node) {
-                *mine += *res;
-            } else {
-                self.per_node.push((*node, *res));
-            }
+    /// Adds `res` to the grant on `node`, appending an entry for a node
+    /// the allocation does not hold yet.
+    pub fn add(&mut self, node: usize, res: Resources) {
+        match self.per_node.iter_mut().find(|(n, _)| *n == node) {
+            Some((_, mine)) => *mine += res,
+            None => self.per_node.push((node, res)),
         }
     }
 }
@@ -408,8 +420,8 @@ mod tests {
     #[test]
     fn merge_sums_per_node() {
         let mut a = Allocation::on_node(0, Resources::new(1, 4, 10.0));
-        a.merge(&Allocation::on_node(0, Resources::new(2, 4, 10.0)));
-        a.merge(&Allocation::on_node(1, Resources::new(1, 1, 1.0)));
+        a.add(0, Resources::new(2, 4, 10.0));
+        a.add(1, Resources::new(1, 1, 1.0));
         assert_eq!(a.total().gpus, 4);
         assert_eq!(a.per_node.len(), 2);
     }

@@ -468,7 +468,7 @@ fn baseline_measurement_failure_is_tolerated() {
                     "infeasible request must yield no baseline"
                 );
                 let mut alloc = Allocation::on_node(0, Resources::new(8, 48, 400.0));
-                alloc.merge(&Allocation::on_node(1, Resources::new(8, 48, 400.0)));
+                alloc.add(1, Resources::new(8, 48, 400.0));
                 let _ = cluster;
                 out.push(Assignment {
                     job: j.id(),

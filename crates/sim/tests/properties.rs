@@ -61,7 +61,7 @@ proptest! {
         prop_assert_eq!(cluster.free_total(), before);
     }
 
-    /// Merging allocations adds totals and never duplicates node entries.
+    /// Adding grants to an allocation adds totals and never duplicates node entries.
     #[test]
     fn allocation_merge_totals(parts in prop::collection::vec(
         (0usize..6, any_resources()), 0..12
@@ -69,7 +69,7 @@ proptest! {
         let mut merged = Allocation::empty();
         let mut expect = Resources::zero();
         for (node, res) in parts {
-            merged.merge(&Allocation::on_node(node, res));
+            merged.add(node, res);
             expect += res;
         }
         let total = merged.total();
@@ -80,7 +80,7 @@ proptest! {
         nodes.sort_unstable();
         let len = nodes.len();
         nodes.dedup();
-        prop_assert_eq!(nodes.len(), len, "duplicate node entries after merge");
+        prop_assert_eq!(nodes.len(), len, "duplicate node entries after add");
     }
 }
 
