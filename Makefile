@@ -43,7 +43,7 @@
 #                      BENCH_*.json summaries
 #   make build         release build of the whole workspace
 #   make loc           count the *.rs lines under crates/ and src/: shims,
-#                      tests/benches, and the rest
+#                      tests/benches, inline test modules, and the rest
 #
 # `BENCH=1 make verify` additionally runs the bench-check perf gate
 # (opt-in: bench timings are machine-dependent, so the default CI gate
@@ -82,14 +82,25 @@ build:
 
 # Line counts of the Rust sources, the unit of the deletion budget.
 # "tests/benches" is every file under a tests/ or benches/ directory
-# outside the shims; inline #[cfg(test)] modules count as "rest".
+# outside the shims. "inline tests" is every other file's top-level
+# `#[cfg(test)] mod name { ... }` block, plus every out-of-line test
+# module file named tests.rs, so "rest" counts product code only.
 loc:
 	@shims=$$(find crates/shims -name '*.rs' -print0 | xargs -0 cat | wc -l); \
 	tests=$$(find crates src -name '*.rs' -not -path 'crates/shims/*' \
 		\( -path '*/tests/*' -o -path '*/benches/*' \) -print0 | xargs -0 cat | wc -l); \
+	inline=$$(find crates src -name '*.rs' -not -path 'crates/shims/*' \
+		-not -path '*/tests/*' -not -path '*/benches/*' -print0 | xargs -0 awk ' \
+		FNR == 1 { intest = pend = 0 } \
+		FILENAME ~ /\/tests\.rs$$/ { n++; next } \
+		intest { n++; if (/^}/) intest = 0; next } \
+		pend { pend = 0; if (/^mod [A-Za-z0-9_]+ \{/) { intest = 1; n += 2; next } } \
+		/^#\[cfg\(test\)\]/ { pend = 1 } \
+		END { print n + 0 }'); \
 	total=$$(find crates src -name '*.rs' -print0 | xargs -0 cat | wc -l); \
 	printf '%-14s %7d\n' shims $$shims tests/benches $$tests \
-		rest $$((total - shims - tests)) total $$total
+		'inline tests' $$inline rest $$((total - shims - tests - inline)) \
+		total $$total
 
 # The benchmark package has its own [workspace] and is not a member of the
 # root one, so neither `test` nor `lint` compiles it. This keeps the API it

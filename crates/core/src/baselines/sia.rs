@@ -281,7 +281,6 @@ fn water_fill(jobs: &[(Option<&SensitivityCurve>, f64)], total_gpus: u32) -> Vec
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use rubick_model::resources::ResourceKind;
     use rubick_model::{ExecutionPlan, ModelSpec, NodeShape, PerfParams};
     use rubick_sim::engine::{Engine, EngineConfig};
     use rubick_sim::job::{JobClass, JobSpec};
@@ -509,7 +508,7 @@ mod tests {
     /// 0 meaning no feasible plan at that amount (a flat stretch of the
     /// envelope).
     fn curve_from(raw: &[u32]) -> SensitivityCurve {
-        SensitivityCurve::from_fn(ResourceKind::Gpu, raw.len() as u32, |g| {
+        SensitivityCurve::from_fn(raw.len() as u32, |g| {
             let t = raw[g as usize - 1];
             (t > 0).then(|| (ExecutionPlan::dp(g), t as f64))
         })

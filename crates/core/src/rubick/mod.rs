@@ -21,9 +21,13 @@
 //! §5.2 (`(T − N·δ)/T ≥ 0.97`), and starving best-effort jobs are promoted
 //! after a queueing-delay threshold.
 
+mod certs;
+mod ctx;
 mod dirty;
+mod grow;
 mod minres;
 mod policy;
+mod state;
 
 pub use minres::min_res;
 
@@ -111,10 +115,10 @@ pub struct RubickScheduler {
     /// Each job's epoch-stable context and skip certificate, kept across
     /// rounds beside the memo and cleared when the registry version or the
     /// cluster's GPU count moves.
-    pub(crate) cache: JobCache<policy::RubickEntry>,
+    pub(crate) cache: JobCache<ctx::RubickEntry>,
     /// The round state's buffers (allocation table, undo log, pass-2
     /// order), refilled every round instead of reallocated.
-    pub(crate) buffers: policy::RoundBuffers,
+    pub(crate) buffers: state::RoundBuffers,
 }
 
 impl RubickScheduler {
@@ -132,7 +136,7 @@ impl RubickScheduler {
             tracker: dirty::DirtyTracker::new(),
             plan_memo: BestPlanMemo::new(),
             cache: JobCache::default(),
-            buffers: policy::RoundBuffers::default(),
+            buffers: state::RoundBuffers::default(),
         }
     }
 

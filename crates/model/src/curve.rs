@@ -18,9 +18,7 @@
 //! for reuse").
 
 use crate::perf::ThroughputModel;
-use crate::placement::Placement;
 use crate::plan::ExecutionPlan;
-use crate::resources::ResourceKind;
 use crate::search::PlanSearch;
 use std::collections::HashMap;
 use std::sync::{Arc, PoisonError, RwLock};
@@ -29,7 +27,7 @@ use std::sync::{Arc, PoisonError, RwLock};
 /// given resource amount (plan is `None` when no plan is feasible there).
 #[derive(Debug, Clone, PartialEq)]
 pub struct CurvePoint {
-    /// The resource amount (GPUs or CPUs).
+    /// The GPU count.
     pub amount: u32,
     /// Best raw throughput at exactly this amount, samples/s (0 if
     /// infeasible).
@@ -51,12 +49,11 @@ pub struct CurvePoint {
     pub next_rise: Option<u32>,
 }
 
-/// A job's throughput as a function of one resource amount, best plan
-/// chosen at every point.
+/// A job's throughput as a function of its GPU count, best plan chosen
+/// at every point. CPU steps are scored directly from the model by the
+/// policy that needs them.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SensitivityCurve {
-    /// Which resource this curve scales.
-    pub kind: ResourceKind,
     /// Points for amounts `0..=max` (index = amount).
     pub points: Vec<CurvePoint>,
 }
@@ -73,7 +70,6 @@ impl SensitivityCurve {
     /// [`next_rise`](SensitivityCurve::next_rise) O(1) lives in exactly one
     /// place.
     pub fn from_fn(
-        kind: ResourceKind,
         max_amount: u32,
         mut best: impl FnMut(u32) -> Option<(ExecutionPlan, f64)>,
     ) -> Self {
@@ -125,7 +121,7 @@ impl SensitivityCurve {
                     .map(|p| p.amount)
             };
         }
-        SensitivityCurve { kind, points }
+        SensitivityCurve { points }
     }
 
     /// Builds the GPU sensitivity curve: amounts `0..=max_gpus`, with CPUs
@@ -133,17 +129,6 @@ impl SensitivityCurve {
     /// (matching how the scheduler packs jobs onto nodes).
     pub fn for_gpus(model: &ThroughputModel, global_batch: u32, max_gpus: u32) -> Self {
         PlanSearch::Full.gpu_curve(model, global_batch, max_gpus)
-    }
-
-    /// Builds the CPU sensitivity curve at a fixed GPU count: amounts
-    /// `0..=max_cpus`, host memory fixed at the packed share.
-    pub fn for_cpus(model: &ThroughputModel, global_batch: u32, gpus: u32, max_cpus: u32) -> Self {
-        // One packed placement reused across points; only `cpus` varies.
-        let mut placement = Placement::packed(gpus, &model.shape);
-        SensitivityCurve::from_fn(ResourceKind::Cpu, max_cpus, move |c| {
-            placement.cpus = c;
-            model.best_plan(global_batch, &placement)
-        })
     }
 
     /// The largest amount the curve covers.
@@ -190,12 +175,6 @@ impl SensitivityCurve {
             "next_rise({amount}) diverges from the forward walk"
         );
         rise
-    }
-
-    /// Marginal gain of adding one unit at `amount`:
-    /// `value(amount+1) − value(amount)`.
-    pub fn gain_slope(&self, amount: u32) -> f64 {
-        self.value(amount + 1) - self.value(amount)
     }
 
     /// Marginal loss of removing one unit at `amount`:
@@ -389,8 +368,8 @@ mod tests {
     fn slopes_are_consistent_with_values() {
         let m = model(ModelSpec::roberta_large());
         let curve = SensitivityCurve::for_gpus(&m, 64, 8);
-        for g in 0..8 {
-            assert!((curve.gain_slope(g) - (curve.value(g + 1) - curve.value(g))).abs() < 1e-12);
+        for g in 1..=8 {
+            assert!((curve.loss_slope(g) - (curve.value(g) - curve.value(g - 1))).abs() < 1e-12);
         }
         assert_eq!(curve.loss_slope(0), 0.0);
     }
@@ -430,7 +409,6 @@ mod tests {
     /// Bitwise equality of two curves over every point: floats by bit
     /// pattern, plans and envelope indices exactly.
     fn assert_bitwise_eq(a: &SensitivityCurve, b: &SensitivityCurve) {
-        assert_eq!(a.kind, b.kind);
         assert_eq!(
             crate::reference::curve_bits(a),
             crate::reference::curve_bits(b)
@@ -496,13 +474,5 @@ mod tests {
             .collect();
         cache.precompute_gpu_curves(&models, |m| m.spec.default_batch, 8);
         assert_eq!(cache.len(), 2);
-    }
-
-    #[test]
-    fn for_cpus_rises_for_offload_bound_model() {
-        // On 1 GPU a large model must offload; more CPUs speed the optimizer.
-        let m = model(ModelSpec::llama2_7b());
-        let curve = SensitivityCurve::for_cpus(&m, 32, 1, 64);
-        assert!(curve.value(64) > curve.value(8));
     }
 }

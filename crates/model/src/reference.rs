@@ -19,7 +19,7 @@ use crate::memory::MemoryEstimator;
 use crate::perf::ThroughputModel;
 use crate::placement::Placement;
 use crate::plan::{ExecutionPlan, MemoryMode, Parallelism};
-use crate::resources::{NodeShape, ResourceKind};
+use crate::resources::NodeShape;
 use crate::search::PlanSearch;
 use crate::spec::ModelSpec;
 
@@ -237,53 +237,7 @@ pub fn for_gpus_naive(
         });
     }
     backfill_envelope_idx(&mut points);
-    backfill_next_rise(SensitivityCurve {
-        kind: ResourceKind::Gpu,
-        points,
-    })
-}
-
-/// The original CPU-curve construction: clones the base placement per point
-/// and runs the full naive `best_plan` at each CPU amount.
-pub fn for_cpus_naive(
-    model: &ThroughputModel,
-    global_batch: u32,
-    gpus: u32,
-    max_cpus: u32,
-) -> SensitivityCurve {
-    let base = Placement::packed(gpus, &model.shape);
-    let mut points = Vec::with_capacity(max_cpus as usize + 1);
-    points.push(CurvePoint {
-        amount: 0,
-        raw_throughput: 0.0,
-        envelope: 0.0,
-        plan: None,
-        envelope_idx: 0,
-        next_rise: None,
-    });
-    let mut env_best = 0.0f64;
-    for c in 1..=max_cpus {
-        let placement = Placement {
-            cpus: c,
-            ..base.clone()
-        };
-        let best = best_plan_naive(model, global_batch, &placement);
-        let raw = best.as_ref().map(|(_, t)| *t).unwrap_or(0.0);
-        env_best = env_best.max(raw);
-        points.push(CurvePoint {
-            amount: c,
-            raw_throughput: raw,
-            envelope: env_best,
-            plan: best.map(|(p, _)| p),
-            envelope_idx: 0,
-            next_rise: None,
-        });
-    }
-    backfill_envelope_idx(&mut points);
-    backfill_next_rise(SensitivityCurve {
-        kind: ResourceKind::Cpu,
-        points,
-    })
+    backfill_next_rise(SensitivityCurve { points })
 }
 
 /// The original candidate list of a restricted search mode: the rescaled
@@ -317,7 +271,7 @@ pub fn restricted_gpu_curve_naive(
     global_batch: u32,
     max_gpus: u32,
 ) -> SensitivityCurve {
-    SensitivityCurve::from_fn(ResourceKind::Gpu, max_gpus, |g| {
+    SensitivityCurve::from_fn(max_gpus, |g| {
         let placement = Placement::packed(g, &model.shape);
         let mut best: Option<(ExecutionPlan, f64)> = None;
         for plan in restricted_candidates_naive(search, placement.total_gpus(), global_batch) {

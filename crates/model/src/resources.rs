@@ -137,28 +137,6 @@ impl fmt::Display for Resources {
     }
 }
 
-/// A resource dimension name, used for sensitivity curves and the
-/// `resType ∈ {GPU, CPU}` loop of Algorithm 1.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ResourceKind {
-    /// GPU count.
-    Gpu,
-    /// CPU core count.
-    Cpu,
-    /// Host memory (GiB).
-    Memory,
-}
-
-impl fmt::Display for ResourceKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ResourceKind::Gpu => write!(f, "GPU"),
-            ResourceKind::Cpu => write!(f, "CPU"),
-            ResourceKind::Memory => write!(f, "memory"),
-        }
-    }
-}
-
 /// The hardware shape of a single server in the cluster.
 ///
 /// The paper's testbed nodes are 8× A800-80GB with 96 vCPUs and 1600 GiB of

@@ -10,7 +10,6 @@ use crate::curve::SensitivityCurve;
 use crate::perf::ThroughputModel;
 use crate::placement::Placement;
 use crate::plan::{ExecutionPlan, Parallelism};
-use crate::resources::ResourceKind;
 
 /// The plan-reconfiguration freedom a policy has.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -118,7 +117,7 @@ impl PlanSearch {
     ) -> SensitivityCurve {
         // One packed placement rewritten in place per amount.
         let mut placement = Placement::packed(0, &model.shape);
-        SensitivityCurve::from_fn(ResourceKind::Gpu, max_gpus, |g| {
+        SensitivityCurve::from_fn(max_gpus, |g| {
             placement.set_packed(g, &model.shape);
             self.best_plan(model, global_batch, &placement)
         })

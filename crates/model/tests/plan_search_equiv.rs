@@ -114,20 +114,6 @@ proptest! {
         }
     }
 
-    /// CPU curves match the naive construction as full structs, proving the
-    /// hoisted-placement loop changes nothing.
-    #[test]
-    fn for_cpus_matches_naive(
-        spec in any_model(),
-        gpus in 1u32..9,
-        max_cpus in 1u32..33,
-    ) {
-        let model = model_for(spec);
-        let fast = SensitivityCurve::for_cpus(&model, 16, gpus, max_cpus);
-        let naive = reference::for_cpus_naive(&model, 16, gpus, max_cpus);
-        prop_assert_eq!(fast, naive);
-    }
-
     /// Restricted curves served by a [`CurveCache`] equal the naive build —
     /// a packed placement per amount, then the collected-candidates loop —
     /// bit for bit, for DP-rescale and fixed-plan bases drawn from the

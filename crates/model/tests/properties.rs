@@ -4,7 +4,6 @@
 use proptest::prelude::*;
 use rubick_model::perf::{f_overlap, volumes};
 use rubick_model::prelude::*;
-use rubick_model::resources::ResourceKind;
 
 fn any_model() -> impl Strategy<Value = ModelSpec> {
     prop::sample::select(ModelSpec::zoo())
@@ -197,7 +196,7 @@ proptest! {
     /// including amounts past the curve's end.
     #[test]
     fn next_rise_matches_forward_walk(raw in any_raw()) {
-        let curve = SensitivityCurve::from_fn(ResourceKind::Gpu, raw.len() as u32, |a| {
+        let curve = SensitivityCurve::from_fn(raw.len() as u32, |a| {
             let t = raw[a as usize - 1];
             (t > 0.0).then(|| (ExecutionPlan::dp(a), t))
         });

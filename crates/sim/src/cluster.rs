@@ -122,11 +122,28 @@ impl Allocation {
         }
     }
 
+    /// The grant on `node`, if the allocation holds an entry there.
+    #[inline]
+    pub fn node(&self, node: usize) -> Option<&Resources> {
+        self.per_node
+            .iter()
+            .find_map(|(n, r)| (*n == node).then_some(r))
+    }
+
+    /// The grant on `node`, mutably, if the allocation holds an entry
+    /// there.
+    #[inline]
+    pub fn node_mut(&mut self, node: usize) -> Option<&mut Resources> {
+        self.per_node
+            .iter_mut()
+            .find_map(|(n, r)| (*n == node).then_some(r))
+    }
+
     /// Adds `res` to the grant on `node`, appending an entry for a node
     /// the allocation does not hold yet.
     pub fn add(&mut self, node: usize, res: Resources) {
-        match self.per_node.iter_mut().find(|(n, _)| *n == node) {
-            Some((_, mine)) => *mine += res,
+        match self.node_mut(node) {
+            Some(mine) => *mine += res,
             None => self.per_node.push((node, res)),
         }
     }
