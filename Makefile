@@ -24,9 +24,11 @@
 #                      hit, and every Rubick run also recomputes each
 #                      skip-certificate hit (the mt --refit and --chaos
 #                      runs cover cache clears on a refit and on node
-#                      loss); then Sia on base and on mt --refit, whose
-#                      debug build rebuilds every DP-rescale curve miss
-#                      from the job's own plan against its DP-free key,
+#                      loss); then Sia on base, on mt --refit and on mt
+#                      with node failures, whose debug build rebuilds
+#                      every DP-rescale curve miss from the job's own plan
+#                      against its DP-free key and every round's
+#                      water-fill order from the jobs' cached jumps,
 #                      and Rubick on mt with node and launch failures,
 #                      whose debug engine checks its job table after
 #                      every step,
@@ -195,7 +197,11 @@ refit-smoke:
 # costed in full, over thousands of live refit windows. The Sia runs
 # re-resolve every per-job cache hit from the registry and check every
 # curve's next rise against the forward walk; the --refit one publishes
-# refits, so the cache is invalidated on a live trace. The --chaos run
+# refits, so the cache is invalidated on a live trace. Every Sia run
+# also rebuilds its water-fill order from each job's cached chain of
+# jumps and compares it with the order kept across rounds; the Sia
+# --chaos run loses and recovers nodes, so the schedulable GPUs move and
+# every loss and recovery rebuilds the order. The Rubick --chaos run
 # evicts jobs from failed nodes and fails launches, so the engine's
 # eviction and launch-failure paths, its job-table assertions and
 # Rubick's skip checks on a ledger with down nodes all run in debug.
@@ -214,6 +220,8 @@ skip-smoke:
 		--log-level error > /dev/null
 	target/debug/rubick run --scheduler sia --trace mt --seed 7 --refit \
 		--log-level error > /dev/null
+	target/debug/rubick run --scheduler sia --trace mt --seed 7 \
+		--chaos examples/chaos/smoke.txt --log-level error > /dev/null
 	target/debug/rubick run --scheduler rubick --trace mt --seed 7 \
 		--chaos examples/chaos/smoke.txt --log-level error > /dev/null
 	target/debug/rubick run --scheduler rubick --trace mt --seed 7 --refit \
@@ -226,6 +234,7 @@ skip-smoke:
 	@echo "skip-smoke: every negligible-overlap shortcut matches the full f_overlap formula on every run;"
 	@echo "skip-smoke: every per-job cache hit is re-resolved and matches on every Rubick and Sia run;"
 	@echo "skip-smoke: every Sia next rise and DP-rescale curve under its DP-free key matches on base and mt --refit;"
+	@echo "skip-smoke: every Sia water-fill order kept across rounds matches its rebuild, on base, mt --refit and mt with node failures;"
 	@echo "skip-smoke: every skip and job-table check holds on mt with node and launch failures;"
 	@echo "skip-smoke: every GPU-reach skip rolls back on its walk and every cached reach matches its rescan, on every Rubick run and on mt --refit --chaos"
 

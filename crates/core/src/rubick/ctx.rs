@@ -4,9 +4,8 @@
 
 use super::certs::churn_guard_rejects;
 use super::grow::CPU_DELTA;
-use super::state::JobIndex;
 use super::RubickConfig;
-use crate::common::{job_baseline, same_arc, CacheEntry, Cached, PlanSearch};
+use crate::common::{job_baseline, same_arc, CacheEntry, Cached, JobIndex, PlanSearch};
 use crate::registry::ModelRegistry;
 use rubick_model::{
     BestPlanMemo, ExecutionPlan, MemoRow, MemoryEstimator, Placement, PlanSetCache, Resources,

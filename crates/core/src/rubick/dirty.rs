@@ -55,7 +55,7 @@
 //! approaching completion (the about-to-finish filter only removes the
 //! cheapest victim, leaving strictly costlier ones).
 
-use super::state::JobIndex;
+use crate::common::JobIndex;
 use rubick_model::{ExecutionPlan, Resources};
 use rubick_sim::cluster::Allocation;
 use rubick_sim::job::{JobId, JobStatus};

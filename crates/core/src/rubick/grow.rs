@@ -401,10 +401,10 @@ pub(super) fn trim_to_demand(
 mod tests {
     use super::*;
     use crate::common::testing::{job, snapshot};
-    use crate::common::JobCache;
+    use crate::common::{JobCache, JobIndex};
     use crate::registry::ModelRegistry;
     use crate::rubick::ctx::build_job_parts;
-    use crate::rubick::state::{JobIndex, RoundBuffers};
+    use crate::rubick::state::RoundBuffers;
     use crate::rubick::RubickConfig;
     use rubick_model::{BestPlanMemo, MemoryEstimator, ModelSpec, NodeShape};
     use rubick_sim::cluster::Cluster;

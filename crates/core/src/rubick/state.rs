@@ -1,11 +1,10 @@
 //! Rubick's round state: the shared [`RoundContext`] ledger, the tentative
-//! allocation [`Table`], the undo log of one search and the [`JobIndex`]
-//! that maps a job id to its position in the round's jobs slice.
-//! [`State`] is the only writer of the table, the log and the cached
+//! allocation [`Table`] and the undo log of one search. [`State`] is the only writer of the table, the log and the cached
 //! victim floor and GPU reach, so the invariants between them live here.
 
 use super::ctx::Ctx;
 use super::grow::victim_loss;
+use crate::common::JobIndex;
 use crate::round::RoundContext;
 use rubick_model::Resources;
 use rubick_sim::cluster::{Allocation, Cluster};
@@ -13,71 +12,6 @@ use rubick_sim::job::JobId;
 use rubick_sim::scheduler::JobSnapshot;
 use std::cell::Cell;
 use std::fmt::Debug;
-
-/// Generation-stamped dense map from [`JobId`] to a job's position in the
-/// current round's jobs slice. Rebuilding bumps the generation instead of
-/// clearing the slot table, so steady-state rebuilds are O(jobs) scatter
-/// stores with no zeroing pass; a sorted-vec fallback handles id spaces
-/// too sparse for the dense table.
-#[derive(Debug, Default)]
-pub(crate) struct JobIndex {
-    /// `slots[id] = (generation, position)`; valid iff the stamp matches.
-    slots: Vec<(u32, u32)>,
-    gen: u32,
-    /// Sorted `(id, position)` fallback when ids are too sparse.
-    sparse: Vec<(JobId, u32)>,
-    dense: bool,
-}
-
-impl JobIndex {
-    /// Re-points the index at `jobs` (by slice position).
-    pub(crate) fn rebuild(&mut self, jobs: &[JobSnapshot]) {
-        let max_id = jobs.iter().map(|s| s.id()).max().unwrap_or(0);
-        self.dense = (max_id as usize) < 8 * jobs.len() + 1024;
-        if self.dense {
-            if self.slots.len() <= max_id as usize {
-                self.slots.resize(max_id as usize + 1, (0, 0));
-            }
-            self.gen = self.gen.wrapping_add(1);
-            if self.gen == 0 {
-                // Generation wrapped: stale stamps could collide, so pay
-                // one full clear every 2^32 rebuilds.
-                self.slots.fill((0, 0));
-                self.gen = 1;
-            }
-            let gen = self.gen;
-            for (pos, snap) in jobs.iter().enumerate() {
-                self.slots[snap.id() as usize] = (gen, pos as u32);
-            }
-            self.sparse.clear();
-        } else {
-            self.sparse.clear();
-            self.sparse
-                .extend(jobs.iter().enumerate().map(|(pos, s)| (s.id(), pos as u32)));
-            self.sparse.sort_unstable_by_key(|&(id, _)| id);
-        }
-    }
-
-    /// The slice position of `id`, if it is in the current round.
-    #[inline]
-    pub(crate) fn get(&self, id: JobId) -> Option<usize> {
-        if self.dense {
-            let slot = self.slots.get(id as usize)?;
-            (slot.0 == self.gen).then_some(slot.1 as usize)
-        } else {
-            self.sparse
-                .binary_search_by_key(&id, |&(id, _)| id)
-                .ok()
-                .map(|i| self.sparse[i].1 as usize)
-        }
-    }
-
-    /// The slice position of `id`, which must be in the current round.
-    #[inline]
-    pub(crate) fn pos(&self, id: JobId) -> usize {
-        self.get(id).expect("job in the round")
-    }
-}
 
 /// The buffers of Rubick's round state, kept by the scheduler across
 /// rounds so that a steady-state round refills them instead of
@@ -367,42 +301,4 @@ pub(super) fn same_state(before: &State<'_>, state: &State<'_>) -> bool {
         (free, slots, flags, t.order.clone())
     };
     key(before) == key(state)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::common::testing::{job, snapshot};
-    use rubick_model::{ExecutionPlan, ModelSpec};
-    use rubick_sim::job::JobStatus;
-
-    #[test]
-    fn job_index_dense_and_sparse_agree() {
-        let snap = |id| {
-            let spec = job(id, ModelSpec::roberta_large(), 1, ExecutionPlan::dp(1), 10);
-            snapshot(spec, JobStatus::Queued)
-        };
-        let dense_jobs: Vec<JobSnapshot> = (0..40u64).map(snap).collect();
-        let mut ix = JobIndex::default();
-        ix.rebuild(&dense_jobs);
-        assert!(ix.dense);
-        for (pos, s) in dense_jobs.iter().enumerate() {
-            assert_eq!(ix.get(s.id()), Some(pos));
-        }
-        assert_eq!(ix.get(40), None);
-
-        // Sparse ids force the sorted-vec fallback.
-        let sparse_jobs: Vec<JobSnapshot> = (0..4u64).map(|i| snap(i * 1_000_000 + 17)).collect();
-        ix.rebuild(&sparse_jobs);
-        assert!(!ix.dense);
-        for (pos, s) in sparse_jobs.iter().enumerate() {
-            assert_eq!(ix.get(s.id()), Some(pos));
-        }
-        assert_eq!(ix.get(18), None);
-
-        // Rebuilding back to dense invalidates all stale entries.
-        ix.rebuild(&dense_jobs);
-        assert_eq!(ix.get(17), Some(17));
-        assert_eq!(ix.get(1_000_017), None);
-    }
 }

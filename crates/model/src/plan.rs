@@ -199,37 +199,62 @@ impl ExecutionPlan {
     /// Returns [`ModelError::InvalidPlan`] describing the first violated
     /// constraint.
     pub fn validate(&self, spec: &ModelSpec, global_batch: u32) -> Result<(), ModelError> {
-        let invalid = |reason: String| Err(ModelError::InvalidPlan { reason });
-        let Parallelism { dp, tp, pp } = self.parallel;
-        if dp == 0 || tp == 0 || pp == 0 {
-            return invalid("parallel degrees must be >= 1".into());
-        }
-        if self.memory.requires_pure_dp() && self.parallel.is_model_parallel() {
-            return invalid(format!(
+        let Some(violation) = self.violation(spec, global_batch) else {
+            return Ok(());
+        };
+        let Parallelism { tp, pp, .. } = self.parallel;
+        let reason = match violation {
+            Violation::ZeroDegree => "parallel degrees must be >= 1".into(),
+            Violation::ZeroNeedsPureDp => format!(
                 "{} requires pure DP but plan is {}",
                 self.memory, self.parallel
-            ));
-        }
-        if pp > spec.layers {
-            return invalid(format!(
+            ),
+            Violation::PpOverLayers => format!(
                 "pp={} exceeds layer count {} of {}",
                 pp, spec.layers, spec.name
-            ));
+            ),
+            Violation::TpSplitsHidden => {
+                format!("tp={} does not divide hidden size {}", tp, spec.hidden)
+            }
+            Violation::ZeroSteps => "ga_steps and micro_batches must be >= 1".into(),
+            Violation::GaUnderPp => {
+                "gradient accumulation is folded into micro-batches under PP".into()
+            }
+            Violation::MicroWithoutPp => "micro_batches > 1 requires pp > 1".into(),
+            Violation::BatchSplit { splits } => format!(
+                "global batch {} does not split evenly into {} device micro-batches",
+                global_batch, splits
+            ),
+        };
+        Err(ModelError::InvalidPlan { reason })
+    }
+
+    /// The first structural invariant the plan violates against a model
+    /// and global batch, if any: the rule [`validate`](Self::validate)
+    /// words, checked without formatting a message.
+    #[inline]
+    fn violation(&self, spec: &ModelSpec, global_batch: u32) -> Option<Violation> {
+        let Parallelism { dp, tp, pp } = self.parallel;
+        if dp == 0 || tp == 0 || pp == 0 {
+            return Some(Violation::ZeroDegree);
+        }
+        if self.memory.requires_pure_dp() && self.parallel.is_model_parallel() {
+            return Some(Violation::ZeroNeedsPureDp);
+        }
+        if pp > spec.layers {
+            return Some(Violation::PpOverLayers);
         }
         if tp > 1 && !spec.hidden.is_multiple_of(tp) {
-            return invalid(format!(
-                "tp={} does not divide hidden size {}",
-                tp, spec.hidden
-            ));
+            return Some(Violation::TpSplitsHidden);
         }
         if self.ga_steps == 0 || self.micro_batches == 0 {
-            return invalid("ga_steps and micro_batches must be >= 1".into());
+            return Some(Violation::ZeroSteps);
         }
         if pp > 1 && self.ga_steps > 1 {
-            return invalid("gradient accumulation is folded into micro-batches under PP".into());
+            return Some(Violation::GaUnderPp);
         }
         if pp == 1 && self.micro_batches > 1 {
-            return invalid("micro_batches > 1 requires pp > 1".into());
+            return Some(Violation::MicroWithoutPp);
         }
         // Frameworks require the global batch to split evenly into
         // per-device micro-batches (`b = micro · a · d` in DeepSpeed terms).
@@ -240,12 +265,9 @@ impl ExecutionPlan {
             self.ga_steps
         });
         if splits > global_batch || !global_batch.is_multiple_of(splits) {
-            return invalid(format!(
-                "global batch {} does not split evenly into {} device micro-batches",
-                global_batch, splits
-            ));
+            return Some(Violation::BatchSplit { splits });
         }
-        Ok(())
+        None
     }
 
     /// A coarse categorization of the plan, matching the paper's figure
@@ -271,43 +293,67 @@ impl ExecutionPlan {
     }
 
     /// A compact human-readable label, e.g. `"TP4+DP2+GC"` or
-    /// `"ZeRO-Offload+GA2"`.
+    /// `"ZeRO-Offload+GA2"`: the plan's [`Display`](fmt::Display) text.
     pub fn label(&self) -> String {
-        let Parallelism { dp, tp, pp } = self.parallel;
-        let mut parts: Vec<String> = Vec::new();
-        match self.memory {
-            MemoryMode::Zero2 => parts.push(format!("ZeRO-DP{dp}")),
-            MemoryMode::Zero3 => parts.push(format!("ZeRO-3x{dp}")),
-            MemoryMode::ZeroOffload => parts.push(format!("ZeRO-Offload{dp}")),
-            MemoryMode::Plain => {
-                if tp > 1 {
-                    parts.push(format!("TP{tp}"));
-                }
-                if pp > 1 {
-                    parts.push(format!("PP{pp}"));
-                }
-                if dp > 1 || parts.is_empty() {
-                    parts.push(format!("DP{dp}"));
-                }
-            }
-        }
-        if self.ga_steps > 1 {
-            parts.push(format!("GA{}", self.ga_steps));
-        }
-        if self.parallel.pp > 1 && self.micro_batches > 1 {
-            parts.push(format!("m{}", self.micro_batches));
-        }
-        if self.gc {
-            parts.push("GC".into());
-        }
-        parts.join("+")
+        let mut label = String::with_capacity(24);
+        fmt::Write::write_fmt(&mut label, format_args!("{self}"))
+            .expect("writing to a String cannot fail");
+        label
     }
 }
 
 impl fmt::Display for ExecutionPlan {
+    /// The parts of the plan joined by `+`: its parallelism (or ZeRO mode
+    /// and DP degree), then GA steps, PP micro-batches and GC when used.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.label())
+        let Parallelism { dp, tp, pp } = self.parallel;
+        match self.memory {
+            MemoryMode::Zero2 => write!(f, "ZeRO-DP{dp}")?,
+            MemoryMode::Zero3 => write!(f, "ZeRO-3x{dp}")?,
+            MemoryMode::ZeroOffload => write!(f, "ZeRO-Offload{dp}")?,
+            MemoryMode::Plain => {
+                let mut sep = "";
+                if tp > 1 {
+                    write!(f, "TP{tp}")?;
+                    sep = "+";
+                }
+                if pp > 1 {
+                    write!(f, "{sep}PP{pp}")?;
+                    sep = "+";
+                }
+                if dp > 1 || sep.is_empty() {
+                    write!(f, "{sep}DP{dp}")?;
+                }
+            }
+        }
+        if self.ga_steps > 1 {
+            write!(f, "+GA{}", self.ga_steps)?;
+        }
+        if pp > 1 && self.micro_batches > 1 {
+            write!(f, "+m{}", self.micro_batches)?;
+        }
+        if self.gc {
+            f.write_str("+GC")?;
+        }
+        Ok(())
     }
+}
+
+/// The structural invariant a plan violates, as
+/// [`ExecutionPlan::validate`] words it.
+#[derive(Debug, Clone, Copy)]
+enum Violation {
+    ZeroDegree,
+    ZeroNeedsPureDp,
+    PpOverLayers,
+    TpSplitsHidden,
+    ZeroSteps,
+    GaUnderPp,
+    MicroWithoutPp,
+    /// The batch does not split into `splits` device micro-batches.
+    BatchSplit {
+        splits: u32,
+    },
 }
 
 /// Coarse plan category (the series names in the paper's figures).
@@ -626,7 +672,7 @@ impl Iterator for PlanEnumerator<'_> {
 
     fn next(&mut self) -> Option<ExecutionPlan> {
         while let Some(plan) = self.next_candidate() {
-            if plan.validate(self.spec, self.global_batch).is_ok()
+            if plan.violation(self.spec, self.global_batch).is_none()
                 && self
                     .estimator
                     .check_feasible(
@@ -724,6 +770,180 @@ mod tests {
             "ZeRO-Offload1+GC"
         );
         assert_eq!(ExecutionPlan::three_d(4, 4, 2, 8).label(), "TP4+PP2+DP4+m8");
+    }
+
+    /// The label formula before it wrote into one `String`: each part
+    /// formatted on its own, then joined with `+`.
+    fn joined_label(plan: &ExecutionPlan) -> String {
+        let Parallelism { dp, tp, pp } = plan.parallel;
+        let mut parts: Vec<String> = Vec::new();
+        match plan.memory {
+            MemoryMode::Zero2 => parts.push(format!("ZeRO-DP{dp}")),
+            MemoryMode::Zero3 => parts.push(format!("ZeRO-3x{dp}")),
+            MemoryMode::ZeroOffload => parts.push(format!("ZeRO-Offload{dp}")),
+            MemoryMode::Plain => {
+                if tp > 1 {
+                    parts.push(format!("TP{tp}"));
+                }
+                if pp > 1 {
+                    parts.push(format!("PP{pp}"));
+                }
+                if dp > 1 || parts.is_empty() {
+                    parts.push(format!("DP{dp}"));
+                }
+            }
+        }
+        if plan.ga_steps > 1 {
+            parts.push(format!("GA{}", plan.ga_steps));
+        }
+        if plan.parallel.pp > 1 && plan.micro_batches > 1 {
+            parts.push(format!("m{}", plan.micro_batches));
+        }
+        if plan.gc {
+            parts.push("GC".into());
+        }
+        parts.join("+")
+    }
+
+    /// Every plan the zoo enumerates at 1–64 GPUs, at each model's default
+    /// batch and at 64, keeps its joined-parts label byte for byte.
+    #[test]
+    fn labels_match_the_joined_parts_formula_over_the_zoo() {
+        let (shape, env) = a800();
+        let mut plans = 0;
+        for spec in ModelSpec::zoo() {
+            for batch in [spec.default_batch, 64] {
+                for gpus in 1..=64 {
+                    for plan in enumerate_plans(&spec, gpus, batch, &shape, &env) {
+                        assert_eq!(plan.label(), joined_label(&plan), "{plan:?}");
+                        assert_eq!(plan.to_string(), joined_label(&plan), "{plan:?}");
+                        plans += 1;
+                    }
+                }
+            }
+        }
+        assert!(plans > 1000, "only {plans} plans");
+    }
+
+    /// The plan rule as it read before its messages moved out of the
+    /// check: the first violated constraint, formatted.
+    fn formatted_rule(
+        plan: &ExecutionPlan,
+        spec: &ModelSpec,
+        global_batch: u32,
+    ) -> Result<(), String> {
+        let Parallelism { dp, tp, pp } = plan.parallel;
+        if dp == 0 || tp == 0 || pp == 0 {
+            return Err("parallel degrees must be >= 1".into());
+        }
+        if plan.memory.requires_pure_dp() && plan.parallel.is_model_parallel() {
+            return Err(format!(
+                "{} requires pure DP but plan is {}",
+                plan.memory, plan.parallel
+            ));
+        }
+        if pp > spec.layers {
+            return Err(format!(
+                "pp={} exceeds layer count {} of {}",
+                pp, spec.layers, spec.name
+            ));
+        }
+        if tp > 1 && !spec.hidden.is_multiple_of(tp) {
+            return Err(format!(
+                "tp={} does not divide hidden size {}",
+                tp, spec.hidden
+            ));
+        }
+        if plan.ga_steps == 0 || plan.micro_batches == 0 {
+            return Err("ga_steps and micro_batches must be >= 1".into());
+        }
+        if pp > 1 && plan.ga_steps > 1 {
+            return Err("gradient accumulation is folded into micro-batches under PP".into());
+        }
+        if pp == 1 && plan.micro_batches > 1 {
+            return Err("micro_batches > 1 requires pp > 1".into());
+        }
+        let splits = dp.saturating_mul(if pp > 1 {
+            plan.micro_batches
+        } else {
+            plan.ga_steps
+        });
+        if splits > global_batch || !global_batch.is_multiple_of(splits) {
+            return Err(format!(
+                "global batch {} does not split evenly into {} device micro-batches",
+                global_batch, splits
+            ));
+        }
+        Ok(())
+    }
+
+    /// `validate`'s verdict and text match the formatted rule on one plan
+    /// that breaks each constraint and on every candidate the enumerator
+    /// considers for the zoo at 1–64 GPUs, and the enumerated plans are
+    /// exactly the candidates that pass the formatted rule and the
+    /// memory check.
+    #[test]
+    fn plan_rule_keeps_its_texts_and_the_enumerated_plans() {
+        let reason = |plan: &ExecutionPlan, spec: &ModelSpec, batch| {
+            plan.validate(spec, batch).map_err(|e| match e {
+                ModelError::InvalidPlan { reason } => reason,
+                other => panic!("unexpected error {other}"),
+            })
+        };
+        let gpt2 = ModelSpec::gpt2_xl();
+        let mut no_dp = ExecutionPlan::dp(1);
+        no_dp.parallel.dp = 0;
+        let mut zero_tp = ExecutionPlan::zero_dp(2);
+        zero_tp.parallel = Parallelism::new(2, 2, 1);
+        let mut no_steps = ExecutionPlan::dp(2);
+        no_steps.ga_steps = 0;
+        let mut ga_pp = ExecutionPlan::three_d(1, 1, 2, 2);
+        ga_pp.ga_steps = 2;
+        let mut micro = ExecutionPlan::dp(2);
+        micro.micro_batches = 2;
+        let broken = [
+            no_dp,
+            zero_tp,
+            ExecutionPlan::three_d(1, 1, 128, 128),
+            ExecutionPlan::three_d(1, 3, 1, 1),
+            no_steps,
+            ga_pp,
+            micro,
+            ExecutionPlan::dp(3),
+            ExecutionPlan::dp(32),
+            ExecutionPlan::dp(4).with_ga(8),
+        ];
+        for plan in &broken {
+            let got = reason(plan, &gpt2, 16);
+            assert!(got.is_err(), "{plan:?}");
+            assert_eq!(got, formatted_rule(plan, &gpt2, 16), "{plan:?}");
+        }
+        let (shape, env) = a800();
+        let estimator = MemoryEstimator::new(shape.gpu_mem_gb);
+        let mut rejected = 0;
+        for spec in ModelSpec::zoo() {
+            for batch in [spec.default_batch, 24, 64] {
+                for gpus in 1..=64 {
+                    let mut walk = PlanEnumerator::new(&spec, gpus, batch, &shape, &env);
+                    let placement = Placement::packed(gpus, &shape);
+                    let mut kept = Vec::new();
+                    while let Some(plan) = walk.next_candidate() {
+                        let rule = formatted_rule(&plan, &spec, batch);
+                        assert_eq!(reason(&plan, &spec, batch), rule, "{plan:?}");
+                        rejected += usize::from(rule.is_err());
+                        if rule.is_ok()
+                            && estimator
+                                .check_feasible(&spec, &plan, &placement, batch, &env)
+                                .is_ok()
+                        {
+                            kept.push(plan);
+                        }
+                    }
+                    assert_eq!(enumerate_plans(&spec, gpus, batch, &shape, &env), kept);
+                }
+            }
+        }
+        assert!(rejected > 100, "only {rejected} rejected candidates");
     }
 
     #[test]
