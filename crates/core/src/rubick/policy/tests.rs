@@ -1,10 +1,16 @@
 //! Scheduler-level tests of Rubick's rounds, through `schedule()` or the engine.
 
 use crate::common::testing::{job, snapshot, RESOLVED};
+use crate::common::{JobCache, JobIndex};
 use crate::registry::ModelRegistry;
 use crate::rubick::certs::REACH_SKIPS;
+use crate::rubick::ctx::{build_job_parts, Ctx};
+use crate::rubick::grow::SHRINK_HYSTERESIS;
 use crate::rubick::{RubickConfig, RubickScheduler};
-use rubick_model::{ExecutionPlan, MemoryMode, ModelSpec, NodeShape, Resources};
+use rubick_model::{
+    BestPlanMemo, ExecutionPlan, MemoryEstimator, MemoryMode, ModelSpec, NodeShape, PerfParams,
+    Resources, ThroughputModel,
+};
 use rubick_sim::cluster::{Allocation, Cluster};
 use rubick_sim::engine::{Engine, EngineConfig};
 use rubick_sim::job::{JobClass, JobSpec, JobStatus};
@@ -12,7 +18,7 @@ use rubick_sim::scheduler::{Assignment, ClusterDelta, JobSnapshot, Scheduler};
 use rubick_sim::tenant::{Tenant, TenantId};
 use rubick_sim::SimReport;
 use rubick_testbed::TestbedOracle;
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::sync::Arc;
 
 fn registry(oracle: &TestbedOracle, specs: &[ModelSpec]) -> Arc<ModelRegistry> {
@@ -278,14 +284,27 @@ fn frozen_offload_job_on_a_full_ledger_is_still_searched() {
     assert_ne!(grown.allocation, alloc, "{out:?}");
 }
 
-/// Schedules a queued best-effort RoBERTa job next to a best-effort
-/// `victim` model holding all 8 GPUs of the one node, so the ledger has
-/// no free GPU. The queued job's minimum is zero: it takes a GPU only
-/// if the victim's loss slope is below its gain times the hysteresis.
-fn queued_next_to(victim: ModelSpec) -> Vec<Assignment> {
+/// A queued best-effort RoBERTa job (`id` 2) next to a best-effort
+/// `victim` model (`id` 1) holding all 8 GPUs of the one node, so the
+/// ledger has no free GPU. The queued job's minimum is zero: it takes a
+/// GPU only if the victim's loss slope is below its gain times the
+/// hysteresis. Every model of the registry has the fixed parameters
+/// given, not fitted ones, so which side of the bar a victim sits on
+/// does not depend on the fitter.
+fn queued_next_to(
+    victim: ModelSpec,
+    models: &[(ModelSpec, PerfParams)],
+) -> (Arc<ModelRegistry>, [JobSnapshot; 2]) {
     let oracle = TestbedOracle::new(24);
-    let grower = ModelSpec::roberta_large();
-    let reg = registry(&oracle, &[victim.clone(), grower.clone()]);
+    let reg = ModelRegistry::new(*oracle.env(), *oracle.shape());
+    for (spec, params) in models {
+        reg.insert(ThroughputModel::new(
+            spec.clone(),
+            *params,
+            *oracle.env(),
+            *oracle.shape(),
+        ));
+    }
     let best_effort = |spec: JobSpec, status| {
         let class = JobClass::BestEffort;
         snapshot(JobSpec { class, ..spec }, status)
@@ -300,34 +319,87 @@ fn queued_next_to(victim: ModelSpec) -> Vec<Assignment> {
         },
     );
     let queued = best_effort(
-        job(2, grower, 1, ExecutionPlan::dp(1), 1_000_000),
+        job(
+            2,
+            ModelSpec::roberta_large(),
+            1,
+            ExecutionPlan::dp(1),
+            1_000_000,
+        ),
         JobStatus::Queued,
     );
-    RubickScheduler::new(reg).schedule(
-        10.0,
-        &[running, queued],
-        &Cluster::new(1, NodeShape::a800()),
-        &[],
+    (Arc::new(reg), [running, queued])
+}
+
+/// `(victim loss, grower gain × SHRINK_HYSTERESIS)` of [`queued_next_to`]'s
+/// pair: the victim's loss slope at its 8 GPUs and the queued job's
+/// jump gain at none, read from the round context the scheduler builds.
+fn slope_bar(reg: &ModelRegistry, jobs: &[JobSnapshot; 2]) -> (f64, f64) {
+    let cfg = RubickConfig::default();
+    let cluster = Cluster::new(1, NodeShape::a800());
+    let total_gpus = cluster.schedulable_capacity().gpus;
+    let estimator = MemoryEstimator::new(cluster.shape().gpu_mem_gb);
+    let mut index = JobIndex::default();
+    index.rebuild(jobs);
+    let (mut memo, mut cache) = (BestPlanMemo::new(), JobCache::default());
+    let entries = cache.refresh(reg, total_gpus, jobs, |snap| {
+        build_job_parts(reg, &cfg, snap, total_gpus, estimator, &mut memo)
+    });
+    let ctx = Ctx {
+        config: &cfg,
+        index: &index,
+        jobs,
+        entries,
+        memo: RefCell::new(&mut memo),
+        frozen: &[false, false],
+        estimator,
+        total_gpus,
+    };
+    (
+        ctx.loss_slope(1, 8),
+        ctx.jump_gain(2, 0) * SHRINK_HYSTERESIS,
     )
 }
 
-/// A RoBERTa victim's loss slope at 8 GPUs is below the queued job's
-/// bar, so the search must not be skipped: it takes one GPU.
-#[test]
-fn queued_job_on_a_full_ledger_takes_a_gpu_below_the_slope_bar() {
-    let out = queued_next_to(ModelSpec::roberta_large());
-    let gpus: Vec<_> = out.iter().map(|a| (a.job, a.allocation.gpus())).collect();
-    assert_eq!(gpus, [(1, 7), (2, 1)], "{out:?}");
+fn schedule_pair(reg: Arc<ModelRegistry>, jobs: &[JobSnapshot; 2]) -> Vec<(u64, u32)> {
+    let out =
+        RubickScheduler::new(reg).schedule(10.0, jobs, &Cluster::new(1, NodeShape::a800()), &[]);
+    out.iter().map(|a| (a.job, a.allocation.gpus())).collect()
 }
 
-/// A BERT victim's loss slope is just above the bar: the search is
+/// A RoBERTa victim's loss slope at 8 GPUs is below the queued job's
+/// bar, so the search must not be skipped: it takes one GPU. A tenth of
+/// a second of fixed cost per iteration (`k_const`) flattens RoBERTa's
+/// curve at 8 GPUs far more than at 1.
+#[test]
+fn queued_job_on_a_full_ledger_takes_a_gpu_below_the_slope_bar() {
+    let roberta = ModelSpec::roberta_large();
+    let flat = PerfParams {
+        k_const: 0.1,
+        ..PerfParams::default()
+    };
+    let (reg, jobs) = queued_next_to(roberta.clone(), &[(roberta, flat)]);
+    let (loss, bar) = slope_bar(&reg, &jobs);
+    assert!(loss < bar, "victim loss {loss} is not below the bar {bar}");
+    assert_eq!(schedule_pair(reg, &jobs), [(1, 7), (2, 1)]);
+}
+
+/// A BERT victim's loss slope is above the bar: the search is
 /// skipped (walked on a clone in debug builds) and the victim keeps
-/// its allocation.
+/// its allocation. With almost no fixed cost per iteration BERT scales
+/// nearly linearly to 8 GPUs; the RoBERTa grower keeps the defaults.
 #[test]
 fn queued_job_on_a_full_ledger_above_the_slope_bar_changes_nothing() {
-    let out = queued_next_to(ModelSpec::bert_large());
-    let gpus: Vec<_> = out.iter().map(|a| (a.job, a.allocation.gpus())).collect();
-    assert_eq!(gpus, [(1, 8)], "{out:?}");
+    let (bert, roberta) = (ModelSpec::bert_large(), ModelSpec::roberta_large());
+    let steep = PerfParams {
+        k_const: 0.001,
+        ..PerfParams::default()
+    };
+    let models = [(bert.clone(), steep), (roberta, PerfParams::default())];
+    let (reg, jobs) = queued_next_to(bert, &models);
+    let (loss, bar) = slope_bar(&reg, &jobs);
+    assert!(loss >= bar, "victim loss {loss} is below the bar {bar}");
+    assert_eq!(schedule_pair(reg, &jobs), [(1, 8)]);
 }
 
 /// A full-round scheduler, so every round searches every job.

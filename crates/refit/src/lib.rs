@@ -19,7 +19,7 @@
 //!    window is re-fit with damped Gauss–Newton steps
 //!    ([`rubick_model::fit::refit_params`]) seeded from the current
 //!    parameters — one warm-started run of the descent the profile fit
-//!    runs from 12 starts.
+//!    runs from 4 starts.
 //!
 //!    Steps 2–3 are skipped for a **settled** window: one that has not
 //!    changed since it was last judged, without a publish, under

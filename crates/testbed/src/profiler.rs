@@ -300,4 +300,34 @@ mod tests {
         let avg = errors.iter().sum::<f64>() / errors.len() as f64;
         assert!(avg < 0.15, "average prediction error too high: {avg:.3}");
     }
+
+    /// The default fit's starts reach, within 1% RMSLE, what twelve starts
+    /// reach over the zoo's profiles.
+    #[test]
+    fn default_starts_match_twelve_starts() {
+        for seed in [2025, 7, 11] {
+            let oracle = TestbedOracle::new(seed);
+            for spec in ModelSpec::zoo() {
+                let report = Profiler::new(&oracle)
+                    .profile(&spec, spec.default_batch)
+                    .unwrap();
+                let opts = FitOptions {
+                    gpu_flops: report.gpu_flops,
+                    min_points: report.points.len().min(7),
+                    ..FitOptions::default()
+                };
+                let twelve = FitOptions {
+                    restarts: 12,
+                    ..opts
+                };
+                let fit = |o| fit_perf_params(&spec, oracle.env(), &report.points, o).unwrap();
+                let (default, more) = (fit(&opts).rmsle, fit(&twelve).rmsle);
+                assert!(
+                    default <= 1.01 * more,
+                    "{} at seed {seed}: {default} vs {more} from 12 starts",
+                    spec.name
+                );
+            }
+        }
+    }
 }
