@@ -17,7 +17,9 @@
 #                      debug build of the Rubick policy, which walks every
 #                      skipped plan search and checks every rollback, then
 #                      the mt trace with --refit, whose debug fits check
-#                      every read-set Jacobian entry and early reject; every
+#                      every read-set Jacobian entry and early reject, and
+#                      that every damping candidate stays in the parameter
+#                      box with its held parameters unmoved; every
 #                      debug run checks each negligible-overlap shortcut
 #                      of f_overlap against the full formula; every
 #                      Rubick and Sia run re-resolves each per-job cache
@@ -194,7 +196,10 @@ refit-smoke:
 # offload plans after a CPU step. The --refit run resets the memo rows of
 # each refitted model while the other models' rows stay. The --refit run does the same for the fit kernel: every Jacobian entry
 # is re-evaluated in full and every early-rejected damping candidate is
-# costed in full, over thousands of live refit windows. The Sia runs
+# costed in full, over thousands of live refit windows. Every damping
+# candidate of every fit, the profile fits each run starts with and the
+# --refit run's refits, must lie inside the parameter box, and every
+# parameter the step holds on a bound must keep its bits. The Sia runs
 # re-resolve every per-job cache hit from the registry and check every
 # curve's next rise against the forward walk; the --refit one publishes
 # refits, so the cache is invalidated on a live trace. Every Sia run
@@ -231,6 +236,7 @@ skip-smoke:
 	@echo "skip-smoke: every best-plan memo hit through a job's row matches its scan on every Rubick run;"
 	@echo "skip-smoke: every best-plan memo miss, split or full, matches its full scan on every Rubick run;"
 	@echo "skip-smoke: every read-set Jacobian entry and early reject matches on mt --refit;"
+	@echo "skip-smoke: every fit's damping candidates stay in the box and its held parameters keep their bits, in every run's profile fits and on mt --refit;"
 	@echo "skip-smoke: every negligible-overlap shortcut matches the full f_overlap formula on every run;"
 	@echo "skip-smoke: every per-job cache hit is re-resolved and matches on every Rubick and Sia run;"
 	@echo "skip-smoke: every Sia next rise and DP-rescale curve under its DP-free key matches on base and mt --refit;"

@@ -211,7 +211,7 @@ fn bench_fit(c: &mut Criterion) {
     .collect();
     let mut group = c.benchmark_group("model/fit_7_points");
     group.sample_size(10);
-    group.bench_function("gauss_newton_12_starts", |b| {
+    group.bench_function("gauss_newton_4_starts", |b| {
         b.iter(|| black_box(fit_perf_params(&spec, &env, &points, &FitOptions::default()).unwrap()))
     });
     group.finish();
@@ -221,7 +221,7 @@ fn bench_fit(c: &mut Criterion) {
 /// stale parameters over a 7-point observation window — what
 /// `RegistryRefitter` pays per material-drift detection at simulation
 /// time (`--refit`). It is one warm-started run of the descent that the
-/// profile fit above runs from 12 starts, so it must stay well below that
+/// profile fit above runs from 4 starts, so it must stay well below that
 /// fit's cost.
 fn bench_refit_update(c: &mut Criterion) {
     let spec = ModelSpec::roberta_large();

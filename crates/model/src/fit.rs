@@ -391,7 +391,9 @@ struct Scratch {
 /// The parameters of `x` that [`step`] holds on their bound: those on
 /// `LO` whose gradient component `g` is positive, or on `HI` with a
 /// negative one, so that a gradient step would leave the box. Nothing is
-/// held when `samples` is below the seven fitted parameters.
+/// held when `samples` is below the seven fitted parameters: the reduced
+/// system of such a window has a null space, which the descent would walk
+/// along instead of staying near its warm start.
 fn active_set(x: &[f64; 7], g: &[f64; 7], samples: usize) -> [bool; 7] {
     if samples < x.len() {
         return [false; 7];
@@ -491,13 +493,9 @@ fn step(
         }
     }
 
-    // Active set: on a determined problem, a parameter on a bound whose
-    // gradient step would leave the box is held there. Its row and column
-    // of the system become a unit diagonal with a zero right-hand side, so
-    // its `delta` is exactly 0 at every damping level and the free
-    // parameters solve the reduced system rather than being clamped after
-    // the fact. An underdetermined window keeps the plain projected step:
-    // there the reduced system has a null space to walk along.
+    // A held parameter's row and column become a unit diagonal with a zero
+    // right-hand side, so its `delta` is exactly 0 at every damping level
+    // and the free parameters solve the reduced system.
     let held = active_set(x, &g, m);
     for i in (0..7).filter(|&i| held[i]) {
         a[i] = [0.0; 7];
