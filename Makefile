@@ -23,7 +23,9 @@
 #                      debug run checks each negligible-overlap shortcut
 #                      of f_overlap against the full formula; every
 #                      Rubick and Sia run re-resolves each per-job cache
-#                      hit, and every Rubick run also recomputes each
+#                      hit and checks after every refresh that each
+#                      cache entry's id and spec Arc match its job's
+#                      slice position, and every Rubick run also recomputes each
 #                      skip-certificate hit (the mt --refit and --chaos
 #                      runs cover cache clears on a refit and on node
 #                      loss); then Sia on base, on mt --refit and on mt
@@ -238,7 +240,7 @@ skip-smoke:
 	@echo "skip-smoke: every read-set Jacobian entry and early reject matches on mt --refit;"
 	@echo "skip-smoke: every fit's damping candidates stay in the box and its held parameters keep their bits, in every run's profile fits and on mt --refit;"
 	@echo "skip-smoke: every negligible-overlap shortcut matches the full f_overlap formula on every run;"
-	@echo "skip-smoke: every per-job cache hit is re-resolved and matches on every Rubick and Sia run;"
+	@echo "skip-smoke: every per-job cache hit is re-resolved and matches, and every refresh leaves each entry at its job's position, on every Rubick and Sia run;"
 	@echo "skip-smoke: every Sia next rise and DP-rescale curve under its DP-free key matches on base and mt --refit;"
 	@echo "skip-smoke: every Sia water-fill order kept across rounds matches its rebuild, on base, mt --refit and mt with node failures;"
 	@echo "skip-smoke: every skip and job-table check holds on mt with node and launch failures;"

@@ -69,16 +69,14 @@ impl<E> Deref for Cached<E> {
 /// Per-job entries, valid for one `(registry version, schedulable GPUs)`
 /// pair and cleared when either changes — that covers refits, on-demand
 /// profiling and node failures. Entries sit in the last round's snapshot
-/// order, which the engine gives sorted by job id, so one merge pass finds
-/// every job that stayed; an unsorted slice only costs misses. Jobs absent
-/// from a round are dropped. A pure cache: a fresh scheduler makes the
-/// same decisions. The merge fills a second buffer and the two swap each
-/// round, so a steady-state refresh allocates nothing.
+/// order, which the engine gives sorted by job id, so one pass finds every
+/// job that stayed; an unsorted slice only costs misses. Jobs absent from
+/// a round are dropped. A pure cache: a fresh scheduler makes the same
+/// decisions. A refresh edits the entries in place: a round that gains or
+/// loses one job compares the others by pointer and moves none of them.
 pub(crate) struct JobCache<E> {
     key: Option<(u64, u32)>,
     pub(crate) entries: Vec<Cached<E>>,
-    /// The other buffer, empty between refreshes.
-    spare: Vec<Cached<E>>,
 }
 
 impl<E> Default for JobCache<E> {
@@ -86,7 +84,6 @@ impl<E> Default for JobCache<E> {
         JobCache {
             key: None,
             entries: Vec::new(),
-            spare: Vec::new(),
         }
     }
 }
@@ -96,6 +93,11 @@ impl<E: CacheEntry> JobCache<E> {
     /// `entries[pos]` is `jobs[pos]`'s. A job without a hit gets
     /// `resolve(job)`. Debug builds re-resolve every hit and assert it
     /// is the [same](CacheEntry::same).
+    ///
+    /// `entries[..pos]` is aligned with `jobs[..pos]` and `entries[pos..]`
+    /// holds the older entries not yet reached, in order. Each job drops
+    /// the run of those below its id, then keeps, replaces or inserts its
+    /// own entry at `pos`.
     pub(crate) fn refresh(
         &mut self,
         registry: &ModelRegistry,
@@ -108,37 +110,54 @@ impl<E: CacheEntry> JobCache<E> {
             self.key = key;
             self.entries.clear();
         }
-        let mut fresh = std::mem::take(&mut self.spare);
-        let mut old = self.entries.drain(..).peekable();
-        for job in jobs {
+        let entries = &mut self.entries;
+        for (pos, job) in jobs.iter().enumerate() {
             let baseline = job.baseline_throughput.map(f64::to_bits);
-            while old.next_if(|e| e.id() < job.id()).is_some() {}
-            fresh.push(match old.next_if(|e| e.id() == job.id()) {
-                Some(cached)
-                    if Arc::ptr_eq(&cached.spec, &job.spec) && cached.baseline == baseline =>
-                {
-                    debug_assert!(
-                        cached.same(&resolve(job)),
-                        "stale {} cache entry for job {}",
-                        E::POLICY,
-                        job.id()
-                    );
-                    cached
-                }
-                _ => {
-                    #[cfg(test)]
-                    testing::RESOLVED.with(|n| n.set(n.get() + 1));
-                    Cached {
-                        spec: Arc::clone(&job.spec),
-                        baseline,
-                        entry: resolve(job),
-                    }
-                }
-            });
+            // The same spec `Arc` means the same id, so the usual hit
+            // never reads either spec.
+            let same_spec = |e: &Cached<E>| Arc::ptr_eq(&e.spec, &job.spec);
+            if !entries.get(pos).is_some_and(same_spec) {
+                let gone = entries[pos..]
+                    .iter()
+                    .take_while(|e| e.id() < job.id())
+                    .count();
+                entries.drain(pos..pos + gone);
+            }
+            if entries
+                .get(pos)
+                .is_some_and(|e| same_spec(e) && e.baseline == baseline)
+            {
+                debug_assert!(
+                    entries[pos].same(&resolve(job)),
+                    "stale {} cache entry for job {}",
+                    E::POLICY,
+                    job.id()
+                );
+                continue;
+            }
+            #[cfg(test)]
+            testing::RESOLVED.with(|n| n.set(n.get() + 1));
+            let fresh = Cached {
+                spec: Arc::clone(&job.spec),
+                baseline,
+                entry: resolve(job),
+            };
+            match entries.get_mut(pos) {
+                Some(cached) if cached.id() == job.id() => *cached = fresh,
+                _ => entries.insert(pos, fresh),
+            }
         }
-        drop(old);
-        self.spare = std::mem::replace(&mut self.entries, fresh);
-        &self.entries
+        entries.truncate(jobs.len());
+        debug_assert!(
+            entries.len() == jobs.len()
+                && entries
+                    .iter()
+                    .zip(jobs)
+                    .all(|(e, job)| Arc::ptr_eq(&e.spec, &job.spec)),
+            "{} cache entries out of line with the jobs",
+            E::POLICY
+        );
+        entries
     }
 }
 
@@ -345,8 +364,9 @@ pub(crate) mod testing {
 
 #[cfg(test)]
 mod tests {
-    use super::testing::{job, snapshot};
+    use super::testing::{self, job, snapshot};
     use super::*;
+    use proptest::prelude::*;
     use rubick_sim::job::JobStatus;
 
     /// A test entry: the serial number of the resolution that made it.
@@ -410,12 +430,130 @@ mod tests {
         assert_eq!(renewed[1], back[1]);
         assert!(renewed[0].1 > back[1].1 && renewed[2].1 > back[1].1);
         // An unsorted slice still aligns each entry with its job and costs
-        // only misses: the merge keeps job 3, then misses 2 and 1.
+        // only misses: the refresh keeps job 3, then misses 2 and 1.
         jobs.swap(0, 2);
         let unsorted = refresh(&jobs, 16);
         assert_eq!(unsorted[0], renewed[2]);
         assert_eq!([unsorted[1].0, unsorted[2].0], [2, 1]);
         assert!(unsorted[1].1 > renewed[2].1 && unsorted[2].1 > renewed[2].1);
+    }
+
+    /// A test entry naming the inputs it was resolved from, so `same`
+    /// tells a stale entry from a fresh one.
+    #[derive(Debug, PartialEq)]
+    struct Inputs {
+        spec: *const JobSpec,
+        baseline: Option<u64>,
+        key: (u64, u32),
+    }
+
+    impl CacheEntry for Inputs {
+        const POLICY: &'static str = "test";
+
+        fn same(&self, fresh: &Self) -> bool {
+            self == fresh
+        }
+    }
+
+    /// The misses of a reference merge that walks `last` (the previous
+    /// slice, empty after a key change) and `jobs` in order, dropping the
+    /// old entries below each job's id.
+    fn merge_misses(last: &[JobSnapshot], jobs: &[JobSnapshot]) -> u64 {
+        let mut old = last.iter().peekable();
+        let mut misses = 0;
+        for job in jobs {
+            while old.next_if(|e| e.id() < job.id()).is_some() {}
+            let hit = old.next_if(|e| e.id() == job.id()).is_some_and(|e| {
+                Arc::ptr_eq(&e.spec, &job.spec) && e.baseline_throughput == job.baseline_throughput
+            });
+            misses += u64::from(!hit);
+        }
+        misses
+    }
+
+    proptest! {
+        /// Random rounds of arrivals (below and above the live ids), runs
+        /// of departures, re-submitted specs, new baselines, key changes
+        /// and unsorted slices: after each, every entry is its job's, as
+        /// a cold cache would resolve it, and exactly the misses resolved.
+        #[test]
+        fn in_place_refresh_equals_a_cold_cache(rounds in prop::collection::vec(
+            prop::collection::vec((0u32..8, 0u64..48), 0..8),
+            1..24,
+        )) {
+            let registry = ModelRegistry::new(ClusterEnv::a800(), NodeShape::a800());
+            let snap = |id| {
+                let spec = job(id, ModelSpec::roberta_large(), 1, ExecutionPlan::dp(1), 100);
+                snapshot(spec, JobStatus::Queued)
+            };
+            let (mut cache, mut gpus) = (JobCache::default(), 8);
+            let mut live: Vec<JobSnapshot> = (10..20).map(snap).collect();
+            let mut last: Vec<JobSnapshot> = Vec::new();
+            for ops in rounds {
+                let mut unsorted = false;
+                for (op, x) in ops {
+                    let at = x as usize % live.len().max(1);
+                    match op {
+                        // An arrival: any free id, or one above them all.
+                        0 | 1 => {
+                            let top = live.last().map_or(0, |j| j.id() + 1);
+                            let id = if op == 0 { x } else { top + x % 3 };
+                            if let Err(i) = live.binary_search_by_key(&id, JobSnapshot::id) {
+                                live.insert(i, snap(id));
+                            }
+                        }
+                        // A run of up to three adjacent departures.
+                        2 => {
+                            let end = (at + 1 + x as usize % 3).min(live.len());
+                            live.drain(at..end);
+                        }
+                        3 if !live.is_empty() => {
+                            live[at].spec = Arc::new(JobSpec::clone(&live[at].spec));
+                        }
+                        4 if !live.is_empty() => {
+                            live[at].baseline_throughput = (x % 2 == 0).then_some(x as f64);
+                        }
+                        5 => registry.insert(ThroughputModel::new(
+                            ModelSpec::roberta_large(),
+                            PerfParams::default(),
+                            ClusterEnv::a800(),
+                            NodeShape::a800(),
+                        )),
+                        6 => gpus = 8 * (1 + x as u32 % 3),
+                        7 => unsorted = true,
+                        _ => {}
+                    }
+                }
+                let mut jobs = live.clone();
+                if unsorted {
+                    jobs.reverse();
+                }
+                let key = (registry.version(), gpus);
+                if cache.key != Some(key) {
+                    last.clear();
+                }
+                let resolve = |j: &JobSnapshot| Inputs {
+                    spec: Arc::as_ptr(&j.spec),
+                    baseline: j.baseline_throughput.map(f64::to_bits),
+                    key,
+                };
+                let before = testing::RESOLVED.with(|n| n.get());
+                let entries = cache.refresh(&registry, gpus, &jobs, resolve);
+                prop_assert_eq!(entries.len(), jobs.len());
+                for (e, j) in entries.iter().zip(&jobs) {
+                    prop_assert!(Arc::ptr_eq(&e.spec, &j.spec));
+                    prop_assert_eq!(&e.entry, &resolve(j));
+                }
+                let resolved = testing::RESOLVED.with(|n| n.get()) - before;
+                prop_assert_eq!(resolved, merge_misses(&last, &jobs));
+                // The same round again hits every job and moves nothing.
+                let capacity = cache.entries.capacity();
+                cache.refresh(&registry, gpus, &jobs, resolve);
+                prop_assert_eq!(testing::RESOLVED.with(|n| n.get()) - before, resolved);
+                prop_assert_eq!(cache.entries.capacity(), capacity);
+                last = jobs;
+            }
+        }
     }
 
     #[test]

@@ -17,7 +17,8 @@ impl<'a> Engine<'a> {
     pub(super) fn apply(&mut self, targets: Vec<Assignment>, sink: &mut dyn EventSink) {
         // slot[pos]: the index in `targets` of the first assignment naming
         // the job at `pos` (later duplicates and unknown ids are ignored).
-        let mut slot: Vec<Option<usize>> = vec![None; self.jobs.len()];
+        let mut slot = std::mem::take(&mut self.slot);
+        slot.resize(self.jobs.len(), None);
         for (t, a) in targets.iter().enumerate() {
             if let Some(i) = self.pos(a.job) {
                 if slot[i].is_none() {
@@ -29,8 +30,9 @@ impl<'a> Engine<'a> {
         // Phase 1: release running jobs that are changed or preempted, and
         // flag (by target index) every job to configure. An empty
         // allocation counts as no assignment.
-        let mut configure: Vec<Option<usize>> = vec![None; targets.len()];
-        for (i, t) in slot.into_iter().enumerate() {
+        let mut configure = std::mem::take(&mut self.to_configure);
+        configure.resize(targets.len(), None);
+        for (i, t) in slot.drain(..).enumerate() {
             let target = t
                 .map(|t| (t, &targets[t]))
                 .filter(|(_, a)| !a.allocation.is_empty());
@@ -70,11 +72,12 @@ impl<'a> Engine<'a> {
         }
 
         // Phase 2: apply new configurations in the scheduler's order.
-        for (assignment, i) in targets.into_iter().zip(configure) {
+        for (assignment, i) in targets.into_iter().zip(configure.drain(..)) {
             if let Some(i) = i {
                 self.configure(i, assignment, sink);
             }
         }
+        (self.slot, self.to_configure) = (slot, configure);
     }
 
     /// Launches (or relaunches) the job at position `i` with `assignment`,

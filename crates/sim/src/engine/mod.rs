@@ -44,7 +44,7 @@ use crate::refit::RefitHook;
 use crate::report::{self, ReportSink};
 use crate::scheduler::{Assignment, JobDelta, JobSnapshot, Scheduler};
 use crate::tenant::Tenant;
-use event_queue::{EventKind, EventQueue};
+use event_queue::{Event, EventKind, EventQueue};
 use rubick_chaos::{FaultKind, FaultPlan};
 use rubick_model::{ExecutionPlan, Placement};
 use rubick_obs::{EventSink, NullSink, SimEvent};
@@ -123,11 +123,17 @@ pub struct Engine<'a> {
     rounds: u64,
     fold: ReportSink,
     chaos: Option<FaultPlan>,
-    /// Jobs whose snapshot-visible state mutated since the last scheduling
-    /// round (drained into a [`JobDelta`] at round start).
-    delta_changed: BTreeSet<JobId>,
-    /// Jobs that finished (left the snapshot set) since the last round.
-    delta_removed: BTreeSet<JobId>,
+    /// Jobs whose snapshot-visible state mutated (`changed`) or that left
+    /// the snapshot set (`removed`) since the last scheduling round. Ids
+    /// accumulate unsorted; a round sorts and dedups them, hands the delta
+    /// to the scheduler and clears it, keeping the buffers.
+    delta: JobDelta,
+    /// `apply`'s per-position and per-target index buffers, empty between
+    /// rounds.
+    slot: Vec<Option<usize>>,
+    to_configure: Vec<Option<usize>>,
+    /// `step`'s same-instant event batch, empty between steps.
+    batch: Vec<Event>,
     /// Specs accepted by [`Engine::submit`] whose `Submit` event has not
     /// fired yet; drained as the clock reaches each submit time.
     pending: BTreeMap<JobId, JobSpec>,
@@ -200,8 +206,10 @@ impl<'a> Engine<'a> {
             rounds: 0,
             fold: ReportSink::new(),
             chaos: None,
-            delta_changed: BTreeSet::new(),
-            delta_removed: BTreeSet::new(),
+            delta: JobDelta::default(),
+            slot: Vec::new(),
+            to_configure: Vec::new(),
+            batch: Vec::new(),
             pending: BTreeMap::new(),
             stall_rounds: 0,
             chaos_armed: false,
@@ -215,13 +223,23 @@ impl<'a> Engine<'a> {
     /// field, the job's running allocation/plan, or its queued/running
     /// status must call this (or [`Engine::mark_removed`]).
     pub(crate) fn mark_changed(&mut self, id: JobId) {
-        self.delta_changed.insert(id);
+        self.delta.changed.push(id);
     }
 
-    /// Records that `id` finished and left the snapshot set.
+    /// Records that `id` finished and left the snapshot set. A change
+    /// recorded before this is dropped; one recorded after it (the id is
+    /// re-submitted) stands.
     fn mark_removed(&mut self, id: JobId) {
-        self.delta_changed.remove(&id);
-        self.delta_removed.insert(id);
+        self.delta.changed.retain(|&c| c != id);
+        self.delta.removed.push(id);
+    }
+
+    /// Puts the pending delta's id lists in increasing order, each id once.
+    fn seal_delta(&mut self) {
+        for ids in [&mut self.delta.changed, &mut self.delta.removed] {
+            ids.sort_unstable();
+            ids.dedup();
+        }
     }
 
     /// Attaches an online refit hook: every oracle measurement taken while
@@ -316,17 +334,12 @@ impl<'a> Engine<'a> {
             },
         );
         // Hand the scheduler exactly the jobs that mutated since it last
-        // ran. Drained (not cleared) only when a round actually reaches the
-        // scheduler: skipped empty-snapshot ticks keep accumulating.
-        let delta = JobDelta {
-            changed: std::mem::take(&mut self.delta_changed)
-                .into_iter()
-                .collect(),
-            removed: std::mem::take(&mut self.delta_removed)
-                .into_iter()
-                .collect(),
-        };
-        self.scheduler.notify_jobs(&delta);
+        // ran. Cleared only when a round actually reaches the scheduler:
+        // skipped empty-snapshot ticks keep accumulating.
+        self.seal_delta();
+        self.scheduler.notify_jobs(&self.delta);
+        self.delta.changed.clear();
+        self.delta.removed.clear();
         let started = Instant::now();
         let targets = self
             .scheduler
@@ -533,11 +546,12 @@ impl<'a> Engine<'a> {
         self.advance(head.time);
         self.now = head.time;
         let mut need_round = false;
-        let mut batch = vec![head];
+        let mut batch = std::mem::take(&mut self.batch);
+        batch.push(head);
         while let Some(next) = self.queue.pop_at_or_before(self.now) {
             batch.push(next);
         }
-        for ev in batch {
+        for ev in batch.drain(..) {
             match ev.kind {
                 EventKind::Submit(id) => {
                     // A cancel that raced ahead of the submit removes the
@@ -648,6 +662,7 @@ impl<'a> Engine<'a> {
                 }
             }
         }
+        self.batch = batch;
         if need_round {
             self.round(sink);
         }
@@ -733,6 +748,7 @@ mod tests {
     use crate::cluster::Allocation;
     use crate::job::JobClass;
     use crate::tenant::TenantId;
+    use proptest::prelude::*;
     use rubick_model::{ExecutionPlan, ModelSpec, Resources};
 
     /// A minimal FIFO gang scheduler: runs each queued job with its
@@ -1052,6 +1068,40 @@ mod tests {
         assert!(sink.events[finished_events..]
             .iter()
             .all(|ev| !matches!(ev, SimEvent::JobCancelled { .. })));
+    }
+
+    proptest! {
+        /// The delta a round hands over equals the fold of its marks into
+        /// two sets, where a removal drops the id's earlier changes.
+        #[test]
+        fn sealed_delta_equals_the_set_fold(rounds in prop::collection::vec(
+            prop::collection::vec((prop::bool::ANY, 0u64..6), 0..16),
+            1..5,
+        )) {
+            let oracle = TestbedOracle::new(1);
+            let mut e = engine(&oracle);
+            for marks in rounds {
+                let (mut changed, mut removed) = (BTreeSet::new(), BTreeSet::new());
+                for (remove, id) in marks {
+                    if remove {
+                        e.mark_removed(id);
+                        changed.remove(&id);
+                        removed.insert(id);
+                    } else {
+                        e.mark_changed(id);
+                        changed.insert(id);
+                    }
+                }
+                e.seal_delta();
+                let want = JobDelta {
+                    changed: changed.into_iter().collect(),
+                    removed: removed.into_iter().collect(),
+                };
+                prop_assert_eq!(&e.delta, &want);
+                e.delta.changed.clear();
+                e.delta.removed.clear();
+            }
+        }
     }
 
     #[test]
