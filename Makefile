@@ -26,7 +26,10 @@
 #                      hit and checks after every refresh that each
 #                      cache entry's id and spec Arc match its job's
 #                      slice position, and every Rubick run also recomputes each
-#                      skip-certificate hit (the mt --refit and --chaos
+#                      skip-certificate hit and each best-plan memo hit
+#                      and miss, including CPU steps a layout's CPU-free
+#                      verdict answers, whose offload plans must stay at
+#                      or below the verdict's ceiling (the mt --refit and --chaos
 #                      runs cover cache clears on a refit and on node
 #                      loss); then Sia on base, on mt --refit and on mt
 #                      with node failures, whose debug build rebuilds
@@ -195,7 +198,9 @@ refit-smoke:
 # Every best-plan memo hit, answered through the job's cached memo row, is
 # recomputed by the scan and compared bit for bit on every Rubick run, and
 # so is every miss, including the split misses that re-score only the
-# offload plans after a CPU step. The --refit run resets the memo rows of
+# offload plans after a CPU step and the CPU steps a layout's CPU-free
+# verdict answers without scoring, whose offload plans must also score
+# at or below the ceiling the verdict stored. The --refit run resets the memo rows of
 # each refitted model while the other models' rows stay. The --refit run does the same for the fit kernel: every Jacobian entry
 # is re-evaluated in full and every early-rejected damping candidate is
 # costed in full, over thousands of live refit windows. Every damping
@@ -236,7 +241,7 @@ skip-smoke:
 	@echo "skip-smoke: every skipped search matches its walk on base, mt and bp;"
 	@echo "skip-smoke: every skip-certificate hit is recomputed and matches its chain on every Rubick run;"
 	@echo "skip-smoke: every best-plan memo hit through a job's row matches its scan on every Rubick run;"
-	@echo "skip-smoke: every best-plan memo miss, split or full, matches its full scan on every Rubick run;"
+	@echo "skip-smoke: every best-plan memo miss, split, full or CPU-free, matches its full scan on every Rubick run;"
 	@echo "skip-smoke: every read-set Jacobian entry and early reject matches on mt --refit;"
 	@echo "skip-smoke: every fit's damping candidates stay in the box and its held parameters keep their bits, in every run's profile fits and on mt --refit;"
 	@echo "skip-smoke: every negligible-overlap shortcut matches the full f_overlap formula on every run;"

@@ -112,11 +112,13 @@ fn bench_best_plan(c: &mut Criterion) {
             b.iter(|| black_box(memo.best_plan_at(row, &model, &warm, batch, &placement)))
         });
         // A class that differs from a stored one only in `cpus`, as
-        // Rubick's `reclaim_cpus` asks one 4-CPU step at a time: the miss
-        // re-scores only the ZeRO-Offload plans. Each timed call gets a
-        // fresh memo whose row already holds the sibling class; seeding
-        // it and dropping it are not timed. llama-30b/16 holds no offload
-        // plan, so its class ignores `cpus` and a CPU step is a hit.
+        // Rubick's `reclaim_cpus` asks one 4-CPU step at a time: the
+        // layout's first CPU step judges it once, scoring the ZeRO-Offload
+        // plans at unbounded CPUs, and then either answers from the
+        // verdict or re-scores only the offload plans. Each timed call
+        // gets a fresh memo whose row already holds the sibling class;
+        // seeding it and dropping it are not timed. llama-30b/16 holds no
+        // offload plan, so its class ignores `cpus` and a CPU step is a hit.
         let plans = warm.plans(&model.spec, gpus, batch, &model.shape, &model.env);
         if !plans.iter().any(|p| p.memory == MemoryMode::ZeroOffload) {
             continue;
@@ -143,6 +145,19 @@ fn bench_best_plan(c: &mut Criterion) {
                     BatchSize::SmallInput,
                 )
             },
+        );
+        // A CPU step on a layout already judged CPU-free, as most of
+        // `reclaim_cpus`'s steps are: nothing is scored and no class is
+        // stored, so one memo serves every timed call.
+        let mut judged = BestPlanMemo::new();
+        let row = judged.row(&model, batch);
+        judged.best_plan_at(row, &model, &warm, batch, &sibling);
+        judged.best_plan_at(row, &model, &warm, batch, &placement);
+        assert_eq!(judged.len(), 1, "{tag}: the layout is not CPU-free");
+        group.bench_with_input(
+            BenchmarkId::new("memo_cpu_step_judged", &tag),
+            &gpus,
+            |b, _| b.iter(|| black_box(judged.best_plan_at(row, &model, &warm, batch, &placement))),
         );
     }
     group.finish();

@@ -675,8 +675,8 @@ fn same_fit(a: &ThroughputModel, b: &ThroughputModel) -> bool {
 
 /// Entry cap of a [`BestPlanMemo`]: reaching it empties and frees every
 /// table but keeps the rows. One paper-scale Rubick simulation (406 jobs,
-/// 64 GPUs) stores about 1.7k. The cap does not bound the rows: a row
-/// (its fit and an empty table list) and its index slot stay for every
+/// 64 GPUs) stores about 500. The cap does not bound the rows: a row (its
+/// fit and an empty table list) and its index slot stay for every
 /// distinct `(model, batch)` the memo has seen.
 const MEMO_MAX_ENTRIES: usize = 1 << 16;
 
@@ -685,9 +685,13 @@ const MEMO_MAX_ENTRIES: usize = 1 << 16;
 /// same best plan with the same throughput bits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct PlacementClass {
-    /// `min_gpus_on_node().max(1)` when the placement spans nodes, else 0:
-    /// [`CommTopology::derive`] reads nothing else of the GPU layout.
-    min_per_node: u32,
+    /// 0 when the placement sits on one node. When it spans nodes, 1 +
+    /// the number of the set's distinct TP degrees that fit on its
+    /// smallest node (`≤ min_gpus_on_node().max(1)`).
+    /// [`CommTopology::derive`] reads nothing else of the GPU layout, and
+    /// two spanning placements of one rank give every plan of the set the
+    /// same answer to whether its TP degree fits.
+    tp_rank: u32,
     /// `cpus` when the plan set holds a ZeRO-Offload plan (the only
     /// optimizer term that reads it), else 0.
     cpus: u32,
@@ -700,11 +704,11 @@ struct PlacementClass {
 }
 
 impl PlacementClass {
-    /// Whether the two classes differ at most in `cpus`, so every plan
-    /// that ignores `cpus` scores alike on both and the host recheck
-    /// drops the same plans.
+    /// Whether the two classes share a layout — they differ at most in
+    /// `cpus` — so every plan that ignores `cpus` scores alike on both and
+    /// the host recheck drops the same plans.
     fn same_but_cpus(&self, other: &PlacementClass) -> bool {
-        (self.min_per_node, self.host_short) == (other.min_per_node, other.host_short)
+        (self.tp_rank, self.host_short) == (other.tp_rank, other.host_short)
     }
 }
 
@@ -717,6 +721,13 @@ type Best = (u32, f64);
 
 /// The [`Best`] of an empty scan.
 const NO_BEST: Best = (NO_PLAN, 0.0);
+
+/// How far below a layout's best non-offload throughput its offload
+/// ceiling must lie, relative to that throughput, for the layout to be
+/// judged CPU-free. Rounding moves a score by about `1e-16` of itself;
+/// the margin keeps a verdict exact when the ceiling is a rounding step
+/// below a score at some finite CPU count.
+const CPU_FREE_MARGIN: f64 = 1e-9;
 
 /// Folds plan `i` scoring `tput` into `best` the way a strict-`>` scan in
 /// plan order does: the first plan scored is kept until a later one
@@ -746,6 +757,22 @@ fn merge_best(a: Best, b: Best) -> Best {
     }
 }
 
+/// What a layout's first CPU-count miss found out about its offload plans.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Verdict {
+    /// The layout has had no CPU-count miss yet.
+    Unjudged,
+    /// No offload plan beats the layout's non-offload best at any CPU
+    /// count, so that best answers every count. Scored at `u32::MAX`
+    /// CPUs, an upper bound of every count, the offload plans reach at
+    /// most `ceiling` (0 when the host recheck drops them all), which lies
+    /// below the non-offload best by more than [`CPU_FREE_MARGIN`].
+    CpuFree { ceiling: f64 },
+    /// Offload may win at some count, a score was NaN, or no non-offload
+    /// plan fits: every CPU count takes a split miss.
+    Split,
+}
+
 /// One placement class of a [`ClassTable`] and its answers.
 #[derive(Debug, Clone, Copy)]
 struct ClassEntry {
@@ -756,6 +783,10 @@ struct ClassEntry {
     /// [`ClassTable::offload`]). A class that differs only in `cpus`
     /// shares it.
     fixed: Best,
+    /// The layout's verdict. Only the layout's first entry, the one a
+    /// full scan stored, holds it; later entries of the layout keep
+    /// [`Verdict::Unjudged`].
+    verdict: Verdict,
 }
 
 /// One `(model, batch, gpus)` point of a [`BestPlanMemo`]: the cached plan
@@ -767,6 +798,12 @@ struct ClassTable {
     /// The indices of the ZeRO-Offload plans in `plans`, ascending: the
     /// only plans whose score reads `cpus`.
     offload: Box<[u32]>,
+    /// The distinct TP degrees of `plans`, ascending.
+    tp_degrees: Box<[u32]>,
+    /// The largest of `tp_degrees` (0 when there are none): a spanning
+    /// placement whose smallest node holds this many GPUs fits them all,
+    /// which `class_of` decides without reading `tp_degrees`.
+    tp_widest: u32,
     packed_host_mem_gb: f64,
     /// The distinct host-memory demands of `plans`, ascending. A NaN
     /// demand never exceeds a placement's host memory, so it is left out.
@@ -786,10 +823,15 @@ impl ClassTable {
             .collect();
         host_demands.sort_by(f64::total_cmp);
         host_demands.dedup();
+        let mut tp_degrees: Vec<u32> = plans.iter().map(|p| p.parallel.tp).collect();
+        tp_degrees.sort_unstable();
+        tp_degrees.dedup();
         ClassTable {
             offload: (0..plans.len() as u32)
                 .filter(|&i| plans[i as usize].memory == MemoryMode::ZeroOffload)
                 .collect(),
+            tp_widest: tp_degrees.last().copied().unwrap_or(0),
+            tp_degrees: tp_degrees.into(),
             packed_host_mem_gb: model.shape.packed_host_mem_gb(gpus),
             host_demands: host_demands.into(),
             classes: Vec::new(),
@@ -810,8 +852,14 @@ impl ClassTable {
 
     fn class_of(&self, placement: &Placement) -> PlacementClass {
         PlacementClass {
-            min_per_node: if placement.spans_nodes() {
-                placement.min_gpus_on_node().max(1)
+            tp_rank: if placement.spans_nodes() {
+                let min = placement.min_gpus_on_node().max(1);
+                let fitting = if min >= self.tp_widest {
+                    self.tp_degrees.len()
+                } else {
+                    self.tp_degrees.partition_point(|&tp| tp <= min)
+                };
+                1 + fitting as u32
             } else {
                 0
             },
@@ -833,11 +881,22 @@ impl ClassTable {
     }
 
     /// Answers `placement`, whose class this table has not stored, and
-    /// stores the class. A class that differs from a stored one only in
-    /// `cpus` takes the split path ([`split_miss`](ClassTable::split_miss));
-    /// any other miss scans the whole set once for both bests.
-    fn miss(&mut self, model: &ThroughputModel, global_batch: u32, placement: &Placement) -> Best {
+    /// says whether it stored the class. A class whose layout was judged
+    /// CPU-free ([`cpu_free_best`](ClassTable::cpu_free_best)) is answered
+    /// without scoring and not stored. Another class that differs from a
+    /// stored one only in `cpus` takes the split path
+    /// ([`split_miss`](ClassTable::split_miss)); any other miss scans the
+    /// whole set once for both bests.
+    fn miss(
+        &mut self,
+        model: &ThroughputModel,
+        global_batch: u32,
+        placement: &Placement,
+    ) -> (Best, bool) {
         let class = self.class_of(placement);
+        if let Some(fixed) = self.cpu_free_best(model, class, global_batch, placement) {
+            return (fixed, false);
+        }
         let entry = self
             .split_miss(model, class, global_batch, placement)
             .unwrap_or_else(|| {
@@ -855,10 +914,52 @@ impl ClassTable {
                         }
                     },
                 );
-                ClassEntry { class, best, fixed }
+                ClassEntry {
+                    class,
+                    best,
+                    fixed,
+                    verdict: Verdict::Unjudged,
+                }
             });
         self.classes.push(entry);
-        entry.best
+        (entry.best, true)
+    }
+
+    /// The answer to a CPU-count miss on a layout judged CPU-free: the
+    /// layout's stored non-offload best, which every CPU count shares.
+    /// The layout's first CPU-count miss judges it, scoring the offload
+    /// plans once at `u32::MAX` CPUs. `None` when no class of the layout
+    /// is stored or the layout is not CPU-free.
+    fn cpu_free_best(
+        &mut self,
+        model: &ThroughputModel,
+        class: PlacementClass,
+        global_batch: u32,
+        placement: &Placement,
+    ) -> Option<Best> {
+        let ClassTable {
+            plans,
+            offload,
+            classes,
+            ..
+        } = self;
+        let first = classes.iter_mut().find(|e| e.class.same_but_cpus(&class))?;
+        if first.verdict == Verdict::Unjudged {
+            first.verdict = judge(model, plans, offload, first.fixed, global_batch, placement);
+        }
+        let Verdict::CpuFree { ceiling } = first.verdict else {
+            return None;
+        };
+        if cfg!(debug_assertions) {
+            let offload = offload.iter().copied();
+            model.score_plans(plans, offload, global_batch, placement, |i, _, tput| {
+                assert!(
+                    tput <= ceiling,
+                    "offload plan {i} scores {tput} at {placement}, above its CPU-free ceiling {ceiling}"
+                );
+            });
+        }
+        Some(first.fixed)
     }
 
     /// The miss of a class that differs from a stored one only in `cpus`:
@@ -897,8 +998,50 @@ impl ClassTable {
             class,
             best: merge_best(fixed, offload),
             fixed,
+            verdict: Verdict::Unjudged,
         })
     }
+}
+
+/// Judges a layout whose non-offload best is `fixed`, on `placement` (any
+/// placement of the layout). Only an offload plan's `T_oo` reads `cpus`,
+/// through the optimizer time `k_opt_off·P/(d·c)`, which falls as `c`
+/// grows; `f_overlap` does not decrease in its operands, so a score at
+/// `u32::MAX` CPUs bounds the plan's score at every count. The layout is
+/// CPU-free when that ceiling lies below `fixed` by more than
+/// [`CPU_FREE_MARGIN`]: then `fixed` wins the strict scan at every count.
+/// A NaN score, a NaN `fixed` or no non-offload plan gives no verdict.
+fn judge(
+    model: &ThroughputModel,
+    plans: &[ExecutionPlan],
+    offload: &[u32],
+    fixed: Best,
+    global_batch: u32,
+    placement: &Placement,
+) -> Verdict {
+    if fixed.0 == NO_PLAN || fixed.1.is_nan() {
+        return Verdict::Split;
+    }
+    let unbounded = Placement {
+        cpus: u32::MAX,
+        ..placement.clone()
+    };
+    let (mut ceiling, mut nan) = (NO_BEST, false);
+    model.score_plans(
+        plans,
+        offload.iter().copied(),
+        global_batch,
+        &unbounded,
+        |i, _, tput| {
+            nan |= tput.is_nan();
+            keep_max(&mut ceiling, i, tput);
+        },
+    );
+    let below = ceiling.0 == NO_PLAN || ceiling.1 < fixed.1 - CPU_FREE_MARGIN * fixed.1.abs();
+    if nan || !below {
+        return Verdict::Split;
+    }
+    Verdict::CpuFree { ceiling: ceiling.1 }
 }
 
 /// A handle to one `(model, batch)` row of a [`BestPlanMemo`], resolved
@@ -935,13 +1078,16 @@ impl Row {
 /// A memo of [`ThroughputModel::best_plan_in`] keyed by placement class.
 ///
 /// The best plan on a placement is a pure function of `(model, batch,
-/// gpus)` plus a [`PlacementClass`]: whether and how thinly the GPUs span
-/// nodes, the CPU count when an offload plan is in the set, and, below the
-/// packed host-memory share, which plans' host demands the placement
-/// cannot meet. A scheduler asks for the same few classes over and over,
-/// so the memo answers repeats without re-scoring the plan set. A class
-/// that differs from a stored one only in `cpus` re-scores only the
-/// ZeRO-Offload plans, the only ones that read `cpus`.
+/// gpus)` plus a [`PlacementClass`]: whether the GPUs span nodes and, if
+/// so, which of the set's TP degrees fit on the smallest node, the CPU
+/// count when an offload plan is in the set, and, below the packed
+/// host-memory share, which plans' host demands the placement cannot
+/// meet. A scheduler asks for the same few classes over and over, so the
+/// memo answers repeats without re-scoring the plan set. A class that
+/// differs from a stored one only in `cpus` re-scores only the
+/// ZeRO-Offload plans, the only ones that read `cpus` — unless their
+/// scores at unbounded CPUs already lose to the rest, in which case every
+/// CPU count of that layout gets the stored best without scoring.
 ///
 /// The memo holds one row per `(model, batch)`, indexed by GPU count.
 /// [`row`](BestPlanMemo::row) resolves a row by model *name* — the one
@@ -1137,7 +1283,7 @@ impl BestPlanMemo {
             let plans = cache.plans(&model.spec, gpus, global_batch, &model.shape, &model.env);
             ClassTable::new(model, gpus, plans)
         });
-        let best = table.miss(model, global_batch, placement);
+        let (best, stored) = table.miss(model, global_batch, placement);
         #[cfg(debug_assertions)]
         {
             let scanned = model.scan_plans(&table.plans, global_batch, placement);
@@ -1148,7 +1294,7 @@ impl BestPlanMemo {
                 model.spec.name
             );
         }
-        self.entries += 1;
+        self.entries += usize::from(stored);
         table.plan_at(best)
     }
 }

@@ -147,9 +147,12 @@ impl CommTopology {
     /// * DP and PP cross nodes as soon as the job spans nodes.
     ///
     /// Of the placement this reads only `spans_nodes()` and, when it
-    /// spans, `min_gpus_on_node().max(1)` — never which nodes, nor the
-    /// other per-node counts. The best-plan memo
-    /// ([`BestPlanMemo`](crate::perf::BestPlanMemo)) relies on this.
+    /// spans, whether `t ≤ min_gpus_on_node().max(1)` — never which
+    /// nodes, the other per-node counts, nor the smallest node's count
+    /// beyond that comparison. The best-plan memo
+    /// ([`BestPlanMemo`](crate::perf::BestPlanMemo)) relies on this: it
+    /// keys a spanning placement by how many of its plan set's TP degrees
+    /// fit on the smallest node.
     pub fn derive(parallel: &Parallelism, placement: &Placement, env: &ClusterEnv) -> Self {
         if !placement.spans_nodes() {
             return CommTopology {

@@ -115,9 +115,14 @@ impl PlanSearch {
         global_batch: u32,
         max_gpus: u32,
     ) -> SensitivityCurve {
-        // One packed placement rewritten in place per amount.
+        // One packed placement rewritten in place per amount. A restricted
+        // mode has no plan where it has no candidate, so such an amount
+        // returns before the rewrite.
         let mut placement = Placement::packed(0, &model.shape);
         SensitivityCurve::from_fn(max_gpus, |g| {
+            if *self != PlanSearch::Full {
+                self.candidate(g, global_batch)?;
+            }
             placement.set_packed(g, &model.shape);
             self.best_plan(model, global_batch, &placement)
         })

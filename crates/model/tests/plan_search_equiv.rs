@@ -226,6 +226,58 @@ proptest! {
         }
         prop_assert!(memo.len() <= 6, "the re-layout and the repeat must hit");
     }
+
+    /// Spanning placements are keyed by how many of the plan set's TP
+    /// degrees fit on their smallest node, not by that node's GPU count.
+    /// For every pair of smallest nodes `m1 < m2` of two-node layouts of
+    /// one total, a fresh memo sees `[m1, g − m1]`, then `[g − m2, m2]`,
+    /// then the first again. When no TP degree of the set lies in
+    /// `(m1, m2]`, every plan sees the same bandwidths on both and the
+    /// pair stores one entry; when one does, it stores two. Every answer
+    /// equals the uncached scan and the naive checked loop bit for bit.
+    #[test]
+    fn spanning_layouts_share_an_entry_per_tp_fit_rank(
+        spec in any_model(),
+        gpus in 2u32..17,
+        k_opt in (0.01f64..1.0, 0.1f64..2.0),
+        cpus in 1u32..160,
+        host_frac in prop::sample::select(vec![0.5f64, 1.0]),
+        batch in prop::sample::select(vec![8u32, 16, 64]),
+    ) {
+        let mut model = model_for(spec);
+        (model.params.k_opt, model.params.k_opt_off) = k_opt;
+        let cache = PlanSetCache::new();
+        let plans = cache.plans(&model.spec, gpus, batch, &model.shape, &model.env);
+        let at = |gpus_per_node: Vec<u32>| Placement {
+            gpus_per_node,
+            cpus,
+            host_mem_gb: model.shape.packed_host_mem_gb(gpus) * host_frac,
+        };
+        let bits = |r: Option<(ExecutionPlan, f64)>| r.map(|(p, t)| (p, t.to_bits()));
+        for m1 in 1..=gpus / 2 {
+            for m2 in m1 + 1..=gpus / 2 {
+                let steps = [
+                    at(vec![m1, gpus - m1]),
+                    at(vec![gpus - m2, m2]),
+                    at(vec![m1, gpus - m1]),
+                ];
+                let mut memo = BestPlanMemo::new();
+                for p in &steps {
+                    let memoized = bits(memo.best_plan(&model, &cache, batch, p));
+                    let scanned = bits(model.best_plan_in(&cache, batch, p));
+                    let naive = bits(reference::best_plan_naive(&model, batch, p));
+                    prop_assert_eq!(memoized, scanned, "memo vs scan on {}", p);
+                    prop_assert_eq!(memoized, naive, "memo vs naive on {}", p);
+                }
+                let straddled = plans.iter().any(|p| m1 < p.parallel.tp && p.parallel.tp <= m2);
+                prop_assert_eq!(
+                    memo.len(),
+                    1 + usize::from(straddled),
+                    "smallest nodes {} and {} of {} GPUs", m1, m2, gpus
+                );
+            }
+        }
+    }
 }
 
 /// Memo rows keep models and batches apart: two models at two batches
@@ -458,26 +510,32 @@ fn a_placement_without_gpus_has_no_plan() {
 
 /// A memo miss whose class differs from a stored one only in `cpus`
 /// scores only the ZeRO-Offload plans and merges with the stored best of
-/// the rest. Walking `cpus` in Rubick's 4-CPU steps over packed and
-/// spread layouts, at host memory above and below the packed share, makes
-/// one full miss per layout and host and then split misses; each answer,
-/// and the hit that repeats it, equals the uncached scan bit for bit. Two sets of
-/// optimizer weights make offload lose at every CPU count in one and win
-/// from some count on in the other.
+/// the rest, unless the layout was judged CPU-free. Walking `cpus` in
+/// Rubick's 4-CPU steps over packed and spread layouts, at host memory
+/// above and below the packed share, makes one full miss per layout and
+/// host; each answer, and the hit that repeats it, equals the uncached
+/// scan bit for bit. Two sets of optimizer weights make offload lose at
+/// every CPU count in one and win from some count on in the other. Where
+/// offload loses, every layout with a plan is judged CPU-free on its
+/// first CPU step and stores no entry after its full miss; where no plan
+/// fits there is no verdict, and every step stores a split entry. Where
+/// offload wins, the layout keeps one entry per CPU step.
 #[test]
 fn split_misses_match_scan_over_cpu_steps() {
     let shape = NodeShape::a800();
     let env = ClusterEnv::a800();
     let cache = PlanSetCache::new();
     let bits = |r: Option<(ExecutionPlan, f64)>| r.map(|(p, t)| (p, t.to_bits()));
+    let steps = (1..=129).step_by(4).count();
     let (mut checked, mut offload_won) = (0, 0);
-    for k_opt in [None, Some((0.5, 5.0))] {
+    for (k_opt, total) in [(None, 140), (Some((0.5, 5.0)), 268)] {
         let mut model = model_for(ModelSpec::gpt2_xl());
         if let Some(k) = k_opt {
             (model.params.k_opt, model.params.k_opt_off) = k;
         }
-        // One memo for all layouts and hosts, so a split that reused a
-        // class of another layout or host would answer wrongly.
+        // One memo for all layouts and hosts, so a split or a verdict
+        // that reused a class of another layout or host would answer
+        // wrongly.
         let mut memo = BestPlanMemo::new();
         let row = memo.row(&model, 16);
         for layout in [vec![8u32], vec![4, 4], vec![16], vec![8, 8]] {
@@ -504,6 +562,8 @@ fn split_misses_match_scan_over_cpu_steps() {
                 bottom * 0.99,
             ];
             for host_mem_gb in hosts {
+                let before = memo.len();
+                let (mut fits, mut won) = (false, false);
                 for cpus in (1..=129).step_by(4) {
                     let at = Placement {
                         gpus_per_node: layout.clone(),
@@ -516,14 +576,23 @@ fn split_misses_match_scan_over_cpu_steps() {
                         assert_eq!(memoized, scanned, "{k_opt:?} at {at}");
                         checked += 1;
                     }
-                    offload_won += usize::from(
-                        scanned.is_some_and(|(p, _)| p.memory == MemoryMode::ZeroOffload),
-                    );
+                    fits |= scanned.is_some();
+                    won |= scanned.is_some_and(|(p, _)| p.memory == MemoryMode::ZeroOffload);
                 }
+                let stored = memo.len() - before;
+                let layout = format!("{k_opt:?} on {layout:?} at {host_mem_gb} GB");
+                if k_opt.is_none() {
+                    assert!(!won, "offload wins {layout}");
+                    let expected = if fits { 1 } else { steps };
+                    assert_eq!(stored, expected, "entries {layout}");
+                } else if won {
+                    assert_eq!(stored, steps, "entries {layout}");
+                }
+                offload_won += usize::from(won);
             }
         }
-        assert_eq!(memo.len(), 4 * 3 * 33, "one entry per class");
+        assert_eq!(memo.len(), total, "entries of {k_opt:?}");
     }
-    assert_eq!(checked, 2 * 4 * 3 * 33 * 2);
+    assert_eq!(checked, 2 * 4 * 3 * steps * 2);
     assert!(offload_won > 0, "offload never wins");
 }
