@@ -15,7 +15,9 @@
 #                      a frozen-model run
 #   make skip-smoke    run the 406-job base, mt and bp traces through a
 #                      debug build of the Rubick policy, which walks every
-#                      skipped plan search and checks every rollback, then
+#                      skipped plan search and checks every rollback, and
+#                      runs every visit the dirty tracker skips on a copy
+#                      and checks that it is a no-op, then
 #                      the mt trace with --refit, whose debug fits check
 #                      every read-set Jacobian entry and early reject, and
 #                      that every damping candidate stays in the parameter
@@ -239,6 +241,7 @@ skip-smoke:
 	target/debug/rubick run --scheduler rubick --trace mt --seed 7 --refit \
 		--chaos examples/chaos/smoke.txt --log-level error > /dev/null
 	@echo "skip-smoke: every skipped search matches its walk on base, mt and bp;"
+	@echo "skip-smoke: every visit the dirty tracker skips is a no-op on its copy, on every Rubick run;"
 	@echo "skip-smoke: every skip-certificate hit is recomputed and matches its chain on every Rubick run;"
 	@echo "skip-smoke: every best-plan memo hit through a job's row matches its scan on every Rubick run;"
 	@echo "skip-smoke: every best-plan memo miss, split, full or CPU-free, matches its full scan on every Rubick run;"

@@ -21,26 +21,6 @@ use rubick_sim::cluster::{Allocation, Cluster};
 use rubick_sim::job::{JobId, JobStatus};
 use rubick_sim::scheduler::{Assignment, JobSnapshot};
 
-/// How the current free ledger compares to a projection recorded at the
-/// end of an earlier round (see [`RoundContext::delta_vs`]).
-///
-/// Incremental schedulers use this as a cheap cluster-delta certificate:
-/// `Unchanged` means every node's free capacity is bit-identical to what
-/// the tracker predicted, `Grown` means capacity only appeared (a job
-/// finished or was evicted — safe for jobs that provably grab nothing),
-/// and `Shrunk` means capacity vanished somewhere (conservative: any mixed
-/// grow/shrink round reports `Shrunk`).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum LedgerDelta {
-    /// Every node's free capacity matches the projection exactly.
-    Unchanged,
-    /// Free capacity only increased; the listed nodes grew.
-    Grown(Vec<usize>),
-    /// Free capacity decreased on at least one of the listed nodes (other
-    /// nodes may simultaneously have grown).
-    Shrunk(Vec<usize>),
-}
-
 /// Per-round bookkeeping shared by all policies: the job snapshot, the
 /// per-node free-resource ledger, and the assignments committed so far.
 ///
@@ -89,43 +69,6 @@ impl<'a> RoundContext<'a> {
     /// with the assignments they end up committing.
     pub fn free_mut(&mut self) -> &mut [Resources] {
         &mut self.free
-    }
-
-    /// Compares the current free ledger against `projected`, a per-node
-    /// free vector recorded by an incremental tracker at the end of an
-    /// earlier round.
-    ///
-    /// The comparison is exact (`==` per node, bit-level for the float
-    /// field), so `Unchanged` certifies that re-running a search against
-    /// this ledger sees the same numbers as the round the projection was
-    /// taken in. A length mismatch (node count changed) is reported as
-    /// [`LedgerDelta::Shrunk`] over all nodes — maximally conservative.
-    pub fn delta_vs(&self, projected: &[Resources]) -> LedgerDelta {
-        if self.free.len() != projected.len() {
-            return LedgerDelta::Shrunk((0..self.free.len().max(projected.len())).collect());
-        }
-        let mut grown = Vec::new();
-        let mut shrunk = Vec::new();
-        for (node, (cur, proj)) in self.free.iter().zip(projected).enumerate() {
-            if cur == proj {
-                continue;
-            }
-            // Strict comparison on every dimension — `Resources::dominates`
-            // tolerates 1e-9 of missing memory, which is fine for packing
-            // but too loose for a skip certificate.
-            if cur.gpus >= proj.gpus && cur.cpus >= proj.cpus && cur.mem_gb >= proj.mem_gb {
-                grown.push(node);
-            } else {
-                shrunk.push(node);
-            }
-        }
-        if !shrunk.is_empty() {
-            LedgerDelta::Shrunk(shrunk)
-        } else if !grown.is_empty() {
-            LedgerDelta::Grown(grown)
-        } else {
-            LedgerDelta::Unchanged
-        }
     }
 
     /// Subtracts an allocation from the ledger.
@@ -399,27 +342,6 @@ mod tests {
         assert_eq!(pairs, [(0, 4), (1, 8)]);
         assert!(ctx.committed().is_empty());
         assert_eq!(ctx.free()[1].gpus, NodeShape::a800().capacity().gpus - 8);
-    }
-
-    #[test]
-    fn delta_vs_classifies_ledger_changes() {
-        let cluster = Cluster::new(2, NodeShape::a800());
-        let jobs = vec![running(1, 0, 4)];
-        let mut ctx = RoundContext::new(&cluster, &jobs);
-        ctx.charge_running(|_, _| {});
-        let projected = ctx.free().to_vec();
-        assert_eq!(ctx.delta_vs(&projected), LedgerDelta::Unchanged);
-        // Job 1 finished: its allocation came back — pure growth on node 0.
-        ctx.refund(&Allocation::on_node(0, Resources::new(4, 8, 50.0)));
-        assert_eq!(ctx.delta_vs(&projected), LedgerDelta::Grown(vec![0]));
-        // Something new landed on node 1: shrink wins over growth.
-        ctx.charge(&Allocation::on_node(1, Resources::new(1, 1, 1.0)));
-        assert_eq!(ctx.delta_vs(&projected), LedgerDelta::Shrunk(vec![1]));
-        // Node-count mismatch is maximally conservative.
-        assert_eq!(
-            ctx.delta_vs(&projected[..1]),
-            LedgerDelta::Shrunk(vec![0, 1])
-        );
     }
 
     #[test]

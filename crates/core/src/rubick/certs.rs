@@ -17,22 +17,6 @@ thread_local! {
     pub(super) static REACH_SKIPS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
-/// Whether `alloc` already satiates job `id`'s useful caps — the exact
-/// break condition at the top of [`grow_job`](super::grow::grow_job)'s
-/// per-node loop, using the *running*-job GPU cap (the job will be
-/// running next round, since it is being emitted). A satiated job's visit
-/// provably never reads the free ledger or any victim, which is what
-/// licenses the tracker's unconditional skip.
-pub(super) fn is_satiated(ctx: &Ctx<'_>, id: JobId, alloc: &Allocation) -> bool {
-    let total = alloc.total();
-    let cap_gpus = ctx.cap_gpus(id, true);
-    if cap_gpus == 0 {
-        return false;
-    }
-    let cap_cpus = ctx.cap_cpus(id, cap_gpus);
-    total.gpus >= cap_gpus && total.cpus >= cap_cpus.min(total.gpus * 2 + 1)
-}
-
 /// Whether the search of job `id` provably rolls back, so
 /// [`schedule_job`](super::grow::schedule_job) can skip the walk. Two
 /// cases qualify. A job below its GPU minimum that could not reach it

@@ -8,19 +8,19 @@
 //!
 //! * **dirty** — something about the job (or a running job, or the
 //!   cluster) changed; re-run the plan search exactly as before;
-//! * **satiated-clean** — the job already holds its useful resource cap
-//!   and nothing about *it* changed: its `ScheduleJob` visit provably
-//!   breaks out of `grow_job`'s per-node loop before reading the ledger or
-//!   any victim, and the accept/rollback tail is deterministic in
-//!   epoch-stable inputs — the visit is a no-op and is skipped
-//!   unconditionally;
-//! * **quiet-clean** — the job is unchanged but not satiated; its
-//!   previous visit was a no-op only in the context of the previous
-//!   round's state, so the skip is valid only while this round's state is
-//!   still bit-identical to that one: the previous round must have been
-//!   *quiet* (no lasting mutation), the ledger projection must match
-//!   exactly, no running job may be dirty, and nothing may have mutated
-//!   the state yet this round (no changed flag set in the table).
+//! * **clean** — the job is unchanged; its previous visit was a no-op in
+//!   the context of the previous round's state, so the skip is valid only
+//!   while this round's state is still bit-identical to that one: the
+//!   previous round must have been *quiet* (no lasting mutation), the
+//!   ledger must equal the projection, no running job may be dirty, and
+//!   nothing may have mutated the state yet this round (no changed flag
+//!   set in the table). Any of the first three failing demotes every
+//!   clean job; the last is checked per visit.
+//!
+//! There is no force flag: a node going down or up moves its schedulable
+//! capacity, which is part of the [`Epoch`], and a node that fails and
+//! recovers between two rounds evicts its jobs, which marks them changed
+//! and leaves the ledger off its projection.
 //!
 //! When every job is clean, the previous round was quiet and the ledger
 //! matches, the round takes a **fast path**: no per-job context is built,
@@ -44,8 +44,8 @@
 //!
 //! Classification state is flat: verdicts live in a `Vec` parallel to the
 //! jobs slice, history in sorted vecs probed by binary search, and job →
-//! position lookups go through a generation-stamped dense [`JobIndex`], so
-//! the per-job probes stay cache-friendly at 100k jobs.
+//! position lookups go through the round's [`JobIndex`], which the
+//! scheduler owns and lends to [`DirtyTracker::classify`].
 //!
 //! Fingerprints deliberately *exclude* monotone-decreasing inputs
 //! (`remaining_batches`, and through it a victim's remaining seconds, and
@@ -117,32 +117,15 @@ impl Fingerprint {
     }
 }
 
-/// A job's classification for this round.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Verdict {
-    /// Planning inputs changed; re-run the plan search.
-    Dirty,
-    /// Satiated clean: skipped unconditionally.
-    SkipAlways,
-    /// Non-satiated clean: skipped only while the round state is still
-    /// untouched (no changed flag set in the table).
-    QuietSkip,
-}
-
 /// How this round's jobs partition, as decided by
-/// [`DirtyTracker::classify`] (fingerprints + epoch) and then tightened by
-/// the caller (ledger check, which may demote the quiet-clean set or
-/// everything). Verdicts are stored positionally, parallel to the jobs
-/// slice; demotions are flags folded in by [`Classification::verdict`]
-/// instead of set moves.
+/// [`DirtyTracker::classify`]. Verdicts are stored positionally, parallel
+/// to the jobs slice; the demotion of every clean job is a flag folded in
+/// by [`Classification::clean`] instead of a set move.
 #[derive(Debug, Default)]
 pub(crate) struct Classification {
-    verdicts: Vec<Verdict>,
-    dirty_count: u64,
-    skip_always_count: u64,
-    quiet_skip_count: u64,
-    quiet_demoted: bool,
-    all_demoted: bool,
+    /// Whether the job at each slice position is clean, before demotion.
+    clean: Vec<bool>,
+    demoted: bool,
     /// Whether the stored epoch matched (skip certificates are usable).
     /// The policy consumes this indirectly through the verdicts (a
     /// mismatch marks everything dirty); tests pin it directly.
@@ -151,80 +134,41 @@ pub(crate) struct Classification {
     /// Fingerprint comparisons performed: O(changed + running) on the
     /// delta path, O(jobs) on the fallback, 0 on an epoch mismatch.
     pub(crate) classified: u64,
-    /// All clean + previous round quiet + no vanished jobs (before
-    /// demotions): with an unchanged ledger the round may fast-path.
+    /// All clean and no vanished jobs: undemoted, the round may
+    /// fast-path.
     fast_base: bool,
-    /// The job → position index built for this round; the policy takes it
-    /// for its own dense context maps and returns it to the tracker.
-    index: JobIndex,
 }
 
 impl Classification {
-    /// The effective verdict of the job at slice position `pos`, with
-    /// demotions applied.
-    pub(crate) fn verdict(&self, pos: usize) -> Verdict {
-        let v = self.verdicts[pos];
-        if self.all_demoted {
-            return Verdict::Dirty;
-        }
-        if self.quiet_demoted && v == Verdict::QuietSkip {
-            return Verdict::Dirty;
-        }
-        v
+    /// Whether the job at slice position `pos` is clean, demotion applied.
+    pub(crate) fn clean(&self, pos: usize) -> bool {
+        !self.demoted && self.clean[pos]
     }
 
-    /// The effective verdict of job `id`, if it is in this round. Only
-    /// valid before [`Classification::take_index`].
-    #[cfg(test)]
-    pub(crate) fn verdict_of(&self, id: JobId) -> Option<Verdict> {
-        self.index.get(id).map(|pos| self.verdict(pos))
-    }
-
-    /// Demotes every quiet-clean job to dirty (ledger grew, a running job
-    /// changed, or the previous round was not quiet).
-    pub(crate) fn demote_quiet(&mut self) {
-        self.quiet_demoted = true;
-    }
-
-    /// Demotes *everything* to dirty (ledger shrink).
-    pub(crate) fn demote_all(&mut self) {
-        self.all_demoted = true;
-    }
-
-    /// Whether the round may take the verbatim re-emit fast path (the
-    /// caller must additionally verify `LedgerDelta::Unchanged`).
+    /// Whether the round may take the verbatim re-emit fast path.
     pub(crate) fn fast_eligible(&self) -> bool {
-        self.fast_base && !self.quiet_demoted && !self.all_demoted
+        self.fast_base && !self.demoted
     }
 
-    /// Effective dirty-job count, demotions included.
+    /// Effective dirty-job count, demotion included.
     pub(crate) fn dirty_len(&self) -> u64 {
-        if self.all_demoted {
-            self.dirty_count + self.skip_always_count + self.quiet_skip_count
-        } else if self.quiet_demoted {
-            self.dirty_count + self.quiet_skip_count
+        if self.demoted {
+            self.clean.len() as u64
         } else {
-            self.dirty_count
+            self.clean.iter().filter(|&&c| !c).count() as u64
         }
     }
 
-    /// Effective clean-job count, demotions included.
+    /// Effective clean-job count, demotion included.
     pub(crate) fn clean_len(&self) -> u64 {
-        (self.verdicts.len() as u64).saturating_sub(self.dirty_len())
-    }
-
-    /// Moves the round's [`JobIndex`] out (the policy keys its dense
-    /// context vectors by it); hand it back to the tracker via
-    /// [`DirtyTracker::restore_index`] so the allocation is reused.
-    pub(crate) fn take_index(&mut self) -> JobIndex {
-        std::mem::take(&mut self.index)
+        self.clean.len() as u64 - self.dirty_len()
     }
 }
 
 /// End-of-round memory of the incremental planner: fingerprints, the
-/// emitted assignments, the satiated set, a bit-exact projection of the
-/// next round's post-`charge_running` free ledger, and the epoch they
-/// were all recorded under. History lives in `JobId`-sorted flat vecs —
+/// emitted assignments, a bit-exact projection of the next round's
+/// post-`charge_running` free ledger, and the epoch they were all
+/// recorded under. History lives in `JobId`-sorted flat vecs —
 /// binary-search probes, cache-friendly rebuilds.
 #[derive(Default)]
 pub(crate) struct DirtyTracker {
@@ -235,8 +179,6 @@ pub(crate) struct DirtyTracker {
     /// not match what we emitted (or a queued job we *did* emit for —
     /// a failed launch) is dirty.
     emitted: Vec<(JobId, (Allocation, ExecutionPlan))>,
-    /// Jobs whose emitted allocation already met their useful cap, sorted.
-    satiated: Vec<JobId>,
     /// Projected per-node free ledger for the next round, computed with
     /// the same `free[n] -= r` op sequence as `RoundContext::new` +
     /// `charge_running` so equality is bit-exact.
@@ -244,17 +186,11 @@ pub(crate) struct DirtyTracker {
     /// Whether the last round ended with no changed flag set.
     prev_round_quiet: bool,
     epoch: Option<Epoch>,
-    /// Set by [`Scheduler::notify`](rubick_sim::Scheduler::notify) on a
-    /// cluster delta; forces a full re-plan on the next round.
-    force_dirty: bool,
     /// Accumulated [`JobDelta`] from
     /// [`Scheduler::notify_jobs`](rubick_sim::Scheduler::notify_jobs);
     /// consumed by the next classify. `None` means no delta was supplied
     /// and classification falls back to the full fingerprint pass.
     pending_delta: Option<JobDelta>,
-    /// Index allocation reused across rounds (see
-    /// [`DirtyTracker::restore_index`]).
-    scratch_index: JobIndex,
     /// Statistics of the most recent round, surfaced through
     /// [`Scheduler::last_round_stats`](rubick_sim::Scheduler::last_round_stats).
     stats: Option<RoundStats>,
@@ -265,11 +201,6 @@ impl DirtyTracker {
     /// dirty.
     pub(crate) fn new() -> Self {
         DirtyTracker::default()
-    }
-
-    /// Marks the next round as force-dirty (cluster topology changed).
-    pub(crate) fn force_dirty(&mut self) {
-        self.force_dirty = true;
     }
 
     /// Accumulates an engine-supplied job delta for the next classify.
@@ -291,17 +222,6 @@ impl DirtyTracker {
         self.pending_delta = None;
     }
 
-    /// Moves the reusable index allocation out, for a round that does
-    /// not classify; hand it back via [`DirtyTracker::restore_index`].
-    pub(crate) fn take_index(&mut self) -> JobIndex {
-        std::mem::take(&mut self.scratch_index)
-    }
-
-    /// Returns the round index allocation for reuse by the next round.
-    pub(crate) fn restore_index(&mut self, index: JobIndex) {
-        self.scratch_index = index;
-    }
-
     /// Statistics of the most recent round, if one ran incrementally.
     pub(crate) fn stats(&self) -> Option<RoundStats> {
         self.stats
@@ -310,11 +230,6 @@ impl DirtyTracker {
     /// Stores this round's statistics.
     pub(crate) fn set_stats(&mut self, stats: RoundStats) {
         self.stats = Some(stats);
-    }
-
-    /// The recorded ledger projection (empty before the first round).
-    pub(crate) fn projected_free(&self) -> &[Resources] {
-        &self.projected_free
     }
 
     fn fingerprint_of(&self, id: JobId) -> Option<&Fingerprint> {
@@ -331,36 +246,29 @@ impl DirtyTracker {
             .map(|i| &self.emitted[i].1)
     }
 
-    fn satiated_contains(&self, id: JobId) -> bool {
-        self.satiated.binary_search(&id).is_ok()
-    }
-
-    /// Partitions `jobs` by comparing fingerprints and the epoch, using a
-    /// pending engine delta when one was supplied and the full
-    /// fingerprint pass otherwise. The caller must still
-    /// apply the ledger check (demoting the quiet set on growth,
-    /// everything on shrink) before trusting the skip sets.
+    /// Partitions `jobs`, whose positions `index` maps, by comparing
+    /// fingerprints and the epoch, using a pending engine delta when one
+    /// was supplied and the full fingerprint pass otherwise. Every clean
+    /// job is demoted when `free`, the round's post-`charge_running`
+    /// ledger, differs from the projection in length or in any node's `==`
+    /// (one ULP of memory counts): any growth gives a search something to
+    /// grab, and any shrink can starve one.
     ///
-    /// Consumes the force-dirty flag and the pending delta: a notified
-    /// cluster delta dirties exactly one round, and a job delta describes
-    /// exactly one inter-round window.
+    /// Consumes the pending delta: a job delta describes exactly one
+    /// inter-round window.
     pub(crate) fn classify(
         &mut self,
         jobs: &[JobSnapshot],
+        index: &JobIndex,
         epoch_now: &Epoch,
+        free: &[Resources],
         reconfig_threshold: f64,
     ) -> Classification {
-        let force = std::mem::take(&mut self.force_dirty);
         let delta = self.pending_delta.take();
-        let mut index = std::mem::take(&mut self.scratch_index);
-        index.rebuild(jobs);
-        let epoch_matched = !force && self.epoch.as_ref() == Some(epoch_now);
-        if !epoch_matched {
+        if self.epoch.as_ref() != Some(epoch_now) {
             // No certificate survives; re-plan everything from scratch.
             return Classification {
-                verdicts: vec![Verdict::Dirty; jobs.len()],
-                dirty_count: jobs.len() as u64,
-                index,
+                clean: vec![false; jobs.len()],
                 ..Classification::default()
             };
         }
@@ -369,15 +277,14 @@ impl DirtyTracker {
             .fingerprints
             .iter()
             .any(|&(id, _)| index.get(id).is_none());
-        let (verdicts, any_running_dirty, classified) = match &delta {
+        let (clean, any_running_dirty, classified) = match &delta {
             Some(d) => {
-                let out = self.classify_delta(jobs, &index, d, reconfig_threshold);
+                let out = self.classify_delta(jobs, index, d, reconfig_threshold);
                 #[cfg(debug_assertions)]
                 {
-                    let (ref_verdicts, ref_ard, _) =
-                        self.classify_fallback(jobs, reconfig_threshold);
+                    let (ref_clean, ref_ard, _) = self.classify_fallback(jobs, reconfig_threshold);
                     debug_assert_eq!(
-                        out.0, ref_verdicts,
+                        out.0, ref_clean,
                         "delta-driven verdicts diverge from the fingerprint pass \
                          (the engine under-reported a change)"
                     );
@@ -388,52 +295,28 @@ impl DirtyTracker {
             None => self.classify_fallback(jobs, reconfig_threshold),
         };
 
-        let mut counts = [0u64; 3];
-        for v in &verdicts {
-            counts[*v as usize] += 1;
-        }
-        let mut cls = Classification {
-            dirty_count: counts[Verdict::Dirty as usize],
-            skip_always_count: counts[Verdict::SkipAlways as usize],
-            quiet_skip_count: counts[Verdict::QuietSkip as usize],
-            verdicts,
+        let all_clean = clean.iter().all(|&c| c);
+        Classification {
+            clean,
+            // A dirty *running* job shifts victim economics (and possibly
+            // quota accounting) for every other search. Ditto when the
+            // previous round mutated state mid-pass or the ledger moved:
+            // the clean certificates were taken against a state this round
+            // does not reproduce.
+            demoted: any_running_dirty || !self.prev_round_quiet || free != self.projected_free,
             epoch_matched: true,
             classified,
-            fast_base: false,
-            index,
-            ..Classification::default()
-        };
-        cls.fast_base = cls.dirty_count == 0 && !vanished && self.prev_round_quiet;
-        // A dirty *running* job shifts victim economics (and possibly
-        // quota accounting) for every other search; only satiated jobs —
-        // which provably read neither — keep their skip. Ditto when the
-        // previous round mutated state mid-pass: the quiet certificates
-        // were taken against a state this round does not reproduce.
-        if any_running_dirty || !self.prev_round_quiet {
-            cls.demote_quiet();
+            fast_base: all_clean && !vanished,
         }
-        cls
     }
 
-    /// One job's verdict under the full fingerprint + emitted-consistency
-    /// check. Pure in (`self`, snapshot).
-    fn classify_one(&self, snap: &JobSnapshot, reconfig_threshold: f64) -> (Verdict, bool) {
-        let id = snap.id();
+    /// Whether a job is clean under the full fingerprint +
+    /// emitted-consistency check, and whether it is a dirty running job.
+    /// Pure in (`self`, snapshot).
+    fn classify_one(&self, snap: &JobSnapshot, reconfig_threshold: f64) -> (bool, bool) {
         let fp = Fingerprint::of(snap, reconfig_threshold);
-        let clean = self.fingerprint_of(id) == Some(&fp) && self.emitted_consistent(snap);
-        if clean {
-            (self.clean_verdict(id), false)
-        } else {
-            (Verdict::Dirty, snap.status.is_running())
-        }
-    }
-
-    fn clean_verdict(&self, id: JobId) -> Verdict {
-        if self.satiated_contains(id) {
-            Verdict::SkipAlways
-        } else {
-            Verdict::QuietSkip
-        }
+        let clean = self.fingerprint_of(snap.id()) == Some(&fp) && self.emitted_consistent(snap);
+        (clean, !clean && snap.status.is_running())
     }
 
     /// The full fingerprint pass over every job.
@@ -441,17 +324,17 @@ impl DirtyTracker {
         &self,
         jobs: &[JobSnapshot],
         reconfig_threshold: f64,
-    ) -> (Vec<Verdict>, bool, u64) {
+    ) -> (Vec<bool>, bool, u64) {
         let mut any_running_dirty = false;
-        let verdicts = jobs
+        let clean = jobs
             .iter()
             .map(|snap| {
-                let (verdict, running_dirty) = self.classify_one(snap, reconfig_threshold);
+                let (clean, running_dirty) = self.classify_one(snap, reconfig_threshold);
                 any_running_dirty |= running_dirty;
-                verdict
+                clean
             })
             .collect();
-        (verdicts, any_running_dirty, jobs.len() as u64)
+        (clean, any_running_dirty, jobs.len() as u64)
     }
 
     /// Delta-driven classification: trust every stored job outside the
@@ -466,8 +349,8 @@ impl DirtyTracker {
         index: &JobIndex,
         delta: &JobDelta,
         reconfig_threshold: f64,
-    ) -> (Vec<Verdict>, bool, u64) {
-        let mut verdicts = vec![Verdict::Dirty; jobs.len()];
+    ) -> (Vec<bool>, bool, u64) {
+        let mut clean = vec![false; jobs.len()];
         let mut any_running_dirty = false;
         let mut classified = 0u64;
         let mut changed = delta.changed.iter().copied().peekable();
@@ -482,29 +365,25 @@ impl DirtyTracker {
                 continue;
             };
             let snap = &jobs[pos];
-            verdicts[pos] = if in_delta {
+            clean[pos] = if in_delta {
                 classified += 1;
-                let (verdict, running_dirty) = self.classify_one(snap, reconfig_threshold);
+                let (ok, running_dirty) = self.classify_one(snap, reconfig_threshold);
                 any_running_dirty |= running_dirty;
-                verdict
+                ok
             } else if fp.running {
                 // Frozen-bit suspect: recompute only the gate.
                 classified += 1;
                 let frozen_now =
                     snap.status.is_running() && !snap.reconfig_allowed(reconfig_threshold);
-                if frozen_now != fp.frozen {
-                    any_running_dirty = true;
-                    Verdict::Dirty
-                } else {
-                    self.clean_verdict(id)
-                }
+                any_running_dirty |= frozen_now != fp.frozen;
+                frozen_now == fp.frozen
             } else {
                 // Queued, untouched by the engine: every fingerprint field
                 // of a queued job only moves through marked transitions.
-                self.clean_verdict(id)
+                true
             };
         }
-        (verdicts, any_running_dirty, classified)
+        (clean, any_running_dirty, classified)
     }
 
     /// Whether the engine state reflects what we handed it: a running job
@@ -526,7 +405,8 @@ impl DirtyTracker {
     /// Re-emits the previous round's assignments without planning: every
     /// running job's `(allocation, plan)` verbatim, in id order — exactly
     /// what `emit` produces in a quiet round. Valid only when the caller
-    /// verified fast-eligibility *and* `LedgerDelta::Unchanged`.
+    /// verified fast-eligibility *and* that the ledger equals the
+    /// projection.
     pub(crate) fn fast_path(&mut self, jobs: &[JobSnapshot], classified: u64) -> Vec<Assignment> {
         let mut ids: Vec<&JobSnapshot> = jobs.iter().collect();
         ids.sort_by_key(|s| s.id());
@@ -553,16 +433,15 @@ impl DirtyTracker {
             searched: 0,
             classified,
         });
-        // History (fingerprints, projection, satiated set, quietness) is
-        // untouched: the round changed nothing, so it stays valid.
+        // History (fingerprints, projection, quietness) is untouched: the
+        // round changed nothing, so it stays valid.
         out
     }
 
     /// Records the end-of-round memory: fingerprints of the snapshots the
-    /// round planned over, the emitted assignments, which of them are
-    /// satiated (per `satiated`, evaluated against epoch-stable context),
-    /// and the ledger projection replaying the epoch's `node_caps` minus every
-    /// emitted allocation in id order.
+    /// round planned over, the emitted assignments, and the ledger
+    /// projection replaying the epoch's `node_caps` minus every emitted
+    /// allocation in id order.
     pub(crate) fn record(
         &mut self,
         jobs: &[JobSnapshot],
@@ -570,7 +449,6 @@ impl DirtyTracker {
         epoch: Epoch,
         quiet: bool,
         reconfig_threshold: f64,
-        satiated: impl Fn(JobId, &Allocation) -> bool,
     ) {
         self.fingerprints.clear();
         self.fingerprints.extend(
@@ -593,13 +471,6 @@ impl DirtyTracker {
             }
         }
         self.emitted.sort_unstable_by_key(|&(id, _)| id);
-        self.satiated.clear();
-        self.satiated.extend(
-            out.iter()
-                .filter(|a| satiated(a.job, &a.allocation))
-                .map(|a| a.job),
-        );
-        self.satiated.sort_unstable();
         self.projected_free.clone_from(&epoch.node_caps);
         for a in out {
             for (node, res) in &a.allocation.per_node {
@@ -680,30 +551,52 @@ mod tests {
     }
 
     fn record_simple(t: &mut DirtyTracker, jobs: &[JobSnapshot], out: &[Assignment], quiet: bool) {
-        t.record(jobs, out, epoch(), quiet, 0.97, |_, _| false);
+        t.record(jobs, out, epoch(), quiet, 0.97);
+    }
+
+    /// Classifies `jobs` against `epoch` and the ledger `free`, returning
+    /// the classification and each job's effective verdict (clean or not)
+    /// in slice order.
+    fn classify_on(
+        t: &mut DirtyTracker,
+        jobs: &[JobSnapshot],
+        epoch: &Epoch,
+        free: &[Resources],
+    ) -> (Classification, Vec<bool>) {
+        let mut index = JobIndex::default();
+        index.rebuild(jobs);
+        let cls = t.classify(jobs, &index, epoch, free, 0.97);
+        let clean = (0..jobs.len()).map(|pos| cls.clean(pos)).collect();
+        (cls, clean)
+    }
+
+    /// [`classify_on`] with the standard epoch, against the ledger the
+    /// tracker projected.
+    fn classify(t: &mut DirtyTracker, jobs: &[JobSnapshot]) -> (Classification, Vec<bool>) {
+        let free = t.projected_free.clone();
+        classify_on(t, jobs, &epoch(), &free)
     }
 
     #[test]
     fn first_round_is_all_dirty_then_steady_state_is_clean() {
         let mut t = DirtyTracker::new();
         let jobs = vec![running(1), snap(2, JobStatus::Queued)];
-        let cls = t.classify(&jobs, &epoch(), 0.97);
+        let (cls, _) = classify(&mut t, &jobs);
         assert_eq!(cls.dirty_len(), 2);
         assert!(!cls.fast_eligible());
 
         let out = job1_as_running();
         record_simple(&mut t, &jobs, &out, true);
-        let cls = t.classify(&jobs, &epoch(), 0.97);
+        let (cls, clean) = classify(&mut t, &jobs);
         assert_eq!(cls.dirty_len(), 0);
-        assert_eq!(cls.verdict_of(1), Some(Verdict::QuietSkip));
-        assert_eq!(cls.verdict_of(2), Some(Verdict::QuietSkip));
+        assert_eq!(clean, [true, true]);
         assert!(cls.fast_eligible());
         // The fallback pass fingerprinted every job.
         assert_eq!(cls.classified, 2);
     }
 
     #[test]
-    fn dirty_running_job_demotes_quiet_set_but_not_satiated() {
+    fn dirty_running_job_demotes_every_clean_job() {
         let mut t = DirtyTracker::new();
         let jobs = vec![running(1), running(2), snap(3, JobStatus::Queued)];
         let out: Vec<Assignment> = jobs
@@ -716,48 +609,69 @@ mod tests {
                 })
             })
             .collect();
-        t.classify(&jobs, &epoch(), 0.97);
-        t.record(&jobs, &out, epoch(), true, 0.97, |id, _| id == 2);
+        record_simple(&mut t, &jobs, &out, true);
 
-        // Job 1's throughput moved: it and the queued job are dirty, the
-        // satiated job 2 keeps its unconditional skip.
+        // Job 1's throughput moved: it is dirty, and so are the running
+        // job 2 and the queued job 3, whose fingerprints did not move.
         let mut jobs2 = jobs.clone();
         if let JobStatus::Running { throughput, .. } = &mut jobs2[0].status {
             *throughput = 2.0;
         }
-        let cls = t.classify(&jobs2, &epoch(), 0.97);
-        assert_eq!(cls.verdict_of(1), Some(Verdict::Dirty));
-        assert_eq!(cls.verdict_of(3), Some(Verdict::Dirty));
-        assert_eq!(cls.verdict_of(2), Some(Verdict::SkipAlways));
-        assert_eq!(cls.dirty_len(), 2);
-        assert_eq!(cls.clean_len(), 1);
+        let (cls, clean) = classify(&mut t, &jobs2);
+        assert_eq!(clean, [false, false, false]);
+        assert_eq!(cls.dirty_len(), 3);
+        assert_eq!(cls.clean_len(), 0);
         assert!(!cls.fast_eligible());
     }
 
     #[test]
-    fn epoch_mismatch_and_notify_dirty_everything() {
+    fn epoch_mismatch_dirties_everything() {
         let mut t = DirtyTracker::new();
         let jobs = vec![running(1)];
         let out = job1_as_running();
-        t.classify(&jobs, &epoch(), 0.97);
-        t.record(&jobs, &out, epoch(), true, 0.97, |_, _| true);
+        record_simple(&mut t, &jobs, &out, true);
+        let free = t.projected_free.clone();
 
-        let mut other = epoch();
-        other.registry_version = 7;
-        let cls = t.classify(&jobs, &other, 0.97);
-        assert!(!cls.epoch_matched);
-        assert_eq!(cls.verdict_of(1), Some(Verdict::Dirty));
-
-        // Re-record, then a notified cluster delta forces one dirty round.
-        t.record(&jobs, &out, epoch(), true, 0.97, |_, _| true);
-        t.force_dirty();
-        let cls = t.classify(&jobs, &epoch(), 0.97);
-        assert!(!cls.epoch_matched);
-        assert_eq!(cls.verdict_of(1), Some(Verdict::Dirty));
-        // The flag is one-shot.
-        let cls = t.classify(&jobs, &epoch(), 0.97);
+        let mut refit = epoch();
+        refit.registry_version = 7;
+        // A node going down zeroes its schedulable capacity.
+        let mut node_down = epoch();
+        node_down.node_caps[0] = Resources::zero();
+        for other in [refit, node_down] {
+            let (cls, clean) = classify_on(&mut t, &jobs, &other, &free);
+            assert!(!cls.epoch_matched);
+            assert_eq!(clean, [false]);
+        }
+        let (cls, clean) = classify(&mut t, &jobs);
         assert!(cls.epoch_matched);
-        assert_eq!(cls.verdict_of(1), Some(Verdict::SkipAlways));
+        assert_eq!(clean, [true]);
+    }
+
+    #[test]
+    fn ledger_off_projection_demotes_every_clean_job() {
+        let mut t = DirtyTracker::new();
+        let jobs = vec![running(1), snap(2, JobStatus::Queued)];
+        let out = job1_as_running();
+        record_simple(&mut t, &jobs, &out, true);
+        let projected = t.projected_free.clone();
+
+        // One ULP more memory on the one node, which is growth; one ULP
+        // less, which is a shrink; and a second node.
+        let mut grown = projected.clone();
+        grown[0].mem_gb = f64::from_bits(grown[0].mem_gb.to_bits() + 1);
+        let mut shrunk = projected.clone();
+        shrunk[0].mem_gb = f64::from_bits(shrunk[0].mem_gb.to_bits() - 1);
+        let mut wider = projected.clone();
+        wider.push(NodeShape::a800().capacity());
+        for free in [grown, shrunk, wider] {
+            let (cls, clean) = classify_on(&mut t, &jobs, &epoch(), &free);
+            assert_eq!(clean, [false, false], "{free:?}");
+            assert_eq!(cls.dirty_len(), 2);
+            assert!(!cls.fast_eligible());
+        }
+        let (cls, clean) = classify_on(&mut t, &jobs, &epoch(), &projected);
+        assert_eq!(clean, [true, true]);
+        assert!(cls.fast_eligible());
     }
 
     #[test]
@@ -765,14 +679,14 @@ mod tests {
         let mut t = DirtyTracker::new();
         let queued = vec![snap(1, JobStatus::Queued)];
         let out = job1_as_running();
-        t.classify(&queued, &epoch(), 0.97);
         // We emitted a launch for job 1 and the previous round was *not*
         // quiet (it admitted a job)…
         record_simple(&mut t, &queued, &out, false);
         // …but the job is still queued: the launch failed, so it is dirty
         // even though its snapshot fingerprint is unchanged.
-        let cls = t.classify(&queued, &epoch(), 0.97);
-        assert_eq!(cls.verdict_of(1), Some(Verdict::Dirty));
+        let (cls, clean) = classify(&mut t, &queued);
+        assert_eq!(clean, [false]);
+        assert_eq!(cls.clean, [false]);
     }
 
     #[test]
@@ -782,10 +696,7 @@ mod tests {
         let out = job1_as_running();
         record_simple(&mut t, &jobs, &out, true);
         let cap = NodeShape::a800().capacity();
-        assert_eq!(
-            t.projected_free(),
-            &[cap - Resources::new(1, 12, 100.0)][..]
-        );
+        assert_eq!(t.projected_free, [cap - Resources::new(1, 12, 100.0)]);
     }
 
     #[test]
@@ -799,7 +710,7 @@ mod tests {
         record_simple(&mut t, &jobs, &out, true);
 
         t.push_delta(&JobDelta::default());
-        let cls = t.classify(&jobs, &epoch(), 0.97);
+        let (cls, _) = classify(&mut t, &jobs);
         // One frozen-bit recheck for the running job; the four queued jobs
         // are trusted clean without touching their fingerprints.
         assert_eq!(cls.classified, 1);
@@ -808,7 +719,7 @@ mod tests {
         assert!(cls.fast_eligible());
         // The delta is one-shot: the next round falls back to the full
         // pass and fingerprints everything.
-        let cls = t.classify(&jobs, &epoch(), 0.97);
+        let (cls, _) = classify(&mut t, &jobs);
         assert_eq!(cls.classified, 5);
     }
 
@@ -830,9 +741,8 @@ mod tests {
             changed: vec![2],
             removed: vec![],
         });
-        let cls = t.classify(&jobs2, &epoch(), 0.97);
-        assert_eq!(cls.verdict_of(2), Some(Verdict::Dirty));
-        assert_eq!(cls.verdict_of(3), Some(Verdict::QuietSkip));
+        let (cls, clean) = classify(&mut t, &jobs2);
+        assert_eq!(clean, [true, false, true]);
         // Job 2's fingerprint compare + job 1's frozen recheck.
         assert_eq!(cls.classified, 2);
         assert!(!cls.fast_eligible());
@@ -851,9 +761,9 @@ mod tests {
             changed: vec![],
             removed: vec![2],
         });
-        let cls = t.classify(&jobs2, &epoch(), 0.97);
+        let (cls, _) = classify(&mut t, &jobs2);
         // The survivor stays clean, but a vanished job frees capacity the
-        // quiet certificates never saw: no fast path.
+        // clean certificates never saw: no fast path.
         assert_eq!(cls.dirty_len(), 0);
         assert!(!cls.fast_eligible());
     }
@@ -883,8 +793,8 @@ mod tests {
         // Runtime grew past the gate with no engine transition: the empty
         // delta must still catch the flip via the running-suspect recheck.
         t.push_delta(&JobDelta::default());
-        let cls = t.classify(&old, &epoch(), 0.97);
-        assert_eq!(cls.verdict_of(1), Some(Verdict::Dirty));
+        let (cls, clean) = classify(&mut t, &old);
+        assert_eq!(clean, [false]);
         assert_eq!(cls.classified, 1);
     }
 

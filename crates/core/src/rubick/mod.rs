@@ -31,13 +31,11 @@ mod state;
 
 pub use minres::min_res;
 
-use crate::common::JobCache;
+use crate::common::{JobCache, JobIndex};
 use crate::registry::ModelRegistry;
 use rubick_model::BestPlanMemo;
 use rubick_sim::cluster::Cluster;
-use rubick_sim::scheduler::{
-    Assignment, ClusterDelta, JobDelta, JobSnapshot, RoundStats, Scheduler,
-};
+use rubick_sim::scheduler::{Assignment, JobDelta, JobSnapshot, RoundStats, Scheduler};
 use rubick_sim::tenant::Tenant;
 use rubick_testbed::TestbedOracle;
 use std::collections::HashMap;
@@ -108,6 +106,10 @@ pub struct RubickScheduler {
     /// Incremental-planning memory (fingerprints, emitted assignments,
     /// ledger projection), carried from one round to the next.
     pub(crate) tracker: dirty::DirtyTracker,
+    /// The round's job id → slice position map, rebuilt at the start of
+    /// every round and lent to the tracker, the round state and the
+    /// context; kept across rounds so its table is reused.
+    pub(crate) index: JobIndex,
     /// `GetBestPlan` answers by placement class, kept across rounds. Each
     /// memo row remembers the fit it was scored under, so a refit empties
     /// only the refitted model's rows.
@@ -134,6 +136,7 @@ impl RubickScheduler {
             config,
             lazy: None,
             tracker: dirty::DirtyTracker::new(),
+            index: JobIndex::default(),
             plan_memo: BestPlanMemo::new(),
             cache: JobCache::default(),
             buffers: state::RoundBuffers::default(),
@@ -162,15 +165,6 @@ impl RubickScheduler {
 impl Scheduler for RubickScheduler {
     fn name(&self) -> &str {
         &self.config.name
-    }
-
-    fn notify(&mut self, delta: &ClusterDelta) {
-        // Belt and braces: topology changes also surface as an epoch
-        // mismatch (node capacities are part of the epoch), but the
-        // explicit signal keeps the tracker honest even if a future
-        // epoch field is relaxed.
-        let _ = delta;
-        self.tracker.force_dirty();
     }
 
     fn notify_jobs(&mut self, delta: &JobDelta) {

@@ -3,13 +3,14 @@
 //! Each pass hands its jobs to [`schedule_job`], the `ScheduleJob` search
 //! of [`grow`](super::grow).
 
-use super::certs::is_satiated;
 use super::ctx::{build_job_parts, Ctx};
-use super::dirty::{Classification, Epoch, Verdict};
+use super::dirty::{Classification, Epoch};
 use super::grow::{drop_gpus_to, schedule_job, trim_to_demand, MIN_GAIN};
+#[cfg(debug_assertions)]
+use super::state::same_state;
 use super::state::State;
 use super::RubickScheduler;
-use crate::round::LedgerDelta;
+use crate::common::JobIndex;
 use rubick_model::{MemoryEstimator, Resources};
 use rubick_sim::cluster::{Allocation, Cluster};
 use rubick_sim::job::{JobClass, JobId, JobStatus};
@@ -34,6 +35,7 @@ pub(super) fn run_round(
         config: ref cfg,
         ref mut lazy,
         ref mut tracker,
+        ref mut index,
         ref mut plan_memo,
         ref mut cache,
         ref mut buffers,
@@ -66,12 +68,26 @@ pub(super) fn run_round(
     });
     let jobs: &[JobSnapshot] = filtered.as_deref().unwrap_or(jobs);
 
+    // The round's one id → position map, shared by the tracker, the state
+    // and the context.
+    index.rebuild(jobs);
+    let index = &*index;
+
+    // ---- initial state: current allocations applied --------------------
+    // Built before classification: the ledger check (and with it the fast
+    // path) only needs the post-charge free vector, which is cheap.
+    let mut state = State::new(cluster, jobs, index, buffers);
+
     // ---- incremental classification (dirty-set planning, §see DESIGN 11)
     // Fingerprint every job's planning inputs and compare against the end
     // of the previous round. The epoch embeds the registry version, so a
     // refit published since the last round (by the engine's refit hook)
     // or a model profiled on demand above invalidates every certificate
-    // at once.
+    // at once; it embeds the node capacities too, so a node going down or
+    // up does the same. A ledger that differs from the projected one demotes every clean
+    // job. When every job is clean, the previous round was quiet and the
+    // ledger is bit-identical, the whole round is provably a verbatim
+    // re-emit.
     let epoch_now = cfg.incremental.then(|| Epoch {
         registry_version: registry.version(),
         total_gpus,
@@ -82,49 +98,19 @@ pub(super) fn run_round(
             .collect(),
         tenants: tenants.to_vec(),
     });
-    let mut cls: Option<Classification> = epoch_now.as_ref().map(|e| {
+    let cls: Option<Classification> = epoch_now.as_ref().map(|e| {
         // Lazy profiling filters the jobs slice, so the engine's delta
         // (expressed against the unfiltered job set) cannot be trusted
         // this round — fall back to full fingerprinting.
         if filtered.is_some() {
             tracker.clear_delta();
         }
-        tracker.classify(jobs, e, cfg.reconfig_threshold)
+        tracker.classify(jobs, index, e, state.round.free(), cfg.reconfig_threshold)
     });
-    // The round's one id → position map, shared by the state and the
-    // context and handed back to the tracker at the end of the round.
-    let index = match &mut cls {
-        Some(c) => c.take_index(),
-        None => {
-            let mut index = tracker.take_index();
-            index.rebuild(jobs);
-            index
-        }
-    };
-
-    // ---- initial state: current allocations applied --------------------
-    // Built before the per-job context: the ledger check (and with it the
-    // fast path) only needs the post-charge free vector, which is cheap.
-    let mut state = State::new(cluster, jobs, &index, buffers);
-
-    // ---- ledger check + fast path --------------------------------------
-    // Capacity growth (a job finished or was evicted elsewhere) gives
-    // non-satiated searches something to grab, so only the satiated skips
-    // survive it; any shrink is maximally conservative. When every job is
-    // clean, the previous round was quiet and the ledger is bit-identical,
-    // the whole round is provably a verbatim re-emit.
-    if let Some(c) = &mut cls {
-        match state.round.delta_vs(tracker.projected_free()) {
-            LedgerDelta::Unchanged => {}
-            LedgerDelta::Grown(_) => c.demote_quiet(),
-            LedgerDelta::Shrunk(_) => c.demote_all(),
-        }
-        if c.fast_eligible() {
-            let classified = c.classified;
-            state.finish(buffers);
-            tracker.restore_index(index);
-            return tracker.fast_path(jobs, classified);
-        }
+    if let Some(c) = cls.as_ref().filter(|c| c.fast_eligible()) {
+        let classified = c.classified;
+        state.finish(buffers);
+        return tracker.fast_path(jobs, classified);
     }
 
     // ---- build round context ------------------------------------------
@@ -145,7 +131,7 @@ pub(super) fn run_round(
     );
     let ctx = Ctx {
         config: cfg,
-        index: &index,
+        index,
         jobs,
         entries,
         memo: RefCell::new(plan_memo),
@@ -154,19 +140,7 @@ pub(super) fn run_round(
         total_gpus,
     };
 
-    // The skip predicate of the incremental round: satiated-clean jobs
-    // skip their (provably no-op) visit unconditionally; quiet-clean jobs
-    // skip only while nothing has mutated the round state yet — the first
-    // lasting mutation voids every positional no-op certificate, and all
-    // later jobs are searched exactly as in a full round.
-    let may_skip = |state: &State<'_>, id: JobId| -> bool {
-        cls.as_ref()
-            .is_some_and(|c| match c.verdict(index.pos(id)) {
-                Verdict::SkipAlways => true,
-                Verdict::QuietSkip => !state.any_changed(),
-                Verdict::Dirty => false,
-            })
-    };
+    let cls = cls.as_ref();
     let mut searched: u64 = 0;
     let mut running_searched: u64 = 0;
 
@@ -174,12 +148,15 @@ pub(super) fn run_round(
     let guaranteed = |s: &JobSnapshot| s.spec.class == JobClass::Guaranteed;
     for snap in state.round.queued_fifo(guaranteed) {
         let id = snap.id();
-        if may_skip(&state, id) {
-            continue;
-        }
-        if quota_allows(&ctx, &state, tenants, id) {
+        let visit = |state: &mut State<'_>| {
+            let allowed = quota_allows(&ctx, state, tenants, id);
+            if allowed {
+                schedule_job(&ctx, state, id);
+            }
+            allowed
+        };
+        if !tracker_skips(cls, index, &state, id, visit) && visit(&mut state) {
             searched += 1;
-            schedule_job(&ctx, &mut state, id);
         }
     }
 
@@ -189,11 +166,10 @@ pub(super) fn run_round(
     };
     for snap in state.round.queued_fifo(starving) {
         let id = snap.id();
-        if may_skip(&state, id) {
-            continue;
+        if !tracker_skips(cls, index, &state, id, |s| schedule_job(&ctx, s, id)) {
+            searched += 1;
+            schedule_job(&ctx, &mut state, id);
         }
-        searched += 1;
-        schedule_job(&ctx, &mut state, id);
     }
 
     // ---- pass 2: best-effort + running, sorted by slope ----------------
@@ -223,7 +199,7 @@ pub(super) fn run_round(
     }));
     rest.sort_by(|(pa, a), (pb, b)| pb.total_cmp(pa).then(a.cmp(b)));
     for &(_, id) in rest.iter() {
-        if may_skip(&state, id) {
+        if tracker_skips(cls, index, &state, id, |s| schedule_job(&ctx, s, id)) {
             continue;
         }
         searched += 1;
@@ -236,7 +212,7 @@ pub(super) fn run_round(
     // ---- emit assignments ----------------------------------------------
     // Quietness is judged *before* emit (emit only reads the table): a
     // round with no changed entry left the state bit-identical to its
-    // start, which is exactly what next round's quiet-skip certificates
+    // start, which is exactly what next round's clean certificates
     // need.
     let quiet = !state.any_changed();
     let out = emit(&ctx, &state);
@@ -251,13 +227,38 @@ pub(super) fn run_round(
             searched,
             classified: c.classified,
         });
-        tracker.record(jobs, &out, e, quiet, cfg.reconfig_threshold, |id, alloc| {
-            is_satiated(&ctx, id, alloc)
-        });
+        tracker.record(jobs, &out, e, quiet, cfg.reconfig_threshold);
     }
     state.finish(buffers);
-    tracker.restore_index(index);
     out
+}
+
+/// Whether the tracker skips job `id`'s visit: a clean job skips only
+/// while nothing has mutated the round state yet. The first lasting
+/// mutation voids every positional no-op certificate, and all later jobs
+/// are searched exactly as in a full round. Debug builds run `visit`, the
+/// visit the pass would have made, on a copy and check that it leaves the
+/// state as it was.
+fn tracker_skips<'a, R>(
+    cls: Option<&Classification>,
+    index: &JobIndex,
+    state: &State<'a>,
+    id: JobId,
+    visit: impl FnOnce(&mut State<'a>) -> R,
+) -> bool {
+    let skip = !state.any_changed() && cls.is_some_and(|c| c.clean(index.pos(id)));
+    #[cfg(debug_assertions)]
+    if skip {
+        let mut walked = state.clone();
+        visit(&mut walked);
+        assert!(
+            same_state(state, &walked),
+            "tracker skip of {id:?} is not a no-op"
+        );
+    }
+    #[cfg(not(debug_assertions))]
+    let _ = visit;
+    skip
 }
 
 /// Remaining-quota check for a guaranteed job: the sum of minimum demands

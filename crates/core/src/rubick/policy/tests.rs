@@ -14,7 +14,7 @@ use rubick_model::{
 use rubick_sim::cluster::{Allocation, Cluster};
 use rubick_sim::engine::{Engine, EngineConfig};
 use rubick_sim::job::{JobClass, JobSpec, JobStatus};
-use rubick_sim::scheduler::{Assignment, ClusterDelta, JobSnapshot, Scheduler};
+use rubick_sim::scheduler::{Assignment, JobSnapshot, Scheduler};
 use rubick_sim::tenant::{Tenant, TenantId};
 use rubick_sim::SimReport;
 use rubick_testbed::TestbedOracle;
@@ -534,9 +534,8 @@ fn finished_jobs_lose_their_cert() {
 
 /// Quotas moving re-plans every job of an incremental scheduler but
 /// resolves none: its cache keys on the registry version and the
-/// cluster's GPU count only, so every entry keeps its certificate. So
-/// does a re-plan forced by a notified cluster delta. A change of the
-/// GPU count resolves every job again.
+/// cluster's GPU count only, so every entry keeps its certificate. A
+/// change of the GPU count resolves every job again.
 #[test]
 fn quota_only_epoch_change_keeps_cached_parts() {
     let (reg, jobs) = gpu_full_pair();
@@ -551,8 +550,6 @@ fn quota_only_epoch_change_keeps_cached_parts() {
     let mut sched = RubickScheduler::new(reg);
     assert_eq!(round(&mut sched, 1, &[]), (2, 2, 2));
     let quota = [Tenant::new("t", Resources::new(4, 8, 100.0))];
-    assert_eq!(round(&mut sched, 1, &quota), (0, 2, 2));
-    sched.notify(&ClusterDelta::NodeUp(0));
     assert_eq!(round(&mut sched, 1, &quota), (0, 2, 2));
     assert_eq!(round(&mut sched, 2, &quota).0, 2);
 }

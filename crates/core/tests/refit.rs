@@ -171,7 +171,7 @@ fn jsonl(events: &[SimEvent]) -> String {
 
 /// Contract 1: a `model_refit` event is followed by a round that
 /// classifies **every** job dirty — the registry-version bump voids all
-/// quiet-skip certificates through the existing epoch path.
+/// clean-skip certificates through the existing epoch path.
 #[test]
 fn material_refit_replans_every_job_next_round() {
     let specs = workload(24, 400);

@@ -216,7 +216,7 @@ pub enum SimEvent {
         /// without invoking the plan search.
         reused: u64,
         /// Jobs actually visited by a plan search this round (dirty jobs
-        /// plus any clean jobs whose quiet-skip certificate was voided
+        /// plus any clean jobs whose skip certificate was voided
         /// mid-round). Absent in pre-delta streams; parses as 0.
         searched: u64,
         /// Fingerprint comparisons performed while classifying this round.

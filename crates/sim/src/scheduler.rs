@@ -158,13 +158,14 @@ pub trait Scheduler: Send {
     }
 
     /// Notifies the policy of a cluster-level input change (node up/down
-    /// from fault injection). Incremental policies use this to dirty
-    /// cached planning state; the default does nothing.
+    /// from fault injection). The default does nothing, and no in-tree
+    /// policy overrides it: a node going down or up moves its
+    /// schedulable capacity, which Rubick's incremental tracker already
+    /// reads from the cluster each round.
     ///
     /// Deltas must never change the returned assignments — the cluster
     /// snapshot passed to [`Scheduler::schedule`] remains the source of
-    /// truth; notifications only help incremental policies avoid stale
-    /// fast paths.
+    /// truth.
     fn notify(&mut self, delta: &ClusterDelta) {
         let _ = delta;
     }
