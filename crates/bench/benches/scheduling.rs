@@ -250,7 +250,6 @@ fn bench_incremental_round(c: &mut Criterion) {
         perturbed_snaps[RUNNERS as usize].queued_since = -1.0;
         inc.notify_jobs(&JobDelta {
             changed: vec![RUNNERS],
-            removed: vec![],
         });
         let dirty = inc.schedule(NOW, &perturbed_snaps, &cluster, &[]);
         let reference = scheduler(false).schedule(NOW, &perturbed_snaps, &cluster, &[]);
@@ -290,7 +289,6 @@ fn bench_incremental_round(c: &mut Criterion) {
                 let perturbed: Vec<usize> = (RUNNERS as usize..n).step_by(step).collect();
                 let delta = JobDelta {
                     changed: perturbed.iter().map(|&i| i as u64).collect(),
-                    removed: vec![],
                 };
                 let mut flip = false;
                 b.iter(|| {

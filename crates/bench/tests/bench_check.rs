@@ -138,7 +138,7 @@ fn memo_hit_has_not_regressed() {
     }
     check_tier(
         "BENCH_modeling.json",
-        bench_check_dir().join("memo_hit/BENCH_modeling.json"),
+        fresh_summary("BENCH_CHECK_FRESH_MEMO", "memo_hit/BENCH_modeling.json"),
         "model/best_plan/memo_hit/",
     );
 }

@@ -67,8 +67,8 @@ impl<E> Deref for Cached<E> {
 }
 
 /// Per-job entries, valid for one `(registry version, schedulable GPUs)`
-/// pair and cleared when either changes — that covers refits, on-demand
-/// profiling and node failures. Entries sit in the last round's snapshot
+/// pair and cleared when either changes — that covers refits and node
+/// failures. Entries sit in the last round's snapshot
 /// order, which the engine gives sorted by job id, so one pass finds every
 /// job that stayed; an unsorted slice only costs misses. Jobs absent from
 /// a round are dropped. A pure cache: a fresh scheduler makes the same

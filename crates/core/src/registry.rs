@@ -83,25 +83,6 @@ impl ModelRegistry {
         self.refits.load(Ordering::Relaxed)
     }
 
-    /// On-demand profiling (phase ① of Fig. 4): profiles and fits a model
-    /// type the first time a job of that type appears, returning the
-    /// simulated profiling wall-clock (~210 s). Returns `None` when the
-    /// type is already known (no cost) or profiling fails (no feasible
-    /// plan anywhere).
-    pub fn profile_on_demand(&self, oracle: &TestbedOracle, spec: &ModelSpec) -> Option<f64> {
-        if self
-            .models
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
-            .contains_key(&spec.name)
-        {
-            return None;
-        }
-        let (model, report) = profile_and_fit(oracle, spec, spec.default_batch).ok()?;
-        self.insert(model);
-        Some(report.wall_seconds)
-    }
-
     /// Inserts or replaces a fitted model.
     pub fn insert(&self, model: ThroughputModel) {
         let name = model.spec.name.clone();
@@ -118,10 +99,9 @@ impl ModelRegistry {
     }
 
     /// The registry's model-content version: bumped on every
-    /// [`ModelRegistry::insert`] (initial profiling, on-demand profiling
-    /// and online refits alike). Two reads returning the same value
-    /// guarantee every fitted model — and every curve derived from one —
-    /// is unchanged between them.
+    /// [`ModelRegistry::insert`], whether it adds a model or refits one.
+    /// Two reads returning the same value guarantee every fitted model —
+    /// and every curve derived from one — is unchanged between them.
     pub fn version(&self) -> u64 {
         self.version.load(Ordering::Acquire)
     }

@@ -28,7 +28,7 @@
 //! re-emitted. The invariant that makes all of this sound is spelled out
 //! in `DESIGN.md` §11.
 //!
-//! **Delta-driven classification** (DESIGN.md §13): the engine tracks
+//! **Delta-driven classification** (DESIGN.md §11): the engine tracks
 //! which job snapshots mutated between rounds and hands the set over via
 //! [`Scheduler::notify_jobs`](rubick_sim::Scheduler::notify_jobs). When a
 //! delta is pending, classification compares fingerprints only for the
@@ -36,10 +36,12 @@
 //! reconfiguration-penalty gate may have flipped as their runtime grew,
 //! the single fingerprint field that evolves without an engine-side state
 //! transition. Every other stored job is trusted clean, so a quiet round
-//! classifies O(changed + running) jobs instead of O(jobs). The full
-//! fingerprint pass is retained as the fallback for callers that supply no
-//! delta (hand-wired tests, lazy-profiling rounds that filter the job
-//! slice) and as a `debug_assert` cross-check of every delta-driven
+//! classifies O(changed + running) jobs instead of O(jobs). The delta may
+//! over-approximate: an id it names that is not in the slice (a job that
+//! changed, then finished) is skipped, and a job that left is caught by
+//! scanning the stored fingerprints for ids the slice lacks. The full
+//! fingerprint pass serves only callers that push no delta (hand-wired
+//! tests and benches) and debug builds' cross-check of every delta-driven
 //! verdict.
 //!
 //! Classification state is flat: verdicts live in a `Vec` parallel to the
@@ -69,12 +71,11 @@ use rubick_sim::tenant::Tenant;
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct Epoch {
     /// [`ModelRegistry::version`](crate::ModelRegistry::version) at the
-    /// start of the round, after lazy profiling — any refit or model
-    /// insertion bumps it.
+    /// start of the round — any refit or model insertion bumps it.
     pub(crate) registry_version: u64,
-    /// Total schedulable GPUs (norms, `g_star` and curves depend on it).
-    pub(crate) total_gpus: u32,
-    /// Per-node schedulable capacity (zero for down nodes).
+    /// Per-node schedulable capacity (zero for down nodes). Its GPU sum is
+    /// the cluster's schedulable GPU count, which norms, `g_star` and
+    /// curves read, so equal capacities imply an equal count.
     pub(crate) node_caps: Vec<Resources>,
     /// Tenant quotas, compared structurally.
     pub(crate) tenants: Vec<Tenant>,
@@ -208,18 +209,8 @@ impl DirtyTracker {
     pub(crate) fn push_delta(&mut self, delta: &JobDelta) {
         match &mut self.pending_delta {
             None => self.pending_delta = Some(delta.clone()),
-            Some(d) => {
-                merge_sorted(&mut d.changed, &delta.changed);
-                merge_sorted(&mut d.removed, &delta.removed);
-            }
+            Some(d) => merge_sorted(&mut d.changed, &delta.changed),
         }
-    }
-
-    /// Drops any pending delta: the next classify falls back to the full
-    /// fingerprint pass. Used when the caller filtered the jobs slice
-    /// (lazy profiling), so the engine's delta no longer describes it.
-    pub(crate) fn clear_delta(&mut self) {
-        self.pending_delta = None;
     }
 
     /// Statistics of the most recent round, if one ran incrementally.
@@ -360,8 +351,8 @@ impl DirtyTracker {
             }
             let in_delta = changed.peek() == Some(&id);
             let Some(pos) = index.get(id) else {
-                // Vanished (finished/removed): handled by the caller's
-                // vanished check; nothing to classify.
+                // Vanished (finished or cancelled): handled by the
+                // caller's vanished check; nothing to classify.
                 continue;
             };
             let snap = &jobs[pos];
@@ -544,7 +535,6 @@ mod tests {
     fn epoch() -> Epoch {
         Epoch {
             registry_version: 0,
-            total_gpus: 8,
             node_caps: vec![NodeShape::a800().capacity()],
             tenants: Vec::new(),
         }
@@ -737,10 +727,7 @@ mod tests {
         // Job 2 re-queued at a later time; the engine marks it.
         let mut jobs2 = jobs.clone();
         jobs2[1].queued_since = 50.0;
-        t.push_delta(&JobDelta {
-            changed: vec![2],
-            removed: vec![],
-        });
+        t.push_delta(&JobDelta { changed: vec![2] });
         let (cls, clean) = classify(&mut t, &jobs2);
         assert_eq!(clean, [true, false, true]);
         // Job 2's fingerprint compare + job 1's frozen recheck.
@@ -749,23 +736,57 @@ mod tests {
     }
 
     #[test]
-    fn delta_removed_job_blocks_the_fast_path() {
+    fn departed_job_blocks_the_fast_path() {
         let mut t = DirtyTracker::new();
         let jobs = vec![running(1), snap(2, JobStatus::Queued)];
         let out = job1_as_running();
         record_simple(&mut t, &jobs, &out, true);
 
-        // Job 2 finished and left the snapshot set.
+        // Job 2 finished and left the snapshot set; the engine names no
+        // job for a departure.
         let jobs2 = vec![jobs[0].clone()];
-        t.push_delta(&JobDelta {
-            changed: vec![],
-            removed: vec![2],
-        });
-        let (cls, _) = classify(&mut t, &jobs2);
+        t.push_delta(&JobDelta::default());
+        let (cls, clean) = classify(&mut t, &jobs2);
         // The survivor stays clean, but a vanished job frees capacity the
         // clean certificates never saw: no fast path.
+        assert_eq!(clean, [true]);
         assert_eq!(cls.dirty_len(), 0);
+        assert_eq!(cls.classified, 1);
         assert!(!cls.fast_eligible());
+    }
+
+    #[test]
+    fn delta_naming_an_absent_job_classifies_as_without_it() {
+        let mut t = DirtyTracker::new();
+        let jobs = vec![
+            running(1),
+            snap(2, JobStatus::Queued),
+            snap(3, JobStatus::Queued),
+        ];
+        let out = job1_as_running();
+        record_simple(&mut t, &jobs, &out, true);
+
+        // Job 2 changed, then finished before the round, so the delta
+        // still names it; id 9 never existed. Job 3 stays put or re-queues
+        // later.
+        let stayed = vec![jobs[0].clone(), jobs[2].clone()];
+        let mut requeued = stayed.clone();
+        requeued[1].queued_since = 50.0;
+        for (slice, named, present, verdicts) in [
+            (&stayed, vec![2], vec![], [true, true]),
+            (&stayed, vec![2, 9], vec![], [true, true]),
+            (&requeued, vec![2, 3], vec![3], [true, false]),
+            (&requeued, vec![2, 3, 9], vec![3], [true, false]),
+        ] {
+            t.push_delta(&JobDelta { changed: present });
+            let (want, want_clean) = classify(&mut t, slice);
+            t.push_delta(&JobDelta { changed: named });
+            let (got, got_clean) = classify(&mut t, slice);
+            assert_eq!(want_clean, verdicts);
+            assert_eq!(got_clean, want_clean);
+            assert_eq!(got.classified, want.classified);
+            assert!(!got.fast_eligible());
+        }
     }
 
     #[test]
@@ -803,16 +824,11 @@ mod tests {
         let mut t = DirtyTracker::new();
         t.push_delta(&JobDelta {
             changed: vec![1, 5],
-            removed: vec![9],
         });
         t.push_delta(&JobDelta {
             changed: vec![3, 5],
-            removed: vec![2],
         });
         let d = t.pending_delta.as_ref().unwrap();
         assert_eq!(d.changed, vec![1, 3, 5]);
-        assert_eq!(d.removed, vec![2, 9]);
-        t.clear_delta();
-        assert!(t.pending_delta.is_none());
     }
 }

@@ -37,18 +37,7 @@ use rubick_model::BestPlanMemo;
 use rubick_sim::cluster::Cluster;
 use rubick_sim::scheduler::{Assignment, JobDelta, JobSnapshot, RoundStats, Scheduler};
 use rubick_sim::tenant::Tenant;
-use rubick_testbed::TestbedOracle;
-use std::collections::HashMap;
 use std::sync::Arc;
-
-/// Lazy profiling state: model types are profiled the first time a job of
-/// that type is submitted (phase ① of Fig. 4), and jobs of a type remain
-/// unschedulable until its simulated profiling window (~210 s) elapses.
-pub(crate) struct LazyProfiling {
-    pub(crate) oracle: TestbedOracle,
-    /// Simulation time at which each model type's fitted model is ready.
-    pub(crate) ready_at: HashMap<String, f64>,
-}
 
 /// Tunables of the Rubick policy (and its ablations).
 #[derive(Debug, Clone, PartialEq)]
@@ -102,7 +91,6 @@ impl Default for RubickConfig {
 pub struct RubickScheduler {
     pub(crate) registry: Arc<ModelRegistry>,
     pub(crate) config: RubickConfig,
-    pub(crate) lazy: Option<LazyProfiling>,
     /// Incremental-planning memory (fingerprints, emitted assignments,
     /// ledger projection), carried from one round to the next.
     pub(crate) tracker: dirty::DirtyTracker,
@@ -134,26 +122,12 @@ impl RubickScheduler {
         RubickScheduler {
             registry,
             config,
-            lazy: None,
             tracker: dirty::DirtyTracker::new(),
             index: JobIndex::default(),
             plan_memo: BestPlanMemo::new(),
             cache: JobCache::default(),
             buffers: state::RoundBuffers::default(),
         }
-    }
-
-    /// Enables on-demand profiling: unknown model types are profiled
-    /// against `oracle` at first submission (phase ① of Fig. 4), and their
-    /// jobs wait out the simulated profiling time (~210 s per type, §7.3)
-    /// before becoming schedulable. Pre-profiling the zoo up front makes
-    /// this a no-op.
-    pub fn with_lazy_profiling(mut self, oracle: TestbedOracle) -> Self {
-        self.lazy = Some(LazyProfiling {
-            oracle,
-            ready_at: HashMap::new(),
-        });
-        self
     }
 
     /// The active configuration.

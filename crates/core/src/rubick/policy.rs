@@ -33,7 +33,6 @@ pub(super) fn run_round(
     let RubickScheduler {
         ref registry,
         config: ref cfg,
-        ref mut lazy,
         ref mut tracker,
         ref mut index,
         ref mut plan_memo,
@@ -41,32 +40,6 @@ pub(super) fn run_round(
         ref mut buffers,
     } = *sched;
     let total_gpus = cluster.schedulable_capacity().gpus;
-
-    // ---- lazy profiling (phase ① of Fig. 4) -----------------------------
-    // Unknown model types are profiled on first sight; their jobs stay in
-    // the queue until the simulated profiling window elapses.
-    let filtered: Option<Vec<JobSnapshot>> = lazy.as_mut().map(|lazy| {
-        let ready = &mut lazy.ready_at;
-        for snap in jobs {
-            let name = &snap.spec.model.name;
-            if registry.model(name).is_none() && !ready.contains_key(name) {
-                let wall = registry
-                    .profile_on_demand(&lazy.oracle, &snap.spec.model)
-                    .unwrap_or(0.0);
-                ready.insert(name.clone(), now + wall);
-            }
-        }
-        jobs.iter()
-            .filter(|s| {
-                ready
-                    .get(&s.spec.model.name)
-                    .map(|&t| now >= t)
-                    .unwrap_or(true)
-            })
-            .cloned()
-            .collect()
-    });
-    let jobs: &[JobSnapshot] = filtered.as_deref().unwrap_or(jobs);
 
     // The round's one id → position map, shared by the tracker, the state
     // and the context.
@@ -82,15 +55,13 @@ pub(super) fn run_round(
     // Fingerprint every job's planning inputs and compare against the end
     // of the previous round. The epoch embeds the registry version, so a
     // refit published since the last round (by the engine's refit hook)
-    // or a model profiled on demand above invalidates every certificate
-    // at once; it embeds the node capacities too, so a node going down or
-    // up does the same. A ledger that differs from the projected one demotes every clean
-    // job. When every job is clean, the previous round was quiet and the
-    // ledger is bit-identical, the whole round is provably a verbatim
-    // re-emit.
+    // invalidates every certificate at once; it embeds the node capacities
+    // too, so a node going down or up does the same. A ledger that differs
+    // from the projected one demotes every clean job. When every job is
+    // clean, the previous round was quiet and the ledger is bit-identical,
+    // the whole round is provably a verbatim re-emit.
     let epoch_now = cfg.incremental.then(|| Epoch {
         registry_version: registry.version(),
-        total_gpus,
         node_caps: cluster
             .nodes()
             .iter()
@@ -98,15 +69,9 @@ pub(super) fn run_round(
             .collect(),
         tenants: tenants.to_vec(),
     });
-    let cls: Option<Classification> = epoch_now.as_ref().map(|e| {
-        // Lazy profiling filters the jobs slice, so the engine's delta
-        // (expressed against the unfiltered job set) cannot be trusted
-        // this round — fall back to full fingerprinting.
-        if filtered.is_some() {
-            tracker.clear_delta();
-        }
-        tracker.classify(jobs, index, e, state.round.free(), cfg.reconfig_threshold)
-    });
+    let cls: Option<Classification> = epoch_now
+        .as_ref()
+        .map(|e| tracker.classify(jobs, index, e, state.round.free(), cfg.reconfig_threshold));
     if let Some(c) = cls.as_ref().filter(|c| c.fast_eligible()) {
         let classified = c.classified;
         state.finish(buffers);
@@ -369,84 +334,3 @@ fn emit(ctx: &Ctx<'_>, state: &State<'_>) -> Vec<Assignment> {
 
 #[cfg(test)]
 mod tests;
-
-#[cfg(test)]
-mod lazy_profiling_tests {
-    use crate::registry::ModelRegistry;
-    use crate::rubick::RubickScheduler;
-    use rubick_model::{ClusterEnv, ExecutionPlan, ModelSpec, NodeShape, Resources};
-    use rubick_sim::cluster::Cluster;
-    use rubick_sim::engine::{Engine, EngineConfig};
-    use rubick_sim::job::{JobClass, JobSpec};
-    use rubick_sim::tenant::TenantId;
-    use rubick_testbed::TestbedOracle;
-    use std::sync::Arc;
-
-    #[test]
-    fn unknown_model_types_are_profiled_on_demand() {
-        let oracle = TestbedOracle::new(41);
-        // Empty registry: nothing pre-profiled.
-        let registry = Arc::new(ModelRegistry::new(ClusterEnv::a800(), NodeShape::a800()));
-        let scheduler =
-            RubickScheduler::new(Arc::clone(&registry)).with_lazy_profiling(oracle.clone());
-        let job = JobSpec {
-            id: 1,
-            model: ModelSpec::roberta_large(),
-            global_batch: 64,
-            submit_time: 0.0,
-            target_batches: 500,
-            requested: Resources::new(4, 16, 100.0),
-            initial_plan: ExecutionPlan::dp(4),
-            class: JobClass::Guaranteed,
-            tenant: TenantId::default(),
-        };
-        let mut engine = Engine::new(
-            &oracle,
-            Box::new(scheduler),
-            Cluster::new(1, NodeShape::a800()),
-            vec![],
-            EngineConfig::default(),
-        );
-        let report = engine.run(vec![job]);
-        assert_eq!(report.jobs.len(), 1, "unfinished: {:?}", report.unfinished);
-        // The model was registered on demand...
-        assert!(registry.model("roberta-355m").is_some());
-        // ...and the job waited out the simulated profiling window (~210s+,
-        // surfaced at the next scheduling round).
-        let start = report.jobs[0].first_start.unwrap();
-        assert!(
-            start >= 200.0,
-            "job started before profiling finished: {start}"
-        );
-    }
-
-    #[test]
-    fn preprofiled_types_pay_nothing() {
-        let oracle = TestbedOracle::new(41);
-        let registry =
-            Arc::new(ModelRegistry::from_oracle(&oracle, &[ModelSpec::roberta_large()]).unwrap());
-        let scheduler =
-            RubickScheduler::new(Arc::clone(&registry)).with_lazy_profiling(oracle.clone());
-        let job = JobSpec {
-            id: 1,
-            model: ModelSpec::roberta_large(),
-            global_batch: 64,
-            submit_time: 0.0,
-            target_batches: 200,
-            requested: Resources::new(4, 16, 100.0),
-            initial_plan: ExecutionPlan::dp(4),
-            class: JobClass::Guaranteed,
-            tenant: TenantId::default(),
-        };
-        let mut engine = Engine::new(
-            &oracle,
-            Box::new(scheduler),
-            Cluster::new(1, NodeShape::a800()),
-            vec![],
-            EngineConfig::default(),
-        );
-        let report = engine.run(vec![job]);
-        assert_eq!(report.jobs.len(), 1);
-        assert!(report.jobs[0].first_start.unwrap() < 60.0);
-    }
-}

@@ -569,7 +569,6 @@ fn quiet_round_classification_is_o_delta() {
     // running suspects, and the (unchanged) job stays clean.
     inc.notify_jobs(&JobDelta {
         changed: vec![RUNNERS + 1],
-        removed: vec![],
     });
     let named = inc.schedule(NOW, &jobs, &cluster, &[]);
     assert_eq!(first, named, "named-delta round diverges");

@@ -64,7 +64,15 @@ use rubick_sim::{RefitHook, RefitObservation, RefitOutcome};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-/// Tuning knobs for [`RegistryRefitter`].
+/// Minimum window size before a refit is attempted — one point can always
+/// be fit perfectly, so demanding a few guards against chasing noise.
+const MIN_POINTS: usize = 3;
+/// Window cap per model type; the oldest observation is evicted first.
+const MAX_WINDOW: usize = 28;
+/// Damped Gauss–Newton steps per refit attempt.
+const MAX_STEPS: usize = 12;
+
+/// The tuning knob of [`RegistryRefitter`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RefitConfig {
     /// Material-change threshold: a refit is attempted when the worst
@@ -72,36 +80,19 @@ pub struct RefitConfig {
     /// new parameters are swapped in only when they shift the predicted
     /// envelope by more than this (relative). Default 0.15.
     pub threshold: f64,
-    /// Minimum window size before a refit is attempted — one point can
-    /// always be fit perfectly, so demanding a few guards against chasing
-    /// noise.
-    pub min_points: usize,
-    /// Window cap per model type; the oldest observation is evicted
-    /// first. Default 28.
-    pub max_window: usize,
-    /// Damped Gauss–Newton steps per refit attempt.
-    pub max_steps: usize,
 }
 
 impl Default for RefitConfig {
     fn default() -> Self {
-        RefitConfig {
-            threshold: 0.15,
-            min_points: 3,
-            max_window: 28,
-            max_steps: 12,
-        }
+        RefitConfig { threshold: 0.15 }
     }
 }
 
 impl RefitConfig {
     /// A config with a custom material-change threshold (CLI
-    /// `--refit-threshold`), everything else default.
+    /// `--refit-threshold`).
     pub fn with_threshold(threshold: f64) -> Self {
-        RefitConfig {
-            threshold,
-            ..RefitConfig::default()
-        }
+        RefitConfig { threshold }
     }
 }
 
@@ -267,7 +258,7 @@ impl RefitHook for RegistryRefitter {
                 window.settled = None;
             }
         } else {
-            if window.points.len() >= self.config.max_window.max(1) {
+            if window.points.len() >= MAX_WINDOW {
                 window.points.remove(0);
             }
             window.points.push(DataPoint::new(
@@ -278,7 +269,7 @@ impl RefitHook for RegistryRefitter {
             ));
             window.settled = None;
         }
-        if window.points.len() < self.config.min_points {
+        if window.points.len() < MIN_POINTS {
             return None;
         }
 
@@ -319,7 +310,7 @@ impl RefitHook for RegistryRefitter {
             &model.env,
             &old_params,
             &window.points,
-            self.config.max_steps,
+            MAX_STEPS,
         );
 
         // Material-change test: only a shift of the predicted envelope
@@ -504,32 +495,26 @@ mod tests {
     fn window_deduplicates_and_caps() {
         let reg = registry(11);
         let shape = *reg.shape();
-        let config = RefitConfig {
-            max_window: 2,
-            // Effectively disable refitting so only windowing is observed.
-            threshold: f64::INFINITY,
-            ..RefitConfig::default()
-        };
+        // Effectively disable refitting so only windowing is observed.
+        let config = RefitConfig::with_threshold(f64::INFINITY);
         let mut refitter = RegistryRefitter::new(Arc::clone(&reg), config);
         let plan = ExecutionPlan::dp(2);
-        let placement = Placement::packed(2, &shape);
+        // Placements differing only in their CPU count are distinct.
+        let placement = |cpus: usize| Placement::spread(2, shape.gpus, cpus as u32, 100.0);
         // Same configuration twice: replaced, not appended.
-        refitter.observe(&obs(&plan, &placement, 1.0, 1.0));
-        refitter.observe(&obs(&plan, &placement, 2.0, 1.0));
+        refitter.observe(&obs(&plan, &placement(1), 1.0, 1.0));
+        refitter.observe(&obs(&plan, &placement(1), 2.0, 1.0));
         assert_eq!(refitter.window_len("roberta-355m"), 1);
         assert_eq!(refitter.windows["roberta-355m"].points[0].iter_time, 2.0);
-        // Two more distinct configurations: the cap evicts the oldest.
-        let p4 = ExecutionPlan::dp(4);
-        let pl4 = Placement::packed(4, &shape);
-        refitter.observe(&obs(&p4, &pl4, 1.0, 1.0));
-        let p8 = ExecutionPlan::dp(8);
-        let pl8 = Placement::packed(8, &shape);
-        refitter.observe(&obs(&p8, &pl8, 1.0, 1.0));
-        assert_eq!(refitter.window_len("roberta-355m"), 2);
-        assert!(refitter.windows["roberta-355m"]
-            .points
-            .iter()
-            .all(|p| p.plan != plan));
+        // `MAX_WINDOW` more distinct configurations: the cap evicts the
+        // oldest, and only it.
+        for cpus in 2..=MAX_WINDOW + 1 {
+            refitter.observe(&obs(&plan, &placement(cpus), 1.0, 1.0));
+        }
+        let points = &refitter.windows["roberta-355m"].points;
+        assert_eq!(points.len(), MAX_WINDOW);
+        assert_eq!(points[0].placement, placement(2));
+        assert!(points.iter().all(|p| p.placement != placement(1)));
     }
 
     /// Observations the current model misses by 20% in both directions:

@@ -123,10 +123,9 @@ pub struct Engine<'a> {
     rounds: u64,
     fold: ReportSink,
     chaos: Option<FaultPlan>,
-    /// Jobs whose snapshot-visible state mutated (`changed`) or that left
-    /// the snapshot set (`removed`) since the last scheduling round. Ids
-    /// accumulate unsorted; a round sorts and dedups them, hands the delta
-    /// to the scheduler and clears it, keeping the buffers.
+    /// Jobs whose snapshot-visible state mutated since the last scheduling
+    /// round. Ids accumulate unsorted; a round sorts and dedups them, hands
+    /// the delta to the scheduler and clears it, keeping the buffer.
     delta: JobDelta,
     /// `apply`'s per-position and per-target index buffers, empty between
     /// rounds.
@@ -221,25 +220,16 @@ impl<'a> Engine<'a> {
     /// Records that `id`'s snapshot-visible state changed since the last
     /// round. Every engine transition that can alter a [`JobSnapshot`]
     /// field, the job's running allocation/plan, or its queued/running
-    /// status must call this (or [`Engine::mark_removed`]).
+    /// status must call this. A job leaving the table needs no mark: the
+    /// policy sees it gone from the slice.
     pub(crate) fn mark_changed(&mut self, id: JobId) {
         self.delta.changed.push(id);
     }
 
-    /// Records that `id` finished and left the snapshot set. A change
-    /// recorded before this is dropped; one recorded after it (the id is
-    /// re-submitted) stands.
-    fn mark_removed(&mut self, id: JobId) {
-        self.delta.changed.retain(|&c| c != id);
-        self.delta.removed.push(id);
-    }
-
-    /// Puts the pending delta's id lists in increasing order, each id once.
+    /// Puts the pending delta's ids in increasing order, each id once.
     fn seal_delta(&mut self) {
-        for ids in [&mut self.delta.changed, &mut self.delta.removed] {
-            ids.sort_unstable();
-            ids.dedup();
-        }
+        self.delta.changed.sort_unstable();
+        self.delta.changed.dedup();
     }
 
     /// Attaches an online refit hook: every oracle measurement taken while
@@ -339,7 +329,6 @@ impl<'a> Engine<'a> {
         self.seal_delta();
         self.scheduler.notify_jobs(&self.delta);
         self.delta.changed.clear();
-        self.delta.removed.clear();
         let started = Instant::now();
         let targets = self
             .scheduler
@@ -433,7 +422,6 @@ impl<'a> Engine<'a> {
             self.cluster.release(allocation);
         }
         self.done.insert(id);
-        self.mark_removed(id);
         Some((job, rt))
     }
 
@@ -1072,34 +1060,26 @@ mod tests {
 
     proptest! {
         /// The delta a round hands over equals the fold of its marks into
-        /// two sets, where a removal drops the id's earlier changes.
+        /// one set.
         #[test]
         fn sealed_delta_equals_the_set_fold(rounds in prop::collection::vec(
-            prop::collection::vec((prop::bool::ANY, 0u64..6), 0..16),
+            prop::collection::vec(0u64..6, 0..16),
             1..5,
         )) {
             let oracle = TestbedOracle::new(1);
             let mut e = engine(&oracle);
             for marks in rounds {
-                let (mut changed, mut removed) = (BTreeSet::new(), BTreeSet::new());
-                for (remove, id) in marks {
-                    if remove {
-                        e.mark_removed(id);
-                        changed.remove(&id);
-                        removed.insert(id);
-                    } else {
-                        e.mark_changed(id);
-                        changed.insert(id);
-                    }
+                let mut changed = BTreeSet::new();
+                for id in marks {
+                    e.mark_changed(id);
+                    changed.insert(id);
                 }
                 e.seal_delta();
                 let want = JobDelta {
                     changed: changed.into_iter().collect(),
-                    removed: removed.into_iter().collect(),
                 };
                 prop_assert_eq!(&e.delta, &want);
                 e.delta.changed.clear();
-                e.delta.removed.clear();
             }
         }
     }

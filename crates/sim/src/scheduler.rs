@@ -96,28 +96,22 @@ pub struct RoundStats {
 }
 
 /// The set of jobs whose snapshots changed since the scheduler last ran,
-/// as tracked by the engine between rounds. Both lists are sorted by
-/// [`JobId`] and deduplicated; a job never appears in both.
+/// as tracked by the engine between rounds.
 ///
 /// Incremental policies use the delta to classify only the jobs that
 /// could have changed instead of fingerprinting every job. The delta is
-/// advisory: a policy that receives none (or distrusts it) falls back to
-/// full fingerprint classification with identical output.
+/// advisory and may over-approximate: it can name a job whose snapshot
+/// did not change, or one that changed and has since left the slice
+/// (finished or cancelled). A departure itself is not marked; the policy
+/// sees the job missing from the slice. A policy that receives no delta (or
+/// distrusts it) falls back to full fingerprint classification with
+/// identical output.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct JobDelta {
     /// Jobs submitted, re-queued, launched, reconfigured, preempted,
-    /// evicted, or otherwise mutated since the last scheduling round.
+    /// evicted, or otherwise mutated since the last scheduling round,
+    /// sorted by [`JobId`] and deduplicated.
     pub changed: Vec<JobId>,
-    /// Jobs that finished (and left the snapshot set) since the last
-    /// scheduling round.
-    pub removed: Vec<JobId>,
-}
-
-impl JobDelta {
-    /// True when nothing changed since the last round.
-    pub fn is_empty(&self) -> bool {
-        self.changed.is_empty() && self.removed.is_empty()
-    }
 }
 
 /// A cluster-level input change the engine pushes into schedulers between
@@ -171,9 +165,10 @@ pub trait Scheduler: Send {
     }
 
     /// Hands the policy the set of jobs whose snapshots changed since the
-    /// last round, immediately before [`Scheduler::schedule`]. Incremental
-    /// policies use it to classify O(changed) jobs instead of O(jobs); the
-    /// default does nothing.
+    /// last round, immediately before [`Scheduler::schedule`], whose slice
+    /// the delta describes: a job that left is missing from that slice,
+    /// not marked. Incremental policies use it to classify
+    /// O(changed) jobs instead of O(jobs); the default does nothing.
     ///
     /// Like [`Scheduler::notify`], deltas must never change the returned
     /// assignments — the snapshots passed to `schedule` remain the source
