@@ -52,6 +52,11 @@
 #                      and model/best_plan/memo_hit and fail on a >20%
 #                      regression of the fastest sample vs the committed
 #                      BENCH_*.json summaries
+#   make bench-ab      run the repo benchmark (BENCHMARK.json) in alternating
+#                      pairs on a base revision and the working tree and
+#                      print each end-to-end metric's medians, change in
+#                      percent, pairs won and parent IQR (scripts/bench-ab.sh;
+#                      BASE, PAIRS, WORKLOADS, SEED; needs jq)
 #   make build         release build of the whole workspace
 #   make loc           count the *.rs lines under crates/ and src/: shims,
 #                      tests/benches, inline test modules, and the rest
@@ -60,7 +65,7 @@
 # (opt-in: bench timings are machine-dependent, so the default CI gate
 # stays deterministic).
 
-.PHONY: verify fmt lint test build loc bench bench-check bench-smoke sweep-smoke exp-smoke serve-smoke refit-smoke skip-smoke benchmark-test
+.PHONY: verify fmt lint test build loc bench bench-ab bench-check bench-smoke sweep-smoke exp-smoke serve-smoke refit-smoke skip-smoke benchmark-test
 
 verify: fmt lint test sweep-smoke exp-smoke serve-smoke refit-smoke skip-smoke bench-smoke benchmark-test
 
@@ -112,6 +117,13 @@ loc:
 	printf '%-14s %7d\n' shims $$shims tests/benches $$tests \
 		'inline tests' $$inline rest $$((total - shims - tests - inline)) \
 		total $$total
+
+# A/B of the repo benchmark against BASE (default: the merge-base with
+# main). Not part of verify: its timings depend on the host. Make passes
+# BASE, PAIRS, WORKLOADS and SEED given on its command line through the
+# environment.
+bench-ab:
+	scripts/bench-ab.sh
 
 # The benchmark package has its own [workspace] and is not a member of the
 # root one, so neither `test` nor `lint` compiles it. This keeps the API it

@@ -107,8 +107,8 @@ fn run_chaos(scheduler: Box<dyn Scheduler>, plan: FaultPlan) -> Vec<SimEvent> {
 
 /// For every job evicted by a fault, the plan it held at eviction and the
 /// plan of its restart (`JobRestarted`), in stream order.
-fn evicted_vs_restart_plans(events: &[SimEvent]) -> Vec<(u64, String, String)> {
-    let mut evicted: BTreeMap<u64, String> = BTreeMap::new();
+fn evicted_vs_restart_plans(events: &[SimEvent]) -> Vec<(u64, Arc<str>, Arc<str>)> {
+    let mut evicted: BTreeMap<u64, Arc<str>> = BTreeMap::new();
     let mut out = Vec::new();
     for e in events {
         match e {

@@ -347,7 +347,7 @@ fn refit_converges_toward_observed_truth() {
 
     let truth =
         ModelRegistry::from_oracle(&TestbedOracle::new(ORACLE_SEED), &ModelSpec::zoo()).unwrap();
-    let mut refit_models: Vec<String> = events
+    let mut refit_models: Vec<Arc<str>> = events
         .iter()
         .filter_map(|e| match e {
             SimEvent::ModelRefit { model, .. } => Some(model.clone()),

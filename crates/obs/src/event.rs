@@ -6,6 +6,7 @@ use std::fmt;
 use std::io;
 use std::ops::Range;
 use std::path::Path;
+use std::sync::Arc;
 
 /// What kind of placement decision a [`SimEvent::DecisionApplied`] records.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -31,6 +32,11 @@ impl DecisionKind {
 /// The engine emits exactly one event per state transition, in
 /// deterministic order; sinks observe the same sequence the engine's own
 /// report fold sees.
+///
+/// The label fields (`plan`, `model`, `tenant`, `class`) are shared
+/// `Arc<str>`s, so an emitter can give every event one allocation per
+/// distinct label and a fold can keep it with a refcount bump. Free-form
+/// text (`reason`, `old_params`, `new_params`) stays an owned `String`.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SimEvent {
     /// A job arrived and entered the queue.
@@ -40,11 +46,11 @@ pub enum SimEvent {
         /// Job id.
         job: u64,
         /// Owning tenant name (empty for the default tenant).
-        tenant: String,
+        tenant: Arc<str>,
         /// Scheduling class label (`guaranteed` / `best-effort`).
-        class: String,
+        class: Arc<str>,
         /// Model type name.
-        model: String,
+        model: Arc<str>,
         /// GPUs requested by the user.
         gpus: u32,
         /// CPUs requested by the user.
@@ -52,7 +58,7 @@ pub enum SimEvent {
         /// Host memory requested by the user, GB.
         mem_gb: f64,
         /// User-chosen execution-plan label.
-        plan: String,
+        plan: Arc<str>,
     },
     /// A scheduling round ran over a non-empty job snapshot.
     RoundStarted {
@@ -74,7 +80,7 @@ pub enum SimEvent {
         /// GPUs granted (launch) or released (preempt).
         gpus: u32,
         /// Execution-plan label granted (launch) or vacated (preempt).
-        plan: String,
+        plan: Arc<str>,
         /// Measured throughput in samples/s (0 for preemptions).
         throughput: f64,
     },
@@ -87,7 +93,7 @@ pub enum SimEvent {
         /// GPUs granted after the change.
         gpus: u32,
         /// New execution-plan label.
-        plan: String,
+        plan: Arc<str>,
         /// Checkpoint-resume delay charged, s.
         delay: f64,
     },
@@ -107,11 +113,11 @@ pub enum SimEvent {
         /// Job id.
         job: u64,
         /// Owning tenant name (empty for the default tenant).
-        tenant: String,
+        tenant: Arc<str>,
         /// Scheduling class label (`guaranteed` / `best-effort`).
-        class: String,
+        class: Arc<str>,
         /// Model type name.
-        model: String,
+        model: Arc<str>,
         /// Submission time, s.
         submit_time: f64,
         /// First launch time, s (absent if the job never ran).
@@ -167,7 +173,7 @@ pub enum SimEvent {
         /// GPUs the job held when evicted.
         gpus: u32,
         /// Execution-plan label the job was running when evicted.
-        plan: String,
+        plan: Arc<str>,
     },
     /// A fault-evicted job relaunched; emitted immediately before the
     /// matching [`SimEvent::Reconfigured`] (schema v2).
@@ -180,7 +186,7 @@ pub enum SimEvent {
         gpus: u32,
         /// Execution-plan label of the relaunch (may differ from the plan
         /// at eviction when the policy re-plans for the shrunken cluster).
-        plan: String,
+        plan: Arc<str>,
         /// Extra restart delay charged on top of checkpoint-resume, s.
         penalty: f64,
     },
@@ -196,7 +202,7 @@ pub enum SimEvent {
         /// GPUs released (0 if the job was queued).
         gpus: u32,
         /// Execution-plan label vacated (empty if the job was queued).
-        plan: String,
+        plan: Arc<str>,
     },
     /// Incremental-planning statistics for one scheduling round (schema
     /// v3). Emitted right after the policy returns, before decisions are
@@ -234,7 +240,7 @@ pub enum SimEvent {
         /// Simulation time, s.
         at: f64,
         /// Zoo model name whose parameters were refit.
-        model: String,
+        model: Arc<str>,
         /// Maximum relative envelope shift between old and new predictions
         /// over the observation window (the material-change statistic).
         shift: f64,
@@ -552,13 +558,13 @@ impl SimEvent {
             "job_submitted" => SimEvent::JobSubmitted {
                 at: f.num("at")?,
                 job: f.uint("job")?,
-                tenant: f.str("tenant")?.to_string(),
-                class: f.str("class")?.to_string(),
-                model: f.str("model")?.to_string(),
+                tenant: Arc::from(f.str("tenant")?),
+                class: Arc::from(f.str("class")?),
+                model: Arc::from(f.str("model")?),
                 gpus: f.uint32("gpus")?,
                 cpus: f.uint32("cpus")?,
                 mem_gb: f.num("mem_gb")?,
-                plan: f.str("plan")?.to_string(),
+                plan: Arc::from(f.str("plan")?),
             },
             "round_started" => SimEvent::RoundStarted {
                 at: f.num("at")?,
@@ -578,14 +584,14 @@ impl SimEvent {
                     }
                 },
                 gpus: f.uint32("gpus")?,
-                plan: f.str("plan")?.to_string(),
+                plan: Arc::from(f.str("plan")?),
                 throughput: f.num("throughput")?,
             },
             "reconfigured" => SimEvent::Reconfigured {
                 at: f.num("at")?,
                 job: f.uint("job")?,
                 gpus: f.uint32("gpus")?,
-                plan: f.str("plan")?.to_string(),
+                plan: Arc::from(f.str("plan")?),
                 delay: f.num("delay")?,
             },
             "launch_failed" => SimEvent::LaunchFailed {
@@ -596,9 +602,9 @@ impl SimEvent {
             "job_finished" => SimEvent::JobFinished {
                 at: f.num("at")?,
                 job: f.uint("job")?,
-                tenant: f.str("tenant")?.to_string(),
-                class: f.str("class")?.to_string(),
-                model: f.str("model")?.to_string(),
+                tenant: Arc::from(f.str("tenant")?),
+                class: Arc::from(f.str("class")?),
+                model: Arc::from(f.str("model")?),
                 submit_time: f.num("submit_time")?,
                 first_start: f.opt_num("first_start")?,
                 reconfig_count: f.uint32("reconfig_count")?,
@@ -627,20 +633,20 @@ impl SimEvent {
                 job: f.uint("job")?,
                 node: f.uint("node")?,
                 gpus: f.uint32("gpus")?,
-                plan: f.str("plan")?.to_string(),
+                plan: Arc::from(f.str("plan")?),
             },
             "job_restarted" => SimEvent::JobRestarted {
                 at: f.num("at")?,
                 job: f.uint("job")?,
                 gpus: f.uint32("gpus")?,
-                plan: f.str("plan")?.to_string(),
+                plan: Arc::from(f.str("plan")?),
                 penalty: f.num("penalty")?,
             },
             "job_cancelled" => SimEvent::JobCancelled {
                 at: f.num("at")?,
                 job: f.uint("job")?,
                 gpus: f.uint32("gpus")?,
-                plan: f.str("plan")?.to_string(),
+                plan: Arc::from(f.str("plan")?),
             },
             "round_planned" => SimEvent::RoundPlanned {
                 at: f.num("at")?,
@@ -655,7 +661,7 @@ impl SimEvent {
             },
             "model_refit" => SimEvent::ModelRefit {
                 at: f.num("at")?,
-                model: f.str("model")?.to_string(),
+                model: Arc::from(f.str("model")?),
                 shift: f.num("shift")?,
                 old_params: f.str("old_params")?.to_string(),
                 new_params: f.str("new_params")?.to_string(),

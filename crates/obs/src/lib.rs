@@ -108,7 +108,7 @@ mod tests {
             SimEvent::JobFinished {
                 at: 1234.5678901234567,
                 job: 1,
-                tenant: String::new(),
+                tenant: "".into(),
                 class: "best-effort".into(),
                 model: "resnet50".into(),
                 submit_time: 0.1,
@@ -477,7 +477,7 @@ mod tests {
         sink.on_event(&SimEvent::JobSubmitted {
             at: 0.0,
             job: 1,
-            tenant: String::new(),
+            tenant: "".into(),
             class: "guaranteed".into(),
             model: "gpt2".into(),
             gpus: 4,
@@ -519,7 +519,7 @@ mod tests {
         sink.on_event(&SimEvent::JobFinished {
             at: 100.0,
             job: 1,
-            tenant: String::new(),
+            tenant: "".into(),
             class: "guaranteed".into(),
             model: "gpt2".into(),
             submit_time: 0.0,
@@ -679,7 +679,7 @@ mod tests {
             SimEvent::JobFinished {
                 at: 1500.0,
                 job: 1,
-                tenant: String::new(),
+                tenant: "".into(),
                 class: "best-effort".into(),
                 model: "gpt2".into(),
                 submit_time: 0.0,

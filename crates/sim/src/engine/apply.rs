@@ -54,6 +54,7 @@ impl<'a> Engine<'a> {
                     // the checkpoint; the restore cost is charged at the
                     // next launch).
                     let (allocation, plan) = self.preempt(i);
+                    let plan = self.labels.plan(&plan);
                     self.emit(
                         sink,
                         SimEvent::DecisionApplied {
@@ -61,7 +62,7 @@ impl<'a> Engine<'a> {
                             job: self.jobs[i].id(),
                             kind: DecisionKind::Preempt,
                             gpus: allocation.gpus(),
-                            plan: plan.label(),
+                            plan,
                             throughput: 0.0,
                         },
                     );
@@ -166,7 +167,7 @@ impl<'a> Engine<'a> {
             spec.cold_start_secs()
         } + fault_penalty;
         let gpus = assignment.allocation.gpus();
-        let plan = assignment.plan.label();
+        let plan = self.labels.plan(&assignment.plan);
         let job = &mut self.jobs[i];
         let rt = &mut self.runtimes[i];
         rt.fault_evicted_at = None;
@@ -178,7 +179,7 @@ impl<'a> Engine<'a> {
                 at: self.now,
                 job: id,
                 gpus,
-                plan: plan.clone(),
+                plan: Arc::clone(&plan),
                 delay,
             }
         } else {
@@ -188,7 +189,7 @@ impl<'a> Engine<'a> {
                 job: id,
                 kind: DecisionKind::Launch,
                 gpus,
-                plan: plan.clone(),
+                plan: Arc::clone(&plan),
                 throughput,
             }
         };
@@ -217,11 +218,12 @@ impl<'a> Engine<'a> {
         self.emit(sink, event);
         if let Some(outcome) = refit_outcome {
             self.refit_round_pending = true;
+            let model = self.labels.name(&outcome.model);
             self.emit(
                 sink,
                 SimEvent::ModelRefit {
                     at: self.now,
-                    model: outcome.model,
+                    model,
                     shift: outcome.shift,
                     old_params: rubick_obs::params_to_str(&outcome.old_params),
                     new_params: rubick_obs::params_to_str(&outcome.new_params),

@@ -41,7 +41,7 @@ use crate::cluster::{Allocation, Cluster};
 use crate::job::{JobId, JobSpec, JobStatus};
 use crate::metrics::SimReport;
 use crate::refit::RefitHook;
-use crate::report::{self, ReportSink};
+use crate::report::{self, Labels, ReportSink};
 use crate::scheduler::{Assignment, JobDelta, JobSnapshot, Scheduler};
 use crate::tenant::Tenant;
 use event_queue::{Event, EventKind, EventQueue};
@@ -122,6 +122,9 @@ pub struct Engine<'a> {
     tick_pending: bool,
     rounds: u64,
     fold: ReportSink,
+    /// The run's event labels: each distinct plan label and name is
+    /// allocated once and shared by every event that carries it.
+    labels: Labels,
     chaos: Option<FaultPlan>,
     /// Jobs whose snapshot-visible state mutated since the last scheduling
     /// round. Ids accumulate unsorted; a round sorts and dedups them, hands
@@ -204,6 +207,7 @@ impl<'a> Engine<'a> {
             tick_pending: false,
             rounds: 0,
             fold: ReportSink::new(),
+            labels: Labels::default(),
             chaos: None,
             delta: JobDelta::default(),
             slot: Vec::new(),
@@ -368,6 +372,7 @@ impl<'a> Engine<'a> {
                 continue;
             }
             let (allocation, plan) = self.preempt(i);
+            let plan = self.labels.plan(&plan);
             self.runtimes[i].fault_evicted_at = Some(self.now);
             self.emit(
                 sink,
@@ -376,7 +381,7 @@ impl<'a> Engine<'a> {
                     job: self.jobs[i].id(),
                     node: node as u64,
                     gpus: allocation.gpus(),
-                    plan: plan.label(),
+                    plan,
                 },
             );
         }
@@ -548,8 +553,15 @@ impl<'a> Engine<'a> {
                         continue;
                     };
                     let baseline = self.baseline_throughput(&spec);
-                    let submitted = report::submitted_event(&spec, self.now);
-                    let (job, rt) = JobRuntime::submitted(Arc::new(spec), self.now, baseline);
+                    let model = self.labels.name(&spec.model.name);
+                    let submitted = report::submitted_event(
+                        &spec,
+                        self.now,
+                        Arc::clone(&model),
+                        &mut self.labels,
+                    );
+                    let (job, rt) =
+                        JobRuntime::submitted(Arc::new(spec), model, self.now, baseline);
                     match self.jobs.binary_search_by_key(&id, JobSnapshot::id) {
                         // A re-submitted active id replaces its entry.
                         Ok(i) => (self.jobs[i], self.runtimes[i]) = (job, rt),
@@ -573,7 +585,8 @@ impl<'a> Engine<'a> {
                     if job.remaining_batches <= 1e-6 {
                         let (job, rt) = self.retire(id).expect("job exists");
                         let record = rt.record(&job, self.now);
-                        self.emit(sink, report::finished_event(&record));
+                        let finished = report::finished_event(&record, &mut self.labels);
+                        self.emit(sink, finished);
                         need_round = true;
                     } else if let JobStatus::Running { throughput, .. } = job.status {
                         // Float drift: re-arm the finish event.
@@ -603,8 +616,8 @@ impl<'a> Engine<'a> {
                     let (gpus, plan) = match &job.status {
                         JobStatus::Running {
                             allocation, plan, ..
-                        } => (allocation.gpus(), plan.label()),
-                        JobStatus::Queued => (0, String::new()),
+                        } => (allocation.gpus(), self.labels.plan(plan)),
+                        JobStatus::Queued => (0, self.labels.name("")),
                     };
                     self.emit(
                         sink,
@@ -1120,5 +1133,62 @@ mod tests {
             .events
             .iter()
             .any(|e| matches!(e, SimEvent::JobFinished { job: 2, .. })));
+    }
+
+    #[test]
+    fn labels_are_shared_by_events_decisions_and_records() {
+        let oracle = TestbedOracle::new(1);
+        let mut engine = engine(&oracle);
+        let mut sink = rubick_obs::VecSink::default();
+        let report = engine.run_with_sink(vec![job(1, 0.0, 300), job(2, 50.0, 300)], &mut sink);
+        // Both jobs submit and launch under the same plan: one allocation.
+        let plans: Vec<&Arc<str>> =
+            sink.events
+                .iter()
+                .filter_map(|e| match e {
+                    SimEvent::JobSubmitted { plan, .. }
+                    | SimEvent::DecisionApplied { plan, .. } => Some(plan),
+                    _ => None,
+                })
+                .collect();
+        assert_eq!(plans.len(), 4);
+        assert_eq!(&**plans[0], ExecutionPlan::dp(4).label());
+        assert!(plans.iter().all(|p| Arc::ptr_eq(p, plans[0])));
+        // The report's decision trail keeps that allocation too.
+        let launches: Vec<&Arc<str>> = report
+            .decisions
+            .iter()
+            .filter_map(|d| match d {
+                crate::metrics::Decision::Launch { plan, .. } => Some(plan),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(launches.len(), 2);
+        assert!(launches.iter().all(|p| Arc::ptr_eq(p, plans[0])));
+        // Two records of one model share its name with every event naming it.
+        let [a, b] = &report.jobs[..] else {
+            panic!("expected two records, got {}", report.jobs.len())
+        };
+        assert!(Arc::ptr_eq(&a.model, &b.model));
+        let models: Vec<&Arc<str>> = sink
+            .events
+            .iter()
+            .filter_map(|e| match e {
+                SimEvent::JobSubmitted { model, .. } | SimEvent::JobFinished { model, .. } => {
+                    Some(model)
+                }
+                _ => None,
+            })
+            .collect();
+        assert_eq!(models.len(), 4);
+        assert!(models.iter().all(|m| Arc::ptr_eq(m, &a.model)));
+    }
+
+    #[test]
+    fn label_carriers_stay_small() {
+        // Shared labels shrank these; a new field must not silently undo it.
+        assert!(std::mem::size_of::<crate::metrics::Decision>() <= 48);
+        assert!(std::mem::size_of::<crate::metrics::JobRecord>() <= 152);
+        assert!(std::mem::size_of::<SimEvent>() <= 160);
     }
 }

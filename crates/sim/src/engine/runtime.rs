@@ -11,6 +11,8 @@ use std::sync::Arc;
 /// engine keeps one beside each snapshot, at the same position.
 #[derive(Debug)]
 pub(crate) struct JobRuntime {
+    /// The job's model name, from the engine's label table.
+    pub(crate) model: Arc<str>,
     /// Seconds of productive training (excludes restore windows).
     pub(crate) work_seconds: f64,
     pub(crate) gpu_seconds: f64,
@@ -29,9 +31,11 @@ pub(crate) struct JobRuntime {
 }
 
 impl JobRuntime {
-    /// A freshly submitted (queued) job: its snapshot and its runtime.
+    /// A freshly submitted (queued) job: its snapshot and its runtime,
+    /// which keeps `model`, the job's interned model name.
     pub(crate) fn submitted(
         spec: Arc<JobSpec>,
+        model: Arc<str>,
         now: f64,
         baseline_throughput: Option<f64>,
     ) -> (JobSnapshot, Self) {
@@ -45,6 +49,7 @@ impl JobRuntime {
             baseline_throughput,
         };
         let rt = JobRuntime {
+            model,
             work_seconds: 0.0,
             gpu_seconds: 0.0,
             reconfig_time: 0.0,
@@ -88,7 +93,7 @@ impl JobRuntime {
         let samples = spec.target_batches as f64 * spec.global_batch as f64;
         JobRecord {
             id: spec.id,
-            model: spec.model.name.clone(),
+            model: Arc::clone(&self.model),
             class: spec.class,
             tenant: spec.tenant.clone(),
             submit_time: spec.submit_time,

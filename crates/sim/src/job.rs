@@ -19,12 +19,19 @@ pub enum JobClass {
     BestEffort,
 }
 
+impl JobClass {
+    /// The stable wire label, which is also the `Display` form.
+    pub(crate) fn label(&self) -> &'static str {
+        match self {
+            JobClass::Guaranteed => "guaranteed",
+            JobClass::BestEffort => "best-effort",
+        }
+    }
+}
+
 impl fmt::Display for JobClass {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            JobClass::Guaranteed => write!(f, "guaranteed"),
-            JobClass::BestEffort => write!(f, "best-effort"),
-        }
+        f.write_str(self.label())
     }
 }
 

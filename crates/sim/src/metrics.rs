@@ -7,6 +7,7 @@
 
 use crate::job::{JobClass, JobId};
 use crate::tenant::TenantId;
+use std::sync::Arc;
 
 /// One scheduling decision the engine applied (the audit trail of a run).
 ///
@@ -23,8 +24,8 @@ pub enum Decision {
         job: JobId,
         /// GPUs granted.
         gpus: u32,
-        /// Execution plan label.
-        plan: String,
+        /// Execution plan label, shared with the run's other uses of it.
+        plan: Arc<str>,
         /// Measured throughput, samples/s.
         throughput: f64,
     },
@@ -36,8 +37,8 @@ pub enum Decision {
         job: JobId,
         /// GPUs granted after the change.
         gpus: u32,
-        /// New execution plan label.
-        plan: String,
+        /// New execution plan label, shared like [`Decision::Launch`]'s.
+        plan: Arc<str>,
         /// Checkpoint-resume delay charged, s.
         delay: f64,
     },
@@ -105,8 +106,8 @@ impl Decision {
 pub struct JobRecord {
     /// Job id.
     pub id: JobId,
-    /// Model type name.
-    pub model: String,
+    /// Model type name, shared by every record of the model.
+    pub model: Arc<str>,
     /// Scheduling class.
     pub class: JobClass,
     /// Owning tenant.

@@ -21,34 +21,74 @@
 use crate::job::{JobClass, JobId, JobSpec};
 use crate::metrics::{Decision, JobRecord, SimReport};
 use crate::tenant::TenantId;
+use rubick_model::ExecutionPlan;
 use rubick_obs::{DecisionKind, EventSink, SimEvent};
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap, HashSet};
 use std::mem;
+use std::sync::Arc;
 
-/// The [`SimEvent::JobSubmitted`] event for a job spec entering the queue.
-pub(crate) fn submitted_event(spec: &JobSpec, at: f64) -> SimEvent {
+/// One run's event labels, each formatted and allocated once: every
+/// event, decision and job record that names a plan, model, tenant or
+/// class shares the table's `Arc<str>`. The engine owns one table and
+/// drops it with itself, so runs share nothing.
+#[derive(Debug, Default)]
+pub(crate) struct Labels {
+    plans: HashMap<ExecutionPlan, Arc<str>>,
+    names: HashSet<Arc<str>>,
+}
+
+impl Labels {
+    /// The shared label of `plan`; [`ExecutionPlan::label`] runs on its
+    /// first request only.
+    pub(crate) fn plan(&mut self, plan: &ExecutionPlan) -> Arc<str> {
+        Arc::clone(
+            self.plans
+                .entry(*plan)
+                .or_insert_with(|| plan.label().into()),
+        )
+    }
+
+    /// The shared copy of a model, tenant or class name.
+    pub(crate) fn name(&mut self, name: &str) -> Arc<str> {
+        if let Some(label) = self.names.get(name) {
+            return Arc::clone(label);
+        }
+        let label: Arc<str> = name.into();
+        self.names.insert(Arc::clone(&label));
+        label
+    }
+}
+
+/// The [`SimEvent::JobSubmitted`] event for a job spec entering the queue,
+/// naming its model by `model` (the job's interned model name).
+pub(crate) fn submitted_event(
+    spec: &JobSpec,
+    at: f64,
+    model: Arc<str>,
+    labels: &mut Labels,
+) -> SimEvent {
     SimEvent::JobSubmitted {
         at,
         job: spec.id,
-        tenant: spec.tenant.0.clone(),
-        class: spec.class.to_string(),
-        model: spec.model.name.clone(),
+        tenant: labels.name(&spec.tenant.0),
+        class: labels.name(spec.class.label()),
+        model,
         gpus: spec.requested.gpus,
         cpus: spec.requested.cpus,
         mem_gb: spec.requested.mem_gb,
-        plan: spec.initial_plan.label(),
+        plan: labels.plan(&spec.initial_plan),
     }
 }
 
 /// The [`SimEvent::JobFinished`] event carrying a completed job's full
 /// accounting record.
-pub(crate) fn finished_event(record: &JobRecord) -> SimEvent {
+pub(crate) fn finished_event(record: &JobRecord, labels: &mut Labels) -> SimEvent {
     SimEvent::JobFinished {
         at: record.finish_time,
         job: record.id,
-        tenant: record.tenant.0.clone(),
-        class: record.class.to_string(),
-        model: record.model.clone(),
+        tenant: labels.name(&record.tenant.0),
+        class: labels.name(record.class.label()),
+        model: Arc::clone(&record.model),
         submit_time: record.submit_time,
         first_start: record.first_start,
         reconfig_count: record.reconfig_count,
@@ -86,13 +126,13 @@ fn record_from_event(event: &SimEvent) -> Option<JobRecord> {
     {
         Some(JobRecord {
             id: *job,
-            model: model.clone(),
-            class: if class == "guaranteed" {
+            model: Arc::clone(model),
+            class: if &**class == "guaranteed" {
                 JobClass::Guaranteed
             } else {
                 JobClass::BestEffort
             },
-            tenant: TenantId(tenant.clone()),
+            tenant: TenantId(tenant.to_string()),
             submit_time: *submit_time,
             first_start: *first_start,
             finish_time: *at,
@@ -173,7 +213,7 @@ impl EventSink for ReportSink {
                     at: *at,
                     job: *job,
                     gpus: *gpus,
-                    plan: plan.clone(),
+                    plan: Arc::clone(plan),
                     throughput: *throughput,
                 }),
                 DecisionKind::Preempt => self
@@ -190,7 +230,7 @@ impl EventSink for ReportSink {
                 at: *at,
                 job: *job,
                 gpus: *gpus,
-                plan: plan.clone(),
+                plan: Arc::clone(plan),
                 delay: *delay,
             }),
             SimEvent::LaunchFailed { at, job, reason } => {

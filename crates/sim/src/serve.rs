@@ -316,7 +316,7 @@ impl ServeOp {
                     w.uint("batch", u64::from(batch));
                 }
                 w.uint("target_batches", s.target_batches);
-                w.str("class", &s.class.to_string());
+                w.str("class", s.class.label());
                 w.str("tenant", &s.tenant);
                 w.str("plan", &s.plan);
                 if let Some(at) = s.at {
